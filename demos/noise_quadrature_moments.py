@@ -24,8 +24,7 @@ from mcnspde import (
     trapezoid_defect,
     wave_micro_sum_moment_exact,
 )
-from mcnspde.noise import micro_quadrature_defect
-from mcnspde.validation import _cumulative_block, _wave_micro_sum_kernel
+from mcnspde.validation import _cumulative_block, _wave_micro_sum_kernel, heat_defect_block
 
 print("1. micro-sum defect moment vs (m/3) tau^5")
 print(f"{'tau':>8} {'m':>3} {'estimate':>12} {'exact':>12} {'z':>7}")
@@ -36,9 +35,9 @@ for n_steps in (8, 16):
         for r in range(300):
             path = sample_path(1000 + r, mesh, m=m,
                                master_steps=mesh.N * mesh.M * 256)
-            for j in range(mesh.N):
-                d = micro_quadrature_defect(path, mesh, j)
-                sq.append(float(d @ d))
+            # one path is the one-path case of the batched kernel
+            defects = heat_defect_block(path.cumulative[None], mesh, path.delta)
+            sq.extend((defects[0] ** 2).sum(axis=1))
         sq = np.asarray(sq)
         est = sq.mean()
         se = sq.std(ddof=1) / math.sqrt(sq.size)

@@ -11,19 +11,16 @@ validation suite checks the quadrature moments against closed forms.
 """
 
 from .grid import (
-    Field,
     SolverError,
     SpatialGrid,
-    TridiagonalOperator,
-    apply_operator,
-    build_discrete_laplacian,
+    TridiagonalSolver,
+    apply_laplacian,
     dirichlet_eigenvalue,
     h1_seminorm,
-    identity_plus,
     l2_inner,
     l2_norm,
+    shifted_laplacian,
     sine_mode,
-    solve_tridiagonal,
 )
 from .noise import (
     AlignmentError,
@@ -31,34 +28,31 @@ from .noise import (
     TimeMesh,
     WienerPath,
     defect_moment_exact,
-    heat_correction,
-    micro_quadrature_defect,
-    micro_riemann_sum,
+    mesh_values,
+    quadrature_gaps,
     sample_path,
-    wave_correction_displacement,
-    wave_correction_velocity,
     wave_micro_sum_moment_exact,
 )
 from .heat import (
     ConfigError,
     HeatProblem,
-    HeatState,
     benchmark_heat_problem,
     benchmark_phi,
     em_step,
     exact_heat_solution,
+    heat_forcing,
     mcn_heat_step,
     run_heat,
     stochastic_convolution,
 )
 from .wave import (
     WaveProblem,
-    WaveState,
     benchmark_wave_problem,
     mcn_wave_step,
     reference_wave_solution,
     run_wave,
     wave_energy,
+    wave_forcing,
 )
 from .harness import (
     ConvergenceTable,

@@ -9,7 +9,9 @@ Three subcommands:
 Study results go out as CSV (``N,tau,rms_error,standard_error``) to
 ``--out`` or stdout; a human-readable summary accompanies them on stdout
 when the CSV goes to a file.  ``--config`` reads ``key = value`` defaults
-(keys are flag names with dashes or underscores); explicit flags win.
+(keys are flag names with dashes or underscores).  Settings stack in one
+order: the desk preset, or the full-scale one under ``--paper``, then the
+config file, then explicit flags, which always win.
 Exit codes: 0 success, 1 failed validation checks, 2 bad configuration or
 I/O trouble.
 """
@@ -60,15 +62,18 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, defaults: StudyConfig) -> None:
-    parser.add_argument("--n-list", type=_parse_n_list, default=defaults.n_list,
+    # Flags whose default differs between the desk and --paper presets
+    # default to None here, so that only a value the user gave overrides
+    # the chosen preset.
+    parser.add_argument("--n-list", type=_parse_n_list, default=None,
                         help="comma list or doubling range (e.g. 8..256) of step counts")
     parser.add_argument("--k", type=int, default=defaults.k,
                         help="interior spatial nodes")
-    parser.add_argument("--mc", type=int, default=defaults.mc_count,
+    parser.add_argument("--mc", type=int, default=None,
                         help="Monte Carlo realizations")
     parser.add_argument("--seed", type=int, default=defaults.base_seed,
-                        help="base seed; realization r uses seed XOR r")
-    parser.add_argument("--master-steps", type=int, default=defaults.master_steps,
+                        help="base seed; realization r uses the Philox key (seed, r)")
+    parser.add_argument("--master-steps", type=int, default=None,
                         help="master grid steps (power of two)")
     parser.add_argument("--workers", type=int, default=1,
                         help="process count for the realization loop")
@@ -80,7 +85,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, defaults: StudyConfig) ->
                         help="key=value file of flag defaults")
     parser.add_argument("--paper", action="store_true",
                         help="full-scale preset: N up to 1024, 1000 realizations, "
-                             "finer master grid")
+                             "finer master grid; explicit flags still win")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     wave_defaults = desk_wave_config()
     wave = sub.add_parser("wave", help="wave equation convergence study")
-    wave.add_argument("--n-ref", type=int, default=wave_defaults.n_ref,
+    wave.add_argument("--n-ref", type=int, default=None,
                       help="reference mesh resolution")
     wave.add_argument("--norm", choices=("h1_displacement", "l2_velocity"),
                       default=wave_defaults.error_norm,
@@ -133,50 +138,37 @@ def _load_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _apply_config_file(parser_args: list[str], args: argparse.Namespace,
-                       subparser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Re-parse with file values as defaults so explicit flags still win."""
-    file_values = _load_config_file(args.config)
-    defaults = {}
-    for key, value in file_values.items():
+def _config_file_flags(path: Path, args: argparse.Namespace) -> list[str]:
+    """The key = value file at path spelled as flags, to be parsed before the explicit ones."""
+    flags = []
+    for key, value in _load_config_file(path).items():
         if not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
-        current = getattr(args, key)
-        if key == "n_list":
-            defaults[key] = _parse_n_list(value)
-        elif isinstance(current, bool):
-            defaults[key] = value.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            defaults[key] = int(value)
-        elif isinstance(current, Path) or key in ("out", "report"):
-            defaults[key] = Path(value)
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):
+            if value.lower() in ("1", "true", "yes", "on"):
+                flags.append(flag)
         else:
-            defaults[key] = value
-    subparser.set_defaults(**defaults)
-    return subparser.parse_args(parser_args)
+            flags += [flag, value]
+    return flags
 
 
 def _study_config(args: argparse.Namespace, equation: str) -> StudyConfig:
+    """The chosen preset with every given flag applied on top."""
     if equation == EQUATION_WAVE:
-        config = desk_wave_config() if not args.paper else paper_wave_config()
-        config = dataclasses.replace(
-            config, n_ref=args.n_ref, error_norm=args.norm
-        ) if not args.paper else dataclasses.replace(config, error_norm=args.norm)
+        preset = paper_wave_config if args.paper else desk_wave_config
+        config = preset(error_norm=args.norm)
     else:
-        config = desk_heat_config() if not args.paper else paper_heat_config()
-        config = dataclasses.replace(
-            config, scheme=args.scheme, exact_mode=args.exact_mode
-        )
-    overrides = {}
-    if not args.paper:
-        overrides.update(
-            n_list=tuple(args.n_list),
-            mc_count=args.mc,
-            master_steps=args.master_steps,
-        )
-        if equation == EQUATION_WAVE:
-            overrides["n_ref"] = args.n_ref
-    overrides.update(k=args.k, base_seed=args.seed, workers=args.workers)
+        preset = paper_heat_config if args.paper else desk_heat_config
+        config = preset(scheme=args.scheme, exact_mode=args.exact_mode)
+    overrides = dict(k=args.k, base_seed=args.seed, workers=args.workers)
+    given = dict(
+        n_list=args.n_list,
+        mc_count=args.mc,
+        master_steps=args.master_steps,
+        n_ref=getattr(args, "n_ref", None),
+    )
+    overrides.update((name, value) for name, value in given.items() if value is not None)
     return dataclasses.replace(config, **overrides)
 
 
@@ -207,13 +199,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None) is not None:
-            # Pull the chosen subparser back out to merge file defaults.
-            sub_actions = [
-                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-            ]
-            subparser = sub_actions[0].choices[args.command]
-            args = _apply_config_file(argv[1:], args, subparser)
-            args.command = argv[0]
+            # File values go in ahead of the explicit flags, so a flag given
+            # on the command line overrides the same key from the file.
+            file_flags = _config_file_flags(args.config, args)
+            args = parser.parse_args([argv[0], *file_flags, *argv[1:]])
         if args.command == "validate":
             return _run_validate_command(args)
         return _run_study_command(args, args.command)

@@ -1,10 +1,11 @@
 """Uniform spatial grid on (0, 1) with homogeneous Dirichlet boundaries.
 
-The interior nodes are x_i = i*h, i = 1..K, h = 1/(K+1).  Fields store
-interior values only; the boundary values are identically zero and never
-materialized.  The second-difference Laplacian and the shifted systems
-(I + c*Lap) that the time steppers solve are all symmetric tridiagonal,
-so a direct Thomas elimination is used throughout.
+The interior nodes are x_i = i*h, i = 1..K, h = 1/(K+1).  Grid functions
+are plain arrays of the K interior values; the boundary values are
+identically zero and never materialized.  The second-difference
+Laplacian and the shifted systems (I + c*Lap) that the time steppers
+solve are all symmetric tridiagonal, so a direct Thomas elimination is
+used throughout, factored once per system.
 """
 
 from __future__ import annotations
@@ -43,135 +44,76 @@ class SpatialGrid:
         return self.h * np.arange(1, self.K + 1)
 
 
-@dataclass(frozen=True)
-class Field:
-    """Grid function on the interior nodes (boundary values are zero)."""
-
-    grid: SpatialGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.K,):
-            raise ValueError(
-                f"field needs {self.grid.K} interior values, got shape {values.shape}"
-            )
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def zeros(cls, grid: SpatialGrid) -> "Field":
-        return cls(grid, np.zeros(grid.K))
-
-    @classmethod
-    def from_function(cls, grid: SpatialGrid, f) -> "Field":
-        return cls(grid, np.asarray(f(grid.nodes), dtype=float))
-
-    def _check_same_grid(self, other: "Field") -> None:
-        if self.grid != other.grid:
-            raise ValueError("fields live on different grids")
-
-    def __add__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
-        return Field(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
-        return Field(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "Field":
-        return Field(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
-
-
-@dataclass(frozen=True)
-class TridiagonalOperator:
-    """Real tridiagonal matrix acting on fields of a fixed grid."""
-
-    grid: SpatialGrid
-    lower: np.ndarray  # sub-diagonal, length K-1
-    diag: np.ndarray  # main diagonal, length K
-    upper: np.ndarray  # super-diagonal, length K-1
-
-    def __post_init__(self) -> None:
-        K = self.grid.K
-        lower = np.asarray(self.lower, dtype=float)
-        diag = np.asarray(self.diag, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if diag.shape != (K,) or lower.shape != (K - 1,) or upper.shape != (K - 1,):
-            raise ValueError("band lengths must be K-1, K, K-1")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "upper", upper)
-
-
-def build_discrete_laplacian(grid: SpatialGrid) -> TridiagonalOperator:
-    """Second-difference Laplacian (f_{i-1} - 2 f_i + f_{i+1}) / h^2.
+def apply_laplacian(grid: SpatialGrid, f: np.ndarray) -> np.ndarray:
+    """Second differences (f_{i-1} - 2 f_i + f_{i+1}) / h^2 along the last axis.
 
     Dirichlet boundaries are built in: the stencil sees zero outside the
     interior band.  The operator is symmetric negative definite with
     eigenvectors sin(k*pi*x_i) and eigenvalues -(4/h^2) sin^2(k*pi*h/2).
     """
-    K, h = grid.K, grid.h
-    off = np.full(K - 1, 1.0 / h**2)
-    diag = np.full(K, -2.0 / h**2)
-    return TridiagonalOperator(grid, off, diag, off.copy())
+    out = -2.0 * f
+    out[..., :-1] += f[..., 1:]
+    out[..., 1:] += f[..., :-1]
+    out *= 1.0 / grid.h**2
+    return out
 
 
-def identity_plus(op: TridiagonalOperator, scale: float) -> TridiagonalOperator:
-    """Tridiagonal matrix I + scale * op on the same grid."""
-    return TridiagonalOperator(
-        op.grid,
-        scale * op.lower,
-        1.0 + scale * op.diag,
-        scale * op.upper,
-    )
+class TridiagonalSolver:
+    """Thomas elimination of one tridiagonal matrix, factored at construction.
 
-
-def apply_operator(op: TridiagonalOperator, f: Field) -> Field:
-    """Matrix-vector product op @ f."""
-    if op.grid != f.grid:
-        raise ValueError("operator and field live on different grids")
-    v = f.values
-    out = op.diag * v
-    out[:-1] += op.upper * v[1:]
-    out[1:] += op.lower * v[:-1]
-    return Field(f.grid, out)
-
-
-def solve_tridiagonal(op: TridiagonalOperator, rhs: Field) -> Field:
-    """Solve op @ x = rhs by Thomas elimination (forward sweep, back substitution).
-
-    Raises SolverError if any pivot magnitude falls below PIVOT_FLOOR.  The
-    systems stepped in this package are strictly diagonally dominant, so a
-    failure here indicates a misconstructed operator rather than roundoff.
+    The forward elimination depends on the bands alone, so the multipliers
+    and pivots are computed once here, and SolverError is raised if any
+    pivot magnitude falls below PIVOT_FLOOR.  The systems stepped in this
+    package are strictly diagonally dominant, so a failure indicates a
+    misconstructed matrix rather than roundoff.  solve() then runs only the
+    two substitution sweeps.
     """
-    if op.grid != rhs.grid:
-        raise ValueError("operator and right-hand side live on different grids")
-    n = op.grid.K
-    # Plain Python lists keep the sequential sweep cheap at the K ~ 40
-    # sizes this package runs; the arrays are tiny.
-    a = op.lower.tolist()
-    b = op.diag.tolist()
-    c = op.upper.tolist()
-    d = rhs.values.tolist()
-    for i in range(1, n):
-        piv = b[i - 1]
-        if abs(piv) < PIVOT_FLOOR:
-            raise SolverError(f"pivot {piv!r} at row {i - 1} below {PIVOT_FLOOR}")
-        w = a[i - 1] / piv
-        b[i] -= w * c[i - 1]
-        d[i] -= w * d[i - 1]
-    if abs(b[-1]) < PIVOT_FLOOR:
-        raise SolverError(f"pivot {b[-1]!r} at row {n - 1} below {PIVOT_FLOOR}")
-    x = [0.0] * n
-    x[-1] = d[-1] / b[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (d[i] - c[i] * x[i + 1]) / b[i]
-    return Field(rhs.grid, np.array(x))
+
+    def __init__(self, lower, diag, upper) -> None:
+        lower, diag, upper = (np.asarray(b, dtype=float).tolist() for b in (lower, diag, upper))
+        n = len(diag)
+        if len(lower) != n - 1 or len(upper) != n - 1:
+            raise ValueError("band lengths must be K-1, K, K-1")
+        # Plain Python lists keep the sequential sweeps cheap at the K ~ 40
+        # sizes this package runs; the arrays are tiny.
+        pivots = [diag[0]]
+        multipliers = []
+        for i in range(1, n):
+            self._check_pivot(pivots[i - 1], i - 1)
+            w = lower[i - 1] / pivots[i - 1]
+            multipliers.append(w)
+            pivots.append(diag[i] - w * upper[i - 1])
+        self._check_pivot(pivots[-1], n - 1)
+        self.size = n
+        self._multipliers = multipliers
+        self._pivots = pivots
+        self._upper = upper
+
+    @staticmethod
+    def _check_pivot(pivot: float, row: int) -> None:
+        if abs(pivot) < PIVOT_FLOOR:
+            raise SolverError(f"pivot {pivot!r} at row {row} below {PIVOT_FLOOR}")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with A x = rhs, for a right-hand side of shape (K,)."""
+        d = rhs.tolist()
+        n = self.size
+        if len(d) != n:
+            raise ValueError(f"right-hand side has {len(d)} values, system has {n}")
+        mult, piv, upper = self._multipliers, self._pivots, self._upper
+        for i in range(1, n):
+            d[i] -= mult[i - 1] * d[i - 1]
+        d[-1] /= piv[-1]
+        for i in range(n - 2, -1, -1):
+            d[i] = (d[i] - upper[i] * d[i + 1]) / piv[i]
+        return np.array(d)
+
+
+def shifted_laplacian(grid: SpatialGrid, scale: float) -> TridiagonalSolver:
+    """The system I + scale * Lap on grid, factored."""
+    off = np.full(grid.K - 1, scale * (1.0 / grid.h**2))
+    diag = np.full(grid.K, 1.0 + scale * (-2.0 / grid.h**2))
+    return TridiagonalSolver(off, diag, off)
 
 
 def dirichlet_eigenvalue(grid: SpatialGrid, k: int) -> float:
@@ -183,27 +125,27 @@ def dirichlet_eigenvalue(grid: SpatialGrid, k: int) -> float:
     return 4.0 / h**2 * s * s
 
 
-def sine_mode(grid: SpatialGrid, k: int) -> Field:
+def sine_mode(grid: SpatialGrid, k: int) -> np.ndarray:
     """Grid samples of sin(k pi x), the k-th discrete Laplacian eigenvector."""
     if not 1 <= k <= grid.K:
         raise ValueError(f"mode index must be in 1..{grid.K}, got {k}")
-    return Field(grid, np.sin(k * math.pi * grid.nodes))
+    return np.sin(k * math.pi * grid.nodes)
 
 
-def l2_inner(f: Field, g: Field) -> float:
-    """Discrete L2 inner product h * sum(f_i g_i)."""
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    return f.grid.h * float(np.dot(f.values, g.values))
+def l2_inner(f: np.ndarray, g: np.ndarray) -> float:
+    """Discrete L2 inner product h * sum(f_i g_i), with h = 1/(K+1)."""
+    if f.shape != g.shape:
+        raise ValueError(f"grid functions of shapes {f.shape} and {g.shape} differ")
+    return float(np.dot(f, g)) / (f.size + 1)
 
 
-def l2_norm(f: Field) -> float:
-    """Discrete L2 norm sqrt(h * sum f_i^2)."""
-    return math.sqrt(f.grid.h * float(np.dot(f.values, f.values)))
+def l2_norm(f: np.ndarray) -> float:
+    """Discrete L2 norm sqrt(h * sum f_i^2), with h = 1/(K+1)."""
+    return math.sqrt(float(np.dot(f, f)) / (f.size + 1))
 
 
-def h1_seminorm(f: Field) -> float:
+def h1_seminorm(f: np.ndarray) -> float:
     """Discrete H1 seminorm sqrt(h * sum ((f_{i+1} - f_i)/h)^2) including boundary jumps."""
-    h = f.grid.h
-    diffs = np.diff(f.values, prepend=0.0, append=0.0) / h
+    h = 1.0 / (f.size + 1)
+    diffs = np.diff(f, prepend=0.0, append=0.0) / h
     return math.sqrt(h * float(np.dot(diffs, diffs)))

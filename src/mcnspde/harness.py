@@ -1,11 +1,12 @@
 """Monte Carlo strong-convergence studies and their tabulated results.
 
 A study fixes the benchmark problem, a list of coarse resolutions, and a
-realization count.  Every realization draws one Wiener path on the master
-grid (seeded from base_seed and the realization index, so reruns and
-worker splits reproduce bit-identical tables) and runs every resolution
-against that same path; the root-mean-square final-time error per
-resolution then feeds a log-log least-squares rate fit.
+realization count.  Every realization r draws one Wiener path on the
+master grid (its Philox stream keyed by the two words (base_seed, r), so
+reruns and worker splits reproduce bit-identical tables and no two base
+seeds share a path) and runs every resolution against that same path;
+the root-mean-square final-time error per resolution then feeds a
+log-log least-squares rate fit.
 
 Heat studies measure against the closed-form benchmark solution, either
 with continuous-spectrum decay rates (total error, floored by the spatial
@@ -24,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid import Field, SpatialGrid, h1_seminorm, l2_norm
+from .grid import SpatialGrid, h1_seminorm, l2_norm
 from .heat import (
     ConfigError,
     EXACT_CONTINUOUS,
@@ -35,7 +36,7 @@ from .heat import (
     exact_heat_solution,
     run_heat,
 )
-from .noise import TimeMesh, sample_path
+from .noise import TimeMesh, is_power_of_two, sample_path
 from .wave import benchmark_wave_problem, reference_wave_solution, run_wave
 
 EQUATION_HEAT = "heat"
@@ -54,10 +55,6 @@ CSV_HEADER = "N,tau,rms_error,standard_error"
 # are dropped from the default rate fit: they measure the grid, not the
 # time stepper.
 FLOOR_EXCLUSION_FACTOR = 3.0
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -137,16 +134,16 @@ def validate_config(config: StudyConfig) -> None:
     if list(config.n_list) != sorted(set(config.n_list)):
         raise ConfigError("n_list must be strictly increasing")
     for n in config.n_list:
-        if not _is_power_of_two(n):
+        if not is_power_of_two(n):
             raise ConfigError(f"coarse resolutions must be powers of two, got {n}")
-    if not _is_power_of_two(config.master_steps):
+    if not is_power_of_two(config.master_steps):
         raise ConfigError(f"master_steps must be a power of two, got {config.master_steps}")
     if config.k < 2:
         raise ConfigError(f"need at least 2 interior nodes, got k={config.k}")
     if config.mc_count < 1:
         raise ConfigError(f"need at least one realization, got {config.mc_count}")
-    if config.base_seed < 0:
-        raise ConfigError(f"base_seed must be nonnegative, got {config.base_seed}")
+    if not 0 <= config.base_seed < 2**64:
+        raise ConfigError(f"base_seed must be a 64-bit word in [0, 2^64), got {config.base_seed}")
     if config.workers < 1:
         raise ConfigError(f"workers must be positive, got {config.workers}")
     if not config.t_final > 0:
@@ -171,7 +168,7 @@ def validate_config(config: StudyConfig) -> None:
             raise ConfigError("wave studies run the corrected Crank-Nicolson scheme only")
         if config.error_norm not in WAVE_NORMS:
             raise ConfigError(f"wave studies report norms {WAVE_NORMS}, got {config.error_norm!r}")
-        if not _is_power_of_two(config.n_ref):
+        if not is_power_of_two(config.n_ref):
             raise ConfigError(f"n_ref must be a power of two, got {config.n_ref}")
         if config.n_ref < n_max:
             raise ConfigError(f"n_ref={config.n_ref} is coarser than the finest study mesh {n_max}")
@@ -209,12 +206,14 @@ def rms_and_standard_error(squared_errors: np.ndarray) -> tuple[float, float]:
 
     The RMS is sqrt(mean of squares); its standard error follows from the
     standard error of the mean square divided by the derivative 2*RMS.
-    Degenerate cases (one sample, or identically zero error) report 0.
+    Degenerate cases (one sample, or a constant sample such as
+    identically zero error) report 0; np.std would leave a rounding
+    residue of the mean there.
     """
     sq = np.asarray(squared_errors, dtype=float)
     mean_sq = float(sq.mean())
     rms = math.sqrt(mean_sq)
-    if sq.size < 2 or rms == 0.0:
+    if sq.size < 2 or sq.min() == sq.max():
         return rms, 0.0
     se_mean = float(sq.std(ddof=1)) / math.sqrt(sq.size)
     return rms, se_mean / (2.0 * rms)
@@ -298,7 +297,7 @@ def _chunk_squared_errors(config: StudyConfig, r_lo: int, r_hi: int):
     want_floor = config.equation == EQUATION_HEAT and config.exact_mode == EXACT_CONTINUOUS
     floors = np.empty(r_hi - r_lo) if want_floor else None
     for i, r in enumerate(range(r_lo, r_hi)):
-        path = sample_path(config.base_seed ^ r, path_mesh, m=1, master_steps=config.master_steps)
+        path = sample_path((config.base_seed, r), path_mesh, m=1, master_steps=config.master_steps)
         if config.equation == EQUATION_HEAT:
             oracle = exact_heat_solution(
                 path, grid, config.t_final, config.exact_mode, config.noise_scale

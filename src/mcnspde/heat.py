@@ -8,7 +8,9 @@ Two one-step maps are provided on the spatially discretized equation:
   strong order 3/2 guaranteed; on the smooth two-mode benchmark noise it
   shows order 2 once tau*lambda/2 < 1 for the driven modes.
 
-Both solve a constant symmetric tridiagonal system per step.  The module
+Both solve a constant symmetric tridiagonal system per step, factored
+once per problem, and take their noise forcing from one (N, K) array
+assembled for the whole mesh before the march.  The module
 also carries the closed-form benchmark solution used by the convergence
 harness: initial data sin(pi x) with one noise channel loading
 sin(2 pi x) + sin(3 pi x), whose exact solution is a sum of three
@@ -24,17 +26,14 @@ from functools import cached_property
 import numpy as np
 
 from .grid import (
-    Field,
     SpatialGrid,
-    TridiagonalOperator,
-    apply_operator,
-    build_discrete_laplacian,
+    TridiagonalSolver,
+    apply_laplacian,
     dirichlet_eigenvalue,
-    identity_plus,
+    shifted_laplacian,
     sine_mode,
-    solve_tridiagonal,
 )
-from .noise import NoiseCoefficient, TimeMesh, WienerPath, heat_correction
+from .noise import NoiseCoefficient, TimeMesh, WienerPath, quadrature_gaps
 
 SCHEME_EULER = "em"
 SCHEME_MCN = "mcn"
@@ -51,14 +50,6 @@ class ConfigError(Exception):
     """Raised for inconsistent problem or study configuration."""
 
 
-@dataclass(frozen=True)
-class HeatState:
-    """Scheme iterate: coarse step index j and the field X_j."""
-
-    j: int
-    X: Field
-
-
 @dataclass
 class HeatProblem:
     """Spatially discretized heat equation with additive noise."""
@@ -66,74 +57,67 @@ class HeatProblem:
     grid: SpatialGrid
     mesh: TimeMesh
     phi: NoiseCoefficient
-    initial: Field
+    initial: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.phi.grid != self.grid or self.initial.grid != self.grid:
+        self.initial = np.asarray(self.initial, dtype=float)
+        if self.phi.grid != self.grid or self.initial.shape != (self.grid.K,):
             raise ConfigError("noise coefficient and initial data must share the grid")
 
     @cached_property
-    def laplacian(self) -> TridiagonalOperator:
-        return build_discrete_laplacian(self.grid)
+    def euler_implicit(self) -> TridiagonalSolver:
+        return shifted_laplacian(self.grid, -self.mesh.tau)
 
     @cached_property
-    def euler_implicit(self) -> TridiagonalOperator:
-        return identity_plus(self.laplacian, -self.mesh.tau)
-
-    @cached_property
-    def cn_implicit(self) -> TridiagonalOperator:
-        return identity_plus(self.laplacian, -0.5 * self.mesh.tau)
-
-    @cached_property
-    def cn_explicit(self) -> TridiagonalOperator:
-        return identity_plus(self.laplacian, +0.5 * self.mesh.tau)
-
-    def initial_state(self) -> HeatState:
-        return HeatState(0, self.initial)
+    def cn_implicit(self) -> TridiagonalSolver:
+        return shifted_laplacian(self.grid, -0.5 * self.mesh.tau)
 
 
-def em_step(state: HeatState, path: WienerPath, problem: HeatProblem) -> HeatState:
+def heat_forcing(problem: HeatProblem, path: WienerPath, scheme: str = SCHEME_MCN) -> np.ndarray:
+    """Noise forcing of every step of the mesh, shape (N, K).
+
+    Row j is Phi dW_j, plus for the corrected scheme the correction
+    Lap[Phi (micro Riemann sum)] - (tau/2) Lap[Phi (W(t_{j+1}) + W(t_j))],
+    which replaces the trapezoid-in-time treatment of the noise with the
+    micro-grid quadrature.  Raises AlignmentError if the path's master
+    grid does not carry the mesh's micro nodes.
+    """
+    coarse, micro = path.on_mesh(problem.mesh)
+    forcing = problem.phi.combine(np.diff(coarse, axis=0))
+    if scheme == SCHEME_MCN:
+        gaps = quadrature_gaps(coarse, micro, problem.mesh.tau)
+        forcing += problem.phi.combine_laplacian(gaps)
+    return forcing
+
+
+def em_step(problem: HeatProblem, x: np.ndarray, forcing: np.ndarray) -> np.ndarray:
     """One implicit Euler-Maruyama step: (I - tau Lap) X_{j+1} = X_j + Phi dW."""
-    mesh = problem.mesh
-    j = state.j
-    dw = path.value_at(mesh.coarse_time(j + 1)) - path.value_at(mesh.coarse_time(j))
-    rhs = Field(problem.grid, state.X.values + problem.phi.combine(dw))
-    return HeatState(j + 1, solve_tridiagonal(problem.euler_implicit, rhs))
+    return problem.euler_implicit.solve(x + forcing)
 
 
-def mcn_heat_step(state: HeatState, path: WienerPath, problem: HeatProblem) -> HeatState:
+def mcn_heat_step(problem: HeatProblem, x: np.ndarray, forcing: np.ndarray) -> np.ndarray:
     """One corrected Crank-Nicolson step.
 
     (I - tau/2 Lap) X_{j+1} = (I + tau/2 Lap) X_j + Phi dW + correction,
-    where the correction replaces the trapezoid-in-time treatment of the
-    noise with the micro-grid quadrature (see noise.heat_correction).
+    with forcing = Phi dW + correction, a row of heat_forcing.
     """
-    mesh = problem.mesh
-    j = state.j
-    dw = path.value_at(mesh.coarse_time(j + 1)) - path.value_at(mesh.coarse_time(j))
-    corr = heat_correction(path, mesh, j, problem.phi)
-    rhs = Field(
-        problem.grid,
-        apply_operator(problem.cn_explicit, state.X).values
-        + problem.phi.combine(dw)
-        + corr.values,
-    )
-    return HeatState(j + 1, solve_tridiagonal(problem.cn_implicit, rhs))
+    explicit = x + 0.5 * problem.mesh.tau * apply_laplacian(problem.grid, x)
+    return problem.cn_implicit.solve(explicit + forcing)
 
 
 _STEPPERS = {SCHEME_EULER: em_step, SCHEME_MCN: mcn_heat_step}
 
 
-def run_heat(problem: HeatProblem, path: WienerPath, scheme: str = SCHEME_MCN) -> Field:
+def run_heat(problem: HeatProblem, path: WienerPath, scheme: str = SCHEME_MCN) -> np.ndarray:
     """March the chosen scheme over the whole mesh and return X_N at time T."""
     try:
         stepper = _STEPPERS[scheme]
     except KeyError:
         raise ConfigError(f"unknown scheme {scheme!r}; use 'em' or 'mcn'") from None
-    state = problem.initial_state()
-    for _ in range(problem.mesh.N):
-        state = stepper(state, path, problem)
-    return state.X
+    x = problem.initial
+    for forcing in heat_forcing(problem, path, scheme):
+        x = stepper(problem, x, forcing)
+    return x
 
 
 def stochastic_convolution(path: WienerPath, rate: float) -> np.ndarray:
@@ -154,12 +138,14 @@ def stochastic_convolution(path: WienerPath, rate: float) -> np.ndarray:
     weights = np.exp(-rate * (t_final - left_times))
     x = rate * path.delta
     step_average = math.expm1(x) / x if x != 0.0 else 1.0
-    return step_average * (weights @ path.increments)
+    # einsum, not a matmul: a BLAS matrix-vector product this long wakes
+    # the BLAS thread pool, which then spins through the stepping loops.
+    return step_average * np.einsum("s,sm->m", weights, path.increments)
 
 
 def benchmark_phi(grid: SpatialGrid, noise_scale: float = 1.0) -> NoiseCoefficient:
     """Single-channel coefficient scale * (sin(2 pi x) + sin(3 pi x))."""
-    profile = sum(sine_mode(grid, k).values for k in BENCHMARK_NOISE_MODES)
+    profile = sum(sine_mode(grid, k) for k in BENCHMARK_NOISE_MODES)
     return NoiseCoefficient.from_components(grid, [noise_scale * profile])
 
 
@@ -178,7 +164,7 @@ def exact_heat_solution(
     t_final: float,
     mode: str = EXACT_CONTINUOUS,
     noise_scale: float = 1.0,
-) -> Field:
+) -> np.ndarray:
     """Exact benchmark solution at time T evaluated on the grid.
 
     X(T) = exp(-mu_1 T) sin(pi x)
@@ -205,8 +191,8 @@ def exact_heat_solution(
         raise ConfigError(f"unknown exact mode {mode!r}")
     values = math.exp(-rate(BENCHMARK_INITIAL_MODE) * t_final) * sine_mode(
         grid, BENCHMARK_INITIAL_MODE
-    ).values
+    )
     for k in BENCHMARK_NOISE_MODES:
         conv = float(stochastic_convolution(path, rate(k))[0])
-        values = values + noise_scale * conv * sine_mode(grid, k).values
-    return Field(grid, values)
+        values = values + noise_scale * conv * sine_mode(grid, k)
+    return values

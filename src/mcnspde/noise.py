@@ -4,10 +4,16 @@ Time is discretized twice over.  A coarse mesh with step tau = T/N carries
 the scheme iterates.  Each coarse interval [t_j, t_{j+1}] additionally
 carries a micro grid t_{j,l} = t_j + l*tau^2, l = 0..M with M = 1/tau, so
 the M micro steps of size tau^2 tile the interval exactly.  All path
-values are read off a single master grid of S uniform steps; meshes are
-only admissible when every micro node lands exactly on a master node
-(S/N and S/(N*M) both integers), which keeps every quadrature in this
-module interpolation-free.
+values are read off a single master grid of S uniform steps, by integer
+master index; meshes are only admissible when every micro node lands
+exactly on a master node (S/N and S/(N*M) both integers), which keeps
+every quadrature in this module interpolation-free.
+
+mesh_values is the one place that knows where the coarse and micro nodes
+of a mesh sit on the master grid.  It returns them as views of the
+cumulative path, for one path (S+1, m) or a block of paths (n, S+1, m),
+so every quadrature over a whole mesh is a few array operations on those
+views, and a single path is simply the one-path case of a block.
 
 Paths are sampled once per realization from a counter-based generator and
 then shared by every scheme and every coarse resolution that is compared,
@@ -22,11 +28,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Field, SpatialGrid, apply_operator, build_discrete_laplacian
+from .grid import SpatialGrid, apply_laplacian
 
 DEFAULT_MASTER_STEPS = 2**20
 
-# Relative tolerance for deciding that a query time sits on a master node.
+# Relative tolerance for deciding that a path and a mesh share their horizon.
 NODE_TOLERANCE = 1e-12
 
 
@@ -34,7 +40,7 @@ class AlignmentError(Exception):
     """Raised when a mesh/path combination would require interpolation."""
 
 
-def _is_power_of_two(n: int) -> bool:
+def is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
@@ -93,8 +99,7 @@ class WienerPath:
 
     increments[k] is W(s_{k+1}) - W(s_k) and cumulative[k] is W(s_k) with
     W(0) = 0, where s_k = k*delta.  Values are only ever read at master
-    nodes; value_at refuses anything farther than NODE_TOLERANCE*T from
-    one.
+    nodes, through mesh_values.
     """
 
     increments: np.ndarray  # shape (S, m)
@@ -113,35 +118,33 @@ class WienerPath:
     def t_final(self) -> float:
         return self.S * self.delta
 
-    def node_index(self, t: float) -> int:
-        """Master index of time t, or AlignmentError if t is off-grid."""
-        k = round(t / self.delta)
-        if not 0 <= k <= self.S or abs(t - k * self.delta) > NODE_TOLERANCE * self.t_final:
-            raise AlignmentError(f"time {t!r} is not a master node (delta={self.delta!r})")
-        return k
-
-    def value_at(self, t: float) -> np.ndarray:
-        """W(t) as an (m,) vector; t must sit on a master node."""
-        return self.cumulative[self.node_index(t)]
+    def on_mesh(self, mesh: TimeMesh) -> tuple[np.ndarray, np.ndarray]:
+        """mesh_values of this path, after checking that it spans [0, mesh.T]."""
+        if abs(self.t_final - mesh.T) > NODE_TOLERANCE * mesh.T:
+            raise AlignmentError(
+                f"path horizon {self.t_final!r} does not match the mesh horizon {mesh.T!r}"
+            )
+        return mesh_values(self.cumulative, mesh)
 
 
 def sample_path(
-    seed: int,
+    seed: int | tuple[int, int],
     mesh: TimeMesh,
     m: int = 1,
     master_steps: int = DEFAULT_MASTER_STEPS,
 ) -> WienerPath:
     """Draw one Wiener path on the master grid, aligned with mesh.
 
-    The generator is Philox keyed by seed, so paths are reproducible and
-    distinct seeds give independent counter-based streams.
+    The generator is Philox keyed by seed, an integer or a pair of 64-bit
+    words, so paths are reproducible and distinct keys give independent
+    counter-based streams.
     """
     if m < 1:
         raise ValueError(f"need at least one noise component, got m={m}")
-    if not _is_power_of_two(master_steps):
+    if not is_power_of_two(master_steps):
         raise AlignmentError(f"master step count must be a power of two, got {master_steps}")
     master_strides(mesh, master_steps)  # validate alignment up front
-    if seed < 0:
+    if min(np.atleast_1d(seed)) < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     delta = mesh.T / master_steps
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -170,42 +173,36 @@ def master_strides(mesh: TimeMesh, master_steps: int) -> tuple[int, int]:
     return round(coarse), round(micro)
 
 
-def _micro_indices(mesh: TimeMesh, path: WienerPath, j: int) -> np.ndarray:
-    """Master indices of t_{j,1}..t_{j,M}."""
-    if not 0 <= j < mesh.N:
-        raise ValueError(f"interval index must be in 0..{mesh.N - 1}, got {j}")
-    stride_coarse, stride_micro = master_strides(mesh, path.S)
-    return j * stride_coarse + stride_micro * np.arange(1, mesh.M + 1)
+def mesh_values(cumulative: np.ndarray, mesh: TimeMesh) -> tuple[np.ndarray, np.ndarray]:
+    """W at every coarse and every micro node of mesh, as views of cumulative.
 
-
-def micro_values(path: WienerPath, mesh: TimeMesh, j: int) -> np.ndarray:
-    """W at the interior micro nodes t_{j,1}..t_{j,M}, shape (M, m)."""
-    return path.cumulative[_micro_indices(mesh, path, j)]
-
-
-def micro_riemann_sum(path: WienerPath, mesh: TimeMesh, j: int) -> np.ndarray:
-    """Right-point micro Riemann sum tau^2 * sum_{l=1}^{M} W(t_{j,l}), shape (m,).
-
-    This is the micro-grid quadrature of int_{t_j}^{t_{j+1}} W(s) ds that
-    the corrected schemes consume.
+    cumulative holds W on the master grid, shape (S+1, m) for one path or
+    (n, S+1, m) for a block of paths, with S*delta = mesh.T.  Returns
+    coarse (..., N+1, m) with coarse[..., j, :] = W(t_j), and micro
+    (..., N, M, m) with micro[..., j, l-1, :] = W(t_{j,l}) for l = 1..M, so
+    micro[..., j, M-1, :] is W(t_{j+1}).  Raises AlignmentError unless
+    every micro node is a master node.
     """
-    tau = mesh.tau
-    return tau * tau * micro_values(path, mesh, j).sum(axis=0)
+    stride_coarse, stride_micro = master_strides(mesh, cumulative.shape[-2] - 1)
+    coarse = cumulative[..., ::stride_coarse, :]
+    # Micro node t_{j,l} sits at master index (j*M + l) * stride_micro, so
+    # the nodes after 0, taken at the micro stride, are the micro grid in
+    # interval-major order and split into (N, M) without a copy.
+    micro = cumulative[..., stride_micro::stride_micro, :].reshape(
+        cumulative.shape[:-2] + (mesh.N, mesh.M, cumulative.shape[-1])
+    )
+    return coarse, micro
 
 
-def micro_quadrature_defect(path: WienerPath, mesh: TimeMesh, j: int) -> np.ndarray:
-    """Defect of the micro Riemann sum against int_{t_j}^{t_{j+1}} W(s) ds.
+def quadrature_gaps(coarse: np.ndarray, micro: np.ndarray, tau: float) -> np.ndarray:
+    """Micro Riemann sum minus trapezoid for every interval, shape (..., N, m).
 
-    The integral is approximated by a left-point Riemann sum on the master
-    grid, so the master step must be well below tau^2 for the defect's
-    second moment to be resolved; see defect_moment_exact for the target.
-    Returns an (m,) vector.
+    tau^2 sum_{l=1}^{M} W(t_{j,l}) - (tau/2)(W(t_j) + W(t_{j+1})), from the
+    views of mesh_values.  The micro sum is the micro-grid quadrature of
+    int_{t_j}^{t_{j+1}} W(s) ds that the corrected schemes consume; the
+    gap vanishes for paths constant on the interval.
     """
-    stride_coarse, _ = master_strides(mesh, path.S)
-    k0 = j * stride_coarse
-    block = path.cumulative[k0 : k0 + stride_coarse]  # left points only
-    integral = path.delta * block.sum(axis=0)
-    return integral - micro_riemann_sum(path, mesh, j)
+    return tau * tau * micro.sum(axis=-2) - 0.5 * tau * (coarse[..., :-1, :] + coarse[..., 1:, :])
 
 
 def defect_moment_exact(tau: float, m: int) -> float:
@@ -239,7 +236,7 @@ class NoiseCoefficient:
 
     values[i] holds the grid samples of Phi_i and laplacian_values[i] the
     precomputed discrete Laplacian of Phi_i, which the corrected schemes
-    apply against scalar path combinations every step.
+    apply against scalar path combinations of every step.
     """
 
     grid: SpatialGrid
@@ -252,75 +249,18 @@ class NoiseCoefficient:
 
     @classmethod
     def from_components(
-        cls, grid: SpatialGrid, components: Sequence[np.ndarray | Field | Callable]
+        cls, grid: SpatialGrid, components: Sequence[np.ndarray | Callable]
     ) -> "NoiseCoefficient":
-        rows = []
-        for comp in components:
-            if callable(comp):
-                comp = comp(grid.nodes)
-            elif isinstance(comp, Field):
-                comp = comp.values
-            rows.append(np.asarray(comp, dtype=float))
+        rows = [np.asarray(c(grid.nodes) if callable(c) else c, dtype=float) for c in components]
         values = np.vstack(rows) if rows else np.zeros((0, grid.K))
         if values.shape[1:] != (grid.K,):
             raise ValueError(f"components must have {grid.K} values each")
-        lap = build_discrete_laplacian(grid)
-        lap_values = np.vstack(
-            [apply_operator(lap, Field(grid, row)).values for row in values]
-        ) if len(rows) else values.copy()
-        return cls(grid, values, lap_values)
+        return cls(grid, values, apply_laplacian(grid, values))
 
     def combine(self, weights: np.ndarray) -> np.ndarray:
-        """sum_i Phi_i * weights_i as a (K,) array (e.g. Phi W(t), Phi dW)."""
-        return self.values.T @ weights
+        """sum_i Phi_i * weights_i along the last axis: (m,) -> (K,), (N, m) -> (N, K)."""
+        return weights @ self.values
 
     def combine_laplacian(self, weights: np.ndarray) -> np.ndarray:
-        """sum_i (Lap Phi_i) * weights_i as a (K,) array."""
-        return self.laplacian_values.T @ weights
-
-
-def heat_correction(
-    path: WienerPath, mesh: TimeMesh, j: int, phi: NoiseCoefficient
-) -> Field:
-    """Correction forcing for the modified Crank-Nicolson heat step.
-
-    Lap[Phi (micro Riemann sum)] - (tau/2) Lap[Phi (W(t_{j+1}) + W(t_j))],
-    assembled from the precomputed Laplacians of the noise components.
-    Vanishes for paths constant on the interval.
-    """
-    tau = mesh.tau
-    w_lo = path.value_at(mesh.coarse_time(j))
-    w_hi = path.value_at(mesh.coarse_time(j + 1))
-    weights = micro_riemann_sum(path, mesh, j) - 0.5 * tau * (w_lo + w_hi)
-    return Field(phi.grid, phi.combine_laplacian(weights))
-
-
-def wave_correction_displacement(
-    path: WienerPath, mesh: TimeMesh, j: int, phi: NoiseCoefficient
-) -> Field:
-    """Correction entering the displacement update of the wave scheme.
-
-    Phi (micro Riemann sum) - (tau/2) Phi (W(t_{j+1}) + W(t_j)); the same
-    trapezoid-versus-micro-quadrature difference as the heat correction but
-    without the Laplacian.
-    """
-    tau = mesh.tau
-    w_lo = path.value_at(mesh.coarse_time(j))
-    w_hi = path.value_at(mesh.coarse_time(j + 1))
-    weights = micro_riemann_sum(path, mesh, j) - 0.5 * tau * (w_lo + w_hi)
-    return Field(phi.grid, phi.combine(weights))
-
-
-def wave_correction_velocity(
-    path: WienerPath, mesh: TimeMesh, j: int, phi: NoiseCoefficient
-) -> Field:
-    """Correction entering the velocity update of the wave scheme.
-
-    (1/2) sum_{l=1}^{M} (2 t_{j+1} - tau - 2 t_{j,l}) tau^2 Lap[Phi W(t_{j,l})].
-    The weight simplifies to (tau^3/2)(1 - 2 l tau), independent of j.
-    """
-    tau = mesh.tau
-    ells = np.arange(1, mesh.M + 1)
-    weights = 0.5 * tau**3 * (1.0 - 2.0 * ells * tau)
-    combined = weights @ micro_values(path, mesh, j)  # (m,)
-    return Field(phi.grid, phi.combine_laplacian(combined))
+        """sum_i (Lap Phi_i) * weights_i, shaped as combine."""
+        return weights @ self.laplacian_values

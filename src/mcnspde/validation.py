@@ -14,13 +14,14 @@ paths and compares against the closed forms:
 plus a deterministic sharpness check of the trapezoid defect bound for
 Holder-continuous derivatives, where f(t) = t^2 attains the bound exactly.
 
-The Monte Carlo kernels here are batched (many paths per numpy block) but
-compute the very same quadratures as the per-path operations in
-mcnspde.noise; the test suite pins the two routes against each other.
-Path integrals are left-point Riemann sums on the master grid.  Their
-second-moment bias relative to the tau^5-scale targets is
-(3/2) * (master step)/tau^2, so each check picks the master refinement to
-keep that bias well inside a fraction of one Monte Carlo standard error.
+The Monte Carlo kernels here are batched (many paths per numpy block) and
+read the micro and coarse nodes through noise.mesh_values, the same
+accessor the time steppers use, so the quadratures checked here are the
+ones the schemes consume.  Path integrals are left-point Riemann sums on
+the master grid.  Their second-moment bias relative to the tau^5-scale
+targets is (3/2) * (master step)/tau^2, so each check picks the master
+refinement to keep that bias well inside a fraction of one Monte Carlo
+standard error.
 """
 
 from __future__ import annotations
@@ -31,7 +32,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .noise import TimeMesh, wave_micro_sum_moment_exact, defect_moment_exact
+from .noise import (
+    TimeMesh,
+    defect_moment_exact,
+    master_strides,
+    mesh_values,
+    wave_micro_sum_moment_exact,
+)
 
 # Largest batched block, in doubles; keeps peak kernel memory near 100 MB.
 _CHUNK_ELEMENTS = 1 << 22
@@ -143,29 +150,20 @@ def _cumulative_block(rng: np.random.Generator, n_paths: int, steps: int, m: int
     return block
 
 
-def _micro_index_grid(n_coarse: int, micro_count: int, stride_coarse: int, stride_micro: int):
-    """Master indices of t_{j,l}, l = 1..M, for every interval j; shape (N, M)."""
-    j_base = stride_coarse * np.arange(n_coarse)[:, None]
-    return j_base + stride_micro * np.arange(1, micro_count + 1)[None, :]
-
-
 def heat_defect_block(block: np.ndarray, mesh: TimeMesh, delta: float) -> np.ndarray:
     """Micro quadrature defects for every path and interval; shape (n, N, m).
 
     block holds cumulative path values on the master grid, shape
-    (n, S+1, m) with S*delta = T.  Matches noise.micro_quadrature_defect
-    interval by interval.
+    (n, S+1, m) with S*delta = T.  Interval j's defect is
+    int_{t_j}^{t_{j+1}} W(s) ds, as a left-point master-grid Riemann sum,
+    minus the micro Riemann sum tau^2 sum_{l=1}^{M} W(t_{j,l}).
     """
     n_paths, nodes, m = block.shape
-    steps = nodes - 1
-    tau, n_coarse, micro = mesh.tau, mesh.N, mesh.M
-    stride_coarse = steps // n_coarse
-    stride_micro = stride_coarse // micro
-    body = block[:, :steps, :].reshape(n_paths, n_coarse, stride_coarse, m)
+    stride_coarse, _ = master_strides(mesh, nodes - 1)
+    body = block[:, :-1, :].reshape(n_paths, mesh.N, stride_coarse, m)
     integrals = delta * body.sum(axis=2)
-    idx = _micro_index_grid(n_coarse, micro, stride_coarse, stride_micro)
-    micro_vals = block[:, idx.ravel(), :].reshape(n_paths, n_coarse, micro, m)
-    return integrals - tau * tau * micro_vals.sum(axis=2)
+    _, micro = mesh_values(block, mesh)
+    return integrals - mesh.tau**2 * micro.sum(axis=2)
 
 
 def wave_current_defect_block(block: np.ndarray, mesh: TimeMesh, delta: float) -> np.ndarray:
@@ -178,26 +176,31 @@ def wave_current_defect_block(block: np.ndarray, mesh: TimeMesh, delta: float) -
     all intervals share one weight table.
     """
     n_paths, nodes, m = block.shape
-    steps = nodes - 1
-    tau, n_coarse, micro = mesh.tau, mesh.N, mesh.M
-    stride_coarse = steps // n_coarse
-    stride_micro = stride_coarse // micro
-    body = block[:, :steps, :].reshape(n_paths, n_coarse, micro, stride_micro, m)
+    tau, micro_count = mesh.tau, mesh.M
+    _, stride_micro = master_strides(mesh, nodes - 1)
+    body = block[:, :-1, :].reshape(n_paths, mesh.N, micro_count, stride_micro, m)
     offsets = np.arange(stride_micro) * delta
-    cells = (np.arange(1, micro + 1) - 1) * tau * tau
+    cells = np.arange(micro_count) * tau * tau
     weights = tau - cells[:, None] - offsets[None, :]  # (M, stride_micro)
     weighted = np.einsum("njlam,la->njlm", body, weights)
-    idx = _micro_index_grid(n_coarse, micro, stride_coarse, stride_micro)
-    right = block[:, idx.ravel(), :].reshape(n_paths, n_coarse, micro, m)
+    _, right = mesh_values(block, mesh)
     weighted -= right * weights.sum(axis=1)[None, None, :, None]
     return delta * weighted.sum(axis=2)
 
 
-def _harvested_samples(seed: int, mesh: TimeMesh, m: int, refine: int, samples: int, kernel):
-    """Squared norms of per-interval kernel outputs, pooled across intervals.
+def _wave_micro_sum_kernel(block: np.ndarray, mesh: TimeMesh, delta: float) -> np.ndarray:
+    """Weighted micro sums (tau^4/2) sum_l W(t_{j,l}) for all j; shape (n, N, m)."""
+    _, micro = mesh_values(block, mesh)
+    return 0.5 * mesh.tau**4 * micro.sum(axis=2)
 
-    The defect laws are identical and independent across coarse intervals,
-    so each path of N intervals contributes N samples.
+
+def _kernel_samples(seed: int, mesh: TimeMesh, m: int, refine: int, samples: int, kernel):
+    """Squared norms of a per-interval kernel's outputs, pooled across intervals.
+
+    kernel maps a cumulative block (n, S+1, m) to (n, P, m) outputs.  The
+    defect laws are identical and independent across coarse intervals, so
+    a kernel that returns all N intervals makes each path contribute N
+    samples; one that returns a fixed interval, one sample.
     """
     steps = mesh.N * mesh.M * refine
     delta = mesh.T / steps
@@ -207,30 +210,7 @@ def _harvested_samples(seed: int, mesh: TimeMesh, m: int, refine: int, samples: 
     filled = 0
     while filled < samples:
         block = _cumulative_block(rng, chunk, steps, m, delta)
-        values = kernel(block, mesh, delta)  # (chunk, N, m)
-        sq = (values**2).sum(axis=2).ravel()
-        take = min(sq.size, samples - filled)
-        out[filled : filled + take] = sq[:take]
-        filled += take
-    return out
-
-
-def _fixed_interval_samples(
-    seed: int, mesh: TimeMesh, j: int, m: int, refine: int, samples: int, kernel
-):
-    """Squared norms of a per-interval kernel at one fixed interval j."""
-    steps = mesh.N * mesh.M * refine
-    delta = mesh.T / steps
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    chunk = max(1, _CHUNK_ELEMENTS // ((steps + 1) * m))
-    out = np.empty(samples)
-    filled = 0
-    while filled < samples:
-        block = _cumulative_block(rng, chunk, steps, m, delta)
-        values = kernel(block, mesh, delta)  # (chunk, N, m) or (chunk, m)
-        sq = (values**2).sum(axis=-1)
-        if sq.ndim == 2:
-            sq = sq[:, j]
+        sq = (kernel(block, mesh, delta) ** 2).sum(axis=2).ravel()
         take = min(sq.size, samples - filled)
         out[filled : filled + take] = sq[:take]
         filled += take
@@ -255,9 +235,7 @@ def _heat_defect_checks(samples: int, seed: int) -> list[CheckResult]:
     checks = []
     for idx, (n_coarse, m) in enumerate([(8, 1), (8, 2), (16, 1), (16, 2)]):
         mesh = TimeMesh(n_coarse)
-        sq = _harvested_samples(
-            seed + idx, mesh, m, _DEFECT_REFINE, samples, heat_defect_block
-        )
+        sq = _kernel_samples(seed + idx, mesh, m, _DEFECT_REFINE, samples, heat_defect_block)
         mean, se = _mean_and_se(sq)
         target = defect_moment_exact(mesh.tau, m)
         band = TWO_SIDED_BAND * se
@@ -274,24 +252,14 @@ def _heat_defect_checks(samples: int, seed: int) -> list[CheckResult]:
     return checks
 
 
-def _wave_micro_sum_kernel(block: np.ndarray, mesh: TimeMesh, delta: float) -> np.ndarray:
-    """Weighted micro sums (tau^4/2) sum_l W(t_{j,l}) for all j; shape (n, N, m)."""
-    n_paths, nodes, m = block.shape
-    steps = nodes - 1
-    stride_coarse = steps // mesh.N
-    stride_micro = stride_coarse // mesh.M
-    idx = _micro_index_grid(mesh.N, mesh.M, stride_coarse, stride_micro)
-    micro_vals = block[:, idx.ravel(), :].reshape(n_paths, mesh.N, mesh.M, m)
-    return 0.5 * mesh.tau**4 * micro_vals.sum(axis=2)
-
-
 def _wave_micro_sum_checks(samples: int, seed: int) -> list[CheckResult]:
     checks = []
     mesh = TimeMesh(8)
     for idx, (j, m) in enumerate([(0, 1), (0, 2), (7, 1), (7, 2)]):
-        sq = _fixed_interval_samples(
-            seed + idx, mesh, j, m, 1, samples, _wave_micro_sum_kernel
-        )
+        def kernel(block, mesh_, delta):
+            return _wave_micro_sum_kernel(block, mesh_, delta)[:, j : j + 1]
+
+        sq = _kernel_samples(seed + idx, mesh, m, 1, samples, kernel)
         mean, se = _mean_and_se(sq)
         target = wave_micro_sum_moment_exact(mesh, j, m)
         band = TWO_SIDED_BAND * se
@@ -312,7 +280,7 @@ def _wave_current_defect_checks(samples: int, seed: int) -> list[CheckResult]:
     checks = []
     mesh = TimeMesh(8)
     for idx, m in enumerate((1, 2)):
-        sq = _harvested_samples(
+        sq = _kernel_samples(
             seed + idx, mesh, m, _BOUND_REFINE, samples, wave_current_defect_block
         )
         mean, se = _mean_and_se(sq)
@@ -338,10 +306,10 @@ def _wave_old_defect_checks(samples: int, seed: int) -> list[CheckResult]:
 
     def old_kernel(block, mesh_, delta):
         defects = heat_defect_block(block, mesh_, delta)
-        return mesh_.tau * defects[:, :j, :].sum(axis=1)
+        return mesh_.tau * defects[:, :j, :].sum(axis=1, keepdims=True)
 
     for idx, m in enumerate((1, 2)):
-        sq = _fixed_interval_samples(seed + idx, mesh, j, m, _BOUND_REFINE, samples, old_kernel)
+        sq = _kernel_samples(seed + idx, mesh, m, _BOUND_REFINE, samples, old_kernel)
         mean, se = _mean_and_se(sq)
         bound = t_j * m * mesh.tau**5 / 3.0
         checks.append(

@@ -6,11 +6,13 @@ The first-order form advances displacement X and velocity Y together:
     Y_{j+1} - Y_j = (tau/2) Lap (X_{j+1} + X_j) + Phi dW + velocity correction
 
 The pair is solved by eliminating X_{j+1}: a single symmetric tridiagonal
-solve with matrix I - (tau^2/4) Lap yields Y_{j+1}, after which X_{j+1}
-follows explicitly.  Both defining relations are re-checked after each
-step when assertions are enabled.  With the micro-grid corrections the
-scheme converges strongly at order 2; with the noise switched off it is
-the classical trapezoid rule and conserves the discrete wave energy.
+solve with matrix I - (tau^2/4) Lap, factored once per problem, yields
+Y_{j+1}, after which X_{j+1} follows explicitly.  Both corrections, and
+Phi dW, are assembled for the whole mesh before the march.  Both defining
+relations are re-checked after each step when assertions are enabled.
+With the micro-grid corrections the scheme converges strongly at order 2;
+with the noise switched off it is the classical trapezoid rule and
+conserves the discrete wave energy.
 """
 
 from __future__ import annotations
@@ -20,36 +22,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (
-    Field,
-    SpatialGrid,
-    TridiagonalOperator,
-    apply_operator,
-    build_discrete_laplacian,
-    identity_plus,
-    sine_mode,
-    solve_tridiagonal,
-)
+from .grid import SpatialGrid, TridiagonalSolver, apply_laplacian, shifted_laplacian, sine_mode
 from .heat import BENCHMARK_INITIAL_MODE, ConfigError, benchmark_phi
-from .noise import (
-    NoiseCoefficient,
-    TimeMesh,
-    WienerPath,
-    wave_correction_displacement,
-    wave_correction_velocity,
-)
+from .noise import NoiseCoefficient, TimeMesh, WienerPath, quadrature_gaps
 
 # Post-solve residual tolerance, relative to 1 + the state magnitude.
 RESIDUAL_TOLERANCE = 1e-10
-
-
-@dataclass(frozen=True)
-class WaveState:
-    """Scheme iterate: step index j, displacement X_j and velocity Y_j."""
-
-    j: int
-    X: Field
-    Y: Field
 
 
 @dataclass
@@ -59,32 +37,23 @@ class WaveProblem:
     grid: SpatialGrid
     mesh: TimeMesh
     phi: NoiseCoefficient
-    initial_displacement: Field
-    initial_velocity: Field
+    initial_displacement: np.ndarray
+    initial_velocity: np.ndarray
 
     def __post_init__(self) -> None:
+        self.initial_displacement = np.asarray(self.initial_displacement, dtype=float)
+        self.initial_velocity = np.asarray(self.initial_velocity, dtype=float)
         same = (
             self.phi.grid == self.grid
-            and self.initial_displacement.grid == self.grid
-            and self.initial_velocity.grid == self.grid
+            and self.initial_displacement.shape == (self.grid.K,)
+            and self.initial_velocity.shape == (self.grid.K,)
         )
         if not same:
             raise ConfigError("noise coefficient and initial data must share the grid")
 
     @cached_property
-    def laplacian(self) -> TridiagonalOperator:
-        return build_discrete_laplacian(self.grid)
-
-    @cached_property
-    def implicit_matrix(self) -> TridiagonalOperator:
-        return identity_plus(self.laplacian, -0.25 * self.mesh.tau**2)
-
-    @cached_property
-    def explicit_matrix(self) -> TridiagonalOperator:
-        return identity_plus(self.laplacian, +0.25 * self.mesh.tau**2)
-
-    def initial_state(self) -> WaveState:
-        return WaveState(0, self.initial_displacement, self.initial_velocity)
+    def implicit_matrix(self) -> TridiagonalSolver:
+        return shifted_laplacian(self.grid, -0.25 * self.mesh.tau**2)
 
     def with_mesh(self, mesh: TimeMesh) -> "WaveProblem":
         return WaveProblem(
@@ -92,81 +61,65 @@ class WaveProblem:
         )
 
 
-def _residual_norms(
-    state: WaveState,
-    nxt: WaveState,
-    dw: np.ndarray,
-    corr_x: Field,
-    corr_y: Field,
-    problem: WaveProblem,
-) -> tuple[float, float]:
-    tau = problem.mesh.tau
-    lap_sum = apply_operator(problem.laplacian, nxt.X + state.X).values
-    res_x = (
-        nxt.X.values
-        - state.X.values
-        - 0.5 * tau * (nxt.Y.values + state.Y.values)
-        - corr_x.values
-    )
-    res_y = (
-        nxt.Y.values
-        - state.Y.values
-        - 0.5 * tau * lap_sum
-        - problem.phi.combine(dw)
-        - corr_y.values
-    )
-    return float(np.max(np.abs(res_x))), float(np.max(np.abs(res_y)))
+def wave_forcing(problem: WaveProblem, path: WienerPath) -> tuple[np.ndarray, np.ndarray]:
+    """Noise forcing of every step of the mesh: (displacement, velocity), each (N, K).
 
-
-def mcn_wave_step(state: WaveState, path: WienerPath, problem: WaveProblem) -> WaveState:
-    """Advance (X_j, Y_j) one coarse step via the eliminated tridiagonal solve."""
-    mesh = problem.mesh
-    grid = problem.grid
+    Row j of the displacement forcing is the correction
+    Phi (micro Riemann sum) - (tau/2) Phi (W(t_{j+1}) + W(t_j)), the same
+    trapezoid-versus-micro-quadrature gap as the heat correction but
+    without the Laplacian.  Row j of the velocity forcing is Phi dW_j plus
+    the correction (1/2) sum_{l=1}^{M} (2 t_{j+1} - tau - 2 t_{j,l}) tau^2
+    Lap[Phi W(t_{j,l})], whose weight simplifies to (tau^3/2)(1 - 2 l tau),
+    independent of j.
+    """
+    mesh, phi = problem.mesh, problem.phi
     tau = mesh.tau
-    j = state.j
-    dw = path.value_at(mesh.coarse_time(j + 1)) - path.value_at(mesh.coarse_time(j))
-    corr_x = wave_correction_displacement(path, mesh, j, problem.phi)
-    corr_y = wave_correction_velocity(path, mesh, j, problem.phi)
-    lap_x = apply_operator(problem.laplacian, state.X).values
-    lap_corr_x = apply_operator(problem.laplacian, corr_x).values
-    rhs = Field(
-        grid,
-        apply_operator(problem.explicit_matrix, state.Y).values
-        + tau * lap_x
-        + 0.5 * tau * lap_corr_x
-        + problem.phi.combine(dw)
-        + corr_y.values,
-    )
-    y_next = solve_tridiagonal(problem.implicit_matrix, rhs)
-    x_next = Field(
-        grid,
-        state.X.values + 0.5 * tau * (state.Y.values + y_next.values) + corr_x.values,
-    )
-    nxt = WaveState(j + 1, x_next, y_next)
+    coarse, micro = path.on_mesh(mesh)
+    weights = 0.5 * tau**3 * (1.0 - 2.0 * tau * np.arange(1, mesh.M + 1))
+    velocity_weights = np.einsum("l,jlm->jm", weights, micro)
+    displacement = phi.combine(quadrature_gaps(coarse, micro, tau))
+    velocity = phi.combine(np.diff(coarse, axis=0)) + phi.combine_laplacian(velocity_weights)
+    return displacement, velocity
+
+
+def mcn_wave_step(
+    problem: WaveProblem,
+    x: np.ndarray,
+    y: np.ndarray,
+    displacement: np.ndarray,
+    velocity: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance (X_j, Y_j) one coarse step via the eliminated tridiagonal solve.
+
+    displacement and velocity are row j of wave_forcing.  Substituting the
+    displacement relation into the velocity one gives
+    (I - tau^2/4 Lap) Y_{j+1} = Y_j + Lap(tau^2/4 Y_j + tau X_j + tau/2 displacement) + velocity.
+    """
+    grid, tau = problem.grid, problem.mesh.tau
+    coupled = 0.25 * tau * tau * y + tau * x + 0.5 * tau * displacement
+    y_next = problem.implicit_matrix.solve(y + apply_laplacian(grid, coupled) + velocity)
+    x_next = x + 0.5 * tau * (y + y_next) + displacement
     if __debug__:
-        scale = 1.0 + max(
-            np.max(np.abs(x_next.values)),
-            np.max(np.abs(y_next.values)),
-            np.max(np.abs(state.X.values)),
-            np.max(np.abs(state.Y.values)),
-        )
-        res_x, res_y = _residual_norms(state, nxt, dw, corr_x, corr_y, problem)
+        scale = 1.0 + max(np.abs(v).max() for v in (x_next, y_next, x, y))
+        res_x = np.abs(x_next - x - 0.5 * tau * (y_next + y) - displacement).max()
+        lap_sum = apply_laplacian(grid, x_next + x)
+        res_y = np.abs(y_next - y - 0.5 * tau * lap_sum - velocity).max()
         assert res_x <= RESIDUAL_TOLERANCE * scale, f"displacement residual {res_x}"
         assert res_y <= RESIDUAL_TOLERANCE * scale, f"velocity residual {res_y}"
-    return nxt
+    return x_next, y_next
 
 
-def run_wave(problem: WaveProblem, path: WienerPath) -> tuple[Field, Field]:
+def run_wave(problem: WaveProblem, path: WienerPath) -> tuple[np.ndarray, np.ndarray]:
     """March the corrected scheme over the whole mesh; returns (X_N, Y_N)."""
-    state = problem.initial_state()
-    for _ in range(problem.mesh.N):
-        state = mcn_wave_step(state, path, problem)
-    return state.X, state.Y
+    x, y = problem.initial_displacement, problem.initial_velocity
+    for displacement, velocity in zip(*wave_forcing(problem, path)):
+        x, y = mcn_wave_step(problem, x, y, displacement, velocity)
+    return x, y
 
 
 def reference_wave_solution(
     problem: WaveProblem, path: WienerPath, n_ref: int
-) -> tuple[Field, Field]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the same scheme on a refined mesh with n_ref steps as reference.
 
     The path is shared, so comparing a coarse run against this reference
@@ -190,14 +143,12 @@ def benchmark_wave_problem(
         mesh,
         benchmark_phi(grid, noise_scale),
         sine_mode(grid, BENCHMARK_INITIAL_MODE),
-        Field.zeros(grid),
+        np.zeros(grid.K),
     )
 
 
-def wave_energy(state: WaveState, problem: WaveProblem) -> float:
+def wave_energy(problem: WaveProblem, x: np.ndarray, y: np.ndarray) -> float:
     """Discrete energy ||Y||^2 + <-Lap X, X> (conserved exactly when Phi = 0)."""
     h = problem.grid.h
-    lap_x = apply_operator(problem.laplacian, state.X).values
-    kinetic = h * float(np.dot(state.Y.values, state.Y.values))
-    potential = -h * float(np.dot(lap_x, state.X.values))
-    return kinetic + potential
+    lap_x = apply_laplacian(problem.grid, x)
+    return h * float(np.dot(y, y)) - h * float(np.dot(lap_x, x))

@@ -10,6 +10,7 @@ from mcnspde.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
     EXIT_OK,
+    _config_file_flags,
     _parse_n_list,
     _study_config,
     build_parser,
@@ -173,6 +174,31 @@ def test_paper_presets_resolve_without_running():
     # seed and worker overrides still apply on top of the preset
     custom = _study_config(parser.parse_args(["heat", "--paper", "--seed", "5"]), "heat")
     assert custom.base_seed == 5
+    # so do explicit sizes: the preset fills only what was not given
+    argv = ["heat", "--paper", "--mc", "5", "--n-list", "8..32", "--master-steps", "4096"]
+    sized = _study_config(parser.parse_args(argv), "heat")
+    assert (sized.mc_count, sized.n_list, sized.master_steps) == (5, (8, 16, 32), 4096)
+    assert sized.k == 40
+    finer = _study_config(parser.parse_args(["wave", "--paper", "--n-ref", "2048"]), "wave")
+    assert finer.n_ref == 2048
+    assert (finer.master_steps, finer.mc_count) == (2**24, 1000)
+    # without --paper the same flags override the desk preset
+    desk = _study_config(parser.parse_args(["wave", "--n-ref", "256"]), "wave")
+    assert (desk.n_ref, desk.master_steps, desk.mc_count) == (256, 2**20, 300)
+
+
+def test_config_file_values_beat_the_paper_preset(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("n-list = 8,16\nk = 6\nmc = 4\nmaster-steps = 1024\npaper = yes\n")
+    assert "--paper" in _config_file_flags(cfg, build_parser().parse_args(["heat"]))
+    report = tmp_path / "r.txt"
+    argv = ["heat", "--config", str(cfg), "--mc", "2", "--report", str(report)]
+    assert main(argv) == EXIT_OK
+    text = report.read_text()
+    assert "realizations:   2" in text  # explicit flag beats the file value
+    assert "master steps:   1024" in text  # file value beats the preset
+    assert "interior nodes: 6" in text
+    capsys.readouterr()
 
 
 def test_scheme_and_mode_flags_reach_config():

@@ -1,4 +1,4 @@
-"""Grid, field, and tridiagonal solver tests against dense linear algebra."""
+"""Grid, Laplacian, and tridiagonal solver tests against dense linear algebra."""
 
 import math
 
@@ -6,35 +6,41 @@ import numpy as np
 import pytest
 
 from mcnspde import (
-    Field,
+    ConfigError,
+    HeatProblem,
+    NoiseCoefficient,
     SolverError,
     SpatialGrid,
-    TridiagonalOperator,
-    apply_operator,
-    build_discrete_laplacian,
+    TimeMesh,
+    TridiagonalSolver,
+    WaveProblem,
+    apply_laplacian,
     dirichlet_eigenvalue,
     h1_seminorm,
-    identity_plus,
     l2_inner,
     l2_norm,
+    shifted_laplacian,
     sine_mode,
-    solve_tridiagonal,
 )
 
 
-def dense_matrix(op):
+def dense_matrix(lower, diag, upper):
     """Assemble the full K x K matrix from the three bands."""
-    K = op.grid.K
+    K = diag.size
     mat = np.zeros((K, K))
-    mat[np.arange(K), np.arange(K)] = op.diag
-    mat[np.arange(1, K), np.arange(K - 1)] = op.lower
-    mat[np.arange(K - 1), np.arange(1, K)] = op.upper
+    mat[np.arange(K), np.arange(K)] = diag
+    mat[np.arange(1, K), np.arange(K - 1)] = lower
+    mat[np.arange(K - 1), np.arange(1, K)] = upper
     return mat
 
 
-def random_dominant_operator(grid, rng):
-    """Random tridiagonal matrix made strictly diagonally dominant."""
-    K = grid.K
+def dense_laplacian(grid):
+    off = np.ones(grid.K - 1)
+    return dense_matrix(off, np.full(grid.K, -2.0), off) / grid.h**2
+
+
+def random_dominant_bands(K, rng):
+    """Bands of a random tridiagonal matrix made strictly diagonally dominant."""
     lower = rng.standard_normal(K - 1)
     upper = rng.standard_normal(K - 1)
     diag = rng.standard_normal(K)
@@ -43,7 +49,7 @@ def random_dominant_operator(grid, rng):
     dom[:-1] += np.abs(upper)
     dom[1:] += np.abs(lower)
     diag = np.sign(diag + (diag == 0)) * (dom + slack)
-    return TridiagonalOperator(grid, lower, diag, upper)
+    return lower, diag, upper
 
 
 def test_grid_geometry():
@@ -58,105 +64,85 @@ def test_grid_rejects_too_few_nodes():
 
 
 def test_field_shape_checked():
+    """Initial data of the wrong length is rejected where it enters a problem."""
     grid = SpatialGrid(5)
-    with pytest.raises(ValueError):
-        Field(grid, np.zeros(4))
-
-
-def test_field_arithmetic():
-    grid = SpatialGrid(6)
-    rng = np.random.default_rng(11)
-    f = Field(grid, rng.standard_normal(6))
-    g = Field(grid, rng.standard_normal(6))
-    np.testing.assert_allclose((f + g).values, f.values + g.values, rtol=1e-15)
-    np.testing.assert_allclose((f - g).values, f.values - g.values, rtol=1e-15)
-    np.testing.assert_allclose((2.5 * f).values, 2.5 * f.values, rtol=1e-15)
-    np.testing.assert_allclose((-f).values, -f.values, rtol=1e-15)
-
-
-def test_field_mixing_grids_rejected():
-    f = Field(SpatialGrid(5), np.zeros(5))
-    g = Field(SpatialGrid(6), np.zeros(6))
-    with pytest.raises(ValueError):
-        f + g
-
-
-def test_from_function_samples_nodes():
-    grid = SpatialGrid(9)
-    f = Field.from_function(grid, lambda x: x * x)
-    np.testing.assert_allclose(f.values, grid.nodes**2, rtol=1e-15)
+    mesh = TimeMesh(4)
+    phi = NoiseCoefficient.from_components(grid, [np.zeros(5)])
+    with pytest.raises(ConfigError):
+        HeatProblem(grid, mesh, phi, np.zeros(4))
+    with pytest.raises(ConfigError):
+        HeatProblem(grid, mesh, phi, np.zeros((1, 5)))
+    with pytest.raises(ConfigError):
+        WaveProblem(grid, mesh, phi, np.zeros(5), np.zeros(6))
 
 
 def test_band_length_validation():
-    grid = SpatialGrid(5)
     with pytest.raises(ValueError):
-        TridiagonalOperator(grid, np.zeros(5), np.zeros(5), np.zeros(4))
+        TridiagonalSolver(np.ones(5), np.full(5, 4.0), np.ones(4))
 
 
 def test_apply_matches_dense():
     grid = SpatialGrid(12)
     rng = np.random.default_rng(21)
-    op = random_dominant_operator(grid, rng)
-    f = Field(grid, rng.standard_normal(grid.K))
-    expected = dense_matrix(op) @ f.values
-    np.testing.assert_allclose(apply_operator(op, f).values, expected, rtol=1e-13)
+    f = rng.standard_normal(grid.K)
+    expected = dense_laplacian(grid) @ f
+    np.testing.assert_allclose(apply_laplacian(grid, f), expected, rtol=1e-13)
+    # a stack of grid functions is differenced row by row
+    block = rng.standard_normal((3, grid.K))
+    np.testing.assert_allclose(
+        apply_laplacian(grid, block), block @ dense_laplacian(grid).T, rtol=1e-13
+    )
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_thomas_matches_dense_solve(seed):
     """Elimination agrees with numpy's dense solver on dominant systems."""
     rng = np.random.default_rng(100 + seed)
-    grid = SpatialGrid(int(rng.integers(2, 25)))
-    op = random_dominant_operator(grid, rng)
-    rhs = Field(grid, rng.standard_normal(grid.K))
-    got = solve_tridiagonal(op, rhs).values
-    expected = np.linalg.solve(dense_matrix(op), rhs.values)
+    K = int(rng.integers(2, 25))
+    bands = random_dominant_bands(K, rng)
+    rhs = rng.standard_normal(K)
+    got = TridiagonalSolver(*bands).solve(rhs)
+    expected = np.linalg.solve(dense_matrix(*bands), rhs)
     np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-13)
 
 
 def test_solve_then_apply_round_trip():
     grid = SpatialGrid(40)
-    lap = build_discrete_laplacian(grid)
-    system = identity_plus(lap, -0.01)
+    system = shifted_laplacian(grid, -0.01)
     rng = np.random.default_rng(3)
-    rhs = Field(grid, rng.standard_normal(grid.K))
-    x = solve_tridiagonal(system, rhs)
-    np.testing.assert_allclose(apply_operator(system, x).values, rhs.values, rtol=1e-12)
+    rhs = rng.standard_normal(grid.K)
+    x = system.solve(rhs)
+    np.testing.assert_allclose(x - 0.01 * apply_laplacian(grid, x), rhs, rtol=1e-12)
 
 
 def test_zero_pivot_raises():
-    grid = SpatialGrid(4)
-    op = TridiagonalOperator(grid, np.zeros(3), np.zeros(4), np.zeros(3))
+    """A vanishing pivot is caught when the system is factored, before any solve."""
     with pytest.raises(SolverError):
-        solve_tridiagonal(op, Field(grid, np.ones(4)))
+        TridiagonalSolver(np.zeros(3), np.zeros(4), np.zeros(3))
 
 
 def test_pivot_failure_mid_sweep():
     # first pivot fine, second eliminated to zero: diag [1, 1], lower 1, upper 1
-    grid = SpatialGrid(2)
-    op = TridiagonalOperator(grid, np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]))
     with pytest.raises(SolverError):
-        solve_tridiagonal(op, Field(grid, np.ones(2)))
+        TridiagonalSolver(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]))
 
 
 def test_grid_mismatch_rejected():
-    op = build_discrete_laplacian(SpatialGrid(5))
-    f = Field(SpatialGrid(6), np.zeros(6))
+    system = shifted_laplacian(SpatialGrid(5), -0.1)
     with pytest.raises(ValueError):
-        apply_operator(op, f)
+        system.solve(np.zeros(6))
     with pytest.raises(ValueError):
-        solve_tridiagonal(op, f)
+        l2_inner(np.zeros(5), np.zeros(6))
 
 
 def test_laplacian_eigenpairs():
     """Sine modes are exact eigenvectors of the second-difference operator."""
     grid = SpatialGrid(15)
-    lap = build_discrete_laplacian(grid)
     for k in (1, 2, 3, 7, 15):
         mode = sine_mode(grid, k)
         lam = dirichlet_eigenvalue(grid, k)
         np.testing.assert_allclose(
-            apply_operator(lap, mode).values, -lam * mode.values, rtol=1e-10, atol=1e-10
+            apply_laplacian(grid, mode), -lam * mode, rtol=1e-10, atol=1e-10
         )
 
 
@@ -180,13 +166,15 @@ def test_mode_index_bounds():
 
 
 def test_identity_plus_algebra():
+    """The factored shifted system inverts the dense matrix I + c Lap."""
     grid = SpatialGrid(10)
-    lap = build_discrete_laplacian(grid)
     rng = np.random.default_rng(5)
-    f = Field(grid, rng.standard_normal(grid.K))
-    shifted = identity_plus(lap, -0.3)
-    expected = f.values - 0.3 * apply_operator(lap, f).values
-    np.testing.assert_allclose(apply_operator(shifted, f).values, expected, rtol=1e-13)
+    f = rng.standard_normal(grid.K)
+    for scale in (-0.3, 0.002):
+        dense = np.eye(grid.K) + scale * dense_laplacian(grid)
+        np.testing.assert_allclose(
+            shifted_laplacian(grid, scale).solve(dense @ f), f, rtol=1e-11, atol=1e-13
+        )
 
 
 def test_sine_mode_l2_norm_is_half():
@@ -204,11 +192,10 @@ def test_sine_modes_orthogonal():
 def test_h1_seminorm_by_summation_by_parts():
     """|f|_{H1}^2 equals <-Lap f, f> for zero-boundary fields."""
     grid = SpatialGrid(17)
-    lap = build_discrete_laplacian(grid)
     rng = np.random.default_rng(7)
     for _ in range(4):
-        f = Field(grid, rng.standard_normal(grid.K))
-        quad = -l2_inner(apply_operator(lap, f), f)
+        f = rng.standard_normal(grid.K)
+        quad = -l2_inner(apply_laplacian(grid, f), f)
         assert h1_seminorm(f) ** 2 == pytest.approx(quad, rel=1e-12)
 
 

@@ -97,6 +97,12 @@ def test_rms_and_standard_error_degenerate_cases():
     assert (rms, se) == (1.5, 0.0)
     rms, se = rms_and_standard_error(np.zeros(10))
     assert (rms, se) == (0.0, 0.0)
+    # a constant sample whose mean does not round back to its value
+    value = 9.813859695181972e-12
+    assert np.std(np.full(3, value), ddof=1) > 0.0
+    rms, se = rms_and_standard_error(np.full(3, value))
+    assert se == 0.0
+    assert rms == pytest.approx(math.sqrt(value), rel=1e-15)
 
 
 def test_rms_standard_error_is_calibrated():
@@ -191,13 +197,31 @@ def test_single_realization_matches_direct_run():
     table = run_study(config)
     grid = SpatialGrid(config.k)
     path_mesh = TimeMesh(max(config.n_list))
-    path = sample_path(config.base_seed ^ 0, path_mesh, m=1, master_steps=config.master_steps)
+    path = sample_path((config.base_seed, 0), path_mesh, m=1, master_steps=config.master_steps)
     oracle = exact_heat_solution(path, grid, 1.0, mode="semidiscrete")
     for row in table.rows:
         problem = benchmark_heat_problem(grid, TimeMesh(row.n_steps))
         err = l2_norm(run_heat(problem, path, "mcn") - oracle)
         assert row.rms_error == pytest.approx(err, rel=1e-14)
         assert row.standard_error == 0.0
+
+
+def test_adjacent_base_seeds_share_no_path():
+    """Realization r is keyed by (base_seed, r), so seeds one apart draw disjoint paths."""
+    seeds = (20260814, 20260815)
+    tables = [csv_text(run_study(desk_heat_config(mc_count=16, base_seed=s))) for s in seeds]
+    assert tables[0] != tables[1]
+    config = desk_heat_config(mc_count=16)
+    path_mesh = TimeMesh(max(config.n_list))
+    drawn = [
+        {
+            sample_path((s, r), path_mesh, master_steps=config.master_steps).increments.tobytes()
+            for r in range(config.mc_count)
+        }
+        for s in seeds
+    ]
+    assert len(drawn[0]) == len(drawn[1]) == config.mc_count
+    assert not drawn[0] & drawn[1]
 
 
 def test_wave_study_reports_both_norms():
@@ -296,6 +320,7 @@ def test_preset_configurations():
         dict(scheme="rk4"),
         dict(exact_mode="spectral"),
         dict(error_norm="h1_displacement"),  # wave-only norm on a heat study
+        dict(base_seed=2**64),  # Philox key words are 64 bits
     ],
 )
 def test_validate_config_rejects_bad_heat_settings(overrides):

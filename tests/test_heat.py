@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mcnspde import (
+    AlignmentError,
     ConfigError,
-    Field,
     HeatProblem,
     NoiseCoefficient,
     SpatialGrid,
@@ -17,6 +17,7 @@ from mcnspde import (
     dirichlet_eigenvalue,
     em_step,
     exact_heat_solution,
+    heat_forcing,
     l2_norm,
     mcn_heat_step,
     run_heat,
@@ -24,7 +25,13 @@ from mcnspde import (
     sine_mode,
     stochastic_convolution,
 )
-from mcnspde.noise import micro_riemann_sum
+
+
+def value_at(path, t):
+    """W(t) by a float lookup of the master node at time t: the brute-force reference."""
+    k = round(t / path.delta)
+    assert abs(t - k * path.delta) <= 1e-12
+    return path.cumulative[k]
 
 
 def zero_phi(grid, m=1):
@@ -52,14 +59,11 @@ def test_mcn_eigenmode_decay_factor():
         problem = HeatProblem(grid, mesh, zero_phi(grid), sine_mode(grid, k))
         lam = dirichlet_eigenvalue(grid, k)
         rho = (1 - 0.5 * mesh.tau * lam) / (1 + 0.5 * mesh.tau * lam)
-        state = mcn_heat_step(problem.initial_state(), path, problem)
-        assert state.j == 1
-        np.testing.assert_allclose(
-            state.X.values, rho * problem.initial.values, rtol=1e-12, atol=1e-14
-        )
+        first = mcn_heat_step(problem, problem.initial, heat_forcing(problem, path)[0])
+        np.testing.assert_allclose(first, rho * problem.initial, rtol=1e-12, atol=1e-14)
         final = run_heat(problem, path, scheme="mcn")
         np.testing.assert_allclose(
-            final.values, rho**mesh.N * problem.initial.values, rtol=1e-11, atol=1e-13
+            final, rho**mesh.N * problem.initial, rtol=1e-11, atol=1e-13
         )
 
 
@@ -73,7 +77,7 @@ def test_em_eigenmode_decay_factor():
         rho = 1.0 / (1.0 + mesh.tau * lam)
         final = run_heat(problem, path, scheme="em")
         np.testing.assert_allclose(
-            final.values, rho**mesh.N * problem.initial.values, rtol=1e-11, atol=1e-13
+            final, rho**mesh.N * problem.initial, rtol=1e-11, atol=1e-13
         )
 
 
@@ -86,22 +90,23 @@ def test_mcn_step_dense_oracle():
     phi = NoiseCoefficient.from_components(
         grid, [rng.standard_normal(k), rng.standard_normal(k)]
     )
-    x0 = Field(grid, rng.standard_normal(k))
+    x0 = rng.standard_normal(k)
     path = sample_path(611, mesh, m=2, master_steps=256)
     problem = HeatProblem(grid, mesh, phi, x0)
 
     lap = dense_laplacian(k)
     tau = mesh.tau
-    dw = path.value_at(tau) - path.value_at(0.0)
-    gap = micro_riemann_sum(path, mesh, 0) - 0.5 * tau * (
-        path.value_at(0.0) + path.value_at(tau)
+    dw = value_at(path, tau) - value_at(path, 0.0)
+    micro_sum = sum(
+        tau * tau * value_at(path, mesh.micro_time(0, ell)) for ell in range(1, mesh.M + 1)
     )
+    gap = micro_sum - 0.5 * tau * (value_at(path, 0.0) + value_at(path, tau))
     corr = lap @ (phi.values.T @ gap)
-    rhs = (np.eye(k) + 0.5 * tau * lap) @ x0.values + phi.values.T @ dw + corr
+    rhs = (np.eye(k) + 0.5 * tau * lap) @ x0 + phi.values.T @ dw + corr
     expected = np.linalg.solve(np.eye(k) - 0.5 * tau * lap, rhs)
 
-    got = mcn_heat_step(problem.initial_state(), path, problem)
-    np.testing.assert_allclose(got.X.values, expected, rtol=1e-12, atol=1e-14)
+    got = mcn_heat_step(problem, x0, heat_forcing(problem, path, "mcn")[0])
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_em_step_dense_oracle():
@@ -110,18 +115,18 @@ def test_em_step_dense_oracle():
     mesh = TimeMesh(n)
     rng = np.random.default_rng(62)
     phi = NoiseCoefficient.from_components(grid, [rng.standard_normal(k)])
-    x0 = Field(grid, rng.standard_normal(k))
+    x0 = rng.standard_normal(k)
     path = sample_path(612, mesh, m=1, master_steps=64)
     problem = HeatProblem(grid, mesh, phi, x0)
 
     lap = dense_laplacian(k)
     tau = mesh.tau
-    dw = path.value_at(tau) - path.value_at(0.0)
-    rhs = x0.values + phi.values.T @ dw
+    dw = value_at(path, tau) - value_at(path, 0.0)
+    rhs = x0 + phi.values.T @ dw
     expected = np.linalg.solve(np.eye(k) - tau * lap, rhs)
 
-    got = em_step(problem.initial_state(), path, problem)
-    np.testing.assert_allclose(got.X.values, expected, rtol=1e-12, atol=1e-14)
+    got = em_step(problem, x0, heat_forcing(problem, path, "em")[0])
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_linear_path_run_matches_hand_recursion():
@@ -142,7 +147,7 @@ def test_linear_path_run_matches_hand_recursion():
     lap = dense_laplacian(k)
     tau = mesh.tau
     assert 0.5 * tau**3 == pytest.approx(1.0 / 128.0, rel=1e-15)
-    x = sine_mode(grid, 1).values.copy()
+    x = sine_mode(grid, 1)
     implicit = np.eye(k) - 0.5 * tau * lap
     explicit = np.eye(k) + 0.5 * tau * lap
     corr = (1.0 / 128.0) * lap @ phi.values[0]
@@ -150,7 +155,7 @@ def test_linear_path_run_matches_hand_recursion():
         x = np.linalg.solve(implicit, explicit @ x + tau * phi.values[0] + corr)
 
     got = run_heat(problem, path, scheme="mcn")
-    np.testing.assert_allclose(got.values, x, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(got, x, rtol=1e-9, atol=1e-12)
 
 
 def test_run_is_affine_in_initial_data():
@@ -159,8 +164,8 @@ def test_run_is_affine_in_initial_data():
     mesh = TimeMesh(8)
     rng = np.random.default_rng(71)
     phi = NoiseCoefficient.from_components(grid, [lambda x: np.sin(3 * np.pi * x)])
-    u = Field(grid, rng.standard_normal(11))
-    v = Field(grid, rng.standard_normal(11))
+    u = rng.standard_normal(11)
+    v = rng.standard_normal(11)
     path = sample_path(711, mesh, master_steps=2048)
     zero = WienerPath(
         np.zeros_like(path.increments), np.zeros_like(path.cumulative), path.delta
@@ -169,9 +174,7 @@ def test_run_is_affine_in_initial_data():
         both = run_heat(HeatProblem(grid, mesh, phi, u + v), path, scheme)
         u_run = run_heat(HeatProblem(grid, mesh, phi, u), path, scheme)
         v_run = run_heat(HeatProblem(grid, mesh, phi, v), zero, scheme)
-        np.testing.assert_allclose(
-            both.values, u_run.values + v_run.values, rtol=1e-11, atol=1e-13
-        )
+        np.testing.assert_allclose(both, u_run + v_run, rtol=1e-11, atol=1e-13)
 
 
 def test_deterministic_steps_are_contractive():
@@ -180,15 +183,13 @@ def test_deterministic_steps_are_contractive():
     mesh = TimeMesh(16)
     rng = np.random.default_rng(81)
     path = sample_path(811, mesh, master_steps=1024)
-    for scheme_step in (mcn_heat_step, em_step):
-        problem = HeatProblem(
-            grid, mesh, zero_phi(grid), Field(grid, rng.standard_normal(20))
-        )
-        state = problem.initial_state()
-        norms = [l2_norm(state.X)]
-        for _ in range(mesh.N):
-            state = scheme_step(state, path, problem)
-            norms.append(l2_norm(state.X))
+    for scheme, scheme_step in (("mcn", mcn_heat_step), ("em", em_step)):
+        problem = HeatProblem(grid, mesh, zero_phi(grid), rng.standard_normal(20))
+        x = problem.initial
+        norms = [l2_norm(x)]
+        for forcing in heat_forcing(problem, path, scheme):
+            x = scheme_step(problem, x, forcing)
+            norms.append(l2_norm(x))
         assert all(b <= a + 1e-14 for a, b in zip(norms, norms[1:]))
 
 
@@ -200,14 +201,10 @@ def test_exact_solution_silent_noise():
         np.zeros_like(path.increments), np.zeros_like(path.cumulative), path.delta
     )
     cont = exact_heat_solution(silent, grid, 1.0, mode="continuous")
-    np.testing.assert_allclose(
-        cont.values, math.exp(-math.pi**2) * sine_mode(grid, 1).values, rtol=1e-13
-    )
+    np.testing.assert_allclose(cont, math.exp(-math.pi**2) * sine_mode(grid, 1), rtol=1e-13)
     semi = exact_heat_solution(silent, grid, 1.0, mode="semidiscrete")
     lam1 = dirichlet_eigenvalue(grid, 1)
-    np.testing.assert_allclose(
-        semi.values, math.exp(-lam1) * sine_mode(grid, 1).values, rtol=1e-13
-    )
+    np.testing.assert_allclose(semi, math.exp(-lam1) * sine_mode(grid, 1), rtol=1e-13)
 
 
 def test_exact_solution_config_errors():
@@ -242,11 +239,21 @@ def test_run_heat_rejects_unknown_scheme():
         run_heat(problem, path, scheme="rk4")
 
 
+def test_run_heat_rejects_misaligned_path():
+    """A path whose master grid misses the micro nodes is refused, not interpolated."""
+    grid = SpatialGrid(10)
+    problem = benchmark_heat_problem(grid, TimeMesh(16))
+    coarse_path = sample_path(1, TimeMesh(4), master_steps=64)  # 64 < 16^2 micro cells
+    for scheme in ("mcn", "em"):
+        with pytest.raises(AlignmentError):
+            run_heat(problem, coarse_path, scheme)
+
+
 def test_stochastic_convolution_zero_rate_is_endpoint():
     mesh = TimeMesh(4)
     path = sample_path(21, mesh, m=2, master_steps=512)
     np.testing.assert_allclose(
-        stochastic_convolution(path, 0.0), path.value_at(1.0), rtol=1e-13
+        stochastic_convolution(path, 0.0), path.cumulative[-1], rtol=1e-13
     )
 
 
@@ -272,6 +279,6 @@ def test_benchmark_problem_layout():
     mesh = TimeMesh(8)
     problem = benchmark_heat_problem(grid, mesh, noise_scale=2.0)
     assert problem.phi.m == 1
-    expected = 2.0 * (sine_mode(grid, 2).values + sine_mode(grid, 3).values)
+    expected = 2.0 * (sine_mode(grid, 2) + sine_mode(grid, 3))
     np.testing.assert_allclose(problem.phi.values[0], expected, rtol=1e-13)
-    np.testing.assert_allclose(problem.initial.values, sine_mode(grid, 1).values, rtol=1e-15)
+    np.testing.assert_allclose(problem.initial, sine_mode(grid, 1), rtol=1e-15)

@@ -1,8 +1,9 @@
 """Path sampling, alignment rules, and micro-grid quadrature oracles.
 
-The micro-sum operations are cross-checked three ways: against explicit
-double loops, against closed forms on the deterministic path W(t) = t,
-and against exact second-moment formulas via small Monte Carlo runs.
+The mesh accessor and the mesh-wide forcings built on it are cross-checked
+three ways: against explicit loops that look path values up by time,
+against closed forms on the deterministic path W(t) = t, and against exact
+second-moment formulas via small Monte Carlo runs.
 """
 
 import math
@@ -12,26 +13,43 @@ import pytest
 
 from mcnspde import (
     AlignmentError,
-    Field,
+    HeatProblem,
     NoiseCoefficient,
     SpatialGrid,
     TimeMesh,
+    WaveProblem,
     WienerPath,
-    apply_operator,
-    build_discrete_laplacian,
     defect_moment_exact,
-    heat_correction,
+    heat_forcing,
+    mesh_values,
+    quadrature_gaps,
     sample_path,
-    wave_correction_displacement,
-    wave_correction_velocity,
+    wave_forcing,
     wave_micro_sum_moment_exact,
 )
-from mcnspde.noise import (
-    master_strides,
-    micro_quadrature_defect,
-    micro_riemann_sum,
-    micro_values,
-)
+from mcnspde.noise import master_strides
+from mcnspde.validation import heat_defect_block
+
+
+def value_at(path, t):
+    """W(t) by a float lookup of the master node at time t: the brute-force reference."""
+    k = round(t / path.delta)
+    assert abs(t - k * path.delta) <= 1e-12
+    return path.cumulative[k]
+
+
+def dense_laplacian(k):
+    h = 1.0 / (k + 1)
+    off = np.ones(k - 1)
+    return (np.diag(off, -1) - 2.0 * np.eye(k) + np.diag(off, 1)) / h**2
+
+
+def heat_problem(phi, mesh):
+    return HeatProblem(phi.grid, mesh, phi, np.zeros(phi.grid.K))
+
+
+def wave_problem(phi, mesh):
+    return WaveProblem(phi.grid, mesh, phi, np.zeros(phi.grid.K), np.zeros(phi.grid.K))
 
 
 def linear_path(mesh, master_steps, m=1):
@@ -103,13 +121,34 @@ def test_sample_path_increment_scale():
     assert abs(var - path.delta) <= 4 * se
 
 
-def test_value_at_requires_master_node():
+def test_mesh_values_require_master_nodes():
     mesh = TimeMesh(4)
     path = sample_path(1, mesh, master_steps=64)
-    w = path.value_at(3 / 64)
-    assert w.shape == (1,)
+    coarse, micro = mesh_values(path.cumulative, mesh)
+    assert coarse.shape == (mesh.N + 1, 1)
+    assert micro.shape == (mesh.N, mesh.M, 1)
+    np.testing.assert_array_equal(micro[0, 2], value_at(path, 3 / 16))
     with pytest.raises(AlignmentError):
-        path.value_at(1 / 100)
+        mesh_values(path.cumulative[:41], mesh)  # 40 master steps per 16 micro steps
+    with pytest.raises(AlignmentError):
+        mesh_values(np.zeros((9, 1)), mesh)  # master grid coarser than the micro grid
+    with pytest.raises(AlignmentError):
+        path.on_mesh(TimeMesh(2, T=2.0))  # the path ends at t = 1
+
+
+def test_mesh_values_are_views():
+    """Coarse and micro nodes are read without copying, for a path and for a block."""
+    mesh = TimeMesh(8)
+    path = sample_path(2, mesh, m=2, master_steps=1024)
+    block = np.stack([path.cumulative, 2.0 * path.cumulative])
+    for cumulative in (path.cumulative, block):
+        coarse, micro = mesh_values(cumulative, mesh)
+        assert np.shares_memory(coarse, cumulative)
+        assert np.shares_memory(micro, cumulative)
+    coarse, micro = mesh_values(block, mesh)
+    assert micro.shape == (2, mesh.N, mesh.M, 2)
+    np.testing.assert_array_equal(micro[1], 2.0 * mesh_values(path.cumulative, mesh)[1])
+    np.testing.assert_array_equal(coarse[:, -1], block[:, -1])
 
 
 def test_master_strides_alignment():
@@ -128,27 +167,36 @@ def test_sample_path_argument_validation():
         sample_path(-1, mesh, master_steps=64)
 
 
+def micro_riemann_sums(path, mesh):
+    """tau^2 sum_l W(t_{j,l}) for every interval, from the accessor; shape (N, m)."""
+    return mesh.tau**2 * mesh_values(path.cumulative, mesh)[1].sum(axis=1)
+
+
 def test_micro_riemann_sum_brute_force():
-    """Vectorized micro sum equals a literal double loop over micro nodes."""
+    """Mesh-wide micro sum equals a literal double loop over micro nodes."""
     mesh = TimeMesh(4)
     path = sample_path(42, mesh, m=2, master_steps=256)
     tau = mesh.tau
+    sums = micro_riemann_sums(path, mesh)
     for j in range(mesh.N):
         by_hand = np.zeros(2)
         for ell in range(1, mesh.M + 1):
-            by_hand += tau * tau * path.value_at(mesh.micro_time(j, ell))
-        np.testing.assert_allclose(
-            micro_riemann_sum(path, mesh, j), by_hand, rtol=1e-13, atol=1e-16
-        )
+            by_hand += tau * tau * value_at(path, mesh.micro_time(j, ell))
+        np.testing.assert_allclose(sums[j], by_hand, rtol=1e-13, atol=1e-16)
 
 
 def test_micro_values_shape_and_content():
     mesh = TimeMesh(4)
     path = sample_path(8, mesh, m=2, master_steps=256)
-    vals = micro_values(path, mesh, 1)
-    assert vals.shape == (mesh.M, 2)
-    np.testing.assert_allclose(vals[0], path.value_at(mesh.micro_time(1, 1)), rtol=1e-15)
-    np.testing.assert_allclose(vals[-1], path.value_at(mesh.coarse_time(2)), rtol=1e-15)
+    coarse, micro = mesh_values(path.cumulative, mesh)
+    assert micro.shape == (mesh.N, mesh.M, 2)
+    for j in range(mesh.N):
+        np.testing.assert_array_equal(coarse[j], value_at(path, mesh.coarse_time(j)))
+        for ell in range(1, mesh.M + 1):
+            np.testing.assert_array_equal(
+                micro[j, ell - 1], value_at(path, mesh.micro_time(j, ell))
+            )
+    np.testing.assert_array_equal(micro[1, -1], value_at(path, mesh.coarse_time(2)))
 
 
 def test_micro_riemann_sum_linear_path_closed_form():
@@ -156,14 +204,12 @@ def test_micro_riemann_sum_linear_path_closed_form():
     mesh = TimeMesh(4)
     path = linear_path(mesh, master_steps=256)
     tau = mesh.tau
+    sums = micro_riemann_sums(path, mesh)[:, 0]
     for j in range(mesh.N):
         expected = tau * mesh.coarse_time(j) + tau * tau * (1.0 + tau) / 2.0
-        got = float(micro_riemann_sum(path, mesh, j)[0])
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert sums[j] == pytest.approx(expected, rel=1e-12)
     # frozen spot value for j = 1
-    assert float(micro_riemann_sum(path, mesh, 1)[0]) == pytest.approx(
-        0.1015625, rel=1e-12
-    )
+    assert sums[1] == pytest.approx(0.1015625, rel=1e-12)
 
 
 def test_micro_defect_linear_path_closed_form():
@@ -178,9 +224,10 @@ def test_micro_defect_linear_path_closed_form():
     delta = path.delta
     tau = mesh.tau
     expected = -0.5 * tau**3 - 0.5 * delta * tau
+    defects = heat_defect_block(path.cumulative[None], mesh, delta)
+    assert defects.shape == (1, mesh.N, 1)
     for j in range(mesh.N):
-        got = float(micro_quadrature_defect(path, mesh, j)[0])
-        assert got == pytest.approx(expected, rel=1e-9)
+        assert defects[0, j, 0] == pytest.approx(expected, rel=1e-9)
 
 
 def test_defect_moment_small_monte_carlo():
@@ -192,9 +239,8 @@ def test_defect_moment_small_monte_carlo():
     sq = []
     for seed in range(400):
         path = sample_path(9000 + seed, mesh, m=m, master_steps=master_steps)
-        for j in range(mesh.N):
-            d = micro_quadrature_defect(path, mesh, j)
-            sq.append(float(d @ d))
+        defects = heat_defect_block(path.cumulative[None], mesh, path.delta)
+        sq.extend((defects[0] ** 2).sum(axis=1))
     sq = np.asarray(sq)
     mean = sq.mean()
     se = sq.std(ddof=1) / math.sqrt(sq.size)
@@ -225,13 +271,12 @@ def test_wave_micro_sum_moment_matches_double_loop():
 
 def test_noise_coefficient_precomputes_laplacians():
     grid = SpatialGrid(12)
-    lap = build_discrete_laplacian(grid)
     phi = NoiseCoefficient.from_components(
         grid, [lambda x: np.sin(2 * np.pi * x), lambda x: x * (1 - x)]
     )
     assert phi.m == 2
     for i in range(phi.m):
-        direct = apply_operator(lap, Field(grid, phi.values[i])).values
+        direct = dense_laplacian(grid.K) @ phi.values[i]
         np.testing.assert_allclose(phi.laplacian_values[i], direct, rtol=1e-13)
 
 
@@ -239,7 +284,7 @@ def test_noise_coefficient_accepts_mixed_inputs():
     grid = SpatialGrid(6)
     arr = np.arange(6, dtype=float)
     phi = NoiseCoefficient.from_components(
-        grid, [arr, Field(grid, 2 * arr), lambda x: np.zeros_like(x)]
+        grid, [arr, [2.0 * a for a in arr], lambda x: np.zeros_like(x)]
     )
     np.testing.assert_allclose(phi.values[0], arr, rtol=1e-15)
     np.testing.assert_allclose(phi.values[1], 2 * arr, rtol=1e-15)
@@ -255,10 +300,13 @@ def test_combine_matches_loop():
     w = rng.standard_normal(3)
     expected = sum(wi * ci for wi, ci in zip(w, comps))
     np.testing.assert_allclose(phi.combine(w), expected, rtol=1e-13)
+    # a stack of weight vectors combines row by row
+    stacked = phi.combine(np.stack([w, 2.0 * w]))
+    np.testing.assert_allclose(stacked, [expected, 2.0 * expected], rtol=1e-13)
 
 
 def test_heat_correction_brute_force():
-    """Correction equals Lap Phi weighted by the per-channel quadrature gap."""
+    """Heat forcing rows equal Phi dW plus Lap Phi weighted by the quadrature gap."""
     grid = SpatialGrid(10)
     mesh = TimeMesh(4)
     rng = np.random.default_rng(23)
@@ -266,21 +314,26 @@ def test_heat_correction_brute_force():
         grid, [rng.standard_normal(10), rng.standard_normal(10)]
     )
     path = sample_path(55, mesh, m=2, master_steps=256)
-    lap = build_discrete_laplacian(grid)
+    lap = dense_laplacian(10)
+    tau = mesh.tau
+    forcing = heat_forcing(heat_problem(phi, mesh), path, "mcn")
+    assert forcing.shape == (mesh.N, 10)
     for j in range(mesh.N):
-        tau = mesh.tau
-        gap = (
-            micro_riemann_sum(path, mesh, j)
-            - 0.5
-            * tau
-            * (path.value_at(mesh.coarse_time(j)) + path.value_at(mesh.coarse_time(j + 1)))
+        w_lo = value_at(path, mesh.coarse_time(j))
+        w_hi = value_at(path, mesh.coarse_time(j + 1))
+        micro_sum = sum(
+            tau * tau * value_at(path, mesh.micro_time(j, ell)) for ell in range(1, mesh.M + 1)
         )
+        gap = micro_sum - 0.5 * tau * (w_lo + w_hi)
         by_hand = np.zeros(10)
         for i in range(phi.m):
-            by_hand += gap[i] * apply_operator(lap, Field(grid, phi.values[i])).values
-        np.testing.assert_allclose(
-            heat_correction(path, mesh, j, phi).values, by_hand, rtol=1e-12, atol=1e-15
-        )
+            by_hand += (w_hi - w_lo)[i] * phi.values[i] + gap[i] * (lap @ phi.values[i])
+        np.testing.assert_allclose(forcing[j], by_hand, rtol=1e-12, atol=1e-15)
+    # Euler-Maruyama takes Phi dW alone
+    em = heat_forcing(heat_problem(phi, mesh), path, "em")
+    np.testing.assert_allclose(
+        em, phi.combine(np.diff(mesh_values(path.cumulative, mesh)[0], axis=0)), rtol=1e-15
+    )
 
 
 def test_heat_correction_linear_path_scale():
@@ -291,11 +344,13 @@ def test_heat_correction_linear_path_scale():
     phi = NoiseCoefficient.from_components(grid, [lambda x: np.sin(2 * np.pi * x)])
     scale = 0.5 * mesh.tau**3  # 1/128
     assert scale == pytest.approx(1.0 / 128.0, rel=1e-15)
+    np.testing.assert_allclose(
+        quadrature_gaps(*mesh_values(path.cumulative, mesh), mesh.tau), scale, rtol=1e-10
+    )
+    problem = heat_problem(phi, mesh)
+    corr = heat_forcing(problem, path, "mcn") - heat_forcing(problem, path, "em")
     for j in range(mesh.N):
-        corr = heat_correction(path, mesh, j, phi)
-        np.testing.assert_allclose(
-            corr.values, scale * phi.laplacian_values[0], rtol=1e-10
-        )
+        np.testing.assert_allclose(corr[j], scale * phi.laplacian_values[0], rtol=1e-10)
 
 
 def test_corrections_vanish_on_constant_path():
@@ -303,13 +358,10 @@ def test_corrections_vanish_on_constant_path():
     mesh = TimeMesh(8)
     path = constant_path(mesh, master_steps=1024, value=1.7)
     phi = NoiseCoefficient.from_components(grid, [lambda x: np.sin(3 * np.pi * x)])
-    for j in (0, 5):
-        np.testing.assert_allclose(
-            heat_correction(path, mesh, j, phi).values, 0.0, atol=1e-14
-        )
-        np.testing.assert_allclose(
-            wave_correction_displacement(path, mesh, j, phi).values, 0.0, atol=1e-14
-        )
+    # dW vanishes too, so the whole heat forcing and displacement forcing do
+    np.testing.assert_allclose(heat_forcing(heat_problem(phi, mesh), path), 0.0, atol=1e-14)
+    displacement, _ = wave_forcing(wave_problem(phi, mesh), path)
+    np.testing.assert_allclose(displacement, 0.0, atol=1e-14)
 
 
 def test_wave_velocity_correction_constant_path():
@@ -320,14 +372,13 @@ def test_wave_velocity_correction_constant_path():
     path = constant_path(mesh, master_steps=1024, value=value)
     phi = NoiseCoefficient.from_components(grid, [lambda x: np.sin(2 * np.pi * x)])
     expected = -0.5 * mesh.tau**3 * value * phi.laplacian_values[0]
-    for j in (0, 7):
-        np.testing.assert_allclose(
-            wave_correction_velocity(path, mesh, j, phi).values, expected, rtol=1e-12
-        )
+    _, velocity = wave_forcing(wave_problem(phi, mesh), path)
+    for j in range(mesh.N):
+        np.testing.assert_allclose(velocity[j], expected, rtol=1e-12)
 
 
 def test_wave_corrections_brute_force():
-    """Displacement and velocity corrections match their defining sums."""
+    """Displacement and velocity forcings match their defining sums."""
     grid = SpatialGrid(9)
     mesh = TimeMesh(4)
     rng = np.random.default_rng(31)
@@ -335,31 +386,24 @@ def test_wave_corrections_brute_force():
         grid, [rng.standard_normal(9), rng.standard_normal(9)]
     )
     path = sample_path(77, mesh, m=2, master_steps=256)
-    lap = build_discrete_laplacian(grid)
+    lap = dense_laplacian(9)
     tau = mesh.tau
+    displacement, velocity = wave_forcing(wave_problem(phi, mesh), path)
     for j in range(mesh.N):
         t_next = mesh.coarse_time(j + 1)
         disp = np.zeros(9)
         velo = np.zeros(9)
         for ell in range(1, mesh.M + 1):
             t_ell = mesh.micro_time(j, ell)
-            w = path.value_at(t_ell)
+            w = value_at(path, t_ell)
             for i in range(phi.m):
                 disp += tau * tau * w[i] * phi.values[i]
                 weight = 0.5 * (2.0 * t_next - tau - 2.0 * t_ell) * tau * tau
-                velo += weight * w[i] * apply_operator(lap, Field(grid, phi.values[i])).values
-        w_ends = path.value_at(mesh.coarse_time(j)) + path.value_at(t_next)
+                velo += weight * w[i] * (lap @ phi.values[i])
+        w_lo = value_at(path, mesh.coarse_time(j))
+        w_hi = value_at(path, t_next)
         for i in range(phi.m):
-            disp -= 0.5 * tau * w_ends[i] * phi.values[i]
-        np.testing.assert_allclose(
-            wave_correction_displacement(path, mesh, j, phi).values,
-            disp,
-            rtol=1e-11,
-            atol=1e-15,
-        )
-        np.testing.assert_allclose(
-            wave_correction_velocity(path, mesh, j, phi).values,
-            velo,
-            rtol=1e-11,
-            atol=1e-15,
-        )
+            disp -= 0.5 * tau * (w_lo + w_hi)[i] * phi.values[i]
+            velo += (w_hi - w_lo)[i] * phi.values[i]
+        np.testing.assert_allclose(displacement[j], disp, rtol=1e-11, atol=1e-15)
+        np.testing.assert_allclose(velocity[j], velo, rtol=1e-11, atol=1e-15)

@@ -1,4 +1,4 @@
-"""Validation kernels against the per-path quadratures and closed forms."""
+"""Validation kernels against brute-force per-path quadratures and closed forms."""
 
 import math
 
@@ -15,7 +15,6 @@ from mcnspde import (
     validate_statistics,
     wave_micro_sum_moment_exact,
 )
-from mcnspde.noise import micro_quadrature_defect, micro_values
 from mcnspde.validation import (
     _cumulative_block,
     _wave_micro_sum_kernel,
@@ -27,6 +26,13 @@ from mcnspde.validation import (
 def path_as_block(path):
     """View one sampled path as a (1, S+1, m) cumulative block."""
     return path.cumulative[None, :, :]
+
+
+def value_at(path, t):
+    """W(t) by a float lookup of the master node at time t: the brute-force reference."""
+    k = round(t / path.delta)
+    assert abs(t - k * path.delta) <= 1e-12
+    return path.cumulative[k]
 
 
 def test_trapezoid_defect_quadratic_sharpness():
@@ -51,14 +57,21 @@ def test_trapezoid_defect_exact_small_cases():
 
 
 def test_heat_defect_block_matches_per_path_quadrature():
+    """Batched defect equals a literal left-point integral minus the micro sum."""
     mesh = TimeMesh(4)
     path = sample_path(301, mesh, m=2, master_steps=256)
     block = heat_defect_block(path_as_block(path), mesh, path.delta)
     assert block.shape == (1, mesh.N, 2)
+    per_interval = 256 // mesh.N
+    tau = mesh.tau
     for j in range(mesh.N):
-        np.testing.assert_allclose(
-            block[0, j], micro_quadrature_defect(path, mesh, j), rtol=1e-12, atol=1e-16
+        integral = sum(
+            path.delta * path.cumulative[j * per_interval + a] for a in range(per_interval)
         )
+        micro_sum = sum(
+            tau * tau * value_at(path, mesh.micro_time(j, ell)) for ell in range(1, mesh.M + 1)
+        )
+        np.testing.assert_allclose(block[0, j], integral - micro_sum, rtol=1e-12, atol=1e-16)
 
 
 def test_wave_current_defect_block_brute_force():
@@ -73,11 +86,11 @@ def test_wave_current_defect_block_brute_force():
         t_next = mesh.coarse_time(j + 1)
         expected = np.zeros(2)
         for ell in range(1, micro + 1):
-            right = path.value_at(mesh.micro_time(j, ell))
+            right = value_at(path, mesh.micro_time(j, ell))
             cell_start = mesh.micro_time(j, ell) - tau * tau
             for a in range(stride_micro):
                 s = cell_start + a * delta
-                expected += delta * (t_next - s) * (path.value_at(s) - right)
+                expected += delta * (t_next - s) * (value_at(path, s) - right)
         np.testing.assert_allclose(got[0, j], expected, rtol=1e-11, atol=1e-16)
 
 
@@ -86,7 +99,8 @@ def test_wave_micro_sum_kernel_matches_path_values():
     path = sample_path(305, mesh, m=2, master_steps=256)
     got = _wave_micro_sum_kernel(path_as_block(path), mesh, path.delta)
     for j in range(mesh.N):
-        expected = 0.5 * mesh.tau**4 * micro_values(path, mesh, j).sum(axis=0)
+        micro = [value_at(path, mesh.micro_time(j, ell)) for ell in range(1, mesh.M + 1)]
+        expected = 0.5 * mesh.tau**4 * sum(micro)
         np.testing.assert_allclose(got[0, j], expected, rtol=1e-13)
 
 

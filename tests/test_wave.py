@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 from mcnspde import (
+    AlignmentError,
     ConfigError,
-    Field,
     NoiseCoefficient,
     SpatialGrid,
     TimeMesh,
     WaveProblem,
-    WaveState,
     WienerPath,
     benchmark_wave_problem,
     dirichlet_eigenvalue,
@@ -24,10 +23,16 @@ from mcnspde import (
     run_wave,
     sample_path,
     sine_mode,
-    wave_correction_displacement,
-    wave_correction_velocity,
     wave_energy,
+    wave_forcing,
 )
+
+
+def value_at(path, t):
+    """W(t) by a float lookup of the master node at time t: the brute-force reference."""
+    k = round(t / path.delta)
+    assert abs(t - k * path.delta) <= 1e-12
+    return path.cumulative[k]
 
 
 def zero_phi(grid, m=1):
@@ -53,8 +58,8 @@ def random_problem(k, n, m, seed):
     phi = NoiseCoefficient.from_components(
         grid, [rng.standard_normal(k) for _ in range(m)]
     )
-    x0 = Field(grid, rng.standard_normal(k))
-    y0 = Field(grid, rng.standard_normal(k))
+    x0 = rng.standard_normal(k)
+    y0 = rng.standard_normal(k)
     return WaveProblem(grid, mesh, phi, x0, y0)
 
 
@@ -63,15 +68,15 @@ def test_energy_conserved_without_noise():
     grid = SpatialGrid(40)
     mesh = TimeMesh(256)
     problem = WaveProblem(
-        grid, mesh, zero_phi(grid), sine_mode(grid, 1), Field.zeros(grid)
+        grid, mesh, zero_phi(grid), sine_mode(grid, 1), np.zeros(grid.K)
     )
     path = sample_path(17, mesh, master_steps=2**16)
-    state = problem.initial_state()
-    e0 = wave_energy(state, problem)
+    x, y = problem.initial_displacement, problem.initial_velocity
+    e0 = wave_energy(problem, x, y)
     worst = 0.0
-    for _ in range(mesh.N):
-        state = mcn_wave_step(state, path, problem)
-        worst = max(worst, abs(wave_energy(state, problem) - e0))
+    for displacement, velocity in zip(*wave_forcing(problem, path)):
+        x, y = mcn_wave_step(problem, x, y, displacement, velocity)
+        worst = max(worst, abs(wave_energy(problem, x, y) - e0))
     assert worst <= 1e-9 * e0
 
 
@@ -81,9 +86,9 @@ def test_energy_of_pure_mode():
     mesh = TimeMesh(4)
     for k in (1, 5):
         problem = WaveProblem(
-            grid, mesh, zero_phi(grid), sine_mode(grid, k), Field.zeros(grid)
+            grid, mesh, zero_phi(grid), sine_mode(grid, k), np.zeros(grid.K)
         )
-        e = wave_energy(problem.initial_state(), problem)
+        e = wave_energy(problem, problem.initial_displacement, problem.initial_velocity)
         assert e == pytest.approx(0.5 * dirichlet_eigenvalue(grid, k), rel=1e-12)
 
 
@@ -98,15 +103,13 @@ def test_silent_step_is_time_reversible():
         problem.initial_velocity,
     )
     path = sample_path(411, problem.mesh, master_steps=1024)
-    fwd = mcn_wave_step(silent.initial_state(), path, silent)
-    flipped = WaveState(0, fwd.X, Field(silent.grid, -fwd.Y.values))
-    back = mcn_wave_step(flipped, path, silent)
-    np.testing.assert_allclose(
-        back.X.values, silent.initial_displacement.values, rtol=1e-12, atol=1e-13
+    displacement, velocity = (f[0] for f in wave_forcing(silent, path))
+    x, y = mcn_wave_step(
+        silent, silent.initial_displacement, silent.initial_velocity, displacement, velocity
     )
-    np.testing.assert_allclose(
-        back.Y.values, -silent.initial_velocity.values, rtol=1e-12, atol=1e-13
-    )
+    back_x, back_y = mcn_wave_step(silent, x, -y, displacement, velocity)
+    np.testing.assert_allclose(back_x, silent.initial_displacement, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(back_y, -silent.initial_velocity, rtol=1e-12, atol=1e-13)
 
 
 def test_one_step_dense_block_oracle():
@@ -119,11 +122,17 @@ def test_one_step_dense_block_oracle():
 
     lap = dense_laplacian(k)
     eye = np.eye(k)
-    dw = path.value_at(tau) - path.value_at(0.0)
-    corr_x = wave_correction_displacement(path, mesh, 0, problem.phi).values
-    corr_y = wave_correction_velocity(path, mesh, 0, problem.phi).values
-    x0 = problem.initial_displacement.values
-    y0 = problem.initial_velocity.values
+    phi = problem.phi.values.T
+    w_lo, w_hi = value_at(path, 0.0), value_at(path, tau)
+    dw = w_hi - w_lo
+    micro = [value_at(path, mesh.micro_time(0, ell)) for ell in range(1, mesh.M + 1)]
+    corr_x = phi @ (tau * tau * sum(micro) - 0.5 * tau * (w_lo + w_hi))
+    corr_y = sum(
+        0.5 * (tau - 2.0 * ell * tau * tau) * tau * tau * (lap @ (phi @ w))
+        for ell, w in enumerate(micro, start=1)
+    )
+    x0 = problem.initial_displacement
+    y0 = problem.initial_velocity
 
     block = np.block([[eye, -0.5 * tau * eye], [-0.5 * tau * lap, eye]])
     rhs = np.concatenate(
@@ -134,9 +143,10 @@ def test_one_step_dense_block_oracle():
     )
     sol = np.linalg.solve(block, rhs)
 
-    got = mcn_wave_step(problem.initial_state(), path, problem)
-    np.testing.assert_allclose(got.X.values, sol[:k], rtol=1e-11, atol=1e-13)
-    np.testing.assert_allclose(got.Y.values, sol[k:], rtol=1e-11, atol=1e-13)
+    displacement, velocity = (f[0] for f in wave_forcing(problem, path))
+    x1, y1 = mcn_wave_step(problem, x0, y0, displacement, velocity)
+    np.testing.assert_allclose(x1, sol[:k], rtol=1e-11, atol=1e-13)
+    np.testing.assert_allclose(y1, sol[k:], rtol=1e-11, atol=1e-13)
 
 
 def test_eigenmode_rotation_recurrence():
@@ -151,20 +161,16 @@ def test_eigenmode_rotation_recurrence():
             grid,
             mesh,
             zero_phi(grid),
-            Field(grid, a0 * sine_mode(grid, k).values),
-            Field(grid, b0 * sine_mode(grid, k).values),
+            a0 * sine_mode(grid, k),
+            b0 * sine_mode(grid, k),
         )
         left = np.array([[1.0, -0.5 * tau], [0.5 * tau * lam, 1.0]])
         right = np.array([[1.0, 0.5 * tau], [-0.5 * tau * lam, 1.0]])
         step = np.linalg.solve(left, right)
         coeff = np.linalg.matrix_power(step, mesh.N) @ np.array([a0, b0])
         x_n, y_n = run_wave(problem, path)
-        np.testing.assert_allclose(
-            x_n.values, coeff[0] * sine_mode(grid, k).values, rtol=1e-11, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            y_n.values, coeff[1] * sine_mode(grid, k).values, rtol=1e-11, atol=1e-12
-        )
+        np.testing.assert_allclose(x_n, coeff[0] * sine_mode(grid, k), rtol=1e-11, atol=1e-12)
+        np.testing.assert_allclose(y_n, coeff[1] * sine_mode(grid, k), rtol=1e-11, atol=1e-12)
     # |eigenvalues| = 1: the one-step map neither damps nor amplifies a mode
     lam = dirichlet_eigenvalue(grid, 3)
     left = np.array([[1.0, -0.5 * tau], [0.5 * tau * lam, 1.0]])
@@ -194,15 +200,15 @@ def transformed_march(problem, path):
     implicit = eye - 0.25 * tau**2 * lap
     explicit = eye + 0.25 * tau**2 * lap
 
-    u = problem.initial_displacement.values.copy()
-    v = problem.initial_velocity.values.copy()
+    u = problem.initial_displacement
+    v = problem.initial_velocity
     micro_running = np.zeros(phi.m)  # sum over past intervals of s_m
     for j in range(mesh.N):
         t_next = mesh.coarse_time(j + 1)
         s_j = np.zeros(phi.m)
         cur = np.zeros(phi.m)
         for ell in range(1, mesh.M + 1):
-            w = path.value_at(mesh.micro_time(j, ell))
+            w = value_at(path, mesh.micro_time(j, ell))
             s_j += w
             cur += (t_next - mesh.micro_time(j, ell)) * tau * tau * w
         noise = lap @ (phi.values.T @ (tau**3 * micro_running + cur))
@@ -212,7 +218,7 @@ def transformed_march(problem, path):
         micro_running += s_j
 
     shift_x = tau * tau * (phi.values.T @ micro_running)
-    shift_y = phi.values.T @ path.value_at(mesh.T)
+    shift_y = phi.values.T @ value_at(path, mesh.T)
     return u + shift_x, v + shift_y
 
 
@@ -222,8 +228,8 @@ def test_matches_transformed_formulation():
     path = sample_path(471, problem.mesh, m=2, master_steps=2**10)
     x_direct, y_direct = run_wave(problem, path)
     x_uv, y_uv = transformed_march(problem, path)
-    np.testing.assert_allclose(x_direct.values, x_uv, rtol=1e-9, atol=1e-11)
-    np.testing.assert_allclose(y_direct.values, y_uv, rtol=1e-9, atol=1e-11)
+    np.testing.assert_allclose(x_direct, x_uv, rtol=1e-9, atol=1e-11)
+    np.testing.assert_allclose(y_direct, y_uv, rtol=1e-9, atol=1e-11)
 
 
 def test_reference_at_same_resolution_is_identity():
@@ -233,10 +239,17 @@ def test_reference_at_same_resolution_is_identity():
     path = sample_path(53, mesh, master_steps=2048)
     x_run, y_run = run_wave(problem, path)
     x_ref, y_ref = reference_wave_solution(problem, path, n_ref=8)
-    np.testing.assert_array_equal(x_run.values, x_ref.values)
-    np.testing.assert_array_equal(y_run.values, y_ref.values)
+    np.testing.assert_array_equal(x_run, x_ref)
+    np.testing.assert_array_equal(y_run, y_ref)
     with pytest.raises(ConfigError):
         reference_wave_solution(problem, path, n_ref=4)
+
+
+def test_run_wave_rejects_misaligned_path():
+    """A path whose master grid misses the micro nodes is refused, not interpolated."""
+    problem = benchmark_wave_problem(SpatialGrid(10), TimeMesh(16))
+    with pytest.raises(AlignmentError):
+        run_wave(problem, sample_path(1, TimeMesh(4), master_steps=64))
 
 
 def test_run_is_affine_in_initial_data():
@@ -250,28 +263,22 @@ def test_run_is_affine_in_initial_data():
     v = problem.initial_velocity
     x_full, y_full = run_wave(problem, path)
     x_noise, y_noise = run_wave(
-        WaveProblem(grid, problem.mesh, problem.phi, Field.zeros(grid), Field.zeros(grid)),
+        WaveProblem(grid, problem.mesh, problem.phi, np.zeros(grid.K), np.zeros(grid.K)),
         path,
     )
     x_det, y_det = run_wave(WaveProblem(grid, problem.mesh, problem.phi, u, v), zero)
-    np.testing.assert_allclose(
-        x_full.values, x_noise.values + x_det.values, rtol=1e-10, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        y_full.values, y_noise.values + y_det.values, rtol=1e-10, atol=1e-12
-    )
+    np.testing.assert_allclose(x_full, x_noise + x_det, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(y_full, y_noise + y_det, rtol=1e-10, atol=1e-12)
 
 
 def test_benchmark_problem_layout():
     grid = SpatialGrid(40)
     mesh = TimeMesh(8)
     problem = benchmark_wave_problem(grid, mesh, noise_scale=0.5)
-    expected = 0.5 * (sine_mode(grid, 2).values + sine_mode(grid, 3).values)
+    expected = 0.5 * (sine_mode(grid, 2) + sine_mode(grid, 3))
     np.testing.assert_allclose(problem.phi.values[0], expected, rtol=1e-13)
-    np.testing.assert_allclose(
-        problem.initial_displacement.values, sine_mode(grid, 1).values, rtol=1e-15
-    )
-    assert not problem.initial_velocity.values.any()
+    np.testing.assert_allclose(problem.initial_displacement, sine_mode(grid, 1), rtol=1e-15)
+    assert not problem.initial_velocity.any()
 
 
 def test_problem_rejects_mismatched_grids():
@@ -280,9 +287,9 @@ def test_problem_rejects_mismatched_grids():
     mesh = TimeMesh(4)
     with pytest.raises(ConfigError):
         WaveProblem(
-            grid, mesh, zero_phi(other), sine_mode(grid, 1), Field.zeros(grid)
+            grid, mesh, zero_phi(other), sine_mode(grid, 1), np.zeros(grid.K)
         )
     with pytest.raises(ConfigError):
         WaveProblem(
-            grid, mesh, zero_phi(grid), sine_mode(grid, 1), Field.zeros(other)
+            grid, mesh, zero_phi(grid), sine_mode(grid, 1), np.zeros(other.K)
         )
