@@ -24,6 +24,7 @@ from .grid import (
 )
 from .noise import (
     AlignmentError,
+    NoiseBlock,
     NoiseCoefficient,
     TimeMesh,
     WienerPath,
@@ -35,6 +36,7 @@ from .noise import (
 )
 from .heat import (
     ConfigError,
+    HEAT_NOISE,
     HeatProblem,
     benchmark_heat_problem,
     benchmark_phi,
@@ -46,6 +48,7 @@ from .heat import (
     stochastic_convolution,
 )
 from .wave import (
+    WAVE_NOISE,
     WaveProblem,
     benchmark_wave_problem,
     mcn_wave_step,

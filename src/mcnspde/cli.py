@@ -12,8 +12,9 @@ when the CSV goes to a file.  ``--config`` reads ``key = value`` defaults
 (keys are flag names with dashes or underscores).  Settings stack in one
 order: the desk preset, or the full-scale one under ``--paper``, then the
 config file, then explicit flags, which always win.
-Exit codes: 0 success, 1 failed validation checks, 2 bad configuration or
-I/O trouble.
+Exit codes: 0 success, 1 failed validation checks, 2 bad configuration
+(a ConfigError) or I/O trouble (an OSError); any other exception is a bug
+and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _load_config_file(path: Path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"bad config line (want key = value): {raw!r}")
+            raise ConfigError(f"bad config line (want key = value): {raw!r}")
         key, value = line.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -143,7 +144,7 @@ def _config_file_flags(path: Path, args: argparse.Namespace) -> list[str]:
     flags = []
     for key, value in _load_config_file(path).items():
         if not hasattr(args, key):
-            raise ValueError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
         flag = "--" + key.replace("_", "-")
         if isinstance(getattr(args, key), bool):
             if value.lower() in ("1", "true", "yes", "on"):
@@ -206,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             return _run_validate_command(args)
         return _run_study_command(args, args.command)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

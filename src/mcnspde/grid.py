@@ -1,7 +1,8 @@
 """Uniform spatial grid on (0, 1) with homogeneous Dirichlet boundaries.
 
 The interior nodes are x_i = i*h, i = 1..K, h = 1/(K+1).  Grid functions
-are plain arrays of the K interior values; the boundary values are
+are plain arrays of the K interior values, shape (K,), or blocks of R of
+them as the columns of a (K, R) array; the boundary values are
 identically zero and never materialized.  The second-difference
 Laplacian and the shifted systems (I + c*Lap) that the time steppers
 solve are all symmetric tridiagonal, so a direct Thomas elimination is
@@ -45,15 +46,15 @@ class SpatialGrid:
 
 
 def apply_laplacian(grid: SpatialGrid, f: np.ndarray) -> np.ndarray:
-    """Second differences (f_{i-1} - 2 f_i + f_{i+1}) / h^2 along the last axis.
+    """Second differences (f_{i-1} - 2 f_i + f_{i+1}) / h^2 along the first axis.
 
     Dirichlet boundaries are built in: the stencil sees zero outside the
     interior band.  The operator is symmetric negative definite with
     eigenvectors sin(k*pi*x_i) and eigenvalues -(4/h^2) sin^2(k*pi*h/2).
     """
     out = -2.0 * f
-    out[..., :-1] += f[..., 1:]
-    out[..., 1:] += f[..., :-1]
+    out[:-1] += f[1:]
+    out[1:] += f[:-1]
     out *= 1.0 / grid.h**2
     return out
 
@@ -66,7 +67,8 @@ class TridiagonalSolver:
     pivot magnitude falls below PIVOT_FLOOR.  The systems stepped in this
     package are strictly diagonally dominant, so a failure indicates a
     misconstructed matrix rather than roundoff.  solve() then runs only the
-    two substitution sweeps.
+    two substitution sweeps, over the rows of a (K, R) block of right-hand
+    sides, so each column sees exactly the arithmetic of a lone solve.
     """
 
     def __init__(self, lower, diag, upper) -> None:
@@ -74,8 +76,7 @@ class TridiagonalSolver:
         n = len(diag)
         if len(lower) != n - 1 or len(upper) != n - 1:
             raise ValueError("band lengths must be K-1, K, K-1")
-        # Plain Python lists keep the sequential sweeps cheap at the K ~ 40
-        # sizes this package runs; the arrays are tiny.
+        # Plain Python floats: the sweeps scale whole rows by them.
         pivots = [diag[0]]
         multipliers = []
         for i in range(1, n):
@@ -95,18 +96,21 @@ class TridiagonalSolver:
             raise SolverError(f"pivot {pivot!r} at row {row} below {PIVOT_FLOOR}")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with A x = rhs, for a right-hand side of shape (K,)."""
-        d = rhs.tolist()
+        """x with A x = rhs, for rhs of shape (K,) or a block (K, R) of R columns."""
         n = self.size
-        if len(d) != n:
-            raise ValueError(f"right-hand side has {len(d)} values, system has {n}")
+        if rhs.shape[0] != n:
+            raise ValueError(f"right-hand side has {rhs.shape[0]} rows, system has {n}")
+        x = np.array(rhs, dtype=float, order="C")
+        # Row views: each update below acts in place on all R columns at once.
+        d = list(x.reshape(n, -1))
         mult, piv, upper = self._multipliers, self._pivots, self._upper
         for i in range(1, n):
             d[i] -= mult[i - 1] * d[i - 1]
         d[-1] /= piv[-1]
         for i in range(n - 2, -1, -1):
-            d[i] = (d[i] - upper[i] * d[i + 1]) / piv[i]
-        return np.array(d)
+            d[i] -= upper[i] * d[i + 1]
+            d[i] /= piv[i]
+        return x
 
 
 def shifted_laplacian(grid: SpatialGrid, scale: float) -> TridiagonalSolver:

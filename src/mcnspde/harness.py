@@ -8,6 +8,15 @@ seeds share a path) and runs every resolution against that same path;
 the root-mean-square final-time error per resolution then feeds a
 log-log least-squares rate fit.
 
+Realizations run in blocks.  Each path of a block is used at once and
+dropped: its heat oracle values are computed, and it is reduced on every
+mesh (for wave, the reference mesh too) to its noise coordinates, a few
+numbers per step, stored as one column of that mesh's NoiseBlock.  Then
+every mesh is marched once for the whole block on (K, R) states.  A
+block's coordinates may take no more memory than one path's increments
+and cumulative values (block_size), so only one path is alive at a time
+and memory does not grow with the realization count.
+
 Heat studies measure against the closed-form benchmark solution, either
 with continuous-spectrum decay rates (total error, floored by the spatial
 discretization) or semidiscrete rates (pure time-stepping error).  Wave
@@ -30,14 +39,15 @@ from .heat import (
     ConfigError,
     EXACT_CONTINUOUS,
     EXACT_SEMIDISCRETE,
+    HEAT_NOISE,
     SCHEME_EULER,
     SCHEME_MCN,
     benchmark_heat_problem,
     exact_heat_solution,
     run_heat,
 )
-from .noise import TimeMesh, is_power_of_two, sample_path
-from .wave import benchmark_wave_problem, reference_wave_solution, run_wave
+from .noise import NoiseBlock, TimeMesh, is_power_of_two, sample_path
+from .wave import WAVE_NOISE, benchmark_wave_problem, reference_wave_solution, run_wave
 
 EQUATION_HEAT = "heat"
 EQUATION_WAVE = "wave"
@@ -280,42 +290,86 @@ def _build_problems(config: StudyConfig):
     return grid, problems
 
 
+def _study_noise(config: StudyConfig, count: int) -> list[NoiseBlock]:
+    """Empty noise blocks of count paths for every mesh the study marches.
+
+    One per resolution of n_list, in order, and for wave studies the
+    reference mesh last.
+    """
+    n_list = list(config.n_list)
+    if config.equation == EQUATION_HEAT:
+        coordinates = HEAT_NOISE[config.scheme]
+    else:
+        coordinates = WAVE_NOISE
+        n_list.append(config.n_ref)
+    return [
+        NoiseBlock.empty(TimeMesh(n, config.t_final), count, 1, coordinates) for n in n_list
+    ]
+
+
+def block_size(config: StudyConfig) -> int:
+    """Realizations per block: as many as fit in the memory of one path.
+
+    A block's noise coordinates may take no more bytes than one path's
+    increments and cumulative values, so batching realizations costs at
+    most the memory that sampling one path needs anyway.
+    """
+    path_bytes = 8 * (2 * config.master_steps + 1)
+    per_realization = sum(block.nbytes for block in _study_noise(config, 1))
+    return max(1, path_bytes // per_realization)
+
+
 def _chunk_squared_errors(config: StudyConfig, r_lo: int, r_hi: int):
     """Per-realization squared errors for realizations r_lo..r_hi-1.
 
     Returns (errors, floors) with errors shaped (r_hi - r_lo, n_list, norms)
     and floors the squared continuous-vs-semidiscrete oracle gap (heat
-    continuous mode only, else None).
+    continuous mode only, else None).  Realizations go in blocks of
+    block_size(config): each path is drawn, reduced to its noise
+    coordinates on every mesh (and, for heat, to its oracle values) and
+    dropped, and then every mesh is marched once for the whole block.
     """
     grid, problems = _build_problems(config)
     norms = study_norms(config)
-    path_mesh = TimeMesh(
-        max(config.n_list) if config.equation == EQUATION_HEAT else config.n_ref,
-        config.t_final,
-    )
+    heat = config.equation == EQUATION_HEAT
+    path_mesh = TimeMesh(max(config.n_list) if heat else config.n_ref, config.t_final)
     errors = np.empty((r_hi - r_lo, len(problems), len(norms)))
-    want_floor = config.equation == EQUATION_HEAT and config.exact_mode == EXACT_CONTINUOUS
+    want_floor = heat and config.exact_mode == EXACT_CONTINUOUS
     floors = np.empty(r_hi - r_lo) if want_floor else None
-    for i, r in enumerate(range(r_lo, r_hi)):
-        path = sample_path((config.base_seed, r), path_mesh, m=1, master_steps=config.master_steps)
-        if config.equation == EQUATION_HEAT:
-            oracle = exact_heat_solution(
-                path, grid, config.t_final, config.exact_mode, config.noise_scale
+    size = block_size(config)
+    for lo in range(r_lo, r_hi, size):
+        count = min(size, r_hi - lo)
+        rows = range(lo - r_lo, lo - r_lo + count)
+        blocks = _study_noise(config, count)
+        oracles = np.empty((count, grid.K)) if heat else None
+        for i in range(count):
+            path = sample_path(
+                (config.base_seed, lo + i), path_mesh, m=1, master_steps=config.master_steps
             )
-            if want_floor:
-                semi = exact_heat_solution(
-                    path, grid, config.t_final, EXACT_SEMIDISCRETE, config.noise_scale
+            if heat:
+                oracles[i] = exact_heat_solution(
+                    path, grid, config.t_final, config.exact_mode, config.noise_scale
                 )
-                floors[i] = l2_norm(oracle - semi) ** 2
-            for p, problem in enumerate(problems):
-                final = run_heat(problem, path, config.scheme)
-                errors[i, p, 0] = l2_norm(final - oracle) ** 2
+                if want_floor:
+                    semi = exact_heat_solution(
+                        path, grid, config.t_final, EXACT_SEMIDISCRETE, config.noise_scale
+                    )
+                    floors[rows[i]] = l2_norm(oracles[i] - semi) ** 2
+            for block in blocks:
+                block.put(i, path)
+            del path  # only one path is alive at a time
+        if heat:
+            for p, (problem, block) in enumerate(zip(problems, blocks)):
+                final = run_heat(problem, block, config.scheme)
+                for i, row in enumerate(rows):
+                    errors[row, p, 0] = l2_norm(final[:, i] - oracles[i]) ** 2
         else:
-            x_ref, y_ref = reference_wave_solution(problems[-1], path, config.n_ref)
-            for p, problem in enumerate(problems):
-                x_end, y_end = run_wave(problem, path)
-                errors[i, p, 0] = h1_seminorm(x_end - x_ref) ** 2
-                errors[i, p, 1] = l2_norm(y_end - y_ref) ** 2
+            x_ref, y_ref = reference_wave_solution(problems[-1], blocks[-1], config.n_ref)
+            for p, (problem, block) in enumerate(zip(problems, blocks)):
+                x_end, y_end = run_wave(problem, block)
+                for i, row in enumerate(rows):
+                    errors[row, p, 0] = h1_seminorm(x_end[:, i] - x_ref[:, i]) ** 2
+                    errors[row, p, 1] = l2_norm(y_end[:, i] - y_ref[:, i]) ** 2
     return errors, floors
 
 

@@ -9,8 +9,9 @@ Two one-step maps are provided on the spatially discretized equation:
   shows order 2 once tau*lambda/2 < 1 for the driven modes.
 
 Both solve a constant symmetric tridiagonal system per step, factored
-once per problem, and take their noise forcing from one (N, K) array
-assembled for the whole mesh before the march.  The module
+once per problem, and build each step's noise forcing from that step's
+noise coordinates (noise.NoiseBlock).  run_heat marches R paths at once
+on (K, R) states; one path is the block of one.  The module
 also carries the closed-form benchmark solution used by the convergence
 harness: initial data sin(pi x) with one noise channel loading
 sin(2 pi x) + sin(3 pi x), whose exact solution is a sum of three
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .grid import (
     shifted_laplacian,
     sine_mode,
 )
-from .noise import NoiseCoefficient, TimeMesh, WienerPath, quadrature_gaps
+from .noise import NoiseBlock, NoiseCoefficient, TimeMesh, WienerPath, noise_block
 
 SCHEME_EULER = "em"
 SCHEME_MCN = "mcn"
@@ -46,8 +47,12 @@ BENCHMARK_INITIAL_MODE = 1
 BENCHMARK_NOISE_MODES = (2, 3)
 
 
-class ConfigError(Exception):
-    """Raised for inconsistent problem or study configuration."""
+class ConfigError(ValueError):
+    """Raised for inconsistent problem or study configuration.
+
+    The command line reports it as a bad configuration (exit 2); other
+    ValueErrors are bugs and propagate.
+    """
 
 
 @dataclass
@@ -73,21 +78,34 @@ class HeatProblem:
         return shifted_laplacian(self.grid, -0.5 * self.mesh.tau)
 
 
-def heat_forcing(problem: HeatProblem, path: WienerPath, scheme: str = SCHEME_MCN) -> np.ndarray:
-    """Noise forcing of every step of the mesh, shape (N, K).
+# The noise coordinates (NoiseBlock fields) each scheme reads.
+HEAT_NOISE = {SCHEME_EULER: ("increments",), SCHEME_MCN: ("increments", "gaps")}
+
+
+def _forcing_rows(problem: HeatProblem, block: NoiseBlock, scheme: str):
+    """Noise forcing of each step for every path of block, one (K, R) array per step.
 
     Row j is Phi dW_j, plus for the corrected scheme the correction
     Lap[Phi (micro Riemann sum)] - (tau/2) Lap[Phi (W(t_{j+1}) + W(t_j))],
     which replaces the trapezoid-in-time treatment of the noise with the
-    micro-grid quadrature.  Raises AlignmentError if the path's master
-    grid does not carry the mesh's micro nodes.
+    micro-grid quadrature.
     """
-    coarse, micro = path.on_mesh(problem.mesh)
-    forcing = problem.phi.combine(np.diff(coarse, axis=0))
-    if scheme == SCHEME_MCN:
-        gaps = quadrature_gaps(coarse, micro, problem.mesh.tau)
-        forcing += problem.phi.combine_laplacian(gaps)
-    return forcing
+    phi = problem.phi
+    for j in range(problem.mesh.N):
+        forcing = phi.combine(block.increments[j])
+        if scheme == SCHEME_MCN:
+            forcing += phi.combine_laplacian(block.gaps[j])
+        yield forcing
+
+
+def heat_forcing(problem: HeatProblem, path: WienerPath, scheme: str = SCHEME_MCN) -> np.ndarray:
+    """Noise forcing of every step of one path, shape (N, K): the rows run_heat steps with.
+
+    Raises AlignmentError if the path's master grid does not carry the
+    mesh's micro nodes.
+    """
+    block = noise_block(path, problem.mesh, HEAT_NOISE[scheme])
+    return np.stack(list(_forcing_rows(problem, block, scheme)))[..., 0]
 
 
 def em_step(problem: HeatProblem, x: np.ndarray, forcing: np.ndarray) -> np.ndarray:
@@ -99,7 +117,8 @@ def mcn_heat_step(problem: HeatProblem, x: np.ndarray, forcing: np.ndarray) -> n
     """One corrected Crank-Nicolson step.
 
     (I - tau/2 Lap) X_{j+1} = (I + tau/2 Lap) X_j + Phi dW + correction,
-    with forcing = Phi dW + correction, a row of heat_forcing.
+    with forcing = Phi dW + correction, a row of heat_forcing.  x and
+    forcing are (K,) for one path or (K, R) for R paths.
     """
     explicit = x + 0.5 * problem.mesh.tau * apply_laplacian(problem.grid, x)
     return problem.cn_implicit.solve(explicit + forcing)
@@ -108,16 +127,37 @@ def mcn_heat_step(problem: HeatProblem, x: np.ndarray, forcing: np.ndarray) -> n
 _STEPPERS = {SCHEME_EULER: em_step, SCHEME_MCN: mcn_heat_step}
 
 
-def run_heat(problem: HeatProblem, path: WienerPath, scheme: str = SCHEME_MCN) -> np.ndarray:
-    """March the chosen scheme over the whole mesh and return X_N at time T."""
+def run_heat(
+    problem: HeatProblem, noise: WienerPath | NoiseBlock, scheme: str = SCHEME_MCN
+) -> np.ndarray:
+    """March the chosen scheme over the whole mesh and return X_N at time T.
+
+    noise is one WienerPath, giving X_N of shape (K,), or a NoiseBlock of
+    R paths on problem.mesh, giving the (K, R) block of their X_N.  A path
+    is marched as a block of one, so both give the same bits per path.
+    """
     try:
         stepper = _STEPPERS[scheme]
     except KeyError:
         raise ConfigError(f"unknown scheme {scheme!r}; use 'em' or 'mcn'") from None
-    x = problem.initial
-    for forcing in heat_forcing(problem, path, scheme):
+    block = noise_block(noise, problem.mesh, HEAT_NOISE[scheme])
+    x = np.repeat(problem.initial[:, None], block.count, axis=1)
+    for forcing in _forcing_rows(problem, block, scheme):
         x = stepper(problem, x, forcing)
-    return x
+    return x if block is noise else x[:, 0]
+
+
+@lru_cache(maxsize=1)
+def _lags(steps: int, delta: float) -> np.ndarray:
+    """T - s_k for the left master nodes s_k = k delta, k < steps, with T = steps delta.
+
+    The same for every path of a study, so it is built once.  The weights
+    exp(-rate * lag) are recomputed per call: caching them for the four
+    rates of a heat study would hold four more arrays of this size.
+    """
+    lags = steps * delta - delta * np.arange(steps)
+    lags.flags.writeable = False
+    return lags
 
 
 def stochastic_convolution(path: WienerPath, rate: float) -> np.ndarray:
@@ -133,9 +173,7 @@ def stochastic_convolution(path: WienerPath, rate: float) -> np.ndarray:
     each master step, keeps errors measured against this reference about
     0.15% below the continuous-time value at N = 256.
     """
-    t_final = path.t_final
-    left_times = path.delta * np.arange(path.S)
-    weights = np.exp(-rate * (t_final - left_times))
+    weights = np.exp(-rate * _lags(path.S, path.delta))
     x = rate * path.delta
     step_average = math.expm1(x) / x if x != 0.0 else 1.0
     # einsum, not a matmul: a BLAS matrix-vector product this long wakes

@@ -17,7 +17,12 @@ views, and a single path is simply the one-path case of a block.
 
 Paths are sampled once per realization from a counter-based generator and
 then shared by every scheme and every coarse resolution that is compared,
-so refinement studies measure scheme error on a common noise sample.
+so refinement studies measure scheme error on a common noise sample.  A
+scheme reads a path only through a few numbers per step, its noise
+coordinates (the increment, the quadrature gap and, for the wave scheme,
+a weighted micro sum).  NoiseBlock holds them for R paths on one mesh,
+so a path can be reduced on every mesh and dropped, and the schemes step
+all R paths together.
 """
 
 from __future__ import annotations
@@ -205,6 +210,78 @@ def quadrature_gaps(coarse: np.ndarray, micro: np.ndarray, tau: float) -> np.nda
     return tau * tau * micro.sum(axis=-2) - 0.5 * tau * (coarse[..., :-1, :] + coarse[..., 1:, :])
 
 
+def velocity_micro_sums(micro: np.ndarray, tau: float) -> np.ndarray:
+    """The wave velocity correction's micro sum for every interval, shape (N, m).
+
+    sum_{l=1}^{M} (tau^3/2)(1 - 2 l tau) W(t_{j,l}), from one path's micro
+    view (N, M, m) of mesh_values.
+    """
+    weights = 0.5 * tau**3 * (1.0 - 2.0 * tau * np.arange(1, micro.shape[-2] + 1))
+    return np.einsum("l,jlm->jm", weights, micro)
+
+
+@dataclass(frozen=True)
+class NoiseBlock:
+    """What R Wiener paths contribute to the steps of one mesh.
+
+    Each array is shaped (N, R, m), row j belonging to step j and column r
+    to path r: increments[j] = W(t_{j+1}) - W(t_j), gaps[j] the
+    quadrature_gaps of the corrected schemes and velocity_sums[j] the wave
+    scheme's velocity_micro_sums.  A scheme reads only the coordinates it
+    names (a tuple of these field names), so the others may be None.
+    """
+
+    mesh: TimeMesh
+    increments: np.ndarray
+    gaps: np.ndarray | None = None
+    velocity_sums: np.ndarray | None = None
+
+    @classmethod
+    def empty(
+        cls, mesh: TimeMesh, count: int, m: int, coordinates: Sequence[str]
+    ) -> "NoiseBlock":
+        """An unfilled block of count paths holding the named coordinates."""
+        return cls(mesh, **{name: np.empty((mesh.N, count, m)) for name in coordinates})
+
+    @property
+    def count(self) -> int:
+        return self.increments.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.increments, self.gaps, self.velocity_sums)
+        return sum(a.nbytes for a in arrays if a is not None)
+
+    def put(self, r: int, path: WienerPath) -> None:
+        """Reduce path to its coordinates on the mesh and store them as column r."""
+        coarse, micro = path.on_mesh(self.mesh)
+        self.increments[:, r] = np.diff(coarse, axis=0)
+        if self.gaps is not None:
+            self.gaps[:, r] = quadrature_gaps(coarse, micro, self.mesh.tau)
+        if self.velocity_sums is not None:
+            self.velocity_sums[:, r] = velocity_micro_sums(micro, self.mesh.tau)
+
+
+def noise_block(
+    noise: WienerPath | NoiseBlock, mesh: TimeMesh, coordinates: Sequence[str]
+) -> NoiseBlock:
+    """noise as a block on mesh with the named coordinates.
+
+    A path becomes a block of one; a block must already lie on mesh and
+    carry every coordinate asked for, else AlignmentError.
+    """
+    if isinstance(noise, WienerPath):
+        block = NoiseBlock.empty(mesh, 1, noise.m, coordinates)
+        block.put(0, noise)
+        return block
+    if noise.mesh != mesh:
+        raise AlignmentError(f"noise block lies on {noise.mesh}, the scheme steps {mesh}")
+    missing = [name for name in coordinates if getattr(noise, name) is None]
+    if missing:
+        raise AlignmentError(f"noise block lacks the coordinates {missing}")
+    return noise
+
+
 def defect_moment_exact(tau: float, m: int) -> float:
     """Exact E ||defect||^2 = (m/3) tau^5 for the micro quadrature defect."""
     if m < 0:
@@ -255,12 +332,16 @@ class NoiseCoefficient:
         values = np.vstack(rows) if rows else np.zeros((0, grid.K))
         if values.shape[1:] != (grid.K,):
             raise ValueError(f"components must have {grid.K} values each")
-        return cls(grid, values, apply_laplacian(grid, values))
+        return cls(grid, values, apply_laplacian(grid, values.T).T)
 
     def combine(self, weights: np.ndarray) -> np.ndarray:
-        """sum_i Phi_i * weights_i along the last axis: (m,) -> (K,), (N, m) -> (N, K)."""
-        return weights @ self.values
+        """sum_i Phi_i * weights_i: weights (m,) give (K,), and (R, m) give (K, R).
+
+        einsum, not a matmul: it never calls BLAS, whose thread pool would
+        otherwise spin through the stepping loops.
+        """
+        return np.einsum("ik,...i->k...", self.values, weights)
 
     def combine_laplacian(self, weights: np.ndarray) -> np.ndarray:
         """sum_i (Lap Phi_i) * weights_i, shaped as combine."""
-        return weights @ self.laplacian_values
+        return np.einsum("ik,...i->k...", self.laplacian_values, weights)

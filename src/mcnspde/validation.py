@@ -32,6 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .heat import ConfigError
 from .noise import (
     TimeMesh,
     defect_moment_exact,
@@ -372,9 +373,9 @@ def validate_statistics(samples: int = 100_000, seed: int = 20260814) -> Validat
     reproducible.
     """
     if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
+        raise ConfigError(f"need at least 2 samples, got {samples}")
     if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     checks: list[CheckResult] = []
     checks.extend(_lemma_checks())
     checks.extend(_covariance_checks(samples, (seed << 8) + 1))

@@ -8,8 +8,10 @@ The first-order form advances displacement X and velocity Y together:
 The pair is solved by eliminating X_{j+1}: a single symmetric tridiagonal
 solve with matrix I - (tau^2/4) Lap, factored once per problem, yields
 Y_{j+1}, after which X_{j+1} follows explicitly.  Both corrections, and
-Phi dW, are assembled for the whole mesh before the march.  Both defining
-relations are re-checked after each step when assertions are enabled.
+Phi dW, come from each step's noise coordinates (noise.NoiseBlock), and
+run_wave marches R paths at once on (K, R) states.  Both defining
+relations are re-checked after each step, path by path, when assertions
+are enabled.
 With the micro-grid corrections the scheme converges strongly at order 2;
 with the noise switched off it is the classical trapezoid rule and
 conserves the discrete wave energy.
@@ -24,7 +26,7 @@ import numpy as np
 
 from .grid import SpatialGrid, TridiagonalSolver, apply_laplacian, shifted_laplacian, sine_mode
 from .heat import BENCHMARK_INITIAL_MODE, ConfigError, benchmark_phi
-from .noise import NoiseCoefficient, TimeMesh, WienerPath, quadrature_gaps
+from .noise import NoiseBlock, NoiseCoefficient, TimeMesh, WienerPath, noise_block
 
 # Post-solve residual tolerance, relative to 1 + the state magnitude.
 RESIDUAL_TOLERANCE = 1e-10
@@ -61,25 +63,38 @@ class WaveProblem:
         )
 
 
-def wave_forcing(problem: WaveProblem, path: WienerPath) -> tuple[np.ndarray, np.ndarray]:
-    """Noise forcing of every step of the mesh: (displacement, velocity), each (N, K).
+# The noise coordinates (NoiseBlock fields) the scheme reads.
+WAVE_NOISE = ("increments", "gaps", "velocity_sums")
 
-    Row j of the displacement forcing is the correction
+
+def _forcing_rows(problem: WaveProblem, block: NoiseBlock):
+    """(displacement, velocity) forcing of each step for every path of block, each (K, R).
+
+    The displacement forcing of step j is the correction
     Phi (micro Riemann sum) - (tau/2) Phi (W(t_{j+1}) + W(t_j)), the same
     trapezoid-versus-micro-quadrature gap as the heat correction but
-    without the Laplacian.  Row j of the velocity forcing is Phi dW_j plus
-    the correction (1/2) sum_{l=1}^{M} (2 t_{j+1} - tau - 2 t_{j,l}) tau^2
+    without the Laplacian.  The velocity forcing is Phi dW_j plus the
+    correction (1/2) sum_{l=1}^{M} (2 t_{j+1} - tau - 2 t_{j,l}) tau^2
     Lap[Phi W(t_{j,l})], whose weight simplifies to (tau^3/2)(1 - 2 l tau),
     independent of j.
     """
-    mesh, phi = problem.mesh, problem.phi
-    tau = mesh.tau
-    coarse, micro = path.on_mesh(mesh)
-    weights = 0.5 * tau**3 * (1.0 - 2.0 * tau * np.arange(1, mesh.M + 1))
-    velocity_weights = np.einsum("l,jlm->jm", weights, micro)
-    displacement = phi.combine(quadrature_gaps(coarse, micro, tau))
-    velocity = phi.combine(np.diff(coarse, axis=0)) + phi.combine_laplacian(velocity_weights)
-    return displacement, velocity
+    phi = problem.phi
+    for j in range(problem.mesh.N):
+        displacement = phi.combine(block.gaps[j])
+        velocity = phi.combine(block.increments[j]) + phi.combine_laplacian(
+            block.velocity_sums[j]
+        )
+        yield displacement, velocity
+
+
+def wave_forcing(problem: WaveProblem, path: WienerPath) -> tuple[np.ndarray, np.ndarray]:
+    """Noise forcing of every step of one path: (displacement, velocity), each (N, K).
+
+    These are the rows run_wave steps with.
+    """
+    block = noise_block(path, problem.mesh, WAVE_NOISE)
+    displacement, velocity = zip(*_forcing_rows(problem, block))
+    return np.stack(displacement)[..., 0], np.stack(velocity)[..., 0]
 
 
 def mcn_wave_step(
@@ -91,47 +106,59 @@ def mcn_wave_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance (X_j, Y_j) one coarse step via the eliminated tridiagonal solve.
 
-    displacement and velocity are row j of wave_forcing.  Substituting the
+    displacement and velocity are row j of wave_forcing; all four arrays
+    are (K,) for one path or (K, R) for R paths.  Substituting the
     displacement relation into the velocity one gives
     (I - tau^2/4 Lap) Y_{j+1} = Y_j + Lap(tau^2/4 Y_j + tau X_j + tau/2 displacement) + velocity.
+    The residual check scales each path's tolerance by its own state.
     """
     grid, tau = problem.grid, problem.mesh.tau
     coupled = 0.25 * tau * tau * y + tau * x + 0.5 * tau * displacement
     y_next = problem.implicit_matrix.solve(y + apply_laplacian(grid, coupled) + velocity)
     x_next = x + 0.5 * tau * (y + y_next) + displacement
     if __debug__:
-        scale = 1.0 + max(np.abs(v).max() for v in (x_next, y_next, x, y))
-        res_x = np.abs(x_next - x - 0.5 * tau * (y_next + y) - displacement).max()
+        scale = 1.0 + np.max([np.abs(v).max(axis=0) for v in (x_next, y_next, x, y)], axis=0)
+        res_x = np.abs(x_next - x - 0.5 * tau * (y_next + y) - displacement).max(axis=0)
         lap_sum = apply_laplacian(grid, x_next + x)
-        res_y = np.abs(y_next - y - 0.5 * tau * lap_sum - velocity).max()
-        assert res_x <= RESIDUAL_TOLERANCE * scale, f"displacement residual {res_x}"
-        assert res_y <= RESIDUAL_TOLERANCE * scale, f"velocity residual {res_y}"
+        res_y = np.abs(y_next - y - 0.5 * tau * lap_sum - velocity).max(axis=0)
+        assert np.all(res_x <= RESIDUAL_TOLERANCE * scale), f"displacement residual {res_x}"
+        assert np.all(res_y <= RESIDUAL_TOLERANCE * scale), f"velocity residual {res_y}"
     return x_next, y_next
 
 
-def run_wave(problem: WaveProblem, path: WienerPath) -> tuple[np.ndarray, np.ndarray]:
-    """March the corrected scheme over the whole mesh; returns (X_N, Y_N)."""
-    x, y = problem.initial_displacement, problem.initial_velocity
-    for displacement, velocity in zip(*wave_forcing(problem, path)):
+def run_wave(
+    problem: WaveProblem, noise: WienerPath | NoiseBlock
+) -> tuple[np.ndarray, np.ndarray]:
+    """March the corrected scheme over the whole mesh; returns (X_N, Y_N).
+
+    noise is one WienerPath, giving (K,) arrays, or a NoiseBlock of R
+    paths on problem.mesh, giving (K, R) blocks.  A path is marched as a
+    block of one, so both give the same bits per path.
+    """
+    block = noise_block(noise, problem.mesh, WAVE_NOISE)
+    x = np.repeat(problem.initial_displacement[:, None], block.count, axis=1)
+    y = np.repeat(problem.initial_velocity[:, None], block.count, axis=1)
+    for displacement, velocity in _forcing_rows(problem, block):
         x, y = mcn_wave_step(problem, x, y, displacement, velocity)
-    return x, y
+    return (x, y) if block is noise else (x[:, 0], y[:, 0])
 
 
 def reference_wave_solution(
-    problem: WaveProblem, path: WienerPath, n_ref: int
+    problem: WaveProblem, noise: WienerPath | NoiseBlock, n_ref: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the same scheme on a refined mesh with n_ref steps as reference.
 
-    The path is shared, so comparing a coarse run against this reference
-    measures the scheme's own refinement error on a common noise sample.
-    n_ref may not be coarser than the problem mesh (equal is allowed and
-    gives back run_wave exactly).
+    The noise is shared, so comparing a coarse run against this reference
+    measures the scheme's own refinement error on a common noise sample;
+    a NoiseBlock must lie on the refined mesh.  n_ref may not be coarser
+    than the problem mesh (equal is allowed and gives back run_wave
+    exactly).
     """
     if n_ref < problem.mesh.N:
         raise ConfigError(
             f"reference resolution {n_ref} is coarser than the problem mesh {problem.mesh.N}"
         )
-    return run_wave(problem.with_mesh(problem.mesh.refined(n_ref)), path)
+    return run_wave(problem.with_mesh(problem.mesh.refined(n_ref)), noise)
 
 
 def benchmark_wave_problem(

@@ -100,6 +100,17 @@ def test_bad_configuration_exit_code(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_program_errors_are_not_reported_as_bad_configuration(monkeypatch):
+    """A ValueError from inside a study is a bug: it propagates instead of exiting 2."""
+
+    def broken_study(config):
+        raise ValueError("broken inside the study")
+
+    monkeypatch.setattr("mcnspde.cli.run_study", broken_study)
+    with pytest.raises(ValueError, match="broken inside the study"):
+        main(SMALL_HEAT)
+
+
 def test_unknown_scheme_is_a_parse_error():
     with pytest.raises(SystemExit):
         main(["heat", "--scheme", "rk4"])

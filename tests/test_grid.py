@@ -87,10 +87,10 @@ def test_apply_matches_dense():
     f = rng.standard_normal(grid.K)
     expected = dense_laplacian(grid) @ f
     np.testing.assert_allclose(apply_laplacian(grid, f), expected, rtol=1e-13)
-    # a stack of grid functions is differenced row by row
-    block = rng.standard_normal((3, grid.K))
+    # a (K, R) block of grid functions is differenced column by column
+    block = rng.standard_normal((grid.K, 3))
     np.testing.assert_allclose(
-        apply_laplacian(grid, block), block @ dense_laplacian(grid).T, rtol=1e-13
+        apply_laplacian(grid, block), dense_laplacian(grid) @ block, rtol=1e-13
     )
 
 
@@ -104,6 +104,24 @@ def test_thomas_matches_dense_solve(seed):
     got = TridiagonalSolver(*bands).solve(rhs)
     expected = np.linalg.solve(dense_matrix(*bands), rhs)
     np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-13)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_solve_is_column_by_column(seed):
+    """A (K, R) right-hand side is solved column by column, bit for bit."""
+    rng = np.random.default_rng(200 + seed)
+    K = int(rng.integers(2, 25))
+    bands = random_dominant_bands(K, rng)
+    system = TridiagonalSolver(*bands)
+    rhs = rng.standard_normal((K, 5))
+    got = system.solve(rhs)
+    assert got.shape == (K, 5)
+    for r in range(5):
+        assert np.array_equal(got[:, r], system.solve(rhs[:, r]))
+    expected = np.linalg.solve(dense_matrix(*bands), rhs)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError):
+        system.solve(np.zeros((K + 1, 5)))
 
 
 def test_solve_then_apply_round_trip():

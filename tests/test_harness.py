@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from mcnspde import (
     sample_path,
     validate_config,
 )
-from mcnspde.harness import _default_fit_range
+from mcnspde.harness import _default_fit_range, block_size
 
 
 def table_from_errors(n_list, errors, fit_range=None, **extra):
@@ -222,6 +223,50 @@ def test_adjacent_base_seeds_share_no_path():
     ]
     assert len(drawn[0]) == len(drawn[1]) == config.mc_count
     assert not drawn[0] & drawn[1]
+
+
+def test_block_size_rule():
+    """A block's noise coordinates fit in one path's memory: 130 desk heat paths, 549 wave."""
+    assert block_size(desk_heat_config()) == 130  # mcn: increments and gaps on N = 8..256
+    assert block_size(desk_heat_config(scheme="em")) == 260  # increments only
+    assert block_size(desk_wave_config()) == 549  # three coordinates, N_ref = 1024 included
+    tiny = desk_wave_config(n_list=(1,), n_ref=1, master_steps=1)
+    assert block_size(tiny) == 1  # never empty, even where one path outweighs its block
+
+
+@pytest.mark.parametrize("equation", ["heat", "wave"])
+def test_blocks_do_not_change_the_table(equation, monkeypatch):
+    """Marching 7 realizations as one block or in blocks of 3 gives byte-identical tables."""
+    if equation == "heat":
+        config = small_config(mc_count=7)
+    else:
+        config = desk_wave_config(
+            n_list=(4, 8), k=6, mc_count=7, n_ref=16, master_steps=2**10, base_seed=7
+        )
+    assert block_size(config) >= 7
+    whole = run_study_tables(config)
+    monkeypatch.setattr("mcnspde.harness.block_size", lambda config: 3)
+    split = run_study_tables(config)
+    for norm, table in whole.items():
+        assert csv_text(split[norm]) == csv_text(table)
+        assert split[norm].fitted_rate == table.fitted_rate
+
+
+def test_study_memory_does_not_grow_with_realizations():
+    """Each path is reduced and dropped, so 64 realizations peak at most one path above 4."""
+
+    def peak(mc_count):
+        config = desk_heat_config(n_list=(4, 8, 16), k=8, mc_count=mc_count, master_steps=2**14)
+        tracemalloc.start()
+        try:
+            run_study_tables(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    path = sample_path(0, TimeMesh(16), master_steps=2**14)
+    small = peak(4)
+    assert peak(64) - small <= path.increments.nbytes + path.cumulative.nbytes
 
 
 def test_wave_study_reports_both_norms():

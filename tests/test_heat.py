@@ -8,7 +8,9 @@ import pytest
 from mcnspde import (
     AlignmentError,
     ConfigError,
+    HEAT_NOISE,
     HeatProblem,
+    NoiseBlock,
     NoiseCoefficient,
     SpatialGrid,
     TimeMesh,
@@ -249,12 +251,67 @@ def test_run_heat_rejects_misaligned_path():
             run_heat(problem, coarse_path, scheme)
 
 
+def noise_blocks(paths, mesh, coordinates, sizes):
+    """The paths reduced into consecutive blocks of the given sizes."""
+    blocks, start = [], 0
+    for size in sizes:
+        block = NoiseBlock.empty(mesh, size, paths[0].m, coordinates)
+        for r in range(size):
+            block.put(r, paths[start + r])
+        blocks.append(block)
+        start += size
+    return blocks
+
+
+@pytest.mark.parametrize("scheme", ["mcn", "em"])
+def test_block_march_equals_one_path_runs(scheme):
+    """Marching R paths as one block, or split 2 + 3, gives each path's lone run bit for bit."""
+    grid = SpatialGrid(12)
+    mesh = TimeMesh(16)
+    problem = benchmark_heat_problem(grid, mesh)
+    paths = [sample_path((5, r), mesh, master_steps=2**10) for r in range(5)]
+    lone = np.stack([run_heat(problem, path, scheme) for path in paths], axis=1)
+    for sizes in ((5,), (2, 3)):
+        blocks = noise_blocks(paths, mesh, HEAT_NOISE[scheme], sizes)
+        marched = np.concatenate([run_heat(problem, b, scheme) for b in blocks], axis=1)
+        assert np.array_equal(marched, lone)
+
+
+def test_run_heat_rejects_foreign_blocks():
+    """A block reduced on another mesh, or without the gaps mcn reads, is refused."""
+    grid = SpatialGrid(10)
+    problem = benchmark_heat_problem(grid, TimeMesh(8))
+    path = sample_path(3, TimeMesh(16), master_steps=2**10)
+    (other_mesh,) = noise_blocks([path], TimeMesh(16), HEAT_NOISE["mcn"], (1,))
+    (increments_only,) = noise_blocks([path], TimeMesh(8), HEAT_NOISE["em"], (1,))
+    with pytest.raises(AlignmentError):
+        run_heat(problem, other_mesh, "mcn")
+    with pytest.raises(AlignmentError):
+        run_heat(problem, increments_only, "mcn")
+    run_heat(problem, increments_only, "em")
+    misaligned = sample_path(1, TimeMesh(4), master_steps=32)  # 32 < 8^2 micro cells
+    with pytest.raises(AlignmentError):
+        NoiseBlock.empty(TimeMesh(8), 1, 1, HEAT_NOISE["em"]).put(0, misaligned)
+
+
 def test_stochastic_convolution_zero_rate_is_endpoint():
     mesh = TimeMesh(4)
     path = sample_path(21, mesh, m=2, master_steps=512)
     np.testing.assert_allclose(
         stochastic_convolution(path, 0.0), path.cumulative[-1], rtol=1e-13
     )
+
+
+def test_stochastic_convolution_reuses_the_lag_grid_exactly():
+    """The cached lag grid gives bit for bit the weights built from the path's own times."""
+    for steps in (512, 1024, 512):
+        path = sample_path(steps, TimeMesh(4), master_steps=steps)
+        for rate in (0.5, (2 * math.pi) ** 2):
+            left_times = path.delta * np.arange(path.S)
+            weights = np.exp(-rate * (path.t_final - left_times))
+            x = rate * path.delta
+            direct = math.expm1(x) / x * np.einsum("s,sm->m", weights, path.increments)
+            assert np.array_equal(stochastic_convolution(path, rate), direct)
 
 
 def test_stochastic_convolution_ito_isometry():

@@ -300,9 +300,9 @@ def test_combine_matches_loop():
     w = rng.standard_normal(3)
     expected = sum(wi * ci for wi, ci in zip(w, comps))
     np.testing.assert_allclose(phi.combine(w), expected, rtol=1e-13)
-    # a stack of weight vectors combines row by row
+    # the weight rows of R paths combine into the R columns of a (K, R) block
     stacked = phi.combine(np.stack([w, 2.0 * w]))
-    np.testing.assert_allclose(stacked, [expected, 2.0 * expected], rtol=1e-13)
+    np.testing.assert_allclose(stacked, np.stack([expected, 2.0 * expected], axis=1), rtol=1e-13)
 
 
 def test_heat_correction_brute_force():
@@ -332,7 +332,7 @@ def test_heat_correction_brute_force():
     # Euler-Maruyama takes Phi dW alone
     em = heat_forcing(heat_problem(phi, mesh), path, "em")
     np.testing.assert_allclose(
-        em, phi.combine(np.diff(mesh_values(path.cumulative, mesh)[0], axis=0)), rtol=1e-15
+        em, phi.combine(np.diff(mesh_values(path.cumulative, mesh)[0], axis=0)).T, rtol=1e-15
     )
 
 

@@ -11,9 +11,11 @@ import pytest
 from mcnspde import (
     AlignmentError,
     ConfigError,
+    NoiseBlock,
     NoiseCoefficient,
     SpatialGrid,
     TimeMesh,
+    WAVE_NOISE,
     WaveProblem,
     WienerPath,
     benchmark_wave_problem,
@@ -250,6 +252,32 @@ def test_run_wave_rejects_misaligned_path():
     problem = benchmark_wave_problem(SpatialGrid(10), TimeMesh(16))
     with pytest.raises(AlignmentError):
         run_wave(problem, sample_path(1, TimeMesh(4), master_steps=64))
+
+
+def test_block_march_equals_one_path_runs():
+    """Marching R paths as one block, or split 2 + 3, gives each path's lone run bit for bit."""
+    problem = random_problem(k=10, n=8, m=1, seed=61)
+    paths = [sample_path((6, r), problem.mesh, master_steps=2**10) for r in range(5)]
+    lone = [run_wave(problem, path) for path in paths]
+    for sizes in ((5,), (2, 3)):
+        start = 0
+        for size in sizes:
+            block = NoiseBlock.empty(problem.mesh, size, 1, WAVE_NOISE)
+            for r in range(size):
+                block.put(r, paths[start + r])
+            x, y = run_wave(problem, block)
+            for r in range(size):
+                assert np.array_equal(x[:, r], lone[start + r][0])
+                assert np.array_equal(y[:, r], lone[start + r][1])
+            start += size
+    # the reference run takes a block on the refined mesh
+    fine = NoiseBlock.empty(problem.mesh.refined(16), 1, 1, WAVE_NOISE)
+    fine.put(0, paths[0])
+    x_ref, y_ref = reference_wave_solution(problem, fine, n_ref=16)
+    x_one, y_one = reference_wave_solution(problem, paths[0], n_ref=16)
+    assert np.array_equal(x_ref[:, 0], x_one) and np.array_equal(y_ref[:, 0], y_one)
+    with pytest.raises(AlignmentError):
+        run_wave(problem, fine)
 
 
 def test_run_is_affine_in_initial_data():
