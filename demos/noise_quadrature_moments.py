@@ -10,6 +10,9 @@ micro nodes.  Three facts make that work, and this script measures each:
    quadratic f(t) = t^2 attaining its error bound exactly,
 3. the weighted micro sums the wave stepper accumulates have a closed
    second moment, a double sum of min(t_l, t_l') over micro nodes.
+
+Paths are drawn on the micro grid together with the exact integral of
+each micro cell, so the path integrals carry no discretization error.
 """
 
 import math
@@ -20,25 +23,19 @@ from mcnspde import (
     TimeMesh,
     defect_moment_exact,
     holder_trapezoid_bound,
-    sample_path,
     trapezoid_defect,
     wave_micro_sum_moment_exact,
 )
-from mcnspde.validation import _cumulative_block, _wave_micro_sum_kernel, heat_defect_block
+from mcnspde.validation import _cell_block, _wave_micro_sum_kernel, heat_defect_block
 
 print("1. micro-sum defect moment vs (m/3) tau^5")
 print(f"{'tau':>8} {'m':>3} {'estimate':>12} {'exact':>12} {'z':>7}")
+rng = np.random.Generator(np.random.Philox(key=1000))
 for n_steps in (8, 16):
     mesh = TimeMesh(n_steps)
     for m in (1, 2):
-        sq = []
-        for r in range(300):
-            path = sample_path(1000 + r, mesh, m=m,
-                               master_steps=mesh.N * mesh.M * 256)
-            # one path is the one-path case of the batched kernel
-            defects = heat_defect_block(path.cumulative[None], mesh, path.delta)
-            sq.extend((defects[0] ** 2).sum(axis=1))
-        sq = np.asarray(sq)
+        block, cells = _cell_block(rng, 300, mesh, m)
+        sq = (heat_defect_block(block, mesh, cells) ** 2).sum(axis=2).ravel()
         est = sq.mean()
         se = sq.std(ddof=1) / math.sqrt(sq.size)
         exact = defect_moment_exact(mesh.tau, m)
@@ -57,9 +54,8 @@ print()
 print("3. wave weighted micro-sum second moment")
 mesh = TimeMesh(8)
 rng = np.random.Generator(np.random.Philox(key=20260814))
-steps = mesh.N * mesh.M
-block = _cumulative_block(rng, 50_000, steps, 1, mesh.T / steps)
-values = _wave_micro_sum_kernel(block, mesh, mesh.T / steps)
+block, _ = _cell_block(rng, 50_000, mesh, 1)
+values = _wave_micro_sum_kernel(block, mesh)
 print(f"{'j':>3} {'estimate':>12} {'exact':>12} {'z':>7}")
 for j in (0, 3, 7):
     sq = values[:, j, 0] ** 2

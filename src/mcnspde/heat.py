@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -147,19 +147,6 @@ def run_heat(
     return x if block is noise else x[:, 0]
 
 
-@lru_cache(maxsize=1)
-def _lags(steps: int, delta: float) -> np.ndarray:
-    """T - s_k for the left master nodes s_k = k delta, k < steps, with T = steps delta.
-
-    The same for every path of a study, so it is built once.  The weights
-    exp(-rate * lag) are recomputed per call: caching them for the four
-    rates of a heat study would hold four more arrays of this size.
-    """
-    lags = steps * delta - delta * np.arange(steps)
-    lags.flags.writeable = False
-    return lags
-
-
 def stochastic_convolution(path: WienerPath, rate: float) -> np.ndarray:
     """Conditional mean of int_0^T exp(-rate (T - s)) dW(s) given the path, shape (m,).
 
@@ -172,13 +159,23 @@ def stochastic_convolution(path: WienerPath, rate: float) -> np.ndarray:
     master increments leave undetermined, the kernel's variation inside
     each master step, keeps errors measured against this reference about
     0.15% below the continuous-time value at N = 256.
+
+    The weights factor: with master index k = i w + q, w a power of two
+    near sqrt(S) dividing S, and b = S/w blocks, T - s_k =
+    ((b - 1 - i) w + (w - q)) delta, so exp(-rate (T - s_k)) is an outer
+    factor per block times an inner factor per offset, both at most 1.
+    That takes two exps of length about sqrt(S) instead of one of length S.
     """
-    weights = np.exp(-rate * _lags(path.S, path.delta))
+    steps, m = path.increments.shape
+    w = 1 << ((steps & -steps).bit_length() - 1) // 2
+    inner = np.exp(-rate * path.delta * np.arange(w, 0, -1))
+    outer = np.exp(-rate * path.delta * w * np.arange(steps // w - 1, -1, -1))
     x = rate * path.delta
     step_average = math.expm1(x) / x if x != 0.0 else 1.0
     # einsum, not a matmul: a BLAS matrix-vector product this long wakes
     # the BLAS thread pool, which then spins through the stepping loops.
-    return step_average * np.einsum("s,sm->m", weights, path.increments)
+    per_block = np.einsum("q,iqm->im", inner, path.increments.reshape(-1, w, m))
+    return step_average * np.einsum("i,im->m", outer, per_block)
 
 
 def benchmark_phi(grid: SpatialGrid, noise_scale: float = 1.0) -> NoiseCoefficient:

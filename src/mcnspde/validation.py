@@ -17,11 +17,9 @@ Holder-continuous derivatives, where f(t) = t^2 attains the bound exactly.
 The Monte Carlo kernels here are batched (many paths per numpy block) and
 read the micro and coarse nodes through noise.mesh_values, the same
 accessor the time steppers use, so the quadratures checked here are the
-ones the schemes consume.  Path integrals are left-point Riemann sums on
-the master grid.  Their second-moment bias relative to the tau^5-scale
-targets is (3/2) * (master step)/tau^2, so each check picks the master
-refinement to keep that bias well inside a fraction of one Monte Carlo
-standard error.
+ones the schemes consume.  Paths are drawn at micro resolution together
+with the exact integrals of each micro cell (_cell_block), so the path
+integrals the defects compare against carry no discretization bias.
 """
 
 from __future__ import annotations
@@ -36,19 +34,14 @@ from .heat import ConfigError
 from .noise import (
     TimeMesh,
     defect_moment_exact,
-    master_strides,
     mesh_values,
     wave_micro_sum_moment_exact,
 )
 
-# Largest batched block, in doubles; keeps peak kernel memory near 100 MB.
-_CHUNK_ELEMENTS = 1 << 22
-
-# Master steps per micro step for the defect estimators.  1024 puts the
-# left-point quadrature bias below half a standard error at 1e5 samples;
-# the bound checks have order-of-magnitude slack and use a cheaper grid.
-_DEFECT_REFINE = 1024
-_BOUND_REFINE = 64
+# Largest batched block, in doubles.  Each element carries three normals,
+# three cell quantities and a path value, so this keeps peak kernel memory
+# near 100 MB.
+_CHUNK_ELEMENTS = 1 << 20
 
 LEMMA_TOLERANCE = 1e-12
 TWO_SIDED_BAND = 3.0
@@ -144,74 +137,86 @@ def _lemma_checks() -> list[CheckResult]:
 # batched Wiener kernels
 
 
-def _cumulative_block(rng: np.random.Generator, n_paths: int, steps: int, m: int, delta: float):
-    increments = rng.standard_normal((n_paths, steps, m)) * math.sqrt(delta)
-    block = np.zeros((n_paths, steps + 1, m))
-    np.cumsum(increments, axis=1, out=block[:, 1:, :])
-    return block
+def _cell_block(rng: np.random.Generator, n_paths: int, mesh: TimeMesh, m: int):
+    """Wiener paths at micro resolution with the exact integrals of every micro cell.
+
+    On a micro cell [t, t + h], h = tau^2, the increment dW = W(t+h) - W(t)
+    and the integrals I1 = int_0^h (W(t+u) - W(t)) du and
+    I2 = int_0^h u (W(t+u) - W(t)) du are jointly Gaussian with covariance
+    [[h, h^2/2, h^3/3], [h^2/2, h^3/3, 5h^4/24], [h^3/3, 5h^4/24, 2h^5/15]],
+    and are drawn from it through its closed-form Cholesky factor
+    (Kloeden & Platen, Numerical Solution of SDEs, 1992, section 10.4).
+    Returns the cumulative block (n, N*M+1, m), W on the micro grid, and
+    cells = (dW, I1, I2), each (n, N, M, m) with [:, j, l-1] the cell
+    [t_{j,l-1}, t_{j,l}].
+    """
+    h = mesh.tau**2
+    shape = (n_paths, mesh.N, mesh.M, m)
+    z1, z2, z3 = rng.standard_normal((3,) + shape)
+    increments = math.sqrt(h) * z1
+    i1 = h**1.5 * (z1 / 2 + z2 / (2 * math.sqrt(3)))
+    i2 = h**2.5 * (z1 / 3 + z2 / (4 * math.sqrt(3)) + z3 / (12 * math.sqrt(5)))
+    block = np.zeros((n_paths, mesh.N * mesh.M + 1, m))
+    np.cumsum(increments.reshape(n_paths, -1, m), axis=1, out=block[:, 1:, :])
+    return block, (increments, i1, i2)
 
 
-def heat_defect_block(block: np.ndarray, mesh: TimeMesh, delta: float) -> np.ndarray:
+def heat_defect_block(block: np.ndarray, mesh: TimeMesh, cells) -> np.ndarray:
     """Micro quadrature defects for every path and interval; shape (n, N, m).
 
-    block holds cumulative path values on the master grid, shape
-    (n, S+1, m) with S*delta = T.  Interval j's defect is
-    int_{t_j}^{t_{j+1}} W(s) ds, as a left-point master-grid Riemann sum,
-    minus the micro Riemann sum tau^2 sum_{l=1}^{M} W(t_{j,l}).
+    block and cells come from _cell_block.  Interval j's defect is the
+    exact int_{t_j}^{t_{j+1}} W(s) ds = sum_l (h W(t_{j,l-1}) + I1_l) minus
+    the micro Riemann sum h sum_{l=1}^{M} W(t_{j,l}), with h = tau^2.
     """
-    n_paths, nodes, m = block.shape
-    stride_coarse, _ = master_strides(mesh, nodes - 1)
-    body = block[:, :-1, :].reshape(n_paths, mesh.N, stride_coarse, m)
-    integrals = delta * body.sum(axis=2)
-    _, micro = mesh_values(block, mesh)
-    return integrals - mesh.tau**2 * micro.sum(axis=2)
+    h = mesh.tau**2
+    coarse, micro = mesh_values(block, mesh)
+    left_sums = coarse[:, :-1, :] + micro[:, :, :-1, :].sum(axis=2)
+    integrals = h * left_sums + cells[1].sum(axis=2)
+    return integrals - h * micro.sum(axis=2)
 
 
-def wave_current_defect_block(block: np.ndarray, mesh: TimeMesh, delta: float) -> np.ndarray:
+def wave_current_defect_block(block: np.ndarray, mesh: TimeMesh, cells) -> np.ndarray:
     """Current-interval wave defects for every path and interval; shape (n, N, m).
 
     For interval j this is
-    sum_l int_{t_{j,l-1}}^{t_{j,l}} (t_{j+1} - s)(W(s) - W(t_{j,l})) ds
-    with the integral taken as a left-point master-grid Riemann sum.  The
-    weight t_{j+1} - s depends only on the offset inside the interval, so
-    all intervals share one weight table.
+    sum_l int_{t_{j,l-1}}^{t_{j,l}} (t_{j+1} - s)(W(s) - W(t_{j,l})) ds.
+    On cell l, with s = t_{j,l-1} + u and a_l = t_{j+1} - t_{j,l-1} =
+    tau - (l-1) h, the integrand is
+    (a_l - u)(W(t_{j,l-1} + u) - W(t_{j,l-1}) - dW_l), so the cell
+    contributes a_l I1_l - I2_l - dW_l (a_l h - h^2/2) exactly.  block is
+    unused: the cells determine the defect.
     """
-    n_paths, nodes, m = block.shape
-    tau, micro_count = mesh.tau, mesh.M
-    _, stride_micro = master_strides(mesh, nodes - 1)
-    body = block[:, :-1, :].reshape(n_paths, mesh.N, micro_count, stride_micro, m)
-    offsets = np.arange(stride_micro) * delta
-    cells = np.arange(micro_count) * tau * tau
-    weights = tau - cells[:, None] - offsets[None, :]  # (M, stride_micro)
-    weighted = np.einsum("njlam,la->njlm", body, weights)
-    _, right = mesh_values(block, mesh)
-    weighted -= right * weights.sum(axis=1)[None, None, :, None]
-    return delta * weighted.sum(axis=2)
+    increments, i1, i2 = cells
+    h = mesh.tau**2
+    a = (mesh.tau - h * np.arange(mesh.M))[:, None]
+    return (a * i1 - i2 - increments * (a * h - h * h / 2)).sum(axis=2)
 
 
-def _wave_micro_sum_kernel(block: np.ndarray, mesh: TimeMesh, delta: float) -> np.ndarray:
+def _wave_micro_sum_kernel(block: np.ndarray, mesh: TimeMesh) -> np.ndarray:
     """Weighted micro sums (tau^4/2) sum_l W(t_{j,l}) for all j; shape (n, N, m)."""
     _, micro = mesh_values(block, mesh)
     return 0.5 * mesh.tau**4 * micro.sum(axis=2)
 
 
-def _kernel_samples(seed: int, mesh: TimeMesh, m: int, refine: int, samples: int, kernel):
+def _kernel_samples(
+    key: tuple[int, int], mesh: TimeMesh, m: int, samples: int, kernel, per_path: int
+):
     """Squared norms of a per-interval kernel's outputs, pooled across intervals.
 
-    kernel maps a cumulative block (n, S+1, m) to (n, P, m) outputs.  The
-    defect laws are identical and independent across coarse intervals, so
-    a kernel that returns all N intervals makes each path contribute N
-    samples; one that returns a fixed interval, one sample.
+    kernel maps (block, mesh, cells) from _cell_block to (n, per_path, m)
+    outputs.  The defect laws are identical and independent across coarse
+    intervals, so a kernel that returns all N intervals makes each path
+    contribute N samples; one that returns a fixed interval, one sample.
+    Each chunk draws only the paths still needed.
     """
-    steps = mesh.N * mesh.M * refine
-    delta = mesh.T / steps
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    chunk = max(1, _CHUNK_ELEMENTS // ((steps + 1) * m))
+    rng = np.random.Generator(np.random.Philox(key=key))
+    chunk = max(1, _CHUNK_ELEMENTS // ((mesh.N * mesh.M + 1) * m))
     out = np.empty(samples)
     filled = 0
     while filled < samples:
-        block = _cumulative_block(rng, chunk, steps, m, delta)
-        sq = (kernel(block, mesh, delta) ** 2).sum(axis=2).ravel()
+        n_paths = min(chunk, -(-(samples - filled) // per_path))
+        block, cells = _cell_block(rng, n_paths, mesh, m)
+        sq = (kernel(block, mesh, cells) ** 2).sum(axis=2).ravel()
         take = min(sq.size, samples - filled)
         out[filled : filled + take] = sq[:take]
         filled += take
@@ -232,11 +237,13 @@ def _tau_name(mesh: TimeMesh) -> str:
 # individual statistical checks
 
 
-def _heat_defect_checks(samples: int, seed: int) -> list[CheckResult]:
+def _heat_defect_checks(samples: int, seed: int, stream: int) -> list[CheckResult]:
     checks = []
     for idx, (n_coarse, m) in enumerate([(8, 1), (8, 2), (16, 1), (16, 2)]):
         mesh = TimeMesh(n_coarse)
-        sq = _kernel_samples(seed + idx, mesh, m, _DEFECT_REFINE, samples, heat_defect_block)
+        sq = _kernel_samples(
+            (seed, stream + idx), mesh, m, samples, heat_defect_block, per_path=mesh.N
+        )
         mean, se = _mean_and_se(sq)
         target = defect_moment_exact(mesh.tau, m)
         band = TWO_SIDED_BAND * se
@@ -253,14 +260,14 @@ def _heat_defect_checks(samples: int, seed: int) -> list[CheckResult]:
     return checks
 
 
-def _wave_micro_sum_checks(samples: int, seed: int) -> list[CheckResult]:
+def _wave_micro_sum_checks(samples: int, seed: int, stream: int) -> list[CheckResult]:
     checks = []
     mesh = TimeMesh(8)
     for idx, (j, m) in enumerate([(0, 1), (0, 2), (7, 1), (7, 2)]):
-        def kernel(block, mesh_, delta):
-            return _wave_micro_sum_kernel(block, mesh_, delta)[:, j : j + 1]
+        def kernel(block, mesh_, cells):
+            return _wave_micro_sum_kernel(block, mesh_)[:, j : j + 1]
 
-        sq = _kernel_samples(seed + idx, mesh, m, 1, samples, kernel)
+        sq = _kernel_samples((seed, stream + idx), mesh, m, samples, kernel, per_path=1)
         mean, se = _mean_and_se(sq)
         target = wave_micro_sum_moment_exact(mesh, j, m)
         band = TWO_SIDED_BAND * se
@@ -277,12 +284,12 @@ def _wave_micro_sum_checks(samples: int, seed: int) -> list[CheckResult]:
     return checks
 
 
-def _wave_current_defect_checks(samples: int, seed: int) -> list[CheckResult]:
+def _wave_current_defect_checks(samples: int, seed: int, stream: int) -> list[CheckResult]:
     checks = []
     mesh = TimeMesh(8)
     for idx, m in enumerate((1, 2)):
         sq = _kernel_samples(
-            seed + idx, mesh, m, _BOUND_REFINE, samples, wave_current_defect_block
+            (seed, stream + idx), mesh, m, samples, wave_current_defect_block, per_path=mesh.N
         )
         mean, se = _mean_and_se(sq)
         bound = m * mesh.tau**6
@@ -299,18 +306,18 @@ def _wave_current_defect_checks(samples: int, seed: int) -> list[CheckResult]:
     return checks
 
 
-def _wave_old_defect_checks(samples: int, seed: int) -> list[CheckResult]:
+def _wave_old_defect_checks(samples: int, seed: int, stream: int) -> list[CheckResult]:
     checks = []
     mesh = TimeMesh(8)
     j = 4
     t_j = mesh.coarse_time(j)
 
-    def old_kernel(block, mesh_, delta):
-        defects = heat_defect_block(block, mesh_, delta)
+    def old_kernel(block, mesh_, cells):
+        defects = heat_defect_block(block, mesh_, cells)
         return mesh_.tau * defects[:, :j, :].sum(axis=1, keepdims=True)
 
     for idx, m in enumerate((1, 2)):
-        sq = _kernel_samples(seed + idx, mesh, m, _BOUND_REFINE, samples, old_kernel)
+        sq = _kernel_samples((seed, stream + idx), mesh, m, samples, old_kernel, per_path=1)
         mean, se = _mean_and_se(sq)
         bound = t_j * m * mesh.tau**5 / 3.0
         checks.append(
@@ -326,11 +333,11 @@ def _wave_old_defect_checks(samples: int, seed: int) -> list[CheckResult]:
     return checks
 
 
-def _covariance_checks(samples: int, seed: int) -> list[CheckResult]:
+def _covariance_checks(samples: int, seed: int, stream: int) -> list[CheckResult]:
     """E[(W(t)-W(s))(W(t)-W(r))^T] = (t - max(s,r)) I, m = 2."""
     checks = []
     m = 2
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=(seed, stream)))
     for s, r, t in [(0.25, 0.5, 1.0), (0.5, 0.5, 1.0), (0.125, 0.875, 1.0)]:
         times = sorted({0.0, s, r, t})
         gaps = np.diff(times)
@@ -369,18 +376,18 @@ def validate_statistics(samples: int = 100_000, seed: int = 20260814) -> Validat
     """Run every statistical and deterministic quadrature check.
 
     samples is the Monte Carlo sample count per check; each check draws
-    its own counter-based stream derived from seed, so reports are
-    reproducible.
+    its own counter-based stream, Philox keyed by the pair (seed, stream),
+    so reports are reproducible.
     """
     if samples < 2:
         raise ConfigError(f"need at least 2 samples, got {samples}")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be a 64-bit word in [0, 2^64), got {seed}")
     checks: list[CheckResult] = []
     checks.extend(_lemma_checks())
-    checks.extend(_covariance_checks(samples, (seed << 8) + 1))
-    checks.extend(_heat_defect_checks(samples, (seed << 8) + 16))
-    checks.extend(_wave_micro_sum_checks(samples, (seed << 8) + 32))
-    checks.extend(_wave_current_defect_checks(samples, (seed << 8) + 48))
-    checks.extend(_wave_old_defect_checks(samples, (seed << 8) + 64))
+    checks.extend(_covariance_checks(samples, seed, 1))
+    checks.extend(_heat_defect_checks(samples, seed, 16))
+    checks.extend(_wave_micro_sum_checks(samples, seed, 32))
+    checks.extend(_wave_current_defect_checks(samples, seed, 48))
+    checks.extend(_wave_old_defect_checks(samples, seed, 64))
     return ValidationReport(tuple(checks))

@@ -133,6 +133,12 @@ def test_validate_rejects_bad_samples(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_rejects_seeds_outside_a_64_bit_word(capsys):
+    for seed in (-1, 2**64, 2**121):
+        assert main(["validate", "--samples", "100", "--seed", str(seed)]) == EXIT_BAD_CONFIG
+        assert "seed must be a 64-bit word" in capsys.readouterr().err
+
+
 def test_config_file_provides_defaults(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(

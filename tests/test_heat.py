@@ -302,16 +302,19 @@ def test_stochastic_convolution_zero_rate_is_endpoint():
     )
 
 
-def test_stochastic_convolution_reuses_the_lag_grid_exactly():
-    """The cached lag grid gives bit for bit the weights built from the path's own times."""
-    for steps in (512, 1024, 512):
-        path = sample_path(steps, TimeMesh(4), master_steps=steps)
-        for rate in (0.5, (2 * math.pi) ** 2):
+def test_stochastic_convolution_matches_the_direct_sum():
+    """The factored weights give the direct left-point sum, correctly rounded, to 1e-13."""
+    for steps in (2**15, 2**16, 2**20):  # 2^15: blocks and offsets of unequal length
+        path = sample_path(steps, TimeMesh(4), m=2, master_steps=steps)
+        for rate in (0.0, (2 * math.pi) ** 2, (3 * math.pi) ** 2, 1e4):
             left_times = path.delta * np.arange(path.S)
             weights = np.exp(-rate * (path.t_final - left_times))
             x = rate * path.delta
-            direct = math.expm1(x) / x * np.einsum("s,sm->m", weights, path.increments)
-            assert np.array_equal(stochastic_convolution(path, rate), direct)
+            step_average = math.expm1(x) / x if x != 0.0 else 1.0
+            direct = [
+                step_average * math.fsum(weights * path.increments[:, c]) for c in range(2)
+            ]
+            np.testing.assert_allclose(stochastic_convolution(path, rate), direct, rtol=1e-13)
 
 
 def test_stochastic_convolution_ito_isometry():

@@ -28,7 +28,7 @@ from mcnspde import (
     wave_micro_sum_moment_exact,
 )
 from mcnspde.noise import master_strides
-from mcnspde.validation import heat_defect_block
+from mcnspde.validation import _cell_block, heat_defect_block
 
 
 def value_at(path, t):
@@ -213,35 +213,27 @@ def test_micro_riemann_sum_linear_path_closed_form():
 
 
 def test_micro_defect_linear_path_closed_form():
-    """W(t) = t gives defect -tau^3/2, up to the known left-point quadrature bias.
-
-    The left-point master sum under-integrates the linear ramp by exactly
-    delta*tau/2 per interval, so the expected value is -(tau^3 + delta*tau)/2.
-    """
+    """W(t) = t gives the defect -tau^3/2 exactly."""
     mesh = TimeMesh(4)
-    master_steps = 2**12
-    path = linear_path(mesh, master_steps)
-    delta = path.delta
-    tau = mesh.tau
-    expected = -0.5 * tau**3 - 0.5 * delta * tau
-    defects = heat_defect_block(path.cumulative[None], mesh, delta)
+    h = mesh.tau**2
+    cells_shape = (1, mesh.N, mesh.M, 1)
+    # W(t) = t on the micro grid, with its cell integrals dW = h,
+    # int_0^h u du = h^2/2 and int_0^h u^2 du = h^3/3.
+    block = h * np.arange(mesh.N * mesh.M + 1.0)[None, :, None]
+    cells = tuple(np.full(cells_shape, h**p / p) for p in (1, 2, 3))
+    defects = heat_defect_block(block, mesh, cells)
     assert defects.shape == (1, mesh.N, 1)
     for j in range(mesh.N):
-        assert defects[0, j, 0] == pytest.approx(expected, rel=1e-9)
+        assert defects[0, j, 0] == pytest.approx(-0.5 * mesh.tau**3, rel=1e-12)
 
 
 def test_defect_moment_small_monte_carlo():
     """Sample second moment of the defect meets (m/3) tau^5 within 3 SE."""
     mesh = TimeMesh(8)
     m = 2
-    refine = 256  # master step = tau^2/256 keeps the left-point bias negligible
-    master_steps = mesh.N * mesh.M * refine
-    sq = []
-    for seed in range(400):
-        path = sample_path(9000 + seed, mesh, m=m, master_steps=master_steps)
-        defects = heat_defect_block(path.cumulative[None], mesh, path.delta)
-        sq.extend((defects[0] ** 2).sum(axis=1))
-    sq = np.asarray(sq)
+    rng = np.random.Generator(np.random.Philox(key=9000))
+    block, cells = _cell_block(rng, 400, mesh, m)
+    sq = (heat_defect_block(block, mesh, cells) ** 2).sum(axis=2).ravel()
     mean = sq.mean()
     se = sq.std(ddof=1) / math.sqrt(sq.size)
     assert abs(mean - defect_moment_exact(mesh.tau, m)) <= 3 * se

@@ -1,4 +1,4 @@
-"""Validation kernels against brute-force per-path quadratures and closed forms."""
+"""Validation kernels against literal per-cell loops and closed forms."""
 
 import math
 
@@ -10,29 +10,25 @@ from mcnspde import (
     TimeMesh,
     ValidationReport,
     holder_trapezoid_bound,
-    sample_path,
     trapezoid_defect,
     validate_statistics,
     wave_micro_sum_moment_exact,
 )
 from mcnspde.validation import (
-    _cumulative_block,
+    _cell_block,
     _wave_micro_sum_kernel,
     heat_defect_block,
     wave_current_defect_block,
 )
 
 
-def path_as_block(path):
-    """View one sampled path as a (1, S+1, m) cumulative block."""
-    return path.cumulative[None, :, :]
+def cell_block(key, n_paths, mesh, m):
+    return _cell_block(np.random.Generator(np.random.Philox(key=key)), n_paths, mesh, m)
 
 
-def value_at(path, t):
-    """W(t) by a float lookup of the master node at time t: the brute-force reference."""
-    k = round(t / path.delta)
-    assert abs(t - k * path.delta) <= 1e-12
-    return path.cumulative[k]
+def micro_node(block, mesh, j, ell):
+    """W(t_{j,l}) of every path, by its index j*M + l on the micro grid."""
+    return block[:, j * mesh.M + ell]
 
 
 def test_trapezoid_defect_quadratic_sharpness():
@@ -57,74 +53,109 @@ def test_trapezoid_defect_exact_small_cases():
 
 
 def test_heat_defect_block_matches_per_path_quadrature():
-    """Batched defect equals a literal left-point integral minus the micro sum."""
+    """Batched defect equals a literal per-cell sum of exact cell integrals minus the micro sum."""
     mesh = TimeMesh(4)
-    path = sample_path(301, mesh, m=2, master_steps=256)
-    block = heat_defect_block(path_as_block(path), mesh, path.delta)
-    assert block.shape == (1, mesh.N, 2)
-    per_interval = 256 // mesh.N
-    tau = mesh.tau
+    block, cells = cell_block(301, 3, mesh, 2)
+    i1 = cells[1]
+    got = heat_defect_block(block, mesh, cells)
+    assert got.shape == (3, mesh.N, 2)
+    h = mesh.tau**2
     for j in range(mesh.N):
-        integral = sum(
-            path.delta * path.cumulative[j * per_interval + a] for a in range(per_interval)
-        )
-        micro_sum = sum(
-            tau * tau * value_at(path, mesh.micro_time(j, ell)) for ell in range(1, mesh.M + 1)
-        )
-        np.testing.assert_allclose(block[0, j], integral - micro_sum, rtol=1e-12, atol=1e-16)
+        integral = micro_sum = 0.0
+        for ell in range(1, mesh.M + 1):
+            integral = integral + h * micro_node(block, mesh, j, ell - 1) + i1[:, j, ell - 1]
+            micro_sum = micro_sum + h * micro_node(block, mesh, j, ell)
+        np.testing.assert_allclose(got[:, j], integral - micro_sum, rtol=1e-12, atol=1e-16)
 
 
 def test_wave_current_defect_block_brute_force():
-    """Batched kernel equals the literal weighted sum over master cells."""
-    mesh = TimeMesh(2)
-    path = sample_path(303, mesh, m=2, master_steps=64)
-    delta = path.delta
-    tau, micro = mesh.tau, mesh.M
-    stride_micro = 64 // (mesh.N * micro)
-    got = wave_current_defect_block(path_as_block(path), mesh, delta)
+    """Batched kernel equals the literal per-cell sum of a_l I1 - I2 - dW (a_l h - h^2/2)."""
+    mesh = TimeMesh(4)
+    block, cells = cell_block(303, 3, mesh, 2)
+    increments, i1, i2 = cells
+    got = wave_current_defect_block(block, mesh, cells)
+    h = mesh.tau**2
     for j in range(mesh.N):
-        t_next = mesh.coarse_time(j + 1)
-        expected = np.zeros(2)
-        for ell in range(1, micro + 1):
-            right = value_at(path, mesh.micro_time(j, ell))
-            cell_start = mesh.micro_time(j, ell) - tau * tau
-            for a in range(stride_micro):
-                s = cell_start + a * delta
-                expected += delta * (t_next - s) * (value_at(path, s) - right)
-        np.testing.assert_allclose(got[0, j], expected, rtol=1e-11, atol=1e-16)
+        expected = 0.0
+        for ell in range(1, mesh.M + 1):
+            a = mesh.coarse_time(j + 1) - mesh.micro_time(j, ell - 1)
+            c = ell - 1
+            expected = expected + (
+                a * i1[:, j, c] - i2[:, j, c] - increments[:, j, c] * (a * h - h * h / 2)
+            )
+        np.testing.assert_allclose(got[:, j], expected, rtol=1e-12, atol=1e-18)
+
+
+def test_wave_current_defect_linear_path_gauss_quadrature():
+    """W(t) = t: the kernel equals Gauss quadrature of (t_{j+1} - s)(s - t_{j,l}) per cell."""
+    mesh = TimeMesh(4)
+    h = mesh.tau**2
+    block = h * np.arange(mesh.N * mesh.M + 1.0)[None, :, None]
+    cells = tuple(np.full((1, mesh.N, mesh.M, 1), h**p / p) for p in (1, 2, 3))
+    got = wave_current_defect_block(block, mesh, cells)
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    for j in range(mesh.N):
+        expected = 0.0
+        for ell in range(1, mesh.M + 1):
+            left, right = mesh.micro_time(j, ell - 1), mesh.micro_time(j, ell)
+            s = left + 0.5 * h * (nodes + 1.0)
+            integrand = (mesh.coarse_time(j + 1) - s) * (s - right)
+            expected += 0.5 * h * float(weights @ integrand)
+        assert got[0, j, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_wave_micro_sum_kernel_matches_path_values():
     mesh = TimeMesh(4)
-    path = sample_path(305, mesh, m=2, master_steps=256)
-    got = _wave_micro_sum_kernel(path_as_block(path), mesh, path.delta)
+    block, _ = cell_block(305, 3, mesh, 2)
+    got = _wave_micro_sum_kernel(block, mesh)
     for j in range(mesh.N):
-        micro = [value_at(path, mesh.micro_time(j, ell)) for ell in range(1, mesh.M + 1)]
+        micro = [micro_node(block, mesh, j, ell) for ell in range(1, mesh.M + 1)]
         expected = 0.5 * mesh.tau**4 * sum(micro)
-        np.testing.assert_allclose(got[0, j], expected, rtol=1e-13)
+        np.testing.assert_allclose(got[:, j], expected, rtol=1e-13)
 
 
 def test_wave_micro_sum_moment_small_monte_carlo():
     mesh = TimeMesh(8)
     j, m = 7, 1
-    rng = np.random.Generator(np.random.Philox(key=777))
-    steps = mesh.N * mesh.M
     n_paths = 40_000
-    block = _cumulative_block(rng, n_paths, steps, m, mesh.T / steps)
-    vals = _wave_micro_sum_kernel(block, mesh, mesh.T / steps)[:, j, :]
+    block, _ = cell_block(777, n_paths, mesh, m)
+    vals = _wave_micro_sum_kernel(block, mesh)[:, j, :]
     sq = (vals**2).sum(axis=1)
     se = sq.std(ddof=1) / math.sqrt(n_paths)
     assert abs(sq.mean() - wave_micro_sum_moment_exact(mesh, j, m)) <= 3 * se
 
 
-def test_cumulative_block_layout():
-    rng = np.random.Generator(np.random.Philox(key=11))
-    block = _cumulative_block(rng, 3, 16, 2, delta=0.0625)
-    assert block.shape == (3, 17, 2)
+def test_cell_block_layout():
+    mesh = TimeMesh(4)
+    block, (increments, i1, i2) = cell_block(11, 3, mesh, 2)
+    assert block.shape == (3, mesh.N * mesh.M + 1, 2)
+    for cell in (increments, i1, i2):
+        assert cell.shape == (3, mesh.N, mesh.M, 2)
     np.testing.assert_array_equal(block[:, 0, :], 0.0)
-    # cumulative sums reconstruct their own increments
-    inc = np.diff(block, axis=1)
-    np.testing.assert_allclose(block[:, 1:, :], np.cumsum(inc, axis=1), rtol=1e-12)
+    # the micro-grid values are the running sums of the cell increments
+    np.testing.assert_allclose(
+        block[:, 1:, :], np.cumsum(increments.reshape(3, -1, 2), axis=1), rtol=1e-12
+    )
+
+
+def test_cell_block_covariance_is_the_exact_law():
+    """(dW, I1, I2) on a cell of length h: sample covariance within 4 SE of the closed form."""
+    mesh = TimeMesh(4)
+    h = mesh.tau**2
+    exact = np.array(
+        [
+            [h, h**2 / 2, h**3 / 3],
+            [h**2 / 2, h**3 / 3, 5 * h**4 / 24],
+            [h**3 / 3, 5 * h**4 / 24, 2 * h**5 / 15],
+        ]
+    )
+    _, cells = cell_block(13, 5_000, mesh, 1)
+    draws = np.stack([c.ravel() for c in cells])  # (3, 80_000) independent cells
+    for a in range(3):
+        for b in range(3):
+            prod = draws[a] * draws[b]
+            se = prod.std(ddof=1) / math.sqrt(prod.size)
+            assert abs(prod.mean() - exact[a, b]) <= 4 * se, (a, b)
 
 
 def test_check_result_line_format():
@@ -183,3 +214,5 @@ def test_validate_statistics_argument_validation():
         validate_statistics(samples=1)
     with pytest.raises(ValueError):
         validate_statistics(samples=100, seed=-1)
+    with pytest.raises(ValueError):
+        validate_statistics(samples=100, seed=2**64)
