@@ -65,7 +65,6 @@ from .harness import (
     desk_heat_config,
     desk_wave_config,
     emit_csv,
-    emit_report,
     fit_rate,
     paper_heat_config,
     paper_wave_config,

@@ -79,7 +79,6 @@ class StudyConfig:
     scheme: str = SCHEME_MCN
     n_list: tuple[int, ...] = (8, 16, 32, 64, 128, 256)
     k: int = 40
-    t_final: float = 1.0
     mc_count: int = 500
     base_seed: int = 20260814
     master_steps: int = 2**16
@@ -156,8 +155,6 @@ def validate_config(config: StudyConfig) -> None:
         raise ConfigError(f"base_seed must be a 64-bit word in [0, 2^64), got {config.base_seed}")
     if config.workers < 1:
         raise ConfigError(f"workers must be positive, got {config.workers}")
-    if not config.t_final > 0:
-        raise ConfigError(f"t_final must be positive, got {config.t_final}")
     if config.noise_scale < 0:
         raise ConfigError(f"noise_scale must be nonnegative, got {config.noise_scale}")
     n_max = max(config.n_list)
@@ -282,7 +279,7 @@ def _build_problems(config: StudyConfig):
     grid = SpatialGrid(config.k)
     problems = []
     for n in config.n_list:
-        mesh = TimeMesh(n, config.t_final)
+        mesh = TimeMesh(n)
         if config.equation == EQUATION_HEAT:
             problems.append(benchmark_heat_problem(grid, mesh, config.noise_scale))
         else:
@@ -302,9 +299,7 @@ def _study_noise(config: StudyConfig, count: int) -> list[NoiseBlock]:
     else:
         coordinates = WAVE_NOISE
         n_list.append(config.n_ref)
-    return [
-        NoiseBlock.empty(TimeMesh(n, config.t_final), count, 1, coordinates) for n in n_list
-    ]
+    return [NoiseBlock.empty(TimeMesh(n), count, 1, coordinates) for n in n_list]
 
 
 def block_size(config: StudyConfig) -> int:
@@ -332,7 +327,7 @@ def _chunk_squared_errors(config: StudyConfig, r_lo: int, r_hi: int):
     grid, problems = _build_problems(config)
     norms = study_norms(config)
     heat = config.equation == EQUATION_HEAT
-    path_mesh = TimeMesh(max(config.n_list) if heat else config.n_ref, config.t_final)
+    path_mesh = TimeMesh(max(config.n_list) if heat else config.n_ref)
     errors = np.empty((r_hi - r_lo, len(problems), len(norms)))
     want_floor = heat and config.exact_mode == EXACT_CONTINUOUS
     floors = np.empty(r_hi - r_lo) if want_floor else None
@@ -347,13 +342,9 @@ def _chunk_squared_errors(config: StudyConfig, r_lo: int, r_hi: int):
                 (config.base_seed, lo + i), path_mesh, m=1, master_steps=config.master_steps
             )
             if heat:
-                oracles[i] = exact_heat_solution(
-                    path, grid, config.t_final, config.exact_mode, config.noise_scale
-                )
+                oracles[i] = exact_heat_solution(path, grid, config.exact_mode, config.noise_scale)
                 if want_floor:
-                    semi = exact_heat_solution(
-                        path, grid, config.t_final, EXACT_SEMIDISCRETE, config.noise_scale
-                    )
+                    semi = exact_heat_solution(path, grid, EXACT_SEMIDISCRETE, config.noise_scale)
                     floors[rows[i]] = l2_norm(oracles[i] - semi) ** 2
             for block in blocks:
                 block.put(i, path)
@@ -405,13 +396,12 @@ def run_study_tables(config: StudyConfig) -> dict[str, ConvergenceTable]:
     errors, floors = _gather_squared_errors(config)
     norms = study_norms(config)
     spatial_floor = math.sqrt(float(floors.mean())) if floors is not None else None
-    t_final = config.t_final
     tables = {}
     for q, norm in enumerate(norms):
         rows = []
         for p, n in enumerate(config.n_list):
             rms, se = rms_and_standard_error(errors[:, p, q])
-            rows.append(TableRow(n, t_final / n, rms, se))
+            rows.append(TableRow(n, 1.0 / n, rms, se))
         rows = tuple(rows)
         fit_range, note = _default_fit_range(rows, spatial_floor)
         table = ConvergenceTable(
@@ -475,7 +465,6 @@ def report_text(table: ConvergenceTable, config: StudyConfig | None = None) -> s
     out.append(f"error norm:     {table.error_norm}")
     if config is not None:
         out.append(f"interior nodes: {config.k}")
-        out.append(f"final time:     {config.t_final}")
         out.append(f"realizations:   {config.mc_count}")
         out.append(f"base seed:      {config.base_seed}")
         out.append(f"master steps:   {config.master_steps}")
@@ -499,8 +488,3 @@ def report_text(table: ConvergenceTable, config: StudyConfig | None = None) -> s
     out.append(f"fitted rate:         {table.fitted_rate:.4f}")
     return "\n".join(out) + "\n"
 
-
-def emit_report(
-    table: ConvergenceTable, destination: str | Path, config: StudyConfig | None = None
-) -> None:
-    Path(destination).write_text(report_text(table, config))

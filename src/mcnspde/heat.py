@@ -130,7 +130,7 @@ _STEPPERS = {SCHEME_EULER: em_step, SCHEME_MCN: mcn_heat_step}
 def run_heat(
     problem: HeatProblem, noise: WienerPath | NoiseBlock, scheme: str = SCHEME_MCN
 ) -> np.ndarray:
-    """March the chosen scheme over the whole mesh and return X_N at time T.
+    """March the chosen scheme over the whole mesh and return X_N at time 1.
 
     noise is one WienerPath, giving X_N of shape (K,), or a NoiseBlock of
     R paths on problem.mesh, giving the (K, R) block of their X_N.  A path
@@ -148,11 +148,11 @@ def run_heat(
 
 
 def stochastic_convolution(path: WienerPath, rate: float) -> np.ndarray:
-    """Conditional mean of int_0^T exp(-rate (T - s)) dW(s) given the path, shape (m,).
+    """Conditional mean of int_0^1 exp(-rate (1 - s)) dW(s) given the path, shape (m,).
 
     Over master step k the integral's conditional mean given the master
     increments is dW_k times the step average of the kernel: the
-    left-point weight exp(-rate (T - s_k)) times the scalar
+    left-point weight exp(-rate (1 - s_k)) times the scalar
     expm1(rate delta) / (rate delta), exactly 1 at rate 0.  A bare
     left-point sum drops that factor, and on the desk heat study at
     N = 256 it inflated the reference strong error by 5-7%.  What the
@@ -161,8 +161,8 @@ def stochastic_convolution(path: WienerPath, rate: float) -> np.ndarray:
     0.15% below the continuous-time value at N = 256.
 
     The weights factor: with master index k = i w + q, w a power of two
-    near sqrt(S) dividing S, and b = S/w blocks, T - s_k =
-    ((b - 1 - i) w + (w - q)) delta, so exp(-rate (T - s_k)) is an outer
+    near sqrt(S) dividing S, and b = S/w blocks, 1 - s_k =
+    ((b - 1 - i) w + (w - q)) delta, so exp(-rate (1 - s_k)) is an outer
     factor per block times an inner factor per offset, both at most 1.
     That takes two exps of length about sqrt(S) instead of one of length S.
     """
@@ -194,39 +194,30 @@ def benchmark_heat_problem(
 
 
 def exact_heat_solution(
-    path: WienerPath,
-    grid: SpatialGrid,
-    t_final: float,
-    mode: str = EXACT_CONTINUOUS,
-    noise_scale: float = 1.0,
+    path: WienerPath, grid: SpatialGrid, mode: str = EXACT_CONTINUOUS, noise_scale: float = 1.0
 ) -> np.ndarray:
-    """Exact benchmark solution at time T evaluated on the grid.
+    """Exact benchmark solution at the final time 1, evaluated on the grid.
 
-    X(T) = exp(-mu_1 T) sin(pi x)
+    X(1) = exp(-mu_1) sin(pi x)
          + conv(mu_2) sin(2 pi x) + conv(mu_3) sin(3 pi x),
 
-    with conv(mu) = int_0^T exp(-mu (T-s)) dW(s).  In 'continuous' mode the
-    decay rates are the PDE eigenvalues (k pi)^2, so the comparison against
-    a scheme includes the spatial discretization error; in 'semidiscrete'
-    mode they are the discrete eigenvalues of the grid Laplacian and the
-    comparison isolates the time-stepping error.  Requires a single-channel
-    path (the benchmark noise drives both modes with one Wiener process).
+    with conv(mu) = int_0^1 exp(-mu (1-s)) dW(s), given the path.  In
+    'continuous' mode the decay rates are the PDE eigenvalues (k pi)^2, so
+    the comparison against a scheme includes the spatial discretization
+    error; in 'semidiscrete' mode they are the discrete eigenvalues of the
+    grid Laplacian and the comparison isolates the time-stepping error.
+    Requires a single-channel path (the benchmark noise drives both modes
+    with one Wiener process).
     """
     if path.m != 1:
         raise ConfigError(f"benchmark exact solution needs m=1 noise, got m={path.m}")
-    if abs(t_final - path.t_final) > 1e-12 * max(1.0, path.t_final):
-        raise ConfigError(
-            f"requested time {t_final} does not match the path horizon {path.t_final}"
-        )
     if mode == EXACT_CONTINUOUS:
         rate = lambda k: (k * math.pi) ** 2
     elif mode == EXACT_SEMIDISCRETE:
         rate = lambda k: dirichlet_eigenvalue(grid, k)
     else:
         raise ConfigError(f"unknown exact mode {mode!r}")
-    values = math.exp(-rate(BENCHMARK_INITIAL_MODE) * t_final) * sine_mode(
-        grid, BENCHMARK_INITIAL_MODE
-    )
+    values = math.exp(-rate(BENCHMARK_INITIAL_MODE)) * sine_mode(grid, BENCHMARK_INITIAL_MODE)
     for k in BENCHMARK_NOISE_MODES:
         conv = float(stochastic_convolution(path, rate(k))[0])
         values = values + noise_scale * conv * sine_mode(grid, k)

@@ -1,13 +1,15 @@
 """Wiener paths on a dyadic master grid and micro-interval quadrature sums.
 
-Time is discretized twice over.  A coarse mesh with step tau = T/N carries
-the scheme iterates.  Each coarse interval [t_j, t_{j+1}] additionally
-carries a micro grid t_{j,l} = t_j + l*tau^2, l = 0..M with M = 1/tau, so
-the M micro steps of size tau^2 tile the interval exactly.  All path
-values are read off a single master grid of S uniform steps, by integer
-master index; meshes are only admissible when every micro node lands
-exactly on a master node (S/N and S/(N*M) both integers), which keeps
-every quadrature in this module interpolation-free.
+The time horizon is fixed at T = 1, so 1/tau is an integer for every
+mesh.  Time is discretized twice over.  A coarse mesh with step
+tau = 1/N carries the scheme iterates.  Each coarse interval
+[t_j, t_{j+1}] additionally carries a micro grid t_{j,l} = t_j + l*tau^2,
+l = 0..M with M = 1/tau = N, so the M micro steps of size tau^2 tile the
+interval exactly.  All path values are read off a single master grid of
+S uniform steps of size 1/S, by integer master index; meshes are only
+admissible when every micro node lands exactly on a master node (S
+divisible by N*M), which keeps every quadrature in this module
+interpolation-free.
 
 mesh_values is the one place that knows where the coarse and micro nodes
 of a mesh sit on the master grid.  It returns them as views of the
@@ -37,9 +39,6 @@ from .grid import SpatialGrid, apply_laplacian
 
 DEFAULT_MASTER_STEPS = 2**20
 
-# Relative tolerance for deciding that a path and a mesh share their horizon.
-NODE_TOLERANCE = 1e-12
-
 
 class AlignmentError(Exception):
     """Raised when a mesh/path combination would require interpolation."""
@@ -51,35 +50,26 @@ def is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class TimeMesh:
-    """Coarse mesh with N steps on [0, T] plus the tau^2 micro grid.
+    """Coarse mesh with N steps of size tau = 1/N on [0, 1] plus the tau^2 micro grid.
 
-    Requires 1/tau to be a positive integer (with T = 1 that is just N);
-    the micro count M = 1/tau then makes M steps of size tau^2 span one
+    The micro count M = 1/tau = N makes M steps of size tau^2 span one
     coarse step exactly.
     """
 
     N: int
-    T: float = 1.0
 
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError(f"need at least one step, got N={self.N}")
-        if not self.T > 0.0:
-            raise ValueError(f"final time must be positive, got T={self.T}")
-        inv = 1.0 / self.tau
-        if abs(inv - round(inv)) > 1e-9:
-            raise ValueError(
-                f"1/tau = {inv} is not an integer; the micro grid cannot tile a step"
-            )
 
     @property
     def tau(self) -> float:
-        return self.T / self.N
+        return 1.0 / self.N
 
     @property
     def M(self) -> int:
-        """Micro steps per coarse interval, M = 1/tau."""
-        return round(1.0 / self.tau)
+        """Micro steps per coarse interval, M = 1/tau = N."""
+        return self.N
 
     def coarse_time(self, j: int) -> float:
         if not 0 <= j <= self.N:
@@ -94,22 +84,18 @@ class TimeMesh:
             raise ValueError(f"micro index must be in 0..{self.M}, got {ell}")
         return j * self.tau + ell * self.tau * self.tau
 
-    def refined(self, n_new: int) -> "TimeMesh":
-        return TimeMesh(n_new, self.T)
-
 
 @dataclass(frozen=True)
 class WienerPath:
-    """One sampled m-dimensional Wiener path on the master grid.
+    """One sampled m-dimensional Wiener path on the S-step master grid of [0, 1].
 
     increments[k] is W(s_{k+1}) - W(s_k) and cumulative[k] is W(s_k) with
-    W(0) = 0, where s_k = k*delta.  Values are only ever read at master
-    nodes, through mesh_values.
+    W(0) = 0, where s_k = k*delta and delta = 1/S.  Values are only ever
+    read at master nodes, through mesh_values.
     """
 
     increments: np.ndarray  # shape (S, m)
     cumulative: np.ndarray  # shape (S + 1, m)
-    delta: float
 
     @property
     def S(self) -> int:
@@ -120,16 +106,9 @@ class WienerPath:
         return self.increments.shape[1]
 
     @property
-    def t_final(self) -> float:
-        return self.S * self.delta
-
-    def on_mesh(self, mesh: TimeMesh) -> tuple[np.ndarray, np.ndarray]:
-        """mesh_values of this path, after checking that it spans [0, mesh.T]."""
-        if abs(self.t_final - mesh.T) > NODE_TOLERANCE * mesh.T:
-            raise AlignmentError(
-                f"path horizon {self.t_final!r} does not match the mesh horizon {mesh.T!r}"
-            )
-        return mesh_values(self.cumulative, mesh)
+    def delta(self) -> float:
+        """Master step 1/S."""
+        return 1.0 / self.S
 
 
 def sample_path(
@@ -138,11 +117,12 @@ def sample_path(
     m: int = 1,
     master_steps: int = DEFAULT_MASTER_STEPS,
 ) -> WienerPath:
-    """Draw one Wiener path on the master grid, aligned with mesh.
+    """Draw one Wiener path on the master grid of [0, 1], aligned with mesh.
 
-    The generator is Philox keyed by seed, an integer or a pair of 64-bit
-    words, so paths are reproducible and distinct keys give independent
-    counter-based streams.
+    Raises AlignmentError before drawing unless every micro node of mesh
+    is a master node.  The generator is Philox keyed by seed, an integer
+    or a pair of 64-bit words, so paths are reproducible and distinct keys
+    give independent counter-based streams.
     """
     if m < 1:
         raise ValueError(f"need at least one noise component, got m={m}")
@@ -151,38 +131,34 @@ def sample_path(
     master_strides(mesh, master_steps)  # validate alignment up front
     if min(np.atleast_1d(seed)) < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    delta = mesh.T / master_steps
     rng = np.random.Generator(np.random.Philox(key=seed))
-    increments = rng.standard_normal((master_steps, m)) * math.sqrt(delta)
+    increments = rng.standard_normal((master_steps, m)) * math.sqrt(1.0 / master_steps)
     cumulative = np.zeros((master_steps + 1, m))
     np.cumsum(increments, axis=0, out=cumulative[1:])
-    return WienerPath(increments, cumulative, delta)
+    return WienerPath(increments, cumulative)
 
 
 def master_strides(mesh: TimeMesh, master_steps: int) -> tuple[int, int]:
     """(master steps per coarse step, master steps per micro step).
 
-    Raises AlignmentError unless both are positive integers, i.e. unless
-    every micro node of the mesh is a master node.
+    The mesh has N*M micro steps, so the micro stride is S/(N*M) and the
+    coarse stride M times that.  Raises AlignmentError unless the micro
+    stride is a positive integer, i.e. unless every micro node of the mesh
+    is a master node.
     """
-    coarse = mesh.tau * master_steps / mesh.T
-    micro = coarse / mesh.M
-    if abs(coarse - round(coarse)) > 1e-9 or round(coarse) < 1:
-        raise AlignmentError(
-            f"coarse step is not a whole number of master steps (N={mesh.N}, S={master_steps})"
-        )
-    if abs(micro - round(micro)) > 1e-9 or round(micro) < 1:
+    micro, rest = divmod(master_steps, mesh.N * mesh.M)
+    if rest or micro < 1:
         raise AlignmentError(
             f"micro step is not a whole number of master steps (N={mesh.N}, S={master_steps})"
         )
-    return round(coarse), round(micro)
+    return micro * mesh.M, micro
 
 
 def mesh_values(cumulative: np.ndarray, mesh: TimeMesh) -> tuple[np.ndarray, np.ndarray]:
     """W at every coarse and every micro node of mesh, as views of cumulative.
 
     cumulative holds W on the master grid, shape (S+1, m) for one path or
-    (n, S+1, m) for a block of paths, with S*delta = mesh.T.  Returns
+    (n, S+1, m) for a block of paths.  Returns
     coarse (..., N+1, m) with coarse[..., j, :] = W(t_j), and micro
     (..., N, M, m) with micro[..., j, l-1, :] = W(t_{j,l}) for l = 1..M, so
     micro[..., j, M-1, :] is W(t_{j+1}).  Raises AlignmentError unless
@@ -254,7 +230,7 @@ class NoiseBlock:
 
     def put(self, r: int, path: WienerPath) -> None:
         """Reduce path to its coordinates on the mesh and store them as column r."""
-        coarse, micro = path.on_mesh(self.mesh)
+        coarse, micro = mesh_values(path.cumulative, self.mesh)
         self.increments[:, r] = np.diff(coarse, axis=0)
         if self.gaps is not None:
             self.gaps[:, r] = quadrature_gaps(coarse, micro, self.mesh.tau)

@@ -229,108 +229,70 @@ def _mean_and_se(samples: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-def _tau_name(mesh: TimeMesh) -> str:
-    return f"tau=1/{mesh.N}" if mesh.T == 1.0 else f"tau={mesh.tau}"
-
-
 # ---------------------------------------------------------------------------
 # individual statistical checks
 
 
-def _heat_defect_checks(samples: int, seed: int, stream: int) -> list[CheckResult]:
-    checks = []
-    for idx, (n_coarse, m) in enumerate([(8, 1), (8, 2), (16, 1), (16, 2)]):
-        mesh = TimeMesh(n_coarse)
-        sq = _kernel_samples(
-            (seed, stream + idx), mesh, m, samples, heat_defect_block, per_path=mesh.N
-        )
-        mean, se = _mean_and_se(sq)
-        target = defect_moment_exact(mesh.tau, m)
-        band = TWO_SIDED_BAND * se
-        checks.append(
-            CheckResult(
-                name=f"heat_defect_moment[{_tau_name(mesh)},m={m}]",
-                passed=abs(mean - target) <= band,
-                observed=mean,
-                expected=target,
-                band=band,
-                detail=f"z={(mean - target) / se:+.2f}",
-            )
-        )
-    return checks
+def _moment_check(
+    name: str,
+    key: tuple[int, int],
+    mesh: TimeMesh,
+    m: int,
+    samples: int,
+    kernel,
+    per_path: int,
+    expected: float,
+    upper: bool,
+) -> CheckResult:
+    """Monte Carlo mean of a kernel's squared norm against its closed form.
+
+    Two-sided checks pass within TWO_SIDED_BAND standard errors of
+    expected; upper checks (upper=True) pass when the mean lies below the
+    bound expected plus BOUND_BAND standard errors.
+    """
+    mean, se = _mean_and_se(_kernel_samples(key, mesh, m, samples, kernel, per_path))
+    if upper:
+        band = BOUND_BAND * se
+        return CheckResult(name, mean <= expected + band, mean, expected, band, "upper bound")
+    band = TWO_SIDED_BAND * se
+    z = f"z={(mean - expected) / se:+.2f}"
+    return CheckResult(name, abs(mean - expected) <= band, mean, expected, band, z)
 
 
-def _wave_micro_sum_checks(samples: int, seed: int, stream: int) -> list[CheckResult]:
-    checks = []
+def _micro_sum_kernel(j: int):
+    """Kernel of the weighted micro sum on interval j alone, shape (n, 1, m)."""
+    return lambda block, mesh, cells: _wave_micro_sum_kernel(block, mesh)[:, j : j + 1]
+
+
+def _old_defect_kernel(block: np.ndarray, mesh: TimeMesh, cells) -> np.ndarray:
+    """tau times the heat defects of intervals 0..3 summed (the past of t_4), (n, 1, m)."""
+    return mesh.tau * heat_defect_block(block, mesh, cells)[:, :4, :].sum(axis=1, keepdims=True)
+
+
+def _moment_checks(samples: int, seed: int) -> list[CheckResult]:
+    """The twelve quadrature moment checks, on Philox streams (seed, 16..67)."""
     mesh = TimeMesh(8)
-    for idx, (j, m) in enumerate([(0, 1), (0, 2), (7, 1), (7, 2)]):
-        def kernel(block, mesh_, cells):
-            return _wave_micro_sum_kernel(block, mesh_)[:, j : j + 1]
-
-        sq = _kernel_samples((seed, stream + idx), mesh, m, samples, kernel, per_path=1)
-        mean, se = _mean_and_se(sq)
-        target = wave_micro_sum_moment_exact(mesh, j, m)
-        band = TWO_SIDED_BAND * se
-        checks.append(
-            CheckResult(
-                name=f"wave_micro_sum_moment[{_tau_name(mesh)},j={j},m={m}]",
-                passed=abs(mean - target) <= band,
-                observed=mean,
-                expected=target,
-                band=band,
-                detail=f"z={(mean - target) / se:+.2f}",
-            )
-        )
-    return checks
-
-
-def _wave_current_defect_checks(samples: int, seed: int, stream: int) -> list[CheckResult]:
-    checks = []
-    mesh = TimeMesh(8)
-    for idx, m in enumerate((1, 2)):
-        sq = _kernel_samples(
-            (seed, stream + idx), mesh, m, samples, wave_current_defect_block, per_path=mesh.N
-        )
-        mean, se = _mean_and_se(sq)
-        bound = m * mesh.tau**6
-        checks.append(
-            CheckResult(
-                name=f"wave_current_defect_bound[{_tau_name(mesh)},m={m}]",
-                passed=mean <= bound + BOUND_BAND * se,
-                observed=mean,
-                expected=bound,
-                band=BOUND_BAND * se,
-                detail="upper bound",
-            )
-        )
-    return checks
-
-
-def _wave_old_defect_checks(samples: int, seed: int, stream: int) -> list[CheckResult]:
-    checks = []
-    mesh = TimeMesh(8)
-    j = 4
-    t_j = mesh.coarse_time(j)
-
-    def old_kernel(block, mesh_, cells):
-        defects = heat_defect_block(block, mesh_, cells)
-        return mesh_.tau * defects[:, :j, :].sum(axis=1, keepdims=True)
-
-    for idx, m in enumerate((1, 2)):
-        sq = _kernel_samples((seed, stream + idx), mesh, m, samples, old_kernel, per_path=1)
-        mean, se = _mean_and_se(sq)
-        bound = t_j * m * mesh.tau**5 / 3.0
-        checks.append(
-            CheckResult(
-                name=f"wave_old_defect_bound[{_tau_name(mesh)},j={j},m={m}]",
-                passed=mean <= bound + BOUND_BAND * se,
-                observed=mean,
-                expected=bound,
-                band=BOUND_BAND * se,
-                detail="upper bound",
-            )
-        )
-    return checks
+    tau = mesh.tau
+    cases = []  # (name, stream, mesh, m, kernel, per_path, expected, upper)
+    for i, (n, m) in enumerate([(8, 1), (8, 2), (16, 1), (16, 2)]):
+        name = f"heat_defect_moment[tau=1/{n},m={m}]"
+        expected = defect_moment_exact(1.0 / n, m)
+        cases.append((name, 16 + i, TimeMesh(n), m, heat_defect_block, n, expected, False))
+    for i, (j, m) in enumerate([(0, 1), (0, 2), (7, 1), (7, 2)]):
+        name = f"wave_micro_sum_moment[tau=1/8,j={j},m={m}]"
+        expected = wave_micro_sum_moment_exact(mesh, j, m)
+        cases.append((name, 32 + i, mesh, m, _micro_sum_kernel(j), 1, expected, False))
+    for i, m in enumerate((1, 2)):
+        name = f"wave_current_defect_bound[tau=1/8,m={m}]"
+        cases.append((name, 48 + i, mesh, m, wave_current_defect_block, 8, m * tau**6, True))
+    for i, m in enumerate((1, 2)):
+        name = f"wave_old_defect_bound[tau=1/8,j=4,m={m}]"
+        bound = mesh.coarse_time(4) * m * tau**5 / 3.0
+        cases.append((name, 64 + i, mesh, m, _old_defect_kernel, 1, bound, True))
+    return [
+        _moment_check(name, (seed, stream), mesh_, m, samples, kernel, per_path, expected, upper)
+        for name, stream, mesh_, m, kernel, per_path, expected, upper in cases
+    ]
 
 
 def _covariance_checks(samples: int, seed: int, stream: int) -> list[CheckResult]:
@@ -386,8 +348,5 @@ def validate_statistics(samples: int = 100_000, seed: int = 20260814) -> Validat
     checks: list[CheckResult] = []
     checks.extend(_lemma_checks())
     checks.extend(_covariance_checks(samples, seed, 1))
-    checks.extend(_heat_defect_checks(samples, seed, 16))
-    checks.extend(_wave_micro_sum_checks(samples, seed, 32))
-    checks.extend(_wave_current_defect_checks(samples, seed, 48))
-    checks.extend(_wave_old_defect_checks(samples, seed, 64))
+    checks.extend(_moment_checks(samples, seed))
     return ValidationReport(tuple(checks))

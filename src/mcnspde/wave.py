@@ -9,9 +9,7 @@ The pair is solved by eliminating X_{j+1}: a single symmetric tridiagonal
 solve with matrix I - (tau^2/4) Lap, factored once per problem, yields
 Y_{j+1}, after which X_{j+1} follows explicitly.  Both corrections, and
 Phi dW, come from each step's noise coordinates (noise.NoiseBlock), and
-run_wave marches R paths at once on (K, R) states.  Both defining
-relations are re-checked after each step, path by path, when assertions
-are enabled.
+run_wave marches R paths at once on (K, R) states.
 With the micro-grid corrections the scheme converges strongly at order 2;
 with the noise switched off it is the classical trapezoid rule and
 conserves the discrete wave energy.
@@ -27,9 +25,6 @@ import numpy as np
 from .grid import SpatialGrid, TridiagonalSolver, apply_laplacian, shifted_laplacian, sine_mode
 from .heat import BENCHMARK_INITIAL_MODE, ConfigError, benchmark_phi
 from .noise import NoiseBlock, NoiseCoefficient, TimeMesh, WienerPath, noise_block
-
-# Post-solve residual tolerance, relative to 1 + the state magnitude.
-RESIDUAL_TOLERANCE = 1e-10
 
 
 @dataclass
@@ -110,19 +105,11 @@ def mcn_wave_step(
     are (K,) for one path or (K, R) for R paths.  Substituting the
     displacement relation into the velocity one gives
     (I - tau^2/4 Lap) Y_{j+1} = Y_j + Lap(tau^2/4 Y_j + tau X_j + tau/2 displacement) + velocity.
-    The residual check scales each path's tolerance by its own state.
     """
     grid, tau = problem.grid, problem.mesh.tau
     coupled = 0.25 * tau * tau * y + tau * x + 0.5 * tau * displacement
     y_next = problem.implicit_matrix.solve(y + apply_laplacian(grid, coupled) + velocity)
     x_next = x + 0.5 * tau * (y + y_next) + displacement
-    if __debug__:
-        scale = 1.0 + np.max([np.abs(v).max(axis=0) for v in (x_next, y_next, x, y)], axis=0)
-        res_x = np.abs(x_next - x - 0.5 * tau * (y_next + y) - displacement).max(axis=0)
-        lap_sum = apply_laplacian(grid, x_next + x)
-        res_y = np.abs(y_next - y - 0.5 * tau * lap_sum - velocity).max(axis=0)
-        assert np.all(res_x <= RESIDUAL_TOLERANCE * scale), f"displacement residual {res_x}"
-        assert np.all(res_y <= RESIDUAL_TOLERANCE * scale), f"velocity residual {res_y}"
     return x_next, y_next
 
 
@@ -158,7 +145,7 @@ def reference_wave_solution(
         raise ConfigError(
             f"reference resolution {n_ref} is coarser than the problem mesh {problem.mesh.N}"
         )
-    return run_wave(problem.with_mesh(problem.mesh.refined(n_ref)), noise)
+    return run_wave(problem.with_mesh(TimeMesh(n_ref)), noise)
 
 
 def benchmark_wave_problem(

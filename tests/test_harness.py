@@ -199,7 +199,7 @@ def test_single_realization_matches_direct_run():
     grid = SpatialGrid(config.k)
     path_mesh = TimeMesh(max(config.n_list))
     path = sample_path((config.base_seed, 0), path_mesh, m=1, master_steps=config.master_steps)
-    oracle = exact_heat_solution(path, grid, 1.0, mode="semidiscrete")
+    oracle = exact_heat_solution(path, grid, mode="semidiscrete")
     for row in table.rows:
         problem = benchmark_heat_problem(grid, TimeMesh(row.n_steps))
         err = l2_norm(run_heat(problem, path, "mcn") - oracle)
@@ -359,7 +359,6 @@ def test_preset_configurations():
         dict(mc_count=0),
         dict(base_seed=-3),
         dict(workers=0),
-        dict(t_final=0.0),
         dict(noise_scale=-1.0),
         dict(n_list=(8, 64), master_steps=2**10),  # 64^2 > 2^10
         dict(scheme="rk4"),

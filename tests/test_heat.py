@@ -141,7 +141,7 @@ def test_linear_path_run_matches_hand_recursion():
     increments = np.full((master_steps, 1), delta)
     cumulative = np.zeros((master_steps + 1, 1))
     cumulative[1:] = np.cumsum(increments, axis=0)
-    path = WienerPath(increments, cumulative, delta)
+    path = WienerPath(increments, cumulative)
 
     phi = NoiseCoefficient.from_components(grid, [lambda x: np.sin(2 * np.pi * x)])
     problem = HeatProblem(grid, mesh, phi, sine_mode(grid, 1))
@@ -169,9 +169,7 @@ def test_run_is_affine_in_initial_data():
     u = rng.standard_normal(11)
     v = rng.standard_normal(11)
     path = sample_path(711, mesh, master_steps=2048)
-    zero = WienerPath(
-        np.zeros_like(path.increments), np.zeros_like(path.cumulative), path.delta
-    )
+    zero = WienerPath(np.zeros_like(path.increments), np.zeros_like(path.cumulative))
     for scheme in ("mcn", "em"):
         both = run_heat(HeatProblem(grid, mesh, phi, u + v), path, scheme)
         u_run = run_heat(HeatProblem(grid, mesh, phi, u), path, scheme)
@@ -199,12 +197,10 @@ def test_exact_solution_silent_noise():
     grid = SpatialGrid(40)
     mesh = TimeMesh(4)
     path = sample_path(5, mesh, master_steps=256)
-    silent = WienerPath(
-        np.zeros_like(path.increments), np.zeros_like(path.cumulative), path.delta
-    )
-    cont = exact_heat_solution(silent, grid, 1.0, mode="continuous")
+    silent = WienerPath(np.zeros_like(path.increments), np.zeros_like(path.cumulative))
+    cont = exact_heat_solution(silent, grid, mode="continuous")
     np.testing.assert_allclose(cont, math.exp(-math.pi**2) * sine_mode(grid, 1), rtol=1e-13)
-    semi = exact_heat_solution(silent, grid, 1.0, mode="semidiscrete")
+    semi = exact_heat_solution(silent, grid, mode="semidiscrete")
     lam1 = dirichlet_eigenvalue(grid, 1)
     np.testing.assert_allclose(semi, math.exp(-lam1) * sine_mode(grid, 1), rtol=1e-13)
 
@@ -214,12 +210,10 @@ def test_exact_solution_config_errors():
     mesh = TimeMesh(4)
     two_channel = sample_path(9, mesh, m=2, master_steps=256)
     with pytest.raises(ConfigError):
-        exact_heat_solution(two_channel, grid, 1.0)
+        exact_heat_solution(two_channel, grid)
     path = sample_path(9, mesh, master_steps=256)
     with pytest.raises(ConfigError):
-        exact_heat_solution(path, grid, 0.5)
-    with pytest.raises(ConfigError):
-        exact_heat_solution(path, grid, 1.0, mode="spectral")
+        exact_heat_solution(path, grid, mode="spectral")
 
 
 def test_problem_rejects_mismatched_grids():
@@ -308,7 +302,7 @@ def test_stochastic_convolution_matches_the_direct_sum():
         path = sample_path(steps, TimeMesh(4), m=2, master_steps=steps)
         for rate in (0.0, (2 * math.pi) ** 2, (3 * math.pi) ** 2, 1e4):
             left_times = path.delta * np.arange(path.S)
-            weights = np.exp(-rate * (path.t_final - left_times))
+            weights = np.exp(-rate * (1.0 - left_times))
             x = rate * path.delta
             step_average = math.expm1(x) / x if x != 0.0 else 1.0
             direct = [

@@ -52,20 +52,20 @@ def wave_problem(phi, mesh):
     return WaveProblem(phi.grid, mesh, phi, np.zeros(phi.grid.K), np.zeros(phi.grid.K))
 
 
-def linear_path(mesh, master_steps, m=1):
+def linear_path(master_steps, m=1):
     """Deterministic path W(t) = t in every component."""
-    delta = mesh.T / master_steps
+    delta = 1.0 / master_steps
     increments = np.full((master_steps, m), delta)
     cumulative = np.zeros((master_steps + 1, m))
     cumulative[1:] = np.cumsum(increments, axis=0)
-    return WienerPath(increments, cumulative, delta)
+    return WienerPath(increments, cumulative)
 
 
-def constant_path(mesh, master_steps, value, m=1):
+def constant_path(master_steps, value, m=1):
     """Path frozen at a constant vector; only valid for quadrature tests."""
     increments = np.zeros((master_steps, m))
     cumulative = np.full((master_steps + 1, m), float(value))
-    return WienerPath(increments, cumulative, delta=mesh.T / master_steps)
+    return WienerPath(increments, cumulative)
 
 
 def test_mesh_micro_count():
@@ -77,8 +77,6 @@ def test_mesh_micro_count():
 
 
 def test_mesh_rejects_non_integer_micro_count():
-    with pytest.raises(ValueError):
-        TimeMesh(3, T=2.0)  # 1/tau = 1.5
     with pytest.raises(ValueError):
         TimeMesh(0)
 
@@ -109,7 +107,7 @@ def test_sample_path_cumulative_consistency():
     np.testing.assert_allclose(
         np.diff(path.cumulative, axis=0), path.increments, rtol=0, atol=1e-15
     )
-    assert path.t_final == pytest.approx(1.0, rel=1e-15)
+    assert path.S * path.delta == pytest.approx(1.0, rel=1e-15)
 
 
 def test_sample_path_increment_scale():
@@ -132,8 +130,6 @@ def test_mesh_values_require_master_nodes():
         mesh_values(path.cumulative[:41], mesh)  # 40 master steps per 16 micro steps
     with pytest.raises(AlignmentError):
         mesh_values(np.zeros((9, 1)), mesh)  # master grid coarser than the micro grid
-    with pytest.raises(AlignmentError):
-        path.on_mesh(TimeMesh(2, T=2.0))  # the path ends at t = 1
 
 
 def test_mesh_values_are_views():
@@ -153,8 +149,12 @@ def test_mesh_values_are_views():
 
 def test_master_strides_alignment():
     assert master_strides(TimeMesh(4), 256) == (64, 16)
+    assert master_strides(TimeMesh(3), 18) == (6, 2)
+    assert master_strides(TimeMesh(4096), 2**24) == (4096, 1)
     with pytest.raises(AlignmentError):
         master_strides(TimeMesh(4), 8)  # master grid coarser than the micro grid
+    with pytest.raises(AlignmentError):
+        master_strides(TimeMesh(4), 40)  # 40 master steps per 16 micro steps
     with pytest.raises(AlignmentError):
         sample_path(0, TimeMesh(4), master_steps=20)  # not a power of two
 
@@ -202,7 +202,7 @@ def test_micro_values_shape_and_content():
 def test_micro_riemann_sum_linear_path_closed_form():
     """For W(t) = t the micro sum is tau*t_j + tau^2 (1 + tau)/2."""
     mesh = TimeMesh(4)
-    path = linear_path(mesh, master_steps=256)
+    path = linear_path(master_steps=256)
     tau = mesh.tau
     sums = micro_riemann_sums(path, mesh)[:, 0]
     for j in range(mesh.N):
@@ -332,7 +332,7 @@ def test_heat_correction_linear_path_scale():
     """On W(t) = t the quadrature gap is exactly tau^3/2 in every interval."""
     grid = SpatialGrid(8)
     mesh = TimeMesh(4)
-    path = linear_path(mesh, master_steps=256)
+    path = linear_path(master_steps=256)
     phi = NoiseCoefficient.from_components(grid, [lambda x: np.sin(2 * np.pi * x)])
     scale = 0.5 * mesh.tau**3  # 1/128
     assert scale == pytest.approx(1.0 / 128.0, rel=1e-15)
@@ -348,7 +348,7 @@ def test_heat_correction_linear_path_scale():
 def test_corrections_vanish_on_constant_path():
     grid = SpatialGrid(8)
     mesh = TimeMesh(8)
-    path = constant_path(mesh, master_steps=1024, value=1.7)
+    path = constant_path(master_steps=1024, value=1.7)
     phi = NoiseCoefficient.from_components(grid, [lambda x: np.sin(3 * np.pi * x)])
     # dW vanishes too, so the whole heat forcing and displacement forcing do
     np.testing.assert_allclose(heat_forcing(heat_problem(phi, mesh), path), 0.0, atol=1e-14)
@@ -361,7 +361,7 @@ def test_wave_velocity_correction_constant_path():
     grid = SpatialGrid(8)
     mesh = TimeMesh(8)
     value = -0.8
-    path = constant_path(mesh, master_steps=1024, value=value)
+    path = constant_path(master_steps=1024, value=value)
     phi = NoiseCoefficient.from_components(grid, [lambda x: np.sin(2 * np.pi * x)])
     expected = -0.5 * mesh.tau**3 * value * phi.laplacian_values[0]
     _, velocity = wave_forcing(wave_problem(phi, mesh), path)

@@ -1,4 +1,4 @@
-"""Wave stepper checks: conservation, block solves, and the transformed scheme.
+"""Wave stepper checks: step residuals, conservation, block solves, and the transformed scheme.
 
 The last test re-derives the stepper from its change-of-variables form,
 where the noise enters only the velocity equation as accumulated micro
@@ -18,6 +18,7 @@ from mcnspde import (
     WAVE_NOISE,
     WaveProblem,
     WienerPath,
+    apply_laplacian,
     benchmark_wave_problem,
     dirichlet_eigenvalue,
     mcn_wave_step,
@@ -28,6 +29,10 @@ from mcnspde import (
     wave_energy,
     wave_forcing,
 )
+
+# Residual tolerance of a step's defining relations, relative to 1 + the
+# largest state magnitude of the column.
+RESIDUAL_TOLERANCE = 1e-10
 
 
 def value_at(path, t):
@@ -80,6 +85,44 @@ def test_energy_conserved_without_noise():
         x, y = mcn_wave_step(problem, x, y, displacement, velocity)
         worst = max(worst, abs(wave_energy(problem, x, y) - e0))
     assert worst <= 1e-9 * e0
+
+
+def step_checking_residuals(problem, x, y, displacement, velocity):
+    """mcn_wave_step, asserting both defining relations for every column of the step.
+
+    X_{j+1} - X_j = (tau/2)(Y_{j+1} + Y_j) + displacement and
+    Y_{j+1} - Y_j = (tau/2) Lap (X_{j+1} + X_j) + velocity, each to within
+    RESIDUAL_TOLERANCE (1 + max|state|) of the column's own state.
+    """
+    tau = problem.mesh.tau
+    x_next, y_next = mcn_wave_step(problem, x, y, displacement, velocity)
+    scale = 1.0 + np.max([np.abs(v).max(axis=0) for v in (x_next, y_next, x, y)], axis=0)
+    res_x = np.abs(x_next - x - 0.5 * tau * (y_next + y) - displacement).max(axis=0)
+    lap_sum = apply_laplacian(problem.grid, x_next + x)
+    res_y = np.abs(y_next - y - 0.5 * tau * lap_sum - velocity).max(axis=0)
+    assert np.all(res_x <= RESIDUAL_TOLERANCE * scale), f"displacement residual {res_x}"
+    assert np.all(res_y <= RESIDUAL_TOLERANCE * scale), f"velocity residual {res_y}"
+    return x_next, y_next
+
+
+def test_every_step_solves_both_defining_relations():
+    """Each step of a noisy (K, R) block and of the silent N = 256 benchmark."""
+    problem = random_problem(k=12, n=16, m=2, seed=47)
+    paths = [sample_path((471, r), problem.mesh, m=2, master_steps=2**10) for r in range(3)]
+    forcings = [wave_forcing(problem, path) for path in paths]
+    displacement, velocity = (np.stack([f[i] for f in forcings], axis=-1) for i in (0, 1))
+    x = np.repeat(problem.initial_displacement[:, None], len(paths), axis=1)
+    y = np.repeat(problem.initial_velocity[:, None], len(paths), axis=1)
+    for d, v in zip(displacement, velocity):
+        x, y = step_checking_residuals(problem, x, y, d, v)
+
+    # the silent benchmark of acceptance criterion 8
+    grid, mesh = SpatialGrid(40), TimeMesh(256)
+    problem = benchmark_wave_problem(grid, mesh, noise_scale=0.0)
+    path = sample_path(20260814, mesh, m=1, master_steps=2**16)
+    x, y = problem.initial_displacement, problem.initial_velocity
+    for d, v in zip(*wave_forcing(problem, path)):
+        x, y = step_checking_residuals(problem, x, y, d, v)
 
 
 def test_energy_of_pure_mode():
@@ -220,7 +263,7 @@ def transformed_march(problem, path):
         micro_running += s_j
 
     shift_x = tau * tau * (phi.values.T @ micro_running)
-    shift_y = phi.values.T @ value_at(path, mesh.T)
+    shift_y = phi.values.T @ value_at(path, 1.0)
     return u + shift_x, v + shift_y
 
 
@@ -271,7 +314,7 @@ def test_block_march_equals_one_path_runs():
                 assert np.array_equal(y[:, r], lone[start + r][1])
             start += size
     # the reference run takes a block on the refined mesh
-    fine = NoiseBlock.empty(problem.mesh.refined(16), 1, 1, WAVE_NOISE)
+    fine = NoiseBlock.empty(TimeMesh(16), 1, 1, WAVE_NOISE)
     fine.put(0, paths[0])
     x_ref, y_ref = reference_wave_solution(problem, fine, n_ref=16)
     x_one, y_one = reference_wave_solution(problem, paths[0], n_ref=16)
@@ -283,9 +326,7 @@ def test_block_march_equals_one_path_runs():
 def test_run_is_affine_in_initial_data():
     problem = random_problem(k=11, n=8, m=1, seed=59)
     path = sample_path(591, problem.mesh, master_steps=2048)
-    zero = WienerPath(
-        np.zeros_like(path.increments), np.zeros_like(path.cumulative), path.delta
-    )
+    zero = WienerPath(np.zeros_like(path.increments), np.zeros_like(path.cumulative))
     grid = problem.grid
     u = problem.initial_displacement
     v = problem.initial_velocity
