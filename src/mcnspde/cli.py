@@ -9,9 +9,11 @@ Three subcommands:
 Study results go out as CSV (``N,tau,rms_error,standard_error``) to
 ``--out`` or stdout; a human-readable summary accompanies them on stdout
 when the CSV goes to a file.  ``--config`` reads ``key = value`` defaults
-(keys are flag names with dashes or underscores).  Settings stack in one
-order: the desk preset, or the full-scale one under ``--paper``, then the
-config file, then explicit flags, which always win.
+(keys are flag names with dashes or underscores; a switch such as
+``paper`` takes yes/no, true/false, on/off or 1/0, and the file may not
+name another config file).  Settings stack in one order: the desk
+preset, or the full-scale one under ``--paper``, then the config file,
+then explicit flags, which always win.
 Exit codes: 0 success, 1 failed validation checks, 2 bad configuration
 (a ConfigError) or I/O trouble (an OSError); any other exception is a bug
 and propagates with its traceback.
@@ -143,12 +145,16 @@ def _config_file_flags(path: Path, args: argparse.Namespace) -> list[str]:
     """The key = value file at path spelled as flags, to be parsed before the explicit ones."""
     flags = []
     for key, value in _load_config_file(path).items():
+        if key == "config":
+            raise ConfigError("a config file may not name another config file")
         if not hasattr(args, key):
             raise ConfigError(f"unknown config key {key!r}")
         flag = "--" + key.replace("_", "-")
         if isinstance(getattr(args, key), bool):
             if value.lower() in ("1", "true", "yes", "on"):
                 flags.append(flag)
+            elif value.lower() not in ("0", "false", "no", "off"):
+                raise ConfigError(f"config key {key!r} wants yes or no, got {value!r}")
         else:
             flags += [flag, value]
     return flags

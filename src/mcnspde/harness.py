@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -230,11 +231,14 @@ def fit_rate(table: ConvergenceTable, fit_range: Sequence[int] | None = None) ->
     """Least-squares slope of log2(error) against log2(tau) over fit_range.
 
     fit_range lists the resolutions to include; None uses the range the
-    study selected.  Requires at least two rows and strictly positive
-    errors.
+    study selected.  Every resolution it names must have a row, and the
+    fit requires at least two rows and strictly positive errors.
     """
     wanted = tuple(table.fit_range if fit_range is None else fit_range)
     rows = [row for row in table.rows if row.n_steps in wanted]
+    missing = sorted(set(wanted) - {row.n_steps for row in rows})
+    if missing:
+        raise ValueError(f"rate fit range names resolutions with no row: N = {missing}")
     if len(rows) < 2:
         raise ValueError(f"rate fit needs at least two resolutions, got {len(rows)}")
     if any(row.rms_error <= 0.0 for row in rows):
@@ -277,14 +281,8 @@ def _default_fit_range(
 
 def _build_problems(config: StudyConfig):
     grid = SpatialGrid(config.k)
-    problems = []
-    for n in config.n_list:
-        mesh = TimeMesh(n)
-        if config.equation == EQUATION_HEAT:
-            problems.append(benchmark_heat_problem(grid, mesh, config.noise_scale))
-        else:
-            problems.append(benchmark_wave_problem(grid, mesh, config.noise_scale))
-    return grid, problems
+    build = benchmark_heat_problem if config.equation == EQUATION_HEAT else benchmark_wave_problem
+    return grid, [build(grid, TimeMesh(n), config.noise_scale) for n in config.n_list]
 
 
 def _study_noise(config: StudyConfig, count: int) -> list[NoiseBlock]:
@@ -314,80 +312,68 @@ def block_size(config: StudyConfig) -> int:
     return max(1, path_bytes // per_realization)
 
 
-def _chunk_squared_errors(config: StudyConfig, r_lo: int, r_hi: int):
-    """Per-realization squared errors for realizations r_lo..r_hi-1.
+def _block_squared_errors(config: StudyConfig, span: range):
+    """Per-realization squared errors for the realizations of span, marched as one block.
 
-    Returns (errors, floors) with errors shaped (r_hi - r_lo, n_list, norms)
+    Returns (errors, floors) with errors shaped (len(span), n_list, norms)
     and floors the squared continuous-vs-semidiscrete oracle gap (heat
-    continuous mode only, else None).  Realizations go in blocks of
-    block_size(config): each path is drawn, reduced to its noise
-    coordinates on every mesh (and, for heat, to its oracle values) and
-    dropped, and then every mesh is marched once for the whole block.
+    continuous mode only, else None).  Each path is drawn, reduced to its
+    noise coordinates on every mesh (and, for heat, to its oracle values)
+    and dropped, and then every mesh is marched once for the whole block.
     """
     grid, problems = _build_problems(config)
-    norms = study_norms(config)
     heat = config.equation == EQUATION_HEAT
     path_mesh = TimeMesh(max(config.n_list) if heat else config.n_ref)
-    errors = np.empty((r_hi - r_lo, len(problems), len(norms)))
-    want_floor = heat and config.exact_mode == EXACT_CONTINUOUS
-    floors = np.empty(r_hi - r_lo) if want_floor else None
-    size = block_size(config)
-    for lo in range(r_lo, r_hi, size):
-        count = min(size, r_hi - lo)
-        rows = range(lo - r_lo, lo - r_lo + count)
-        blocks = _study_noise(config, count)
-        oracles = np.empty((count, grid.K)) if heat else None
-        for i in range(count):
-            path = sample_path(
-                (config.base_seed, lo + i), path_mesh, m=1, master_steps=config.master_steps
-            )
-            if heat:
-                oracles[i] = exact_heat_solution(path, grid, config.exact_mode, config.noise_scale)
-                if want_floor:
-                    semi = exact_heat_solution(path, grid, EXACT_SEMIDISCRETE, config.noise_scale)
-                    floors[rows[i]] = l2_norm(oracles[i] - semi) ** 2
-            for block in blocks:
-                block.put(i, path)
-            del path  # only one path is alive at a time
+    count = len(span)
+    errors = np.empty((count, len(problems), len(study_norms(config))))
+    floors = np.empty(count) if heat and config.exact_mode == EXACT_CONTINUOUS else None
+    blocks = _study_noise(config, count)
+    oracles = np.empty((count, grid.K)) if heat else None
+    for i, r in enumerate(span):
+        path = sample_path((config.base_seed, r), path_mesh, m=1, master_steps=config.master_steps)
         if heat:
-            for p, (problem, block) in enumerate(zip(problems, blocks)):
-                final = run_heat(problem, block, config.scheme)
-                for i, row in enumerate(rows):
-                    errors[row, p, 0] = l2_norm(final[:, i] - oracles[i]) ** 2
-        else:
-            x_ref, y_ref = reference_wave_solution(problems[-1], blocks[-1], config.n_ref)
-            for p, (problem, block) in enumerate(zip(problems, blocks)):
-                x_end, y_end = run_wave(problem, block)
-                for i, row in enumerate(rows):
-                    errors[row, p, 0] = h1_seminorm(x_end[:, i] - x_ref[:, i]) ** 2
-                    errors[row, p, 1] = l2_norm(y_end[:, i] - y_ref[:, i]) ** 2
+            oracles[i] = exact_heat_solution(path, grid, config.exact_mode, config.noise_scale)
+            if floors is not None:
+                semi = exact_heat_solution(path, grid, EXACT_SEMIDISCRETE, config.noise_scale)
+                floors[i] = l2_norm(oracles[i] - semi) ** 2
+        for block in blocks:
+            block.put(i, path)
+        del path  # only one path is alive at a time
+    if heat:
+        for p, (problem, block) in enumerate(zip(problems, blocks)):
+            final = run_heat(problem, block, config.scheme)
+            for i in range(count):
+                errors[i, p, 0] = l2_norm(final[:, i] - oracles[i]) ** 2
+    else:
+        x_ref, y_ref = reference_wave_solution(problems[-1], blocks[-1], config.n_ref)
+        for p, (problem, block) in enumerate(zip(problems, blocks)):
+            x_end, y_end = run_wave(problem, block)
+            for i in range(count):
+                errors[i, p, 0] = h1_seminorm(x_end[:, i] - x_ref[:, i]) ** 2
+                errors[i, p, 1] = l2_norm(y_end[:, i] - y_ref[:, i]) ** 2
     return errors, floors
 
 
 def _gather_squared_errors(config: StudyConfig):
+    """Every realization's squared errors, in realization order, one block task per span.
+
+    Spans hold min(block_size, ceil(mc / workers)) realizations, so no
+    block outgrows the memory rule and every worker gets a share.  One
+    span, or one worker, runs in this process; otherwise a pool of at
+    most one process per span maps the task over the spans.
+    """
     mc = config.mc_count
-    if config.workers <= 1 or mc == 1:
-        return _chunk_squared_errors(config, 0, mc)
-    n_chunks = min(mc, config.workers * 4)
-    bounds = np.linspace(0, mc, n_chunks + 1).astype(int)
-    spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    errors_parts: list[np.ndarray | None] = [None] * len(spans)
-    floors_parts: list[np.ndarray | None] = [None] * len(spans)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-        futures = {
-            pool.submit(_chunk_squared_errors, config, lo, hi): idx
-            for idx, (lo, hi) in enumerate(spans)
-        }
-        for future in concurrent.futures.as_completed(futures):
-            idx = futures[future]
-            errors_parts[idx], floors_parts[idx] = future.result()
-    errors = np.concatenate(errors_parts, axis=0)
-    floors = (
-        np.concatenate([f for f in floors_parts])
-        if floors_parts[0] is not None
-        else None
-    )
-    return errors, floors
+    size = min(block_size(config), -(-mc // config.workers))
+    spans = [range(lo, min(lo + size, mc)) for lo in range(0, mc, size)]
+    task = functools.partial(_block_squared_errors, config)
+    workers = min(config.workers, len(spans))
+    if workers == 1:
+        parts = list(map(task, spans))
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(task, spans))
+    errors, floors = zip(*parts)
+    return np.concatenate(errors), None if floors[0] is None else np.concatenate(floors)
 
 
 def run_study_tables(config: StudyConfig) -> dict[str, ConvergenceTable]:

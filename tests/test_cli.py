@@ -86,13 +86,19 @@ def test_wave_study_runs(capsys):
     assert len(lines) == 3
 
 
+# Each case carries a fixed id, so deleting one case renames no other.  The
+# ids keep the names that positional numbering gave these cases.
 @pytest.mark.parametrize(
     "argv",
     [
-        ["heat", "--n-list", "12"],
-        ["heat", "--mc", "0"],
-        ["heat", "--n-list", "8,64", "--master-steps", "1024"],
-        ["wave", "--n-ref", "4", "--n-list", "8,16", "--master-steps", "1024", "--mc", "2", "--k", "6"],
+        pytest.param(["heat", "--n-list", "12"], id="argv0"),
+        pytest.param(["heat", "--mc", "0"], id="argv1"),
+        pytest.param(["heat", "--n-list", "8,64", "--master-steps", "1024"], id="argv2"),
+        pytest.param(
+            ["wave", "--n-ref", "4", "--n-list", "8,16", "--master-steps", "1024", "--mc", "2",
+             "--k", "6"],
+            id="argv3",
+        ),
     ],
 )
 def test_bad_configuration_exit_code(argv, capsys):
@@ -172,6 +178,29 @@ def test_config_file_rejects_bad_lines(tmp_path, capsys):
     cfg.write_text("just some words\n")
     assert main(["heat", "--config", str(cfg)]) == EXIT_BAD_CONFIG
     assert "key = value" in capsys.readouterr().err
+
+
+def test_config_file_switches_take_yes_or_no(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    args = build_parser().parse_args(["heat"])
+    for value in ("1", "TRUE", "Yes", "on"):
+        cfg.write_text(f"paper = {value}\n")
+        assert _config_file_flags(cfg, args) == ["--paper"]
+    for value in ("0", "False", "NO", "off"):
+        cfg.write_text(f"paper = {value}\n")
+        assert _config_file_flags(cfg, args) == []
+    cfg.write_text("paper = maybe\n")
+    assert main(["heat", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+    assert "'paper' wants yes or no, got 'maybe'" in capsys.readouterr().err
+
+
+def test_config_file_may_not_name_another_config_file(tmp_path, capsys):
+    other = tmp_path / "other.cfg"
+    other.write_text("mc = 4\n")
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"config = {other}\n")
+    assert main(["heat", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+    assert "may not name another config file" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):

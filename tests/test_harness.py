@@ -1,5 +1,6 @@
 """Study harness: rate fits, error statistics, determinism, CSV round trips."""
 
+import concurrent.futures
 import dataclasses
 import math
 import tracemalloc
@@ -81,6 +82,8 @@ def test_fit_rate_argument_validation():
     table = table_from_errors((8, 16), [1.0, 0.5])
     with pytest.raises(ValueError):
         fit_rate(table, fit_range=(8,))
+    with pytest.raises(ValueError, match="999"):
+        fit_rate(table, fit_range=(8, 16, 999))  # a resolution with no row is not dropped
     bad = table_from_errors((8, 16), [1.0, 0.0])
     with pytest.raises(ValueError):
         fit_rate(bad)
@@ -234,9 +237,18 @@ def test_block_size_rule():
     assert block_size(tiny) == 1  # never empty, even where one path outweighs its block
 
 
-@pytest.mark.parametrize("equation", ["heat", "wave"])
-def test_blocks_do_not_change_the_table(equation, monkeypatch):
-    """Marching 7 realizations as one block or in blocks of 3 gives byte-identical tables."""
+@pytest.mark.parametrize(
+    "equation, workers",
+    [
+        pytest.param("heat", 1, id="heat"),
+        pytest.param("wave", 1, id="wave"),
+        pytest.param("heat", 2, id="heat-workers2"),
+        pytest.param("wave", 2, id="wave-workers2"),
+        pytest.param("heat", 3, id="heat-workers3"),  # spans of 3, 3 and 1
+    ],
+)
+def test_blocks_do_not_change_the_table(equation, workers, monkeypatch):
+    """One block of 7 realizations, or blocks of 3 on 1-3 workers: byte-identical tables."""
     if equation == "heat":
         config = small_config(mc_count=7)
     else:
@@ -246,10 +258,40 @@ def test_blocks_do_not_change_the_table(equation, monkeypatch):
     assert block_size(config) >= 7
     whole = run_study_tables(config)
     monkeypatch.setattr("mcnspde.harness.block_size", lambda config: 3)
-    split = run_study_tables(config)
+    split = run_study_tables(dataclasses.replace(config, workers=workers))
     for norm, table in whole.items():
         assert csv_text(split[norm]) == csv_text(table)
         assert split[norm].fitted_rate == table.fitted_rate
+
+
+def test_pool_is_sized_by_its_spans(monkeypatch):
+    """The pool asks for one process per span at most, never for idle ones."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    config = small_config(mc_count=8)
+    serial = run_study(config)
+    assert sizes == []  # one worker runs in this process
+    assert csv_text(run_study(dataclasses.replace(config, workers=1000))) == csv_text(serial)
+    assert sizes == [8]  # spans of one realization each
+    run_study(dataclasses.replace(config, workers=3))
+    assert sizes == [8, 3]  # spans of ceil(8 / 3) = 3: 3, 3 and 2
+    monkeypatch.setattr("mcnspde.harness.block_size", lambda config: 2)
+    run_study(dataclasses.replace(config, workers=2))
+    assert sizes == [8, 3, 2]  # four blocks of 2 on two processes
 
 
 def test_study_memory_does_not_grow_with_realizations():
@@ -346,25 +388,28 @@ def test_preset_configurations():
         validate_config(cfg)
 
 
+# Each case carries a fixed id, so deleting one case renames no other.  The
+# ids keep the names that positional numbering gave these cases.
 @pytest.mark.parametrize(
     "overrides",
     [
-        dict(equation="transport"),
-        dict(n_list=()),
-        dict(n_list=(16, 8)),
-        dict(n_list=(8, 8, 16)),
-        dict(n_list=(12,)),
-        dict(master_steps=1000),
-        dict(k=1),
-        dict(mc_count=0),
-        dict(base_seed=-3),
-        dict(workers=0),
-        dict(noise_scale=-1.0),
-        dict(n_list=(8, 64), master_steps=2**10),  # 64^2 > 2^10
-        dict(scheme="rk4"),
-        dict(exact_mode="spectral"),
-        dict(error_norm="h1_displacement"),  # wave-only norm on a heat study
-        dict(base_seed=2**64),  # Philox key words are 64 bits
+        pytest.param(dict(equation="transport"), id="overrides0"),
+        pytest.param(dict(n_list=()), id="overrides1"),
+        pytest.param(dict(n_list=(16, 8)), id="overrides2"),
+        pytest.param(dict(n_list=(8, 8, 16)), id="overrides3"),
+        pytest.param(dict(n_list=(12,)), id="overrides4"),
+        pytest.param(dict(master_steps=1000), id="overrides5"),
+        pytest.param(dict(k=1), id="overrides6"),
+        pytest.param(dict(mc_count=0), id="overrides7"),
+        pytest.param(dict(base_seed=-3), id="overrides8"),
+        pytest.param(dict(workers=0), id="overrides9"),
+        pytest.param(dict(noise_scale=-1.0), id="overrides10"),
+        pytest.param(dict(n_list=(8, 64), master_steps=2**10), id="overrides11"),  # 64^2 > 2^10
+        pytest.param(dict(scheme="rk4"), id="overrides12"),
+        pytest.param(dict(exact_mode="spectral"), id="overrides13"),
+        # a wave-only norm on a heat study
+        pytest.param(dict(error_norm="h1_displacement"), id="overrides14"),
+        pytest.param(dict(base_seed=2**64), id="overrides15"),  # Philox key words are 64 bits
     ],
 )
 def test_validate_config_rejects_bad_heat_settings(overrides):
@@ -373,14 +418,15 @@ def test_validate_config_rejects_bad_heat_settings(overrides):
         validate_config(config)
 
 
+# Ids pinned per case, as above.
 @pytest.mark.parametrize(
     "overrides",
     [
-        dict(scheme="em"),
-        dict(error_norm="l2"),
-        dict(n_ref=48),
-        dict(n_ref=4),  # coarser than the finest study mesh
-        dict(n_ref=2048, master_steps=2**20),  # 2048^2 > 2^20
+        pytest.param(dict(scheme="em"), id="overrides0"),
+        pytest.param(dict(error_norm="l2"), id="overrides1"),
+        pytest.param(dict(n_ref=48), id="overrides2"),
+        pytest.param(dict(n_ref=4), id="overrides3"),  # coarser than the finest study mesh
+        pytest.param(dict(n_ref=2048, master_steps=2**20), id="overrides4"),  # 2048^2 > 2^20
     ],
 )
 def test_validate_config_rejects_bad_wave_settings(overrides):
