@@ -25,7 +25,6 @@ else:
     overrides = dict(
         n_list=(8, 16, 32, 64, 128),
         mc_count=80,
-        master_steps=2**14,
         exact_mode=args.exact_mode,
     )
 

@@ -22,7 +22,6 @@ else:
         n_list=(8, 16, 32, 64),
         n_ref=256,
         mc_count=60,
-        master_steps=2**16,
         base_seed=20260814,
     )
 

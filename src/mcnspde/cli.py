@@ -9,11 +9,14 @@ Three subcommands:
 Study results go out as CSV (``N,tau,rms_error,standard_error``) to
 ``--out`` or stdout; a human-readable summary accompanies them on stdout
 when the CSV goes to a file.  ``--config`` reads ``key = value`` defaults
-(keys are flag names with dashes or underscores; a switch such as
-``paper`` takes yes/no, true/false, on/off or 1/0, and the file may not
-name another config file).  Settings stack in one order: the desk
-preset, or the full-scale one under ``--paper``, then the config file,
-then explicit flags, which always win.
+(keys are flag names with dashes or underscores, each given at most
+once; a switch such as ``paper`` takes yes/no, true/false, on/off or
+1/0, and the file may not name another config file).  Settings stack in
+one order: the desk preset, or the full-scale one under ``--paper``,
+then the config file, then explicit flags, which always win.  Each
+realization's Wiener path is drawn on the micro grid of the finest mesh
+the study marches: the largest of ``--n-list`` for heat, the
+``--n-ref`` reference mesh for wave.
 Exit codes: 0 success, 1 failed validation checks, 2 bad configuration
 (a ConfigError) or I/O trouble (an OSError); any other exception is a bug
 and propagates with its traceback.
@@ -76,8 +79,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, defaults: StudyConfig) ->
                         help="Monte Carlo realizations")
     parser.add_argument("--seed", type=int, default=defaults.base_seed,
                         help="base seed; realization r uses the Philox key (seed, r)")
-    parser.add_argument("--master-steps", type=int, default=None,
-                        help="master grid steps (power of two)")
     parser.add_argument("--workers", type=int, default=1,
                         help="process count for the realization loop")
     parser.add_argument("--out", type=Path, default=None,
@@ -87,8 +88,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, defaults: StudyConfig) ->
     parser.add_argument("--config", type=Path, default=None,
                         help="key=value file of flag defaults")
     parser.add_argument("--paper", action="store_true",
-                        help="full-scale preset: N up to 1024, 1000 realizations, "
-                             "finer master grid; explicit flags still win")
+                        help="full-scale preset: N up to 1024, 1000 realizations "
+                             "(wave: N_ref = 4096); explicit flags still win")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,7 +138,10 @@ def _load_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"bad config line (want key = value): {raw!r}")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise ConfigError(f"config key {key!r} is given more than once")
+        values[key] = value.strip()
     return values
 
 
@@ -172,7 +176,6 @@ def _study_config(args: argparse.Namespace, equation: str) -> StudyConfig:
     given = dict(
         n_list=args.n_list,
         mc_count=args.mc,
-        master_steps=args.master_steps,
         n_ref=getattr(args, "n_ref", None),
     )
     overrides.update((name, value) for name, value in given.items() if value is not None)

@@ -2,9 +2,10 @@
 
 A study fixes the benchmark problem, a list of coarse resolutions, and a
 realization count.  Every realization r draws one Wiener path on the
-master grid (its Philox stream keyed by the two words (base_seed, r), so
-reruns and worker splits reproduce bit-identical tables and no two base
-seeds share a path) and runs every resolution against that same path;
+micro grid of the study's finest mesh (its Philox stream keyed by the two
+words (base_seed, r), so reruns and worker splits reproduce bit-identical
+tables and no two base seeds share a path) and runs every resolution
+against that same path;
 the root-mean-square final-time error per resolution then feeds a
 log-log least-squares rate fit.
 
@@ -47,7 +48,7 @@ from .heat import (
     exact_heat_solution,
     run_heat,
 )
-from .noise import NoiseBlock, TimeMesh, is_power_of_two, sample_path
+from .noise import NoiseBlock, TimeMesh, sample_path
 from .wave import WAVE_NOISE, benchmark_wave_problem, reference_wave_solution, run_wave
 
 EQUATION_HEAT = "heat"
@@ -82,26 +83,39 @@ class StudyConfig:
     k: int = 40
     mc_count: int = 500
     base_seed: int = 20260814
-    master_steps: int = 2**16
     n_ref: int = 1024
     exact_mode: str = EXACT_CONTINUOUS
     error_norm: str = NORM_L2
     noise_scale: float = 1.0
     workers: int = 1
 
+    @property
+    def path_mesh(self) -> TimeMesh:
+        """The finest mesh the study marches, whose micro grid every path is drawn on.
+
+        That is the largest of n_list for heat and the reference mesh
+        n_ref for wave; every coarser power-of-two mesh reads the path by
+        stride.
+        """
+        return TimeMesh(max(self.n_list) if self.equation == EQUATION_HEAT else self.n_ref)
+
+    @property
+    def master_steps(self) -> int:
+        """Steps S = N^2 of each realization's path, N that of path_mesh."""
+        return self.path_mesh.N ** 2
+
 
 def desk_heat_config(**overrides) -> StudyConfig:
-    """Quick heat study: N in 8..256, 500 realizations, 2^16 master steps."""
+    """Quick heat study: N in 8..256, 500 realizations, paths of 256^2 = 2^16 steps."""
     return dataclasses.replace(StudyConfig(), **overrides)
 
 
 def desk_wave_config(**overrides) -> StudyConfig:
-    """Quick wave study: N in 8..128 against N_ref = 1024, 300 realizations."""
+    """Quick wave study: N in 8..128 against N_ref = 1024 (2^20-step paths), 300 realizations."""
     base = StudyConfig(
         equation=EQUATION_WAVE,
         n_list=(8, 16, 32, 64, 128),
         mc_count=300,
-        master_steps=2**20,
         n_ref=1024,
         error_norm=NORM_H1_DISPLACEMENT,
     )
@@ -109,22 +123,17 @@ def desk_wave_config(**overrides) -> StudyConfig:
 
 
 def paper_heat_config(**overrides) -> StudyConfig:
-    """Full-scale heat study: N in 4..1024, 1000 realizations, 2^20 master steps."""
-    base = StudyConfig(
-        n_list=(4, 8, 16, 32, 64, 128, 256, 512, 1024),
-        mc_count=1000,
-        master_steps=2**20,
-    )
+    """Full-scale heat study: N in 4..1024, 1000 realizations, paths of 1024^2 = 2^20 steps."""
+    base = StudyConfig(n_list=(4, 8, 16, 32, 64, 128, 256, 512, 1024), mc_count=1000)
     return dataclasses.replace(base, **overrides)
 
 
 def paper_wave_config(**overrides) -> StudyConfig:
-    """Full-scale wave study: N in 4..1024 against N_ref = 4096, 2^24 master steps."""
+    """Full-scale wave study: N in 4..1024 against N_ref = 4096, paths of 4096^2 = 2^24 steps."""
     base = StudyConfig(
         equation=EQUATION_WAVE,
         n_list=(4, 8, 16, 32, 64, 128, 256, 512, 1024),
         mc_count=1000,
-        master_steps=2**24,
         n_ref=4096,
         error_norm=NORM_H1_DISPLACEMENT,
     )
@@ -133,6 +142,10 @@ def paper_wave_config(**overrides) -> StudyConfig:
 
 def study_norms(config: StudyConfig) -> tuple[str, ...]:
     return HEAT_NORMS if config.equation == EQUATION_HEAT else WAVE_NORMS
+
+
+def _is_power_of_two(n: int) -> bool:
+    return n > 0 and (n & (n - 1)) == 0
 
 
 def validate_config(config: StudyConfig) -> None:
@@ -144,10 +157,8 @@ def validate_config(config: StudyConfig) -> None:
     if list(config.n_list) != sorted(set(config.n_list)):
         raise ConfigError("n_list must be strictly increasing")
     for n in config.n_list:
-        if not is_power_of_two(n):
+        if not _is_power_of_two(n):
             raise ConfigError(f"coarse resolutions must be powers of two, got {n}")
-    if not is_power_of_two(config.master_steps):
-        raise ConfigError(f"master_steps must be a power of two, got {config.master_steps}")
     if config.k < 2:
         raise ConfigError(f"need at least 2 interior nodes, got k={config.k}")
     if config.mc_count < 1:
@@ -158,12 +169,6 @@ def validate_config(config: StudyConfig) -> None:
         raise ConfigError(f"workers must be positive, got {config.workers}")
     if config.noise_scale < 0:
         raise ConfigError(f"noise_scale must be nonnegative, got {config.noise_scale}")
-    n_max = max(config.n_list)
-    if n_max * n_max > config.master_steps:
-        raise ConfigError(
-            f"micro grid of N={n_max} needs at least N^2={n_max * n_max} master steps, "
-            f"got {config.master_steps}"
-        )
     if config.equation == EQUATION_HEAT:
         if config.scheme not in (SCHEME_EULER, SCHEME_MCN):
             raise ConfigError(f"unknown scheme {config.scheme!r}")
@@ -176,15 +181,11 @@ def validate_config(config: StudyConfig) -> None:
             raise ConfigError("wave studies run the corrected Crank-Nicolson scheme only")
         if config.error_norm not in WAVE_NORMS:
             raise ConfigError(f"wave studies report norms {WAVE_NORMS}, got {config.error_norm!r}")
-        if not is_power_of_two(config.n_ref):
+        if not _is_power_of_two(config.n_ref):
             raise ConfigError(f"n_ref must be a power of two, got {config.n_ref}")
+        n_max = max(config.n_list)
         if config.n_ref < n_max:
             raise ConfigError(f"n_ref={config.n_ref} is coarser than the finest study mesh {n_max}")
-        if config.n_ref * config.n_ref > config.master_steps:
-            raise ConfigError(
-                f"reference micro grid needs {config.n_ref ** 2} master steps, "
-                f"got {config.master_steps}"
-            )
 
 
 @dataclass(frozen=True)
@@ -323,14 +324,13 @@ def _block_squared_errors(config: StudyConfig, span: range):
     """
     grid, problems = _build_problems(config)
     heat = config.equation == EQUATION_HEAT
-    path_mesh = TimeMesh(max(config.n_list) if heat else config.n_ref)
     count = len(span)
     errors = np.empty((count, len(problems), len(study_norms(config))))
     floors = np.empty(count) if heat and config.exact_mode == EXACT_CONTINUOUS else None
     blocks = _study_noise(config, count)
     oracles = np.empty((count, grid.K)) if heat else None
     for i, r in enumerate(span):
-        path = sample_path((config.base_seed, r), path_mesh, m=1, master_steps=config.master_steps)
+        path = sample_path((config.base_seed, r), config.path_mesh)
         if heat:
             oracles[i] = exact_heat_solution(path, grid, config.exact_mode, config.noise_scale)
             if floors is not None:

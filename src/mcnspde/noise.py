@@ -1,14 +1,16 @@
-"""Wiener paths on a dyadic master grid and micro-interval quadrature sums.
+"""Wiener paths on the micro grid of a mesh and micro-interval quadrature sums.
 
 The time horizon is fixed at T = 1, so 1/tau is an integer for every
 mesh.  Time is discretized twice over.  A coarse mesh with step
 tau = 1/N carries the scheme iterates.  Each coarse interval
 [t_j, t_{j+1}] additionally carries a micro grid t_{j,l} = t_j + l*tau^2,
 l = 0..M with M = 1/tau = N, so the M micro steps of size tau^2 tile the
-interval exactly.  All path values are read off a single master grid of
-S uniform steps of size 1/S, by integer master index; meshes are only
-admissible when every micro node lands exactly on a master node (S
-divisible by N*M), which keeps every quadrature in this module
+interval exactly.  A path is drawn on the micro grid of one mesh, its
+S = N*M uniform steps of size 1/S forming the master grid, and all path
+values are read off that grid by integer master index.  Another mesh
+can read the path only when every one of its micro nodes lands exactly
+on a master node (S divisible by its N*M), which holds for every coarser
+power-of-two mesh and keeps every quadrature in this module
 interpolation-free.
 
 mesh_values is the one place that knows where the coarse and micro nodes
@@ -37,15 +39,8 @@ import numpy as np
 
 from .grid import SpatialGrid, apply_laplacian
 
-DEFAULT_MASTER_STEPS = 2**20
-
-
 class AlignmentError(Exception):
     """Raised when a mesh/path combination would require interpolation."""
-
-
-def is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -111,29 +106,21 @@ class WienerPath:
         return 1.0 / self.S
 
 
-def sample_path(
-    seed: int | tuple[int, int],
-    mesh: TimeMesh,
-    m: int = 1,
-    master_steps: int = DEFAULT_MASTER_STEPS,
-) -> WienerPath:
-    """Draw one Wiener path on the master grid of [0, 1], aligned with mesh.
+def sample_path(seed: int | tuple[int, int], mesh: TimeMesh, m: int = 1) -> WienerPath:
+    """Draw one Wiener path on the micro grid of mesh: S = N*M master steps of [0, 1].
 
-    Raises AlignmentError before drawing unless every micro node of mesh
-    is a master node.  The generator is Philox keyed by seed, an integer
-    or a pair of 64-bit words, so paths are reproducible and distinct keys
-    give independent counter-based streams.
+    The generator is Philox keyed by seed, an integer or a pair of 64-bit
+    words, so paths are reproducible and distinct keys give independent
+    counter-based streams.
     """
     if m < 1:
         raise ValueError(f"need at least one noise component, got m={m}")
-    if not is_power_of_two(master_steps):
-        raise AlignmentError(f"master step count must be a power of two, got {master_steps}")
-    master_strides(mesh, master_steps)  # validate alignment up front
     if min(np.atleast_1d(seed)) < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    steps = mesh.N * mesh.M
     rng = np.random.Generator(np.random.Philox(key=seed))
-    increments = rng.standard_normal((master_steps, m)) * math.sqrt(1.0 / master_steps)
-    cumulative = np.zeros((master_steps + 1, m))
+    increments = rng.standard_normal((steps, m)) * math.sqrt(1.0 / steps)
+    cumulative = np.zeros((steps + 1, m))
     np.cumsum(increments, axis=0, out=cumulative[1:])
     return WienerPath(increments, cumulative)
 

@@ -260,13 +260,12 @@ def test_criterion_8_deterministic_orders():
             mc_count=1,
             base_seed=SEED,
             n_list=(512, 1024, 2048, 4096),
-            master_steps=2**24,
         )
     )
     grid = SpatialGrid(40)
     mesh = TimeMesh(256)
     problem = benchmark_wave_problem(grid, mesh, noise_scale=0.0)
-    path = sample_path(SEED, mesh, m=1, master_steps=2**16)
+    path = sample_path(SEED, mesh, m=1)
     x, y = problem.initial_displacement, problem.initial_velocity
     e0 = wave_energy(problem, x, y)
     drift = 0.0
@@ -288,9 +287,7 @@ def test_criterion_8_deterministic_orders():
 
 
 def test_criterion_9_byte_identical_output():
-    config = desk_heat_config(
-        n_list=(8, 16, 32), mc_count=8, base_seed=SEED, master_steps=2**16
-    )
+    config = desk_heat_config(n_list=(8, 16, 32), mc_count=8, base_seed=SEED)
     first = csv_text(run_study(config))
     second = csv_text(run_study(config))
     parallel = csv_text(run_study(dataclasses.replace(config, workers=2)))

@@ -22,7 +22,6 @@ SMALL_HEAT = [
     "--n-list", "8,16,32",
     "--k", "6",
     "--mc", "3",
-    "--master-steps", "1024",
     "--seed", "4242",
 ]
 
@@ -77,7 +76,6 @@ def test_wave_study_runs(capsys):
         "--k", "6",
         "--mc", "2",
         "--n-ref", "32",
-        "--master-steps", "1024",
         "--norm", "l2_velocity",
     ]
     assert main(argv) == EXIT_OK
@@ -93,11 +91,8 @@ def test_wave_study_runs(capsys):
     [
         pytest.param(["heat", "--n-list", "12"], id="argv0"),
         pytest.param(["heat", "--mc", "0"], id="argv1"),
-        pytest.param(["heat", "--n-list", "8,64", "--master-steps", "1024"], id="argv2"),
         pytest.param(
-            ["wave", "--n-ref", "4", "--n-list", "8,16", "--master-steps", "1024", "--mc", "2",
-             "--k", "6"],
-            id="argv3",
+            ["wave", "--n-ref", "4", "--n-list", "8,16", "--mc", "2", "--k", "6"], id="argv3"
         ),
     ],
 )
@@ -150,10 +145,10 @@ def test_config_file_provides_defaults(tmp_path, capsys):
     cfg.write_text(
         """
         # small smoke study
-        n-list = 8,16
+        n_list = 8,16   # mixed separators on purpose
         k = 6
         mc = 4
-        master_steps = 1024   # mixed separators on purpose
+        exact-mode = semidiscrete
         seed = 99
         """
     )
@@ -163,6 +158,7 @@ def test_config_file_provides_defaults(tmp_path, capsys):
     text = report.read_text()
     assert "realizations:   5" in text  # explicit flag beats the file value
     assert "base seed:      99" in text  # file value fills the gap
+    assert "exact mode:     semidiscrete" in text
     capsys.readouterr()
 
 
@@ -171,6 +167,27 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("volume = 11\n")
     assert main(["heat", "--config", str(cfg)]) == EXIT_BAD_CONFIG
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_file_rejects_repeated_keys(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("mc = 4\nk = 6\nmc = 5\n")
+    assert main(["heat", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+    assert "config key 'mc' is given more than once" in capsys.readouterr().err
+    cfg.write_text("n-list = 8,16\nn_list = 8,32\n")  # one key, two spellings
+    assert main(["heat", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+    assert "config key 'n_list' is given more than once" in capsys.readouterr().err
+
+
+def test_master_steps_is_not_a_setting(tmp_path, capsys):
+    """Paths are drawn on the finest mesh, so neither a flag nor a file sets their size."""
+    with pytest.raises(SystemExit) as exc:
+        main(SMALL_HEAT + ["--master-steps", "1024"])
+    assert exc.value.code == EXIT_BAD_CONFIG
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("master-steps = 1024\n")
+    assert main(["heat", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+    assert "unknown config key 'master_steps'" in capsys.readouterr().err
 
 
 def test_config_file_rejects_bad_lines(tmp_path, capsys):
@@ -221,28 +238,29 @@ def test_paper_presets_resolve_without_running():
     custom = _study_config(parser.parse_args(["heat", "--paper", "--seed", "5"]), "heat")
     assert custom.base_seed == 5
     # so do explicit sizes: the preset fills only what was not given
-    argv = ["heat", "--paper", "--mc", "5", "--n-list", "8..32", "--master-steps", "4096"]
+    # (paths follow the finest mesh: 32^2 steps for heat, N_ref^2 for wave)
+    argv = ["heat", "--paper", "--mc", "5", "--n-list", "8..32"]
     sized = _study_config(parser.parse_args(argv), "heat")
-    assert (sized.mc_count, sized.n_list, sized.master_steps) == (5, (8, 16, 32), 4096)
+    assert (sized.mc_count, sized.n_list, sized.master_steps) == (5, (8, 16, 32), 1024)
     assert sized.k == 40
     finer = _study_config(parser.parse_args(["wave", "--paper", "--n-ref", "2048"]), "wave")
     assert finer.n_ref == 2048
-    assert (finer.master_steps, finer.mc_count) == (2**24, 1000)
+    assert (finer.master_steps, finer.mc_count) == (2**22, 1000)
     # without --paper the same flags override the desk preset
     desk = _study_config(parser.parse_args(["wave", "--n-ref", "256"]), "wave")
-    assert (desk.n_ref, desk.master_steps, desk.mc_count) == (256, 2**20, 300)
+    assert (desk.n_ref, desk.master_steps, desk.mc_count) == (256, 2**16, 300)
 
 
 def test_config_file_values_beat_the_paper_preset(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
-    cfg.write_text("n-list = 8,16\nk = 6\nmc = 4\nmaster-steps = 1024\npaper = yes\n")
+    cfg.write_text("n-list = 8,16\nk = 6\nmc = 4\npaper = yes\n")
     assert "--paper" in _config_file_flags(cfg, build_parser().parse_args(["heat"]))
     report = tmp_path / "r.txt"
     argv = ["heat", "--config", str(cfg), "--mc", "2", "--report", str(report)]
     assert main(argv) == EXIT_OK
     text = report.read_text()
     assert "realizations:   2" in text  # explicit flag beats the file value
-    assert "master steps:   1024" in text  # file value beats the preset
+    assert "master steps:   256" in text  # the file's n-list beats the preset's
     assert "interior nodes: 6" in text
     capsys.readouterr()
 

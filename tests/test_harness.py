@@ -14,6 +14,7 @@ from mcnspde import (
     TableRow,
     TimeMesh,
     SpatialGrid,
+    StudyConfig,
     benchmark_heat_problem,
     csv_text,
     desk_heat_config,
@@ -57,7 +58,6 @@ def small_config(**overrides):
         n_list=(8, 16),
         k=6,
         mc_count=5,
-        master_steps=2**10,
         base_seed=4242,
     )
     base.update(overrides)
@@ -201,7 +201,7 @@ def test_single_realization_matches_direct_run():
     table = run_study(config)
     grid = SpatialGrid(config.k)
     path_mesh = TimeMesh(max(config.n_list))
-    path = sample_path((config.base_seed, 0), path_mesh, m=1, master_steps=config.master_steps)
+    path = sample_path((config.base_seed, 0), path_mesh)
     oracle = exact_heat_solution(path, grid, mode="semidiscrete")
     for row in table.rows:
         problem = benchmark_heat_problem(grid, TimeMesh(row.n_steps))
@@ -219,7 +219,7 @@ def test_adjacent_base_seeds_share_no_path():
     path_mesh = TimeMesh(max(config.n_list))
     drawn = [
         {
-            sample_path((s, r), path_mesh, master_steps=config.master_steps).increments.tobytes()
+            sample_path((s, r), path_mesh).increments.tobytes()
             for r in range(config.mc_count)
         }
         for s in seeds
@@ -233,7 +233,7 @@ def test_block_size_rule():
     assert block_size(desk_heat_config()) == 130  # mcn: increments and gaps on N = 8..256
     assert block_size(desk_heat_config(scheme="em")) == 260  # increments only
     assert block_size(desk_wave_config()) == 549  # three coordinates, N_ref = 1024 included
-    tiny = desk_wave_config(n_list=(1,), n_ref=1, master_steps=1)
+    tiny = desk_wave_config(n_list=(1,), n_ref=1)
     assert block_size(tiny) == 1  # never empty, even where one path outweighs its block
 
 
@@ -252,9 +252,8 @@ def test_blocks_do_not_change_the_table(equation, workers, monkeypatch):
     if equation == "heat":
         config = small_config(mc_count=7)
     else:
-        config = desk_wave_config(
-            n_list=(4, 8), k=6, mc_count=7, n_ref=16, master_steps=2**10, base_seed=7
-        )
+        # n_ref = 32 keeps 2^10-step paths, so one block holds all 7
+        config = desk_wave_config(n_list=(4, 8), k=6, mc_count=7, n_ref=32, base_seed=7)
     assert block_size(config) >= 7
     whole = run_study_tables(config)
     monkeypatch.setattr("mcnspde.harness.block_size", lambda config: 3)
@@ -298,7 +297,8 @@ def test_study_memory_does_not_grow_with_realizations():
     """Each path is reduced and dropped, so 64 realizations peak at most one path above 4."""
 
     def peak(mc_count):
-        config = desk_heat_config(n_list=(4, 8, 16), k=8, mc_count=mc_count, master_steps=2**14)
+        # the N = 128 mesh keeps 2^14-step paths, which outweigh the result arrays
+        config = desk_heat_config(n_list=(4, 8, 16, 128), k=8, mc_count=mc_count)
         tracemalloc.start()
         try:
             run_study_tables(config)
@@ -306,15 +306,13 @@ def test_study_memory_does_not_grow_with_realizations():
         finally:
             tracemalloc.stop()
 
-    path = sample_path(0, TimeMesh(16), master_steps=2**14)
+    path = sample_path(0, TimeMesh(128))
     small = peak(4)
     assert peak(64) - small <= path.increments.nbytes + path.cumulative.nbytes
 
 
 def test_wave_study_reports_both_norms():
-    config = desk_wave_config(
-        n_list=(8, 16), k=6, mc_count=2, n_ref=32, master_steps=2**10, base_seed=7
-    )
+    config = desk_wave_config(n_list=(8, 16), k=6, mc_count=2, n_ref=32, base_seed=7)
     tables = run_study_tables(config)
     assert set(tables) == {"h1_displacement", "l2_velocity"}
     for table in tables.values():
@@ -373,19 +371,36 @@ def test_preset_configurations():
     desk = desk_heat_config()
     assert desk.n_list == (8, 16, 32, 64, 128, 256)
     assert desk.mc_count == 500
-    assert desk.master_steps == 2**16
+    assert (desk.path_mesh, desk.master_steps) == (TimeMesh(256), 2**16)
     assert desk.exact_mode == "continuous"
     wave = desk_wave_config()
     assert wave.n_list == (8, 16, 32, 64, 128)
     assert (wave.mc_count, wave.n_ref, wave.master_steps) == (300, 1024, 2**20)
     paper_h = paper_heat_config()
     assert paper_h.n_list[0] == 4 and paper_h.n_list[-1] == 1024
-    assert paper_h.mc_count == 1000
+    assert (paper_h.mc_count, paper_h.master_steps) == (1000, 2**20)
     paper_w = paper_wave_config()
     assert paper_w.n_ref == 4096
-    assert paper_w.master_steps >= paper_w.n_ref**2
+    assert paper_w.master_steps == 2**24
     for cfg in (desk, wave, paper_h, paper_w):
+        assert cfg.master_steps == cfg.path_mesh.N**2
         validate_config(cfg)
+
+
+def test_paths_are_drawn_on_the_finest_mesh():
+    """Heat draws on its finest study mesh, wave on its reference mesh; S is not a setting."""
+    assert small_config(n_list=(4, 32)).path_mesh == TimeMesh(32)
+    assert desk_wave_config(n_list=(8, 16), n_ref=64).path_mesh == TimeMesh(64)
+    assert len(dataclasses.fields(StudyConfig)) == 11
+    with pytest.raises(TypeError):
+        desk_heat_config(master_steps=2**16)
+
+
+def test_heat_rows_do_not_depend_on_coarser_meshes():
+    """A coarser sibling mesh changes no row: the path is drawn on the finest mesh alone."""
+    wide = run_study(small_config(n_list=(4, 8, 16)))
+    narrow = run_study(small_config(n_list=(8, 16)))
+    assert wide.rows[1:] == narrow.rows
 
 
 # Each case carries a fixed id, so deleting one case renames no other.  The
@@ -398,13 +413,11 @@ def test_preset_configurations():
         pytest.param(dict(n_list=(16, 8)), id="overrides2"),
         pytest.param(dict(n_list=(8, 8, 16)), id="overrides3"),
         pytest.param(dict(n_list=(12,)), id="overrides4"),
-        pytest.param(dict(master_steps=1000), id="overrides5"),
         pytest.param(dict(k=1), id="overrides6"),
         pytest.param(dict(mc_count=0), id="overrides7"),
         pytest.param(dict(base_seed=-3), id="overrides8"),
         pytest.param(dict(workers=0), id="overrides9"),
         pytest.param(dict(noise_scale=-1.0), id="overrides10"),
-        pytest.param(dict(n_list=(8, 64), master_steps=2**10), id="overrides11"),  # 64^2 > 2^10
         pytest.param(dict(scheme="rk4"), id="overrides12"),
         pytest.param(dict(exact_mode="spectral"), id="overrides13"),
         # a wave-only norm on a heat study
@@ -426,13 +439,10 @@ def test_validate_config_rejects_bad_heat_settings(overrides):
         pytest.param(dict(error_norm="l2"), id="overrides1"),
         pytest.param(dict(n_ref=48), id="overrides2"),
         pytest.param(dict(n_ref=4), id="overrides3"),  # coarser than the finest study mesh
-        pytest.param(dict(n_ref=2048, master_steps=2**20), id="overrides4"),  # 2048^2 > 2^20
     ],
 )
 def test_validate_config_rejects_bad_wave_settings(overrides):
-    base = desk_wave_config(
-        n_list=(8, 16), k=6, mc_count=2, n_ref=32, master_steps=2**10
-    )
+    base = desk_wave_config(n_list=(8, 16), k=6, mc_count=2, n_ref=32)
     config = dataclasses.replace(base, **overrides)
     with pytest.raises(ConfigError):
         validate_config(config)

@@ -56,7 +56,7 @@ def test_mcn_eigenmode_decay_factor():
     """With silent noise each sine mode shrinks by (1 - tau lam/2)/(1 + tau lam/2)."""
     grid = SpatialGrid(15)
     mesh = TimeMesh(8)
-    path = sample_path(3, mesh, master_steps=1024)
+    path = sample_path(3, TimeMesh(32))
     for k in (1, 3, 6):
         problem = HeatProblem(grid, mesh, zero_phi(grid), sine_mode(grid, k))
         lam = dirichlet_eigenvalue(grid, k)
@@ -72,7 +72,7 @@ def test_mcn_eigenmode_decay_factor():
 def test_em_eigenmode_decay_factor():
     grid = SpatialGrid(15)
     mesh = TimeMesh(8)
-    path = sample_path(3, mesh, master_steps=1024)
+    path = sample_path(3, TimeMesh(32))
     for k in (1, 4):
         problem = HeatProblem(grid, mesh, zero_phi(grid), sine_mode(grid, k))
         lam = dirichlet_eigenvalue(grid, k)
@@ -93,7 +93,7 @@ def test_mcn_step_dense_oracle():
         grid, [rng.standard_normal(k), rng.standard_normal(k)]
     )
     x0 = rng.standard_normal(k)
-    path = sample_path(611, mesh, m=2, master_steps=256)
+    path = sample_path(611, TimeMesh(16), m=2)
     problem = HeatProblem(grid, mesh, phi, x0)
 
     lap = dense_laplacian(k)
@@ -118,7 +118,7 @@ def test_em_step_dense_oracle():
     rng = np.random.default_rng(62)
     phi = NoiseCoefficient.from_components(grid, [rng.standard_normal(k)])
     x0 = rng.standard_normal(k)
-    path = sample_path(612, mesh, m=1, master_steps=64)
+    path = sample_path(612, TimeMesh(8), m=1)
     problem = HeatProblem(grid, mesh, phi, x0)
 
     lap = dense_laplacian(k)
@@ -168,7 +168,7 @@ def test_run_is_affine_in_initial_data():
     phi = NoiseCoefficient.from_components(grid, [lambda x: np.sin(3 * np.pi * x)])
     u = rng.standard_normal(11)
     v = rng.standard_normal(11)
-    path = sample_path(711, mesh, master_steps=2048)
+    path = sample_path(711, TimeMesh(64))
     zero = WienerPath(np.zeros_like(path.increments), np.zeros_like(path.cumulative))
     for scheme in ("mcn", "em"):
         both = run_heat(HeatProblem(grid, mesh, phi, u + v), path, scheme)
@@ -182,7 +182,7 @@ def test_deterministic_steps_are_contractive():
     grid = SpatialGrid(20)
     mesh = TimeMesh(16)
     rng = np.random.default_rng(81)
-    path = sample_path(811, mesh, master_steps=1024)
+    path = sample_path(811, TimeMesh(32))
     for scheme, scheme_step in (("mcn", mcn_heat_step), ("em", em_step)):
         problem = HeatProblem(grid, mesh, zero_phi(grid), rng.standard_normal(20))
         x = problem.initial
@@ -195,8 +195,8 @@ def test_deterministic_steps_are_contractive():
 
 def test_exact_solution_silent_noise():
     grid = SpatialGrid(40)
-    mesh = TimeMesh(4)
-    path = sample_path(5, mesh, master_steps=256)
+    mesh = TimeMesh(16)
+    path = sample_path(5, mesh)
     silent = WienerPath(np.zeros_like(path.increments), np.zeros_like(path.cumulative))
     cont = exact_heat_solution(silent, grid, mode="continuous")
     np.testing.assert_allclose(cont, math.exp(-math.pi**2) * sine_mode(grid, 1), rtol=1e-13)
@@ -207,11 +207,11 @@ def test_exact_solution_silent_noise():
 
 def test_exact_solution_config_errors():
     grid = SpatialGrid(10)
-    mesh = TimeMesh(4)
-    two_channel = sample_path(9, mesh, m=2, master_steps=256)
+    mesh = TimeMesh(16)
+    two_channel = sample_path(9, mesh, m=2)
     with pytest.raises(ConfigError):
         exact_heat_solution(two_channel, grid)
-    path = sample_path(9, mesh, master_steps=256)
+    path = sample_path(9, mesh)
     with pytest.raises(ConfigError):
         exact_heat_solution(path, grid, mode="spectral")
 
@@ -230,7 +230,7 @@ def test_run_heat_rejects_unknown_scheme():
     grid = SpatialGrid(10)
     mesh = TimeMesh(4)
     problem = benchmark_heat_problem(grid, mesh)
-    path = sample_path(1, mesh, master_steps=256)
+    path = sample_path(1, TimeMesh(16))
     with pytest.raises(ConfigError):
         run_heat(problem, path, scheme="rk4")
 
@@ -239,7 +239,7 @@ def test_run_heat_rejects_misaligned_path():
     """A path whose master grid misses the micro nodes is refused, not interpolated."""
     grid = SpatialGrid(10)
     problem = benchmark_heat_problem(grid, TimeMesh(16))
-    coarse_path = sample_path(1, TimeMesh(4), master_steps=64)  # 64 < 16^2 micro cells
+    coarse_path = sample_path(1, TimeMesh(8))  # 64 < 16^2 micro cells
     for scheme in ("mcn", "em"):
         with pytest.raises(AlignmentError):
             run_heat(problem, coarse_path, scheme)
@@ -263,7 +263,7 @@ def test_block_march_equals_one_path_runs(scheme):
     grid = SpatialGrid(12)
     mesh = TimeMesh(16)
     problem = benchmark_heat_problem(grid, mesh)
-    paths = [sample_path((5, r), mesh, master_steps=2**10) for r in range(5)]
+    paths = [sample_path((5, r), TimeMesh(32)) for r in range(5)]
     lone = np.stack([run_heat(problem, path, scheme) for path in paths], axis=1)
     for sizes in ((5,), (2, 3)):
         blocks = noise_blocks(paths, mesh, HEAT_NOISE[scheme], sizes)
@@ -275,7 +275,7 @@ def test_run_heat_rejects_foreign_blocks():
     """A block reduced on another mesh, or without the gaps mcn reads, is refused."""
     grid = SpatialGrid(10)
     problem = benchmark_heat_problem(grid, TimeMesh(8))
-    path = sample_path(3, TimeMesh(16), master_steps=2**10)
+    path = sample_path(3, TimeMesh(32))
     (other_mesh,) = noise_blocks([path], TimeMesh(16), HEAT_NOISE["mcn"], (1,))
     (increments_only,) = noise_blocks([path], TimeMesh(8), HEAT_NOISE["em"], (1,))
     with pytest.raises(AlignmentError):
@@ -283,14 +283,14 @@ def test_run_heat_rejects_foreign_blocks():
     with pytest.raises(AlignmentError):
         run_heat(problem, increments_only, "mcn")
     run_heat(problem, increments_only, "em")
-    misaligned = sample_path(1, TimeMesh(4), master_steps=32)  # 32 < 8^2 micro cells
+    misaligned = sample_path(1, TimeMesh(4))  # 16 < 8^2 micro cells
     with pytest.raises(AlignmentError):
         NoiseBlock.empty(TimeMesh(8), 1, 1, HEAT_NOISE["em"]).put(0, misaligned)
 
 
 def test_stochastic_convolution_zero_rate_is_endpoint():
-    mesh = TimeMesh(4)
-    path = sample_path(21, mesh, m=2, master_steps=512)
+    mesh = TimeMesh(32)
+    path = sample_path(21, mesh, m=2)
     np.testing.assert_allclose(
         stochastic_convolution(path, 0.0), path.cumulative[-1], rtol=1e-13
     )
@@ -299,7 +299,10 @@ def test_stochastic_convolution_zero_rate_is_endpoint():
 def test_stochastic_convolution_matches_the_direct_sum():
     """The factored weights give the direct left-point sum, correctly rounded, to 1e-13."""
     for steps in (2**15, 2**16, 2**20):  # 2^15: blocks and offsets of unequal length
-        path = sample_path(steps, TimeMesh(4), m=2, master_steps=steps)
+        # drawn as sample_path draws, by hand: no mesh has 2^15 micro steps
+        increments = np.random.Generator(np.random.Philox(key=steps)).standard_normal((steps, 2))
+        increments *= math.sqrt(1.0 / steps)
+        path = WienerPath(increments, np.vstack([np.zeros((1, 2)), increments.cumsum(axis=0)]))
         for rate in (0.0, (2 * math.pi) ** 2, (3 * math.pi) ** 2, 1e4):
             left_times = path.delta * np.arange(path.S)
             weights = np.exp(-rate * (1.0 - left_times))
@@ -313,12 +316,12 @@ def test_stochastic_convolution_matches_the_direct_sum():
 
 def test_stochastic_convolution_ito_isometry():
     """Sample variance of conv(mu) meets (1 - exp(-2 mu T))/(2 mu) within 5 SE."""
-    mesh = TimeMesh(2)
+    mesh = TimeMesh(32)
     mu = (2 * math.pi) ** 2
     n_paths = 10_000
     vals = np.empty(n_paths)
     for i in range(n_paths):
-        path = sample_path(40_000 + i, mesh, master_steps=1024)
+        path = sample_path(40_000 + i, mesh)
         vals[i] = stochastic_convolution(path, mu)[0]
     target = (1.0 - math.exp(-2.0 * mu)) / (2.0 * mu)
     sq = vals**2

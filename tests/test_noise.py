@@ -92,17 +92,26 @@ def test_mesh_index_bounds():
 
 
 def test_sample_path_reproducible():
-    mesh = TimeMesh(4)
-    a = sample_path(123, mesh, m=2, master_steps=256)
-    b = sample_path(123, mesh, m=2, master_steps=256)
-    c = sample_path(124, mesh, m=2, master_steps=256)
+    mesh = TimeMesh(16)
+    a = sample_path(123, mesh, m=2)
+    b = sample_path(123, mesh, m=2)
+    c = sample_path(124, mesh, m=2)
     assert np.array_equal(a.increments, b.increments)
     assert not np.array_equal(a.increments, c.increments)
 
 
+def test_sample_path_draws_the_micro_grid_of_its_mesh():
+    """S = N*M master steps: the seed's Philox normals scaled by sqrt(1/S), bit for bit."""
+    path = sample_path((5, 3), TimeMesh(16), m=2)
+    assert path.S == 256
+    normals = np.random.Generator(np.random.Philox(key=(5, 3))).standard_normal((256, 2))
+    np.testing.assert_array_equal(path.increments, normals * math.sqrt(1.0 / 256))
+    assert sample_path(0, TimeMesh(3)).S == 9
+
+
 def test_sample_path_cumulative_consistency():
-    mesh = TimeMesh(4)
-    path = sample_path(7, mesh, m=3, master_steps=512)
+    mesh = TimeMesh(32)
+    path = sample_path(7, mesh, m=3)
     assert path.cumulative[0] == pytest.approx(0.0)
     np.testing.assert_allclose(
         np.diff(path.cumulative, axis=0), path.increments, rtol=0, atol=1e-15
@@ -112,8 +121,8 @@ def test_sample_path_cumulative_consistency():
 
 def test_sample_path_increment_scale():
     """Increment variance matches the master step within a CLT band."""
-    mesh = TimeMesh(2)
-    path = sample_path(99, mesh, m=1, master_steps=2**14)
+    mesh = TimeMesh(128)
+    path = sample_path(99, mesh, m=1)
     var = float(np.mean(path.increments**2))
     se = math.sqrt(2.0 / path.S) * path.delta
     assert abs(var - path.delta) <= 4 * se
@@ -121,7 +130,7 @@ def test_sample_path_increment_scale():
 
 def test_mesh_values_require_master_nodes():
     mesh = TimeMesh(4)
-    path = sample_path(1, mesh, master_steps=64)
+    path = sample_path(1, TimeMesh(8))
     coarse, micro = mesh_values(path.cumulative, mesh)
     assert coarse.shape == (mesh.N + 1, 1)
     assert micro.shape == (mesh.N, mesh.M, 1)
@@ -135,7 +144,7 @@ def test_mesh_values_require_master_nodes():
 def test_mesh_values_are_views():
     """Coarse and micro nodes are read without copying, for a path and for a block."""
     mesh = TimeMesh(8)
-    path = sample_path(2, mesh, m=2, master_steps=1024)
+    path = sample_path(2, TimeMesh(32), m=2)
     block = np.stack([path.cumulative, 2.0 * path.cumulative])
     for cumulative in (path.cumulative, block):
         coarse, micro = mesh_values(cumulative, mesh)
@@ -155,16 +164,14 @@ def test_master_strides_alignment():
         master_strides(TimeMesh(4), 8)  # master grid coarser than the micro grid
     with pytest.raises(AlignmentError):
         master_strides(TimeMesh(4), 40)  # 40 master steps per 16 micro steps
-    with pytest.raises(AlignmentError):
-        sample_path(0, TimeMesh(4), master_steps=20)  # not a power of two
 
 
 def test_sample_path_argument_validation():
-    mesh = TimeMesh(2)
+    mesh = TimeMesh(8)
     with pytest.raises(ValueError):
-        sample_path(5, mesh, m=0, master_steps=64)
+        sample_path(5, mesh, m=0)
     with pytest.raises(ValueError):
-        sample_path(-1, mesh, master_steps=64)
+        sample_path(-1, mesh)
 
 
 def micro_riemann_sums(path, mesh):
@@ -175,7 +182,7 @@ def micro_riemann_sums(path, mesh):
 def test_micro_riemann_sum_brute_force():
     """Mesh-wide micro sum equals a literal double loop over micro nodes."""
     mesh = TimeMesh(4)
-    path = sample_path(42, mesh, m=2, master_steps=256)
+    path = sample_path(42, TimeMesh(16), m=2)
     tau = mesh.tau
     sums = micro_riemann_sums(path, mesh)
     for j in range(mesh.N):
@@ -187,7 +194,7 @@ def test_micro_riemann_sum_brute_force():
 
 def test_micro_values_shape_and_content():
     mesh = TimeMesh(4)
-    path = sample_path(8, mesh, m=2, master_steps=256)
+    path = sample_path(8, TimeMesh(16), m=2)
     coarse, micro = mesh_values(path.cumulative, mesh)
     assert micro.shape == (mesh.N, mesh.M, 2)
     for j in range(mesh.N):
@@ -305,7 +312,7 @@ def test_heat_correction_brute_force():
     phi = NoiseCoefficient.from_components(
         grid, [rng.standard_normal(10), rng.standard_normal(10)]
     )
-    path = sample_path(55, mesh, m=2, master_steps=256)
+    path = sample_path(55, TimeMesh(16), m=2)
     lap = dense_laplacian(10)
     tau = mesh.tau
     forcing = heat_forcing(heat_problem(phi, mesh), path, "mcn")
@@ -377,7 +384,7 @@ def test_wave_corrections_brute_force():
     phi = NoiseCoefficient.from_components(
         grid, [rng.standard_normal(9), rng.standard_normal(9)]
     )
-    path = sample_path(77, mesh, m=2, master_steps=256)
+    path = sample_path(77, TimeMesh(16), m=2)
     lap = dense_laplacian(9)
     tau = mesh.tau
     displacement, velocity = wave_forcing(wave_problem(phi, mesh), path)

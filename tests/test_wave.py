@@ -77,7 +77,7 @@ def test_energy_conserved_without_noise():
     problem = WaveProblem(
         grid, mesh, zero_phi(grid), sine_mode(grid, 1), np.zeros(grid.K)
     )
-    path = sample_path(17, mesh, master_steps=2**16)
+    path = sample_path(17, mesh)
     x, y = problem.initial_displacement, problem.initial_velocity
     e0 = wave_energy(problem, x, y)
     worst = 0.0
@@ -108,7 +108,7 @@ def step_checking_residuals(problem, x, y, displacement, velocity):
 def test_every_step_solves_both_defining_relations():
     """Each step of a noisy (K, R) block and of the silent N = 256 benchmark."""
     problem = random_problem(k=12, n=16, m=2, seed=47)
-    paths = [sample_path((471, r), problem.mesh, m=2, master_steps=2**10) for r in range(3)]
+    paths = [sample_path((471, r), TimeMesh(32), m=2) for r in range(3)]
     forcings = [wave_forcing(problem, path) for path in paths]
     displacement, velocity = (np.stack([f[i] for f in forcings], axis=-1) for i in (0, 1))
     x = np.repeat(problem.initial_displacement[:, None], len(paths), axis=1)
@@ -119,7 +119,7 @@ def test_every_step_solves_both_defining_relations():
     # the silent benchmark of acceptance criterion 8
     grid, mesh = SpatialGrid(40), TimeMesh(256)
     problem = benchmark_wave_problem(grid, mesh, noise_scale=0.0)
-    path = sample_path(20260814, mesh, m=1, master_steps=2**16)
+    path = sample_path(20260814, mesh, m=1)
     x, y = problem.initial_displacement, problem.initial_velocity
     for d, v in zip(*wave_forcing(problem, path)):
         x, y = step_checking_residuals(problem, x, y, d, v)
@@ -147,7 +147,7 @@ def test_silent_step_is_time_reversible():
         problem.initial_displacement,
         problem.initial_velocity,
     )
-    path = sample_path(411, problem.mesh, master_steps=1024)
+    path = sample_path(411, TimeMesh(32))
     displacement, velocity = (f[0] for f in wave_forcing(silent, path))
     x, y = mcn_wave_step(
         silent, silent.initial_displacement, silent.initial_velocity, displacement, velocity
@@ -163,7 +163,7 @@ def test_one_step_dense_block_oracle():
     problem = random_problem(k, n, m, seed=43)
     mesh = problem.mesh
     tau = mesh.tau
-    path = sample_path(431, mesh, m=m, master_steps=256)
+    path = sample_path(431, TimeMesh(16), m=m)
 
     lap = dense_laplacian(k)
     eye = np.eye(k)
@@ -198,7 +198,7 @@ def test_eigenmode_rotation_recurrence():
     """Per mode the silent scheme is the 2x2 trapezoid rotation, applied N times."""
     grid = SpatialGrid(15)
     mesh = TimeMesh(32)
-    path = sample_path(19, mesh, master_steps=1024)
+    path = sample_path(19, mesh)
     tau = mesh.tau
     for k, (a0, b0) in ((2, (1.0, 0.0)), (5, (0.3, -0.7))):
         lam = dirichlet_eigenvalue(grid, k)
@@ -270,7 +270,7 @@ def transformed_march(problem, path):
 def test_matches_transformed_formulation():
     """Original and transformed marches land on the same (X_N, Y_N)."""
     problem = random_problem(k=12, n=16, m=2, seed=47)
-    path = sample_path(471, problem.mesh, m=2, master_steps=2**10)
+    path = sample_path(471, TimeMesh(32), m=2)
     x_direct, y_direct = run_wave(problem, path)
     x_uv, y_uv = transformed_march(problem, path)
     np.testing.assert_allclose(x_direct, x_uv, rtol=1e-9, atol=1e-11)
@@ -281,7 +281,7 @@ def test_reference_at_same_resolution_is_identity():
     grid = SpatialGrid(10)
     mesh = TimeMesh(8)
     problem = benchmark_wave_problem(grid, mesh)
-    path = sample_path(53, mesh, master_steps=2048)
+    path = sample_path(53, TimeMesh(64))
     x_run, y_run = run_wave(problem, path)
     x_ref, y_ref = reference_wave_solution(problem, path, n_ref=8)
     np.testing.assert_array_equal(x_run, x_ref)
@@ -294,13 +294,13 @@ def test_run_wave_rejects_misaligned_path():
     """A path whose master grid misses the micro nodes is refused, not interpolated."""
     problem = benchmark_wave_problem(SpatialGrid(10), TimeMesh(16))
     with pytest.raises(AlignmentError):
-        run_wave(problem, sample_path(1, TimeMesh(4), master_steps=64))
+        run_wave(problem, sample_path(1, TimeMesh(8)))
 
 
 def test_block_march_equals_one_path_runs():
     """Marching R paths as one block, or split 2 + 3, gives each path's lone run bit for bit."""
     problem = random_problem(k=10, n=8, m=1, seed=61)
-    paths = [sample_path((6, r), problem.mesh, master_steps=2**10) for r in range(5)]
+    paths = [sample_path((6, r), TimeMesh(32)) for r in range(5)]
     lone = [run_wave(problem, path) for path in paths]
     for sizes in ((5,), (2, 3)):
         start = 0
@@ -325,7 +325,7 @@ def test_block_march_equals_one_path_runs():
 
 def test_run_is_affine_in_initial_data():
     problem = random_problem(k=11, n=8, m=1, seed=59)
-    path = sample_path(591, problem.mesh, master_steps=2048)
+    path = sample_path(591, TimeMesh(64))
     zero = WienerPath(np.zeros_like(path.increments), np.zeros_like(path.cumulative))
     grid = problem.grid
     u = problem.initial_displacement
