@@ -14,9 +14,9 @@ once; a switch such as ``paper`` takes yes/no, true/false, on/off or
 1/0, and the file may not name another config file).  Settings stack in
 one order: the desk preset, or the full-scale one under ``--paper``,
 then the config file, then explicit flags, which always win.  Each
-realization's Wiener path is drawn on the micro grid of the finest mesh
-the study marches: the largest of ``--n-list`` for heat, the
-``--n-ref`` reference mesh for wave.
+realization's Wiener path is drawn on the micro grid of the largest mesh
+of ``--n-list`` (the report's ``master steps``); the finer ``--n-ref``
+wave reference mesh reads it through exact Brownian-bridge sums.
 Exit codes: 0 success, 1 failed validation checks, 2 bad configuration
 (a ConfigError) or I/O trouble (an OSError); any other exception is a bug
 and propagates with its traceback.

@@ -2,11 +2,12 @@
 
 A study fixes the benchmark problem, a list of coarse resolutions, and a
 realization count.  Every realization r draws one Wiener path on the
-micro grid of the study's finest mesh (its Philox stream keyed by the two
-words (base_seed, r), so reruns and worker splits reproduce bit-identical
-tables and no two base seeds share a path) and runs every resolution
-against that same path;
-the root-mean-square final-time error per resolution then feeds a
+micro grid of the finest mesh of n_list (its Philox stream keyed by the
+two words (base_seed, r), so reruns and worker splits reproduce
+bit-identical tables and no two base seeds share a path) and runs every
+resolution against that same path; a wave path also carries the exact
+Brownian-bridge sums through which the finer reference mesh reads it.
+The root-mean-square final-time error per resolution then feeds a
 log-log least-squares rate fit.
 
 Realizations run in blocks.  Each path of a block is used at once and
@@ -14,9 +15,10 @@ dropped: its heat oracle values are computed, and it is reduced on every
 mesh (for wave, the reference mesh too) to its noise coordinates, a few
 numbers per step, stored as one column of that mesh's NoiseBlock.  Then
 every mesh is marched once for the whole block on (K, R) states.  A
-block's coordinates may take no more memory than one path's increments
-and cumulative values (block_size), so only one path is alive at a time
-and memory does not grow with the realization count.
+block's coordinates may take no more memory than the increments and
+cumulative values of one path on the finest marched mesh's micro grid
+(block_size), so only one path is alive at a time and memory does not
+grow with the realization count.
 
 Heat studies measure against the closed-form benchmark solution, either
 with continuous-spectrum decay rates (total error, floored by the spatial
@@ -91,18 +93,27 @@ class StudyConfig:
 
     @property
     def path_mesh(self) -> TimeMesh:
-        """The finest mesh the study marches, whose micro grid every path is drawn on.
+        """The mesh whose micro grid every path is drawn on: the finest of n_list.
 
-        That is the largest of n_list for heat and the reference mesh
-        n_ref for wave; every coarser power-of-two mesh reads the path by
-        stride.
+        Every coarser power-of-two mesh reads the path by stride.  The wave
+        reference mesh n_ref reads it through one bridge level, which
+        needs each of its coarse steps to span whole master steps, so for
+        an n_ref beyond N^2 the path mesh doubles until N^2 >= n_ref.
         """
-        return TimeMesh(max(self.n_list) if self.equation == EQUATION_HEAT else self.n_ref)
+        n = max(self.n_list)
+        while self.equation == EQUATION_WAVE and n * n < self.n_ref:
+            n *= 2
+        return TimeMesh(n)
 
     @property
     def master_steps(self) -> int:
-        """Steps S = N^2 of each realization's path, N that of path_mesh."""
+        """Steps S = N^2 of each realization's master grid, N that of path_mesh."""
         return self.path_mesh.N ** 2
+
+    @property
+    def finest_mesh(self) -> TimeMesh:
+        """The finest mesh the study marches: path_mesh for heat, the reference mesh for wave."""
+        return self.path_mesh if self.equation == EQUATION_HEAT else TimeMesh(self.n_ref)
 
 
 def desk_heat_config(**overrides) -> StudyConfig:
@@ -111,7 +122,11 @@ def desk_heat_config(**overrides) -> StudyConfig:
 
 
 def desk_wave_config(**overrides) -> StudyConfig:
-    """Quick wave study: N in 8..128 against N_ref = 1024 (2^20-step paths), 300 realizations."""
+    """Quick wave study: N in 8..128 against N_ref = 1024, 300 realizations.
+
+    Paths have 128^2 = 2^14 master steps, each split into 64 bridge steps
+    of the reference micro grid.
+    """
     base = StudyConfig(
         equation=EQUATION_WAVE,
         n_list=(8, 16, 32, 64, 128),
@@ -129,7 +144,11 @@ def paper_heat_config(**overrides) -> StudyConfig:
 
 
 def paper_wave_config(**overrides) -> StudyConfig:
-    """Full-scale wave study: N in 4..1024 against N_ref = 4096, paths of 4096^2 = 2^24 steps."""
+    """Full-scale wave study: N in 4..1024 against N_ref = 4096, 1000 realizations.
+
+    Paths have 1024^2 = 2^20 master steps, each split into 16 bridge
+    steps of the reference micro grid.
+    """
     base = StudyConfig(
         equation=EQUATION_WAVE,
         n_list=(4, 8, 16, 32, 64, 128, 256, 512, 1024),
@@ -302,13 +321,15 @@ def _study_noise(config: StudyConfig, count: int) -> list[NoiseBlock]:
 
 
 def block_size(config: StudyConfig) -> int:
-    """Realizations per block: as many as fit in the memory of one path.
+    """Realizations per block: as many as fit in the memory of one full path.
 
-    A block's noise coordinates may take no more bytes than one path's
-    increments and cumulative values, so batching realizations costs at
-    most the memory that sampling one path needs anyway.
+    A block's noise coordinates may take no more bytes than the increments
+    and cumulative values of one path on the micro grid of the finest mesh
+    the study marches (for wave the reference mesh, whose micro grid is
+    never drawn in full), so batching realizations costs at most the
+    memory that sampling such a path would need.
     """
-    path_bytes = 8 * (2 * config.master_steps + 1)
+    path_bytes = 8 * (2 * config.finest_mesh.N ** 2 + 1)
     per_realization = sum(block.nbytes for block in _study_noise(config, 1))
     return max(1, path_bytes // per_realization)
 
@@ -330,7 +351,7 @@ def _block_squared_errors(config: StudyConfig, span: range):
     blocks = _study_noise(config, count)
     oracles = np.empty((count, grid.K)) if heat else None
     for i, r in enumerate(span):
-        path = sample_path((config.base_seed, r), config.path_mesh)
+        path = sample_path((config.base_seed, r), config.path_mesh, 1, config.finest_mesh)
         if heat:
             oracles[i] = exact_heat_solution(path, grid, config.exact_mode, config.noise_scale)
             if floors is not None:

@@ -8,10 +8,22 @@ l = 0..M with M = 1/tau = N, so the M micro steps of size tau^2 tile the
 interval exactly.  A path is drawn on the micro grid of one mesh, its
 S = N*M uniform steps of size 1/S forming the master grid, and all path
 values are read off that grid by integer master index.  Another mesh
-can read the path only when every one of its micro nodes lands exactly
-on a master node (S divisible by its N*M), which holds for every coarser
-power-of-two mesh and keeps every quadrature in this module
+can read the path by stride only when every one of its micro nodes lands
+exactly on a master node (S divisible by its N*M), which holds for every
+coarser power-of-two mesh and keeps every quadrature in this module
 interpolation-free.
+
+One finer mesh can read the path too, through a bridge level.  Its micro
+grid splits each master step into q finer steps, and a mesh reads W at
+those nodes only through linear sums per coarse step (the increment, the
+micro sum and a weighted micro sum).  Given the master grid, W on the
+finer nodes of one master step is the linear interpolant plus a discrete
+Brownian bridge B_1..B_{q-1}, independent across steps, so those sums
+need only S0 = sum_i B_i and S1 = sum_i i*B_i of each step.  sample_path
+draws them from their exact joint Gaussian law (Glasserman, Monte Carlo
+Methods in Financial Engineering, 2004, sec. 3.1) instead of the q-fold
+finer path, and NoiseBlock.put combines them with the master grid
+exactly, with no interpolation error.
 
 mesh_values is the one place that knows where the coarse and micro nodes
 of a mesh sit on the master grid.  It returns them as views of the
@@ -87,10 +99,17 @@ class WienerPath:
     increments[k] is W(s_{k+1}) - W(s_k) and cumulative[k] is W(s_k) with
     W(0) = 0, where s_k = k*delta and delta = 1/S.  Values are only ever
     read at master nodes, through mesh_values.
+
+    A path may carry one bridge level of q steps per master step:
+    bridge[0, k] and bridge[1, k] are S0 = sum_i B_i and S1 = sum_i i*B_i
+    over the discrete Brownian bridge B_i = W(s_k + i*delta/q) - W(s_k)
+    - (i/q)*increments[k], i = 1..q-1, of master step k.
     """
 
     increments: np.ndarray  # shape (S, m)
     cumulative: np.ndarray  # shape (S + 1, m)
+    bridge: np.ndarray | None = None  # shape (2, S, m)
+    q: int = 1
 
     @property
     def S(self) -> int:
@@ -106,12 +125,17 @@ class WienerPath:
         return 1.0 / self.S
 
 
-def sample_path(seed: int | tuple[int, int], mesh: TimeMesh, m: int = 1) -> WienerPath:
+def sample_path(
+    seed: int | tuple[int, int], mesh: TimeMesh, m: int = 1, fine: TimeMesh | None = None
+) -> WienerPath:
     """Draw one Wiener path on the micro grid of mesh: S = N*M master steps of [0, 1].
 
     The generator is Philox keyed by seed, an integer or a pair of 64-bit
     words, so paths are reproducible and distinct keys give independent
-    counter-based streams.
+    counter-based streams.  When the micro grid of fine is finer, the
+    same stream then draws the bridge level that fine reads: the master
+    grid must split into q = (fine's N*M)/S finer steps per master step
+    and tile fine's coarse steps, else AlignmentError.
     """
     if m < 1:
         raise ValueError(f"need at least one noise component, got m={m}")
@@ -122,7 +146,29 @@ def sample_path(seed: int | tuple[int, int], mesh: TimeMesh, m: int = 1) -> Wien
     increments = rng.standard_normal((steps, m)) * math.sqrt(1.0 / steps)
     cumulative = np.zeros((steps + 1, m))
     np.cumsum(increments, axis=0, out=cumulative[1:])
-    return WienerPath(increments, cumulative)
+    if fine is None or fine.N * fine.M <= steps:
+        return WienerPath(increments, cumulative)
+    q, rest = divmod(fine.N * fine.M, steps)
+    if rest or steps % fine.N:
+        raise AlignmentError(f"{fine} does not refine the {steps}-step master grid")
+    # S0 and S1 - (q/2) S0 are independent, the bridge being symmetric in time.
+    bridge = rng.standard_normal((2, steps, m))
+    var_s0, var_centered = bridge_variances(q, 1.0 / (fine.N * fine.M))
+    bridge[0] *= math.sqrt(var_s0)
+    bridge[1] *= math.sqrt(var_centered)
+    bridge[1] += 0.5 * q * bridge[0]
+    return WienerPath(increments, cumulative, bridge, q)
+
+
+def bridge_variances(q: int, delta: float) -> tuple[float, float]:
+    """Var S0 and Var(S1 - (q/2) S0) of one master step split into q steps of delta.
+
+    From Cov(B_i, B_k) = delta (min(i, k) - i k / q): Var S0 =
+    delta q (q^2 - 1)/12, Cov(S0, S1) = (q/2) Var S0, so the centered
+    S1 - (q/2) S0 is uncorrelated with S0, with variance
+    delta q (q^2 - 1)(q^2 - 4)/720.
+    """
+    return delta * q * (q * q - 1) / 12.0, delta * q * (q * q - 1) * (q * q - 4) / 720.0
 
 
 def master_strides(mesh: TimeMesh, master_steps: int) -> tuple[int, int]:
@@ -183,6 +229,35 @@ def velocity_micro_sums(micro: np.ndarray, tau: float) -> np.ndarray:
     return np.einsum("l,jlm->jm", weights, micro)
 
 
+def bridge_sums(path: WienerPath, mesh: TimeMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coarse, micro sums, micro moments) of a mesh whose micro grid is the path's bridge level.
+
+    coarse (N+1, m) holds W(t_j); micro_sums[j] = sum_{l=1}^{M} W(t_{j,l})
+    and moments[j] = sum_{l=1}^{M} l W(t_{j,l}), each (N, m), exact linear
+    combinations of the master grid and the bridge sums.  Raises
+    AlignmentError unless the path's bridge level is the mesh's micro grid.
+    """
+    q = path.q
+    if path.bridge is None or path.S * q != mesh.N * mesh.M or path.S % mesh.N:
+        level = "no bridge level" if path.bridge is None else f"a bridge level of q={q}"
+        raise AlignmentError(
+            f"the micro grid of N={mesh.N} is neither read by stride nor the bridge level "
+            f"of a {path.S}-step path with {level}"
+        )
+    cells = path.S // mesh.N  # master steps per coarse step
+    shape = (mesh.N, cells, path.m)
+    left = path.cumulative[:-1].reshape(shape)
+    rise = path.increments.reshape(shape)
+    s0, s1 = path.bridge.reshape((2,) + shape)
+    # On master step k, W(s_k + i delta/q) = W(s_k) + (i/q) dW_k + B_i for
+    # i = 1..q (B_q = 0), so its q finer nodes sum to, and weighted by i sum to:
+    sums = q * left + 0.5 * (q + 1) * rise + s0
+    moments = 0.5 * q * (q + 1) * left + (q + 1) * (2 * q + 1) / 6.0 * rise + s1
+    # Finer node i of master step a in coarse step j is micro node l = a q + i.
+    offsets = q * np.arange(cells)[:, None]
+    return path.cumulative[::cells], sums.sum(axis=1), (offsets * sums + moments).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class NoiseBlock:
     """What R Wiener paths contribute to the steps of one mesh.
@@ -216,13 +291,26 @@ class NoiseBlock:
         return sum(a.nbytes for a in arrays if a is not None)
 
     def put(self, r: int, path: WienerPath) -> None:
-        """Reduce path to its coordinates on the mesh and store them as column r."""
-        coarse, micro = mesh_values(path.cumulative, self.mesh)
+        """Reduce path to its coordinates on the mesh and store them as column r.
+
+        A mesh whose micro grid is finer than the master grid reads the
+        path's bridge level (bridge_sums), and a path without one raises
+        AlignmentError.
+        """
+        tau = self.mesh.tau
+        if path.S % (self.mesh.N * self.mesh.M) == 0:
+            coarse, micro = mesh_values(path.cumulative, self.mesh)
+            gaps = lambda: quadrature_gaps(coarse, micro, tau)
+            velocity_sums = lambda: velocity_micro_sums(micro, tau)
+        else:
+            coarse, micro_sums, moments = bridge_sums(path, self.mesh)
+            gaps = lambda: tau * tau * micro_sums - 0.5 * tau * (coarse[:-1] + coarse[1:])
+            velocity_sums = lambda: 0.5 * tau**3 * (micro_sums - 2.0 * tau * moments)
         self.increments[:, r] = np.diff(coarse, axis=0)
         if self.gaps is not None:
-            self.gaps[:, r] = quadrature_gaps(coarse, micro, self.mesh.tau)
+            self.gaps[:, r] = gaps()
         if self.velocity_sums is not None:
-            self.velocity_sums[:, r] = velocity_micro_sums(micro, self.mesh.tau)
+            self.velocity_sums[:, r] = velocity_sums()
 
 
 def noise_block(

@@ -233,22 +233,22 @@ def test_paper_presets_resolve_without_running():
     assert heat.master_steps == 2**20
     wave = _study_config(parser.parse_args(["wave", "--paper"]), "wave")
     assert wave.n_ref == 4096
-    assert wave.master_steps == 2**24
+    assert wave.master_steps == 2**20  # N_ref = 4096 reads it through bridge sums
     # seed and worker overrides still apply on top of the preset
     custom = _study_config(parser.parse_args(["heat", "--paper", "--seed", "5"]), "heat")
     assert custom.base_seed == 5
     # so do explicit sizes: the preset fills only what was not given
-    # (paths follow the finest mesh: 32^2 steps for heat, N_ref^2 for wave)
+    # (paths follow the finest mesh of n_list: 32^2 steps for heat, 1024^2 for wave)
     argv = ["heat", "--paper", "--mc", "5", "--n-list", "8..32"]
     sized = _study_config(parser.parse_args(argv), "heat")
     assert (sized.mc_count, sized.n_list, sized.master_steps) == (5, (8, 16, 32), 1024)
     assert sized.k == 40
     finer = _study_config(parser.parse_args(["wave", "--paper", "--n-ref", "2048"]), "wave")
     assert finer.n_ref == 2048
-    assert (finer.master_steps, finer.mc_count) == (2**22, 1000)
+    assert (finer.master_steps, finer.mc_count) == (2**20, 1000)
     # without --paper the same flags override the desk preset
     desk = _study_config(parser.parse_args(["wave", "--n-ref", "256"]), "wave")
-    assert (desk.n_ref, desk.master_steps, desk.mc_count) == (256, 2**16, 300)
+    assert (desk.n_ref, desk.master_steps, desk.mc_count) == (256, 2**14, 300)
 
 
 def test_config_file_values_beat_the_paper_preset(tmp_path, capsys):

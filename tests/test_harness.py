@@ -226,6 +226,20 @@ def test_adjacent_base_seeds_share_no_path():
     ]
     assert len(drawn[0]) == len(drawn[1]) == config.mc_count
     assert not drawn[0] & drawn[1]
+    # wave: the master grid and the bridge sums of the reference mesh
+    wave = desk_wave_config(n_list=(4, 8), k=6, mc_count=8, n_ref=32)
+    tables = [
+        csv_text(run_study(dataclasses.replace(wave, base_seed=s))) for s in seeds
+    ]
+    assert tables[0] != tables[1]
+    paths = [
+        [sample_path((s, r), wave.path_mesh, 1, wave.finest_mesh) for r in range(wave.mc_count)]
+        for s in seeds
+    ]
+    for part in ("increments", "bridge"):
+        drawn = [{getattr(path, part).tobytes() for path in group} for group in paths]
+        assert len(drawn[0]) == len(drawn[1]) == wave.mc_count
+        assert not drawn[0] & drawn[1]
 
 
 def test_block_size_rule():
@@ -252,7 +266,8 @@ def test_blocks_do_not_change_the_table(equation, workers, monkeypatch):
     if equation == "heat":
         config = small_config(mc_count=7)
     else:
-        # n_ref = 32 keeps 2^10-step paths, so one block holds all 7
+        # 8^2 master steps of 16 bridge steps each for the 32^2-step reference grid;
+        # the block rule counts that grid, so one block holds all 7
         config = desk_wave_config(n_list=(4, 8), k=6, mc_count=7, n_ref=32, base_seed=7)
     assert block_size(config) >= 7
     whole = run_study_tables(config)
@@ -309,6 +324,25 @@ def test_study_memory_does_not_grow_with_realizations():
     path = sample_path(0, TimeMesh(128))
     small = peak(4)
     assert peak(64) - small <= path.increments.nbytes + path.cumulative.nbytes
+
+
+def test_wave_study_memory_does_not_grow_with_realizations():
+    """A wave path is its master grid and bridge sums: 64 realizations peak at most one above 4."""
+
+    def peak(mc_count):
+        # 256^2 master steps, each split into q = 4 steps of the 512^2-step reference grid
+        config = desk_wave_config(n_list=(4, 8, 256), k=8, mc_count=mc_count, n_ref=512)
+        tracemalloc.start()
+        try:
+            run_study_tables(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    path = sample_path(0, TimeMesh(256), 1, TimeMesh(512))
+    assert path.q == 4
+    small = peak(4)
+    assert peak(64) - small <= path.increments.nbytes + path.cumulative.nbytes + path.bridge.nbytes
 
 
 def test_wave_study_reports_both_norms():
@@ -375,22 +409,27 @@ def test_preset_configurations():
     assert desk.exact_mode == "continuous"
     wave = desk_wave_config()
     assert wave.n_list == (8, 16, 32, 64, 128)
-    assert (wave.mc_count, wave.n_ref, wave.master_steps) == (300, 1024, 2**20)
+    assert (wave.mc_count, wave.n_ref, wave.master_steps) == (300, 1024, 2**14)
     paper_h = paper_heat_config()
     assert paper_h.n_list[0] == 4 and paper_h.n_list[-1] == 1024
     assert (paper_h.mc_count, paper_h.master_steps) == (1000, 2**20)
     paper_w = paper_wave_config()
     assert paper_w.n_ref == 4096
-    assert paper_w.master_steps == 2**24
+    assert paper_w.master_steps == 2**20
     for cfg in (desk, wave, paper_h, paper_w):
         assert cfg.master_steps == cfg.path_mesh.N**2
         validate_config(cfg)
 
 
 def test_paths_are_drawn_on_the_finest_mesh():
-    """Heat draws on its finest study mesh, wave on its reference mesh; S is not a setting."""
+    """Paths are drawn on the finest study mesh, for wave too; S is not a setting."""
     assert small_config(n_list=(4, 32)).path_mesh == TimeMesh(32)
-    assert desk_wave_config(n_list=(8, 16), n_ref=64).path_mesh == TimeMesh(64)
+    assert desk_wave_config(n_list=(8, 16), n_ref=64).path_mesh == TimeMesh(16)
+    # the reference's coarse steps must span whole master steps: 2^2 < 8 <= 4^2
+    assert desk_wave_config(n_list=(1, 2), n_ref=8).path_mesh == TimeMesh(4)
+    assert desk_wave_config().finest_mesh == TimeMesh(1024)
+    beyond = desk_wave_config(n_list=(1, 2), k=4, mc_count=2, n_ref=8)
+    assert run_study_tables(beyond)["h1_displacement"].rows[-1].rms_error > 0
     assert len(dataclasses.fields(StudyConfig)) == 11
     with pytest.raises(TypeError):
         desk_heat_config(master_steps=2**16)

@@ -14,6 +14,7 @@ import pytest
 from mcnspde import (
     AlignmentError,
     HeatProblem,
+    NoiseBlock,
     NoiseCoefficient,
     SpatialGrid,
     TimeMesh,
@@ -27,7 +28,7 @@ from mcnspde import (
     wave_forcing,
     wave_micro_sum_moment_exact,
 )
-from mcnspde.noise import master_strides
+from mcnspde.noise import bridge_variances, master_strides
 from mcnspde.validation import _cell_block, heat_defect_block
 
 
@@ -107,6 +108,11 @@ def test_sample_path_draws_the_micro_grid_of_its_mesh():
     normals = np.random.Generator(np.random.Philox(key=(5, 3))).standard_normal((256, 2))
     np.testing.assert_array_equal(path.increments, normals * math.sqrt(1.0 / 256))
     assert sample_path(0, TimeMesh(3)).S == 9
+    # a bridge level is drawn after the master grid, which it leaves unchanged
+    bridged = sample_path((5, 3), TimeMesh(16), m=2, fine=TimeMesh(64))
+    assert (bridged.S, bridged.q, bridged.bridge.shape) == (256, 16, (2, 256, 2))
+    np.testing.assert_array_equal(bridged.increments, path.increments)
+    assert sample_path(0, TimeMesh(16), fine=TimeMesh(16)).bridge is None
 
 
 def test_sample_path_cumulative_consistency():
@@ -406,3 +412,126 @@ def test_wave_corrections_brute_force():
             velo += (w_hi - w_lo)[i] * phi.values[i]
         np.testing.assert_allclose(displacement[j], disp, rtol=1e-11, atol=1e-15)
         np.testing.assert_allclose(velocity[j], velo, rtol=1e-11, atol=1e-15)
+
+
+WAVE_COORDINATES = ("increments", "gaps", "velocity_sums")
+
+
+def path_on_a_bridge_level(full, steps):
+    """full's master grid thinned to steps, with the bridge sums of full's finer nodes."""
+    q = full.S // steps
+    cumulative = full.cumulative[::q]
+    increments = np.diff(cumulative, axis=0)
+    i = np.arange(1, q)[:, None]
+    finer = full.cumulative[:-1].reshape(steps, q, full.m)[:, 1:]
+    bridge = finer - cumulative[:-1, None] - (i / q) * increments[:, None]
+    sums = np.stack([bridge.sum(axis=1), (i * bridge).sum(axis=1)])
+    return WienerPath(increments, cumulative, sums, q)
+
+
+def reduced(path, mesh):
+    block = NoiseBlock.empty(mesh, 1, path.m, WAVE_COORDINATES)
+    block.put(0, path)
+    return block
+
+
+@pytest.mark.parametrize(
+    "grid_n, fine_n, m",
+    [
+        pytest.param(128, 1024, 1, id="desk-q64"),
+        pytest.param(8, 32, 2, id="small-q16"),
+    ],
+)
+def test_bridge_sums_reproduce_the_full_path(grid_n, fine_n, m):
+    """A full path's grid and bridge sums give put's coordinates on its finest mesh."""
+    fine = TimeMesh(fine_n)
+    full = sample_path(2026, fine, m)
+    thin = path_on_a_bridge_level(full, grid_n * grid_n)
+    expected, got = reduced(full, fine), reduced(thin, fine)
+    np.testing.assert_array_equal(got.increments, expected.increments)
+    for name in ("gaps", "velocity_sums"):
+        want = getattr(expected, name)
+        assert np.abs(getattr(got, name) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_meshes_finer_than_the_path_need_its_bridge_level():
+    """Finer micro grids than the path's fail loudly unless they are its bridge level."""
+    plain = sample_path(1, TimeMesh(4))
+    bridged = sample_path(1, TimeMesh(4), fine=TimeMesh(8))  # S = 16, q = 4
+    with pytest.raises(AlignmentError):
+        reduced(plain, TimeMesh(8))  # no bridge level
+    with pytest.raises(AlignmentError):
+        reduced(bridged, TimeMesh(16))  # S q = 64 < 16^2
+    with pytest.raises(AlignmentError):
+        sample_path(1, TimeMesh(4), fine=TimeMesh(32))  # 16 master steps, 32 coarse steps
+    with pytest.raises(AlignmentError):
+        sample_path(1, TimeMesh(4), fine=TimeMesh(6))  # 36 is no multiple of 16
+    reduced(bridged, TimeMesh(8))
+    reduced(bridged, TimeMesh(2))  # coarser meshes still read the master grid
+
+
+def bridge_covariance(q, delta):
+    """Cov of (S0, S1) by the double sum over Cov(B_i, B_k) = delta (min(i, k) - i k / q)."""
+    i = np.arange(1, q)
+    kernel = delta * (np.minimum.outer(i, i) - np.outer(i, i) / q)
+    weights = np.stack([np.ones(q - 1), i])
+    return weights @ kernel @ weights.T
+
+
+def test_bridge_variances_match_the_double_sum():
+    for q in (2, 3, 4, 16, 64):
+        cov = bridge_covariance(q, 1.0 / 4096)
+        centered = cov[1, 1] - q * cov[0, 1] + 0.25 * q * q * cov[0, 0]
+        assert cov[0, 1] == pytest.approx(0.5 * q * cov[0, 0], rel=1e-12)
+        np.testing.assert_allclose(
+            bridge_variances(q, 1.0 / 4096), (cov[0, 0], centered), rtol=1e-12, atol=1e-18
+        )
+
+
+def assert_second_moments(samples, expected, label):
+    """Sample E[x y] of every pair of columns within 4 standard errors of expected."""
+    for a in range(samples.shape[1]):
+        for b in range(a, samples.shape[1]):
+            products = samples[:, a] * samples[:, b]
+            se = products.std(ddof=1) / math.sqrt(products.size)
+            z = (products.mean() - expected[a, b]) / se
+            assert abs(z) <= 4.0, f"{label}: moment ({a}, {b}) off by {z:.2f} SE"
+
+
+def coordinate_weights(mesh, j):
+    """Weights over the micro nodes of mesh of (dW_j, gap_j, velocity sum_j), shape (3, N*M+1)."""
+    tau, M = mesh.tau, mesh.M
+    weights = np.zeros((3, mesh.N * M + 1))
+    lo, hi, ell = j * M, (j + 1) * M, np.arange(1, M + 1)
+    weights[0, [lo, hi]] = -1.0, 1.0
+    weights[1, lo + ell] = tau * tau
+    weights[1, [lo, hi]] -= 0.5 * tau
+    weights[2, lo + ell] = 0.5 * tau**3 * (1.0 - 2.0 * tau * ell)
+    return weights
+
+
+def test_drawn_wave_coordinates_have_their_exact_moments():
+    """sample_path and put give the bridge sums and the reference coordinates their exact law.
+
+    The grid is TimeMesh(4)'s 16 master steps, each split into q = 4
+    steps of the 8^2 micro grid of the reference mesh, two master steps to
+    a reference step.  Every coordinate is a weighted sum of W at micro
+    nodes, so its second moments are sums of w_l w_l' min(t_l, t_l').
+    """
+    grid, fine, count = TimeMesh(4), TimeMesh(8), 4000
+    block = NoiseBlock.empty(fine, count, 1, WAVE_COORDINATES)
+    sums = []
+    for r in range(count):
+        path = sample_path((99, r), grid, 1, fine)
+        block.put(r, path)
+        sums.append(path.bridge[:, :, 0].T)
+    delta = 1.0 / (fine.N * fine.M)
+    assert_second_moments(np.concatenate(sums), bridge_covariance(path.q, delta), "bridge sums")
+    nodes = np.arange(fine.N * fine.M + 1) * delta
+    brownian = np.minimum.outer(nodes, nodes)
+    for j in (0, 3, 7):
+        weights = coordinate_weights(fine, j)
+        samples = np.stack(
+            [block.increments[j, :, 0], block.gaps[j, :, 0], block.velocity_sums[j, :, 0]], axis=1
+        )
+        assert_second_moments(samples, weights @ brownian @ weights.T, f"step {j}")
