@@ -11,16 +11,15 @@ validation suite checks the quadrature moments against closed forms.
 """
 
 from .grid import (
-    SolverError,
     SpatialGrid,
-    TridiagonalSolver,
     apply_laplacian,
     dirichlet_eigenvalue,
     h1_seminorm,
     l2_inner,
     l2_norm,
-    shifted_laplacian,
     sine_mode,
+    squared_h1_seminorms,
+    squared_l2_norms,
 )
 from .noise import (
     AlignmentError,
@@ -42,7 +41,7 @@ from .heat import (
     benchmark_phi,
     em_step,
     exact_heat_solution,
-    heat_forcing,
+    heat_step_map,
     mcn_heat_step,
     run_heat,
     stochastic_convolution,
@@ -55,7 +54,7 @@ from .wave import (
     reference_wave_solution,
     run_wave,
     wave_energy,
-    wave_forcing,
+    wave_step_map,
 )
 from .harness import (
     ConvergenceTable,

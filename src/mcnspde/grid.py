@@ -4,25 +4,20 @@ The interior nodes are x_i = i*h, i = 1..K, h = 1/(K+1).  Grid functions
 are plain arrays of the K interior values, shape (K,), or blocks of R of
 them as the columns of a (K, R) array; the boundary values are
 identically zero and never materialized.  The second-difference
-Laplacian and the shifted systems (I + c*Lap) that the time steppers
-solve are all symmetric tridiagonal, so a direct Thomas elimination is
-used throughout, factored once per system.
+Laplacian is diagonalized exactly by the discrete sine basis
+S_ik = sqrt(2h) sin(i k pi h), which is orthogonal and symmetric, so the
+steppers' implicit systems become one division per mode (LeVeque, Finite
+Difference Methods for Ordinary and Partial Differential Equations,
+SIAM 2007, ch. 2) and no linear system is ever solved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-
-# Pivots smaller than this abort the elimination: the system is treated
-# as numerically singular rather than silently amplifying roundoff.
-PIVOT_FLOOR = 1e-14
-
-
-class SolverError(Exception):
-    """Raised when tridiagonal elimination hits a vanishing pivot."""
 
 
 @dataclass(frozen=True)
@@ -44,6 +39,40 @@ class SpatialGrid:
         """Interior node coordinates x_i = i*h, shape (K,)."""
         return self.h * np.arange(1, self.K + 1)
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """lambda_k of -Lap for k = 1..K, shape (K,): dirichlet_eigenvalue of each mode."""
+        return np.array([dirichlet_eigenvalue(self, k) for k in range(1, self.K + 1)])
+
+    @cached_property
+    def sine_basis(self) -> np.ndarray:
+        """S_ik = sqrt(2h) sin(i k pi h), shape (K, K): orthogonal, symmetric, S S = I.
+
+        Column k is the k-th eigenvector of Lap.  The product i*k is
+        reduced modulo 2(K+1) before scaling, so the sine's argument stays
+        below 2 pi and is exact to rounding for any K.
+        """
+        index = np.arange(1, self.K + 1)
+        phase = np.outer(index, index) % (2 * (self.K + 1))
+        return math.sqrt(2.0 * self.h) * np.sin(math.pi * self.h * phase)
+
+    def sine_transform(self, f: np.ndarray) -> np.ndarray:
+        """S f along the first axis, for f of shape (K,) or a (K, R) block.
+
+        S is its own inverse, so this takes grid values to sine-mode
+        coefficients and back.  The product is accumulated one basis row
+        at a time in elementwise operations, never by a BLAS product: each
+        column of a block then gets the same bits for any R, and no BLAS
+        thread pool wakes up.
+        """
+        if f.shape[0] != self.K:
+            raise ValueError(f"grid function has {f.shape[0]} rows, grid has {self.K}")
+        basis = self.sine_basis.reshape((self.K, self.K) + (1,) * (f.ndim - 1))
+        out = np.zeros(f.shape)
+        for row, coefficient in zip(basis, f):
+            out += row * coefficient
+        return out
+
 
 def apply_laplacian(grid: SpatialGrid, f: np.ndarray) -> np.ndarray:
     """Second differences (f_{i-1} - 2 f_i + f_{i+1}) / h^2 along the first axis.
@@ -57,67 +86,6 @@ def apply_laplacian(grid: SpatialGrid, f: np.ndarray) -> np.ndarray:
     out[1:] += f[:-1]
     out *= 1.0 / grid.h**2
     return out
-
-
-class TridiagonalSolver:
-    """Thomas elimination of one tridiagonal matrix, factored at construction.
-
-    The forward elimination depends on the bands alone, so the multipliers
-    and pivots are computed once here, and SolverError is raised if any
-    pivot magnitude falls below PIVOT_FLOOR.  The systems stepped in this
-    package are strictly diagonally dominant, so a failure indicates a
-    misconstructed matrix rather than roundoff.  solve() then runs only the
-    two substitution sweeps, over the rows of a (K, R) block of right-hand
-    sides, so each column sees exactly the arithmetic of a lone solve.
-    """
-
-    def __init__(self, lower, diag, upper) -> None:
-        lower, diag, upper = (np.asarray(b, dtype=float).tolist() for b in (lower, diag, upper))
-        n = len(diag)
-        if len(lower) != n - 1 or len(upper) != n - 1:
-            raise ValueError("band lengths must be K-1, K, K-1")
-        # Plain Python floats: the sweeps scale whole rows by them.
-        pivots = [diag[0]]
-        multipliers = []
-        for i in range(1, n):
-            self._check_pivot(pivots[i - 1], i - 1)
-            w = lower[i - 1] / pivots[i - 1]
-            multipliers.append(w)
-            pivots.append(diag[i] - w * upper[i - 1])
-        self._check_pivot(pivots[-1], n - 1)
-        self.size = n
-        self._multipliers = multipliers
-        self._pivots = pivots
-        self._upper = upper
-
-    @staticmethod
-    def _check_pivot(pivot: float, row: int) -> None:
-        if abs(pivot) < PIVOT_FLOOR:
-            raise SolverError(f"pivot {pivot!r} at row {row} below {PIVOT_FLOOR}")
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with A x = rhs, for rhs of shape (K,) or a block (K, R) of R columns."""
-        n = self.size
-        if rhs.shape[0] != n:
-            raise ValueError(f"right-hand side has {rhs.shape[0]} rows, system has {n}")
-        x = np.array(rhs, dtype=float, order="C")
-        # Row views: each update below acts in place on all R columns at once.
-        d = list(x.reshape(n, -1))
-        mult, piv, upper = self._multipliers, self._pivots, self._upper
-        for i in range(1, n):
-            d[i] -= mult[i - 1] * d[i - 1]
-        d[-1] /= piv[-1]
-        for i in range(n - 2, -1, -1):
-            d[i] -= upper[i] * d[i + 1]
-            d[i] /= piv[i]
-        return x
-
-
-def shifted_laplacian(grid: SpatialGrid, scale: float) -> TridiagonalSolver:
-    """The system I + scale * Lap on grid, factored."""
-    off = np.full(grid.K - 1, scale * (1.0 / grid.h**2))
-    diag = np.full(grid.K, 1.0 + scale * (-2.0 / grid.h**2))
-    return TridiagonalSolver(off, diag, off)
 
 
 def dirichlet_eigenvalue(grid: SpatialGrid, k: int) -> float:
@@ -153,3 +121,28 @@ def h1_seminorm(f: np.ndarray) -> float:
     h = 1.0 / (f.size + 1)
     diffs = np.diff(f, prepend=0.0, append=0.0) / h
     return math.sqrt(h * float(np.dot(diffs, diffs)))
+
+
+def _column_sums(rows: np.ndarray) -> np.ndarray:
+    """Sum of the rows of an (n, R) array, added one row at a time.
+
+    The order of the additions is fixed, so each column gets the same
+    bits for any R (numpy's own reductions may pair terms differently
+    when R = 1).
+    """
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
+
+
+def squared_l2_norms(block: np.ndarray) -> np.ndarray:
+    """l2_norm(column)^2 of every column of a (K, R) block, shape (R,)."""
+    return _column_sums(block * block) / (block.shape[0] + 1)
+
+
+def squared_h1_seminorms(block: np.ndarray) -> np.ndarray:
+    """h1_seminorm(column)^2 of every column of a (K, R) block, shape (R,)."""
+    h = 1.0 / (block.shape[0] + 1)
+    diffs = np.diff(block, axis=0, prepend=0.0, append=0.0) / h
+    return h * _column_sums(diffs * diffs)

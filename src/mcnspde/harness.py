@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid import SpatialGrid, h1_seminorm, l2_norm
+from .grid import SpatialGrid, squared_h1_seminorms, squared_l2_norms
 from .heat import (
     ConfigError,
     EXACT_CONTINUOUS,
@@ -347,31 +347,31 @@ def _block_squared_errors(config: StudyConfig, span: range):
     heat = config.equation == EQUATION_HEAT
     count = len(span)
     errors = np.empty((count, len(problems), len(study_norms(config))))
-    floors = np.empty(count) if heat and config.exact_mode == EXACT_CONTINUOUS else None
     blocks = _study_noise(config, count)
-    oracles = np.empty((count, grid.K)) if heat else None
+    oracles = np.empty((grid.K, count)) if heat else None
+    continuous = heat and config.exact_mode == EXACT_CONTINUOUS
+    semidiscrete = np.empty((grid.K, count)) if continuous else None
     for i, r in enumerate(span):
         path = sample_path((config.base_seed, r), config.path_mesh, 1, config.finest_mesh)
         if heat:
-            oracles[i] = exact_heat_solution(path, grid, config.exact_mode, config.noise_scale)
-            if floors is not None:
-                semi = exact_heat_solution(path, grid, EXACT_SEMIDISCRETE, config.noise_scale)
-                floors[i] = l2_norm(oracles[i] - semi) ** 2
+            oracles[:, i] = exact_heat_solution(path, grid, config.exact_mode, config.noise_scale)
+            if continuous:
+                semidiscrete[:, i] = exact_heat_solution(
+                    path, grid, EXACT_SEMIDISCRETE, config.noise_scale
+                )
         for block in blocks:
             block.put(i, path)
         del path  # only one path is alive at a time
+    floors = squared_l2_norms(oracles - semidiscrete) if continuous else None
     if heat:
         for p, (problem, block) in enumerate(zip(problems, blocks)):
-            final = run_heat(problem, block, config.scheme)
-            for i in range(count):
-                errors[i, p, 0] = l2_norm(final[:, i] - oracles[i]) ** 2
+            errors[:, p, 0] = squared_l2_norms(run_heat(problem, block, config.scheme) - oracles)
     else:
         x_ref, y_ref = reference_wave_solution(problems[-1], blocks[-1], config.n_ref)
         for p, (problem, block) in enumerate(zip(problems, blocks)):
             x_end, y_end = run_wave(problem, block)
-            for i in range(count):
-                errors[i, p, 0] = h1_seminorm(x_end[:, i] - x_ref[:, i]) ** 2
-                errors[i, p, 1] = l2_norm(y_end[:, i] - y_ref[:, i]) ** 2
+            errors[:, p, 0] = squared_h1_seminorms(x_end - x_ref)
+            errors[:, p, 1] = squared_l2_norms(y_end - y_ref)
     return errors, floors
 
 

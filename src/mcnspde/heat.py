@@ -8,32 +8,32 @@ Two one-step maps are provided on the spatially discretized equation:
   strong order 3/2 guaranteed; on the smooth two-mode benchmark noise it
   shows order 2 once tau*lambda/2 < 1 for the driven modes.
 
-Both solve a constant symmetric tridiagonal system per step, factored
-once per problem, and build each step's noise forcing from that step's
-noise coordinates (noise.NoiseBlock).  run_heat marches R paths at once
-on (K, R) states; one path is the block of one.  The module
-also carries the closed-form benchmark solution used by the convergence
-harness: initial data sin(pi x) with one noise channel loading
-sin(2 pi x) + sin(3 pi x), whose exact solution is a sum of three
-eigenmode terms (one deterministic decay, two stochastic convolutions).
+Each step is one fixed affine map of the state, and the discrete sine
+basis diagonalizes it: mode k of the state is multiplied by the scheme's
+amplification factor on the grid eigenvalue lambda_k, (1 - tau lambda/2)
+/ (1 + tau lambda/2) for mcn and 1/(1 + tau lambda) for em, and takes
+its share of the step's noise coordinates (noise.NoiseBlock).  These are
+the schemes' own factors, not exp(-lambda tau), so the march is the
+scheme exactly, up to rounding.  modal_march, which the wave stepper
+shares, marches R paths at once on (K, R) mode coefficients, entering
+the basis once from the initial data and leaving it once for X_N; one
+path is the block of one, and a single step is the march of one step.
+
+The module also carries the closed-form benchmark solution used by the
+convergence harness: initial data sin(pi x) with one noise channel
+loading sin(2 pi x) + sin(3 pi x), whose exact solution is a sum of
+three eigenmode terms (one deterministic decay, two stochastic
+convolutions).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .grid import (
-    SpatialGrid,
-    TridiagonalSolver,
-    apply_laplacian,
-    dirichlet_eigenvalue,
-    shifted_laplacian,
-    sine_mode,
-)
+from .grid import SpatialGrid, dirichlet_eigenvalue, sine_mode
 from .noise import NoiseBlock, NoiseCoefficient, TimeMesh, WienerPath, noise_block
 
 SCHEME_EULER = "em"
@@ -69,62 +69,99 @@ class HeatProblem:
         if self.phi.grid != self.grid or self.initial.shape != (self.grid.K,):
             raise ConfigError("noise coefficient and initial data must share the grid")
 
-    @cached_property
-    def euler_implicit(self) -> TridiagonalSolver:
-        return shifted_laplacian(self.grid, -self.mesh.tau)
-
-    @cached_property
-    def cn_implicit(self) -> TridiagonalSolver:
-        return shifted_laplacian(self.grid, -0.5 * self.mesh.tau)
-
 
 # The noise coordinates (NoiseBlock fields) each scheme reads.
 HEAT_NOISE = {SCHEME_EULER: ("increments",), SCHEME_MCN: ("increments", "gaps")}
 
 
-def _forcing_rows(problem: HeatProblem, block: NoiseBlock, scheme: str):
-    """Noise forcing of each step for every path of block, one (K, R) array per step.
+def heat_step_map(problem: HeatProblem, scheme: str) -> tuple:
+    """One step of the scheme in the sine basis, as modal_march takes it.
 
-    Row j is Phi dW_j, plus for the corrected scheme the correction
-    Lap[Phi (micro Riemann sum)] - (tau/2) Lap[Phi (W(t_{j+1}) + W(t_j))],
-    which replaces the trapezoid-in-time treatment of the noise with the
-    micro-grid quadrature.
+    Returns (rho, None, loads): rho (1, K, 1) holds the amplification
+    factor of each mode and loads maps each noise coordinate to its
+    (1, K, m) load.  em solves (I - tau Lap) X_{j+1} = X_j + Phi dW; mcn
+    solves (I - tau/2 Lap) X_{j+1} = (I + tau/2 Lap) X_j + Phi dW + Lap Phi gap,
+    whose correction replaces the trapezoid-in-time treatment of the
+    noise with the micro-grid quadrature.  With Lap = -lambda per mode,
+    each solve is a division by the implicit factor.
     """
-    phi = problem.phi
-    for j in range(problem.mesh.N):
-        forcing = phi.combine(block.increments[j])
-        if scheme == SCHEME_MCN:
-            forcing += phi.combine_laplacian(block.gaps[j])
-        yield forcing
+    grid, tau = problem.grid, problem.mesh.tau
+    lam = grid.eigenvalues[None, :, None]
+    phi = grid.sine_transform(problem.phi.values.T)[None]
+    if scheme == SCHEME_EULER:
+        rho = 1.0 / (1.0 + tau * lam)
+        return rho, None, {"increments": rho * phi}
+    if scheme == SCHEME_MCN:
+        implicit = 1.0 / (1.0 + 0.5 * tau * lam)
+        rho = (1.0 - 0.5 * tau * lam) * implicit
+        return rho, None, {"increments": implicit * phi, "gaps": -lam * implicit * phi}
+    raise ConfigError(f"unknown scheme {scheme!r}; use 'em' or 'mcn'")
 
 
-def heat_forcing(problem: HeatProblem, path: WienerPath, scheme: str = SCHEME_MCN) -> np.ndarray:
-    """Noise forcing of every step of one path, shape (N, K): the rows run_heat steps with.
+def modal_march(
+    grid: SpatialGrid, noise: NoiseBlock, step_map: tuple, states: list, steps: range
+) -> list:
+    """March C stacked grid functions by a fixed affine step map in the sine basis.
 
-    Raises AlignmentError if the path's master grid does not carry the
-    mesh's micro nodes.
+    step_map is (diagonal, coupling, loads).  Per step the mode
+    coefficients s, shape (C, K, R), become diagonal * s, plus
+    coupling * s[::-1] unless coupling is None, plus, for each noise
+    coordinate and channel c, load[..., c] times the step's coordinate of
+    each path.  diagonal and coupling are (C, K, 1) and loads (C, K, m).
+    states are C arrays, each (K,), the same start for every path, or
+    (K, R); they enter the basis once and leave it once.  Every operation
+    is elementwise, with no BLAS call, so each column gets the same bits
+    for any R.
     """
-    block = noise_block(path, problem.mesh, HEAT_NOISE[scheme])
-    return np.stack(list(_forcing_rows(problem, block, scheme)))[..., 0]
+    diagonal, coupling, loads = step_map
+    modes = np.stack([grid.sine_transform(state) for state in states])
+    if modes.ndim == 2:
+        modes = np.repeat(modes[..., None], noise.count, axis=2)
+    scratch = np.empty_like(modes)
+    for j in steps:
+        if coupling is not None:
+            np.multiply(coupling, modes[::-1], out=scratch)
+        modes *= diagonal
+        if coupling is not None:
+            modes += scratch
+        for name, load in loads.items():
+            values = getattr(noise, name)[j]
+            for c in range(load.shape[-1]):
+                np.multiply(load[..., c, None], values[:, c], out=scratch)
+                modes += scratch
+    return [grid.sine_transform(component) for component in modes]
 
 
-def em_step(problem: HeatProblem, x: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-    """One implicit Euler-Maruyama step: (I - tau Lap) X_{j+1} = X_j + Phi dW."""
-    return problem.euler_implicit.solve(x + forcing)
+def _march(
+    problem: HeatProblem, x: np.ndarray, noise: WienerPath | NoiseBlock, scheme: str, steps: range
+) -> np.ndarray:
+    """Step x over the given steps for one path, giving (K,), or a block of R paths, (K, R)."""
+    step_map = heat_step_map(problem, scheme)
+    block = noise_block(noise, problem.mesh, HEAT_NOISE[scheme])
+    (final,) = modal_march(problem.grid, block, step_map, [x], steps)
+    return final if block is noise else final[:, 0]
 
 
-def mcn_heat_step(problem: HeatProblem, x: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-    """One corrected Crank-Nicolson step.
+def em_step(
+    problem: HeatProblem, x: np.ndarray, noise: WienerPath | NoiseBlock, j: int = 0
+) -> np.ndarray:
+    """Implicit Euler-Maruyama step j: (I - tau Lap) X_{j+1} = X_j + Phi dW_j.
 
-    (I - tau/2 Lap) X_{j+1} = (I + tau/2 Lap) X_j + Phi dW + correction,
-    with forcing = Phi dW + correction, a row of heat_forcing.  x and
-    forcing are (K,) for one path or (K, R) for R paths.
+    Shapes as for mcn_heat_step.
     """
-    explicit = x + 0.5 * problem.mesh.tau * apply_laplacian(problem.grid, x)
-    return problem.cn_implicit.solve(explicit + forcing)
+    return _march(problem, x, noise, SCHEME_EULER, range(j, j + 1))
 
 
-_STEPPERS = {SCHEME_EULER: em_step, SCHEME_MCN: mcn_heat_step}
+def mcn_heat_step(
+    problem: HeatProblem, x: np.ndarray, noise: WienerPath | NoiseBlock, j: int = 0
+) -> np.ndarray:
+    """Corrected Crank-Nicolson step j.
+
+    (I - tau/2 Lap) X_{j+1} = (I + tau/2 Lap) X_j + Phi dW_j + Lap Phi gap_j,
+    with gap_j the step's quadrature gap.  x is (K,) and noise one path,
+    or x is (K,) or (K, R) and noise a block of R paths.
+    """
+    return _march(problem, x, noise, SCHEME_MCN, range(j, j + 1))
 
 
 def run_heat(
@@ -136,15 +173,7 @@ def run_heat(
     R paths on problem.mesh, giving the (K, R) block of their X_N.  A path
     is marched as a block of one, so both give the same bits per path.
     """
-    try:
-        stepper = _STEPPERS[scheme]
-    except KeyError:
-        raise ConfigError(f"unknown scheme {scheme!r}; use 'em' or 'mcn'") from None
-    block = noise_block(noise, problem.mesh, HEAT_NOISE[scheme])
-    x = np.repeat(problem.initial[:, None], block.count, axis=1)
-    for forcing in _forcing_rows(problem, block, scheme):
-        x = stepper(problem, x, forcing)
-    return x if block is noise else x[:, 0]
+    return _march(problem, problem.initial, noise, scheme, range(problem.mesh.N))
 
 
 def stochastic_convolution(path: WienerPath, rate: float) -> np.ndarray:

@@ -363,8 +363,7 @@ class NoiseCoefficient:
     """Finite-dimensional noise coefficient Phi = (Phi_1 .. Phi_m).
 
     values[i] holds the grid samples of Phi_i and laplacian_values[i] the
-    precomputed discrete Laplacian of Phi_i, which the corrected schemes
-    apply against scalar path combinations of every step.
+    precomputed discrete Laplacian of Phi_i.
     """
 
     grid: SpatialGrid
@@ -386,13 +385,5 @@ class NoiseCoefficient:
         return cls(grid, values, apply_laplacian(grid, values.T).T)
 
     def combine(self, weights: np.ndarray) -> np.ndarray:
-        """sum_i Phi_i * weights_i: weights (m,) give (K,), and (R, m) give (K, R).
-
-        einsum, not a matmul: it never calls BLAS, whose thread pool would
-        otherwise spin through the stepping loops.
-        """
+        """sum_i Phi_i * weights_i: weights (m,) give (K,), and (R, m) give (K, R)."""
         return np.einsum("ik,...i->k...", self.values, weights)
-
-    def combine_laplacian(self, weights: np.ndarray) -> np.ndarray:
-        """sum_i (Lap Phi_i) * weights_i, shaped as combine."""
-        return np.einsum("ik,...i->k...", self.laplacian_values, weights)

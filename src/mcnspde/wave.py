@@ -2,28 +2,32 @@
 
 The first-order form advances displacement X and velocity Y together:
 
-    X_{j+1} - X_j = (tau/2)(Y_{j+1} + Y_j) + displacement correction
-    Y_{j+1} - Y_j = (tau/2) Lap (X_{j+1} + X_j) + Phi dW + velocity correction
+    X_{j+1} - X_j = (tau/2)(Y_{j+1} + Y_j) + displacement forcing
+    Y_{j+1} - Y_j = (tau/2) Lap (X_{j+1} + X_j) + velocity forcing
 
-The pair is solved by eliminating X_{j+1}: a single symmetric tridiagonal
-solve with matrix I - (tau^2/4) Lap, factored once per problem, yields
-Y_{j+1}, after which X_{j+1} follows explicitly.  Both corrections, and
-Phi dW, come from each step's noise coordinates (noise.NoiseBlock), and
-run_wave marches R paths at once on (K, R) states.
-With the micro-grid corrections the scheme converges strongly at order 2;
-with the noise switched off it is the classical trapezoid rule and
+The displacement forcing is the correction Phi gap_j, the quadrature gap
+of the heat scheme without the Laplacian; the velocity forcing is
+Phi dW_j plus the correction Lap Phi v_j, with v_j the step's weighted
+micro sum (noise.NoiseBlock).  The step is one fixed affine map, and in
+the discrete sine basis it splits into one 2x2 map per mode, found by
+eliminating X_{j+1} from the pair with Lap = -lambda_k, plus three
+forcing columns.  run_wave marches R paths at once on (K, R) mode
+coefficients through heat.modal_march, entering the basis once and
+leaving it once; a single step is the march of one step.
+
+With the micro-grid corrections the scheme converges strongly at order
+2; with the noise switched off it is the classical trapezoid rule and
 conserves the discrete wave energy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .grid import SpatialGrid, TridiagonalSolver, apply_laplacian, shifted_laplacian, sine_mode
-from .heat import BENCHMARK_INITIAL_MODE, ConfigError, benchmark_phi
+from .grid import SpatialGrid, apply_laplacian, sine_mode
+from .heat import BENCHMARK_INITIAL_MODE, ConfigError, benchmark_phi, modal_march
 from .noise import NoiseBlock, NoiseCoefficient, TimeMesh, WienerPath, noise_block
 
 
@@ -48,10 +52,6 @@ class WaveProblem:
         if not same:
             raise ConfigError("noise coefficient and initial data must share the grid")
 
-    @cached_property
-    def implicit_matrix(self) -> TridiagonalSolver:
-        return shifted_laplacian(self.grid, -0.25 * self.mesh.tau**2)
-
     def with_mesh(self, mesh: TimeMesh) -> "WaveProblem":
         return WaveProblem(
             self.grid, mesh, self.phi, self.initial_displacement, self.initial_velocity
@@ -62,55 +62,54 @@ class WaveProblem:
 WAVE_NOISE = ("increments", "gaps", "velocity_sums")
 
 
-def _forcing_rows(problem: WaveProblem, block: NoiseBlock):
-    """(displacement, velocity) forcing of each step for every path of block, each (K, R).
+def wave_step_map(problem: WaveProblem) -> tuple:
+    """One step in the sine basis, as heat.modal_march takes it: (diagonal, coupling, loads).
 
-    The displacement forcing of step j is the correction
-    Phi (micro Riemann sum) - (tau/2) Phi (W(t_{j+1}) + W(t_j)), the same
-    trapezoid-versus-micro-quadrature gap as the heat correction but
-    without the Laplacian.  The velocity forcing is Phi dW_j plus the
-    correction (1/2) sum_{l=1}^{M} (2 t_{j+1} - tau - 2 t_{j,l}) tau^2
-    Lap[Phi W(t_{j,l})], whose weight simplifies to (tau^3/2)(1 - 2 l tau),
-    independent of j.
+    Each mode's (x, y) goes through the 2x2 matrix
+    [[diagonal[0], coupling[0]], [coupling[1], diagonal[1]]], and loads
+    maps each noise coordinate to its (2, K, m) load on x and on y.  Per
+    mode, with a = tau^2 lambda/4 and D = 1 + a, eliminating x' from
+    x' - x = (tau/2)(y' + y) + g and y' - y = -(tau lambda/2)(x' + x) + w - lambda v
+    (g, w, v the step's gap, increment and velocity sum, times Phi) gives
+    y' = ((1 - a) y - tau lambda x - (tau lambda/2) g + w - lambda v) / D and
+    x' = x + (tau/2)(y + y') + g.  The matrix has determinant 1.
     """
-    phi = problem.phi
-    for j in range(problem.mesh.N):
-        displacement = phi.combine(block.gaps[j])
-        velocity = phi.combine(block.increments[j]) + phi.combine_laplacian(
-            block.velocity_sums[j]
-        )
-        yield displacement, velocity
+    grid, tau = problem.grid, problem.mesh.tau
+    lam = grid.eigenvalues[:, None]
+    phi = grid.sine_transform(problem.phi.values.T)
+    inverse = 1.0 / (1.0 + 0.25 * tau * tau * lam)
+    diagonal = (1.0 - 0.25 * tau * tau * lam) * inverse
+    half_tau_lam = 0.5 * tau * lam * inverse
+    loads = {
+        "gaps": np.stack([inverse, -half_tau_lam]) * phi,
+        "increments": np.stack([0.5 * tau * inverse, inverse]) * phi,
+        "velocity_sums": np.stack([-half_tau_lam, -lam * inverse]) * phi,
+    }
+    return np.stack([diagonal, diagonal]), np.stack([tau * inverse, -tau * lam * inverse]), loads
 
 
-def wave_forcing(problem: WaveProblem, path: WienerPath) -> tuple[np.ndarray, np.ndarray]:
-    """Noise forcing of every step of one path: (displacement, velocity), each (N, K).
-
-    These are the rows run_wave steps with.
-    """
-    block = noise_block(path, problem.mesh, WAVE_NOISE)
-    displacement, velocity = zip(*_forcing_rows(problem, block))
-    return np.stack(displacement)[..., 0], np.stack(velocity)[..., 0]
+def _march(
+    problem: WaveProblem, x: np.ndarray, y: np.ndarray, noise: WienerPath | NoiseBlock, steps: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step (x, y) over the given steps for one path, giving (K,), or a block of R paths, (K, R)."""
+    block = noise_block(noise, problem.mesh, WAVE_NOISE)
+    x, y = modal_march(problem.grid, block, wave_step_map(problem), [x, y], steps)
+    return (x, y) if block is noise else (x[:, 0], y[:, 0])
 
 
 def mcn_wave_step(
     problem: WaveProblem,
     x: np.ndarray,
     y: np.ndarray,
-    displacement: np.ndarray,
-    velocity: np.ndarray,
+    noise: WienerPath | NoiseBlock,
+    j: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance (X_j, Y_j) one coarse step via the eliminated tridiagonal solve.
+    """Advance (X_j, Y_j) over coarse step j.
 
-    displacement and velocity are row j of wave_forcing; all four arrays
-    are (K,) for one path or (K, R) for R paths.  Substituting the
-    displacement relation into the velocity one gives
-    (I - tau^2/4 Lap) Y_{j+1} = Y_j + Lap(tau^2/4 Y_j + tau X_j + tau/2 displacement) + velocity.
+    x and y are (K,) and noise one path, or they are (K,) or (K, R) and
+    noise a block of R paths.
     """
-    grid, tau = problem.grid, problem.mesh.tau
-    coupled = 0.25 * tau * tau * y + tau * x + 0.5 * tau * displacement
-    y_next = problem.implicit_matrix.solve(y + apply_laplacian(grid, coupled) + velocity)
-    x_next = x + 0.5 * tau * (y + y_next) + displacement
-    return x_next, y_next
+    return _march(problem, x, y, noise, range(j, j + 1))
 
 
 def run_wave(
@@ -122,12 +121,13 @@ def run_wave(
     paths on problem.mesh, giving (K, R) blocks.  A path is marched as a
     block of one, so both give the same bits per path.
     """
-    block = noise_block(noise, problem.mesh, WAVE_NOISE)
-    x = np.repeat(problem.initial_displacement[:, None], block.count, axis=1)
-    y = np.repeat(problem.initial_velocity[:, None], block.count, axis=1)
-    for displacement, velocity in _forcing_rows(problem, block):
-        x, y = mcn_wave_step(problem, x, y, displacement, velocity)
-    return (x, y) if block is noise else (x[:, 0], y[:, 0])
+    return _march(
+        problem,
+        problem.initial_displacement,
+        problem.initial_velocity,
+        noise,
+        range(problem.mesh.N),
+    )
 
 
 def reference_wave_solution(

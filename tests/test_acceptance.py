@@ -25,6 +25,8 @@ import numpy as np
 import pytest
 
 from mcnspde import (
+    WAVE_NOISE,
+    NoiseBlock,
     SpatialGrid,
     TimeMesh,
     WienerPath,
@@ -43,7 +45,6 @@ from mcnspde import (
     sine_mode,
     validate_statistics,
     wave_energy,
-    wave_forcing,
 )
 
 SEED = 20260814
@@ -265,13 +266,14 @@ def test_criterion_8_deterministic_orders():
     grid = SpatialGrid(40)
     mesh = TimeMesh(256)
     problem = benchmark_wave_problem(grid, mesh, noise_scale=0.0)
-    path = sample_path(SEED, mesh, m=1)
+    block = NoiseBlock.empty(mesh, 1, 1, WAVE_NOISE)
+    block.put(0, sample_path(SEED, mesh, m=1))
     x, y = problem.initial_displacement, problem.initial_velocity
     e0 = wave_energy(problem, x, y)
     drift = 0.0
-    for displacement, velocity in zip(*wave_forcing(problem, path)):
-        x, y = mcn_wave_step(problem, x, y, displacement, velocity)
-        drift = max(drift, abs(wave_energy(problem, x, y) - e0) / e0)
+    for j in range(mesh.N):
+        x, y = mcn_wave_step(problem, x, y, block, j)
+        drift = max(drift, abs(wave_energy(problem, x[:, 0], y[:, 0]) - e0) / e0)
 
     cn_ok = 1.9 <= cn.fitted_rate <= 2.1
     em_ok = 0.9 <= em.fitted_rate <= 1.1

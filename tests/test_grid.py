@@ -1,4 +1,4 @@
-"""Grid, Laplacian, and tridiagonal solver tests against dense linear algebra."""
+"""Grid, Laplacian, sine basis and norm tests against dense linear algebra."""
 
 import math
 
@@ -9,47 +9,29 @@ from mcnspde import (
     ConfigError,
     HeatProblem,
     NoiseCoefficient,
-    SolverError,
     SpatialGrid,
     TimeMesh,
-    TridiagonalSolver,
     WaveProblem,
     apply_laplacian,
     dirichlet_eigenvalue,
     h1_seminorm,
     l2_inner,
     l2_norm,
-    shifted_laplacian,
     sine_mode,
+    squared_h1_seminorms,
+    squared_l2_norms,
 )
-
-
-def dense_matrix(lower, diag, upper):
-    """Assemble the full K x K matrix from the three bands."""
-    K = diag.size
-    mat = np.zeros((K, K))
-    mat[np.arange(K), np.arange(K)] = diag
-    mat[np.arange(1, K), np.arange(K - 1)] = lower
-    mat[np.arange(K - 1), np.arange(1, K)] = upper
-    return mat
 
 
 def dense_laplacian(grid):
     off = np.ones(grid.K - 1)
-    return dense_matrix(off, np.full(grid.K, -2.0), off) / grid.h**2
+    return (np.diag(off, -1) - 2.0 * np.eye(grid.K) + np.diag(off, 1)) / grid.h**2
 
 
-def random_dominant_bands(K, rng):
-    """Bands of a random tridiagonal matrix made strictly diagonally dominant."""
-    lower = rng.standard_normal(K - 1)
-    upper = rng.standard_normal(K - 1)
-    diag = rng.standard_normal(K)
-    slack = 1.0 + np.abs(rng.standard_normal(K))
-    dom = np.zeros(K)
-    dom[:-1] += np.abs(upper)
-    dom[1:] += np.abs(lower)
-    diag = np.sign(diag + (diag == 0)) * (dom + slack)
-    return lower, diag, upper
+def modal_solve(grid, scale, rhs):
+    """x with (I + scale Lap) x = rhs, by one division per sine mode."""
+    symbol = (1.0 - scale * grid.eigenvalues).reshape((-1,) + (1,) * (rhs.ndim - 1))
+    return grid.sine_transform(grid.sine_transform(rhs) / symbol)
 
 
 def test_grid_geometry():
@@ -76,11 +58,6 @@ def test_field_shape_checked():
         WaveProblem(grid, mesh, phi, np.zeros(5), np.zeros(6))
 
 
-def test_band_length_validation():
-    with pytest.raises(ValueError):
-        TridiagonalSolver(np.ones(5), np.full(5, 4.0), np.ones(4))
-
-
 def test_apply_matches_dense():
     grid = SpatialGrid(12)
     rng = np.random.default_rng(21)
@@ -94,61 +71,36 @@ def test_apply_matches_dense():
     )
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_thomas_matches_dense_solve(seed):
-    """Elimination agrees with numpy's dense solver on dominant systems."""
-    rng = np.random.default_rng(100 + seed)
-    K = int(rng.integers(2, 25))
-    bands = random_dominant_bands(K, rng)
-    rhs = rng.standard_normal(K)
-    got = TridiagonalSolver(*bands).solve(rhs)
-    expected = np.linalg.solve(dense_matrix(*bands), rhs)
-    np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-13)
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_block_solve_is_column_by_column(seed):
-    """A (K, R) right-hand side is solved column by column, bit for bit."""
+    """A (K, R) block is solved in the sine basis column by column, bit for bit."""
     rng = np.random.default_rng(200 + seed)
     K = int(rng.integers(2, 25))
-    bands = random_dominant_bands(K, rng)
-    system = TridiagonalSolver(*bands)
+    grid = SpatialGrid(K)
+    scale = -float(rng.uniform(0.0, 0.1))
     rhs = rng.standard_normal((K, 5))
-    got = system.solve(rhs)
+    got = modal_solve(grid, scale, rhs)
     assert got.shape == (K, 5)
     for r in range(5):
-        assert np.array_equal(got[:, r], system.solve(rhs[:, r]))
-    expected = np.linalg.solve(dense_matrix(*bands), rhs)
+        assert np.array_equal(got[:, r], modal_solve(grid, scale, rhs[:, r]))
+    expected = np.linalg.solve(np.eye(K) + scale * dense_laplacian(grid), rhs)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError):
-        system.solve(np.zeros((K + 1, 5)))
+        grid.sine_transform(np.zeros((K + 1, 5)))
 
 
 def test_solve_then_apply_round_trip():
+    """Dividing by the modal symbol solves (I - c Lap) x = rhs, as the steppers do."""
     grid = SpatialGrid(40)
-    system = shifted_laplacian(grid, -0.01)
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal(grid.K)
-    x = system.solve(rhs)
+    x = modal_solve(grid, -0.01, rhs)
     np.testing.assert_allclose(x - 0.01 * apply_laplacian(grid, x), rhs, rtol=1e-12)
 
 
-def test_zero_pivot_raises():
-    """A vanishing pivot is caught when the system is factored, before any solve."""
-    with pytest.raises(SolverError):
-        TridiagonalSolver(np.zeros(3), np.zeros(4), np.zeros(3))
-
-
-def test_pivot_failure_mid_sweep():
-    # first pivot fine, second eliminated to zero: diag [1, 1], lower 1, upper 1
-    with pytest.raises(SolverError):
-        TridiagonalSolver(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]))
-
-
 def test_grid_mismatch_rejected():
-    system = shifted_laplacian(SpatialGrid(5), -0.1)
     with pytest.raises(ValueError):
-        system.solve(np.zeros(6))
+        SpatialGrid(5).sine_transform(np.zeros(6))
     with pytest.raises(ValueError):
         l2_inner(np.zeros(5), np.zeros(6))
 
@@ -184,15 +136,50 @@ def test_mode_index_bounds():
 
 
 def test_identity_plus_algebra():
-    """The factored shifted system inverts the dense matrix I + c Lap."""
+    """The sine basis diagonalizes I + c Lap, with 1 - c lambda_k on the diagonal."""
     grid = SpatialGrid(10)
-    rng = np.random.default_rng(5)
-    f = rng.standard_normal(grid.K)
+    basis = grid.sine_basis
     for scale in (-0.3, 0.002):
         dense = np.eye(grid.K) + scale * dense_laplacian(grid)
         np.testing.assert_allclose(
-            shifted_laplacian(grid, scale).solve(dense @ f), f, rtol=1e-11, atol=1e-13
+            basis.T @ dense @ basis,
+            np.diag(1.0 - scale * grid.eigenvalues),
+            rtol=0.0,
+            atol=1e-12 * np.abs(dense).max(),
         )
+
+
+@pytest.mark.parametrize("K", [2, 9, 40, 1024])
+def test_sine_basis_is_the_orthonormal_eigenbasis(K):
+    """S is symmetric and orthogonal, column k is sine_mode k scaled to unit norm."""
+    grid = SpatialGrid(K)
+    basis = grid.sine_basis
+    assert np.array_equal(basis, basis.T)
+    np.testing.assert_allclose(basis @ basis, np.eye(K), rtol=0.0, atol=1e-13)
+    for k in (1, 2, K):
+        np.testing.assert_allclose(
+            basis[:, k - 1], math.sqrt(2.0 * grid.h) * sine_mode(grid, k), rtol=0.0, atol=1e-12
+        )
+        assert grid.eigenvalues[k - 1] == dirichlet_eigenvalue(grid, k)
+    rng = np.random.default_rng(K)
+    f = rng.standard_normal((K, 3))
+    np.testing.assert_allclose(grid.sine_transform(f), basis @ f, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(grid.sine_transform(grid.sine_transform(f)), f, atol=1e-12)
+
+
+def test_column_norms_match_the_scalar_norms():
+    """Column-wise squared norms agree with the scalar norms and keep their bits for any R."""
+    rng = np.random.default_rng(9)
+    for K in (2, 40):
+        block = rng.standard_normal((K, 130))
+        l2 = squared_l2_norms(block)
+        h1 = squared_h1_seminorms(block)
+        for r in range(block.shape[1]):
+            assert l2[r] == pytest.approx(l2_norm(block[:, r]) ** 2, rel=1e-14)
+            assert h1[r] == pytest.approx(h1_seminorm(block[:, r]) ** 2, rel=1e-14)
+        for lo, hi in ((0, 1), (1, 13), (13, 77), (77, 130)):
+            assert np.array_equal(squared_l2_norms(block[:, lo:hi]), l2[lo:hi])
+            assert np.array_equal(squared_h1_seminorms(block[:, lo:hi]), h1[lo:hi])
 
 
 def test_sine_mode_l2_norm_is_half():

@@ -19,7 +19,7 @@ from mcnspde import (
     dirichlet_eigenvalue,
     em_step,
     exact_heat_solution,
-    heat_forcing,
+    heat_step_map,
     l2_norm,
     mcn_heat_step,
     run_heat,
@@ -61,7 +61,7 @@ def test_mcn_eigenmode_decay_factor():
         problem = HeatProblem(grid, mesh, zero_phi(grid), sine_mode(grid, k))
         lam = dirichlet_eigenvalue(grid, k)
         rho = (1 - 0.5 * mesh.tau * lam) / (1 + 0.5 * mesh.tau * lam)
-        first = mcn_heat_step(problem, problem.initial, heat_forcing(problem, path)[0])
+        first = mcn_heat_step(problem, problem.initial, path, 0)
         np.testing.assert_allclose(first, rho * problem.initial, rtol=1e-12, atol=1e-14)
         final = run_heat(problem, path, scheme="mcn")
         np.testing.assert_allclose(
@@ -107,7 +107,7 @@ def test_mcn_step_dense_oracle():
     rhs = (np.eye(k) + 0.5 * tau * lap) @ x0 + phi.values.T @ dw + corr
     expected = np.linalg.solve(np.eye(k) - 0.5 * tau * lap, rhs)
 
-    got = mcn_heat_step(problem, x0, heat_forcing(problem, path, "mcn")[0])
+    got = mcn_heat_step(problem, x0, path, 0)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
@@ -127,8 +127,78 @@ def test_em_step_dense_oracle():
     rhs = x0 + phi.values.T @ dw
     expected = np.linalg.solve(np.eye(k) - tau * lap, rhs)
 
-    got = em_step(problem, x0, heat_forcing(problem, path, "em")[0])
+    got = em_step(problem, x0, path, 0)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+
+
+def dense_heat_march(problem, path, scheme):
+    """X_N by np.linalg.solve of the scheme's defining relation at every step."""
+    k, mesh, phi = problem.grid.K, problem.mesh, problem.phi.values.T
+    lap = dense_laplacian(k)
+    tau = mesh.tau
+    theta = 1.0 if scheme == "em" else 0.5
+    implicit = np.eye(k) - theta * tau * lap
+    explicit = np.eye(k) + (1.0 - theta) * tau * lap
+    x = problem.initial
+    for j in range(mesh.N):
+        w_lo, w_hi = value_at(path, mesh.coarse_time(j)), value_at(path, mesh.coarse_time(j + 1))
+        rhs = explicit @ x + phi @ (w_hi - w_lo)
+        if scheme == "mcn":
+            micro = sum(value_at(path, mesh.micro_time(j, ell)) for ell in range(1, mesh.M + 1))
+            rhs += lap @ phi @ (tau * tau * micro - 0.5 * tau * (w_lo + w_hi))
+        x = np.linalg.solve(implicit, rhs)
+    return x
+
+
+@pytest.mark.parametrize("scheme", ["mcn", "em"])
+@pytest.mark.parametrize("k", [2, 9, 40])
+@pytest.mark.parametrize("m", [1, 2])
+def test_run_matches_dense_recursion(scheme, k, m):
+    """run_heat reproduces the node-space recursion of dense solves, N = 1, 4 and 16."""
+    rng = np.random.default_rng(1000 * k + m)
+    grid = SpatialGrid(k)
+    phi = NoiseCoefficient.from_components(grid, [rng.standard_normal(k) for _ in range(m)])
+    x0 = rng.standard_normal(k)
+    for n in (1, 4, 16):
+        problem = HeatProblem(grid, TimeMesh(n), phi, x0)
+        path = sample_path(1000 * k + 10 * m + n, TimeMesh(16), m=m)
+        expected = dense_heat_march(problem, path, scheme)
+        got = run_heat(problem, path, scheme)
+        np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-13 * np.abs(expected).max())
+
+
+def sine_basis(k):
+    """S_ik = sqrt(2h) sin(i k pi h), built here independently of the grid."""
+    h = 1.0 / (k + 1)
+    index = np.arange(1, k + 1)
+    return math.sqrt(2.0 * h) * np.sin(math.pi * h * np.outer(index, index))
+
+
+@pytest.mark.parametrize("scheme", ["mcn", "em"])
+def test_step_map_is_the_dense_step_in_the_sine_basis(scheme):
+    """S^T P S is diagonal and equals the stepped factors; the loads are S^T of the solved forcings.
+
+    P and the forcing columns come from np.linalg.solve of the node-space
+    implicit system on the identity, on Phi and on Lap Phi.
+    """
+    k, n = 40, 8
+    rng = np.random.default_rng(77)
+    grid = SpatialGrid(k)
+    phi = NoiseCoefficient.from_components(grid, [rng.standard_normal(k) for _ in range(2)])
+    problem = HeatProblem(grid, TimeMesh(n), phi, np.zeros(k))
+    lap, tau, basis = dense_laplacian(k), problem.mesh.tau, sine_basis(k)
+    theta = 1.0 if scheme == "em" else 0.5
+    implicit = np.eye(k) - theta * tau * lap
+    step = np.linalg.solve(implicit, np.eye(k) + (1.0 - theta) * tau * lap)
+    rho, coupling, loads = heat_step_map(problem, scheme)
+    assert coupling is None
+    modal = basis.T @ step @ basis
+    np.testing.assert_allclose(modal, np.diag(rho[0, :, 0]), rtol=0.0, atol=1e-12)
+    columns = {"increments": phi.values.T, "gaps": lap @ phi.values.T}
+    assert set(loads) == set(HEAT_NOISE[scheme])
+    for name, load in loads.items():
+        expected = basis.T @ np.linalg.solve(implicit, columns[name])
+        np.testing.assert_allclose(load[0], expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_linear_path_run_matches_hand_recursion():
@@ -187,8 +257,8 @@ def test_deterministic_steps_are_contractive():
         problem = HeatProblem(grid, mesh, zero_phi(grid), rng.standard_normal(20))
         x = problem.initial
         norms = [l2_norm(x)]
-        for forcing in heat_forcing(problem, path, scheme):
-            x = scheme_step(problem, x, forcing)
+        for j in range(mesh.N):
+            x = scheme_step(problem, x, path, j)
             norms.append(l2_norm(x))
         assert all(b <= a + 1e-14 for a, b in zip(norms, norms[1:]))
 
@@ -259,16 +329,20 @@ def noise_blocks(paths, mesh, coordinates, sizes):
 
 @pytest.mark.parametrize("scheme", ["mcn", "em"])
 def test_block_march_equals_one_path_runs(scheme):
-    """Marching R paths as one block, or split 2 + 3, gives each path's lone run bit for bit."""
-    grid = SpatialGrid(12)
-    mesh = TimeMesh(16)
-    problem = benchmark_heat_problem(grid, mesh)
-    paths = [sample_path((5, r), TimeMesh(32)) for r in range(5)]
-    lone = np.stack([run_heat(problem, path, scheme) for path in paths], axis=1)
-    for sizes in ((5,), (2, 3)):
-        blocks = noise_blocks(paths, mesh, HEAT_NOISE[scheme], sizes)
-        marched = np.concatenate([run_heat(problem, b, scheme) for b in blocks], axis=1)
-        assert np.array_equal(marched, lone)
+    """Marching paths as one block, or split, gives each path's lone run bit for bit.
+
+    At K = 12 five paths go as 5 and as 2 + 3; at the desk K = 40, 130
+    paths go as blocks of 1, 12 and 130 and as 64 + 66.
+    """
+    shapes = ((12, 5, ((5,), (2, 3))), (40, 130, ((1,) * 12, (12,), (130,), (64, 66))))
+    for k, count, splits in shapes:
+        problem = benchmark_heat_problem(SpatialGrid(k), TimeMesh(16))
+        paths = [sample_path((5, r), TimeMesh(32)) for r in range(count)]
+        lone = np.stack([run_heat(problem, path, scheme) for path in paths], axis=1)
+        for sizes in splits:
+            blocks = noise_blocks(paths, problem.mesh, HEAT_NOISE[scheme], sizes)
+            marched = np.concatenate([run_heat(problem, b, scheme) for b in blocks], axis=1)
+            assert np.array_equal(marched, lone[:, : marched.shape[1]])
 
 
 def test_run_heat_rejects_foreign_blocks():

@@ -1,9 +1,10 @@
 """Path sampling, alignment rules, and micro-grid quadrature oracles.
 
-The mesh accessor and the mesh-wide forcings built on it are cross-checked
-three ways: against explicit loops that look path values up by time,
-against closed forms on the deterministic path W(t) = t, and against exact
-second-moment formulas via small Monte Carlo runs.
+The mesh accessor and the forcings the steppers apply (recovered from one
+step from rest) are cross-checked three ways: against explicit loops that
+look path values up by time, against closed forms on the deterministic
+path W(t) = t, and against exact second-moment formulas via small Monte
+Carlo runs.
 """
 
 import math
@@ -21,11 +22,12 @@ from mcnspde import (
     WaveProblem,
     WienerPath,
     defect_moment_exact,
-    heat_forcing,
+    em_step,
+    mcn_heat_step,
+    mcn_wave_step,
     mesh_values,
     quadrature_gaps,
     sample_path,
-    wave_forcing,
     wave_micro_sum_moment_exact,
 )
 from mcnspde.noise import bridge_variances, master_strides
@@ -51,6 +53,32 @@ def heat_problem(phi, mesh):
 
 def wave_problem(phi, mesh):
     return WaveProblem(phi.grid, mesh, phi, np.zeros(phi.grid.K), np.zeros(phi.grid.K))
+
+
+def heat_forcing(problem, path, scheme="mcn"):
+    """The forcing each step of the scheme applied, shape (N, K).
+
+    From rest, a step gives X = A^-1 F with A the scheme's implicit
+    matrix, so F is A times one step of the scheme from zero.
+    """
+    k, tau = problem.grid.K, problem.mesh.tau
+    implicit = np.eye(k) - (1.0 if scheme == "em" else 0.5) * tau * dense_laplacian(k)
+    step = em_step if scheme == "em" else mcn_heat_step
+    rest = np.zeros(k)
+    return np.stack([implicit @ step(problem, rest, path, j) for j in range(problem.mesh.N)])
+
+
+def wave_forcing(problem, path):
+    """The (displacement, velocity) forcing each step of the wave scheme applied, each (N, K).
+
+    From rest, a step gives X = (tau/2) Y + displacement and
+    Y = (tau/2) Lap X + velocity.
+    """
+    lap, tau, rest = dense_laplacian(problem.grid.K), problem.mesh.tau, np.zeros(problem.grid.K)
+    steps = [mcn_wave_step(problem, rest, rest, path, j) for j in range(problem.mesh.N)]
+    displacement = np.stack([x - 0.5 * tau * y for x, y in steps])
+    velocity = np.stack([y - 0.5 * tau * lap @ x for x, y in steps])
+    return displacement, velocity
 
 
 def linear_path(master_steps, m=1):
@@ -311,7 +339,7 @@ def test_combine_matches_loop():
 
 
 def test_heat_correction_brute_force():
-    """Heat forcing rows equal Phi dW plus Lap Phi weighted by the quadrature gap."""
+    """The heat step's forcing is Phi dW plus Lap Phi weighted by the quadrature gap."""
     grid = SpatialGrid(10)
     mesh = TimeMesh(4)
     rng = np.random.default_rng(23)
@@ -334,10 +362,13 @@ def test_heat_correction_brute_force():
         for i in range(phi.m):
             by_hand += (w_hi - w_lo)[i] * phi.values[i] + gap[i] * (lap @ phi.values[i])
         np.testing.assert_allclose(forcing[j], by_hand, rtol=1e-12, atol=1e-15)
-    # Euler-Maruyama takes Phi dW alone
+    # Euler-Maruyama takes Phi dW alone; recovered from a step, it agrees to rounding
     em = heat_forcing(heat_problem(phi, mesh), path, "em")
     np.testing.assert_allclose(
-        em, phi.combine(np.diff(mesh_values(path.cumulative, mesh)[0], axis=0)).T, rtol=1e-15
+        em,
+        phi.combine(np.diff(mesh_values(path.cumulative, mesh)[0], axis=0)).T,
+        rtol=1e-12,
+        atol=1e-15,
     )
 
 
@@ -383,7 +414,7 @@ def test_wave_velocity_correction_constant_path():
 
 
 def test_wave_corrections_brute_force():
-    """Displacement and velocity forcings match their defining sums."""
+    """The wave step's displacement and velocity forcings match their defining sums."""
     grid = SpatialGrid(9)
     mesh = TimeMesh(4)
     rng = np.random.default_rng(31)

@@ -1,9 +1,11 @@
-"""Wave stepper checks: step residuals, conservation, block solves, and the transformed scheme.
+"""Wave stepper checks: step residuals, conservation, dense oracles, and the transformed scheme.
 
 The last test re-derives the stepper from its change-of-variables form,
 where the noise enters only the velocity equation as accumulated micro
 sums, and confirms both formulations march to the same state.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from mcnspde import (
     sample_path,
     sine_mode,
     wave_energy,
-    wave_forcing,
+    wave_step_map,
 )
 
 # Residual tolerance of a step's defining relations, relative to 1 + the
@@ -70,6 +72,25 @@ def random_problem(k, n, m, seed):
     return WaveProblem(grid, mesh, phi, x0, y0)
 
 
+def one_path_block(path, mesh):
+    """path reduced once to a block of one on mesh, for marching it step by step."""
+    block = NoiseBlock.empty(mesh, 1, path.m, WAVE_NOISE)
+    block.put(0, path)
+    return block
+
+
+def node_forcing(problem, block, j):
+    """Step j's (displacement, velocity) forcing of every path of block, each (K, R).
+
+    Phi gap_j, and Phi dW_j + Lap Phi v_j with v_j the weighted micro sum:
+    the right-hand sides of the defining relations, formed in node space.
+    """
+    phi, lap = problem.phi.values.T, dense_laplacian(problem.grid.K)
+    displacement = phi @ block.gaps[j].T
+    velocity = phi @ block.increments[j].T + lap @ phi @ block.velocity_sums[j].T
+    return displacement, velocity
+
+
 def test_energy_conserved_without_noise():
     """Discrete energy of the silent scheme is flat to ~1e-12 per run."""
     grid = SpatialGrid(40)
@@ -77,17 +98,17 @@ def test_energy_conserved_without_noise():
     problem = WaveProblem(
         grid, mesh, zero_phi(grid), sine_mode(grid, 1), np.zeros(grid.K)
     )
-    path = sample_path(17, mesh)
+    block = one_path_block(sample_path(17, mesh), mesh)
     x, y = problem.initial_displacement, problem.initial_velocity
     e0 = wave_energy(problem, x, y)
     worst = 0.0
-    for displacement, velocity in zip(*wave_forcing(problem, path)):
-        x, y = mcn_wave_step(problem, x, y, displacement, velocity)
-        worst = max(worst, abs(wave_energy(problem, x, y) - e0))
+    for j in range(mesh.N):
+        x, y = mcn_wave_step(problem, x, y, block, j)
+        worst = max(worst, abs(wave_energy(problem, x[:, 0], y[:, 0]) - e0))
     assert worst <= 1e-9 * e0
 
 
-def step_checking_residuals(problem, x, y, displacement, velocity):
+def step_checking_residuals(problem, x, y, block, j):
     """mcn_wave_step, asserting both defining relations for every column of the step.
 
     X_{j+1} - X_j = (tau/2)(Y_{j+1} + Y_j) + displacement and
@@ -95,7 +116,8 @@ def step_checking_residuals(problem, x, y, displacement, velocity):
     RESIDUAL_TOLERANCE (1 + max|state|) of the column's own state.
     """
     tau = problem.mesh.tau
-    x_next, y_next = mcn_wave_step(problem, x, y, displacement, velocity)
+    displacement, velocity = node_forcing(problem, block, j)
+    x_next, y_next = mcn_wave_step(problem, x, y, block, j)
     scale = 1.0 + np.max([np.abs(v).max(axis=0) for v in (x_next, y_next, x, y)], axis=0)
     res_x = np.abs(x_next - x - 0.5 * tau * (y_next + y) - displacement).max(axis=0)
     lap_sum = apply_laplacian(problem.grid, x_next + x)
@@ -109,20 +131,21 @@ def test_every_step_solves_both_defining_relations():
     """Each step of a noisy (K, R) block and of the silent N = 256 benchmark."""
     problem = random_problem(k=12, n=16, m=2, seed=47)
     paths = [sample_path((471, r), TimeMesh(32), m=2) for r in range(3)]
-    forcings = [wave_forcing(problem, path) for path in paths]
-    displacement, velocity = (np.stack([f[i] for f in forcings], axis=-1) for i in (0, 1))
+    block = NoiseBlock.empty(problem.mesh, len(paths), 2, WAVE_NOISE)
+    for r, path in enumerate(paths):
+        block.put(r, path)
     x = np.repeat(problem.initial_displacement[:, None], len(paths), axis=1)
     y = np.repeat(problem.initial_velocity[:, None], len(paths), axis=1)
-    for d, v in zip(displacement, velocity):
-        x, y = step_checking_residuals(problem, x, y, d, v)
+    for j in range(problem.mesh.N):
+        x, y = step_checking_residuals(problem, x, y, block, j)
 
     # the silent benchmark of acceptance criterion 8
     grid, mesh = SpatialGrid(40), TimeMesh(256)
     problem = benchmark_wave_problem(grid, mesh, noise_scale=0.0)
-    path = sample_path(20260814, mesh, m=1)
-    x, y = problem.initial_displacement, problem.initial_velocity
-    for d, v in zip(*wave_forcing(problem, path)):
-        x, y = step_checking_residuals(problem, x, y, d, v)
+    block = one_path_block(sample_path(20260814, mesh, m=1), mesh)
+    x, y = (v[:, None] for v in (problem.initial_displacement, problem.initial_velocity))
+    for j in range(mesh.N):
+        x, y = step_checking_residuals(problem, x, y, block, j)
 
 
 def test_energy_of_pure_mode():
@@ -148,17 +171,14 @@ def test_silent_step_is_time_reversible():
         problem.initial_velocity,
     )
     path = sample_path(411, TimeMesh(32))
-    displacement, velocity = (f[0] for f in wave_forcing(silent, path))
-    x, y = mcn_wave_step(
-        silent, silent.initial_displacement, silent.initial_velocity, displacement, velocity
-    )
-    back_x, back_y = mcn_wave_step(silent, x, -y, displacement, velocity)
+    x, y = mcn_wave_step(silent, silent.initial_displacement, silent.initial_velocity, path, 0)
+    back_x, back_y = mcn_wave_step(silent, x, -y, path, 0)
     np.testing.assert_allclose(back_x, silent.initial_displacement, rtol=1e-12, atol=1e-13)
     np.testing.assert_allclose(back_y, -silent.initial_velocity, rtol=1e-12, atol=1e-13)
 
 
 def test_one_step_dense_block_oracle():
-    """The eliminated solve agrees with a dense 2K x 2K block solve."""
+    """The modal step agrees with a dense 2K x 2K block solve."""
     k, n, m = 9, 4, 2
     problem = random_problem(k, n, m, seed=43)
     mesh = problem.mesh
@@ -188,8 +208,7 @@ def test_one_step_dense_block_oracle():
     )
     sol = np.linalg.solve(block, rhs)
 
-    displacement, velocity = (f[0] for f in wave_forcing(problem, path))
-    x1, y1 = mcn_wave_step(problem, x0, y0, displacement, velocity)
+    x1, y1 = mcn_wave_step(problem, x0, y0, path, 0)
     np.testing.assert_allclose(x1, sol[:k], rtol=1e-11, atol=1e-13)
     np.testing.assert_allclose(y1, sol[k:], rtol=1e-11, atol=1e-13)
 
@@ -298,21 +317,27 @@ def test_run_wave_rejects_misaligned_path():
 
 
 def test_block_march_equals_one_path_runs():
-    """Marching R paths as one block, or split 2 + 3, gives each path's lone run bit for bit."""
-    problem = random_problem(k=10, n=8, m=1, seed=61)
-    paths = [sample_path((6, r), TimeMesh(32)) for r in range(5)]
-    lone = [run_wave(problem, path) for path in paths]
-    for sizes in ((5,), (2, 3)):
-        start = 0
-        for size in sizes:
-            block = NoiseBlock.empty(problem.mesh, size, 1, WAVE_NOISE)
-            for r in range(size):
-                block.put(r, paths[start + r])
-            x, y = run_wave(problem, block)
-            for r in range(size):
-                assert np.array_equal(x[:, r], lone[start + r][0])
-                assert np.array_equal(y[:, r], lone[start + r][1])
-            start += size
+    """Marching paths as one block, or split, gives each path's lone run bit for bit.
+
+    At K = 10 five paths go as 5 and as 2 + 3; at the desk K = 40, 130
+    paths go as blocks of 1, 12 and 130 and as 64 + 66.
+    """
+    shapes = ((10, 5, ((5,), (2, 3))), (40, 130, ((1,) * 12, (12,), (130,), (64, 66))))
+    for k, count, splits in shapes:
+        problem = random_problem(k=k, n=8, m=1, seed=61)
+        paths = [sample_path((6, r), TimeMesh(32)) for r in range(count)]
+        lone = [run_wave(problem, path) for path in paths]
+        for sizes in splits:
+            start = 0
+            for size in sizes:
+                block = NoiseBlock.empty(problem.mesh, size, 1, WAVE_NOISE)
+                for r in range(size):
+                    block.put(r, paths[start + r])
+                x, y = run_wave(problem, block)
+                for r in range(size):
+                    assert np.array_equal(x[:, r], lone[start + r][0])
+                    assert np.array_equal(y[:, r], lone[start + r][1])
+                start += size
     # the reference run takes a block on the refined mesh
     fine = NoiseBlock.empty(TimeMesh(16), 1, 1, WAVE_NOISE)
     fine.put(0, paths[0])
@@ -321,6 +346,78 @@ def test_block_march_equals_one_path_runs():
     assert np.array_equal(x_ref[:, 0], x_one) and np.array_equal(y_ref[:, 0], y_one)
     with pytest.raises(AlignmentError):
         run_wave(problem, fine)
+
+
+def dense_wave_march(problem, path):
+    """(X_N, Y_N) by np.linalg.solve of the coupled 2K x 2K defining relations at every step."""
+    k, mesh, phi = problem.grid.K, problem.mesh, problem.phi.values.T
+    lap, eye, tau = dense_laplacian(k), np.eye(k), mesh.tau
+    left = np.block([[eye, -0.5 * tau * eye], [-0.5 * tau * lap, eye]])
+    right = np.block([[eye, 0.5 * tau * eye], [0.5 * tau * lap, eye]])
+    state = np.concatenate([problem.initial_displacement, problem.initial_velocity])
+    for j in range(mesh.N):
+        t_lo, t_hi = mesh.coarse_time(j), mesh.coarse_time(j + 1)
+        w_lo, w_hi = value_at(path, t_lo), value_at(path, t_hi)
+        gap = -0.5 * tau * (w_lo + w_hi)
+        velocity_sum = np.zeros(phi.shape[1])
+        for ell in range(1, mesh.M + 1):
+            t_ell = mesh.micro_time(j, ell)
+            w = value_at(path, t_ell)
+            gap = gap + tau * tau * w
+            velocity_sum += 0.5 * (2.0 * t_hi - tau - 2.0 * t_ell) * tau * tau * w
+        forcing = np.concatenate([phi @ gap, phi @ (w_hi - w_lo) + lap @ phi @ velocity_sum])
+        state = np.linalg.solve(left, right @ state + forcing)
+    return state[:k], state[k:]
+
+
+@pytest.mark.parametrize("k", [2, 9, 40])
+@pytest.mark.parametrize("m", [1, 2])
+def test_run_matches_dense_recursion(k, m):
+    """run_wave reproduces the node-space recursion of dense block solves, N = 1, 4 and 16."""
+    for n in (1, 4, 16):
+        problem = random_problem(k, n, m, seed=1000 * k + m)
+        path = sample_path(1000 * k + 10 * m + n, TimeMesh(16), m=m)
+        for got, expected in zip(run_wave(problem, path), dense_wave_march(problem, path)):
+            np.testing.assert_allclose(
+                got, expected, rtol=1e-11, atol=1e-13 * np.abs(expected).max()
+            )
+
+
+def test_step_map_is_the_dense_step_in_the_sine_basis():
+    """Each block of S^T P S is diagonal, one 2x2 map per mode, equal to the stepped matrix.
+
+    P and the three forcing columns come from np.linalg.solve of the
+    node-space 2K x 2K implicit system on the identity, on (Phi, 0)
+    (the gap), (0, Phi) (the increment) and (0, Lap Phi) (the velocity sum).
+    """
+    k, n = 40, 8
+    problem = random_problem(k, n, m=2, seed=79)
+    lap, eye, tau = dense_laplacian(k), np.eye(k), problem.mesh.tau
+    h = 1.0 / (k + 1)
+    index = np.arange(1, k + 1)
+    basis = math.sqrt(2.0 * h) * np.sin(math.pi * h * np.outer(index, index))
+    left = np.block([[eye, -0.5 * tau * eye], [-0.5 * tau * lap, eye]])
+    right = np.block([[eye, 0.5 * tau * eye], [0.5 * tau * lap, eye]])
+    step = np.linalg.solve(left, right)
+    diagonal, coupling, loads = wave_step_map(problem)
+    matrix = [[diagonal[0], coupling[0]], [coupling[1], diagonal[1]]]
+    for a in range(2):
+        for b in range(2):
+            modal = basis.T @ step[a * k : (a + 1) * k, b * k : (b + 1) * k] @ basis
+            np.testing.assert_allclose(modal, np.diag(matrix[a][b][:, 0]), rtol=0.0, atol=1e-12)
+    phi, zero = problem.phi.values.T, np.zeros((k, problem.phi.m))
+    columns = {
+        "gaps": np.vstack([phi, zero]),
+        "increments": np.vstack([zero, phi]),
+        "velocity_sums": np.vstack([zero, lap @ phi]),
+    }
+    for name, column in columns.items():
+        solved = np.linalg.solve(left, column)
+        for a in range(2):
+            expected = basis.T @ solved[a * k : (a + 1) * k]
+            np.testing.assert_allclose(
+                loads[name][a], expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
+            )
 
 
 def test_run_is_affine_in_initial_data():
