@@ -14,9 +14,12 @@ from mcnspde import (
     WaveProblem,
     apply_laplacian,
     dirichlet_eigenvalue,
+    em_step,
     h1_seminorm,
     l2_inner,
     l2_norm,
+    mcn_heat_step,
+    sample_path,
     sine_mode,
     squared_h1_seminorms,
     squared_l2_norms,
@@ -68,6 +71,32 @@ def test_apply_matches_dense():
     block = rng.standard_normal((grid.K, 3))
     np.testing.assert_allclose(
         apply_laplacian(grid, block), dense_laplacian(grid) @ block, rtol=1e-13
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_thomas_matches_dense_solve(seed):
+    """The steppers' tridiagonal implicit solves agree with numpy's dense solver.
+
+    With the noise silenced, an em step solves (I - tau Lap) x = rhs and an
+    mcn step (I - tau/2 Lap) x = (I + tau/2 Lap) rhs, each by one division
+    per sine mode.
+    """
+    rng = np.random.default_rng(100 + seed)
+    K = int(rng.integers(2, 25))
+    grid = SpatialGrid(K)
+    mesh = TimeMesh(2 ** int(rng.integers(0, 7)))
+    rhs = rng.standard_normal(K)
+    silent = NoiseCoefficient.from_components(grid, [np.zeros(K)])
+    problem = HeatProblem(grid, mesh, silent, np.zeros(K))
+    path = sample_path(100 + seed, TimeMesh(64), m=1)
+    lap = dense_laplacian(grid)
+    tau = mesh.tau
+    expected = np.linalg.solve(np.eye(K) - tau * lap, rhs)
+    np.testing.assert_allclose(em_step(problem, rhs, path), expected, rtol=1e-11, atol=1e-13)
+    expected = np.linalg.solve(np.eye(K) - 0.5 * tau * lap, rhs + 0.5 * tau * lap @ rhs)
+    np.testing.assert_allclose(
+        mcn_heat_step(problem, rhs, path), expected, rtol=1e-11, atol=1e-13
     )
 
 
