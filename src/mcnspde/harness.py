@@ -1,14 +1,17 @@
 """Monte Carlo strong-convergence studies and their tabulated results.
 
 A study fixes the benchmark problem, a list of coarse resolutions, and a
-realization count.  Every realization r draws one Wiener path on the
-micro grid of the finest mesh of n_list (its Philox stream keyed by the
-two words (base_seed, r), so reruns and worker splits reproduce
-bit-identical tables and no two base seeds share a path) and runs every
-resolution against that same path; a wave path also carries the exact
-Brownian-bridge sums through which the finer reference mesh reads it.
-The root-mean-square final-time error per resolution then feeds a
-log-log least-squares rate fit.
+realization count.  Every realization r draws one Wiener path (its
+Philox stream keyed by the two words (base_seed, r), so reruns and
+worker splits reproduce bit-identical tables and no two base seeds share
+a path) and runs every resolution against that same path.  A wave path
+lies on the micro grid of the finest mesh of n_list and carries the
+exact Brownian-bridge sums through which the finer reference mesh reads
+it.  A heat path lies on the micro grid of a quarter of the finest mesh
+N_max and carries the bridge sums through which N_max/2 and N_max read
+it (StudyConfig.path_mesh); the heat oracle is the exact solution's
+conditional mean given all of them.  The root-mean-square final-time
+error per resolution then feeds a log-log least-squares rate fit.
 
 Realizations run in blocks.  Each path of a block is used at once and
 dropped: its heat oracle values are computed, and it is reduced on every
@@ -17,8 +20,8 @@ numbers per step, stored as one column of that mesh's NoiseBlock.  Then
 every mesh is marched once for the whole block on (K, R) states.  A
 block's coordinates may take no more memory than the increments and
 cumulative values of one path on the finest marched mesh's micro grid
-(block_size), so only one path is alive at a time and memory does not
-grow with the realization count.
+(block_size), a grid no study draws in full, so only one path is alive
+at a time and memory does not grow with the realization count.
 
 Heat studies measure against the closed-form benchmark solution, either
 with continuous-spectrum decay rates (total error, floored by the spatial
@@ -93,15 +96,26 @@ class StudyConfig:
 
     @property
     def path_mesh(self) -> TimeMesh:
-        """The mesh whose micro grid every path is drawn on: the finest of n_list.
+        """The mesh whose micro grid every path is drawn on.
 
-        Every coarser power-of-two mesh reads the path by stride.  The wave
-        reference mesh n_ref reads it through one bridge level, which
-        needs each of its coarse steps to span whole master steps, so for
-        an n_ref beyond N^2 the path mesh doubles until N^2 >= n_ref.
+        For heat, P = N_max/4 for the finest mesh N_max of n_list, or for a
+        short n_list the smallest power of two P >= N_max/4 with P^2
+        divisible by N_max.  Meshes up to P read the path by stride, and
+        the meshes 2P and 4P through the bridge levels q = 4 and 16, each
+        of their coarse steps spanning whole master steps.  For wave, the
+        finest mesh of n_list: every coarser power-of-two mesh reads the
+        path by stride, and the reference mesh n_ref through one bridge
+        level, which needs each of its coarse steps to span whole master
+        steps, so for an n_ref beyond N^2 the path mesh doubles until
+        N^2 >= n_ref.
         """
         n = max(self.n_list)
-        while self.equation == EQUATION_WAVE and n * n < self.n_ref:
+        if self.equation == EQUATION_HEAT:
+            p = 1
+            while p < n and (4 * p < n or p * p % n):
+                p *= 2
+            return TimeMesh(p)
+        while n * n < self.n_ref:
             n *= 2
         return TimeMesh(n)
 
@@ -111,13 +125,31 @@ class StudyConfig:
         return self.path_mesh.N ** 2
 
     @property
+    def bridge_meshes(self) -> tuple[TimeMesh, ...]:
+        """The meshes finer than path_mesh that read each path through a bridge level.
+
+        For wave the reference mesh.  For heat the meshes 2P and 4P up to
+        N_max, whether or not n_list holds them, so that a path, and so a
+        row, does not depend on the row's coarser siblings.
+        """
+        if self.equation == EQUATION_WAVE:
+            return (TimeMesh(self.n_ref),)
+        p = self.path_mesh.N
+        return tuple(TimeMesh(n) for n in (2 * p, 4 * p) if n <= max(self.n_list))
+
+    @property
     def finest_mesh(self) -> TimeMesh:
-        """The finest mesh the study marches: path_mesh for heat, the reference mesh for wave."""
-        return self.path_mesh if self.equation == EQUATION_HEAT else TimeMesh(self.n_ref)
+        """The finest mesh the study marches: N_max for heat, the reference mesh for wave."""
+        n = max(self.n_list) if self.equation == EQUATION_HEAT else self.n_ref
+        return TimeMesh(n)
 
 
 def desk_heat_config(**overrides) -> StudyConfig:
-    """Quick heat study: N in 8..256, 500 realizations, paths of 256^2 = 2^16 steps."""
+    """Quick heat study: N in 8..256, 500 realizations.
+
+    Paths have 64^2 = 2^12 master steps, each also split into 4 and into
+    16 bridge steps of the micro grids of N = 128 and 256.
+    """
     return dataclasses.replace(StudyConfig(), **overrides)
 
 
@@ -138,7 +170,11 @@ def desk_wave_config(**overrides) -> StudyConfig:
 
 
 def paper_heat_config(**overrides) -> StudyConfig:
-    """Full-scale heat study: N in 4..1024, 1000 realizations, paths of 1024^2 = 2^20 steps."""
+    """Full-scale heat study: N in 4..1024, 1000 realizations.
+
+    Paths have 256^2 = 2^16 master steps, each also split into 4 and into
+    16 bridge steps of the micro grids of N = 512 and 1024.
+    """
     base = StudyConfig(n_list=(4, 8, 16, 32, 64, 128, 256, 512, 1024), mc_count=1000)
     return dataclasses.replace(base, **overrides)
 
@@ -325,9 +361,9 @@ def block_size(config: StudyConfig) -> int:
 
     A block's noise coordinates may take no more bytes than the increments
     and cumulative values of one path on the micro grid of the finest mesh
-    the study marches (for wave the reference mesh, whose micro grid is
-    never drawn in full), so batching realizations costs at most the
-    memory that sampling such a path would need.
+    the study marches (N_max for heat, the reference mesh for wave, whose
+    micro grids are never drawn in full), so batching realizations costs
+    at most the memory that sampling such a path would need.
     """
     path_bytes = 8 * (2 * config.finest_mesh.N ** 2 + 1)
     per_realization = sum(block.nbytes for block in _study_noise(config, 1))
@@ -352,7 +388,8 @@ def _block_squared_errors(config: StudyConfig, span: range):
     continuous = heat and config.exact_mode == EXACT_CONTINUOUS
     semidiscrete = np.empty((grid.K, count)) if continuous else None
     for i, r in enumerate(span):
-        path = sample_path((config.base_seed, r), config.path_mesh, 1, config.finest_mesh)
+        key = (config.base_seed, r)
+        path = sample_path(key, config.path_mesh, 1, config.bridge_meshes, moments=not heat)
         if heat:
             oracles[:, i] = exact_heat_solution(path, grid, config.exact_mode, config.noise_scale)
             if continuous:

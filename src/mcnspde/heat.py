@@ -28,13 +28,14 @@ convolutions).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import SpatialGrid, dirichlet_eigenvalue, sine_mode
-from .noise import NoiseBlock, NoiseCoefficient, TimeMesh, WienerPath, noise_block
+from .noise import NoiseBlock, NoiseCoefficient, TimeMesh, WienerPath, bridge_factor, noise_block
 
 SCHEME_EULER = "em"
 SCHEME_MCN = "mcn"
@@ -176,22 +177,61 @@ def run_heat(
     return _march(problem, problem.initial, noise, scheme, range(problem.mesh.N))
 
 
+@functools.lru_cache(maxsize=None)
+def bridge_conditional_weights(
+    functionals: tuple[tuple[int, int], ...], rate: float, delta: float
+) -> tuple[float, np.ndarray]:
+    """Weights of dW and of each bridge sum in E[int_0^delta exp(rate u) dW(u) | dW, sums].
+
+    Over one master step of length delta the integral is dW times the
+    kernel's step average expm1(rate delta)/(rate delta), exactly 1 at
+    rate 0, plus int exp(rate u) dB(u) over the step's Brownian bridge B,
+    which is independent of dW.  Its conditional mean given the bridge
+    sums S_p = sum_{i=1}^{q-1} i^p B(i delta/q) named by functionals
+    ((q, p) pairs, as noise.bridge_covariance takes them) is c . S with
+    C c = v, C their covariance and v_f = Cov(int exp(rate u) dB, S_f)
+    = sum_i i^p (expm1(rate t_i) - (t_i/delta) expm1(rate delta))/rate at
+    t_i = i delta/q.  Returns (step average, c), cached per argument.
+    """
+    x = rate * delta
+    if x == 0.0:
+        return 1.0, np.zeros(len(functionals))
+    loads = np.empty(len(functionals))
+    for f, (q, p) in enumerate(functionals):
+        i = np.arange(1.0, q)
+        loads[f] = np.sum(i**p * (np.expm1(x * i / q) - (i / q) * math.expm1(x))) / rate
+    # C = L L^T: solve L y = v from the top row down, then L^T c = y from the bottom up.
+    factor = bridge_factor(functionals, delta)
+    coefficients = np.empty(len(loads))
+    for f in range(len(loads)):
+        loads[f] = (loads[f] - np.sum(factor[f, :f] * loads[:f])) / factor[f, f]
+    for f in reversed(range(len(loads))):
+        rest = np.sum(factor[f + 1 :, f] * coefficients[f + 1 :])
+        coefficients[f] = (loads[f] - rest) / factor[f, f]
+    return math.expm1(x) / x, coefficients
+
+
 def stochastic_convolution(path: WienerPath, rate: float) -> np.ndarray:
     """Conditional mean of int_0^1 exp(-rate (1 - s)) dW(s) given the path, shape (m,).
 
-    Over master step k the integral's conditional mean given the master
-    increments is dW_k times the step average of the kernel: the
-    left-point weight exp(-rate (1 - s_k)) times the scalar
-    expm1(rate delta) / (rate delta), exactly 1 at rate 0.  A bare
-    left-point sum drops that factor, and on the desk heat study at
-    N = 256 it inflated the reference strong error by 5-7%.  What the
-    master increments leave undetermined, the kernel's variation inside
-    each master step, keeps errors measured against this reference about
-    0.15% below the continuous-time value at N = 256.
+    Over master step k the kernel is its left-point value exp(-rate (1 -
+    s_k)) times exp(rate u), u the time into the step, so the integral's
+    conditional mean given the master increments and the bridge sums the
+    path carries is that left-point weight times the step's
+    bridge_conditional_weights combination of dW_k and its sums.  A bare
+    left-point sum drops the step average, and on the desk heat study at
+    N = 256 it inflated the reference strong error by 5-7%.  What the path
+    leaves undetermined keeps errors measured against this reference
+    slightly below the continuous-time value.  On the desk heat path, 4096
+    master steps with the bridge levels q = 4 and 16, that deficit
+    E ||X - E[X | path]||^2 is 6.233e-10 in continuous mode, against
+    6.224e-10 given the dW of all 2^16 finer steps alone; it lowers the
+    mcn RMS error at N = 256 by about 0.14%.  Given the 4096 dW alone it
+    would be 256 times larger.
 
-    The weights factor: with master index k = i w + q, w a power of two
+    The weights factor: with master index k = i w + o, w a power of two
     near sqrt(S) dividing S, and b = S/w blocks, 1 - s_k =
-    ((b - 1 - i) w + (w - q)) delta, so exp(-rate (1 - s_k)) is an outer
+    ((b - 1 - i) w + (w - o)) delta, so exp(-rate (1 - s_k)) is an outer
     factor per block times an inner factor per offset, both at most 1.
     That takes two exps of length about sqrt(S) instead of one of length S.
     """
@@ -199,12 +239,15 @@ def stochastic_convolution(path: WienerPath, rate: float) -> np.ndarray:
     w = 1 << ((steps & -steps).bit_length() - 1) // 2
     inner = np.exp(-rate * path.delta * np.arange(w, 0, -1))
     outer = np.exp(-rate * path.delta * w * np.arange(steps // w - 1, -1, -1))
-    x = rate * path.delta
-    step_average = math.expm1(x) / x if x != 0.0 else 1.0
+    functionals = path.bridge_functionals
+    step_average, coefficients = bridge_conditional_weights(functionals, rate, path.delta)
+    per_step = step_average * path.increments
+    for c, (q, p) in zip(coefficients, functionals):
+        per_step += c * path.bridge[q][p]
     # einsum, not a matmul: a BLAS matrix-vector product this long wakes
     # the BLAS thread pool, which then spins through the stepping loops.
-    per_block = np.einsum("q,iqm->im", inner, path.increments.reshape(-1, w, m))
-    return step_average * np.einsum("i,im->m", outer, per_block)
+    per_block = np.einsum("q,iqm->im", inner, per_step.reshape(-1, w, m))
+    return np.einsum("i,im->m", outer, per_block)
 
 
 def benchmark_phi(grid: SpatialGrid, noise_scale: float = 1.0) -> NoiseCoefficient:

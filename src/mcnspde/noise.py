@@ -13,17 +13,22 @@ exactly on a master node (S divisible by its N*M), which holds for every
 coarser power-of-two mesh and keeps every quadrature in this module
 interpolation-free.
 
-One finer mesh can read the path too, through a bridge level.  Its micro
-grid splits each master step into q finer steps, and a mesh reads W at
-those nodes only through linear sums per coarse step (the increment, the
-micro sum and a weighted micro sum).  Given the master grid, W on the
-finer nodes of one master step is the linear interpolant plus a discrete
-Brownian bridge B_1..B_{q-1}, independent across steps, so those sums
-need only S0 = sum_i B_i and S1 = sum_i i*B_i of each step.  sample_path
-draws them from their exact joint Gaussian law (Glasserman, Monte Carlo
-Methods in Financial Engineering, 2004, sec. 3.1) instead of the q-fold
-finer path, and NoiseBlock.put combines them with the master grid
-exactly, with no interpolation error.
+Finer meshes can read the path too, through bridge levels.  A level
+splits each master step into q finer steps, and a mesh whose micro grid
+is a level reads W at those nodes only through linear sums per coarse
+step (the increment, the micro sum and, for the wave scheme, a weighted
+micro sum).  Given the master grid, W on the finer nodes of one master
+step is the linear interpolant plus a discrete Brownian bridge
+B_1..B_{q-1}, independent across steps, so those sums need only
+S0 = sum_i B_i, and for the weighted sum S1 = sum_i i*B_i, of each step.
+sample_path draws every level's sums from their exact joint Gaussian law
+(bridge_covariance; Glasserman, Monte Carlo Methods in Financial
+Engineering, 2004, sec. 3.1) instead of the finer path, and
+NoiseBlock.put combines them with the master grid exactly, with no
+interpolation error.  A heat path is drawn on the micro grid of a
+quarter of its finest mesh and carries the levels q = 4 and 16 of the
+twice and four times finer meshes; a wave path carries the one level,
+with S0 and S1, of its reference mesh.
 
 mesh_values is the one place that knows where the coarse and micro nodes
 of a mesh sit on the master grid.  It returns them as views of the
@@ -43,13 +48,14 @@ all R paths together.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import SpatialGrid, apply_laplacian
+from .grid import SpatialGrid
 
 class AlignmentError(Exception):
     """Raised when a mesh/path combination would require interpolation."""
@@ -100,16 +106,16 @@ class WienerPath:
     W(0) = 0, where s_k = k*delta and delta = 1/S.  Values are only ever
     read at master nodes, through mesh_values.
 
-    A path may carry one bridge level of q steps per master step:
-    bridge[0, k] and bridge[1, k] are S0 = sum_i B_i and S1 = sum_i i*B_i
-    over the discrete Brownian bridge B_i = W(s_k + i*delta/q) - W(s_k)
-    - (i/q)*increments[k], i = 1..q-1, of master step k.
+    A path may carry bridge levels: bridge[q] holds, for each master step
+    k, S0 = sum_i B_i and, when drawn, S1 = sum_i i*B_i over the discrete
+    Brownian bridge B_i = W(s_k + i*delta/q) - W(s_k) - (i/q)*increments[k],
+    i = 1..q-1, of the level that splits each master step into q steps:
+    shape (1, S, m) for S0 alone, (2, S, m) for S0 and S1.
     """
 
     increments: np.ndarray  # shape (S, m)
     cumulative: np.ndarray  # shape (S + 1, m)
-    bridge: np.ndarray | None = None  # shape (2, S, m)
-    q: int = 1
+    bridge: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def S(self) -> int:
@@ -124,18 +130,41 @@ class WienerPath:
         """Master step 1/S."""
         return 1.0 / self.S
 
+    @property
+    def bridge_functionals(self) -> tuple[tuple[int, int], ...]:
+        """(q, p) for each bridge sum S_p = bridge[q][p], levels by increasing q."""
+        return tuple((q, p) for q in sorted(self.bridge) for p in range(len(self.bridge[q])))
+
+
+def bridge_level(master_steps: int, mesh: TimeMesh) -> int:
+    """q such that the micro grid of mesh splits each master step into q steps.
+
+    Raises AlignmentError unless q is a whole number and each coarse step
+    of mesh spans whole master steps.
+    """
+    q, rest = divmod(mesh.N * mesh.M, master_steps)
+    if rest or master_steps % mesh.N:
+        raise AlignmentError(f"{mesh} does not refine the {master_steps}-step master grid")
+    return q
+
 
 def sample_path(
-    seed: int | tuple[int, int], mesh: TimeMesh, m: int = 1, fine: TimeMesh | None = None
+    seed: int | tuple[int, int],
+    mesh: TimeMesh,
+    m: int = 1,
+    fine: Sequence[TimeMesh] = (),
+    moments: bool = False,
 ) -> WienerPath:
     """Draw one Wiener path on the micro grid of mesh: S = N*M master steps of [0, 1].
 
     The generator is Philox keyed by seed, an integer or a pair of 64-bit
     words, so paths are reproducible and distinct keys give independent
-    counter-based streams.  When the micro grid of fine is finer, the
-    same stream then draws the bridge level that fine reads: the master
-    grid must split into q = (fine's N*M)/S finer steps per master step
-    and tile fine's coarse steps, else AlignmentError.
+    counter-based streams.  Every mesh of fine whose micro grid is finer
+    than the master grid gets its bridge level (bridge_level): after the
+    master grid, the same stream draws S0, and S1 too if moments, of
+    every level, jointly, through the Cholesky factor of their exact
+    covariance.  Levels must nest, each q dividing the next, else
+    AlignmentError.
     """
     if m < 1:
         raise ValueError(f"need at least one noise component, got m={m}")
@@ -146,29 +175,64 @@ def sample_path(
     increments = rng.standard_normal((steps, m)) * math.sqrt(1.0 / steps)
     cumulative = np.zeros((steps + 1, m))
     np.cumsum(increments, axis=0, out=cumulative[1:])
-    if fine is None or fine.N * fine.M <= steps:
+    levels = sorted({bridge_level(steps, f) for f in fine if f.N * f.M > steps})
+    if not levels:
         return WienerPath(increments, cumulative)
-    q, rest = divmod(fine.N * fine.M, steps)
-    if rest or steps % fine.N:
-        raise AlignmentError(f"{fine} does not refine the {steps}-step master grid")
-    # S0 and S1 - (q/2) S0 are independent, the bridge being symmetric in time.
-    bridge = rng.standard_normal((2, steps, m))
-    var_s0, var_centered = bridge_variances(q, 1.0 / (fine.N * fine.M))
-    bridge[0] *= math.sqrt(var_s0)
-    bridge[1] *= math.sqrt(var_centered)
-    bridge[1] += 0.5 * q * bridge[0]
-    return WienerPath(increments, cumulative, bridge, q)
+    functionals = tuple((q, p) for q in levels for p in range(1 + moments))
+    factor = bridge_factor(functionals, 1.0 / steps)
+    sums = rng.standard_normal((len(functionals), steps, m))
+    # The factor is lower triangular, so its product with the normals is
+    # formed in place, elementwise, from the last row up.
+    for f in reversed(range(len(functionals))):
+        sums[f] *= factor[f, f]
+        for g in range(f):
+            sums[f] += factor[f, g] * sums[g]
+    levels_sums = sums.reshape(len(levels), 1 + moments, steps, m)
+    return WienerPath(increments, cumulative, dict(zip(levels, levels_sums)))
 
 
-def bridge_variances(q: int, delta: float) -> tuple[float, float]:
-    """Var S0 and Var(S1 - (q/2) S0) of one master step split into q steps of delta.
+@functools.lru_cache(maxsize=None)
+def bridge_factor(functionals: tuple[tuple[int, int], ...], delta: float) -> np.ndarray:
+    """Lower Cholesky factor L of bridge_covariance(functionals, delta), cached per argument.
 
-    From Cov(B_i, B_k) = delta (min(i, k) - i k / q): Var S0 =
-    delta q (q^2 - 1)/12, Cov(S0, S1) = (q/2) Var S0, so the centered
-    S1 - (q/2) S0 is uncorrelated with S0, with variance
-    delta q (q^2 - 1)(q^2 - 4)/720.
+    Formed entry by entry rather than by LAPACK: the matrix is a few rows
+    at most, and a first LAPACK call costs the process about 0.4 MB.
     """
-    return delta * q * (q * q - 1) / 12.0, delta * q * (q * q - 1) * (q * q - 4) / 720.0
+    cov = bridge_covariance(functionals, delta)
+    factor = np.zeros_like(cov)
+    for f in range(len(cov)):
+        for g in range(f + 1):
+            rest = cov[f, g] - np.sum(factor[f, :g] * factor[g, :g])
+            factor[f, g] = math.sqrt(rest) if f == g else rest / factor[g, g]
+    return factor
+
+
+def bridge_covariance(functionals: Sequence[tuple[int, int]], delta: float) -> np.ndarray:
+    """Covariance of the bridge sums of one master step of length delta, shape (F, F).
+
+    functionals lists (q, p) for S_p = sum_{i=1}^{q-1} i^p B_i of the level
+    of q steps.  With u the time within the master step in units of delta,
+    Cov(B(u), B(v)) = delta (min(u, v) - u v), and for levels a and b = r a
+    the double sum over the nodes i/a and k/b collapses to
+
+        Cov(S0^a, S0^b) = delta r (a^2 - 1)/12
+        Cov(S0^a, S1^b) = delta a r^2 (a^2 - 1)/24
+        Cov(S1^a, S0^b) = delta a r (a^2 - 1)/24
+        Cov(S1^a, S1^b) = delta r^2 (a^2 - 1)(4 a^2 - 1)/180.
+
+    So S1 - (q/2) S0 of one level, and S0^b - r S0^a, are uncorrelated
+    with S0^a.  Raises AlignmentError unless the levels nest.
+    """
+    cov = np.empty((len(functionals), len(functionals)))
+    for x, fx in enumerate(functionals):
+        for y, fy in enumerate(functionals):
+            (a, p), (b, pp) = sorted((fx, fy))
+            r, rest = divmod(b, a)
+            if rest:
+                raise AlignmentError(f"bridge levels q={a} and q={b} do not nest")
+            shape = ((1.0, 0.5 * a), (0.5 * a, (4.0 * a * a - 1.0) / 15.0))[p][pp]
+            cov[x, y] = delta * r ** (1 + pp) * (a * a - 1) / 12.0 * shape
+    return cov
 
 
 def master_strides(mesh: TimeMesh, master_steps: int) -> tuple[int, int]:
@@ -229,30 +293,34 @@ def velocity_micro_sums(micro: np.ndarray, tau: float) -> np.ndarray:
     return np.einsum("l,jlm->jm", weights, micro)
 
 
-def bridge_sums(path: WienerPath, mesh: TimeMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coarse, micro sums, micro moments) of a mesh whose micro grid is the path's bridge level.
+def bridge_sums(
+    path: WienerPath, mesh: TimeMesh
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(coarse, micro sums, micro moments) of a mesh whose micro grid is a bridge level of path.
 
     coarse (N+1, m) holds W(t_j); micro_sums[j] = sum_{l=1}^{M} W(t_{j,l})
     and moments[j] = sum_{l=1}^{M} l W(t_{j,l}), each (N, m), exact linear
-    combinations of the master grid and the bridge sums.  Raises
-    AlignmentError unless the path's bridge level is the mesh's micro grid.
+    combinations of the master grid and the level's bridge sums; moments
+    is None when the level carries S0 alone.  Raises AlignmentError
+    unless the mesh's micro grid is one of the path's bridge levels.
     """
-    q = path.q
-    if path.bridge is None or path.S * q != mesh.N * mesh.M or path.S % mesh.N:
-        level = "no bridge level" if path.bridge is None else f"a bridge level of q={q}"
+    q = bridge_level(path.S, mesh)
+    if q not in path.bridge:
         raise AlignmentError(
-            f"the micro grid of N={mesh.N} is neither read by stride nor the bridge level "
-            f"of a {path.S}-step path with {level}"
+            f"the micro grid of N={mesh.N} is neither read by stride nor a bridge level "
+            f"of a {path.S}-step path with levels q in {sorted(path.bridge)}"
         )
     cells = path.S // mesh.N  # master steps per coarse step
     shape = (mesh.N, cells, path.m)
     left = path.cumulative[:-1].reshape(shape)
     rise = path.increments.reshape(shape)
-    s0, s1 = path.bridge.reshape((2,) + shape)
+    level = path.bridge[q].reshape((-1,) + shape)
     # On master step k, W(s_k + i delta/q) = W(s_k) + (i/q) dW_k + B_i for
     # i = 1..q (B_q = 0), so its q finer nodes sum to, and weighted by i sum to:
-    sums = q * left + 0.5 * (q + 1) * rise + s0
-    moments = 0.5 * q * (q + 1) * left + (q + 1) * (2 * q + 1) / 6.0 * rise + s1
+    sums = q * left + 0.5 * (q + 1) * rise + level[0]
+    if len(level) == 1:
+        return path.cumulative[::cells], sums.sum(axis=1), None
+    moments = 0.5 * q * (q + 1) * left + (q + 1) * (2 * q + 1) / 6.0 * rise + level[1]
     # Finer node i of master step a in coarse step j is micro node l = a q + i.
     offsets = q * np.arange(cells)[:, None]
     return path.cumulative[::cells], sums.sum(axis=1), (offsets * sums + moments).sum(axis=1)
@@ -293,9 +361,10 @@ class NoiseBlock:
     def put(self, r: int, path: WienerPath) -> None:
         """Reduce path to its coordinates on the mesh and store them as column r.
 
-        A mesh whose micro grid is finer than the master grid reads the
-        path's bridge level (bridge_sums), and a path without one raises
-        AlignmentError.
+        A mesh whose micro grid is finer than the master grid reads one of
+        the path's bridge levels (bridge_sums), and a path without that
+        level, or without its S1 sums where the velocity sums need them,
+        raises AlignmentError.
         """
         tau = self.mesh.tau
         if path.S % (self.mesh.N * self.mesh.M) == 0:
@@ -304,6 +373,8 @@ class NoiseBlock:
             velocity_sums = lambda: velocity_micro_sums(micro, tau)
         else:
             coarse, micro_sums, moments = bridge_sums(path, self.mesh)
+            if moments is None and self.velocity_sums is not None:
+                raise AlignmentError(f"the bridge level of N={self.mesh.N} carries no S1 sums")
             gaps = lambda: tau * tau * micro_sums - 0.5 * tau * (coarse[:-1] + coarse[1:])
             velocity_sums = lambda: 0.5 * tau**3 * (micro_sums - 2.0 * tau * moments)
         self.increments[:, r] = np.diff(coarse, axis=0)
@@ -362,13 +433,11 @@ def wave_micro_sum_moment_exact(mesh: TimeMesh, j: int, m: int) -> float:
 class NoiseCoefficient:
     """Finite-dimensional noise coefficient Phi = (Phi_1 .. Phi_m).
 
-    values[i] holds the grid samples of Phi_i and laplacian_values[i] the
-    precomputed discrete Laplacian of Phi_i.
+    values[i] holds the grid samples of Phi_i.
     """
 
     grid: SpatialGrid
     values: np.ndarray  # shape (m, K)
-    laplacian_values: np.ndarray  # shape (m, K)
 
     @property
     def m(self) -> int:
@@ -382,8 +451,4 @@ class NoiseCoefficient:
         values = np.vstack(rows) if rows else np.zeros((0, grid.K))
         if values.shape[1:] != (grid.K,):
             raise ValueError(f"components must have {grid.K} values each")
-        return cls(grid, values, apply_laplacian(grid, values.T).T)
-
-    def combine(self, weights: np.ndarray) -> np.ndarray:
-        """sum_i Phi_i * weights_i: weights (m,) give (K,), and (R, m) give (K, R)."""
-        return np.einsum("ik,...i->k...", self.values, weights)
+        return cls(grid, values)

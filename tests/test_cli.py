@@ -1,7 +1,9 @@
 """Command line behavior: parsing, exit codes, file output, config merging."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,7 +232,7 @@ def test_paper_presets_resolve_without_running():
     heat = _study_config(parser.parse_args(["heat", "--paper"]), "heat")
     assert heat.n_list == (4, 8, 16, 32, 64, 128, 256, 512, 1024)
     assert heat.mc_count == 1000
-    assert heat.master_steps == 2**20
+    assert heat.master_steps == 2**16  # N = 512 and 1024 read it through bridge sums
     wave = _study_config(parser.parse_args(["wave", "--paper"]), "wave")
     assert wave.n_ref == 4096
     assert wave.master_steps == 2**20  # N_ref = 4096 reads it through bridge sums
@@ -238,10 +240,10 @@ def test_paper_presets_resolve_without_running():
     custom = _study_config(parser.parse_args(["heat", "--paper", "--seed", "5"]), "heat")
     assert custom.base_seed == 5
     # so do explicit sizes: the preset fills only what was not given
-    # (paths follow the finest mesh of n_list: 32^2 steps for heat, 1024^2 for wave)
+    # (paths follow the finest mesh of n_list: 8^2 steps for heat, 1024^2 for wave)
     argv = ["heat", "--paper", "--mc", "5", "--n-list", "8..32"]
     sized = _study_config(parser.parse_args(argv), "heat")
-    assert (sized.mc_count, sized.n_list, sized.master_steps) == (5, (8, 16, 32), 1024)
+    assert (sized.mc_count, sized.n_list, sized.master_steps) == (5, (8, 16, 32), 64)
     assert sized.k == 40
     finer = _study_config(parser.parse_args(["wave", "--paper", "--n-ref", "2048"]), "wave")
     assert finer.n_ref == 2048
@@ -260,7 +262,7 @@ def test_config_file_values_beat_the_paper_preset(tmp_path, capsys):
     assert main(argv) == EXIT_OK
     text = report.read_text()
     assert "realizations:   2" in text  # explicit flag beats the file value
-    assert "master steps:   256" in text  # the file's n-list beats the preset's
+    assert "master steps:   16" in text  # the file's n-list beats the preset's
     assert "interior nodes: 6" in text
     capsys.readouterr()
 
@@ -274,8 +276,10 @@ def test_scheme_and_mode_flags_reach_config():
 
 
 def test_console_script_help():
+    # the child imports the package in src/, as the tests do, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "mcnspde", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "mcnspde", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     for word in ("heat", "wave", "validate"):

@@ -200,8 +200,7 @@ def test_single_realization_matches_direct_run():
     config = small_config(mc_count=1, exact_mode="semidiscrete")
     table = run_study(config)
     grid = SpatialGrid(config.k)
-    path_mesh = TimeMesh(max(config.n_list))
-    path = sample_path((config.base_seed, 0), path_mesh)
+    path = sample_path((config.base_seed, 0), config.path_mesh, 1, config.bridge_meshes)
     oracle = exact_heat_solution(path, grid, mode="semidiscrete")
     for row in table.rows:
         problem = benchmark_heat_problem(grid, TimeMesh(row.n_steps))
@@ -215,31 +214,26 @@ def test_adjacent_base_seeds_share_no_path():
     seeds = (20260814, 20260815)
     tables = [csv_text(run_study(desk_heat_config(mc_count=16, base_seed=s))) for s in seeds]
     assert tables[0] != tables[1]
-    config = desk_heat_config(mc_count=16)
-    path_mesh = TimeMesh(max(config.n_list))
-    drawn = [
-        {
-            sample_path((s, r), path_mesh).increments.tobytes()
-            for r in range(config.mc_count)
-        }
-        for s in seeds
-    ]
-    assert len(drawn[0]) == len(drawn[1]) == config.mc_count
-    assert not drawn[0] & drawn[1]
+    # heat: the master grid and the bridge sums of N = 128 and 256;
     # wave: the master grid and the bridge sums of the reference mesh
     wave = desk_wave_config(n_list=(4, 8), k=6, mc_count=8, n_ref=32)
     tables = [
         csv_text(run_study(dataclasses.replace(wave, base_seed=s))) for s in seeds
     ]
     assert tables[0] != tables[1]
-    paths = [
-        [sample_path((s, r), wave.path_mesh, 1, wave.finest_mesh) for r in range(wave.mc_count)]
-        for s in seeds
-    ]
-    for part in ("increments", "bridge"):
-        drawn = [{getattr(path, part).tobytes() for path in group} for group in paths]
-        assert len(drawn[0]) == len(drawn[1]) == wave.mc_count
-        assert not drawn[0] & drawn[1]
+    for config in (desk_heat_config(mc_count=16), wave):
+        moments = config.equation == "wave"
+        paths = [
+            [
+                sample_path((s, r), config.path_mesh, 1, config.bridge_meshes, moments)
+                for r in range(config.mc_count)
+            ]
+            for s in seeds
+        ]
+        for part in (lambda path: path.increments, lambda path: list(path.bridge.values())):
+            drawn = [{np.asarray(part(path)).tobytes() for path in group} for group in paths]
+            assert len(drawn[0]) == len(drawn[1]) == config.mc_count
+            assert not drawn[0] & drawn[1]
 
 
 def test_block_size_rule():
@@ -309,10 +303,14 @@ def test_pool_is_sized_by_its_spans(monkeypatch):
 
 
 def test_study_memory_does_not_grow_with_realizations():
-    """Each path is reduced and dropped, so 64 realizations peak at most one path above 4."""
+    """Each path is reduced and dropped, so 64 realizations peak at most one full path above 4.
+
+    A full path is the 2^14 steps of the micro grid of N = 128, whose
+    memory the block rule lets a block's coordinates take.
+    """
 
     def peak(mc_count):
-        # the N = 128 mesh keeps 2^14-step paths, which outweigh the result arrays
+        # one block holds all 64 realizations; the drawn paths are 32^2-step grids
         config = desk_heat_config(n_list=(4, 8, 16, 128), k=8, mc_count=mc_count)
         tracemalloc.start()
         try:
@@ -339,10 +337,11 @@ def test_wave_study_memory_does_not_grow_with_realizations():
         finally:
             tracemalloc.stop()
 
-    path = sample_path(0, TimeMesh(256), 1, TimeMesh(512))
-    assert path.q == 4
+    path = sample_path(0, TimeMesh(256), 1, [TimeMesh(512)], moments=True)
+    assert list(path.bridge) == [4]
     small = peak(4)
-    assert peak(64) - small <= path.increments.nbytes + path.cumulative.nbytes + path.bridge.nbytes
+    path_bytes = path.increments.nbytes + path.cumulative.nbytes + path.bridge[4].nbytes
+    assert peak(64) - small <= path_bytes
 
 
 def test_wave_study_reports_both_norms():
@@ -405,14 +404,16 @@ def test_preset_configurations():
     desk = desk_heat_config()
     assert desk.n_list == (8, 16, 32, 64, 128, 256)
     assert desk.mc_count == 500
-    assert (desk.path_mesh, desk.master_steps) == (TimeMesh(256), 2**16)
+    assert (desk.path_mesh, desk.master_steps) == (TimeMesh(64), 2**12)
+    assert desk.bridge_meshes == (TimeMesh(128), TimeMesh(256))
     assert desk.exact_mode == "continuous"
     wave = desk_wave_config()
     assert wave.n_list == (8, 16, 32, 64, 128)
     assert (wave.mc_count, wave.n_ref, wave.master_steps) == (300, 1024, 2**14)
     paper_h = paper_heat_config()
     assert paper_h.n_list[0] == 4 and paper_h.n_list[-1] == 1024
-    assert (paper_h.mc_count, paper_h.master_steps) == (1000, 2**20)
+    assert (paper_h.mc_count, paper_h.master_steps) == (1000, 2**16)
+    assert paper_h.bridge_meshes == (TimeMesh(512), TimeMesh(1024))
     paper_w = paper_wave_config()
     assert paper_w.n_ref == 4096
     assert paper_w.master_steps == 2**20
@@ -422,8 +423,23 @@ def test_preset_configurations():
 
 
 def test_paths_are_drawn_on_the_finest_mesh():
-    """Paths are drawn on the finest study mesh, for wave too; S is not a setting."""
-    assert small_config(n_list=(4, 32)).path_mesh == TimeMesh(32)
+    """Wave paths are drawn on the finest study mesh, heat paths on a quarter of it.
+
+    A heat path mesh P is the smallest power of two >= N_max/4 with P^2
+    divisible by N_max, so the meshes above P read the bridge levels
+    q = 4 and 16; S is not a setting.
+    """
+    for n_list, path_n, bridge_n in [
+        ((8,), 4, (8,)),  # 2^2 = 4 is no multiple of 8
+        ((4, 32), 8, (16, 32)),  # 16 holds no row, but its level is drawn all the same
+        ((8, 16, 32, 64, 128, 256), 64, (128, 256)),
+        ((1,), 1, ()),
+        ((1, 2), 2, ()),
+    ]:
+        config = small_config(n_list=n_list)
+        assert config.path_mesh == TimeMesh(path_n)
+        assert config.bridge_meshes == tuple(TimeMesh(n) for n in bridge_n)
+        assert config.finest_mesh == TimeMesh(n_list[-1])
     assert desk_wave_config(n_list=(8, 16), n_ref=64).path_mesh == TimeMesh(16)
     # the reference's coarse steps must span whole master steps: 2^2 < 8 <= 4^2
     assert desk_wave_config(n_list=(1, 2), n_ref=8).path_mesh == TimeMesh(4)

@@ -27,6 +27,8 @@ from mcnspde import (
     sine_mode,
     stochastic_convolution,
 )
+from mcnspde.heat import bridge_conditional_weights
+from mcnspde.noise import bridge_covariance
 
 
 def value_at(path, t):
@@ -403,6 +405,80 @@ def test_stochastic_convolution_ito_isometry():
     assert abs(sq.mean() - target) <= 5 * se
     # the mean itself is zero to within CLT noise
     assert abs(vals.mean()) <= 5 * vals.std(ddof=1) / math.sqrt(n_paths)
+
+
+def projection_rows(functionals, cells):
+    """(dW, bridge sums) of one master step as rows over its cells' increments, (1 + F, cells).
+
+    W after i of the cells' equal increments is their partial sum, so
+    B(i/q) = W(i cells/q) - (i/q) dW at node i of the level of q steps.
+    """
+    partial = np.tril(np.ones((cells, cells)))  # row i: W after i + 1 cells
+    rows = [np.ones(cells)]
+    for q, p in functionals:
+        i = np.arange(1, q)
+        bridge = partial[i * (cells // q) - 1] - (i / q)[:, None]
+        rows.append(((i**p)[:, None] * bridge).sum(axis=0))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "functionals",
+    [
+        pytest.param(((4, 0), (16, 0)), id="heat"),
+        pytest.param(((16, 0), (16, 1)), id="wave"),
+        pytest.param(((4, 0), (4, 1), (16, 0)), id="mixed"),
+    ],
+)
+def test_oracle_weights_are_the_lstsq_projection(functionals):
+    """bridge_conditional_weights equal the least-squares projection over 64 finer cells.
+
+    Given the i.i.d. increments of 64 equal cells of one master step, the
+    integral of exp(rate u) dW has conditional mean sum_j a_j xi_j, a_j the
+    kernel's average over cell j, and (dW, sums) are linear in them, so
+    their regression weights are lstsq(A^T, a).
+    """
+    delta, cells = 1.0 / 4096, 64
+    rows = projection_rows(functionals, cells)
+    for rate in ((2 * math.pi) ** 2, (3 * math.pi) ** 2, 1e3):
+        edges = np.expm1(rate * delta * np.arange(cells + 1) / cells)
+        averages = np.diff(edges) / (rate * delta / cells)
+        brute = np.linalg.lstsq(rows.T, averages, rcond=None)[0]
+        step_average, coefficients = bridge_conditional_weights(functionals, rate, delta)
+        scale = np.abs(brute).max()
+        got = [step_average, *coefficients]
+        np.testing.assert_allclose(got, brute, rtol=1e-9, atol=1e-12 * scale)
+    assert bridge_conditional_weights(functionals, 0.0, delta)[0] == 1.0
+
+
+def oracle_deficit(steps, functionals, rates=((2 * math.pi) ** 2, (3 * math.pi) ** 2)):
+    """E ||X(1) - E[X(1) | path]||^2 of the benchmark solution, continuous mode, unit noise.
+
+    Per master step of the kernel's left-point weight L_k, the integral's
+    variance given dW and the bridge sums is int_0^delta exp(2 rate u) du -
+    delta avg^2 - c . C c; sine modes have squared grid norm 1/2.
+    """
+    delta, total = 1.0 / steps, 0.0
+    for rate in rates:
+        step_average, c = bridge_conditional_weights(functionals, rate, delta)
+        explained = delta * step_average**2
+        if functionals:
+            explained += c @ bridge_covariance(functionals, delta) @ c
+        residual = math.expm1(2.0 * rate * delta) / (2.0 * rate) - explained
+        left_weights = np.exp(-2.0 * rate * (1.0 - delta * np.arange(steps)))
+        total += 0.5 * residual * math.fsum(left_weights)
+    return total
+
+
+def test_oracle_deficit_stays_at_the_full_path_value():
+    """The 64^2-step desk heat path with its levels q = 4 and 16 leaves the oracle's deficit
+    within 1% of what all 2^16 master increments leave; the 4096 increments alone, 100x more."""
+    full = oracle_deficit(2**16, ())
+    levels = oracle_deficit(2**12, ((4, 0), (16, 0)))
+    assert full == pytest.approx(6.224e-10, rel=1e-3)
+    assert levels == pytest.approx(6.233e-10, rel=1e-3)
+    assert abs(levels / full - 1.0) <= 0.01
+    assert oracle_deficit(2**12, ()) >= 100 * full
 
 
 def test_benchmark_problem_layout():

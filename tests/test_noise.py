@@ -21,6 +21,7 @@ from mcnspde import (
     TimeMesh,
     WaveProblem,
     WienerPath,
+    apply_laplacian,
     defect_moment_exact,
     em_step,
     mcn_heat_step,
@@ -30,7 +31,7 @@ from mcnspde import (
     sample_path,
     wave_micro_sum_moment_exact,
 )
-from mcnspde.noise import bridge_variances, master_strides
+from mcnspde.noise import bridge_covariance, master_strides
 from mcnspde.validation import _cell_block, heat_defect_block
 
 
@@ -136,11 +137,17 @@ def test_sample_path_draws_the_micro_grid_of_its_mesh():
     normals = np.random.Generator(np.random.Philox(key=(5, 3))).standard_normal((256, 2))
     np.testing.assert_array_equal(path.increments, normals * math.sqrt(1.0 / 256))
     assert sample_path(0, TimeMesh(3)).S == 9
-    # a bridge level is drawn after the master grid, which it leaves unchanged
-    bridged = sample_path((5, 3), TimeMesh(16), m=2, fine=TimeMesh(64))
-    assert (bridged.S, bridged.q, bridged.bridge.shape) == (256, 16, (2, 256, 2))
+    # bridge levels are drawn after the master grid, which they leave unchanged
+    bridged = sample_path((5, 3), TimeMesh(16), m=2, fine=[TimeMesh(64)], moments=True)
+    assert (bridged.S, list(bridged.bridge), bridged.bridge[16].shape) == (256, [16], (2, 256, 2))
     np.testing.assert_array_equal(bridged.increments, path.increments)
-    assert sample_path(0, TimeMesh(16), fine=TimeMesh(16)).bridge is None
+    levels = sample_path((5, 3), TimeMesh(16), m=2, fine=[TimeMesh(64), TimeMesh(32)])
+    assert {q: sums.shape for q, sums in levels.bridge.items()} == {
+        4: (1, 256, 2),
+        16: (1, 256, 2),
+    }
+    assert levels.bridge_functionals == ((4, 0), (16, 0))
+    assert sample_path(0, TimeMesh(16), fine=[TimeMesh(16), TimeMesh(8)]).bridge == {}
 
 
 def test_sample_path_cumulative_consistency():
@@ -303,14 +310,16 @@ def test_wave_micro_sum_moment_matches_double_loop():
 
 
 def test_noise_coefficient_precomputes_laplacians():
+    """apply_laplacian of the component rows matches the dense Laplacian row by row."""
     grid = SpatialGrid(12)
     phi = NoiseCoefficient.from_components(
         grid, [lambda x: np.sin(2 * np.pi * x), lambda x: x * (1 - x)]
     )
     assert phi.m == 2
+    laplacians = apply_laplacian(grid, phi.values.T).T
     for i in range(phi.m):
         direct = dense_laplacian(grid.K) @ phi.values[i]
-        np.testing.assert_allclose(phi.laplacian_values[i], direct, rtol=1e-13)
+        np.testing.assert_allclose(laplacians[i], direct, rtol=1e-13)
 
 
 def test_noise_coefficient_accepts_mixed_inputs():
@@ -325,6 +334,11 @@ def test_noise_coefficient_accepts_mixed_inputs():
         NoiseCoefficient.from_components(grid, [np.zeros(5)])
 
 
+def combine(phi, weights):
+    """sum_i Phi_i * weights_i: weights (m,) give (K,), and (R, m) give (K, R)."""
+    return np.einsum("ik,...i->k...", phi.values, weights)
+
+
 def test_combine_matches_loop():
     grid = SpatialGrid(9)
     rng = np.random.default_rng(17)
@@ -332,9 +346,9 @@ def test_combine_matches_loop():
     phi = NoiseCoefficient.from_components(grid, comps)
     w = rng.standard_normal(3)
     expected = sum(wi * ci for wi, ci in zip(w, comps))
-    np.testing.assert_allclose(phi.combine(w), expected, rtol=1e-13)
+    np.testing.assert_allclose(combine(phi, w), expected, rtol=1e-13)
     # the weight rows of R paths combine into the R columns of a (K, R) block
-    stacked = phi.combine(np.stack([w, 2.0 * w]))
+    stacked = combine(phi, np.stack([w, 2.0 * w]))
     np.testing.assert_allclose(stacked, np.stack([expected, 2.0 * expected], axis=1), rtol=1e-13)
 
 
@@ -366,7 +380,7 @@ def test_heat_correction_brute_force():
     em = heat_forcing(heat_problem(phi, mesh), path, "em")
     np.testing.assert_allclose(
         em,
-        phi.combine(np.diff(mesh_values(path.cumulative, mesh)[0], axis=0)).T,
+        combine(phi, np.diff(mesh_values(path.cumulative, mesh)[0], axis=0)).T,
         rtol=1e-12,
         atol=1e-15,
     )
@@ -386,7 +400,8 @@ def test_heat_correction_linear_path_scale():
     problem = heat_problem(phi, mesh)
     corr = heat_forcing(problem, path, "mcn") - heat_forcing(problem, path, "em")
     for j in range(mesh.N):
-        np.testing.assert_allclose(corr[j], scale * phi.laplacian_values[0], rtol=1e-10)
+        lap_phi = apply_laplacian(grid, phi.values[0])
+        np.testing.assert_allclose(corr[j], scale * lap_phi, rtol=1e-10)
 
 
 def test_corrections_vanish_on_constant_path():
@@ -407,7 +422,7 @@ def test_wave_velocity_correction_constant_path():
     value = -0.8
     path = constant_path(master_steps=1024, value=value)
     phi = NoiseCoefficient.from_components(grid, [lambda x: np.sin(2 * np.pi * x)])
-    expected = -0.5 * mesh.tau**3 * value * phi.laplacian_values[0]
+    expected = -0.5 * mesh.tau**3 * value * apply_laplacian(grid, phi.values[0])
     _, velocity = wave_forcing(wave_problem(phi, mesh), path)
     for j in range(mesh.N):
         np.testing.assert_allclose(velocity[j], expected, rtol=1e-12)
@@ -446,24 +461,34 @@ def test_wave_corrections_brute_force():
 
 
 WAVE_COORDINATES = ("increments", "gaps", "velocity_sums")
+HEAT_COORDINATES = ("increments", "gaps")
 
 
-def path_on_a_bridge_level(full, steps):
-    """full's master grid thinned to steps, with the bridge sums of full's finer nodes."""
-    q = full.S // steps
-    cumulative = full.cumulative[::q]
+def path_on_bridge_levels(full, steps, levels, moments=False):
+    """full's master grid thinned to steps, with each level's bridge sums of full's nodes."""
+    cumulative = full.cumulative[:: full.S // steps]
     increments = np.diff(cumulative, axis=0)
-    i = np.arange(1, q)[:, None]
-    finer = full.cumulative[:-1].reshape(steps, q, full.m)[:, 1:]
-    bridge = finer - cumulative[:-1, None] - (i / q) * increments[:, None]
-    sums = np.stack([bridge.sum(axis=1), (i * bridge).sum(axis=1)])
-    return WienerPath(increments, cumulative, sums, q)
+    bridge = {}
+    for q in levels:
+        i = np.arange(1, q)[:, None]
+        finer = full.cumulative[: -1 : full.S // (steps * q)].reshape(steps, q, full.m)[:, 1:]
+        b = finer - cumulative[:-1, None] - (i / q) * increments[:, None]
+        bridge[q] = np.stack([b.sum(axis=1), (i * b).sum(axis=1)][: 1 + moments])
+    return WienerPath(increments, cumulative, bridge)
 
 
-def reduced(path, mesh):
-    block = NoiseBlock.empty(mesh, 1, path.m, WAVE_COORDINATES)
+def reduced(path, mesh, coordinates=WAVE_COORDINATES):
+    block = NoiseBlock.empty(mesh, 1, path.m, coordinates)
     block.put(0, path)
     return block
+
+
+def assert_same_coordinates(got, expected, names):
+    """Increments bit for bit, the other coordinates to 1e-13 of their largest value."""
+    np.testing.assert_array_equal(got.increments, expected.increments)
+    for name in names:
+        want = getattr(expected, name)
+        assert np.abs(getattr(got, name) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize(
@@ -477,46 +502,81 @@ def test_bridge_sums_reproduce_the_full_path(grid_n, fine_n, m):
     """A full path's grid and bridge sums give put's coordinates on its finest mesh."""
     fine = TimeMesh(fine_n)
     full = sample_path(2026, fine, m)
-    thin = path_on_a_bridge_level(full, grid_n * grid_n)
-    expected, got = reduced(full, fine), reduced(thin, fine)
-    np.testing.assert_array_equal(got.increments, expected.increments)
-    for name in ("gaps", "velocity_sums"):
-        want = getattr(expected, name)
-        assert np.abs(getattr(got, name) - want).max() <= 1e-13 * np.abs(want).max()
+    steps = grid_n * grid_n
+    thin = path_on_bridge_levels(full, steps, [fine_n**2 // steps], moments=True)
+    assert_same_coordinates(reduced(thin, fine), reduced(full, fine), ("gaps", "velocity_sums"))
+
+
+def test_heat_levels_reproduce_the_full_path():
+    """A 2^16-step path thinned to 64^2 steps with its S0 levels q = 4 and 16 gives put's
+    coordinates on every desk heat mesh: by stride up to N = 64, through a level above."""
+    full = sample_path(2027, TimeMesh(256))
+    thin = path_on_bridge_levels(full, 64 * 64, (4, 16))
+    for n in (8, 16, 32, 64, 128, 256):
+        mesh = TimeMesh(n)
+        expected = reduced(full, mesh, HEAT_COORDINATES)
+        assert_same_coordinates(reduced(thin, mesh, HEAT_COORDINATES), expected, ("gaps",))
 
 
 def test_meshes_finer_than_the_path_need_its_bridge_level():
-    """Finer micro grids than the path's fail loudly unless they are its bridge level."""
+    """Finer micro grids than the path's fail loudly unless they are one of its bridge levels."""
     plain = sample_path(1, TimeMesh(4))
-    bridged = sample_path(1, TimeMesh(4), fine=TimeMesh(8))  # S = 16, q = 4
+    bridged = sample_path(1, TimeMesh(4), fine=[TimeMesh(8)], moments=True)  # S = 16, q = 4
     with pytest.raises(AlignmentError):
         reduced(plain, TimeMesh(8))  # no bridge level
     with pytest.raises(AlignmentError):
         reduced(bridged, TimeMesh(16))  # S q = 64 < 16^2
     with pytest.raises(AlignmentError):
-        sample_path(1, TimeMesh(4), fine=TimeMesh(32))  # 16 master steps, 32 coarse steps
+        sample_path(1, TimeMesh(4), fine=[TimeMesh(32)])  # 16 master steps, 32 coarse steps
     with pytest.raises(AlignmentError):
-        sample_path(1, TimeMesh(4), fine=TimeMesh(6))  # 36 is no multiple of 16
+        sample_path(1, TimeMesh(4), fine=[TimeMesh(6)])  # 36 is no multiple of 16
+    with pytest.raises(AlignmentError):
+        sample_path(1, TimeMesh(6), fine=[TimeMesh(12), TimeMesh(18)])  # q = 4 and 9 do not nest
     reduced(bridged, TimeMesh(8))
     reduced(bridged, TimeMesh(2))  # coarser meshes still read the master grid
+    heat = sample_path(1, TimeMesh(4), fine=[TimeMesh(8)])  # S0 alone
+    reduced(heat, TimeMesh(8), HEAT_COORDINATES)
+    with pytest.raises(AlignmentError):
+        reduced(heat, TimeMesh(8))  # the velocity sums need S1
 
 
-def bridge_covariance(q, delta):
-    """Cov of (S0, S1) by the double sum over Cov(B_i, B_k) = delta (min(i, k) - i k / q)."""
-    i = np.arange(1, q)
-    kernel = delta * (np.minimum.outer(i, i) - np.outer(i, i) / q)
-    weights = np.stack([np.ones(q - 1), i])
-    return weights @ kernel @ weights.T
+def double_sum_covariance(functionals, delta):
+    """Cov of the bridge sums S_p = sum_i i^p B(i/q) by the double sum over nodes.
+
+    Cov(B(u), B(v)) = delta (min(u, v) - u v) in units of the master step.
+    """
+    weights = []
+    for q, p in functionals:
+        i = np.arange(1, q)
+        weights.append((i / q, i.astype(float) ** p))
+    cov = np.empty((len(functionals), len(functionals)))
+    for x, (u, wu) in enumerate(weights):
+        for y, (v, wv) in enumerate(weights):
+            kernel = np.minimum.outer(u, v) - np.outer(u, v)
+            cov[x, y] = delta * np.einsum("i,ik,k->", wu, kernel, wv)
+    return cov
+
+
+BRIDGE_LAWS = [
+    [(4, 0), (16, 0)],  # desk heat: S0 of the levels of N_max/2 and N_max
+    [(64, 0), (64, 1)],  # desk wave: S0 and S1 of the reference level
+    [(4, 0), (4, 1), (16, 0), (16, 1), (64, 0)],
+    [(3, 0), (3, 1), (9, 1)],
+]
 
 
 def test_bridge_variances_match_the_double_sum():
-    for q in (2, 3, 4, 16, 64):
-        cov = bridge_covariance(q, 1.0 / 4096)
-        centered = cov[1, 1] - q * cov[0, 1] + 0.25 * q * q * cov[0, 0]
-        assert cov[0, 1] == pytest.approx(0.5 * q * cov[0, 0], rel=1e-12)
-        np.testing.assert_allclose(
-            bridge_variances(q, 1.0 / 4096), (cov[0, 0], centered), rtol=1e-12, atol=1e-18
-        )
+    """bridge_covariance's closed forms equal the double sum over the bridge nodes."""
+    for functionals in BRIDGE_LAWS:
+        want = double_sum_covariance(functionals, 1.0 / 4096)
+        got = bridge_covariance(functionals, 1.0 / 4096)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # S1 - (q/2) S0 and S0^16 - 4 S0^4 are uncorrelated with S0 of the coarser level
+    cov = bridge_covariance([(4, 0), (4, 1), (16, 0)], 1.0)
+    assert cov[0, 1] == pytest.approx(2.0 * cov[0, 0], rel=1e-15)
+    assert cov[0, 2] == pytest.approx(4.0 * cov[0, 0], rel=1e-15)
+    with pytest.raises(AlignmentError):
+        bridge_covariance([(4, 0), (6, 0)], 1.0)
 
 
 def assert_second_moments(samples, expected, label):
@@ -553,12 +613,12 @@ def test_drawn_wave_coordinates_have_their_exact_moments():
     block = NoiseBlock.empty(fine, count, 1, WAVE_COORDINATES)
     sums = []
     for r in range(count):
-        path = sample_path((99, r), grid, 1, fine)
+        path = sample_path((99, r), grid, 1, [fine], moments=True)
         block.put(r, path)
-        sums.append(path.bridge[:, :, 0].T)
-    delta = 1.0 / (fine.N * fine.M)
-    assert_second_moments(np.concatenate(sums), bridge_covariance(path.q, delta), "bridge sums")
-    nodes = np.arange(fine.N * fine.M + 1) * delta
+        sums.append(path.bridge[4][:, :, 0].T)
+    law = double_sum_covariance(path.bridge_functionals, path.delta)
+    assert_second_moments(np.concatenate(sums), law, "bridge sums")
+    nodes = np.arange(fine.N * fine.M + 1) / (fine.N * fine.M)
     brownian = np.minimum.outer(nodes, nodes)
     for j in (0, 3, 7):
         weights = coordinate_weights(fine, j)
@@ -566,3 +626,24 @@ def test_drawn_wave_coordinates_have_their_exact_moments():
             [block.increments[j, :, 0], block.gaps[j, :, 0], block.velocity_sums[j, :, 0]], axis=1
         )
         assert_second_moments(samples, weights @ brownian @ weights.T, f"step {j}")
+
+
+@pytest.mark.parametrize(
+    "fine, moments",
+    [
+        pytest.param((8, 16), False, id="heat-q4-q16"),
+        pytest.param((16,), True, id="wave-q16"),
+    ],
+)
+def test_drawn_bridge_sums_have_their_exact_law(fine, moments):
+    """The drawn sums of 300 paths of 16 master steps meet the double-sum covariance within 4 SE.
+
+    Heat draws S0 of the levels q = 4 and 16 of the twice and four times
+    finer meshes jointly; wave draws S0 and S1 of one level.
+    """
+    samples = []
+    for r in range(300):
+        path = sample_path((77, r), TimeMesh(4), 1, [TimeMesh(n) for n in fine], moments)
+        samples.append(np.stack([path.bridge[q][p, :, 0] for q, p in path.bridge_functionals], 1))
+    law = double_sum_covariance(path.bridge_functionals, path.delta)
+    assert_second_moments(np.concatenate(samples), law, f"levels {path.bridge_functionals}")
