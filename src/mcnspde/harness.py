@@ -13,15 +13,18 @@ it (StudyConfig.path_mesh); the heat oracle is the exact solution's
 conditional mean given all of them.  The root-mean-square final-time
 error per resolution then feeds a log-log least-squares rate fit.
 
-Realizations run in blocks.  Each path of a block is used at once and
-dropped: its heat oracle values are computed, and it is reduced on every
-mesh (for wave, the reference mesh too) to its noise coordinates, a few
-numbers per step, stored as one column of that mesh's NoiseBlock.  Then
-every mesh is marched once for the whole block on (K, R) states.  A
-block's coordinates may take no more memory than the increments and
-cumulative values of one path on the finest marched mesh's micro grid
-(block_size), a grid no study draws in full, so only one path is alive
-at a time and memory does not grow with the realization count.
+Realizations run in blocks, and their paths are drawn in chunks of a
+few (chunk_size).  Each chunk of a block is used at once and dropped:
+its heat oracle values are computed against kernels formed once per
+block, and it is reduced on every mesh (for wave, the reference mesh
+too) to its noise coordinates, a few numbers per step, stored as its
+paths' columns of that mesh's NoiseBlock.  Then every mesh is marched
+once for the whole block on (K, R) states.  A block's coordinates may
+take no more memory than the increments and cumulative values of one
+path on the finest marched mesh's micro grid (block_size), a grid no
+study draws in full, and only one chunk, of at most CHUNK_BYTES, is
+alive at a time, so memory does not grow with the realization count.
+Each path keeps its own Philox key and gets the same bits in any chunk.
 
 Heat studies measure against the closed-form benchmark solution, either
 with continuous-spectrum decay rates (total error, floored by the spatial
@@ -51,9 +54,10 @@ from .heat import (
     SCHEME_MCN,
     benchmark_heat_problem,
     exact_heat_solution,
+    heat_oracle_kernel,
     run_heat,
 )
-from .noise import NoiseBlock, TimeMesh, sample_path
+from .noise import NoiseBlock, TimeMesh, path_functionals, sample_path
 from .wave import WAVE_NOISE, benchmark_wave_problem, reference_wave_solution, run_wave
 
 EQUATION_HEAT = "heat"
@@ -72,6 +76,20 @@ CSV_HEADER = "N,tau,rms_error,standard_error"
 # are dropped from the default rate fit: they measure the grid, not the
 # time stepper.
 FLOOR_EXCLUSION_FACTOR = 3.0
+
+# Paths drawn, reduced and scored per pass (chunk_size).  A chunk shares
+# numpy's per-call cost among its paths: on a 2-core VM, in one process
+# alternating the two, a desk heat round (mcn and em, 120 realizations
+# each) took 151 ms in chunks of 4 against 215 ms path by path; chunks of
+# 5 to 8 were a few ms faster still, within the noise.  The count cap
+# matters for short paths, where a byte budget alone would put dozens in
+# a chunk and let memory grow past the one full path that the block rule
+# allows (at 1024 master steps each path of a chunk costs about 57 KB).
+CHUNK_PATHS = 4
+# A chunk's drawn arrays take at most this many bytes: 4 desk heat paths
+# of 131 KB, while a desk wave path (512 KB) or a --paper heat path (2 MB)
+# is drawn alone, so wave and paper memory does not grow.
+CHUNK_BYTES = 640 * 1024
 
 
 @dataclass(frozen=True)
@@ -370,46 +388,71 @@ def block_size(config: StudyConfig) -> int:
     return max(1, path_bytes // per_realization)
 
 
+def chunk_size(config: StudyConfig) -> int:
+    """Paths drawn and reduced per pass: CHUNK_PATHS, or fewer if CHUNK_BYTES holds fewer.
+
+    A path's drawn arrays are its increments, cumulative values and
+    bridge sums.  At least one path.
+    """
+    functionals = path_functionals(config.path_mesh, config.bridge_meshes, _moments(config))
+    steps = config.master_steps
+    path_bytes = 8 * ((2 + len(functionals)) * steps + 1)
+    return max(1, min(CHUNK_PATHS, CHUNK_BYTES // path_bytes))
+
+
+def _moments(config: StudyConfig) -> bool:
+    """Whether paths carry the S1 bridge sums: the wave reference's velocity sums need them."""
+    return config.equation == EQUATION_WAVE
+
+
 def _block_squared_errors(config: StudyConfig, span: range):
     """Per-realization squared errors for the realizations of span, marched as one block.
 
     Returns (errors, floors) with errors shaped (len(span), n_list, norms)
     and floors the squared continuous-vs-semidiscrete oracle gap (heat
-    continuous mode only, else None).  Each path is drawn, reduced to its
-    noise coordinates on every mesh (and, for heat, to its oracle values)
-    and dropped, and then every mesh is marched once for the whole block.
+    continuous mode only, else None).  The paths are drawn a chunk at a
+    time, each chunk reduced to its noise coordinates on every mesh (and,
+    for heat, to its oracle values) and dropped, and then every mesh is
+    marched once for the whole block.
     """
     grid, problems = _build_problems(config)
     heat = config.equation == EQUATION_HEAT
     count = len(span)
     errors = np.empty((count, len(problems), len(study_norms(config))))
     blocks = _study_noise(config, count)
-    oracles = np.empty((grid.K, count)) if heat else None
-    continuous = heat and config.exact_mode == EXACT_CONTINUOUS
-    semidiscrete = np.empty((grid.K, count)) if continuous else None
-    for i, r in enumerate(span):
-        key = (config.base_seed, r)
-        path = sample_path(key, config.path_mesh, 1, config.bridge_meshes, moments=not heat)
-        if heat:
-            oracles[:, i] = exact_heat_solution(path, grid, config.exact_mode, config.noise_scale)
-            if continuous:
-                semidiscrete[:, i] = exact_heat_solution(
-                    path, grid, EXACT_SEMIDISCRETE, config.noise_scale
-                )
+    moments = _moments(config)
+    # The oracle values and kernel of the exact mode, and in continuous mode
+    # those of the semidiscrete one too, whose gap to it is the spatial floor.
+    modes = sorted({config.exact_mode, EXACT_SEMIDISCRETE}) if heat else []
+    functionals = path_functionals(config.path_mesh, config.bridge_meshes, moments)
+    kernels = {
+        mode: heat_oracle_kernel(grid, mode, config.master_steps, functionals) for mode in modes
+    }
+    oracles = {mode: np.empty((grid.K, count)) for mode in modes}
+    size = chunk_size(config)
+    for lo in range(0, count, size):
+        keys = [(config.base_seed, r) for r in span[lo : lo + size]]
+        paths = sample_path(keys, config.path_mesh, 1, config.bridge_meshes, moments)
+        for mode, kernel in kernels.items():
+            oracles[mode][:, lo : lo + len(keys)] = exact_heat_solution(
+                paths, grid, mode, config.noise_scale, kernel
+            )
         for block in blocks:
-            block.put(i, path)
-        del path  # only one path is alive at a time
-    floors = squared_l2_norms(oracles - semidiscrete) if continuous else None
+            block.put(lo, paths)
+        del paths  # only one chunk is alive at a time
     if heat:
+        oracle = oracles[config.exact_mode]
         for p, (problem, block) in enumerate(zip(problems, blocks)):
-            errors[:, p, 0] = squared_l2_norms(run_heat(problem, block, config.scheme) - oracles)
-    else:
-        x_ref, y_ref = reference_wave_solution(problems[-1], blocks[-1], config.n_ref)
-        for p, (problem, block) in enumerate(zip(problems, blocks)):
-            x_end, y_end = run_wave(problem, block)
-            errors[:, p, 0] = squared_h1_seminorms(x_end - x_ref)
-            errors[:, p, 1] = squared_l2_norms(y_end - y_ref)
-    return errors, floors
+            errors[:, p, 0] = squared_l2_norms(run_heat(problem, block, config.scheme) - oracle)
+        if config.exact_mode == EXACT_CONTINUOUS:
+            return errors, squared_l2_norms(oracle - oracles[EXACT_SEMIDISCRETE])
+        return errors, None
+    x_ref, y_ref = reference_wave_solution(problems[-1], blocks[-1], config.n_ref)
+    for p, (problem, block) in enumerate(zip(problems, blocks)):
+        x_end, y_end = run_wave(problem, block)
+        errors[:, p, 0] = squared_h1_seminorms(x_end - x_ref)
+        errors[:, p, 1] = squared_l2_norms(y_end - y_ref)
+    return errors, None
 
 
 def _gather_squared_errors(config: StudyConfig):

@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -211,43 +212,77 @@ def bridge_conditional_weights(
     return math.expm1(x) / x, coefficients
 
 
-def stochastic_convolution(path: WienerPath, rate: float) -> np.ndarray:
-    """Conditional mean of int_0^1 exp(-rate (1 - s)) dW(s) given the path, shape (m,).
+def convolution_kernel(
+    rates: Sequence[float], steps: int, functionals: tuple[tuple[int, int], ...]
+) -> np.ndarray:
+    """Weights of E[int_0^1 exp(-rate (1 - s)) dW(s) | path] for each rate, (rates, 1 + F, S).
 
     Over master step k the kernel is its left-point value exp(-rate (1 -
     s_k)) times exp(rate u), u the time into the step, so the integral's
-    conditional mean given the master increments and the bridge sums the
-    path carries is that left-point weight times the step's
-    bridge_conditional_weights combination of dW_k and its sums.  A bare
-    left-point sum drops the step average, and on the desk heat study at
-    N = 256 it inflated the reference strong error by 5-7%.  What the path
-    leaves undetermined keeps errors measured against this reference
-    slightly below the continuous-time value.  On the desk heat path, 4096
-    master steps with the bridge levels q = 4 and 16, that deficit
-    E ||X - E[X | path]||^2 is 6.233e-10 in continuous mode, against
-    6.224e-10 given the dW of all 2^16 finer steps alone; it lowers the
-    mcn RMS error at N = 256 by about 0.14%.  Given the 4096 dW alone it
-    would be 256 times larger.
-
-    The weights factor: with master index k = i w + o, w a power of two
-    near sqrt(S) dividing S, and b = S/w blocks, 1 - s_k =
-    ((b - 1 - i) w + (w - o)) delta, so exp(-rate (1 - s_k)) is an outer
-    factor per block times an inner factor per offset, both at most 1.
-    That takes two exps of length about sqrt(S) instead of one of length S.
+    conditional mean given the master increments and the bridge sums
+    (functionals, as WienerPath.bridge_functionals lists them) is that
+    left-point weight times the step's bridge_conditional_weights
+    combination of dW_k and its sums.  Row 0 weighs dW_k and row 1 + f
+    the step's sum f.
     """
-    steps, m = path.increments.shape
-    w = 1 << ((steps & -steps).bit_length() - 1) // 2
-    inner = np.exp(-rate * path.delta * np.arange(w, 0, -1))
-    outer = np.exp(-rate * path.delta * w * np.arange(steps // w - 1, -1, -1))
+    delta = 1.0 / steps
+    kernel = np.empty((len(rates), 1 + len(functionals), steps))
+    for weights, rate in zip(kernel, rates):
+        step_average, coefficients = bridge_conditional_weights(functionals, rate, delta)
+        np.exp(-rate * delta * np.arange(steps, 0, -1), out=weights[0])
+        weights[1:] = coefficients[:, None] * weights[0]
+        weights[0] *= step_average
+    return kernel
+
+
+# convolve sums a path's steps by blocks of this many, then the blocks pairwise.
+CONVOLUTION_BLOCK = 128
+
+
+def convolve(path: WienerPath, kernel: np.ndarray) -> np.ndarray:
+    """Each rate's conditional mean of the convolution given path, (..., rates, m).
+
+    kernel is convolution_kernel's for the path's S and bridge
+    functionals, and path one path or a chunk, whose leading axis the
+    result keeps.  Each sum runs by einsum over blocks of
+    CONVOLUTION_BLOCK steps and then pairwise over the blocks: no
+    S-long temporary, no BLAS call (a BLAS product this long wakes the
+    BLAS thread pool, which then spins through the stepping loops), the
+    same bits for a path alone or in any chunk, and the result correctly
+    rounded to about 1e-14 at 2^20 steps.
+    """
     functionals = path.bridge_functionals
-    step_average, coefficients = bridge_conditional_weights(functionals, rate, path.delta)
-    per_step = step_average * path.increments
-    for c, (q, p) in zip(coefficients, functionals):
-        per_step += c * path.bridge[q][p]
-    # einsum, not a matmul: a BLAS matrix-vector product this long wakes
-    # the BLAS thread pool, which then spins through the stepping loops.
-    per_block = np.einsum("q,iqm->im", inner, per_step.reshape(-1, w, m))
-    return np.einsum("i,im->m", outer, per_block)
+    if kernel.shape[1:] != (1 + len(functionals), path.S):
+        raise ValueError(
+            f"kernel of shape {kernel.shape} does not weigh a {path.S}-step path "
+            f"with bridge sums {functionals}"
+        )
+    block = math.gcd(path.S, CONVOLUTION_BLOCK)
+    blocked = lambda x: x.reshape(x.shape[:-2] + (-1, block, path.m))
+    terms = [path.increments] + [path.bridge[q][..., p, :, :] for q, p in functionals]
+    result = 0.0
+    for f, term in enumerate(terms):
+        weights = kernel[:, f].reshape(len(kernel), -1, block)
+        result = result + np.einsum("kbw,...bwm->...kmb", weights, blocked(term)).sum(axis=-1)
+    return result
+
+
+def stochastic_convolution(path: WienerPath, rate: float) -> np.ndarray:
+    """Conditional mean of int_0^1 exp(-rate (1 - s)) dW(s) given the path, shape (..., m).
+
+    The path's master increments and bridge sums weighed by
+    convolution_kernel.  A bare left-point sum drops the step average,
+    and on the desk heat study at N = 256 it inflated the reference
+    strong error by 5-7%.  What the path leaves undetermined keeps errors
+    measured against this reference slightly below the continuous-time
+    value.  On the desk heat path, 4096 master steps with the bridge
+    levels q = 4 and 16, that deficit E ||X - E[X | path]||^2 is 6.233e-10
+    in continuous mode, against 6.224e-10 given the dW of all 2^16 finer
+    steps alone; it lowers the mcn RMS error at N = 256 by about 0.14%.
+    Given the 4096 dW alone it would be 256 times larger.
+    """
+    kernel = convolution_kernel((rate,), path.S, path.bridge_functionals)
+    return convolve(path, kernel)[..., 0, :]
 
 
 def benchmark_phi(grid: SpatialGrid, noise_scale: float = 1.0) -> NoiseCoefficient:
@@ -265,8 +300,29 @@ def benchmark_heat_problem(
     )
 
 
+def _benchmark_rate(grid: SpatialGrid, mode: str, k: int) -> float:
+    """Decay rate of sine mode k: (k pi)^2 in continuous mode, else the grid eigenvalue."""
+    if mode == EXACT_CONTINUOUS:
+        return (k * math.pi) ** 2
+    if mode == EXACT_SEMIDISCRETE:
+        return dirichlet_eigenvalue(grid, k)
+    raise ConfigError(f"unknown exact mode {mode!r}")
+
+
+def heat_oracle_kernel(
+    grid: SpatialGrid, mode: str, steps: int, functionals: tuple[tuple[int, int], ...]
+) -> np.ndarray:
+    """convolution_kernel of the benchmark noise modes' decay rates in the exact mode."""
+    rates = [_benchmark_rate(grid, mode, k) for k in BENCHMARK_NOISE_MODES]
+    return convolution_kernel(rates, steps, functionals)
+
+
 def exact_heat_solution(
-    path: WienerPath, grid: SpatialGrid, mode: str = EXACT_CONTINUOUS, noise_scale: float = 1.0
+    path: WienerPath,
+    grid: SpatialGrid,
+    mode: str = EXACT_CONTINUOUS,
+    noise_scale: float = 1.0,
+    kernel: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact benchmark solution at the final time 1, evaluated on the grid.
 
@@ -279,18 +335,18 @@ def exact_heat_solution(
     error; in 'semidiscrete' mode they are the discrete eigenvalues of the
     grid Laplacian and the comparison isolates the time-stepping error.
     Requires a single-channel path (the benchmark noise drives both modes
-    with one Wiener process).
+    with one Wiener process).  One path gives shape (K,), a chunk of n
+    paths (K, n), column i bit for bit that of path i alone.  kernel is
+    heat_oracle_kernel's for the mode and the path's grid and levels,
+    formed here when not given.
     """
     if path.m != 1:
         raise ConfigError(f"benchmark exact solution needs m=1 noise, got m={path.m}")
-    if mode == EXACT_CONTINUOUS:
-        rate = lambda k: (k * math.pi) ** 2
-    elif mode == EXACT_SEMIDISCRETE:
-        rate = lambda k: dirichlet_eigenvalue(grid, k)
-    else:
-        raise ConfigError(f"unknown exact mode {mode!r}")
-    values = math.exp(-rate(BENCHMARK_INITIAL_MODE)) * sine_mode(grid, BENCHMARK_INITIAL_MODE)
-    for k in BENCHMARK_NOISE_MODES:
-        conv = float(stochastic_convolution(path, rate(k))[0])
-        values = values + noise_scale * conv * sine_mode(grid, k)
-    return values
+    initial = _benchmark_rate(grid, mode, BENCHMARK_INITIAL_MODE)
+    if kernel is None:
+        kernel = heat_oracle_kernel(grid, mode, path.S, path.bridge_functionals)
+    conv = noise_scale * convolve(path.chunk(), kernel)[..., 0]
+    values = math.exp(-initial) * sine_mode(grid, BENCHMARK_INITIAL_MODE)[:, None]
+    for i, k in enumerate(BENCHMARK_NOISE_MODES):
+        values = values + conv[:, i] * sine_mode(grid, k)[:, None]
+    return values if path.increments.ndim == 3 else values[:, 0]

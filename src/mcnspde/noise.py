@@ -32,18 +32,20 @@ with S0 and S1, of its reference mesh.
 
 mesh_values is the one place that knows where the coarse and micro nodes
 of a mesh sit on the master grid.  It returns them as views of the
-cumulative path, for one path (S+1, m) or a block of paths (n, S+1, m),
+cumulative path, for one path (S+1, m) or a chunk of paths (n, S+1, m),
 so every quadrature over a whole mesh is a few array operations on those
-views, and a single path is simply the one-path case of a block.
+views, and a single path is simply the one-path case of a chunk.
 
 Paths are sampled once per realization from a counter-based generator and
 then shared by every scheme and every coarse resolution that is compared,
-so refinement studies measure scheme error on a common noise sample.  A
-scheme reads a path only through a few numbers per step, its noise
-coordinates (the increment, the quadrature gap and, for the wave scheme,
-a weighted micro sum).  NoiseBlock holds them for R paths on one mesh,
-so a path can be reduced on every mesh and dropped, and the schemes step
-all R paths together.
+so refinement studies measure scheme error on a common noise sample.
+sample_path draws a chunk of paths from a list of keys, each key's
+stream into its own row, so a path gets the same bits alone or in any
+chunk.  A scheme reads a path only through a few numbers per step, its
+noise coordinates (the increment, the quadrature gap and, for the wave
+scheme, a weighted micro sum).  NoiseBlock holds them for R paths on one
+mesh, so a chunk of paths can be reduced on every mesh and dropped, and
+the schemes step all R paths together.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ class TimeMesh:
 
 @dataclass(frozen=True)
 class WienerPath:
-    """One sampled m-dimensional Wiener path on the S-step master grid of [0, 1].
+    """One sampled m-dimensional Wiener path on the S-step master grid of [0, 1], or a chunk of n.
 
     increments[k] is W(s_{k+1}) - W(s_k) and cumulative[k] is W(s_k) with
     W(0) = 0, where s_k = k*delta and delta = 1/S.  Values are only ever
@@ -111,19 +113,22 @@ class WienerPath:
     Brownian bridge B_i = W(s_k + i*delta/q) - W(s_k) - (i/q)*increments[k],
     i = 1..q-1, of the level that splits each master step into q steps:
     shape (1, S, m) for S0 alone, (2, S, m) for S0 and S1.
+
+    A chunk of n paths puts a leading axis of n rows in front of every
+    array, row i holding path i.
     """
 
-    increments: np.ndarray  # shape (S, m)
-    cumulative: np.ndarray  # shape (S + 1, m)
+    increments: np.ndarray  # shape (S, m), or (n, S, m) for a chunk
+    cumulative: np.ndarray  # shape (S + 1, m), or (n, S + 1, m)
     bridge: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def S(self) -> int:
-        return self.increments.shape[0]
+        return self.increments.shape[-2]
 
     @property
     def m(self) -> int:
-        return self.increments.shape[1]
+        return self.increments.shape[-1]
 
     @property
     def delta(self) -> float:
@@ -132,8 +137,17 @@ class WienerPath:
 
     @property
     def bridge_functionals(self) -> tuple[tuple[int, int], ...]:
-        """(q, p) for each bridge sum S_p = bridge[q][p], levels by increasing q."""
-        return tuple((q, p) for q in sorted(self.bridge) for p in range(len(self.bridge[q])))
+        """(q, p) for each bridge sum S_p = bridge[q][..., p, :, :], levels by increasing q."""
+        return tuple(
+            (q, p) for q in sorted(self.bridge) for p in range(self.bridge[q].shape[-3])
+        )
+
+    def chunk(self) -> "WienerPath":
+        """The path as a chunk: itself if it is one, else a chunk of one, as views."""
+        if self.increments.ndim == 3:
+            return self
+        bridge = {q: sums[None] for q, sums in self.bridge.items()}
+        return WienerPath(self.increments[None], self.cumulative[None], bridge)
 
 
 def bridge_level(master_steps: int, mesh: TimeMesh) -> int:
@@ -148,47 +162,74 @@ def bridge_level(master_steps: int, mesh: TimeMesh) -> int:
     return q
 
 
+def path_functionals(
+    mesh: TimeMesh, fine: Sequence[TimeMesh] = (), moments: bool = False
+) -> tuple[tuple[int, int], ...]:
+    """(q, p) of every bridge sum that sample_path draws for these arguments.
+
+    Every mesh of fine whose micro grid is finer than that of mesh gets
+    its level q (bridge_level), with S0 (p = 0) and, if moments, S1
+    (p = 1); levels by increasing q.
+    """
+    steps = mesh.N * mesh.M
+    levels = sorted({bridge_level(steps, f) for f in fine if f.N * f.M > steps})
+    return tuple((q, p) for q in levels for p in range(1 + moments))
+
+
 def sample_path(
-    seed: int | tuple[int, int],
+    seed: int | tuple[int, int] | list,
     mesh: TimeMesh,
     m: int = 1,
     fine: Sequence[TimeMesh] = (),
     moments: bool = False,
 ) -> WienerPath:
-    """Draw one Wiener path on the micro grid of mesh: S = N*M master steps of [0, 1].
+    """Draw a Wiener path on the micro grid of mesh: S = N*M master steps of [0, 1].
 
     The generator is Philox keyed by seed, an integer or a pair of 64-bit
     words, so paths are reproducible and distinct keys give independent
-    counter-based streams.  Every mesh of fine whose micro grid is finer
-    than the master grid gets its bridge level (bridge_level): after the
-    master grid, the same stream draws S0, and S1 too if moments, of
-    every level, jointly, through the Cholesky factor of their exact
-    covariance.  Levels must nest, each q dividing the next, else
-    AlignmentError.
+    counter-based streams.  A list of such keys draws a chunk, one row
+    per key, each row bit for bit the path of its key alone.  Every mesh
+    of fine whose micro grid is finer than the master grid gets its
+    bridge level (path_functionals): after the master grid, the same
+    stream draws S0, and S1 too if moments, of every level, jointly,
+    through the Cholesky factor of their exact covariance.  Levels must
+    nest, each q dividing the next, else AlignmentError.
     """
     if m < 1:
         raise ValueError(f"need at least one noise component, got m={m}")
-    if min(np.atleast_1d(seed)) < 0:
+    keys = seed if isinstance(seed, list) else [seed]
+    if any(min(np.atleast_1d(key)) < 0 for key in keys):
         raise ValueError(f"seed must be nonnegative, got {seed}")
     steps = mesh.N * mesh.M
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    increments = rng.standard_normal((steps, m)) * math.sqrt(1.0 / steps)
-    cumulative = np.zeros((steps + 1, m))
-    np.cumsum(increments, axis=0, out=cumulative[1:])
-    levels = sorted({bridge_level(steps, f) for f in fine if f.N * f.M > steps})
-    if not levels:
-        return WienerPath(increments, cumulative)
-    functionals = tuple((q, p) for q in levels for p in range(1 + moments))
-    factor = bridge_factor(functionals, 1.0 / steps)
-    sums = rng.standard_normal((len(functionals), steps, m))
-    # The factor is lower triangular, so its product with the normals is
-    # formed in place, elementwise, from the last row up.
-    for f in reversed(range(len(functionals))):
-        sums[f] *= factor[f, f]
-        for g in range(f):
-            sums[f] += factor[f, g] * sums[g]
-    levels_sums = sums.reshape(len(levels), 1 + moments, steps, m)
-    return WienerPath(increments, cumulative, dict(zip(levels, levels_sums)))
+    functionals = path_functionals(mesh, fine, moments)
+    # One allocation holds the chunk, so that chunk after chunk reuses the
+    # same heap memory instead of mapping fresh pages.  Each key's
+    # increments and bridge sums are adjacent, drawn by one call, in the
+    # order of the key's stream.
+    n, width = len(keys), 1 + len(functionals)
+    memory = np.empty(n * (width * steps + steps + 1) * m)
+    normals = memory[: n * width * steps * m].reshape(n, width, steps, m)
+    cumulative = memory[n * width * steps * m :].reshape(n, steps + 1, m)
+    for row, key in zip(normals, keys):
+        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=row)
+    increments, sums = normals[:, 0], normals[:, 1:]
+    increments *= math.sqrt(1.0 / steps)
+    cumulative[:, 0] = 0.0
+    np.cumsum(increments, axis=1, out=cumulative[:, 1:])
+    if functionals:
+        factor = bridge_factor(functionals, 1.0 / steps)
+        # The factor is lower triangular, so its product with the normals is
+        # formed in place, elementwise, from the last row up.
+        for f in reversed(range(len(functionals))):
+            sums[:, f] *= factor[f, f]
+            for g in range(f):
+                sums[:, f] += factor[f, g] * sums[:, g]
+    levels = sorted({q for q, _ in functionals})
+    levels_sums = sums.reshape(n, len(levels), 1 + moments, steps, m)
+    bridge = {q: levels_sums[:, i] for i, q in enumerate(levels)}
+    if isinstance(seed, list):
+        return WienerPath(increments, cumulative, bridge)
+    return WienerPath(increments[0], cumulative[0], {q: level[0] for q, level in bridge.items()})
 
 
 @functools.lru_cache(maxsize=None)
@@ -284,13 +325,13 @@ def quadrature_gaps(coarse: np.ndarray, micro: np.ndarray, tau: float) -> np.nda
 
 
 def velocity_micro_sums(micro: np.ndarray, tau: float) -> np.ndarray:
-    """The wave velocity correction's micro sum for every interval, shape (N, m).
+    """The wave velocity correction's micro sum for every interval, shape (..., N, m).
 
-    sum_{l=1}^{M} (tau^3/2)(1 - 2 l tau) W(t_{j,l}), from one path's micro
-    view (N, M, m) of mesh_values.
+    sum_{l=1}^{M} (tau^3/2)(1 - 2 l tau) W(t_{j,l}), from the micro view
+    (..., N, M, m) of mesh_values.
     """
     weights = 0.5 * tau**3 * (1.0 - 2.0 * tau * np.arange(1, micro.shape[-2] + 1))
-    return np.einsum("l,jlm->jm", weights, micro)
+    return np.einsum("l,...jlm->...jm", weights, micro)
 
 
 def bridge_sums(
@@ -298,11 +339,12 @@ def bridge_sums(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """(coarse, micro sums, micro moments) of a mesh whose micro grid is a bridge level of path.
 
-    coarse (N+1, m) holds W(t_j); micro_sums[j] = sum_{l=1}^{M} W(t_{j,l})
-    and moments[j] = sum_{l=1}^{M} l W(t_{j,l}), each (N, m), exact linear
-    combinations of the master grid and the level's bridge sums; moments
-    is None when the level carries S0 alone.  Raises AlignmentError
-    unless the mesh's micro grid is one of the path's bridge levels.
+    coarse (..., N+1, m) holds W(t_j); micro_sums[..., j, :] = sum_{l=1}^{M}
+    W(t_{j,l}) and moments[..., j, :] = sum_{l=1}^{M} l W(t_{j,l}), each
+    (..., N, m), exact linear combinations of the master grid and the
+    level's bridge sums, with the leading axis of a chunk; moments is
+    None when the level carries S0 alone.  Raises AlignmentError unless
+    the mesh's micro grid is one of the path's bridge levels.
     """
     q = bridge_level(path.S, mesh)
     if q not in path.bridge:
@@ -311,19 +353,20 @@ def bridge_sums(
             f"of a {path.S}-step path with levels q in {sorted(path.bridge)}"
         )
     cells = path.S // mesh.N  # master steps per coarse step
-    shape = (mesh.N, cells, path.m)
-    left = path.cumulative[:-1].reshape(shape)
+    shape = path.increments.shape[:-2] + (mesh.N, cells, path.m)
+    left = path.cumulative[..., :-1, :].reshape(shape)
     rise = path.increments.reshape(shape)
-    level = path.bridge[q].reshape((-1,) + shape)
+    level = np.moveaxis(path.bridge[q].reshape(shape[:-3] + (-1,) + shape[-3:]), -4, 0)
     # On master step k, W(s_k + i delta/q) = W(s_k) + (i/q) dW_k + B_i for
     # i = 1..q (B_q = 0), so its q finer nodes sum to, and weighted by i sum to:
     sums = q * left + 0.5 * (q + 1) * rise + level[0]
+    coarse = path.cumulative[..., ::cells, :]
     if len(level) == 1:
-        return path.cumulative[::cells], sums.sum(axis=1), None
+        return coarse, sums.sum(axis=-2), None
     moments = 0.5 * q * (q + 1) * left + (q + 1) * (2 * q + 1) / 6.0 * rise + level[1]
     # Finer node i of master step a in coarse step j is micro node l = a q + i.
     offsets = q * np.arange(cells)[:, None]
-    return path.cumulative[::cells], sums.sum(axis=1), (offsets * sums + moments).sum(axis=1)
+    return coarse, sums.sum(axis=-2), (offsets * sums + moments).sum(axis=-2)
 
 
 @dataclass(frozen=True)
@@ -359,29 +402,35 @@ class NoiseBlock:
         return sum(a.nbytes for a in arrays if a is not None)
 
     def put(self, r: int, path: WienerPath) -> None:
-        """Reduce path to its coordinates on the mesh and store them as column r.
+        """Reduce path to its coordinates on the mesh and store them from column r on.
 
-        A mesh whose micro grid is finer than the master grid reads one of
+        One path fills column r, a chunk of n paths columns r..r+n-1.  A
+        mesh whose micro grid is finer than the master grid reads one of
         the path's bridge levels (bridge_sums), and a path without that
         level, or without its S1 sums where the velocity sums need them,
         raises AlignmentError.
         """
+        chunk = path.chunk()
+        columns = slice(r, r + len(chunk.increments))
         tau = self.mesh.tau
-        if path.S % (self.mesh.N * self.mesh.M) == 0:
-            coarse, micro = mesh_values(path.cumulative, self.mesh)
+        if chunk.S % (self.mesh.N * self.mesh.M) == 0:
+            coarse, micro = mesh_values(chunk.cumulative, self.mesh)
             gaps = lambda: quadrature_gaps(coarse, micro, tau)
             velocity_sums = lambda: velocity_micro_sums(micro, tau)
         else:
-            coarse, micro_sums, moments = bridge_sums(path, self.mesh)
+            coarse, micro_sums, moments = bridge_sums(chunk, self.mesh)
             if moments is None and self.velocity_sums is not None:
                 raise AlignmentError(f"the bridge level of N={self.mesh.N} carries no S1 sums")
-            gaps = lambda: tau * tau * micro_sums - 0.5 * tau * (coarse[:-1] + coarse[1:])
+            gaps = lambda: tau * tau * micro_sums - 0.5 * tau * (
+                coarse[:, :-1] + coarse[:, 1:]
+            )
             velocity_sums = lambda: 0.5 * tau**3 * (micro_sums - 2.0 * tau * moments)
-        self.increments[:, r] = np.diff(coarse, axis=0)
+        # Chunk rows become block columns.
+        self.increments[:, columns] = np.diff(coarse, axis=1).swapaxes(0, 1)
         if self.gaps is not None:
-            self.gaps[:, r] = gaps()
+            self.gaps[:, columns] = gaps().swapaxes(0, 1)
         if self.velocity_sums is not None:
-            self.velocity_sums[:, r] = velocity_sums()
+            self.velocity_sums[:, columns] = velocity_sums().swapaxes(0, 1)
 
 
 def noise_block(

@@ -35,7 +35,8 @@ from mcnspde import (
     sample_path,
     validate_config,
 )
-from mcnspde.harness import _default_fit_range, block_size
+from mcnspde import harness
+from mcnspde.harness import _default_fit_range, block_size, chunk_size
 
 
 def table_from_errors(n_list, errors, fit_range=None, **extra):
@@ -207,6 +208,10 @@ def test_single_realization_matches_direct_run():
         err = l2_norm(run_heat(problem, path, "mcn") - oracle)
         assert row.rms_error == pytest.approx(err, rel=1e-14)
         assert row.standard_error == 0.0
+    # in continuous mode the spatial floor is the gap between the two oracles
+    continuous = run_study(dataclasses.replace(config, exact_mode="continuous"))
+    floor = l2_norm(exact_heat_solution(path, grid, mode="continuous") - oracle)
+    assert continuous.spatial_floor == pytest.approx(floor, rel=1e-14)
 
 
 def test_adjacent_base_seeds_share_no_path():
@@ -245,6 +250,14 @@ def test_block_size_rule():
     assert block_size(tiny) == 1  # never empty, even where one path outweighs its block
 
 
+def test_chunk_size_rule():
+    """Four short paths per chunk; a path over half the chunk budget is drawn alone."""
+    assert chunk_size(small_config()) == 4  # 16 master steps
+    assert chunk_size(desk_heat_config()) == 4  # 131 KB: 4096 master steps and two levels
+    assert chunk_size(desk_wave_config()) == 1  # 512 KB: 2^14 master steps, S0 and S1
+    assert chunk_size(paper_heat_config()) == 1  # 2 MB: 2^16 master steps and two levels
+
+
 @pytest.mark.parametrize(
     "equation, workers",
     [
@@ -256,7 +269,8 @@ def test_block_size_rule():
     ],
 )
 def test_blocks_do_not_change_the_table(equation, workers, monkeypatch):
-    """One block of 7 realizations, or blocks of 3 on 1-3 workers: byte-identical tables."""
+    """One block of 7 realizations, or blocks of 3 on 1-3 workers drawn in chunks of 1, 3
+    or the default size: byte-identical tables."""
     if equation == "heat":
         config = small_config(mc_count=7)
     else:
@@ -264,12 +278,26 @@ def test_blocks_do_not_change_the_table(equation, workers, monkeypatch):
         # the block rule counts that grid, so one block holds all 7
         config = desk_wave_config(n_list=(4, 8), k=6, mc_count=7, n_ref=32, base_seed=7)
     assert block_size(config) >= 7
+    default = chunk_size(config)
+    assert default == 4
+    drawn = []  # the number of paths of each chunk drawn in this process
+    draw = harness.sample_path
+    monkeypatch.setattr(
+        "mcnspde.harness.sample_path",
+        lambda keys, *args: drawn.append(len(keys)) or draw(keys, *args),
+    )
     whole = run_study_tables(config)
+    assert drawn == [4, 3]
     monkeypatch.setattr("mcnspde.harness.block_size", lambda config: 3)
-    split = run_study_tables(dataclasses.replace(config, workers=workers))
-    for norm, table in whole.items():
-        assert csv_text(split[norm]) == csv_text(table)
-        assert split[norm].fitted_rate == table.fitted_rate
+    for chunk, chunks in ((1, [1] * 7), (3, [3, 3, 1]), (default, [3, 3, 1])):
+        monkeypatch.setattr("mcnspde.harness.chunk_size", lambda config: chunk)
+        drawn.clear()
+        split = run_study_tables(dataclasses.replace(config, workers=workers))
+        if workers == 1:  # worker processes draw where this list does not see it
+            assert drawn == chunks
+        for norm, table in whole.items():
+            assert csv_text(split[norm]) == csv_text(table)
+            assert split[norm].fitted_rate == table.fitted_rate
 
 
 def test_pool_is_sized_by_its_spans(monkeypatch):
@@ -303,14 +331,14 @@ def test_pool_is_sized_by_its_spans(monkeypatch):
 
 
 def test_study_memory_does_not_grow_with_realizations():
-    """Each path is reduced and dropped, so 64 realizations peak at most one full path above 4.
+    """Each chunk is reduced and dropped, so 64 realizations peak at most one full path above 4.
 
     A full path is the 2^14 steps of the micro grid of N = 128, whose
     memory the block rule lets a block's coordinates take.
     """
 
     def peak(mc_count):
-        # one block holds all 64 realizations; the drawn paths are 32^2-step grids
+        # one block holds all 64 realizations, drawn in chunks of 4 paths on 32^2-step grids
         config = desk_heat_config(n_list=(4, 8, 16, 128), k=8, mc_count=mc_count)
         tracemalloc.start()
         try:
@@ -325,7 +353,8 @@ def test_study_memory_does_not_grow_with_realizations():
 
 
 def test_wave_study_memory_does_not_grow_with_realizations():
-    """A wave path is its master grid and bridge sums: 64 realizations peak at most one above 4."""
+    """A wave path is its master grid and bridge sums, drawn alone in its chunk: 64
+    realizations peak at most one path above 4."""
 
     def peak(mc_count):
         # 256^2 master steps, each split into q = 4 steps of the 512^2-step reference grid

@@ -16,6 +16,7 @@ from mcnspde import (
     TimeMesh,
     WienerPath,
     benchmark_heat_problem,
+    desk_heat_config,
     dirichlet_eigenvalue,
     em_step,
     exact_heat_solution,
@@ -27,7 +28,7 @@ from mcnspde import (
     sine_mode,
     stochastic_convolution,
 )
-from mcnspde.heat import bridge_conditional_weights
+from mcnspde.heat import bridge_conditional_weights, heat_oracle_kernel
 from mcnspde.noise import bridge_covariance
 
 
@@ -362,6 +363,26 @@ def test_run_heat_rejects_foreign_blocks():
     misaligned = sample_path(1, TimeMesh(4))  # 16 < 8^2 micro cells
     with pytest.raises(AlignmentError):
         NoiseBlock.empty(TimeMesh(8), 1, 1, HEAT_NOISE["em"]).put(0, misaligned)
+
+
+@pytest.mark.parametrize("mode", ["continuous", "semidiscrete"])
+def test_exact_solution_of_a_chunk_is_each_path_alone(mode):
+    """A chunk's oracle columns equal each path's oracle alone, bit for bit, with or
+    without the kernel formed beforehand."""
+    grid = SpatialGrid(12)
+    config = desk_heat_config(n_list=(8, 16, 32))  # 8^2 master steps, levels q = 4 and 16
+    keys = [(config.base_seed, r) for r in range(5)]
+    chunk = sample_path(keys, config.path_mesh, 1, config.bridge_meshes)
+    assert chunk.bridge_functionals == ((4, 0), (16, 0))
+    kernel = heat_oracle_kernel(grid, mode, chunk.S, chunk.bridge_functionals)
+    together = exact_heat_solution(chunk, grid, mode, 0.7, kernel)
+    assert together.shape == (grid.K, len(keys))
+    np.testing.assert_array_equal(exact_heat_solution(chunk, grid, mode, 0.7), together)
+    for i, key in enumerate(keys):
+        path = sample_path(key, config.path_mesh, 1, config.bridge_meshes)
+        np.testing.assert_array_equal(exact_heat_solution(path, grid, mode, 0.7), together[:, i])
+    with pytest.raises(ValueError):
+        exact_heat_solution(sample_path(keys, config.path_mesh), grid, mode, 0.7, kernel)
 
 
 def test_stochastic_convolution_zero_rate_is_endpoint():

@@ -148,6 +148,19 @@ def test_sample_path_draws_the_micro_grid_of_its_mesh():
     }
     assert levels.bridge_functionals == ((4, 0), (16, 0))
     assert sample_path(0, TimeMesh(16), fine=[TimeMesh(16), TimeMesh(8)]).bridge == {}
+    # a list of keys draws a chunk whose rows are the keys' lone paths, bit for bit
+    keys = [(5, 3), 7, (5, 4)]
+    cases = (([TimeMesh(64)], True), ([TimeMesh(32), TimeMesh(64)], False), ([], False))
+    for fine, moments in cases:
+        chunk = sample_path(keys, TimeMesh(16), 2, fine, moments)
+        assert chunk.increments.shape == (3, 256, 2) and chunk.cumulative.shape == (3, 257, 2)
+        for row, key in enumerate(keys):
+            lone = sample_path(key, TimeMesh(16), 2, fine, moments)
+            np.testing.assert_array_equal(chunk.increments[row], lone.increments)
+            np.testing.assert_array_equal(chunk.cumulative[row], lone.cumulative)
+            assert list(chunk.bridge) == list(lone.bridge)
+            for q, sums in lone.bridge.items():
+                np.testing.assert_array_equal(chunk.bridge[q][row], sums)
 
 
 def test_sample_path_cumulative_consistency():
@@ -516,6 +529,29 @@ def test_heat_levels_reproduce_the_full_path():
         mesh = TimeMesh(n)
         expected = reduced(full, mesh, HEAT_COORDINATES)
         assert_same_coordinates(reduced(thin, mesh, HEAT_COORDINATES), expected, ("gaps",))
+
+
+@pytest.mark.parametrize(
+    "fine, moments, coordinates",
+    [
+        pytest.param((32, 64), False, HEAT_COORDINATES, id="heat-levels"),
+        pytest.param((64,), True, WAVE_COORDINATES, id="wave-level"),
+    ],
+)
+def test_put_of_a_chunk_fills_each_path_column(fine, moments, coordinates):
+    """A chunk put from column 1 on gives every mesh the columns of its paths put alone."""
+    keys = [(31, r) for r in range(3)]
+    fine = [TimeMesh(n) for n in fine]
+    chunk = sample_path(keys, TimeMesh(16), 2, fine, moments)
+    for mesh in [TimeMesh(4), TimeMesh(16), *fine]:
+        together = NoiseBlock.empty(mesh, 4, 2, coordinates)
+        alone = NoiseBlock.empty(mesh, 4, 2, coordinates)
+        together.put(1, chunk)
+        for r, key in enumerate(keys, start=1):
+            alone.put(r, sample_path(key, TimeMesh(16), 2, fine, moments))
+        for name in coordinates:
+            got, expected = getattr(together, name), getattr(alone, name)
+            np.testing.assert_array_equal(got[:, 1:], expected[:, 1:])
 
 
 def test_meshes_finer_than_the_path_need_its_bridge_level():
