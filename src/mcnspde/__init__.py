@@ -29,7 +29,6 @@ from .noise import (
     WienerPath,
     defect_moment_exact,
     mesh_values,
-    quadrature_gaps,
     sample_path,
     wave_micro_sum_moment_exact,
 )

@@ -14,11 +14,11 @@ once; a switch such as ``paper`` takes yes/no, true/false, on/off or
 1/0, and the file may not name another config file).  Settings stack in
 one order: the desk preset, or the full-scale one under ``--paper``,
 then the config file, then explicit flags, which always win.  Each
-realization's Wiener path is drawn on the micro grid of the largest mesh
-of ``--n-list`` for wave, of a quarter of it for heat (the report's
-``master steps``); finer meshes, the heat meshes above that quarter and
-the ``--n-ref`` wave reference mesh, read it through exact
-Brownian-bridge sums.
+realization's Wiener path, heat or wave, is drawn on the micro grid of
+about a quarter of the largest mesh of ``--n-list`` (the report's
+``master steps``); finer meshes, the meshes above that quarter and the
+``--n-ref`` wave reference mesh, read it through exact Brownian-bridge
+sums.
 Exit codes: 0 success, 1 failed validation checks, 2 bad configuration
 (a ConfigError) or I/O trouble (an OSError); any other exception is a bug
 and propagates with its traceback.

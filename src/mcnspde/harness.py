@@ -4,14 +4,14 @@ A study fixes the benchmark problem, a list of coarse resolutions, and a
 realization count.  Every realization r draws one Wiener path (its
 Philox stream keyed by the two words (base_seed, r), so reruns and
 worker splits reproduce bit-identical tables and no two base seeds share
-a path) and runs every resolution against that same path.  A wave path
-lies on the micro grid of the finest mesh of n_list and carries the
-exact Brownian-bridge sums through which the finer reference mesh reads
-it.  A heat path lies on the micro grid of a quarter of the finest mesh
-N_max and carries the bridge sums through which N_max/2 and N_max read
-it (StudyConfig.path_mesh); the heat oracle is the exact solution's
-conditional mean given all of them.  The root-mean-square final-time
-error per resolution then feeds a log-log least-squares rate fit.
+a path) and runs every resolution against that same path.  Heat and
+wave paths follow one law (StudyConfig.path_mesh): a path lies on the
+micro grid of a mesh P of about a quarter of the finest mesh N_max of
+n_list and carries the exact Brownian-bridge sums through which the
+meshes 2P and 4P up to N_max and, for wave, the finer reference mesh
+read it; the heat oracle is the exact solution's conditional mean given
+all of them.  The root-mean-square final-time error per resolution
+then feeds a log-log least-squares rate fit.
 
 Realizations run in blocks, and their paths are drawn in chunks of a
 few (chunk_size).  Each chunk of a block is used at once and dropped:
@@ -46,6 +46,7 @@ import numpy as np
 
 from .grid import SpatialGrid, squared_h1_seminorms, squared_l2_norms
 from .heat import (
+    BENCHMARK_NOISE_MODES,
     ConfigError,
     EXACT_CONTINUOUS,
     EXACT_SEMIDISCRETE,
@@ -87,8 +88,8 @@ FLOOR_EXCLUSION_FACTOR = 3.0
 # allows (at 1024 master steps each path of a chunk costs about 57 KB).
 CHUNK_PATHS = 4
 # A chunk's drawn arrays take at most this many bytes: 4 desk heat paths
-# of 131 KB, while a desk wave path (512 KB) or a --paper heat path (2 MB)
-# is drawn alone, so wave and paper memory does not grow.
+# of 131 KB or 4 desk wave paths of 65 KB, while a --paper heat path
+# (2 MB) or wave path (4 MB) is drawn alone, so paper memory does not grow.
 CHUNK_BYTES = 640 * 1024
 
 
@@ -113,53 +114,50 @@ class StudyConfig:
     workers: int = 1
 
     @property
-    def path_mesh(self) -> TimeMesh:
-        """The mesh whose micro grid every path is drawn on.
+    def marched_meshes(self) -> tuple[TimeMesh, ...]:
+        """Every mesh the study marches: n_list in order, and for wave the reference mesh last."""
+        n_list = self.n_list + ((self.n_ref,) if self.equation == EQUATION_WAVE else ())
+        return tuple(TimeMesh(n) for n in n_list)
 
-        For heat, P = N_max/4 for the finest mesh N_max of n_list, or for a
-        short n_list the smallest power of two P >= N_max/4 with P^2
-        divisible by N_max.  Meshes up to P read the path by stride, and
-        the meshes 2P and 4P through the bridge levels q = 4 and 16, each
-        of their coarse steps spanning whole master steps.  For wave, the
-        finest mesh of n_list: every coarser power-of-two mesh reads the
-        path by stride, and the reference mesh n_ref through one bridge
-        level, which needs each of its coarse steps to span whole master
-        steps, so for an n_ref beyond N^2 the path mesh doubles until
-        N^2 >= n_ref.
+    @property
+    def finest_mesh(self) -> TimeMesh:
+        """The finest mesh the study marches: N_max for heat, the reference mesh for wave."""
+        return max(self.marched_meshes, key=lambda mesh: mesh.N)
+
+    @property
+    def path_mesh(self) -> TimeMesh:
+        """The mesh P whose micro grid every path is drawn on.
+
+        P is the smallest power of two with 4P >= N_max, the finest mesh
+        of n_list, and P^2 divisible by the finest marched mesh.  Meshes
+        up to P read the path by stride, and the finer ones (bridge_meshes)
+        through bridge levels, each of their coarse steps spanning whole
+        master steps.
         """
-        n = max(self.n_list)
-        if self.equation == EQUATION_HEAT:
-            p = 1
-            while p < n and (4 * p < n or p * p % n):
-                p *= 2
-            return TimeMesh(p)
-        while n * n < self.n_ref:
-            n *= 2
-        return TimeMesh(n)
+        n, finest = max(self.n_list), self.finest_mesh.N
+        p = 1
+        while 4 * p < n or p * p % finest:
+            p *= 2
+        return TimeMesh(p)
 
     @property
     def master_steps(self) -> int:
-        """Steps S = N^2 of each realization's master grid, N that of path_mesh."""
+        """Steps S = P^2 of each realization's master grid, P that of path_mesh."""
         return self.path_mesh.N ** 2
 
     @property
     def bridge_meshes(self) -> tuple[TimeMesh, ...]:
         """The meshes finer than path_mesh that read each path through a bridge level.
 
-        For wave the reference mesh.  For heat the meshes 2P and 4P up to
-        N_max, whether or not n_list holds them, so that a path, and so a
-        row, does not depend on the row's coarser siblings.
+        The meshes 2P and 4P up to N_max, whether or not n_list holds them,
+        so that a path, and so a row, does not depend on the row's coarser
+        siblings, and every marched mesh finer than P: for wave the
+        reference mesh.
         """
-        if self.equation == EQUATION_WAVE:
-            return (TimeMesh(self.n_ref),)
         p = self.path_mesh.N
-        return tuple(TimeMesh(n) for n in (2 * p, 4 * p) if n <= max(self.n_list))
-
-    @property
-    def finest_mesh(self) -> TimeMesh:
-        """The finest mesh the study marches: N_max for heat, the reference mesh for wave."""
-        n = max(self.n_list) if self.equation == EQUATION_HEAT else self.n_ref
-        return TimeMesh(n)
+        levels = {n for n in (2 * p, 4 * p) if n <= max(self.n_list)}
+        levels.update(mesh.N for mesh in self.marched_meshes if mesh.N > p)
+        return tuple(TimeMesh(n) for n in sorted(levels))
 
 
 def desk_heat_config(**overrides) -> StudyConfig:
@@ -174,8 +172,8 @@ def desk_heat_config(**overrides) -> StudyConfig:
 def desk_wave_config(**overrides) -> StudyConfig:
     """Quick wave study: N in 8..128 against N_ref = 1024, 300 realizations.
 
-    Paths have 128^2 = 2^14 master steps, each split into 64 bridge steps
-    of the reference micro grid.
+    Paths have 32^2 = 2^10 master steps, each also split into 4, 16 and
+    1024 bridge steps of the micro grids of N = 64, 128 and the reference.
     """
     base = StudyConfig(
         equation=EQUATION_WAVE,
@@ -200,8 +198,8 @@ def paper_heat_config(**overrides) -> StudyConfig:
 def paper_wave_config(**overrides) -> StudyConfig:
     """Full-scale wave study: N in 4..1024 against N_ref = 4096, 1000 realizations.
 
-    Paths have 1024^2 = 2^20 master steps, each split into 16 bridge
-    steps of the reference micro grid.
+    Paths have 256^2 = 2^16 master steps, each also split into 4, 16 and
+    256 bridge steps of the micro grids of N = 512, 1024 and the reference.
     """
     base = StudyConfig(
         equation=EQUATION_WAVE,
@@ -232,8 +230,9 @@ def validate_config(config: StudyConfig) -> None:
     for n in config.n_list:
         if not _is_power_of_two(n):
             raise ConfigError(f"coarse resolutions must be powers of two, got {n}")
-    if config.k < 2:
-        raise ConfigError(f"need at least 2 interior nodes, got k={config.k}")
+    top = max(BENCHMARK_NOISE_MODES)
+    if config.k < top:
+        raise ConfigError(f"the noise loads sin({top} pi x), so need k >= {top}, got k={config.k}")
     if config.mc_count < 1:
         raise ConfigError(f"need at least one realization, got {config.mc_count}")
     if not 0 <= config.base_seed < 2**64:
@@ -360,18 +359,10 @@ def _build_problems(config: StudyConfig):
 
 
 def _study_noise(config: StudyConfig, count: int) -> list[NoiseBlock]:
-    """Empty noise blocks of count paths for every mesh the study marches.
-
-    One per resolution of n_list, in order, and for wave studies the
-    reference mesh last.
-    """
-    n_list = list(config.n_list)
-    if config.equation == EQUATION_HEAT:
-        coordinates = HEAT_NOISE[config.scheme]
-    else:
-        coordinates = WAVE_NOISE
-        n_list.append(config.n_ref)
-    return [NoiseBlock.empty(TimeMesh(n), count, 1, coordinates) for n in n_list]
+    """Empty noise blocks of count paths for every mesh the study marches, in order."""
+    heat = config.equation == EQUATION_HEAT
+    coordinates = HEAT_NOISE[config.scheme] if heat else WAVE_NOISE
+    return [NoiseBlock.empty(mesh, count, 1, coordinates) for mesh in config.marched_meshes]
 
 
 def block_size(config: StudyConfig) -> int:
@@ -424,15 +415,16 @@ def _block_squared_errors(config: StudyConfig, span: range):
     # The oracle values and kernel of the exact mode, and in continuous mode
     # those of the semidiscrete one too, whose gap to it is the spatial floor.
     modes = sorted({config.exact_mode, EXACT_SEMIDISCRETE}) if heat else []
-    functionals = path_functionals(config.path_mesh, config.bridge_meshes, moments)
+    path_mesh, bridge_meshes = config.path_mesh, config.bridge_meshes
+    functionals = path_functionals(path_mesh, bridge_meshes, moments)
     kernels = {
-        mode: heat_oracle_kernel(grid, mode, config.master_steps, functionals) for mode in modes
+        mode: heat_oracle_kernel(grid, mode, path_mesh.N**2, functionals) for mode in modes
     }
     oracles = {mode: np.empty((grid.K, count)) for mode in modes}
     size = chunk_size(config)
     for lo in range(0, count, size):
         keys = [(config.base_seed, r) for r in span[lo : lo + size]]
-        paths = sample_path(keys, config.path_mesh, 1, config.bridge_meshes, moments)
+        paths = sample_path(keys, path_mesh, 1, bridge_meshes, moments)
         for mode, kernel in kernels.items():
             oracles[mode][:, lo : lo + len(keys)] = exact_heat_solution(
                 paths, grid, mode, config.noise_scale, kernel

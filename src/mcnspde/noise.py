@@ -23,18 +23,22 @@ B_1..B_{q-1}, independent across steps, so those sums need only
 S0 = sum_i B_i, and for the weighted sum S1 = sum_i i*B_i, of each step.
 sample_path draws every level's sums from their exact joint Gaussian law
 (bridge_covariance; Glasserman, Monte Carlo Methods in Financial
-Engineering, 2004, sec. 3.1) instead of the finer path, and
-NoiseBlock.put combines them with the master grid exactly, with no
-interpolation error.  A heat path is drawn on the micro grid of a
-quarter of its finest mesh and carries the levels q = 4 and 16 of the
-twice and four times finer meshes; a wave path carries the one level,
-with S0 and S1, of its reference mesh.
+Engineering, 2004, sec. 3.1) instead of the finer path, and mesh_sums
+combines them with the master grid exactly, with no interpolation
+error.  A study draws heat and wave paths by one law
+(harness.StudyConfig.path_mesh): on the micro grid of a mesh P of about
+a quarter of its finest study mesh, with the levels q = 4 and 16 of the
+twice and four times finer meshes and, for wave, the level of the
+reference mesh; wave levels carry S1 as well as S0.
 
 mesh_values is the one place that knows where the coarse and micro nodes
 of a mesh sit on the master grid.  It returns them as views of the
-cumulative path, for one path (S+1, m) or a chunk of paths (n, S+1, m),
-so every quadrature over a whole mesh is a few array operations on those
-views, and a single path is simply the one-path case of a chunk.
+cumulative path, for one path (S+1, m) or a chunk of paths (n, S+1, m).
+mesh_sums reduces any mesh, read by stride or through a bridge level,
+to the same three sums per coarse step (W(t_j), sum_l W(t_{j,l}) and
+sum_l l W(t_{j,l})), from which NoiseBlock.put forms every noise
+coordinate by one formula each; a single path is simply the one-path
+case of a chunk.
 
 Paths are sampled once per realization from a counter-based generator and
 then shared by every scheme and every coarse resolution that is compared,
@@ -313,39 +317,26 @@ def mesh_values(cumulative: np.ndarray, mesh: TimeMesh) -> tuple[np.ndarray, np.
     return coarse, micro
 
 
-def quadrature_gaps(coarse: np.ndarray, micro: np.ndarray, tau: float) -> np.ndarray:
-    """Micro Riemann sum minus trapezoid for every interval, shape (..., N, m).
+def mesh_sums(
+    path: WienerPath, mesh: TimeMesh, count: int
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(coarse, micro sums, micro moments) of path on mesh, by stride or through a bridge level.
 
-    tau^2 sum_{l=1}^{M} W(t_{j,l}) - (tau/2)(W(t_j) + W(t_{j+1})), from the
-    views of mesh_values.  The micro sum is the micro-grid quadrature of
-    int_{t_j}^{t_{j+1}} W(s) ds that the corrected schemes consume; the
-    gap vanishes for paths constant on the interval.
-    """
-    return tau * tau * micro.sum(axis=-2) - 0.5 * tau * (coarse[..., :-1, :] + coarse[..., 1:, :])
-
-
-def velocity_micro_sums(micro: np.ndarray, tau: float) -> np.ndarray:
-    """The wave velocity correction's micro sum for every interval, shape (..., N, m).
-
-    sum_{l=1}^{M} (tau^3/2)(1 - 2 l tau) W(t_{j,l}), from the micro view
-    (..., N, M, m) of mesh_values.
-    """
-    weights = 0.5 * tau**3 * (1.0 - 2.0 * tau * np.arange(1, micro.shape[-2] + 1))
-    return np.einsum("l,...jlm->...jm", weights, micro)
-
-
-def bridge_sums(
-    path: WienerPath, mesh: TimeMesh
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(coarse, micro sums, micro moments) of a mesh whose micro grid is a bridge level of path.
-
-    coarse (..., N+1, m) holds W(t_j); micro_sums[..., j, :] = sum_{l=1}^{M}
+    coarse (..., N+1, m) holds W(t_j), sums[..., j, :] = sum_{l=1}^{M}
     W(t_{j,l}) and moments[..., j, :] = sum_{l=1}^{M} l W(t_{j,l}), each
-    (..., N, m), exact linear combinations of the master grid and the
-    level's bridge sums, with the leading axis of a chunk; moments is
-    None when the level carries S0 alone.  Raises AlignmentError unless
-    the mesh's micro grid is one of the path's bridge levels.
+    (..., N, m) with the leading axis of a chunk; only the first count of
+    the two sums are formed, the others are None.  A mesh whose micro
+    nodes are master nodes reads them by stride (mesh_values); a finer
+    one forms the sums as exact linear combinations of the master grid
+    and the bridge sums of its level.  Raises AlignmentError if the mesh
+    is neither, or if moments are asked of a level that carries S0 alone.
     """
+    if path.S % (mesh.N * mesh.M) == 0:
+        coarse, micro = mesh_values(path.cumulative, mesh)
+        sums = micro.sum(axis=-2) if count > 0 else None
+        if count < 2:
+            return coarse, sums, None
+        return coarse, sums, np.einsum("l,...jlm->...jm", np.arange(1.0, mesh.M + 1), micro)
     q = bridge_level(path.S, mesh)
     if q not in path.bridge:
         raise AlignmentError(
@@ -354,19 +345,23 @@ def bridge_sums(
         )
     cells = path.S // mesh.N  # master steps per coarse step
     shape = path.increments.shape[:-2] + (mesh.N, cells, path.m)
+    level = np.moveaxis(path.bridge[q].reshape(shape[:-3] + (-1,) + shape[-3:]), -4, 0)
+    if count > 1 and len(level) == 1:
+        raise AlignmentError(f"the bridge level of N={mesh.N} carries no S1 sums")
+    coarse = path.cumulative[..., ::cells, :]
+    if count == 0:
+        return coarse, None, None
     left = path.cumulative[..., :-1, :].reshape(shape)
     rise = path.increments.reshape(shape)
-    level = np.moveaxis(path.bridge[q].reshape(shape[:-3] + (-1,) + shape[-3:]), -4, 0)
     # On master step k, W(s_k + i delta/q) = W(s_k) + (i/q) dW_k + B_i for
     # i = 1..q (B_q = 0), so its q finer nodes sum to, and weighted by i sum to:
     sums = q * left + 0.5 * (q + 1) * rise + level[0]
-    coarse = path.cumulative[..., ::cells, :]
-    if len(level) == 1:
+    if count == 1:
         return coarse, sums.sum(axis=-2), None
-    moments = 0.5 * q * (q + 1) * left + (q + 1) * (2 * q + 1) / 6.0 * rise + level[1]
+    weighted = 0.5 * q * (q + 1) * left + (q + 1) * (2 * q + 1) / 6.0 * rise + level[1]
     # Finer node i of master step a in coarse step j is micro node l = a q + i.
     offsets = q * np.arange(cells)[:, None]
-    return coarse, sums.sum(axis=-2), (offsets * sums + moments).sum(axis=-2)
+    return coarse, sums.sum(axis=-2), (offsets * sums + weighted).sum(axis=-2)
 
 
 @dataclass(frozen=True)
@@ -374,10 +369,16 @@ class NoiseBlock:
     """What R Wiener paths contribute to the steps of one mesh.
 
     Each array is shaped (N, R, m), row j belonging to step j and column r
-    to path r: increments[j] = W(t_{j+1}) - W(t_j), gaps[j] the
-    quadrature_gaps of the corrected schemes and velocity_sums[j] the wave
-    scheme's velocity_micro_sums.  A scheme reads only the coordinates it
-    names (a tuple of these field names), so the others may be None.
+    to path r: increments[j] = W(t_{j+1}) - W(t_j), gaps[j] the micro
+    Riemann sum minus the trapezoid,
+
+        tau^2 sum_{l=1}^{M} W(t_{j,l}) - (tau/2)(W(t_j) + W(t_{j+1})),
+
+    of the corrected schemes (it vanishes for paths constant on the
+    step), and velocity_sums[j] the wave scheme's weighted micro sum
+    sum_{l=1}^{M} (tau^3/2)(1 - 2 l tau) W(t_{j,l}).  A scheme reads only
+    the coordinates it names (a tuple of these field names), so the
+    others may be None.
     """
 
     mesh: TimeMesh
@@ -404,33 +405,25 @@ class NoiseBlock:
     def put(self, r: int, path: WienerPath) -> None:
         """Reduce path to its coordinates on the mesh and store them from column r on.
 
-        One path fills column r, a chunk of n paths columns r..r+n-1.  A
-        mesh whose micro grid is finer than the master grid reads one of
-        the path's bridge levels (bridge_sums), and a path without that
-        level, or without its S1 sums where the velocity sums need them,
-        raises AlignmentError.
+        One path fills column r, a chunk of n paths columns r..r+n-1.
+        Every mesh is reduced through its mesh_sums, by stride or through
+        a bridge level, and a path that offers neither, or no S1 sums
+        where the velocity sums need them, raises AlignmentError.
         """
         chunk = path.chunk()
         columns = slice(r, r + len(chunk.increments))
         tau = self.mesh.tau
-        if chunk.S % (self.mesh.N * self.mesh.M) == 0:
-            coarse, micro = mesh_values(chunk.cumulative, self.mesh)
-            gaps = lambda: quadrature_gaps(coarse, micro, tau)
-            velocity_sums = lambda: velocity_micro_sums(micro, tau)
-        else:
-            coarse, micro_sums, moments = bridge_sums(chunk, self.mesh)
-            if moments is None and self.velocity_sums is not None:
-                raise AlignmentError(f"the bridge level of N={self.mesh.N} carries no S1 sums")
-            gaps = lambda: tau * tau * micro_sums - 0.5 * tau * (
-                coarse[:, :-1] + coarse[:, 1:]
-            )
-            velocity_sums = lambda: 0.5 * tau**3 * (micro_sums - 2.0 * tau * moments)
+        # Form only the sums that the block's coordinates read.
+        count = 2 if self.velocity_sums is not None else 1 if self.gaps is not None else 0
+        coarse, sums, moments = mesh_sums(chunk, self.mesh, count)
         # Chunk rows become block columns.
         self.increments[:, columns] = np.diff(coarse, axis=1).swapaxes(0, 1)
         if self.gaps is not None:
-            self.gaps[:, columns] = gaps().swapaxes(0, 1)
+            gaps = tau * tau * sums - 0.5 * tau * (coarse[:, :-1] + coarse[:, 1:])
+            self.gaps[:, columns] = gaps.swapaxes(0, 1)
         if self.velocity_sums is not None:
-            self.velocity_sums[:, columns] = velocity_sums().swapaxes(0, 1)
+            velocity_sums = 0.5 * tau**3 * (sums - 2.0 * tau * moments)
+            self.velocity_sums[:, columns] = velocity_sums.swapaxes(0, 1)
 
 
 def noise_block(

@@ -96,6 +96,8 @@ def test_wave_study_runs(capsys):
         pytest.param(
             ["wave", "--n-ref", "4", "--n-list", "8,16", "--mc", "2", "--k", "6"], id="argv3"
         ),
+        # the benchmark noise loads sin(3 pi x), which needs 3 interior nodes
+        pytest.param(["heat", "--k", "2", "--n-list", "8,16", "--mc", "2"], id="heat-k2"),
     ],
 )
 def test_bad_configuration_exit_code(argv, capsys):
@@ -235,22 +237,22 @@ def test_paper_presets_resolve_without_running():
     assert heat.master_steps == 2**16  # N = 512 and 1024 read it through bridge sums
     wave = _study_config(parser.parse_args(["wave", "--paper"]), "wave")
     assert wave.n_ref == 4096
-    assert wave.master_steps == 2**20  # N_ref = 4096 reads it through bridge sums
+    assert wave.master_steps == 2**16  # N = 512, 1024 and N_ref = 4096 read bridge sums
     # seed and worker overrides still apply on top of the preset
     custom = _study_config(parser.parse_args(["heat", "--paper", "--seed", "5"]), "heat")
     assert custom.base_seed == 5
     # so do explicit sizes: the preset fills only what was not given
-    # (paths follow the finest mesh of n_list: 8^2 steps for heat, 1024^2 for wave)
+    # (paths follow the finest mesh of n_list: 8^2 steps for heat, 256^2 for wave)
     argv = ["heat", "--paper", "--mc", "5", "--n-list", "8..32"]
     sized = _study_config(parser.parse_args(argv), "heat")
     assert (sized.mc_count, sized.n_list, sized.master_steps) == (5, (8, 16, 32), 64)
     assert sized.k == 40
     finer = _study_config(parser.parse_args(["wave", "--paper", "--n-ref", "2048"]), "wave")
     assert finer.n_ref == 2048
-    assert (finer.master_steps, finer.mc_count) == (2**20, 1000)
+    assert (finer.master_steps, finer.mc_count) == (2**16, 1000)
     # without --paper the same flags override the desk preset
     desk = _study_config(parser.parse_args(["wave", "--n-ref", "256"]), "wave")
-    assert (desk.n_ref, desk.master_steps, desk.mc_count) == (256, 2**14, 300)
+    assert (desk.n_ref, desk.master_steps, desk.mc_count) == (256, 2**10, 300)
 
 
 def test_config_file_values_beat_the_paper_preset(tmp_path, capsys):

@@ -254,8 +254,9 @@ def test_chunk_size_rule():
     """Four short paths per chunk; a path over half the chunk budget is drawn alone."""
     assert chunk_size(small_config()) == 4  # 16 master steps
     assert chunk_size(desk_heat_config()) == 4  # 131 KB: 4096 master steps and two levels
-    assert chunk_size(desk_wave_config()) == 1  # 512 KB: 2^14 master steps, S0 and S1
+    assert chunk_size(desk_wave_config()) == 4  # 65 KB: 1024 master steps, three S0 and S1
     assert chunk_size(paper_heat_config()) == 1  # 2 MB: 2^16 master steps and two levels
+    assert chunk_size(paper_wave_config()) == 1  # 4 MB: 2^16 master steps, three S0 and S1
 
 
 @pytest.mark.parametrize(
@@ -353,11 +354,12 @@ def test_study_memory_does_not_grow_with_realizations():
 
 
 def test_wave_study_memory_does_not_grow_with_realizations():
-    """A wave path is its master grid and bridge sums, drawn alone in its chunk: 64
-    realizations peak at most one path above 4."""
+    """Each chunk of wave paths is reduced and dropped, so 64 realizations peak at most one
+    path above 4: one on the 2^16-step micro grid of N = 256 with the reference level."""
 
     def peak(mc_count):
-        # 256^2 master steps, each split into q = 4 steps of the 512^2-step reference grid
+        # one block, drawn in chunks of 2 paths of 64^2 master steps, each with S0 and S1
+        # of the levels q = 4, 16 and 64 of N = 128, 256 and the 512^2-step reference grid
         config = desk_wave_config(n_list=(4, 8, 256), k=8, mc_count=mc_count, n_ref=512)
         tracemalloc.start()
         try:
@@ -438,41 +440,53 @@ def test_preset_configurations():
     assert desk.exact_mode == "continuous"
     wave = desk_wave_config()
     assert wave.n_list == (8, 16, 32, 64, 128)
-    assert (wave.mc_count, wave.n_ref, wave.master_steps) == (300, 1024, 2**14)
+    assert (wave.mc_count, wave.n_ref, wave.master_steps) == (300, 1024, 2**10)
+    assert wave.bridge_meshes == (TimeMesh(64), TimeMesh(128), TimeMesh(1024))
     paper_h = paper_heat_config()
     assert paper_h.n_list[0] == 4 and paper_h.n_list[-1] == 1024
     assert (paper_h.mc_count, paper_h.master_steps) == (1000, 2**16)
     assert paper_h.bridge_meshes == (TimeMesh(512), TimeMesh(1024))
     paper_w = paper_wave_config()
     assert paper_w.n_ref == 4096
-    assert paper_w.master_steps == 2**20
+    assert paper_w.master_steps == 2**16
+    assert paper_w.bridge_meshes == (TimeMesh(512), TimeMesh(1024), TimeMesh(4096))
     for cfg in (desk, wave, paper_h, paper_w):
         assert cfg.master_steps == cfg.path_mesh.N**2
         validate_config(cfg)
 
 
 def test_paths_are_drawn_on_the_finest_mesh():
-    """Wave paths are drawn on the finest study mesh, heat paths on a quarter of it.
+    """Heat and wave paths are drawn by one law, on a quarter of the finest study mesh.
 
-    A heat path mesh P is the smallest power of two >= N_max/4 with P^2
-    divisible by N_max, so the meshes above P read the bridge levels
-    q = 4 and 16; S is not a setting.
+    The path mesh P is the smallest power of two with 4P >= N_max and P^2
+    divisible by the finest marched mesh (N_max for heat, N_ref for wave),
+    so the meshes 2P and 4P up to N_max read the bridge levels q = 4 and
+    16, and the wave reference its own level; S is not a setting.
     """
-    for n_list, path_n, bridge_n in [
+    heat = [
         ((8,), 4, (8,)),  # 2^2 = 4 is no multiple of 8
         ((4, 32), 8, (16, 32)),  # 16 holds no row, but its level is drawn all the same
         ((8, 16, 32, 64, 128, 256), 64, (128, 256)),
         ((1,), 1, ()),
         ((1, 2), 2, ()),
-    ]:
+    ]
+    for n_list, path_n, bridge_n in heat:
         config = small_config(n_list=n_list)
         assert config.path_mesh == TimeMesh(path_n)
         assert config.bridge_meshes == tuple(TimeMesh(n) for n in bridge_n)
         assert config.finest_mesh == TimeMesh(n_list[-1])
-    assert desk_wave_config(n_list=(8, 16), n_ref=64).path_mesh == TimeMesh(16)
-    # the reference's coarse steps must span whole master steps: 2^2 < 8 <= 4^2
-    assert desk_wave_config(n_list=(1, 2), n_ref=8).path_mesh == TimeMesh(4)
-    assert desk_wave_config().finest_mesh == TimeMesh(1024)
+    wave = [
+        (desk_wave_config(), 32, (64, 128, 1024)),
+        (paper_wave_config(), 256, (512, 1024, 4096)),
+        (desk_wave_config(n_list=(8, 16), n_ref=64), 8, (16, 64)),
+        # P^2 must be a multiple of N_ref, so P = 4 lies above N_max = 2
+        (desk_wave_config(n_list=(1, 2), n_ref=8), 4, (8,)),
+        (desk_wave_config(n_list=(8, 16, 32), n_ref=32), 8, (16, 32)),  # N_ref = N_max
+    ]
+    for config, path_n, bridge_n in wave:
+        assert config.path_mesh == TimeMesh(path_n)
+        assert config.bridge_meshes == tuple(TimeMesh(n) for n in bridge_n)
+        assert config.finest_mesh == TimeMesh(config.n_ref)
     beyond = desk_wave_config(n_list=(1, 2), k=4, mc_count=2, n_ref=8)
     assert run_study_tables(beyond)["h1_displacement"].rows[-1].rms_error > 0
     assert len(dataclasses.fields(StudyConfig)) == 11
@@ -481,10 +495,16 @@ def test_paths_are_drawn_on_the_finest_mesh():
 
 
 def test_heat_rows_do_not_depend_on_coarser_meshes():
-    """A coarser sibling mesh changes no row: the path is drawn on the finest mesh alone."""
+    """A coarser sibling mesh changes no row, heat or wave: the path law reads only N_max
+    and the finest marched mesh."""
     wide = run_study(small_config(n_list=(4, 8, 16)))
     narrow = run_study(small_config(n_list=(8, 16)))
     assert wide.rows[1:] == narrow.rows
+    wave = desk_wave_config(k=6, mc_count=3, n_ref=64)
+    wide = run_study_tables(dataclasses.replace(wave, n_list=(4, 8, 16)))
+    narrow = run_study_tables(dataclasses.replace(wave, n_list=(8, 16)))
+    for norm, table in narrow.items():
+        assert wide[norm].rows[1:] == table.rows
 
 
 # Each case carries a fixed id, so deleting one case renames no other.  The
@@ -507,6 +527,8 @@ def test_heat_rows_do_not_depend_on_coarser_meshes():
         # a wave-only norm on a heat study
         pytest.param(dict(error_norm="h1_displacement"), id="overrides14"),
         pytest.param(dict(base_seed=2**64), id="overrides15"),  # Philox key words are 64 bits
+        # the benchmark noise loads sin(3 pi x), which needs 3 interior nodes
+        pytest.param(dict(k=2), id="k2"),
     ],
 )
 def test_validate_config_rejects_bad_heat_settings(overrides):
@@ -523,6 +545,7 @@ def test_validate_config_rejects_bad_heat_settings(overrides):
         pytest.param(dict(error_norm="l2"), id="overrides1"),
         pytest.param(dict(n_ref=48), id="overrides2"),
         pytest.param(dict(n_ref=4), id="overrides3"),  # coarser than the finest study mesh
+        pytest.param(dict(k=2), id="k2"),  # no interior node for sin(3 pi x)
     ],
 )
 def test_validate_config_rejects_bad_wave_settings(overrides):

@@ -27,7 +27,6 @@ from mcnspde import (
     mcn_heat_step,
     mcn_wave_step,
     mesh_values,
-    quadrature_gaps,
     sample_path,
     wave_micro_sum_moment_exact,
 )
@@ -407,9 +406,7 @@ def test_heat_correction_linear_path_scale():
     phi = NoiseCoefficient.from_components(grid, [lambda x: np.sin(2 * np.pi * x)])
     scale = 0.5 * mesh.tau**3  # 1/128
     assert scale == pytest.approx(1.0 / 128.0, rel=1e-15)
-    np.testing.assert_allclose(
-        quadrature_gaps(*mesh_values(path.cumulative, mesh), mesh.tau), scale, rtol=1e-10
-    )
+    np.testing.assert_allclose(reduced(path, mesh, HEAT_COORDINATES).gaps, scale, rtol=1e-10)
     problem = heat_problem(phi, mesh)
     corr = heat_forcing(problem, path, "mcn") - heat_forcing(problem, path, "em")
     for j in range(mesh.N):
@@ -521,14 +518,27 @@ def test_bridge_sums_reproduce_the_full_path(grid_n, fine_n, m):
 
 
 def test_heat_levels_reproduce_the_full_path():
-    """A 2^16-step path thinned to 64^2 steps with its S0 levels q = 4 and 16 gives put's
-    coordinates on every desk heat mesh: by stride up to N = 64, through a level above."""
+    """A 2^16-step path thinned to P^2 steps with its bridge levels gives put's coordinates
+    on every mesh of a study: by stride up to N = P, through a level above.
+
+    Desk heat: P = 64 with S0 of the levels q = 4 and 16 of N = 128 and 256,
+    for the coordinates of mcn and of em.
+    Wave, N up to 64 against N_ref = 256: P = 16 with S0 and S1 of the
+    levels q = 4, 16 and 256 of N = 32, 64 and 256, and all three
+    coordinates.
+    """
     full = sample_path(2027, TimeMesh(256))
-    thin = path_on_bridge_levels(full, 64 * 64, (4, 16))
-    for n in (8, 16, 32, 64, 128, 256):
-        mesh = TimeMesh(n)
-        expected = reduced(full, mesh, HEAT_COORDINATES)
-        assert_same_coordinates(reduced(thin, mesh, HEAT_COORDINATES), expected, ("gaps",))
+    cases = [
+        (64, (4, 16), False, (8, 16, 32, 64, 128, 256), HEAT_COORDINATES),
+        (64, (4, 16), False, (8, 16, 32, 64, 128, 256), ("increments",)),  # em
+        (16, (4, 16, 256), True, (4, 8, 16, 32, 64, 256), WAVE_COORDINATES),
+    ]
+    for p, levels, moments, n_list, coordinates in cases:
+        thin = path_on_bridge_levels(full, p * p, levels, moments)
+        for n in n_list:
+            mesh = TimeMesh(n)
+            expected = reduced(full, mesh, coordinates)
+            assert_same_coordinates(reduced(thin, mesh, coordinates), expected, coordinates[1:])
 
 
 @pytest.mark.parametrize(
@@ -595,7 +605,9 @@ def double_sum_covariance(functionals, delta):
 
 BRIDGE_LAWS = [
     [(4, 0), (16, 0)],  # desk heat: S0 of the levels of N_max/2 and N_max
-    [(64, 0), (64, 1)],  # desk wave: S0 and S1 of the reference level
+    [(64, 0), (64, 1)],  # S0 and S1 of one level
+    # desk wave: S0 and S1 of the levels of N_max/2, N_max and the reference
+    [(4, 0), (4, 1), (16, 0), (16, 1), (1024, 0), (1024, 1)],
     [(4, 0), (4, 1), (16, 0), (16, 1), (64, 0)],
     [(3, 0), (3, 1), (9, 1)],
 ]
@@ -669,13 +681,15 @@ def test_drawn_wave_coordinates_have_their_exact_moments():
     [
         pytest.param((8, 16), False, id="heat-q4-q16"),
         pytest.param((16,), True, id="wave-q16"),
+        pytest.param((8, 16), True, id="wave-q4-q16"),
     ],
 )
 def test_drawn_bridge_sums_have_their_exact_law(fine, moments):
     """The drawn sums of 300 paths of 16 master steps meet the double-sum covariance within 4 SE.
 
     Heat draws S0 of the levels q = 4 and 16 of the twice and four times
-    finer meshes jointly; wave draws S0 and S1 of one level.
+    finer meshes jointly; wave draws S0 and S1 of every level, one or
+    nested ones.
     """
     samples = []
     for r in range(300):
