@@ -239,8 +239,8 @@ def validate_config(config: StudyConfig) -> None:
         raise ConfigError(f"base_seed must be a 64-bit word in [0, 2^64), got {config.base_seed}")
     if config.workers < 1:
         raise ConfigError(f"workers must be positive, got {config.workers}")
-    if config.noise_scale < 0:
-        raise ConfigError(f"noise_scale must be nonnegative, got {config.noise_scale}")
+    if not 0 <= config.noise_scale < math.inf:
+        raise ConfigError(f"noise_scale must be finite and nonnegative, got {config.noise_scale}")
     if config.equation == EQUATION_HEAT:
         if config.scheme not in (SCHEME_EULER, SCHEME_MCN):
             raise ConfigError(f"unknown scheme {config.scheme!r}")

@@ -15,9 +15,14 @@ amplification factor on the grid eigenvalue lambda_k, (1 - tau lambda/2)
 its share of the step's noise coordinates (noise.NoiseBlock).  These are
 the schemes' own factors, not exp(-lambda tau), so the march is the
 scheme exactly, up to rounding.  modal_march, which the wave stepper
-shares, marches R paths at once on (K, R) mode coefficients, entering
-the basis once from the initial data and leaving it once for X_N; one
-path is the block of one, and a single step is the march of one step.
+shares, takes the step maps of both equations in one form, (matrix,
+loads), and marches R paths at once on (K, R) mode coefficients,
+entering the basis once from the initial data and leaving it once for
+X_N.  It has no loop over the steps: it goes in passes of up to
+CONVOLUTION_BLOCK steps, each applying the map's power over the pass
+and adding the pass's noise coordinates weighed by the lower powers,
+one einsum per coordinate.  One path is the block of one, and a single
+step is the pass of one step.
 
 The module also carries the closed-form benchmark solution used by the
 convergence harness: initial data sin(pi x) with one noise channel
@@ -79,7 +84,7 @@ HEAT_NOISE = {SCHEME_EULER: ("increments",), SCHEME_MCN: ("increments", "gaps")}
 def heat_step_map(problem: HeatProblem, scheme: str) -> tuple:
     """One step of the scheme in the sine basis, as modal_march takes it.
 
-    Returns (rho, None, loads): rho (1, K, 1) holds the amplification
+    Returns (matrix, loads): matrix (1, 1, K) holds the amplification
     factor of each mode and loads maps each noise coordinate to its
     (1, K, m) load.  em solves (I - tau Lap) X_{j+1} = X_j + Phi dW; mcn
     solves (I - tau/2 Lap) X_{j+1} = (I + tau/2 Lap) X_j + Phi dW + Lap Phi gap,
@@ -88,60 +93,67 @@ def heat_step_map(problem: HeatProblem, scheme: str) -> tuple:
     each solve is a division by the implicit factor.
     """
     grid, tau = problem.grid, problem.mesh.tau
-    lam = grid.eigenvalues[None, :, None]
-    phi = grid.sine_transform(problem.phi.values.T)[None]
+    lam = grid.eigenvalues[:, None]
+    phi = grid.sine_transform(problem.phi.values.T)
     if scheme == SCHEME_EULER:
         rho = 1.0 / (1.0 + tau * lam)
-        return rho, None, {"increments": rho * phi}
-    if scheme == SCHEME_MCN:
+        loads = {"increments": rho * phi}
+    elif scheme == SCHEME_MCN:
         implicit = 1.0 / (1.0 + 0.5 * tau * lam)
         rho = (1.0 - 0.5 * tau * lam) * implicit
-        return rho, None, {"increments": implicit * phi, "gaps": -lam * implicit * phi}
-    raise ConfigError(f"unknown scheme {scheme!r}; use 'em' or 'mcn'")
+        loads = {"increments": implicit * phi, "gaps": -lam * implicit * phi}
+    else:
+        raise ConfigError(f"unknown scheme {scheme!r}; use 'em' or 'mcn'")
+    return rho.reshape(1, 1, -1), {name: load[None] for name, load in loads.items()}
+
+
+# convolve sums a path's steps, and modal_march a mesh's, by blocks of this many.
+CONVOLUTION_BLOCK = 128
 
 
 def modal_march(
-    grid: SpatialGrid, noise: NoiseBlock, step_map: tuple, states: list, steps: range
+    problem, step_map: tuple, states: list, noise: WienerPath | NoiseBlock, steps: range
 ) -> list:
     """March C stacked grid functions by a fixed affine step map in the sine basis.
 
-    step_map is (diagonal, coupling, loads).  Per step the mode
-    coefficients s, shape (C, K, R), become diagonal * s, plus
-    coupling * s[::-1] unless coupling is None, plus, for each noise
-    coordinate and channel c, load[..., c] times the step's coordinate of
-    each path.  diagonal and coupling are (C, K, 1) and loads (C, K, m).
-    states are C arrays, each (K,), the same start for every path, or
-    (K, R); they enter the basis once and leave it once.  Every operation
-    is elementwise, with no BLAS call, so each column gets the same bits
-    for any R.
+    problem is a heat or wave problem and step_map its (matrix, loads): a
+    step takes the mode coefficients s, shape (C, K, R), to A s, A =
+    matrix (C, C, K) being one C x C map per mode, plus, for each noise
+    coordinate (NoiseBlock field) in loads, its (C, K, m) load times the
+    step's coordinate of each path.  The steps go in passes of w =
+    gcd(len(steps), CONVOLUTION_BLOCK), one step being the case w = 1: a
+    pass takes s to A^w s plus, per coordinate, one einsum of the kernels
+    A^(w-1-i) load of its steps i against their coordinates, with
+    A^0..A^w formed once per call by repeated multiplication.  states are
+    C arrays, each (K,), one start for every path, or (K, R); they enter
+    the basis once and leave it once.  noise is one path, giving (K,)
+    arrays, or a chunk of n paths or a NoiseBlock of R paths on
+    problem.mesh, giving (K, n) or (K, R).  No operation calls BLAS, so
+    each column gets the same bits for any R.
     """
-    diagonal, coupling, loads = step_map
-    modes = np.stack([grid.sine_transform(state) for state in states])
-    if modes.ndim == 2:
-        modes = np.repeat(modes[..., None], noise.count, axis=2)
-    scratch = np.empty_like(modes)
-    for j in steps:
-        if coupling is not None:
-            np.multiply(coupling, modes[::-1], out=scratch)
-        modes *= diagonal
-        if coupling is not None:
-            modes += scratch
-        for name, load in loads.items():
-            values = getattr(noise, name)[j]
-            for c in range(load.shape[-1]):
-                np.multiply(load[..., c, None], values[:, c], out=scratch)
-                modes += scratch
-    return [grid.sine_transform(component) for component in modes]
-
-
-def _march(
-    problem: HeatProblem, x: np.ndarray, noise: WienerPath | NoiseBlock, scheme: str, steps: range
-) -> np.ndarray:
-    """Step x over the given steps for one path, giving (K,), or a block of R paths, (K, R)."""
-    step_map = heat_step_map(problem, scheme)
-    block = noise_block(noise, problem.mesh, HEAT_NOISE[scheme])
-    (final,) = modal_march(problem.grid, block, step_map, [x], steps)
-    return final if block is noise else final[:, 0]
+    matrix, loads = step_map
+    grid = problem.grid
+    block = noise_block(noise, problem.mesh, tuple(loads))
+    width = math.gcd(len(steps), CONVOLUTION_BLOCK)
+    powers = [np.broadcast_to(np.eye(len(matrix))[..., None], matrix.shape)]
+    for _ in range(width):
+        powers.append(np.einsum("abk,bck->ack", powers[-1], matrix))
+    powers = np.stack(powers)
+    # Step i of a pass reaches the end of the pass through A^(w-1-i).
+    kernels = {
+        name: np.einsum("iabk,bkc->iakc", powers[width - 1 :: -1], load)
+        for name, load in loads.items()
+    }
+    # A shared start is one column, broadcast to every path by the first pass.
+    modes = np.stack([grid.sine_transform(state).reshape(grid.K, -1) for state in states])
+    for j in range(steps.start, steps.stop, width):
+        modes = np.einsum("abk,bkr->akr", powers[width], modes)
+        for name, kernel in kernels.items():
+            coordinates = getattr(block, name)[j : j + width]
+            modes = modes + np.einsum("iakc,irc->akr", kernel, coordinates)
+    final = [grid.sine_transform(component) for component in modes]
+    # A lone path (S, m), unlike a chunk or a block, gives (K,) arrays.
+    return [f[:, 0] for f in final] if noise.increments.ndim == 2 else final
 
 
 def em_step(
@@ -151,7 +163,9 @@ def em_step(
 
     Shapes as for mcn_heat_step.
     """
-    return _march(problem, x, noise, SCHEME_EULER, range(j, j + 1))
+    step_map = heat_step_map(problem, SCHEME_EULER)
+    (x,) = modal_march(problem, step_map, [x], noise, range(j, j + 1))
+    return x
 
 
 def mcn_heat_step(
@@ -161,9 +175,11 @@ def mcn_heat_step(
 
     (I - tau/2 Lap) X_{j+1} = (I + tau/2 Lap) X_j + Phi dW_j + Lap Phi gap_j,
     with gap_j the step's quadrature gap.  x is (K,) and noise one path,
-    or x is (K,) or (K, R) and noise a block of R paths.
+    or x is (K,) or (K, R) and noise a chunk or a block of R paths.
     """
-    return _march(problem, x, noise, SCHEME_MCN, range(j, j + 1))
+    step_map = heat_step_map(problem, SCHEME_MCN)
+    (x,) = modal_march(problem, step_map, [x], noise, range(j, j + 1))
+    return x
 
 
 def run_heat(
@@ -171,11 +187,14 @@ def run_heat(
 ) -> np.ndarray:
     """March the chosen scheme over the whole mesh and return X_N at time 1.
 
-    noise is one WienerPath, giving X_N of shape (K,), or a NoiseBlock of
-    R paths on problem.mesh, giving the (K, R) block of their X_N.  A path
-    is marched as a block of one, so both give the same bits per path.
+    noise is one WienerPath, giving X_N of shape (K,), or a chunk of n
+    paths or a NoiseBlock of R paths on problem.mesh, giving the (K, n)
+    or (K, R) block of their X_N.  Column i is bit for bit that of path i
+    marched alone.
     """
-    return _march(problem, problem.initial, noise, scheme, range(problem.mesh.N))
+    step_map = heat_step_map(problem, scheme)
+    (final,) = modal_march(problem, step_map, [problem.initial], noise, range(problem.mesh.N))
+    return final
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,10 +254,6 @@ def convolution_kernel(
     return kernel
 
 
-# convolve sums a path's steps by blocks of this many, then the blocks pairwise.
-CONVOLUTION_BLOCK = 128
-
-
 def convolve(path: WienerPath, kernel: np.ndarray) -> np.ndarray:
     """Each rate's conditional mean of the convolution given path, (..., rates, m).
 
@@ -247,9 +262,9 @@ def convolve(path: WienerPath, kernel: np.ndarray) -> np.ndarray:
     result keeps.  Each sum runs by einsum over blocks of
     CONVOLUTION_BLOCK steps and then pairwise over the blocks: no
     S-long temporary, no BLAS call (a BLAS product this long wakes the
-    BLAS thread pool, which then spins through the stepping loops), the
-    same bits for a path alone or in any chunk, and the result correctly
-    rounded to about 1e-14 at 2^20 steps.
+    BLAS thread pool, whose threads then spin through the Python code
+    that follows), the same bits for a path alone or in any chunk, and
+    the result correctly rounded to about 1e-14 at 2^20 steps.
     """
     functionals = path.bridge_functionals
     if kernel.shape[1:] != (1 + len(functionals), path.S):

@@ -431,11 +431,12 @@ def noise_block(
 ) -> NoiseBlock:
     """noise as a block on mesh with the named coordinates.
 
-    A path becomes a block of one; a block must already lie on mesh and
-    carry every coordinate asked for, else AlignmentError.
+    A path becomes a block of one and a chunk of n paths a block of n; a
+    block must already lie on mesh and carry every coordinate asked for,
+    else AlignmentError.
     """
     if isinstance(noise, WienerPath):
-        block = NoiseBlock.empty(mesh, 1, noise.m, coordinates)
+        block = NoiseBlock.empty(mesh, len(noise.chunk().increments), noise.m, coordinates)
         block.put(0, noise)
         return block
     if noise.mesh != mesh:

@@ -11,9 +11,11 @@ Phi dW_j plus the correction Lap Phi v_j, with v_j the step's weighted
 micro sum (noise.NoiseBlock).  The step is one fixed affine map, and in
 the discrete sine basis it splits into one 2x2 map per mode, found by
 eliminating X_{j+1} from the pair with Lap = -lambda_k, plus three
-forcing columns.  run_wave marches R paths at once on (K, R) mode
-coefficients through heat.modal_march, entering the basis once and
-leaving it once; a single step is the march of one step.
+forcing columns: wave_step_map gives them in the (matrix, loads) form
+that heat_step_map gives the 1x1 heat maps in.  run_wave and
+mcn_wave_step march R paths at once on (K, R) mode coefficients through
+heat.modal_march, in passes of up to 128 steps with no loop over the
+steps; a single step is the pass of one step.
 
 With the micro-grid corrections the scheme converges strongly at order
 2; with the noise switched off it is the classical trapezoid rule and
@@ -28,7 +30,7 @@ import numpy as np
 
 from .grid import SpatialGrid, apply_laplacian, sine_mode
 from .heat import BENCHMARK_INITIAL_MODE, ConfigError, benchmark_phi, modal_march
-from .noise import NoiseBlock, NoiseCoefficient, TimeMesh, WienerPath, noise_block
+from .noise import NoiseBlock, NoiseCoefficient, TimeMesh, WienerPath
 
 
 @dataclass
@@ -63,10 +65,9 @@ WAVE_NOISE = ("increments", "gaps", "velocity_sums")
 
 
 def wave_step_map(problem: WaveProblem) -> tuple:
-    """One step in the sine basis, as heat.modal_march takes it: (diagonal, coupling, loads).
+    """One step in the sine basis, as heat.modal_march takes it: (matrix, loads).
 
-    Each mode's (x, y) goes through the 2x2 matrix
-    [[diagonal[0], coupling[0]], [coupling[1], diagonal[1]]], and loads
+    Each mode's (x, y) goes through the 2x2 matrix[:, :, k], and loads
     maps each noise coordinate to its (2, K, m) load on x and on y.  Per
     mode, with a = tau^2 lambda/4 and D = 1 + a, eliminating x' from
     x' - x = (tau/2)(y' + y) + g and y' - y = -(tau lambda/2)(x' + x) + w - lambda v
@@ -75,26 +76,18 @@ def wave_step_map(problem: WaveProblem) -> tuple:
     x' = x + (tau/2)(y + y') + g.  The matrix has determinant 1.
     """
     grid, tau = problem.grid, problem.mesh.tau
-    lam = grid.eigenvalues[:, None]
+    lam = grid.eigenvalues
     phi = grid.sine_transform(problem.phi.values.T)
     inverse = 1.0 / (1.0 + 0.25 * tau * tau * lam)
     diagonal = (1.0 - 0.25 * tau * tau * lam) * inverse
     half_tau_lam = 0.5 * tau * lam * inverse
-    loads = {
-        "gaps": np.stack([inverse, -half_tau_lam]) * phi,
-        "increments": np.stack([0.5 * tau * inverse, inverse]) * phi,
-        "velocity_sums": np.stack([-half_tau_lam, -lam * inverse]) * phi,
+    matrix = np.array([[diagonal, tau * inverse], [-tau * lam * inverse, diagonal]])
+    columns = {
+        "gaps": (inverse, -half_tau_lam),
+        "increments": (0.5 * tau * inverse, inverse),
+        "velocity_sums": (-half_tau_lam, -lam * inverse),
     }
-    return np.stack([diagonal, diagonal]), np.stack([tau * inverse, -tau * lam * inverse]), loads
-
-
-def _march(
-    problem: WaveProblem, x: np.ndarray, y: np.ndarray, noise: WienerPath | NoiseBlock, steps: range
-) -> tuple[np.ndarray, np.ndarray]:
-    """Step (x, y) over the given steps for one path, giving (K,), or a block of R paths, (K, R)."""
-    block = noise_block(noise, problem.mesh, WAVE_NOISE)
-    x, y = modal_march(problem.grid, block, wave_step_map(problem), [x, y], steps)
-    return (x, y) if block is noise else (x[:, 0], y[:, 0])
+    return matrix, {name: np.array(column)[..., None] * phi for name, column in columns.items()}
 
 
 def mcn_wave_step(
@@ -107,9 +100,10 @@ def mcn_wave_step(
     """Advance (X_j, Y_j) over coarse step j.
 
     x and y are (K,) and noise one path, or they are (K,) or (K, R) and
-    noise a block of R paths.
+    noise a chunk or a block of R paths.
     """
-    return _march(problem, x, y, noise, range(j, j + 1))
+    x, y = modal_march(problem, wave_step_map(problem), [x, y], noise, range(j, j + 1))
+    return x, y
 
 
 def run_wave(
@@ -117,17 +111,13 @@ def run_wave(
 ) -> tuple[np.ndarray, np.ndarray]:
     """March the corrected scheme over the whole mesh; returns (X_N, Y_N).
 
-    noise is one WienerPath, giving (K,) arrays, or a NoiseBlock of R
-    paths on problem.mesh, giving (K, R) blocks.  A path is marched as a
-    block of one, so both give the same bits per path.
+    noise is one WienerPath, giving (K,) arrays, or a chunk of n paths or
+    a NoiseBlock of R paths on problem.mesh, giving (K, n) or (K, R)
+    blocks.  Column i is bit for bit that of path i marched alone.
     """
-    return _march(
-        problem,
-        problem.initial_displacement,
-        problem.initial_velocity,
-        noise,
-        range(problem.mesh.N),
-    )
+    states = [problem.initial_displacement, problem.initial_velocity]
+    x, y = modal_march(problem, wave_step_map(problem), states, noise, range(problem.mesh.N))
+    return x, y
 
 
 def reference_wave_solution(

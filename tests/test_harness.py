@@ -522,6 +522,8 @@ def test_heat_rows_do_not_depend_on_coarser_meshes():
         pytest.param(dict(base_seed=-3), id="overrides8"),
         pytest.param(dict(workers=0), id="overrides9"),
         pytest.param(dict(noise_scale=-1.0), id="overrides10"),
+        pytest.param(dict(noise_scale=float("nan")), id="noise_scale_nan"),
+        pytest.param(dict(noise_scale=float("inf")), id="noise_scale_inf"),
         pytest.param(dict(scheme="rk4"), id="overrides12"),
         pytest.param(dict(exact_mode="spectral"), id="overrides13"),
         # a wave-only norm on a heat study

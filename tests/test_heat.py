@@ -170,6 +170,30 @@ def test_run_matches_dense_recursion(scheme, k, m):
         np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-13 * np.abs(expected).max())
 
 
+@pytest.mark.parametrize("scheme", ["mcn", "em"])
+@pytest.mark.parametrize("n", [384, 1024])
+def test_passes_equal_the_chain_of_single_steps(scheme, n):
+    """run_heat in 3 or 8 passes of 128 steps equals n one-step calls on the same block.
+
+    K = 40, m = 2 and a block of 3 paths with random coordinates, scaled
+    by tau^(1/2) and tau^(3/2) like the increments and gaps.
+    """
+    rng = np.random.default_rng(n)
+    grid, mesh = SpatialGrid(40), TimeMesh(n)
+    phi = NoiseCoefficient.from_components(grid, [rng.standard_normal(40) for _ in range(2)])
+    problem = HeatProblem(grid, mesh, phi, rng.standard_normal(40))
+    powers = {"increments": 0.5, "gaps": 1.5}
+    block = NoiseBlock(
+        mesh, **{name: rng.standard_normal((n, 3, 2)) * mesh.tau**p for name, p in powers.items()}
+    )
+    step = em_step if scheme == "em" else mcn_heat_step
+    x = problem.initial
+    for j in range(n):
+        x = step(problem, x, block, j)
+    got = run_heat(problem, block, scheme)
+    np.testing.assert_allclose(got, x, rtol=1e-12, atol=1e-13 * np.abs(x).max())
+
+
 def sine_basis(k):
     """S_ik = sqrt(2h) sin(i k pi h), built here independently of the grid."""
     h = 1.0 / (k + 1)
@@ -193,10 +217,10 @@ def test_step_map_is_the_dense_step_in_the_sine_basis(scheme):
     theta = 1.0 if scheme == "em" else 0.5
     implicit = np.eye(k) - theta * tau * lap
     step = np.linalg.solve(implicit, np.eye(k) + (1.0 - theta) * tau * lap)
-    rho, coupling, loads = heat_step_map(problem, scheme)
-    assert coupling is None
+    matrix, loads = heat_step_map(problem, scheme)
+    assert matrix.shape == (1, 1, k)
     modal = basis.T @ step @ basis
-    np.testing.assert_allclose(modal, np.diag(rho[0, :, 0]), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(modal, np.diag(matrix[0, 0]), rtol=0.0, atol=1e-12)
     columns = {"increments": phi.values.T, "gaps": lap @ phi.values.T}
     assert set(loads) == set(HEAT_NOISE[scheme])
     for name, load in loads.items():
@@ -346,6 +370,22 @@ def test_block_march_equals_one_path_runs(scheme):
             blocks = noise_blocks(paths, problem.mesh, HEAT_NOISE[scheme], sizes)
             marched = np.concatenate([run_heat(problem, b, scheme) for b in blocks], axis=1)
             assert np.array_equal(marched, lone[:, : marched.shape[1]])
+
+
+@pytest.mark.parametrize("scheme", ["mcn", "em"])
+def test_run_heat_on_a_chunk_is_each_path_alone(scheme):
+    """A chunk of n paths gives (K, n), column i bit for bit path i alone; a chunk of one (K, 1)."""
+    problem = benchmark_heat_problem(SpatialGrid(12), TimeMesh(4))
+    keys = [1, 2, 3]
+    lone = [run_heat(problem, sample_path(key, TimeMesh(4)), scheme) for key in keys]
+    together = run_heat(problem, sample_path(keys, TimeMesh(4)), scheme)
+    np.testing.assert_array_equal(together, np.stack(lone, axis=1))
+    one = run_heat(problem, sample_path([2], TimeMesh(4)), scheme)
+    np.testing.assert_array_equal(one, lone[1][:, None])
+    step = mcn_heat_step if scheme == "mcn" else em_step
+    first = step(problem, problem.initial, sample_path(keys, TimeMesh(4)), 0)
+    alone = step(problem, problem.initial, sample_path(3, TimeMesh(4)), 0)
+    np.testing.assert_array_equal(first[:, 2], alone)
 
 
 def test_run_heat_rejects_foreign_blocks():

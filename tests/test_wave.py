@@ -348,6 +348,45 @@ def test_block_march_equals_one_path_runs():
         run_wave(problem, fine)
 
 
+def test_chunk_march_equals_one_path_runs():
+    """A chunk of n paths gives (K, n) blocks, column i bit for bit path i alone."""
+    problem = random_problem(k=10, n=4, m=1, seed=63)
+    keys = [4, 5, 6]
+    x, y = run_wave(problem, sample_path(keys, TimeMesh(4)))
+    assert x.shape == y.shape == (10, 3)
+    for i, key in enumerate(keys):
+        x_one, y_one = run_wave(problem, sample_path(key, TimeMesh(4)))
+        np.testing.assert_array_equal(x[:, i], x_one)
+        np.testing.assert_array_equal(y[:, i], y_one)
+    x_ref, _ = reference_wave_solution(problem, sample_path([5], TimeMesh(8)), n_ref=8)
+    np.testing.assert_array_equal(
+        x_ref[:, 0], reference_wave_solution(problem, sample_path(5, TimeMesh(8)), n_ref=8)[0]
+    )
+
+
+@pytest.mark.parametrize("n", [384, 1024])
+def test_passes_equal_the_chain_of_single_steps(n):
+    """run_wave in 3 or 8 passes of 128 steps equals n one-step calls on the same block.
+
+    K = 40, m = 2 and a block of 3 paths with random coordinates, scaled
+    by tau^(1/2, 3/2, 5/2) like the increments, gaps and velocity sums.
+    """
+    rng = np.random.default_rng(n)
+    problem = random_problem(40, n, 2, seed=n)
+    mesh = problem.mesh
+    powers = {"increments": 0.5, "gaps": 1.5, "velocity_sums": 2.5}
+    block = NoiseBlock(
+        mesh, **{name: rng.standard_normal((n, 3, 2)) * mesh.tau**p for name, p in powers.items()}
+    )
+    x, y = problem.initial_displacement, problem.initial_velocity
+    for j in range(n):
+        x, y = mcn_wave_step(problem, x, y, block, j)
+    for got, expected in zip(run_wave(problem, block), (x, y)):
+        np.testing.assert_allclose(
+            got, expected, rtol=1e-12, atol=1e-13 * np.abs(expected).max()
+        )
+
+
 def dense_wave_march(problem, path):
     """(X_N, Y_N) by np.linalg.solve of the coupled 2K x 2K defining relations at every step."""
     k, mesh, phi = problem.grid.K, problem.mesh, problem.phi.values.T
@@ -399,12 +438,12 @@ def test_step_map_is_the_dense_step_in_the_sine_basis():
     left = np.block([[eye, -0.5 * tau * eye], [-0.5 * tau * lap, eye]])
     right = np.block([[eye, 0.5 * tau * eye], [0.5 * tau * lap, eye]])
     step = np.linalg.solve(left, right)
-    diagonal, coupling, loads = wave_step_map(problem)
-    matrix = [[diagonal[0], coupling[0]], [coupling[1], diagonal[1]]]
+    matrix, loads = wave_step_map(problem)
+    assert matrix.shape == (2, 2, k)
     for a in range(2):
         for b in range(2):
             modal = basis.T @ step[a * k : (a + 1) * k, b * k : (b + 1) * k] @ basis
-            np.testing.assert_allclose(modal, np.diag(matrix[a][b][:, 0]), rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(modal, np.diag(matrix[a, b]), rtol=0.0, atol=1e-12)
     phi, zero = problem.phi.values.T, np.zeros((k, problem.phi.m))
     columns = {
         "gaps": np.vstack([phi, zero]),
