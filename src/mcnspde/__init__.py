@@ -12,19 +12,15 @@ validation suite checks the quadrature moments against closed forms.
 
 from .grid import (
     SpatialGrid,
-    apply_laplacian,
     dirichlet_eigenvalue,
     h1_seminorm,
     l2_inner,
     l2_norm,
     sine_mode,
-    squared_h1_seminorms,
-    squared_l2_norms,
 )
 from .noise import (
     AlignmentError,
     NoiseBlock,
-    NoiseCoefficient,
     TimeMesh,
     WienerPath,
     defect_moment_exact,

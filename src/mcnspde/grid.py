@@ -1,14 +1,17 @@
 """Uniform spatial grid on (0, 1) with homogeneous Dirichlet boundaries.
 
-The interior nodes are x_i = i*h, i = 1..K, h = 1/(K+1).  Grid functions
-are plain arrays of the K interior values, shape (K,), or blocks of R of
-them as the columns of a (K, R) array; the boundary values are
-identically zero and never materialized.  The second-difference
-Laplacian is diagonalized exactly by the discrete sine basis
-S_ik = sqrt(2h) sin(i k pi h), which is orthogonal and symmetric, so the
-steppers' implicit systems become one division per mode (LeVeque, Finite
-Difference Methods for Ordinary and Partial Differential Equations,
-SIAM 2007, ch. 2) and no linear system is ever solved.
+The interior nodes are x_i = i*h, i = 1..K, h = 1/(K+1).  The
+second-difference Laplacian is diagonalized exactly by the discrete sine
+modes sin(k pi x_i), k = 1..K, with eigenvalues -lambda_k (LeVeque,
+Finite Difference Methods for Ordinary and Partial Differential
+Equations, SIAM 2007, ch. 2), so every state of the steppers is held by
+its sine amplitudes: a plain (K,) array a, or a (K, R) block of R of
+them as columns, standing for the grid function f_i = sum_k a_k
+sin(k pi x_i).  sine_mode(grid, k) is the unit amplitude vector e_k.
+The norms follow by Parseval, h sum_i f_i^2 = (1/2) sum_k a_k^2, and
+node values are formed only on request, by SpatialGrid.node_values.
+l2_inner, l2_norm and h1_seminorm are the node-space norms of a (K,)
+array of node values, kept as the references.
 """
 
 from __future__ import annotations
@@ -56,36 +59,31 @@ class SpatialGrid:
         phase = np.outer(index, index) % (2 * (self.K + 1))
         return math.sqrt(2.0 * self.h) * np.sin(math.pi * self.h * phase)
 
-    def sine_transform(self, f: np.ndarray) -> np.ndarray:
-        """S f along the first axis, for f of shape (K,) or a (K, R) block.
+    def node_values(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Node values sum_k a_k sin(k pi x_i) of sine amplitudes, (K,) or a (K, R) block."""
+        if np.shape(amplitudes)[:1] != (self.K,):
+            raise ValueError(f"amplitudes have {np.shape(amplitudes)[:1]} rows, grid has {self.K}")
+        return self.sine_basis @ amplitudes / math.sqrt(2.0 * self.h)
 
-        S is its own inverse, so this takes grid values to sine-mode
-        coefficients and back.  The product is accumulated one basis row
-        at a time in elementwise operations, never by a BLAS product: each
-        column of a block then gets the same bits for any R, and no BLAS
-        thread pool wakes up.
-        """
-        if f.shape[0] != self.K:
-            raise ValueError(f"grid function has {f.shape[0]} rows, grid has {self.K}")
-        basis = self.sine_basis.reshape((self.K, self.K) + (1,) * (f.ndim - 1))
-        out = np.zeros(f.shape)
-        for row, coefficient in zip(basis, f):
-            out += row * coefficient
-        return out
+    def l2_squared(self, amplitudes: np.ndarray) -> np.ndarray:
+        """l2_norm(node_values(a))^2 = (1/2) sum_k a_k^2, per column of a (K, R) block: (R,)."""
+        return _mode_sums(1.0, amplitudes)
+
+    def h1_squared(self, amplitudes: np.ndarray) -> np.ndarray:
+        """h1_seminorm(node_values(a))^2 = (1/2) sum_k lambda_k a_k^2, per column: (R,)."""
+        return _mode_sums(self.eigenvalues, amplitudes)
 
 
-def apply_laplacian(grid: SpatialGrid, f: np.ndarray) -> np.ndarray:
-    """Second differences (f_{i-1} - 2 f_i + f_{i+1}) / h^2 along the first axis.
+def _mode_sums(weights, amplitudes: np.ndarray) -> np.ndarray:
+    """(1/2) sum_k weights_k a_k^2 of each column of a, shape (R,), or a scalar for (K,).
 
-    Dirichlet boundaries are built in: the stencil sees zero outside the
-    interior band.  The operator is symmetric negative definite with
-    eigenvectors sin(k*pi*x_i) and eigenvalues -(4/h^2) sin^2(k*pi*h/2).
+    Each column's modes are summed as one contiguous row, so a column gets
+    the same bits for any R: numpy reduces a contiguous row pairwise, and
+    a column of a (K, R) array row by row, so summing the (K, R) block
+    directly would give a lone column other bits.
     """
-    out = -2.0 * f
-    out[:-1] += f[1:]
-    out[1:] += f[:-1]
-    out *= 1.0 / grid.h**2
-    return out
+    rows = np.ascontiguousarray(amplitudes.T)
+    return 0.5 * np.sum(weights * rows * rows, axis=-1)
 
 
 def dirichlet_eigenvalue(grid: SpatialGrid, k: int) -> float:
@@ -98,51 +96,31 @@ def dirichlet_eigenvalue(grid: SpatialGrid, k: int) -> float:
 
 
 def sine_mode(grid: SpatialGrid, k: int) -> np.ndarray:
-    """Grid samples of sin(k pi x), the k-th discrete Laplacian eigenvector."""
+    """Amplitudes of sin(k pi x), the k-th discrete Laplacian eigenvector: e_k, shape (K,)."""
     if not 1 <= k <= grid.K:
         raise ValueError(f"mode index must be in 1..{grid.K}, got {k}")
-    return np.sin(k * math.pi * grid.nodes)
+    mode = np.zeros(grid.K)
+    mode[k - 1] = 1.0
+    return mode
 
 
 def l2_inner(f: np.ndarray, g: np.ndarray) -> float:
-    """Discrete L2 inner product h * sum(f_i g_i), with h = 1/(K+1)."""
+    """Discrete L2 inner product h * sum(f_i g_i) of node values, with h = 1/(K+1)."""
     if f.shape != g.shape:
         raise ValueError(f"grid functions of shapes {f.shape} and {g.shape} differ")
     return float(np.dot(f, g)) / (f.size + 1)
 
 
 def l2_norm(f: np.ndarray) -> float:
-    """Discrete L2 norm sqrt(h * sum f_i^2), with h = 1/(K+1)."""
+    """Discrete L2 norm sqrt(h * sum f_i^2) of node values, with h = 1/(K+1)."""
     return math.sqrt(float(np.dot(f, f)) / (f.size + 1))
 
 
 def h1_seminorm(f: np.ndarray) -> float:
-    """Discrete H1 seminorm sqrt(h * sum ((f_{i+1} - f_i)/h)^2) including boundary jumps."""
+    """Discrete H1 seminorm sqrt(h * sum ((f_{i+1} - f_i)/h)^2) of node values.
+
+    The sum includes the jumps to the zero boundary values.
+    """
     h = 1.0 / (f.size + 1)
     diffs = np.diff(f, prepend=0.0, append=0.0) / h
     return math.sqrt(h * float(np.dot(diffs, diffs)))
-
-
-def _column_sums(rows: np.ndarray) -> np.ndarray:
-    """Sum of the rows of an (n, R) array, added one row at a time.
-
-    The order of the additions is fixed, so each column gets the same
-    bits for any R (numpy's own reductions may pair terms differently
-    when R = 1).
-    """
-    total = rows[0].copy()
-    for row in rows[1:]:
-        total += row
-    return total
-
-
-def squared_l2_norms(block: np.ndarray) -> np.ndarray:
-    """l2_norm(column)^2 of every column of a (K, R) block, shape (R,)."""
-    return _column_sums(block * block) / (block.shape[0] + 1)
-
-
-def squared_h1_seminorms(block: np.ndarray) -> np.ndarray:
-    """h1_seminorm(column)^2 of every column of a (K, R) block, shape (R,)."""
-    h = 1.0 / (block.shape[0] + 1)
-    diffs = np.diff(block, axis=0, prepend=0.0, append=0.0) / h
-    return h * _column_sums(diffs * diffs)

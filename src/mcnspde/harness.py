@@ -19,11 +19,15 @@ its heat oracle values are computed against kernels formed once per
 block, and it is reduced on every mesh (for wave, the reference mesh
 too) to its noise coordinates, a few numbers per step, stored as its
 paths' columns of that mesh's NoiseBlock.  Then every mesh is marched
-once for the whole block on (K, R) states.  A block's coordinates may
-take no more memory than the increments and cumulative values of one
-path on the finest marched mesh's micro grid (block_size), a grid no
-study draws in full, and only one chunk, of at most CHUNK_BYTES, is
-alive at a time, so memory does not grow with the realization count.
+once for the whole block on (K, R) states.  States, heat oracle values
+and wave references are sine amplitudes, and each realization's squared
+error is one sum over the modes (SpatialGrid.l2_squared, h1_squared),
+so a study never forms node values or the sine basis.  A block's
+coordinates may take no more memory than the increments and cumulative
+values of one path on the finest marched mesh's micro grid
+(block_size), a grid no study draws in full, and only one chunk, of at
+most CHUNK_BYTES, is alive at a time, so memory does not grow with the
+realization count.
 Each path keeps its own Philox key and gets the same bits in any chunk.
 
 Heat studies measure against the closed-form benchmark solution, either
@@ -44,7 +48,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid import SpatialGrid, squared_h1_seminorms, squared_l2_norms
+from .grid import SpatialGrid
 from .heat import (
     BENCHMARK_NOISE_MODES,
     ConfigError,
@@ -435,15 +439,15 @@ def _block_squared_errors(config: StudyConfig, span: range):
     if heat:
         oracle = oracles[config.exact_mode]
         for p, (problem, block) in enumerate(zip(problems, blocks)):
-            errors[:, p, 0] = squared_l2_norms(run_heat(problem, block, config.scheme) - oracle)
+            errors[:, p, 0] = grid.l2_squared(run_heat(problem, block, config.scheme) - oracle)
         if config.exact_mode == EXACT_CONTINUOUS:
-            return errors, squared_l2_norms(oracle - oracles[EXACT_SEMIDISCRETE])
+            return errors, grid.l2_squared(oracle - oracles[EXACT_SEMIDISCRETE])
         return errors, None
     x_ref, y_ref = reference_wave_solution(problems[-1], blocks[-1], config.n_ref)
     for p, (problem, block) in enumerate(zip(problems, blocks)):
         x_end, y_end = run_wave(problem, block)
-        errors[:, p, 0] = squared_h1_seminorms(x_end - x_ref)
-        errors[:, p, 1] = squared_l2_norms(y_end - y_ref)
+        errors[:, p, 0] = grid.h1_squared(x_end - x_ref)
+        errors[:, p, 1] = grid.l2_squared(y_end - y_ref)
     return errors, None
 
 

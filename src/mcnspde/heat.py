@@ -8,27 +8,27 @@ Two one-step maps are provided on the spatially discretized equation:
   strong order 3/2 guaranteed; on the smooth two-mode benchmark noise it
   shows order 2 once tau*lambda/2 < 1 for the driven modes.
 
-Each step is one fixed affine map of the state, and the discrete sine
-basis diagonalizes it: mode k of the state is multiplied by the scheme's
-amplification factor on the grid eigenvalue lambda_k, (1 - tau lambda/2)
-/ (1 + tau lambda/2) for mcn and 1/(1 + tau lambda) for em, and takes
-its share of the step's noise coordinates (noise.NoiseBlock).  These are
-the schemes' own factors, not exp(-lambda tau), so the march is the
-scheme exactly, up to rounding.  modal_march, which the wave stepper
-shares, takes the step maps of both equations in one form, (matrix,
-loads), and marches R paths at once on (K, R) mode coefficients,
-entering the basis once from the initial data and leaving it once for
-X_N.  It has no loop over the steps: it goes in passes of up to
-CONVOLUTION_BLOCK steps, each applying the map's power over the pass
-and adding the pass's noise coordinates weighed by the lower powers,
-one einsum per coordinate.  One path is the block of one, and a single
-step is the pass of one step.
+States, initial data and the noise coefficient are sine amplitudes
+(grid module): a_k is the coefficient of sin(k pi x).  Each step is one
+fixed affine map of the state, and the sine modes diagonalize it: mode k
+of the state is multiplied by the scheme's amplification factor on the
+grid eigenvalue lambda_k, (1 - tau lambda/2) / (1 + tau lambda/2) for
+mcn and 1/(1 + tau lambda) for em, and takes its share of the step's
+noise coordinates (noise.NoiseBlock).  These are the schemes' own
+factors, not exp(-lambda tau), so the march is the scheme exactly, up to
+rounding.  modal_march, which the wave stepper shares, takes the step
+maps of both equations in one form, (matrix, loads), and marches R
+paths at once on (K, R) amplitudes.  It has no loop over the steps: it
+goes in passes of up to CONVOLUTION_BLOCK steps, each applying the map's
+power over the pass and adding the pass's noise coordinates weighed by
+the lower powers, one einsum per coordinate.  One path is the block of
+one, and a single step is the pass of one step.
 
 The module also carries the closed-form benchmark solution used by the
-convergence harness: initial data sin(pi x) with one noise channel
-loading sin(2 pi x) + sin(3 pi x), whose exact solution is a sum of
-three eigenmode terms (one deterministic decay, two stochastic
-convolutions).
+convergence harness: initial data sin(pi x) (amplitudes e_1) with one
+noise channel loading sin(2 pi x) + sin(3 pi x) (e_2 + e_3), whose
+exact solution has three nonzero amplitudes (one deterministic decay,
+two stochastic convolutions).
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import SpatialGrid, dirichlet_eigenvalue, sine_mode
-from .noise import NoiseBlock, NoiseCoefficient, TimeMesh, WienerPath, bridge_factor, noise_block
+from .grid import SpatialGrid, dirichlet_eigenvalue
+from .noise import NoiseBlock, TimeMesh, WienerPath, bridge_factor, noise_block
 
 SCHEME_EULER = "em"
 SCHEME_MCN = "mcn"
@@ -64,16 +64,23 @@ class ConfigError(ValueError):
 
 @dataclass
 class HeatProblem:
-    """Spatially discretized heat equation with additive noise."""
+    """Spatially discretized heat equation with additive noise, in sine amplitudes.
+
+    phi is (m, K): row i holds the amplitudes of the noise coefficient
+    Phi_i, and initial (K,) those of X(0); a_k is the coefficient of
+    sin(k pi x).
+    """
 
     grid: SpatialGrid
     mesh: TimeMesh
-    phi: NoiseCoefficient
+    phi: np.ndarray
     initial: np.ndarray
 
     def __post_init__(self) -> None:
+        self.phi = np.asarray(self.phi, dtype=float)
         self.initial = np.asarray(self.initial, dtype=float)
-        if self.phi.grid != self.grid or self.initial.shape != (self.grid.K,):
+        K = self.grid.K
+        if self.phi.ndim != 2 or self.phi.shape[1] != K or self.initial.shape != (K,):
             raise ConfigError("noise coefficient and initial data must share the grid")
 
 
@@ -82,7 +89,7 @@ HEAT_NOISE = {SCHEME_EULER: ("increments",), SCHEME_MCN: ("increments", "gaps")}
 
 
 def heat_step_map(problem: HeatProblem, scheme: str) -> tuple:
-    """One step of the scheme in the sine basis, as modal_march takes it.
+    """One step of the scheme on the sine amplitudes, as modal_march takes it.
 
     Returns (matrix, loads): matrix (1, 1, K) holds the amplification
     factor of each mode and loads maps each noise coordinate to its
@@ -93,8 +100,7 @@ def heat_step_map(problem: HeatProblem, scheme: str) -> tuple:
     each solve is a division by the implicit factor.
     """
     grid, tau = problem.grid, problem.mesh.tau
-    lam = grid.eigenvalues[:, None]
-    phi = grid.sine_transform(problem.phi.values.T)
+    lam, phi = grid.eigenvalues[:, None], problem.phi.T
     if scheme == SCHEME_EULER:
         rho = 1.0 / (1.0 + tau * lam)
         loads = {"increments": rho * phi}
@@ -114,10 +120,10 @@ CONVOLUTION_BLOCK = 128
 def modal_march(
     problem, step_map: tuple, states: list, noise: WienerPath | NoiseBlock, steps: range
 ) -> list:
-    """March C stacked grid functions by a fixed affine step map in the sine basis.
+    """March C stacked states, each of sine amplitudes, by a fixed affine step map.
 
     problem is a heat or wave problem and step_map its (matrix, loads): a
-    step takes the mode coefficients s, shape (C, K, R), to A s, A =
+    step takes the amplitudes s, shape (C, K, R), to A s, A =
     matrix (C, C, K) being one C x C map per mode, plus, for each noise
     coordinate (NoiseBlock field) in loads, its (C, K, m) load times the
     step's coordinate of each path.  The steps go in passes of w =
@@ -125,14 +131,16 @@ def modal_march(
     pass takes s to A^w s plus, per coordinate, one einsum of the kernels
     A^(w-1-i) load of its steps i against their coordinates, with
     A^0..A^w formed once per call by repeated multiplication.  states are
-    C arrays, each (K,), one start for every path, or (K, R); they enter
-    the basis once and leave it once.  noise is one path, giving (K,)
-    arrays, or a chunk of n paths or a NoiseBlock of R paths on
-    problem.mesh, giving (K, n) or (K, R).  No operation calls BLAS, so
-    each column gets the same bits for any R.
+    C arrays, each (K,), one start for every path, or (K, R).  noise is
+    one path, a chunk of n paths or a NoiseBlock of R paths on
+    problem.mesh; the result is (K, R) for (K, R) states, and otherwise
+    (K,) for one path and (K, n) or (K, R) for a chunk or a block.  No
+    operation calls BLAS, so each column gets the same bits for any R.
     """
     matrix, loads = step_map
-    grid = problem.grid
+    K = problem.grid.K
+    if any(np.shape(state)[:1] != (K,) for state in states):
+        raise ValueError(f"states must have {K} rows, got {[np.shape(s) for s in states]}")
     block = noise_block(noise, problem.mesh, tuple(loads))
     width = math.gcd(len(steps), CONVOLUTION_BLOCK)
     powers = [np.broadcast_to(np.eye(len(matrix))[..., None], matrix.shape)]
@@ -145,15 +153,15 @@ def modal_march(
         for name, load in loads.items()
     }
     # A shared start is one column, broadcast to every path by the first pass.
-    modes = np.stack([grid.sine_transform(state).reshape(grid.K, -1) for state in states])
+    modes = np.stack([np.reshape(state, (K, -1)) for state in states])
     for j in range(steps.start, steps.stop, width):
         modes = np.einsum("abk,bkr->akr", powers[width], modes)
         for name, kernel in kernels.items():
             coordinates = getattr(block, name)[j : j + width]
             modes = modes + np.einsum("iakc,irc->akr", kernel, coordinates)
-    final = [grid.sine_transform(component) for component in modes]
-    # A lone path (S, m), unlike a chunk or a block, gives (K,) arrays.
-    return [f[:, 0] for f in final] if noise.increments.ndim == 2 else final
+    # A lone path (S, m) from (K,) states, unlike a chunk or a block, gives (K,) arrays.
+    lone = noise.increments.ndim == 2 and all(np.ndim(state) == 1 for state in states)
+    return [mode[:, 0] for mode in modes] if lone else list(modes)
 
 
 def em_step(
@@ -174,8 +182,9 @@ def mcn_heat_step(
     """Corrected Crank-Nicolson step j.
 
     (I - tau/2 Lap) X_{j+1} = (I + tau/2 Lap) X_j + Phi dW_j + Lap Phi gap_j,
-    with gap_j the step's quadrature gap.  x is (K,) and noise one path,
-    or x is (K,) or (K, R) and noise a chunk or a block of R paths.
+    with gap_j the step's quadrature gap.  x holds sine amplitudes, (K,)
+    or (K, R), and noise is one path, a chunk or a block of R paths;
+    shapes as modal_march gives them.
     """
     step_map = heat_step_map(problem, SCHEME_MCN)
     (x,) = modal_march(problem, step_map, [x], noise, range(j, j + 1))
@@ -185,7 +194,7 @@ def mcn_heat_step(
 def run_heat(
     problem: HeatProblem, noise: WienerPath | NoiseBlock, scheme: str = SCHEME_MCN
 ) -> np.ndarray:
-    """March the chosen scheme over the whole mesh and return X_N at time 1.
+    """March the chosen scheme over the whole mesh and return X_N's sine amplitudes at time 1.
 
     noise is one WienerPath, giving X_N of shape (K,), or a chunk of n
     paths or a NoiseBlock of R paths on problem.mesh, giving the (K, n)
@@ -300,19 +309,25 @@ def stochastic_convolution(path: WienerPath, rate: float) -> np.ndarray:
     return convolve(path, kernel)[..., 0, :]
 
 
-def benchmark_phi(grid: SpatialGrid, noise_scale: float = 1.0) -> NoiseCoefficient:
-    """Single-channel coefficient scale * (sin(2 pi x) + sin(3 pi x))."""
-    profile = sum(sine_mode(grid, k) for k in BENCHMARK_NOISE_MODES)
-    return NoiseCoefficient.from_components(grid, [noise_scale * profile])
+def benchmark_phi(grid: SpatialGrid, noise_scale: float = 1.0) -> np.ndarray:
+    """Single-channel coefficient scale * (sin(2 pi x) + sin(3 pi x)): (1, K) amplitudes."""
+    phi = np.zeros((1, grid.K))
+    phi[0, [k - 1 for k in BENCHMARK_NOISE_MODES]] = noise_scale
+    return phi
+
+
+def benchmark_initial(grid: SpatialGrid) -> np.ndarray:
+    """X(0) = sin(pi x): the amplitudes e_1."""
+    initial = np.zeros(grid.K)
+    initial[BENCHMARK_INITIAL_MODE - 1] = 1.0
+    return initial
 
 
 def benchmark_heat_problem(
     grid: SpatialGrid, mesh: TimeMesh, noise_scale: float = 1.0
 ) -> HeatProblem:
     """Benchmark problem: X(0) = sin(pi x), one channel on modes 2 and 3."""
-    return HeatProblem(
-        grid, mesh, benchmark_phi(grid, noise_scale), sine_mode(grid, BENCHMARK_INITIAL_MODE)
-    )
+    return HeatProblem(grid, mesh, benchmark_phi(grid, noise_scale), benchmark_initial(grid))
 
 
 def _benchmark_rate(grid: SpatialGrid, mode: str, k: int) -> float:
@@ -339,7 +354,7 @@ def exact_heat_solution(
     noise_scale: float = 1.0,
     kernel: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact benchmark solution at the final time 1, evaluated on the grid.
+    """Sine amplitudes of the exact benchmark solution at the final time 1.
 
     X(1) = exp(-mu_1) sin(pi x)
          + conv(mu_2) sin(2 pi x) + conv(mu_3) sin(3 pi x),
@@ -350,8 +365,9 @@ def exact_heat_solution(
     error; in 'semidiscrete' mode they are the discrete eigenvalues of the
     grid Laplacian and the comparison isolates the time-stepping error.
     Requires a single-channel path (the benchmark noise drives both modes
-    with one Wiener process).  One path gives shape (K,), a chunk of n
-    paths (K, n), column i bit for bit that of path i alone.  kernel is
+    with one Wiener process).  Every amplitude but those of modes 1-3 is
+    zero.  One path gives shape (K,), a chunk of n paths (K, n), column i
+    bit for bit that of path i alone.  kernel is
     heat_oracle_kernel's for the mode and the path's grid and levels,
     formed here when not given.
     """
@@ -361,7 +377,7 @@ def exact_heat_solution(
     if kernel is None:
         kernel = heat_oracle_kernel(grid, mode, path.S, path.bridge_functionals)
     conv = noise_scale * convolve(path.chunk(), kernel)[..., 0]
-    values = math.exp(-initial) * sine_mode(grid, BENCHMARK_INITIAL_MODE)[:, None]
-    for i, k in enumerate(BENCHMARK_NOISE_MODES):
-        values = values + conv[:, i] * sine_mode(grid, k)[:, None]
+    values = np.zeros((grid.K, len(conv)))
+    values[BENCHMARK_INITIAL_MODE - 1] = math.exp(-initial)
+    values[[k - 1 for k in BENCHMARK_NOISE_MODES]] = conv.T
     return values if path.increments.ndim == 3 else values[:, 0]

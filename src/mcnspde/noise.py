@@ -57,11 +57,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .grid import SpatialGrid
 
 class AlignmentError(Exception):
     """Raised when a mesh/path combination would require interpolation."""
@@ -471,27 +470,3 @@ def wave_micro_sum_moment_exact(mesh: TimeMesh, j: int, m: int) -> float:
     double_sum = float(np.dot(times, 2.0 * (M - ells) + 1.0))
     return m * tau**8 / 4.0 * double_sum
 
-
-@dataclass(frozen=True)
-class NoiseCoefficient:
-    """Finite-dimensional noise coefficient Phi = (Phi_1 .. Phi_m).
-
-    values[i] holds the grid samples of Phi_i.
-    """
-
-    grid: SpatialGrid
-    values: np.ndarray  # shape (m, K)
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-    @classmethod
-    def from_components(
-        cls, grid: SpatialGrid, components: Sequence[np.ndarray | Callable]
-    ) -> "NoiseCoefficient":
-        rows = [np.asarray(c(grid.nodes) if callable(c) else c, dtype=float) for c in components]
-        values = np.vstack(rows) if rows else np.zeros((0, grid.K))
-        if values.shape[1:] != (grid.K,):
-            raise ValueError(f"components must have {grid.K} values each")
-        return cls(grid, values)

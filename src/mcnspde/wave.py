@@ -8,18 +8,19 @@ The first-order form advances displacement X and velocity Y together:
 The displacement forcing is the correction Phi gap_j, the quadrature gap
 of the heat scheme without the Laplacian; the velocity forcing is
 Phi dW_j plus the correction Lap Phi v_j, with v_j the step's weighted
-micro sum (noise.NoiseBlock).  The step is one fixed affine map, and in
-the discrete sine basis it splits into one 2x2 map per mode, found by
-eliminating X_{j+1} from the pair with Lap = -lambda_k, plus three
-forcing columns: wave_step_map gives them in the (matrix, loads) form
-that heat_step_map gives the 1x1 heat maps in.  run_wave and
-mcn_wave_step march R paths at once on (K, R) mode coefficients through
-heat.modal_march, in passes of up to 128 steps with no loop over the
-steps; a single step is the pass of one step.
+micro sum (noise.NoiseBlock).  X, Y, their initial data and Phi are
+sine amplitudes (grid module), a_k the coefficient of sin(k pi x).  The
+step is one fixed affine map, and on the amplitudes it splits into one
+2x2 map per mode, found by eliminating X_{j+1} from the pair with
+Lap = -lambda_k, plus three forcing columns: wave_step_map gives them in
+the (matrix, loads) form that heat_step_map gives the 1x1 heat maps in.
+run_wave and mcn_wave_step march R paths at once on (K, R) amplitudes
+through heat.modal_march, in passes of up to 128 steps with no loop over
+the steps; a single step is the pass of one step.
 
 With the micro-grid corrections the scheme converges strongly at order
 2; with the noise switched off it is the classical trapezoid rule and
-conserves the discrete wave energy.
+conserves the discrete wave energy, (1/2) sum_k (y_k^2 + lambda_k x_k^2).
 """
 
 from __future__ import annotations
@@ -28,28 +29,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpatialGrid, apply_laplacian, sine_mode
-from .heat import BENCHMARK_INITIAL_MODE, ConfigError, benchmark_phi, modal_march
-from .noise import NoiseBlock, NoiseCoefficient, TimeMesh, WienerPath
+from .grid import SpatialGrid
+from .heat import ConfigError, benchmark_initial, benchmark_phi, modal_march
+from .noise import NoiseBlock, TimeMesh, WienerPath
 
 
 @dataclass
 class WaveProblem:
-    """Spatially discretized wave equation with additive noise."""
+    """Spatially discretized wave equation with additive noise, in sine amplitudes.
+
+    phi is (m, K): row i holds the amplitudes of the noise coefficient
+    Phi_i; initial_displacement and initial_velocity (K,) those of X(0)
+    and Y(0).  a_k is the coefficient of sin(k pi x).
+    """
 
     grid: SpatialGrid
     mesh: TimeMesh
-    phi: NoiseCoefficient
+    phi: np.ndarray
     initial_displacement: np.ndarray
     initial_velocity: np.ndarray
 
     def __post_init__(self) -> None:
+        self.phi = np.asarray(self.phi, dtype=float)
         self.initial_displacement = np.asarray(self.initial_displacement, dtype=float)
         self.initial_velocity = np.asarray(self.initial_velocity, dtype=float)
+        K = self.grid.K
         same = (
-            self.phi.grid == self.grid
-            and self.initial_displacement.shape == (self.grid.K,)
-            and self.initial_velocity.shape == (self.grid.K,)
+            self.phi.ndim == 2
+            and self.phi.shape[1] == K
+            and self.initial_displacement.shape == (K,)
+            and self.initial_velocity.shape == (K,)
         )
         if not same:
             raise ConfigError("noise coefficient and initial data must share the grid")
@@ -65,7 +74,7 @@ WAVE_NOISE = ("increments", "gaps", "velocity_sums")
 
 
 def wave_step_map(problem: WaveProblem) -> tuple:
-    """One step in the sine basis, as heat.modal_march takes it: (matrix, loads).
+    """One step on the sine amplitudes, as heat.modal_march takes it: (matrix, loads).
 
     Each mode's (x, y) goes through the 2x2 matrix[:, :, k], and loads
     maps each noise coordinate to its (2, K, m) load on x and on y.  Per
@@ -76,8 +85,7 @@ def wave_step_map(problem: WaveProblem) -> tuple:
     x' = x + (tau/2)(y + y') + g.  The matrix has determinant 1.
     """
     grid, tau = problem.grid, problem.mesh.tau
-    lam = grid.eigenvalues
-    phi = grid.sine_transform(problem.phi.values.T)
+    lam, phi = grid.eigenvalues, problem.phi.T
     inverse = 1.0 / (1.0 + 0.25 * tau * tau * lam)
     diagonal = (1.0 - 0.25 * tau * tau * lam) * inverse
     half_tau_lam = 0.5 * tau * lam * inverse
@@ -99,8 +107,8 @@ def mcn_wave_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance (X_j, Y_j) over coarse step j.
 
-    x and y are (K,) and noise one path, or they are (K,) or (K, R) and
-    noise a chunk or a block of R paths.
+    x and y hold sine amplitudes, (K,) or (K, R), and noise is one path, a
+    chunk or a block of R paths; shapes as heat.modal_march gives them.
     """
     x, y = modal_march(problem, wave_step_map(problem), [x, y], noise, range(j, j + 1))
     return x, y
@@ -109,7 +117,7 @@ def mcn_wave_step(
 def run_wave(
     problem: WaveProblem, noise: WienerPath | NoiseBlock
 ) -> tuple[np.ndarray, np.ndarray]:
-    """March the corrected scheme over the whole mesh; returns (X_N, Y_N).
+    """March the corrected scheme over the whole mesh; returns the amplitudes (X_N, Y_N).
 
     noise is one WienerPath, giving (K,) arrays, or a chunk of n paths or
     a NoiseBlock of R paths on problem.mesh, giving (K, n) or (K, R)
@@ -143,16 +151,13 @@ def benchmark_wave_problem(
 ) -> WaveProblem:
     """Benchmark: X(0) = sin(pi x), zero velocity, one channel on modes 2 and 3."""
     return WaveProblem(
-        grid,
-        mesh,
-        benchmark_phi(grid, noise_scale),
-        sine_mode(grid, BENCHMARK_INITIAL_MODE),
-        np.zeros(grid.K),
+        grid, mesh, benchmark_phi(grid, noise_scale), benchmark_initial(grid), np.zeros(grid.K)
     )
 
 
 def wave_energy(problem: WaveProblem, x: np.ndarray, y: np.ndarray) -> float:
-    """Discrete energy ||Y||^2 + <-Lap X, X> (conserved exactly when Phi = 0)."""
-    h = problem.grid.h
-    lap_x = apply_laplacian(problem.grid, x)
-    return h * float(np.dot(y, y)) - h * float(np.dot(lap_x, x))
+    """Discrete energy ||Y||^2 + <-Lap X, X> = (1/2) sum_k (y_k^2 + lambda_k x_k^2).
+
+    x and y are (K,) amplitudes; the energy is conserved exactly when Phi = 0.
+    """
+    return float(problem.grid.l2_squared(y) + problem.grid.h1_squared(x))

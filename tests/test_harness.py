@@ -9,13 +9,17 @@ import numpy as np
 import pytest
 
 from mcnspde import (
+    HEAT_NOISE,
+    WAVE_NOISE,
     ConfigError,
     ConvergenceTable,
+    NoiseBlock,
     TableRow,
     TimeMesh,
     SpatialGrid,
     StudyConfig,
     benchmark_heat_problem,
+    benchmark_wave_problem,
     csv_text,
     desk_heat_config,
     desk_wave_config,
@@ -27,11 +31,13 @@ from mcnspde import (
     paper_heat_config,
     paper_wave_config,
     read_csv,
+    reference_wave_solution,
     report_text,
     rms_and_standard_error,
     run_heat,
     run_study,
     run_study_tables,
+    run_wave,
     sample_path,
     validate_config,
 )
@@ -205,13 +211,71 @@ def test_single_realization_matches_direct_run():
     oracle = exact_heat_solution(path, grid, mode="semidiscrete")
     for row in table.rows:
         problem = benchmark_heat_problem(grid, TimeMesh(row.n_steps))
-        err = l2_norm(run_heat(problem, path, "mcn") - oracle)
+        err = l2_norm(grid.node_values(run_heat(problem, path, "mcn") - oracle))
         assert row.rms_error == pytest.approx(err, rel=1e-14)
         assert row.standard_error == 0.0
     # in continuous mode the spatial floor is the gap between the two oracles
     continuous = run_study(dataclasses.replace(config, exact_mode="continuous"))
-    floor = l2_norm(exact_heat_solution(path, grid, mode="continuous") - oracle)
+    floor = l2_norm(grid.node_values(exact_heat_solution(path, grid, mode="continuous") - oracle))
     assert continuous.spatial_floor == pytest.approx(floor, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(desk_heat_config(), id="heat-mcn"),
+        pytest.param(desk_heat_config(scheme="em"), id="heat-em"),
+        pytest.param(desk_wave_config(), id="wave"),
+    ],
+)
+def test_only_the_loaded_modes_are_nonzero(config):
+    """On a desk block of 4 paths every amplitude outside modes 1-3 is exactly 0.0.
+
+    The benchmark starts on mode 1 and loads modes 2 and 3, and every
+    other mode of the marches, the heat oracles and the wave reference
+    stays at zero, with no rounding residue.
+    """
+    grid, heat = SpatialGrid(config.k), config.equation == "heat"
+    keys = [(config.base_seed, r) for r in range(4)]
+    paths = sample_path(keys, config.path_mesh, 1, config.bridge_meshes, not heat)
+    coordinates = HEAT_NOISE[config.scheme] if heat else WAVE_NOISE
+    blocks = [NoiseBlock.empty(mesh, len(keys), 1, coordinates) for mesh in config.marched_meshes]
+    for block in blocks:
+        block.put(0, paths)
+    states = []
+    for n, block in zip(config.n_list, blocks):
+        if heat:
+            states.append(run_heat(benchmark_heat_problem(grid, TimeMesh(n)), block, config.scheme))
+        else:
+            states.extend(run_wave(benchmark_wave_problem(grid, TimeMesh(n)), block))
+    if heat:
+        modes = ("continuous", "semidiscrete")
+        states.extend(exact_heat_solution(paths, grid, mode) for mode in modes)
+    else:
+        coarse = benchmark_wave_problem(grid, TimeMesh(config.n_list[-1]))
+        states.extend(reference_wave_solution(coarse, blocks[-1], config.n_ref))
+    for state in states:
+        assert state.shape == (grid.K, len(keys))
+        assert state[:3].all()
+        assert (state[3:] == 0.0).all()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [pytest.param(desk_heat_config(), id="heat"), pytest.param(desk_wave_config(), id="wave")],
+)
+def test_a_study_never_forms_the_sine_basis(config, monkeypatch):
+    """A desk study runs with SpatialGrid.sine_basis made to raise: it states, marches and
+    scores everything in sine amplitudes, with no K x K basis and no node values."""
+
+    def refuse(grid):
+        raise AssertionError("the study formed the sine basis")
+
+    monkeypatch.setattr(SpatialGrid, "sine_basis", property(refuse))
+    with pytest.raises(AssertionError):
+        SpatialGrid(config.k).node_values(np.zeros(config.k))
+    tables = run_study_tables(config)
+    assert all(math.isfinite(table.fitted_rate) for table in tables.values())
 
 
 def test_adjacent_base_seeds_share_no_path():

@@ -1,4 +1,8 @@
-"""Heat steppers against eigenmode formulas, dense solves, and Ito isometry."""
+"""Heat steppers against eigenmode formulas, dense solves, and Ito isometry.
+
+States, initial data and Phi are sine amplitudes; the dense node-space
+references take their node values through SpatialGrid.node_values.
+"""
 
 import math
 
@@ -11,7 +15,6 @@ from mcnspde import (
     HEAT_NOISE,
     HeatProblem,
     NoiseBlock,
-    NoiseCoefficient,
     SpatialGrid,
     TimeMesh,
     WienerPath,
@@ -40,7 +43,7 @@ def value_at(path, t):
 
 
 def zero_phi(grid, m=1):
-    return NoiseCoefficient.from_components(grid, [np.zeros(grid.K)] * m)
+    return np.zeros((m, grid.K))
 
 
 def dense_laplacian(k):
@@ -92,12 +95,11 @@ def test_mcn_step_dense_oracle():
     grid = SpatialGrid(k)
     mesh = TimeMesh(n)
     rng = np.random.default_rng(61)
-    phi = NoiseCoefficient.from_components(
-        grid, [rng.standard_normal(k), rng.standard_normal(k)]
-    )
+    phi = rng.standard_normal((2, k))
     x0 = rng.standard_normal(k)
     path = sample_path(611, TimeMesh(16), m=2)
     problem = HeatProblem(grid, mesh, phi, x0)
+    phi, x0 = grid.node_values(phi.T), grid.node_values(x0)
 
     lap = dense_laplacian(k)
     tau = mesh.tau
@@ -106,11 +108,11 @@ def test_mcn_step_dense_oracle():
         tau * tau * value_at(path, mesh.micro_time(0, ell)) for ell in range(1, mesh.M + 1)
     )
     gap = micro_sum - 0.5 * tau * (value_at(path, 0.0) + value_at(path, tau))
-    corr = lap @ (phi.values.T @ gap)
-    rhs = (np.eye(k) + 0.5 * tau * lap) @ x0 + phi.values.T @ dw + corr
+    corr = lap @ (phi @ gap)
+    rhs = (np.eye(k) + 0.5 * tau * lap) @ x0 + phi @ dw + corr
     expected = np.linalg.solve(np.eye(k) - 0.5 * tau * lap, rhs)
 
-    got = mcn_heat_step(problem, x0, path, 0)
+    got = grid.node_values(mcn_heat_step(problem, problem.initial, path, 0))
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
@@ -119,7 +121,7 @@ def test_em_step_dense_oracle():
     grid = SpatialGrid(k)
     mesh = TimeMesh(n)
     rng = np.random.default_rng(62)
-    phi = NoiseCoefficient.from_components(grid, [rng.standard_normal(k)])
+    phi = rng.standard_normal((1, k))
     x0 = rng.standard_normal(k)
     path = sample_path(612, TimeMesh(8), m=1)
     problem = HeatProblem(grid, mesh, phi, x0)
@@ -127,22 +129,23 @@ def test_em_step_dense_oracle():
     lap = dense_laplacian(k)
     tau = mesh.tau
     dw = value_at(path, tau) - value_at(path, 0.0)
-    rhs = x0 + phi.values.T @ dw
+    rhs = grid.node_values(x0) + grid.node_values(phi.T) @ dw
     expected = np.linalg.solve(np.eye(k) - tau * lap, rhs)
 
-    got = em_step(problem, x0, path, 0)
+    got = grid.node_values(em_step(problem, x0, path, 0))
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
 def dense_heat_march(problem, path, scheme):
-    """X_N by np.linalg.solve of the scheme's defining relation at every step."""
-    k, mesh, phi = problem.grid.K, problem.mesh, problem.phi.values.T
+    """X_N's node values by np.linalg.solve of the scheme's defining relation at every step."""
+    grid, mesh = problem.grid, problem.mesh
+    k, phi = grid.K, grid.node_values(problem.phi.T)
     lap = dense_laplacian(k)
     tau = mesh.tau
     theta = 1.0 if scheme == "em" else 0.5
     implicit = np.eye(k) - theta * tau * lap
     explicit = np.eye(k) + (1.0 - theta) * tau * lap
-    x = problem.initial
+    x = grid.node_values(problem.initial)
     for j in range(mesh.N):
         w_lo, w_hi = value_at(path, mesh.coarse_time(j)), value_at(path, mesh.coarse_time(j + 1))
         rhs = explicit @ x + phi @ (w_hi - w_lo)
@@ -160,13 +163,13 @@ def test_run_matches_dense_recursion(scheme, k, m):
     """run_heat reproduces the node-space recursion of dense solves, N = 1, 4 and 16."""
     rng = np.random.default_rng(1000 * k + m)
     grid = SpatialGrid(k)
-    phi = NoiseCoefficient.from_components(grid, [rng.standard_normal(k) for _ in range(m)])
+    phi = rng.standard_normal((m, k))
     x0 = rng.standard_normal(k)
     for n in (1, 4, 16):
         problem = HeatProblem(grid, TimeMesh(n), phi, x0)
         path = sample_path(1000 * k + 10 * m + n, TimeMesh(16), m=m)
         expected = dense_heat_march(problem, path, scheme)
-        got = run_heat(problem, path, scheme)
+        got = grid.node_values(run_heat(problem, path, scheme))
         np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-13 * np.abs(expected).max())
 
 
@@ -180,7 +183,7 @@ def test_passes_equal_the_chain_of_single_steps(scheme, n):
     """
     rng = np.random.default_rng(n)
     grid, mesh = SpatialGrid(40), TimeMesh(n)
-    phi = NoiseCoefficient.from_components(grid, [rng.standard_normal(40) for _ in range(2)])
+    phi = rng.standard_normal((2, 40))
     problem = HeatProblem(grid, mesh, phi, rng.standard_normal(40))
     powers = {"increments": 0.5, "gaps": 1.5}
     block = NoiseBlock(
@@ -203,7 +206,8 @@ def sine_basis(k):
 
 @pytest.mark.parametrize("scheme", ["mcn", "em"])
 def test_step_map_is_the_dense_step_in_the_sine_basis(scheme):
-    """S^T P S is diagonal and equals the stepped factors; the loads are S^T of the solved forcings.
+    """S^T P S is diagonal and equals the stepped factors; the loads are the amplitudes,
+    sqrt(2h) S^T, of the solved forcings.
 
     P and the forcing columns come from np.linalg.solve of the node-space
     implicit system on the identity, on Phi and on Lap Phi.
@@ -211,8 +215,8 @@ def test_step_map_is_the_dense_step_in_the_sine_basis(scheme):
     k, n = 40, 8
     rng = np.random.default_rng(77)
     grid = SpatialGrid(k)
-    phi = NoiseCoefficient.from_components(grid, [rng.standard_normal(k) for _ in range(2)])
-    problem = HeatProblem(grid, TimeMesh(n), phi, np.zeros(k))
+    problem = HeatProblem(grid, TimeMesh(n), rng.standard_normal((2, k)), np.zeros(k))
+    phi = grid.node_values(problem.phi.T)
     lap, tau, basis = dense_laplacian(k), problem.mesh.tau, sine_basis(k)
     theta = 1.0 if scheme == "em" else 0.5
     implicit = np.eye(k) - theta * tau * lap
@@ -221,10 +225,10 @@ def test_step_map_is_the_dense_step_in_the_sine_basis(scheme):
     assert matrix.shape == (1, 1, k)
     modal = basis.T @ step @ basis
     np.testing.assert_allclose(modal, np.diag(matrix[0, 0]), rtol=0.0, atol=1e-12)
-    columns = {"increments": phi.values.T, "gaps": lap @ phi.values.T}
+    columns = {"increments": phi, "gaps": lap @ phi}
     assert set(loads) == set(HEAT_NOISE[scheme])
     for name, load in loads.items():
-        expected = basis.T @ np.linalg.solve(implicit, columns[name])
+        expected = math.sqrt(2.0 * grid.h) * basis.T @ np.linalg.solve(implicit, columns[name])
         np.testing.assert_allclose(load[0], expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
 
 
@@ -240,20 +244,20 @@ def test_linear_path_run_matches_hand_recursion():
     cumulative[1:] = np.cumsum(increments, axis=0)
     path = WienerPath(increments, cumulative)
 
-    phi = NoiseCoefficient.from_components(grid, [lambda x: np.sin(2 * np.pi * x)])
-    problem = HeatProblem(grid, mesh, phi, sine_mode(grid, 1))
+    problem = HeatProblem(grid, mesh, sine_mode(grid, 2)[None], sine_mode(grid, 1))
+    phi = np.sin(2 * np.pi * grid.nodes)
 
     lap = dense_laplacian(k)
     tau = mesh.tau
     assert 0.5 * tau**3 == pytest.approx(1.0 / 128.0, rel=1e-15)
-    x = sine_mode(grid, 1)
+    x = np.sin(np.pi * grid.nodes)
     implicit = np.eye(k) - 0.5 * tau * lap
     explicit = np.eye(k) + 0.5 * tau * lap
-    corr = (1.0 / 128.0) * lap @ phi.values[0]
+    corr = (1.0 / 128.0) * lap @ phi
     for _ in range(n):
-        x = np.linalg.solve(implicit, explicit @ x + tau * phi.values[0] + corr)
+        x = np.linalg.solve(implicit, explicit @ x + tau * phi + corr)
 
-    got = run_heat(problem, path, scheme="mcn")
+    got = grid.node_values(run_heat(problem, path, scheme="mcn"))
     np.testing.assert_allclose(got, x, rtol=1e-9, atol=1e-12)
 
 
@@ -262,7 +266,7 @@ def test_run_is_affine_in_initial_data():
     grid = SpatialGrid(11)
     mesh = TimeMesh(8)
     rng = np.random.default_rng(71)
-    phi = NoiseCoefficient.from_components(grid, [lambda x: np.sin(3 * np.pi * x)])
+    phi = sine_mode(grid, 3)[None]
     u = rng.standard_normal(11)
     v = rng.standard_normal(11)
     path = sample_path(711, TimeMesh(64))
@@ -283,10 +287,10 @@ def test_deterministic_steps_are_contractive():
     for scheme, scheme_step in (("mcn", mcn_heat_step), ("em", em_step)):
         problem = HeatProblem(grid, mesh, zero_phi(grid), rng.standard_normal(20))
         x = problem.initial
-        norms = [l2_norm(x)]
+        norms = [l2_norm(grid.node_values(x))]
         for j in range(mesh.N):
             x = scheme_step(problem, x, path, j)
-            norms.append(l2_norm(x))
+            norms.append(l2_norm(grid.node_values(x)))
         assert all(b <= a + 1e-14 for a, b in zip(norms, norms[1:]))
 
 
@@ -386,6 +390,21 @@ def test_run_heat_on_a_chunk_is_each_path_alone(scheme):
     first = step(problem, problem.initial, sample_path(keys, TimeMesh(4)), 0)
     alone = step(problem, problem.initial, sample_path(3, TimeMesh(4)), 0)
     np.testing.assert_array_equal(first[:, 2], alone)
+
+
+@pytest.mark.parametrize("step", [em_step, mcn_heat_step], ids=["em", "mcn"])
+def test_a_block_of_states_on_one_path_keeps_every_column(step):
+    """A (K, R) state stepped on one lone path gives (K, R), column r bit for bit that
+    column alone; on a chunk of another width the step raises."""
+    problem = benchmark_heat_problem(SpatialGrid(10), TimeMesh(4))
+    path = sample_path(1, TimeMesh(4))
+    x = np.random.default_rng(10).standard_normal((10, 3))
+    got = step(problem, x, path)
+    assert got.shape == (10, 3)
+    for r in range(3):
+        np.testing.assert_array_equal(got[:, r], step(problem, x[:, r], path))
+    with pytest.raises(ValueError):
+        step(problem, x, sample_path([1, 2], TimeMesh(4)))
 
 
 def test_run_heat_rejects_foreign_blocks():
@@ -546,7 +565,9 @@ def test_benchmark_problem_layout():
     grid = SpatialGrid(40)
     mesh = TimeMesh(8)
     problem = benchmark_heat_problem(grid, mesh, noise_scale=2.0)
-    assert problem.phi.m == 1
-    expected = 2.0 * (sine_mode(grid, 2) + sine_mode(grid, 3))
-    np.testing.assert_allclose(problem.phi.values[0], expected, rtol=1e-13)
-    np.testing.assert_allclose(problem.initial, sine_mode(grid, 1), rtol=1e-15)
+    assert problem.phi.shape == (1, grid.K)
+    assert np.array_equal(problem.phi[0], 2.0 * (sine_mode(grid, 2) + sine_mode(grid, 3)))
+    assert np.array_equal(problem.initial, sine_mode(grid, 1))
+    nodes = grid.node_values(problem.phi[0])
+    expected = 2.0 * (np.sin(2 * np.pi * grid.nodes) + np.sin(3 * np.pi * grid.nodes))
+    np.testing.assert_allclose(nodes, expected, rtol=1e-13, atol=1e-14)

@@ -16,18 +16,17 @@ from mcnspde import (
     AlignmentError,
     HeatProblem,
     NoiseBlock,
-    NoiseCoefficient,
     SpatialGrid,
     TimeMesh,
     WaveProblem,
     WienerPath,
-    apply_laplacian,
     defect_moment_exact,
     em_step,
     mcn_heat_step,
     mcn_wave_step,
     mesh_values,
     sample_path,
+    sine_mode,
     wave_micro_sum_moment_exact,
 )
 from mcnspde.noise import bridge_covariance, master_strides
@@ -47,35 +46,47 @@ def dense_laplacian(k):
     return (np.diag(off, -1) - 2.0 * np.eye(k) + np.diag(off, 1)) / h**2
 
 
-def heat_problem(phi, mesh):
-    return HeatProblem(phi.grid, mesh, phi, np.zeros(phi.grid.K))
+def node_phi(grid, phi):
+    """Node values of the amplitude rows of phi, (m, K) like phi."""
+    return grid.node_values(phi.T).T
 
 
-def wave_problem(phi, mesh):
-    return WaveProblem(phi.grid, mesh, phi, np.zeros(phi.grid.K), np.zeros(phi.grid.K))
+def heat_problem(grid, phi, mesh):
+    return HeatProblem(grid, mesh, phi, np.zeros(grid.K))
+
+
+def wave_problem(grid, phi, mesh):
+    return WaveProblem(grid, mesh, phi, np.zeros(grid.K), np.zeros(grid.K))
 
 
 def heat_forcing(problem, path, scheme="mcn"):
-    """The forcing each step of the scheme applied, shape (N, K).
+    """The node-space forcing each step of the scheme applied, shape (N, K).
 
     From rest, a step gives X = A^-1 F with A the scheme's implicit
-    matrix, so F is A times one step of the scheme from zero.
+    matrix, so F is A times the node values of one step of the scheme
+    from zero.
     """
-    k, tau = problem.grid.K, problem.mesh.tau
-    implicit = np.eye(k) - (1.0 if scheme == "em" else 0.5) * tau * dense_laplacian(k)
+    grid, tau = problem.grid, problem.mesh.tau
+    implicit = np.eye(grid.K) - (1.0 if scheme == "em" else 0.5) * tau * dense_laplacian(grid.K)
     step = em_step if scheme == "em" else mcn_heat_step
-    rest = np.zeros(k)
-    return np.stack([implicit @ step(problem, rest, path, j) for j in range(problem.mesh.N)])
+    rest = np.zeros(grid.K)
+    steps = [grid.node_values(step(problem, rest, path, j)) for j in range(problem.mesh.N)]
+    return np.stack([implicit @ x for x in steps])
 
 
 def wave_forcing(problem, path):
-    """The (displacement, velocity) forcing each step of the wave scheme applied, each (N, K).
+    """The node-space (displacement, velocity) forcing each step of the wave scheme applied,
+    each (N, K).
 
     From rest, a step gives X = (tau/2) Y + displacement and
     Y = (tau/2) Lap X + velocity.
     """
-    lap, tau, rest = dense_laplacian(problem.grid.K), problem.mesh.tau, np.zeros(problem.grid.K)
-    steps = [mcn_wave_step(problem, rest, rest, path, j) for j in range(problem.mesh.N)]
+    grid, tau, rest = problem.grid, problem.mesh.tau, np.zeros(problem.grid.K)
+    lap = dense_laplacian(grid.K)
+    steps = [
+        [grid.node_values(v) for v in mcn_wave_step(problem, rest, rest, path, j)]
+        for j in range(problem.mesh.N)
+    ]
     displacement = np.stack([x - 0.5 * tau * y for x, y in steps])
     velocity = np.stack([y - 0.5 * tau * lap @ x for x, y in steps])
     return displacement, velocity
@@ -321,41 +332,15 @@ def test_wave_micro_sum_moment_matches_double_loop():
             assert got == pytest.approx(expected, rel=1e-13)
 
 
-def test_noise_coefficient_precomputes_laplacians():
-    """apply_laplacian of the component rows matches the dense Laplacian row by row."""
-    grid = SpatialGrid(12)
-    phi = NoiseCoefficient.from_components(
-        grid, [lambda x: np.sin(2 * np.pi * x), lambda x: x * (1 - x)]
-    )
-    assert phi.m == 2
-    laplacians = apply_laplacian(grid, phi.values.T).T
-    for i in range(phi.m):
-        direct = dense_laplacian(grid.K) @ phi.values[i]
-        np.testing.assert_allclose(laplacians[i], direct, rtol=1e-13)
-
-
-def test_noise_coefficient_accepts_mixed_inputs():
-    grid = SpatialGrid(6)
-    arr = np.arange(6, dtype=float)
-    phi = NoiseCoefficient.from_components(
-        grid, [arr, [2.0 * a for a in arr], lambda x: np.zeros_like(x)]
-    )
-    np.testing.assert_allclose(phi.values[0], arr, rtol=1e-15)
-    np.testing.assert_allclose(phi.values[1], 2 * arr, rtol=1e-15)
-    with pytest.raises(ValueError):
-        NoiseCoefficient.from_components(grid, [np.zeros(5)])
-
-
 def combine(phi, weights):
-    """sum_i Phi_i * weights_i: weights (m,) give (K,), and (R, m) give (K, R)."""
-    return np.einsum("ik,...i->k...", phi.values, weights)
+    """sum_i Phi_i * weights_i of the (m, K) rows of phi: weights (m,) give (K,), (R, m) (K, R)."""
+    return np.einsum("ik,...i->k...", phi, weights)
 
 
 def test_combine_matches_loop():
-    grid = SpatialGrid(9)
     rng = np.random.default_rng(17)
     comps = [rng.standard_normal(9) for _ in range(3)]
-    phi = NoiseCoefficient.from_components(grid, comps)
+    phi = np.array(comps)
     w = rng.standard_normal(3)
     expected = sum(wi * ci for wi, ci in zip(w, comps))
     np.testing.assert_allclose(combine(phi, w), expected, rtol=1e-13)
@@ -369,13 +354,12 @@ def test_heat_correction_brute_force():
     grid = SpatialGrid(10)
     mesh = TimeMesh(4)
     rng = np.random.default_rng(23)
-    phi = NoiseCoefficient.from_components(
-        grid, [rng.standard_normal(10), rng.standard_normal(10)]
-    )
+    amplitudes = rng.standard_normal((2, 10))
+    phi = node_phi(grid, amplitudes)
     path = sample_path(55, TimeMesh(16), m=2)
     lap = dense_laplacian(10)
     tau = mesh.tau
-    forcing = heat_forcing(heat_problem(phi, mesh), path, "mcn")
+    forcing = heat_forcing(heat_problem(grid, amplitudes, mesh), path, "mcn")
     assert forcing.shape == (mesh.N, 10)
     for j in range(mesh.N):
         w_lo = value_at(path, mesh.coarse_time(j))
@@ -385,11 +369,11 @@ def test_heat_correction_brute_force():
         )
         gap = micro_sum - 0.5 * tau * (w_lo + w_hi)
         by_hand = np.zeros(10)
-        for i in range(phi.m):
-            by_hand += (w_hi - w_lo)[i] * phi.values[i] + gap[i] * (lap @ phi.values[i])
+        for i in range(len(phi)):
+            by_hand += (w_hi - w_lo)[i] * phi[i] + gap[i] * (lap @ phi[i])
         np.testing.assert_allclose(forcing[j], by_hand, rtol=1e-12, atol=1e-15)
     # Euler-Maruyama takes Phi dW alone; recovered from a step, it agrees to rounding
-    em = heat_forcing(heat_problem(phi, mesh), path, "em")
+    em = heat_forcing(heat_problem(grid, amplitudes, mesh), path, "em")
     np.testing.assert_allclose(
         em,
         combine(phi, np.diff(mesh_values(path.cumulative, mesh)[0], axis=0)).T,
@@ -403,14 +387,14 @@ def test_heat_correction_linear_path_scale():
     grid = SpatialGrid(8)
     mesh = TimeMesh(4)
     path = linear_path(master_steps=256)
-    phi = NoiseCoefficient.from_components(grid, [lambda x: np.sin(2 * np.pi * x)])
+    phi = sine_mode(grid, 2)[None]
     scale = 0.5 * mesh.tau**3  # 1/128
     assert scale == pytest.approx(1.0 / 128.0, rel=1e-15)
     np.testing.assert_allclose(reduced(path, mesh, HEAT_COORDINATES).gaps, scale, rtol=1e-10)
-    problem = heat_problem(phi, mesh)
+    problem = heat_problem(grid, phi, mesh)
     corr = heat_forcing(problem, path, "mcn") - heat_forcing(problem, path, "em")
     for j in range(mesh.N):
-        lap_phi = apply_laplacian(grid, phi.values[0])
+        lap_phi = dense_laplacian(grid.K) @ np.sin(2 * np.pi * grid.nodes)
         np.testing.assert_allclose(corr[j], scale * lap_phi, rtol=1e-10)
 
 
@@ -418,10 +402,11 @@ def test_corrections_vanish_on_constant_path():
     grid = SpatialGrid(8)
     mesh = TimeMesh(8)
     path = constant_path(master_steps=1024, value=1.7)
-    phi = NoiseCoefficient.from_components(grid, [lambda x: np.sin(3 * np.pi * x)])
+    phi = sine_mode(grid, 3)[None]
     # dW vanishes too, so the whole heat forcing and displacement forcing do
-    np.testing.assert_allclose(heat_forcing(heat_problem(phi, mesh), path), 0.0, atol=1e-14)
-    displacement, _ = wave_forcing(wave_problem(phi, mesh), path)
+    forcing = heat_forcing(heat_problem(grid, phi, mesh), path)
+    np.testing.assert_allclose(forcing, 0.0, atol=1e-14)
+    displacement, _ = wave_forcing(wave_problem(grid, phi, mesh), path)
     np.testing.assert_allclose(displacement, 0.0, atol=1e-14)
 
 
@@ -431,9 +416,10 @@ def test_wave_velocity_correction_constant_path():
     mesh = TimeMesh(8)
     value = -0.8
     path = constant_path(master_steps=1024, value=value)
-    phi = NoiseCoefficient.from_components(grid, [lambda x: np.sin(2 * np.pi * x)])
-    expected = -0.5 * mesh.tau**3 * value * apply_laplacian(grid, phi.values[0])
-    _, velocity = wave_forcing(wave_problem(phi, mesh), path)
+    phi = sine_mode(grid, 2)[None]
+    lap_phi = dense_laplacian(grid.K) @ np.sin(2 * np.pi * grid.nodes)
+    expected = -0.5 * mesh.tau**3 * value * lap_phi
+    _, velocity = wave_forcing(wave_problem(grid, phi, mesh), path)
     for j in range(mesh.N):
         np.testing.assert_allclose(velocity[j], expected, rtol=1e-12)
 
@@ -443,13 +429,12 @@ def test_wave_corrections_brute_force():
     grid = SpatialGrid(9)
     mesh = TimeMesh(4)
     rng = np.random.default_rng(31)
-    phi = NoiseCoefficient.from_components(
-        grid, [rng.standard_normal(9), rng.standard_normal(9)]
-    )
+    amplitudes = rng.standard_normal((2, 9))
+    phi = node_phi(grid, amplitudes)
     path = sample_path(77, TimeMesh(16), m=2)
     lap = dense_laplacian(9)
     tau = mesh.tau
-    displacement, velocity = wave_forcing(wave_problem(phi, mesh), path)
+    displacement, velocity = wave_forcing(wave_problem(grid, amplitudes, mesh), path)
     for j in range(mesh.N):
         t_next = mesh.coarse_time(j + 1)
         disp = np.zeros(9)
@@ -457,15 +442,15 @@ def test_wave_corrections_brute_force():
         for ell in range(1, mesh.M + 1):
             t_ell = mesh.micro_time(j, ell)
             w = value_at(path, t_ell)
-            for i in range(phi.m):
-                disp += tau * tau * w[i] * phi.values[i]
+            for i in range(len(phi)):
+                disp += tau * tau * w[i] * phi[i]
                 weight = 0.5 * (2.0 * t_next - tau - 2.0 * t_ell) * tau * tau
-                velo += weight * w[i] * (lap @ phi.values[i])
+                velo += weight * w[i] * (lap @ phi[i])
         w_lo = value_at(path, mesh.coarse_time(j))
         w_hi = value_at(path, t_next)
-        for i in range(phi.m):
-            disp -= 0.5 * tau * (w_lo + w_hi)[i] * phi.values[i]
-            velo += (w_hi - w_lo)[i] * phi.values[i]
+        for i in range(len(phi)):
+            disp -= 0.5 * tau * (w_lo + w_hi)[i] * phi[i]
+            velo += (w_hi - w_lo)[i] * phi[i]
         np.testing.assert_allclose(displacement[j], disp, rtol=1e-11, atol=1e-15)
         np.testing.assert_allclose(velocity[j], velo, rtol=1e-11, atol=1e-15)
 

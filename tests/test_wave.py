@@ -2,7 +2,9 @@
 
 The last test re-derives the stepper from its change-of-variables form,
 where the noise enters only the velocity equation as accumulated micro
-sums, and confirms both formulations march to the same state.
+sums, and confirms both formulations march to the same state.  States,
+initial data and Phi are sine amplitudes; the dense node-space
+references take their node values through SpatialGrid.node_values.
 """
 
 import math
@@ -14,15 +16,15 @@ from mcnspde import (
     AlignmentError,
     ConfigError,
     NoiseBlock,
-    NoiseCoefficient,
     SpatialGrid,
     TimeMesh,
     WAVE_NOISE,
     WaveProblem,
     WienerPath,
-    apply_laplacian,
     benchmark_wave_problem,
     dirichlet_eigenvalue,
+    h1_seminorm,
+    l2_norm,
     mcn_wave_step,
     reference_wave_solution,
     run_wave,
@@ -45,7 +47,7 @@ def value_at(path, t):
 
 
 def zero_phi(grid, m=1):
-    return NoiseCoefficient.from_components(grid, [np.zeros(grid.K)] * m)
+    return np.zeros((m, grid.K))
 
 
 def dense_laplacian(k):
@@ -64,9 +66,7 @@ def random_problem(k, n, m, seed):
     grid = SpatialGrid(k)
     mesh = TimeMesh(n)
     rng = np.random.default_rng(seed)
-    phi = NoiseCoefficient.from_components(
-        grid, [rng.standard_normal(k) for _ in range(m)]
-    )
+    phi = rng.standard_normal((m, k))
     x0 = rng.standard_normal(k)
     y0 = rng.standard_normal(k)
     return WaveProblem(grid, mesh, phi, x0, y0)
@@ -85,7 +85,7 @@ def node_forcing(problem, block, j):
     Phi gap_j, and Phi dW_j + Lap Phi v_j with v_j the weighted micro sum:
     the right-hand sides of the defining relations, formed in node space.
     """
-    phi, lap = problem.phi.values.T, dense_laplacian(problem.grid.K)
+    phi, lap = problem.grid.node_values(problem.phi.T), dense_laplacian(problem.grid.K)
     displacement = phi @ block.gaps[j].T
     velocity = phi @ block.increments[j].T + lap @ phi @ block.velocity_sums[j].T
     return displacement, velocity
@@ -113,15 +113,17 @@ def step_checking_residuals(problem, x, y, block, j):
 
     X_{j+1} - X_j = (tau/2)(Y_{j+1} + Y_j) + displacement and
     Y_{j+1} - Y_j = (tau/2) Lap (X_{j+1} + X_j) + velocity, each to within
-    RESIDUAL_TOLERANCE (1 + max|state|) of the column's own state.
+    RESIDUAL_TOLERANCE (1 + max|state|) of the column's own state, on node values.
     """
     tau = problem.mesh.tau
     displacement, velocity = node_forcing(problem, block, j)
     x_next, y_next = mcn_wave_step(problem, x, y, block, j)
-    scale = 1.0 + np.max([np.abs(v).max(axis=0) for v in (x_next, y_next, x, y)], axis=0)
-    res_x = np.abs(x_next - x - 0.5 * tau * (y_next + y) - displacement).max(axis=0)
-    lap_sum = apply_laplacian(problem.grid, x_next + x)
-    res_y = np.abs(y_next - y - 0.5 * tau * lap_sum - velocity).max(axis=0)
+    states = [problem.grid.node_values(v) for v in (x_next, y_next, x, y)]
+    x_n, y_n, x_o, y_o = states
+    scale = 1.0 + np.max([np.abs(v).max(axis=0) for v in states], axis=0)
+    res_x = np.abs(x_n - x_o - 0.5 * tau * (y_n + y_o) - displacement).max(axis=0)
+    lap_sum = dense_laplacian(problem.grid.K) @ (x_n + x_o)
+    res_y = np.abs(y_n - y_o - 0.5 * tau * lap_sum - velocity).max(axis=0)
     assert np.all(res_x <= RESIDUAL_TOLERANCE * scale), f"displacement residual {res_x}"
     assert np.all(res_y <= RESIDUAL_TOLERANCE * scale), f"velocity residual {res_y}"
     return x_next, y_next
@@ -149,7 +151,10 @@ def test_every_step_solves_both_defining_relations():
 
 
 def test_energy_of_pure_mode():
-    """E = ||Y||^2 - <Lap X, X> gives lam_k/2 for a unit sine displacement."""
+    """E = ||Y||^2 - <Lap X, X> gives lam_k/2 for a unit sine displacement.
+
+    On random amplitudes it equals the node-space l2_norm(Y)^2 + h1_seminorm(X)^2.
+    """
     grid = SpatialGrid(25)
     mesh = TimeMesh(4)
     for k in (1, 5):
@@ -158,6 +163,9 @@ def test_energy_of_pure_mode():
         )
         e = wave_energy(problem, problem.initial_displacement, problem.initial_velocity)
         assert e == pytest.approx(0.5 * dirichlet_eigenvalue(grid, k), rel=1e-12)
+    x, y = np.random.default_rng(25).standard_normal((2, grid.K))
+    nodes = l2_norm(grid.node_values(y)) ** 2 + h1_seminorm(grid.node_values(x)) ** 2
+    assert wave_energy(problem, x, y) == pytest.approx(nodes, rel=1e-12)
 
 
 def test_silent_step_is_time_reversible():
@@ -185,9 +193,10 @@ def test_one_step_dense_block_oracle():
     tau = mesh.tau
     path = sample_path(431, TimeMesh(16), m=m)
 
+    grid = problem.grid
     lap = dense_laplacian(k)
     eye = np.eye(k)
-    phi = problem.phi.values.T
+    phi = grid.node_values(problem.phi.T)
     w_lo, w_hi = value_at(path, 0.0), value_at(path, tau)
     dw = w_hi - w_lo
     micro = [value_at(path, mesh.micro_time(0, ell)) for ell in range(1, mesh.M + 1)]
@@ -196,19 +205,20 @@ def test_one_step_dense_block_oracle():
         0.5 * (tau - 2.0 * ell * tau * tau) * tau * tau * (lap @ (phi @ w))
         for ell, w in enumerate(micro, start=1)
     )
-    x0 = problem.initial_displacement
-    y0 = problem.initial_velocity
+    x0 = grid.node_values(problem.initial_displacement)
+    y0 = grid.node_values(problem.initial_velocity)
 
     block = np.block([[eye, -0.5 * tau * eye], [-0.5 * tau * lap, eye]])
     rhs = np.concatenate(
         [
             x0 + 0.5 * tau * y0 + corr_x,
-            y0 + 0.5 * tau * lap @ x0 + problem.phi.values.T @ dw + corr_y,
+            y0 + 0.5 * tau * lap @ x0 + phi @ dw + corr_y,
         ]
     )
     sol = np.linalg.solve(block, rhs)
 
-    x1, y1 = mcn_wave_step(problem, x0, y0, path, 0)
+    initial = (problem.initial_displacement, problem.initial_velocity)
+    x1, y1 = (grid.node_values(v) for v in mcn_wave_step(problem, *initial, path, 0))
     np.testing.assert_allclose(x1, sol[:k], rtol=1e-11, atol=1e-13)
     np.testing.assert_allclose(y1, sol[k:], rtol=1e-11, atol=1e-13)
 
@@ -256,33 +266,33 @@ def transformed_march(problem, path):
     with s_m = sum_ell W(t_{m,ell}) and
     cur_j = sum_ell (t_{j+1} - t_{j,ell}) tau^2 W(t_{j,ell}).
     """
-    grid, mesh, phi = problem.grid, problem.mesh, problem.phi
-    k = grid.K
+    grid, mesh, phi = problem.grid, problem.mesh, problem.grid.node_values(problem.phi.T)
+    k, m = grid.K, phi.shape[1]
     tau = mesh.tau
     lap = dense_laplacian(k)
     eye = np.eye(k)
     implicit = eye - 0.25 * tau**2 * lap
     explicit = eye + 0.25 * tau**2 * lap
 
-    u = problem.initial_displacement
-    v = problem.initial_velocity
-    micro_running = np.zeros(phi.m)  # sum over past intervals of s_m
+    u = grid.node_values(problem.initial_displacement)
+    v = grid.node_values(problem.initial_velocity)
+    micro_running = np.zeros(m)  # sum over past intervals of s_m
     for j in range(mesh.N):
         t_next = mesh.coarse_time(j + 1)
-        s_j = np.zeros(phi.m)
-        cur = np.zeros(phi.m)
+        s_j = np.zeros(m)
+        cur = np.zeros(m)
         for ell in range(1, mesh.M + 1):
             w = value_at(path, mesh.micro_time(j, ell))
             s_j += w
             cur += (t_next - mesh.micro_time(j, ell)) * tau * tau * w
-        noise = lap @ (phi.values.T @ (tau**3 * micro_running + cur))
+        noise = lap @ (phi @ (tau**3 * micro_running + cur))
         v_next = np.linalg.solve(implicit, explicit @ v + tau * lap @ u + noise)
         u = u + 0.5 * tau * (v + v_next)
         v = v_next
         micro_running += s_j
 
-    shift_x = tau * tau * (phi.values.T @ micro_running)
-    shift_y = phi.values.T @ value_at(path, 1.0)
+    shift_x = tau * tau * (phi @ micro_running)
+    shift_y = phi @ value_at(path, 1.0)
     return u + shift_x, v + shift_y
 
 
@@ -290,7 +300,7 @@ def test_matches_transformed_formulation():
     """Original and transformed marches land on the same (X_N, Y_N)."""
     problem = random_problem(k=12, n=16, m=2, seed=47)
     path = sample_path(471, TimeMesh(32), m=2)
-    x_direct, y_direct = run_wave(problem, path)
+    x_direct, y_direct = (problem.grid.node_values(v) for v in run_wave(problem, path))
     x_uv, y_uv = transformed_march(problem, path)
     np.testing.assert_allclose(x_direct, x_uv, rtol=1e-9, atol=1e-11)
     np.testing.assert_allclose(y_direct, y_uv, rtol=1e-9, atol=1e-11)
@@ -364,6 +374,22 @@ def test_chunk_march_equals_one_path_runs():
     )
 
 
+def test_a_block_of_states_on_one_path_keeps_every_column():
+    """(K, R) states stepped on one lone path give (K, R), column r bit for bit that
+    column alone; on a chunk of another width the step raises."""
+    problem = benchmark_wave_problem(SpatialGrid(10), TimeMesh(4))
+    path = sample_path(1, TimeMesh(4))
+    x, y = np.random.default_rng(10).standard_normal((2, 10, 3))
+    got = mcn_wave_step(problem, x, y, path)
+    assert [v.shape for v in got] == [(10, 3), (10, 3)]
+    for r in range(3):
+        alone = mcn_wave_step(problem, x[:, r], y[:, r], path)
+        for column, expected in zip(got, alone):
+            np.testing.assert_array_equal(column[:, r], expected)
+    with pytest.raises(ValueError):
+        mcn_wave_step(problem, x, y, sample_path([1, 2], TimeMesh(4)))
+
+
 @pytest.mark.parametrize("n", [384, 1024])
 def test_passes_equal_the_chain_of_single_steps(n):
     """run_wave in 3 or 8 passes of 128 steps equals n one-step calls on the same block.
@@ -388,12 +414,15 @@ def test_passes_equal_the_chain_of_single_steps(n):
 
 
 def dense_wave_march(problem, path):
-    """(X_N, Y_N) by np.linalg.solve of the coupled 2K x 2K defining relations at every step."""
-    k, mesh, phi = problem.grid.K, problem.mesh, problem.phi.values.T
+    """Node values of (X_N, Y_N) by np.linalg.solve of the coupled 2K x 2K defining relations
+    at every step."""
+    grid, mesh = problem.grid, problem.mesh
+    k, phi = grid.K, grid.node_values(problem.phi.T)
     lap, eye, tau = dense_laplacian(k), np.eye(k), mesh.tau
     left = np.block([[eye, -0.5 * tau * eye], [-0.5 * tau * lap, eye]])
     right = np.block([[eye, 0.5 * tau * eye], [0.5 * tau * lap, eye]])
-    state = np.concatenate([problem.initial_displacement, problem.initial_velocity])
+    initial = (problem.initial_displacement, problem.initial_velocity)
+    state = np.concatenate([grid.node_values(v) for v in initial])
     for j in range(mesh.N):
         t_lo, t_hi = mesh.coarse_time(j), mesh.coarse_time(j + 1)
         w_lo, w_hi = value_at(path, t_lo), value_at(path, t_hi)
@@ -416,7 +445,8 @@ def test_run_matches_dense_recursion(k, m):
     for n in (1, 4, 16):
         problem = random_problem(k, n, m, seed=1000 * k + m)
         path = sample_path(1000 * k + 10 * m + n, TimeMesh(16), m=m)
-        for got, expected in zip(run_wave(problem, path), dense_wave_march(problem, path)):
+        got = [problem.grid.node_values(v) for v in run_wave(problem, path)]
+        for got, expected in zip(got, dense_wave_march(problem, path)):
             np.testing.assert_allclose(
                 got, expected, rtol=1e-11, atol=1e-13 * np.abs(expected).max()
             )
@@ -427,7 +457,8 @@ def test_step_map_is_the_dense_step_in_the_sine_basis():
 
     P and the three forcing columns come from np.linalg.solve of the
     node-space 2K x 2K implicit system on the identity, on (Phi, 0)
-    (the gap), (0, Phi) (the increment) and (0, Lap Phi) (the velocity sum).
+    (the gap), (0, Phi) (the increment) and (0, Lap Phi) (the velocity sum);
+    the loads are their amplitudes, sqrt(2h) S^T.
     """
     k, n = 40, 8
     problem = random_problem(k, n, m=2, seed=79)
@@ -444,7 +475,8 @@ def test_step_map_is_the_dense_step_in_the_sine_basis():
         for b in range(2):
             modal = basis.T @ step[a * k : (a + 1) * k, b * k : (b + 1) * k] @ basis
             np.testing.assert_allclose(modal, np.diag(matrix[a, b]), rtol=0.0, atol=1e-12)
-    phi, zero = problem.phi.values.T, np.zeros((k, problem.phi.m))
+    phi = problem.grid.node_values(problem.phi.T)
+    zero = np.zeros_like(phi)
     columns = {
         "gaps": np.vstack([phi, zero]),
         "increments": np.vstack([zero, phi]),
@@ -453,7 +485,7 @@ def test_step_map_is_the_dense_step_in_the_sine_basis():
     for name, column in columns.items():
         solved = np.linalg.solve(left, column)
         for a in range(2):
-            expected = basis.T @ solved[a * k : (a + 1) * k]
+            expected = math.sqrt(2.0 * h) * basis.T @ solved[a * k : (a + 1) * k]
             np.testing.assert_allclose(
                 loads[name][a], expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
             )
@@ -480,9 +512,8 @@ def test_benchmark_problem_layout():
     grid = SpatialGrid(40)
     mesh = TimeMesh(8)
     problem = benchmark_wave_problem(grid, mesh, noise_scale=0.5)
-    expected = 0.5 * (sine_mode(grid, 2) + sine_mode(grid, 3))
-    np.testing.assert_allclose(problem.phi.values[0], expected, rtol=1e-13)
-    np.testing.assert_allclose(problem.initial_displacement, sine_mode(grid, 1), rtol=1e-15)
+    assert np.array_equal(problem.phi, [0.5 * (sine_mode(grid, 2) + sine_mode(grid, 3))])
+    assert np.array_equal(problem.initial_displacement, sine_mode(grid, 1))
     assert not problem.initial_velocity.any()
 
 
