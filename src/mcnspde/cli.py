@@ -15,8 +15,8 @@ once; a switch such as ``paper`` takes yes/no, true/false, on/off or
 one order: the desk preset, or the full-scale one under ``--paper``,
 then the config file, then explicit flags, which always win.  Each
 realization's Wiener path, heat or wave, is drawn on the micro grid of
-about a quarter of the largest mesh of ``--n-list`` (the report's
-``master steps``); finer meshes, the meshes above that quarter and the
+about an eighth of the largest mesh of ``--n-list`` (the report's
+``master steps``); finer meshes, the meshes above that eighth and the
 ``--n-ref`` wave reference mesh, read it through exact Brownian-bridge
 sums.
 Exit codes: 0 success, 1 failed validation checks, 2 bad configuration

@@ -6,12 +6,13 @@ Philox stream keyed by the two words (base_seed, r), so reruns and
 worker splits reproduce bit-identical tables and no two base seeds share
 a path) and runs every resolution against that same path.  Heat and
 wave paths follow one law (StudyConfig.path_mesh): a path lies on the
-micro grid of a mesh P of about a quarter of the finest mesh N_max of
-n_list and carries the exact Brownian-bridge sums through which the
-meshes 2P and 4P up to N_max and, for wave, the finer reference mesh
-read it; the heat oracle is the exact solution's conditional mean given
-all of them.  The root-mean-square final-time error per resolution
-then feeds a log-log least-squares rate fit.
+micro grid of a mesh P of about an eighth of the finest mesh N_max of
+n_list and carries the exact Brownian-bridge sums, S0 and S1 of each
+level, through which the meshes 2P, 4P and 8P up to N_max and, for wave,
+the finer reference mesh read it; the heat oracle is the exact
+solution's conditional mean given all of them.  The root-mean-square
+final-time error per resolution then feeds a log-log least-squares rate
+fit.
 
 Realizations run in blocks, and their paths are drawn in chunks of a
 few (chunk_size).  Each chunk of a block is used at once and dropped:
@@ -91,9 +92,9 @@ FLOOR_EXCLUSION_FACTOR = 3.0
 # a chunk and let memory grow past the one full path that the block rule
 # allows (at 1024 master steps each path of a chunk costs about 57 KB).
 CHUNK_PATHS = 4
-# A chunk's drawn arrays take at most this many bytes: 4 desk heat paths
-# of 131 KB or 4 desk wave paths of 65 KB, while a --paper heat path
-# (2 MB) or wave path (4 MB) is drawn alone, so paper memory does not grow.
+# A chunk's drawn arrays take at most this many bytes: 4 desk heat or
+# wave paths of 65 KB, while a --paper heat path (1 MB) or wave path
+# (1.3 MB) is drawn alone, so paper memory does not grow.
 CHUNK_BYTES = 640 * 1024
 
 
@@ -132,7 +133,7 @@ class StudyConfig:
     def path_mesh(self) -> TimeMesh:
         """The mesh P whose micro grid every path is drawn on.
 
-        P is the smallest power of two with 4P >= N_max, the finest mesh
+        P is the smallest power of two with 8P >= N_max, the finest mesh
         of n_list, and P^2 divisible by the finest marched mesh.  Meshes
         up to P read the path by stride, and the finer ones (bridge_meshes)
         through bridge levels, each of their coarse steps spanning whole
@@ -140,7 +141,7 @@ class StudyConfig:
         """
         n, finest = max(self.n_list), self.finest_mesh.N
         p = 1
-        while 4 * p < n or p * p % finest:
+        while 8 * p < n or p * p % finest:
             p *= 2
         return TimeMesh(p)
 
@@ -153,13 +154,13 @@ class StudyConfig:
     def bridge_meshes(self) -> tuple[TimeMesh, ...]:
         """The meshes finer than path_mesh that read each path through a bridge level.
 
-        The meshes 2P and 4P up to N_max, whether or not n_list holds them,
-        so that a path, and so a row, does not depend on the row's coarser
-        siblings, and every marched mesh finer than P: for wave the
+        The meshes 2P, 4P and 8P up to N_max, whether or not n_list holds
+        them, so that a path, and so a row, does not depend on the row's
+        coarser siblings, and every marched mesh finer than P: for wave the
         reference mesh.
         """
         p = self.path_mesh.N
-        levels = {n for n in (2 * p, 4 * p) if n <= max(self.n_list)}
+        levels = {n for n in (2 * p, 4 * p, 8 * p) if n <= max(self.n_list)}
         levels.update(mesh.N for mesh in self.marched_meshes if mesh.N > p)
         return tuple(TimeMesh(n) for n in sorted(levels))
 
@@ -167,8 +168,8 @@ class StudyConfig:
 def desk_heat_config(**overrides) -> StudyConfig:
     """Quick heat study: N in 8..256, 500 realizations.
 
-    Paths have 64^2 = 2^12 master steps, each also split into 4 and into
-    16 bridge steps of the micro grids of N = 128 and 256.
+    Paths have 32^2 = 2^10 master steps, each also split into 4, 16 and
+    64 bridge steps of the micro grids of N = 64, 128 and 256.
     """
     return dataclasses.replace(StudyConfig(), **overrides)
 
@@ -192,8 +193,8 @@ def desk_wave_config(**overrides) -> StudyConfig:
 def paper_heat_config(**overrides) -> StudyConfig:
     """Full-scale heat study: N in 4..1024, 1000 realizations.
 
-    Paths have 256^2 = 2^16 master steps, each also split into 4 and into
-    16 bridge steps of the micro grids of N = 512 and 1024.
+    Paths have 128^2 = 2^14 master steps, each also split into 4, 16 and
+    64 bridge steps of the micro grids of N = 256, 512 and 1024.
     """
     base = StudyConfig(n_list=(4, 8, 16, 32, 64, 128, 256, 512, 1024), mc_count=1000)
     return dataclasses.replace(base, **overrides)
@@ -202,8 +203,9 @@ def paper_heat_config(**overrides) -> StudyConfig:
 def paper_wave_config(**overrides) -> StudyConfig:
     """Full-scale wave study: N in 4..1024 against N_ref = 4096, 1000 realizations.
 
-    Paths have 256^2 = 2^16 master steps, each also split into 4, 16 and
-    256 bridge steps of the micro grids of N = 512, 1024 and the reference.
+    Paths have 128^2 = 2^14 master steps, each also split into 4, 16, 64
+    and 1024 bridge steps of the micro grids of N = 256, 512, 1024 and the
+    reference.
     """
     base = StudyConfig(
         equation=EQUATION_WAVE,
@@ -389,15 +391,10 @@ def chunk_size(config: StudyConfig) -> int:
     A path's drawn arrays are its increments, cumulative values and
     bridge sums.  At least one path.
     """
-    functionals = path_functionals(config.path_mesh, config.bridge_meshes, _moments(config))
+    functionals = path_functionals(config.path_mesh, config.bridge_meshes)
     steps = config.master_steps
     path_bytes = 8 * ((2 + len(functionals)) * steps + 1)
     return max(1, min(CHUNK_PATHS, CHUNK_BYTES // path_bytes))
-
-
-def _moments(config: StudyConfig) -> bool:
-    """Whether paths carry the S1 bridge sums: the wave reference's velocity sums need them."""
-    return config.equation == EQUATION_WAVE
 
 
 def _block_squared_errors(config: StudyConfig, span: range):
@@ -415,12 +412,11 @@ def _block_squared_errors(config: StudyConfig, span: range):
     count = len(span)
     errors = np.empty((count, len(problems), len(study_norms(config))))
     blocks = _study_noise(config, count)
-    moments = _moments(config)
     # The oracle values and kernel of the exact mode, and in continuous mode
     # those of the semidiscrete one too, whose gap to it is the spatial floor.
     modes = sorted({config.exact_mode, EXACT_SEMIDISCRETE}) if heat else []
     path_mesh, bridge_meshes = config.path_mesh, config.bridge_meshes
-    functionals = path_functionals(path_mesh, bridge_meshes, moments)
+    functionals = path_functionals(path_mesh, bridge_meshes)
     kernels = {
         mode: heat_oracle_kernel(grid, mode, path_mesh.N**2, functionals) for mode in modes
     }
@@ -428,7 +424,7 @@ def _block_squared_errors(config: StudyConfig, span: range):
     size = chunk_size(config)
     for lo in range(0, count, size):
         keys = [(config.base_seed, r) for r in span[lo : lo + size]]
-        paths = sample_path(keys, path_mesh, 1, bridge_meshes, moments)
+        paths = sample_path(keys, path_mesh, 1, bridge_meshes)
         for mode, kernel in kernels.items():
             oracles[mode][:, lo : lo + len(keys)] = exact_heat_solution(
                 paths, grid, mode, config.noise_scale, kernel

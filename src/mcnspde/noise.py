@@ -27,9 +27,12 @@ Engineering, 2004, sec. 3.1) instead of the finer path, and mesh_sums
 combines them with the master grid exactly, with no interpolation
 error.  A study draws heat and wave paths by one law
 (harness.StudyConfig.path_mesh): on the micro grid of a mesh P of about
-a quarter of its finest study mesh, with the levels q = 4 and 16 of the
-twice and four times finer meshes and, for wave, the level of the
-reference mesh; wave levels carry S1 as well as S0.
+an eighth of its finest study mesh, with the levels q = 4, 16 and 64 of
+the two, four and eight times finer meshes and, for wave, the level of
+the reference mesh, every level carrying S0 and S1.  The heat oracle
+reads S1 too: given S0 alone, P = N_max/8 would leave a conditional-mean
+deficit 39% above that of the full micro-grid path, and with S1 it is
+within 2e-5 of it.
 
 mesh_values is the one place that knows where the coarse and micro nodes
 of a mesh sit on the master grid.  It returns them as views of the
@@ -111,11 +114,11 @@ class WienerPath:
     W(0) = 0, where s_k = k*delta and delta = 1/S.  Values are only ever
     read at master nodes, through mesh_values.
 
-    A path may carry bridge levels: bridge[q] holds, for each master step
-    k, S0 = sum_i B_i and, when drawn, S1 = sum_i i*B_i over the discrete
-    Brownian bridge B_i = W(s_k + i*delta/q) - W(s_k) - (i/q)*increments[k],
-    i = 1..q-1, of the level that splits each master step into q steps:
-    shape (1, S, m) for S0 alone, (2, S, m) for S0 and S1.
+    A path may carry bridge levels: bridge[q], shape (2, S, m), holds,
+    for each master step k, S0 = sum_i B_i and S1 = sum_i i*B_i over the
+    discrete Brownian bridge B_i = W(s_k + i*delta/q) - W(s_k) -
+    (i/q)*increments[k], i = 1..q-1, of the level that splits each master
+    step into q steps.
 
     A chunk of n paths puts a leading axis of n rows in front of every
     array, row i holding path i.
@@ -165,26 +168,20 @@ def bridge_level(master_steps: int, mesh: TimeMesh) -> int:
     return q
 
 
-def path_functionals(
-    mesh: TimeMesh, fine: Sequence[TimeMesh] = (), moments: bool = False
-) -> tuple[tuple[int, int], ...]:
+def path_functionals(mesh: TimeMesh, fine: Sequence[TimeMesh] = ()) -> tuple[tuple[int, int], ...]:
     """(q, p) of every bridge sum that sample_path draws for these arguments.
 
     Every mesh of fine whose micro grid is finer than that of mesh gets
-    its level q (bridge_level), with S0 (p = 0) and, if moments, S1
-    (p = 1); levels by increasing q.
+    its level q (bridge_level), with S0 (p = 0) and S1 (p = 1); levels
+    by increasing q.
     """
     steps = mesh.N * mesh.M
     levels = sorted({bridge_level(steps, f) for f in fine if f.N * f.M > steps})
-    return tuple((q, p) for q in levels for p in range(1 + moments))
+    return tuple((q, p) for q in levels for p in (0, 1))
 
 
 def sample_path(
-    seed: int | tuple[int, int] | list,
-    mesh: TimeMesh,
-    m: int = 1,
-    fine: Sequence[TimeMesh] = (),
-    moments: bool = False,
+    seed: int | tuple[int, int] | list, mesh: TimeMesh, m: int = 1, fine: Sequence[TimeMesh] = ()
 ) -> WienerPath:
     """Draw a Wiener path on the micro grid of mesh: S = N*M master steps of [0, 1].
 
@@ -194,9 +191,9 @@ def sample_path(
     per key, each row bit for bit the path of its key alone.  Every mesh
     of fine whose micro grid is finer than the master grid gets its
     bridge level (path_functionals): after the master grid, the same
-    stream draws S0, and S1 too if moments, of every level, jointly,
-    through the Cholesky factor of their exact covariance.  Levels must
-    nest, each q dividing the next, else AlignmentError.
+    stream draws S0 and S1 of every level, jointly, through the Cholesky
+    factor of their exact covariance.  Levels must nest, each q dividing
+    the next, else AlignmentError.
     """
     if m < 1:
         raise ValueError(f"need at least one noise component, got m={m}")
@@ -204,7 +201,7 @@ def sample_path(
     if any(min(np.atleast_1d(key)) < 0 for key in keys):
         raise ValueError(f"seed must be nonnegative, got {seed}")
     steps = mesh.N * mesh.M
-    functionals = path_functionals(mesh, fine, moments)
+    functionals = path_functionals(mesh, fine)
     # One allocation holds the chunk, so that chunk after chunk reuses the
     # same heap memory instead of mapping fresh pages.  Each key's
     # increments and bridge sums are adjacent, drawn by one call, in the
@@ -228,7 +225,7 @@ def sample_path(
             for g in range(f):
                 sums[:, f] += factor[f, g] * sums[:, g]
     levels = sorted({q for q, _ in functionals})
-    levels_sums = sums.reshape(n, len(levels), 1 + moments, steps, m)
+    levels_sums = sums.reshape(n, len(levels), 2, steps, m)
     bridge = {q: levels_sums[:, i] for i, q in enumerate(levels)}
     if isinstance(seed, list):
         return WienerPath(increments, cumulative, bridge)
@@ -328,7 +325,7 @@ def mesh_sums(
     nodes are master nodes reads them by stride (mesh_values); a finer
     one forms the sums as exact linear combinations of the master grid
     and the bridge sums of its level.  Raises AlignmentError if the mesh
-    is neither, or if moments are asked of a level that carries S0 alone.
+    is neither.
     """
     if path.S % (mesh.N * mesh.M) == 0:
         coarse, micro = mesh_values(path.cumulative, mesh)
@@ -345,8 +342,6 @@ def mesh_sums(
     cells = path.S // mesh.N  # master steps per coarse step
     shape = path.increments.shape[:-2] + (mesh.N, cells, path.m)
     level = np.moveaxis(path.bridge[q].reshape(shape[:-3] + (-1,) + shape[-3:]), -4, 0)
-    if count > 1 and len(level) == 1:
-        raise AlignmentError(f"the bridge level of N={mesh.N} carries no S1 sums")
     coarse = path.cumulative[..., ::cells, :]
     if count == 0:
         return coarse, None, None
@@ -406,8 +401,8 @@ class NoiseBlock:
 
         One path fills column r, a chunk of n paths columns r..r+n-1.
         Every mesh is reduced through its mesh_sums, by stride or through
-        a bridge level, and a path that offers neither, or no S1 sums
-        where the velocity sums need them, raises AlignmentError.
+        a bridge level, and a path that offers neither raises
+        AlignmentError.
         """
         chunk = path.chunk()
         columns = slice(r, r + len(chunk.increments))

@@ -234,25 +234,25 @@ def test_paper_presets_resolve_without_running():
     heat = _study_config(parser.parse_args(["heat", "--paper"]), "heat")
     assert heat.n_list == (4, 8, 16, 32, 64, 128, 256, 512, 1024)
     assert heat.mc_count == 1000
-    assert heat.master_steps == 2**16  # N = 512 and 1024 read it through bridge sums
+    assert heat.master_steps == 2**14  # N = 256, 512 and 1024 read it through bridge sums
     wave = _study_config(parser.parse_args(["wave", "--paper"]), "wave")
     assert wave.n_ref == 4096
-    assert wave.master_steps == 2**16  # N = 512, 1024 and N_ref = 4096 read bridge sums
+    assert wave.master_steps == 2**14  # N = 256, 512, 1024 and N_ref = 4096 read bridge sums
     # seed and worker overrides still apply on top of the preset
     custom = _study_config(parser.parse_args(["heat", "--paper", "--seed", "5"]), "heat")
     assert custom.base_seed == 5
     # so do explicit sizes: the preset fills only what was not given
-    # (paths follow the finest mesh of n_list: 8^2 steps for heat, 256^2 for wave)
+    # (paths follow the finest mesh of n_list: 8^2 steps for heat, 128^2 for wave)
     argv = ["heat", "--paper", "--mc", "5", "--n-list", "8..32"]
     sized = _study_config(parser.parse_args(argv), "heat")
     assert (sized.mc_count, sized.n_list, sized.master_steps) == (5, (8, 16, 32), 64)
     assert sized.k == 40
     finer = _study_config(parser.parse_args(["wave", "--paper", "--n-ref", "2048"]), "wave")
     assert finer.n_ref == 2048
-    assert (finer.master_steps, finer.mc_count) == (2**16, 1000)
+    assert (finer.master_steps, finer.mc_count) == (2**14, 1000)
     # without --paper the same flags override the desk preset
     desk = _study_config(parser.parse_args(["wave", "--n-ref", "256"]), "wave")
-    assert (desk.n_ref, desk.master_steps, desk.mc_count) == (256, 2**10, 300)
+    assert (desk.n_ref, desk.master_steps, desk.mc_count) == (256, 2**8, 300)
 
 
 def test_config_file_values_beat_the_paper_preset(tmp_path, capsys):

@@ -237,7 +237,7 @@ def test_only_the_loaded_modes_are_nonzero(config):
     """
     grid, heat = SpatialGrid(config.k), config.equation == "heat"
     keys = [(config.base_seed, r) for r in range(4)]
-    paths = sample_path(keys, config.path_mesh, 1, config.bridge_meshes, not heat)
+    paths = sample_path(keys, config.path_mesh, 1, config.bridge_meshes)
     coordinates = HEAT_NOISE[config.scheme] if heat else WAVE_NOISE
     blocks = [NoiseBlock.empty(mesh, len(keys), 1, coordinates) for mesh in config.marched_meshes]
     for block in blocks:
@@ -283,7 +283,7 @@ def test_adjacent_base_seeds_share_no_path():
     seeds = (20260814, 20260815)
     tables = [csv_text(run_study(desk_heat_config(mc_count=16, base_seed=s))) for s in seeds]
     assert tables[0] != tables[1]
-    # heat: the master grid and the bridge sums of N = 128 and 256;
+    # heat: the master grid and the bridge sums of N = 64, 128 and 256;
     # wave: the master grid and the bridge sums of the reference mesh
     wave = desk_wave_config(n_list=(4, 8), k=6, mc_count=8, n_ref=32)
     tables = [
@@ -291,10 +291,9 @@ def test_adjacent_base_seeds_share_no_path():
     ]
     assert tables[0] != tables[1]
     for config in (desk_heat_config(mc_count=16), wave):
-        moments = config.equation == "wave"
         paths = [
             [
-                sample_path((s, r), config.path_mesh, 1, config.bridge_meshes, moments)
+                sample_path((s, r), config.path_mesh, 1, config.bridge_meshes)
                 for r in range(config.mc_count)
             ]
             for s in seeds
@@ -317,10 +316,10 @@ def test_block_size_rule():
 def test_chunk_size_rule():
     """Four short paths per chunk; a path over half the chunk budget is drawn alone."""
     assert chunk_size(small_config()) == 4  # 16 master steps
-    assert chunk_size(desk_heat_config()) == 4  # 131 KB: 4096 master steps and two levels
+    assert chunk_size(desk_heat_config()) == 4  # 65 KB: 1024 master steps, three S0 and S1
     assert chunk_size(desk_wave_config()) == 4  # 65 KB: 1024 master steps, three S0 and S1
-    assert chunk_size(paper_heat_config()) == 1  # 2 MB: 2^16 master steps and two levels
-    assert chunk_size(paper_wave_config()) == 1  # 4 MB: 2^16 master steps, three S0 and S1
+    assert chunk_size(paper_heat_config()) == 1  # 1 MB: 2^14 master steps, three S0 and S1
+    assert chunk_size(paper_wave_config()) == 1  # 1.3 MB: 2^14 master steps, four S0 and S1
 
 
 @pytest.mark.parametrize(
@@ -403,7 +402,7 @@ def test_study_memory_does_not_grow_with_realizations():
     """
 
     def peak(mc_count):
-        # one block holds all 64 realizations, drawn in chunks of 4 paths on 32^2-step grids
+        # one block holds all 64 realizations, drawn in chunks of 4 paths on 16^2-step grids
         config = desk_heat_config(n_list=(4, 8, 16, 128), k=8, mc_count=mc_count)
         tracemalloc.start()
         try:
@@ -422,8 +421,8 @@ def test_wave_study_memory_does_not_grow_with_realizations():
     path above 4: one on the 2^16-step micro grid of N = 256 with the reference level."""
 
     def peak(mc_count):
-        # one block, drawn in chunks of 2 paths of 64^2 master steps, each with S0 and S1
-        # of the levels q = 4, 16 and 64 of N = 128, 256 and the 512^2-step reference grid
+        # one block, drawn in chunks of 4 paths of 32^2 master steps, each with S0 and S1 of
+        # the levels q = 4, 16, 64 and 256 of N = 64, 128, 256 and the 512^2-step reference grid
         config = desk_wave_config(n_list=(4, 8, 256), k=8, mc_count=mc_count, n_ref=512)
         tracemalloc.start()
         try:
@@ -432,7 +431,7 @@ def test_wave_study_memory_does_not_grow_with_realizations():
         finally:
             tracemalloc.stop()
 
-    path = sample_path(0, TimeMesh(256), 1, [TimeMesh(512)], moments=True)
+    path = sample_path(0, TimeMesh(256), 1, [TimeMesh(512)])
     assert list(path.bridge) == [4]
     small = peak(4)
     path_bytes = path.increments.nbytes + path.cumulative.nbytes + path.bridge[4].nbytes
@@ -499,8 +498,8 @@ def test_preset_configurations():
     desk = desk_heat_config()
     assert desk.n_list == (8, 16, 32, 64, 128, 256)
     assert desk.mc_count == 500
-    assert (desk.path_mesh, desk.master_steps) == (TimeMesh(64), 2**12)
-    assert desk.bridge_meshes == (TimeMesh(128), TimeMesh(256))
+    assert (desk.path_mesh, desk.master_steps) == (TimeMesh(32), 2**10)
+    assert desk.bridge_meshes == (TimeMesh(64), TimeMesh(128), TimeMesh(256))
     assert desk.exact_mode == "continuous"
     wave = desk_wave_config()
     assert wave.n_list == (8, 16, 32, 64, 128)
@@ -508,29 +507,29 @@ def test_preset_configurations():
     assert wave.bridge_meshes == (TimeMesh(64), TimeMesh(128), TimeMesh(1024))
     paper_h = paper_heat_config()
     assert paper_h.n_list[0] == 4 and paper_h.n_list[-1] == 1024
-    assert (paper_h.mc_count, paper_h.master_steps) == (1000, 2**16)
-    assert paper_h.bridge_meshes == (TimeMesh(512), TimeMesh(1024))
+    assert (paper_h.mc_count, paper_h.master_steps) == (1000, 2**14)
+    assert paper_h.bridge_meshes == (TimeMesh(256), TimeMesh(512), TimeMesh(1024))
     paper_w = paper_wave_config()
     assert paper_w.n_ref == 4096
-    assert paper_w.master_steps == 2**16
-    assert paper_w.bridge_meshes == (TimeMesh(512), TimeMesh(1024), TimeMesh(4096))
+    assert paper_w.master_steps == 2**14
+    assert paper_w.bridge_meshes == tuple(TimeMesh(n) for n in (256, 512, 1024, 4096))
     for cfg in (desk, wave, paper_h, paper_w):
         assert cfg.master_steps == cfg.path_mesh.N**2
         validate_config(cfg)
 
 
 def test_paths_are_drawn_on_the_finest_mesh():
-    """Heat and wave paths are drawn by one law, on a quarter of the finest study mesh.
+    """Heat and wave paths are drawn by one law, on an eighth of the finest study mesh.
 
-    The path mesh P is the smallest power of two with 4P >= N_max and P^2
+    The path mesh P is the smallest power of two with 8P >= N_max and P^2
     divisible by the finest marched mesh (N_max for heat, N_ref for wave),
-    so the meshes 2P and 4P up to N_max read the bridge levels q = 4 and
-    16, and the wave reference its own level; S is not a setting.
+    so the meshes 2P, 4P and 8P up to N_max read the bridge levels q = 4,
+    16 and 64, and the wave reference its own level; S is not a setting.
     """
     heat = [
         ((8,), 4, (8,)),  # 2^2 = 4 is no multiple of 8
         ((4, 32), 8, (16, 32)),  # 16 holds no row, but its level is drawn all the same
-        ((8, 16, 32, 64, 128, 256), 64, (128, 256)),
+        ((8, 16, 32, 64, 128, 256), 32, (64, 128, 256)),
         ((1,), 1, ()),
         ((1, 2), 2, ()),
     ]
@@ -541,7 +540,7 @@ def test_paths_are_drawn_on_the_finest_mesh():
         assert config.finest_mesh == TimeMesh(n_list[-1])
     wave = [
         (desk_wave_config(), 32, (64, 128, 1024)),
-        (paper_wave_config(), 256, (512, 1024, 4096)),
+        (paper_wave_config(), 128, (256, 512, 1024, 4096)),
         (desk_wave_config(n_list=(8, 16), n_ref=64), 8, (16, 64)),
         # P^2 must be a multiple of N_ref, so P = 4 lies above N_max = 2
         (desk_wave_config(n_list=(1, 2), n_ref=8), 4, (8,)),

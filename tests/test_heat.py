@@ -26,13 +26,14 @@ from mcnspde import (
     heat_step_map,
     l2_norm,
     mcn_heat_step,
+    paper_heat_config,
     run_heat,
     sample_path,
     sine_mode,
     stochastic_convolution,
 )
 from mcnspde.heat import bridge_conditional_weights, heat_oracle_kernel
-from mcnspde.noise import bridge_covariance
+from mcnspde.noise import bridge_covariance, path_functionals
 
 
 def value_at(path, t):
@@ -432,7 +433,7 @@ def test_exact_solution_of_a_chunk_is_each_path_alone(mode):
     config = desk_heat_config(n_list=(8, 16, 32))  # 8^2 master steps, levels q = 4 and 16
     keys = [(config.base_seed, r) for r in range(5)]
     chunk = sample_path(keys, config.path_mesh, 1, config.bridge_meshes)
-    assert chunk.bridge_functionals == ((4, 0), (16, 0))
+    assert chunk.bridge_functionals == ((4, 0), (4, 1), (16, 0), (16, 1))
     kernel = heat_oracle_kernel(grid, mode, chunk.S, chunk.bridge_functionals)
     together = exact_heat_solution(chunk, grid, mode, 0.7, kernel)
     assert together.shape == (grid.K, len(keys))
@@ -551,14 +552,50 @@ def oracle_deficit(steps, functionals, rates=((2 * math.pi) ** 2, (3 * math.pi) 
 
 
 def test_oracle_deficit_stays_at_the_full_path_value():
-    """The 64^2-step desk heat path with its levels q = 4 and 16 leaves the oracle's deficit
-    within 1% of what all 2^16 master increments leave; the 4096 increments alone, 100x more."""
-    full = oracle_deficit(2**16, ())
-    levels = oracle_deficit(2**12, ((4, 0), (16, 0)))
-    assert full == pytest.approx(6.224e-10, rel=1e-3)
-    assert levels == pytest.approx(6.233e-10, rel=1e-3)
-    assert abs(levels / full - 1.0) <= 0.01
-    assert oracle_deficit(2**12, ()) >= 100 * full
+    """The shipped heat path law, its master grid with S0 and S1 of every bridge level, leaves
+    the oracle's deficit within 1e-4 of what the full micro grid of N_max leaves, desk and
+    paper alike; the master increments alone leave 100x more."""
+    cases = ((desk_heat_config(), 6.2236e-10), (paper_heat_config(), 2.431095e-12))
+    for config, full_value in cases:
+        steps = config.master_steps
+        functionals = path_functionals(config.path_mesh, config.bridge_meshes)
+        full = oracle_deficit(config.finest_mesh.N**2, ())
+        drawn = oracle_deficit(steps, functionals)
+        assert full == pytest.approx(full_value, rel=1e-5)
+        assert abs(drawn / full - 1.0) <= 1e-4
+        assert oracle_deficit(steps, ()) >= 100 * full
+
+
+def test_oracle_given_the_drawn_law_tracks_the_full_path_oracle():
+    """On 32 full 2^16-step paths thinned to the desk heat law, 1024 master steps with S0 and
+    S1 of q = 4, 16 and 64, the oracle moves from the full path's by the deficits' gap.
+
+    The thin path is a function of the full one, so E ||X_thin - X_full||^2
+    = D_thin - D_full, 1.04e-14; an oracle that dropped the S1 sums would
+    move by at least the 2.4e-10 that S0 alone leaves.  The mean of 32
+    paths must lie within a factor 3 of it.
+    """
+    config, grid = desk_heat_config(), SpatialGrid(40)
+    steps = config.master_steps
+    functionals = path_functionals(config.path_mesh, config.bridge_meshes)
+    squared = []
+    for r in range(32):
+        full = sample_path((2028, r), config.finest_mesh)
+        cumulative = full.cumulative[:: full.S // steps]
+        increments = np.diff(cumulative, axis=0)
+        bridge = {}
+        for q in sorted({q for q, _ in functionals}):
+            i = np.arange(1, q)[:, None]
+            finer = full.cumulative[: -1 : full.S // (steps * q)].reshape(steps, q, 1)[:, 1:]
+            b = finer - cumulative[:-1, None] - (i / q) * increments[:, None]
+            bridge[q] = np.stack([b.sum(axis=1), (i * b).sum(axis=1)])
+        thin = WienerPath(increments, cumulative, bridge)
+        assert thin.bridge_functionals == functionals
+        gap = exact_heat_solution(thin, grid) - exact_heat_solution(full, grid)
+        squared.append(grid.l2_squared(gap))
+    expected = oracle_deficit(steps, functionals) - oracle_deficit(full.S, ())
+    assert expected == pytest.approx(1.04e-14, rel=0.01)
+    assert expected / 3 <= np.mean(squared) <= 3 * expected
 
 
 def test_benchmark_problem_layout():

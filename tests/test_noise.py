@@ -148,24 +148,23 @@ def test_sample_path_draws_the_micro_grid_of_its_mesh():
     np.testing.assert_array_equal(path.increments, normals * math.sqrt(1.0 / 256))
     assert sample_path(0, TimeMesh(3)).S == 9
     # bridge levels are drawn after the master grid, which they leave unchanged
-    bridged = sample_path((5, 3), TimeMesh(16), m=2, fine=[TimeMesh(64)], moments=True)
+    bridged = sample_path((5, 3), TimeMesh(16), m=2, fine=[TimeMesh(64)])
     assert (bridged.S, list(bridged.bridge), bridged.bridge[16].shape) == (256, [16], (2, 256, 2))
     np.testing.assert_array_equal(bridged.increments, path.increments)
     levels = sample_path((5, 3), TimeMesh(16), m=2, fine=[TimeMesh(64), TimeMesh(32)])
     assert {q: sums.shape for q, sums in levels.bridge.items()} == {
-        4: (1, 256, 2),
-        16: (1, 256, 2),
+        4: (2, 256, 2),
+        16: (2, 256, 2),
     }
-    assert levels.bridge_functionals == ((4, 0), (16, 0))
+    assert levels.bridge_functionals == ((4, 0), (4, 1), (16, 0), (16, 1))
     assert sample_path(0, TimeMesh(16), fine=[TimeMesh(16), TimeMesh(8)]).bridge == {}
     # a list of keys draws a chunk whose rows are the keys' lone paths, bit for bit
     keys = [(5, 3), 7, (5, 4)]
-    cases = (([TimeMesh(64)], True), ([TimeMesh(32), TimeMesh(64)], False), ([], False))
-    for fine, moments in cases:
-        chunk = sample_path(keys, TimeMesh(16), 2, fine, moments)
+    for fine in ([TimeMesh(64)], [TimeMesh(32), TimeMesh(64)], []):
+        chunk = sample_path(keys, TimeMesh(16), 2, fine)
         assert chunk.increments.shape == (3, 256, 2) and chunk.cumulative.shape == (3, 257, 2)
         for row, key in enumerate(keys):
-            lone = sample_path(key, TimeMesh(16), 2, fine, moments)
+            lone = sample_path(key, TimeMesh(16), 2, fine)
             np.testing.assert_array_equal(chunk.increments[row], lone.increments)
             np.testing.assert_array_equal(chunk.cumulative[row], lone.cumulative)
             assert list(chunk.bridge) == list(lone.bridge)
@@ -459,7 +458,7 @@ WAVE_COORDINATES = ("increments", "gaps", "velocity_sums")
 HEAT_COORDINATES = ("increments", "gaps")
 
 
-def path_on_bridge_levels(full, steps, levels, moments=False):
+def path_on_bridge_levels(full, steps, levels):
     """full's master grid thinned to steps, with each level's bridge sums of full's nodes."""
     cumulative = full.cumulative[:: full.S // steps]
     increments = np.diff(cumulative, axis=0)
@@ -468,7 +467,7 @@ def path_on_bridge_levels(full, steps, levels, moments=False):
         i = np.arange(1, q)[:, None]
         finer = full.cumulative[: -1 : full.S // (steps * q)].reshape(steps, q, full.m)[:, 1:]
         b = finer - cumulative[:-1, None] - (i / q) * increments[:, None]
-        bridge[q] = np.stack([b.sum(axis=1), (i * b).sum(axis=1)][: 1 + moments])
+        bridge[q] = np.stack([b.sum(axis=1), (i * b).sum(axis=1)])
     return WienerPath(increments, cumulative, bridge)
 
 
@@ -498,7 +497,7 @@ def test_bridge_sums_reproduce_the_full_path(grid_n, fine_n, m):
     fine = TimeMesh(fine_n)
     full = sample_path(2026, fine, m)
     steps = grid_n * grid_n
-    thin = path_on_bridge_levels(full, steps, [fine_n**2 // steps], moments=True)
+    thin = path_on_bridge_levels(full, steps, [fine_n**2 // steps])
     assert_same_coordinates(reduced(thin, fine), reduced(full, fine), ("gaps", "velocity_sums"))
 
 
@@ -506,20 +505,24 @@ def test_heat_levels_reproduce_the_full_path():
     """A 2^16-step path thinned to P^2 steps with its bridge levels gives put's coordinates
     on every mesh of a study: by stride up to N = P, through a level above.
 
-    Desk heat: P = 64 with S0 of the levels q = 4 and 16 of N = 128 and 256,
-    for the coordinates of mcn and of em.
-    Wave, N up to 64 against N_ref = 256: P = 16 with S0 and S1 of the
-    levels q = 4, 16 and 256 of N = 32, 64 and 256, and all three
-    coordinates.
+    Desk heat: P = 32 with the levels q = 4, 16 and 64 of N = 64, 128 and
+    256, for the coordinates of mcn and of em; and P = 64 with the levels
+    q = 4 and 16 of N = 128 and 256.
+    Wave, N up to 64 against N_ref = 256: P = 16 with the levels q = 4, 16
+    and 256 of N = 32, 64 and 256, and all three coordinates.
+    Every level carries S0 and S1.
     """
     full = sample_path(2027, TimeMesh(256))
+    desk = (8, 16, 32, 64, 128, 256)
     cases = [
-        (64, (4, 16), False, (8, 16, 32, 64, 128, 256), HEAT_COORDINATES),
-        (64, (4, 16), False, (8, 16, 32, 64, 128, 256), ("increments",)),  # em
-        (16, (4, 16, 256), True, (4, 8, 16, 32, 64, 256), WAVE_COORDINATES),
+        (32, (4, 16, 64), desk, HEAT_COORDINATES),
+        (32, (4, 16, 64), desk, ("increments",)),  # em
+        (64, (4, 16), desk, HEAT_COORDINATES),
+        (64, (4, 16), desk, ("increments",)),
+        (16, (4, 16, 256), (4, 8, 16, 32, 64, 256), WAVE_COORDINATES),
     ]
-    for p, levels, moments, n_list, coordinates in cases:
-        thin = path_on_bridge_levels(full, p * p, levels, moments)
+    for p, levels, n_list, coordinates in cases:
+        thin = path_on_bridge_levels(full, p * p, levels)
         for n in n_list:
             mesh = TimeMesh(n)
             expected = reduced(full, mesh, coordinates)
@@ -527,23 +530,23 @@ def test_heat_levels_reproduce_the_full_path():
 
 
 @pytest.mark.parametrize(
-    "fine, moments, coordinates",
+    "fine, coordinates",
     [
-        pytest.param((32, 64), False, HEAT_COORDINATES, id="heat-levels"),
-        pytest.param((64,), True, WAVE_COORDINATES, id="wave-level"),
+        pytest.param((32, 64), HEAT_COORDINATES, id="heat-levels"),
+        pytest.param((64,), WAVE_COORDINATES, id="wave-level"),
     ],
 )
-def test_put_of_a_chunk_fills_each_path_column(fine, moments, coordinates):
+def test_put_of_a_chunk_fills_each_path_column(fine, coordinates):
     """A chunk put from column 1 on gives every mesh the columns of its paths put alone."""
     keys = [(31, r) for r in range(3)]
     fine = [TimeMesh(n) for n in fine]
-    chunk = sample_path(keys, TimeMesh(16), 2, fine, moments)
+    chunk = sample_path(keys, TimeMesh(16), 2, fine)
     for mesh in [TimeMesh(4), TimeMesh(16), *fine]:
         together = NoiseBlock.empty(mesh, 4, 2, coordinates)
         alone = NoiseBlock.empty(mesh, 4, 2, coordinates)
         together.put(1, chunk)
         for r, key in enumerate(keys, start=1):
-            alone.put(r, sample_path(key, TimeMesh(16), 2, fine, moments))
+            alone.put(r, sample_path(key, TimeMesh(16), 2, fine))
         for name in coordinates:
             got, expected = getattr(together, name), getattr(alone, name)
             np.testing.assert_array_equal(got[:, 1:], expected[:, 1:])
@@ -552,7 +555,7 @@ def test_put_of_a_chunk_fills_each_path_column(fine, moments, coordinates):
 def test_meshes_finer_than_the_path_need_its_bridge_level():
     """Finer micro grids than the path's fail loudly unless they are one of its bridge levels."""
     plain = sample_path(1, TimeMesh(4))
-    bridged = sample_path(1, TimeMesh(4), fine=[TimeMesh(8)], moments=True)  # S = 16, q = 4
+    bridged = sample_path(1, TimeMesh(4), fine=[TimeMesh(8)])  # S = 16, q = 4
     with pytest.raises(AlignmentError):
         reduced(plain, TimeMesh(8))  # no bridge level
     with pytest.raises(AlignmentError):
@@ -564,11 +567,8 @@ def test_meshes_finer_than_the_path_need_its_bridge_level():
     with pytest.raises(AlignmentError):
         sample_path(1, TimeMesh(6), fine=[TimeMesh(12), TimeMesh(18)])  # q = 4 and 9 do not nest
     reduced(bridged, TimeMesh(8))
+    reduced(bridged, TimeMesh(8), HEAT_COORDINATES)
     reduced(bridged, TimeMesh(2))  # coarser meshes still read the master grid
-    heat = sample_path(1, TimeMesh(4), fine=[TimeMesh(8)])  # S0 alone
-    reduced(heat, TimeMesh(8), HEAT_COORDINATES)
-    with pytest.raises(AlignmentError):
-        reduced(heat, TimeMesh(8))  # the velocity sums need S1
 
 
 def double_sum_covariance(functionals, delta):
@@ -589,7 +589,9 @@ def double_sum_covariance(functionals, delta):
 
 
 BRIDGE_LAWS = [
-    [(4, 0), (16, 0)],  # desk heat: S0 of the levels of N_max/2 and N_max
+    # desk heat: S0 and S1 of the levels of N_max/4, N_max/2 and N_max on 2^10 master steps
+    [(4, 0), (4, 1), (16, 0), (16, 1), (64, 0), (64, 1)],
+    [(4, 0), (16, 0)],  # S0 alone of two levels
     [(64, 0), (64, 1)],  # S0 and S1 of one level
     # desk wave: S0 and S1 of the levels of N_max/2, N_max and the reference
     [(4, 0), (4, 1), (16, 0), (16, 1), (1024, 0), (1024, 1)],
@@ -646,7 +648,7 @@ def test_drawn_wave_coordinates_have_their_exact_moments():
     block = NoiseBlock.empty(fine, count, 1, WAVE_COORDINATES)
     sums = []
     for r in range(count):
-        path = sample_path((99, r), grid, 1, [fine], moments=True)
+        path = sample_path((99, r), grid, 1, [fine])
         block.put(r, path)
         sums.append(path.bridge[4][:, :, 0].T)
     law = double_sum_covariance(path.bridge_functionals, path.delta)
@@ -662,23 +664,24 @@ def test_drawn_wave_coordinates_have_their_exact_moments():
 
 
 @pytest.mark.parametrize(
-    "fine, moments",
+    "p, fine",
     [
-        pytest.param((8, 16), False, id="heat-q4-q16"),
-        pytest.param((16,), True, id="wave-q16"),
-        pytest.param((8, 16), True, id="wave-q4-q16"),
+        pytest.param(8, (16, 32, 64), id="heat-q4-q16-q64"),
+        pytest.param(4, (16,), id="wave-q16"),
+        pytest.param(4, (8, 16), id="wave-q4-q16"),
     ],
 )
-def test_drawn_bridge_sums_have_their_exact_law(fine, moments):
-    """The drawn sums of 300 paths of 16 master steps meet the double-sum covariance within 4 SE.
+def test_drawn_bridge_sums_have_their_exact_law(p, fine):
+    """The drawn sums of 300 paths of P^2 master steps meet the double-sum covariance within
+    4 SE.
 
-    Heat draws S0 of the levels q = 4 and 16 of the twice and four times
-    finer meshes jointly; wave draws S0 and S1 of every level, one or
-    nested ones.
+    S0 and S1 of every level are drawn jointly: for heat the levels q = 4,
+    16 and 64 of the two, four and eight times finer meshes, for wave one
+    level or nested ones.
     """
     samples = []
     for r in range(300):
-        path = sample_path((77, r), TimeMesh(4), 1, [TimeMesh(n) for n in fine], moments)
+        path = sample_path((77, r), TimeMesh(p), 1, [TimeMesh(n) for n in fine])
         samples.append(np.stack([path.bridge[q][p, :, 0] for q, p in path.bridge_functionals], 1))
     law = double_sum_covariance(path.bridge_functionals, path.delta)
     assert_second_moments(np.concatenate(samples), law, f"levels {path.bridge_functionals}")
