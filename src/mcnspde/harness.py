@@ -4,23 +4,25 @@ A study fixes the benchmark problem, a list of coarse resolutions, and a
 realization count.  Every realization r draws one Wiener path (its
 Philox stream keyed by the two words (base_seed, r), so reruns and
 worker splits reproduce bit-identical tables and no two base seeds share
-a path) and runs every resolution against that same path.  Heat and
-wave paths follow one law (StudyConfig.path_mesh): a path lies on the
-micro grid of a mesh P of about an eighth of the finest mesh N_max of
-n_list and carries the exact Brownian-bridge sums, S0 and S1 of each
-level, through which the meshes 2P, 4P and 8P up to N_max and, for wave,
-the finer reference mesh read it; the heat oracle is the exact
-solution's conditional mean given all of them.  The root-mean-square
-final-time error per resolution then feeds a log-log least-squares rate
-fit.
+a path) and runs every resolution against that same path.  A heat path
+is drawn window by window (StudyConfig.window_law): per window of the
+finest mesh N_max of n_list, its N_max increments, the gaps of the
+meshes too fine to read them from those increments, and the pieces of
+the exact solution, jointly from their exact law, so the heat oracle is
+the exact solution itself.  A wave path lies on the micro grid of a mesh
+P of about an eighth of N_max (StudyConfig.path_mesh) and carries the
+exact Brownian-bridge sums, S0 and S1 of each level, through which the
+meshes 2P, 4P and 8P up to N_max and the finer reference mesh read it.
+The root-mean-square final-time error per resolution then feeds a
+log-log least-squares rate fit.
 
 Realizations run in blocks, and their paths are drawn in chunks of a
 few (chunk_size).  Each chunk of a block is used at once and dropped:
-its heat oracle values are computed against kernels formed once per
-block, and it is reduced on every mesh (for wave, the reference mesh
-too) to its noise coordinates, a few numbers per step, stored as its
-paths' columns of that mesh's NoiseBlock.  Then every mesh is marched
-once for the whole block on (K, R) states.  States, heat oracle values
+it is reduced on every mesh (for wave, the reference mesh too) to its
+noise coordinates, a few numbers per step, stored as its paths' columns
+of that mesh's NoiseBlock, and a heat chunk's oracle pieces are kept.
+Then the heat oracle is formed and every mesh is marched once for the
+whole block on (K, R) states.  States, heat oracle values
 and wave references are sine amplitudes, and each realization's squared
 error is one sum over the modes (SpatialGrid.l2_squared, h1_squared),
 so a study never forms node values or the sine basis.  A block's
@@ -59,11 +61,11 @@ from .heat import (
     SCHEME_EULER,
     SCHEME_MCN,
     benchmark_heat_problem,
-    exact_heat_solution,
-    heat_oracle_kernel,
+    oracle_rates,
     run_heat,
+    window_heat_solution,
 )
-from .noise import NoiseBlock, TimeMesh, path_functionals, sample_path
+from .noise import NoiseBlock, TimeMesh, WindowLaw, path_functionals, sample_path, sample_windows
 from .wave import WAVE_NOISE, benchmark_wave_problem, reference_wave_solution, run_wave
 
 EQUATION_HEAT = "heat"
@@ -83,18 +85,18 @@ CSV_HEADER = "N,tau,rms_error,standard_error"
 # time stepper.
 FLOOR_EXCLUSION_FACTOR = 3.0
 
-# Paths drawn, reduced and scored per pass (chunk_size).  A chunk shares
-# numpy's per-call cost among its paths: on a 2-core VM, in one process
+# Paths drawn and reduced per pass (chunk_size).  A chunk shares numpy's
+# per-call cost among its paths: on a 2-core VM, in one process
 # alternating the two, a desk heat round (mcn and em, 120 realizations
-# each) took 151 ms in chunks of 4 against 215 ms path by path; chunks of
-# 5 to 8 were a few ms faster still, within the noise.  The count cap
-# matters for short paths, where a byte budget alone would put dozens in
-# a chunk and let memory grow past the one full path that the block rule
-# allows (at 1024 master steps each path of a chunk costs about 57 KB).
+# each) took 151 ms in chunks of 4 against 215 ms path by path, when a
+# heat path was a 1024-step grid with bridge sums; chunks of 5 to 8 were
+# a few ms faster still, within the noise.  The count cap matters for
+# short paths, where a byte budget alone would put dozens in a chunk and
+# let memory grow past the one full path that the block rule allows.
 CHUNK_PATHS = 4
-# A chunk's drawn arrays take at most this many bytes: 4 desk heat or
-# wave paths of 65 KB, while a --paper heat path (1 MB) or wave path
-# (1.3 MB) is drawn alone, so paper memory does not grow.
+# A chunk's drawn arrays take at most this many bytes: 4 desk heat (18 KB),
+# --paper heat (69 KB) or desk wave (115 KB) paths, while a --paper wave
+# path (2.4 MB) is drawn alone, so paper memory does not grow.
 CHUNK_BYTES = 640 * 1024
 
 
@@ -131,7 +133,7 @@ class StudyConfig:
 
     @property
     def path_mesh(self) -> TimeMesh:
-        """The mesh P whose micro grid every path is drawn on.
+        """The mesh P whose micro grid every wave path is drawn on.
 
         P is the smallest power of two with 8P >= N_max, the finest mesh
         of n_list, and P^2 divisible by the finest marched mesh.  Meshes
@@ -144,6 +146,16 @@ class StudyConfig:
         while 8 * p < n or p * p % finest:
             p *= 2
         return TimeMesh(p)
+
+    @property
+    def window_law(self) -> WindowLaw:
+        """The law of a heat study's paths: windows of N_max, the finest mesh of n_list.
+
+        It draws every noise coordinate that a mesh of n_list, or one of
+        its finer siblings up to N_max, reads and an oracle piece for each
+        decay rate of oracle_rates, so it depends only on N_max and k.
+        """
+        return WindowLaw(max(self.n_list), oracle_rates(SpatialGrid(self.k)))
 
     @property
     def master_steps(self) -> int:
@@ -168,8 +180,8 @@ class StudyConfig:
 def desk_heat_config(**overrides) -> StudyConfig:
     """Quick heat study: N in 8..256, 500 realizations.
 
-    Paths have 32^2 = 2^10 master steps, each also split into 4, 16 and
-    64 bridge steps of the micro grids of N = 64, 128 and 256.
+    Paths are drawn in 32 windows of 27 values: 8 increments of N = 256,
+    the 15 gaps of N = 32..256 and 4 oracle pieces, 864 normals a path.
     """
     return dataclasses.replace(StudyConfig(), **overrides)
 
@@ -193,8 +205,8 @@ def desk_wave_config(**overrides) -> StudyConfig:
 def paper_heat_config(**overrides) -> StudyConfig:
     """Full-scale heat study: N in 4..1024, 1000 realizations.
 
-    Paths have 128^2 = 2^14 master steps, each also split into 4, 16 and
-    64 bridge steps of the micro grids of N = 256, 512 and 1024.
+    Paths are drawn in 64 windows of 51 values: 16 increments of N =
+    1024, the 31 gaps of N = 64..1024 and 4 oracle pieces.
     """
     base = StudyConfig(n_list=(4, 8, 16, 32, 64, 128, 256, 512, 1024), mc_count=1000)
     return dataclasses.replace(base, **overrides)
@@ -388,12 +400,17 @@ def block_size(config: StudyConfig) -> int:
 def chunk_size(config: StudyConfig) -> int:
     """Paths drawn and reduced per pass: CHUNK_PATHS, or fewer if CHUNK_BYTES holds fewer.
 
-    A path's drawn arrays are its increments, cumulative values and
-    bridge sums.  At least one path.
+    A heat path's drawn arrays are its normals, their window values and
+    its N_max increments and cumulative values; a wave path's are its
+    increments, cumulative values, and its bridge normals and sums.  At
+    least one path.
     """
-    functionals = path_functionals(config.path_mesh, config.bridge_meshes)
-    steps = config.master_steps
-    path_bytes = 8 * ((2 + len(functionals)) * steps + 1)
+    if config.equation == EQUATION_HEAT:
+        law = config.window_law
+        path_bytes = 8 * (2 * law.normals + 2 * law.steps + 1)
+    else:
+        functionals = path_functionals(config.path_mesh, config.bridge_meshes)
+        path_bytes = 8 * ((2 + 2 * len(functionals)) * config.master_steps + 1)
     return max(1, min(CHUNK_PATHS, CHUNK_BYTES // path_bytes))
 
 
@@ -412,27 +429,26 @@ def _block_squared_errors(config: StudyConfig, span: range):
     count = len(span)
     errors = np.empty((count, len(problems), len(study_norms(config))))
     blocks = _study_noise(config, count)
-    # The oracle values and kernel of the exact mode, and in continuous mode
-    # those of the semidiscrete one too, whose gap to it is the spatial floor.
-    modes = sorted({config.exact_mode, EXACT_SEMIDISCRETE}) if heat else []
-    path_mesh, bridge_meshes = config.path_mesh, config.bridge_meshes
-    functionals = path_functionals(path_mesh, bridge_meshes)
-    kernels = {
-        mode: heat_oracle_kernel(grid, mode, path_mesh.N**2, functionals) for mode in modes
-    }
-    oracles = {mode: np.empty((grid.K, count)) for mode in modes}
+    if heat:
+        law = config.window_law
+        pieces = np.empty((count, law.windows, len(law.rates)))
     size = chunk_size(config)
     for lo in range(0, count, size):
         keys = [(config.base_seed, r) for r in span[lo : lo + size]]
-        paths = sample_path(keys, path_mesh, 1, bridge_meshes)
-        for mode, kernel in kernels.items():
-            oracles[mode][:, lo : lo + len(keys)] = exact_heat_solution(
-                paths, grid, mode, config.noise_scale, kernel
-            )
+        if heat:
+            paths, pieces[lo : lo + len(keys)] = sample_windows(keys, law)
+        else:
+            paths = sample_path(keys, config.path_mesh, 1, config.bridge_meshes)
         for block in blocks:
             block.put(lo, paths)
         del paths  # only one chunk is alive at a time
     if heat:
+        # The oracle values of the exact mode, and in continuous mode those of
+        # the semidiscrete one too, whose gap to it is the spatial floor.
+        modes = {config.exact_mode, EXACT_SEMIDISCRETE}
+        oracles = {
+            mode: window_heat_solution(pieces, grid, mode, config.noise_scale) for mode in modes
+        }
         oracle = oracles[config.exact_mode]
         for p, (problem, block) in enumerate(zip(problems, blocks)):
             errors[:, p, 0] = grid.l2_squared(run_heat(problem, block, config.scheme) - oracle)
@@ -546,10 +562,12 @@ def report_text(table: ConvergenceTable, config: StudyConfig | None = None) -> s
         out.append(f"interior nodes: {config.k}")
         out.append(f"realizations:   {config.mc_count}")
         out.append(f"base seed:      {config.base_seed}")
-        out.append(f"master steps:   {config.master_steps}")
         if config.equation == EQUATION_HEAT:
+            law = config.window_law
+            out.append(f"noise windows:  {law.windows}, {law.normals} normals per path")
             out.append(f"exact mode:     {config.exact_mode}")
         else:
+            out.append(f"master steps:   {config.master_steps}")
             out.append(f"reference N:    {config.n_ref}")
     out.append("")
     out.append(f"{'N':>6s} {'tau':>12s} {'rms_error':>14s} {'std_error':>14s}")

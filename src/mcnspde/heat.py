@@ -28,7 +28,10 @@ The module also carries the closed-form benchmark solution used by the
 convergence harness: initial data sin(pi x) (amplitudes e_1) with one
 noise channel loading sin(2 pi x) + sin(3 pi x) (e_2 + e_3), whose
 exact solution has three nonzero amplitudes (one deterministic decay,
-two stochastic convolutions).
+two stochastic convolutions).  A study reads the convolutions exactly,
+as sums of the window pieces it draws (window_heat_solution, on the
+rates of oracle_rates); exact_heat_solution gives their conditional
+mean given a drawn path, the independent check.
 """
 
 from __future__ import annotations
@@ -299,12 +302,13 @@ def stochastic_convolution(path: WienerPath, rate: float) -> np.ndarray:
     and on the desk heat study at N = 256 it inflated the reference
     strong error by 5-7%.  What the path leaves undetermined keeps errors
     measured against this reference slightly below the continuous-time
-    value.  On the desk heat path, 1024 master steps with S0 and S1 of the
-    bridge levels q = 4, 16 and 64, that deficit E ||X - E[X | path]||^2
-    is 6.2237e-10 in continuous mode, against 6.2236e-10 given the dW of
-    all 2^16 finer steps alone; it lowers the mcn RMS error at N = 256 by
-    about 0.14%.  Given S0 alone it would be 8.63e-10, and given the 1024
-    dW alone 4094 times larger.
+    value.  On a path of 1024 master steps with S0 and S1 of the bridge
+    levels q = 4, 16 and 64, the law the desk heat study drew before its
+    window law, that deficit E ||X - E[X | path]||^2 is 6.2237e-10 in
+    continuous mode, against 6.2236e-10 given the dW of all 2^16 finer
+    steps alone: about 0.14% of the mcn error at N = 256.  Given S0 alone
+    it would be 8.63e-10, and given the 1024 dW alone 4094 times larger.
+    window_heat_solution, which a study uses, leaves none.
     """
     kernel = convolution_kernel((rate,), path.S, path.bridge_functionals)
     return convolve(path, kernel)[..., 0, :]
@@ -340,45 +344,71 @@ def _benchmark_rate(grid: SpatialGrid, mode: str, k: int) -> float:
     raise ConfigError(f"unknown exact mode {mode!r}")
 
 
-def heat_oracle_kernel(
-    grid: SpatialGrid, mode: str, steps: int, functionals: tuple[tuple[int, int], ...]
-) -> np.ndarray:
-    """convolution_kernel of the benchmark noise modes' decay rates in the exact mode."""
-    rates = [_benchmark_rate(grid, mode, k) for k in BENCHMARK_NOISE_MODES]
-    return convolution_kernel(rates, steps, functionals)
-
-
 def exact_heat_solution(
-    path: WienerPath,
-    grid: SpatialGrid,
-    mode: str = EXACT_CONTINUOUS,
-    noise_scale: float = 1.0,
-    kernel: np.ndarray | None = None,
+    path: WienerPath, grid: SpatialGrid, mode: str = EXACT_CONTINUOUS, noise_scale: float = 1.0
 ) -> np.ndarray:
-    """Sine amplitudes of the exact benchmark solution at the final time 1.
+    """Sine amplitudes of the benchmark solution at time 1, given a Wiener path.
 
     X(1) = exp(-mu_1) sin(pi x)
          + conv(mu_2) sin(2 pi x) + conv(mu_3) sin(3 pi x),
 
-    with conv(mu) = int_0^1 exp(-mu (1-s)) dW(s), given the path.  In
-    'continuous' mode the decay rates are the PDE eigenvalues (k pi)^2, so
-    the comparison against a scheme includes the spatial discretization
-    error; in 'semidiscrete' mode they are the discrete eigenvalues of the
-    grid Laplacian and the comparison isolates the time-stepping error.
-    Requires a single-channel path (the benchmark noise drives both modes
-    with one Wiener process).  Every amplitude but those of modes 1-3 is
-    zero.  One path gives shape (K,), a chunk of n paths (K, n), column i
-    bit for bit that of path i alone.  kernel is
-    heat_oracle_kernel's for the mode and the path's grid and levels,
-    formed here when not given.
+    with conv(mu) = int_0^1 exp(-mu (1-s)) dW(s) replaced by its
+    conditional mean given the path's increments and bridge sums
+    (convolution_kernel).  In 'continuous' mode the decay rates are the
+    PDE eigenvalues (k pi)^2, so the comparison against a scheme includes
+    the spatial discretization error; in 'semidiscrete' mode they are
+    the discrete eigenvalues of the grid Laplacian and the comparison
+    isolates the time-stepping error.  Requires a single-channel path
+    (the benchmark noise drives both modes with one Wiener process).
+    Every amplitude but those of modes 1-3 is zero.  One path gives shape
+    (K,), a chunk of n paths (K, n), column i bit for bit that of path i
+    alone.  A study scores its rows against the exact solution of its
+    window draws instead (window_heat_solution); this conditional mean is
+    the independent check on a given path.
     """
     if path.m != 1:
         raise ConfigError(f"benchmark exact solution needs m=1 noise, got m={path.m}")
-    initial = _benchmark_rate(grid, mode, BENCHMARK_INITIAL_MODE)
-    if kernel is None:
-        kernel = heat_oracle_kernel(grid, mode, path.S, path.bridge_functionals)
-    conv = noise_scale * convolve(path.chunk(), kernel)[..., 0]
-    values = np.zeros((grid.K, len(conv)))
-    values[BENCHMARK_INITIAL_MODE - 1] = math.exp(-initial)
-    values[[k - 1 for k in BENCHMARK_NOISE_MODES]] = conv.T
+    rates = [_benchmark_rate(grid, mode, k) for k in BENCHMARK_NOISE_MODES]
+    kernel = convolution_kernel(rates, path.S, path.bridge_functionals)
+    conv = noise_scale * convolve(path.chunk(), kernel)[..., 0].T
+    values = _benchmark_solution(grid, mode, conv)
     return values if path.increments.ndim == 3 else values[:, 0]
+
+
+def oracle_rates(grid: SpatialGrid) -> tuple[float, ...]:
+    """Decay rates of the benchmark noise modes, continuous and then semidiscrete.
+
+    A heat study draws one oracle piece per rate (noise.WindowLaw), so
+    both exact modes, and the spatial floor between them, read one draw.
+    """
+    modes = (EXACT_CONTINUOUS, EXACT_SEMIDISCRETE)
+    return tuple(_benchmark_rate(grid, m, k) for m in modes for k in BENCHMARK_NOISE_MODES)
+
+
+def window_heat_solution(
+    pieces: np.ndarray, grid: SpatialGrid, mode: str = EXACT_CONTINUOUS, noise_scale: float = 1.0
+) -> np.ndarray:
+    """Sine amplitudes (K, n) of the exact benchmark solution at time 1, from its window pieces.
+
+    pieces (n, windows, rates) are the oracle pieces of a chunk drawn by
+    noise.sample_windows under the rates of oracle_rates(grid).  The
+    solution is exact_heat_solution's, with conv(mu) = sum_w exp(-mu (1 -
+    t_w)) piece_w over the windows w, t_w the end of w: the exact
+    stochastic convolution, not a conditional mean.  Column i is bit for
+    bit that of path i alone.
+    """
+    rates = [_benchmark_rate(grid, mode, k) for k in BENCHMARK_NOISE_MODES]
+    windows = pieces.shape[1]
+    weights = np.exp(-np.outer(1.0 - np.arange(1, windows + 1) / windows, rates))
+    first = 0 if mode == EXACT_CONTINUOUS else len(rates)
+    conv = np.einsum("wk,nwk->kn", weights, pieces[..., first : first + len(rates)])
+    return _benchmark_solution(grid, mode, noise_scale * conv)
+
+
+def _benchmark_solution(grid: SpatialGrid, mode: str, conv: np.ndarray) -> np.ndarray:
+    """(K, n) amplitudes: exp(-mu_1) on mode 1 and conv (2, n) on the noise modes."""
+    values = np.zeros((grid.K, conv.shape[1]))
+    initial = _benchmark_rate(grid, mode, BENCHMARK_INITIAL_MODE)
+    values[BENCHMARK_INITIAL_MODE - 1] = math.exp(-initial)
+    values[[k - 1 for k in BENCHMARK_NOISE_MODES]] = conv
+    return values

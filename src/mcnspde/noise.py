@@ -25,14 +25,21 @@ sample_path draws every level's sums from their exact joint Gaussian law
 (bridge_covariance; Glasserman, Monte Carlo Methods in Financial
 Engineering, 2004, sec. 3.1) instead of the finer path, and mesh_sums
 combines them with the master grid exactly, with no interpolation
-error.  A study draws heat and wave paths by one law
+error.  A wave study draws its paths by this law
 (harness.StudyConfig.path_mesh): on the micro grid of a mesh P of about
 an eighth of its finest study mesh, with the levels q = 4, 16 and 64 of
-the two, four and eight times finer meshes and, for wave, the level of
-the reference mesh, every level carrying S0 and S1.  The heat oracle
-reads S1 too: given S0 alone, P = N_max/8 would leave a conditional-mean
-deficit 39% above that of the full micro-grid path, and with S1 it is
-within 2e-5 of it.
+the two, four and eight times finer meshes and the level of the
+reference mesh, every level carrying S0 and S1.
+
+A heat study needs less (WindowLaw): its schemes read only increments
+and gaps, its exact solution one stochastic convolution per noise mode,
+and all of these split into independent, alike windows of time.
+sample_windows draws, window by window, the increments of the finest
+mesh N_max, the gaps of the meshes whose micro nodes are not N_max
+nodes, and the windows' pieces of the convolutions, jointly, through
+one factor of their exact covariance (window_factor).  The path it
+returns lies on the N_max grid and carries the drawn gaps
+(WienerPath.gaps); the coarser meshes read their gaps from it by stride.
 
 mesh_values is the one place that knows where the coarse and micro nodes
 of a mesh sit on the master grid.  It returns them as views of the
@@ -60,7 +67,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,6 +127,10 @@ class WienerPath:
     (i/q)*increments[k], i = 1..q-1, of the level that splits each master
     step into q steps.
 
+    A path may also carry drawn quadrature gaps: gaps[N], shape (N, m),
+    holds NoiseBlock's gap of each step of the mesh N, whose micro grid
+    the path does not carry (sample_windows).
+
     A chunk of n paths puts a leading axis of n rows in front of every
     array, row i holding path i.
     """
@@ -127,6 +138,7 @@ class WienerPath:
     increments: np.ndarray  # shape (S, m), or (n, S, m) for a chunk
     cumulative: np.ndarray  # shape (S + 1, m), or (n, S + 1, m)
     bridge: dict[int, np.ndarray] = field(default_factory=dict)
+    gaps: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def S(self) -> int:
@@ -153,7 +165,8 @@ class WienerPath:
         if self.increments.ndim == 3:
             return self
         bridge = {q: sums[None] for q, sums in self.bridge.items()}
-        return WienerPath(self.increments[None], self.cumulative[None], bridge)
+        gaps = {n: gaps[None] for n, gaps in self.gaps.items()}
+        return WienerPath(self.increments[None], self.cumulative[None], bridge, gaps)
 
 
 def bridge_level(master_steps: int, mesh: TimeMesh) -> int:
@@ -203,27 +216,23 @@ def sample_path(
     steps = mesh.N * mesh.M
     functionals = path_functionals(mesh, fine)
     # One allocation holds the chunk, so that chunk after chunk reuses the
-    # same heap memory instead of mapping fresh pages.  Each key's
-    # increments and bridge sums are adjacent, drawn by one call, in the
-    # order of the key's stream.
-    n, width = len(keys), 1 + len(functionals)
-    memory = np.empty(n * (width * steps + steps + 1) * m)
-    normals = memory[: n * width * steps * m].reshape(n, width, steps, m)
-    cumulative = memory[n * width * steps * m :].reshape(n, steps + 1, m)
-    for row, key in zip(normals, keys):
-        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=row)
-    increments, sums = normals[:, 0], normals[:, 1:]
+    # same heap memory instead of mapping fresh pages.  Each key's stream
+    # gives its increments and then the normals of its bridge sums, kept
+    # apart until one einsum turns them into the sums.
+    n, width = len(keys), len(functionals)
+    memory = np.empty(n * ((2 + width) * steps + 1) * m)
+    increments = memory[: n * steps * m].reshape(n, steps, m)
+    sums = memory[n * steps * m : n * (1 + width) * steps * m].reshape(n, width, steps, m)
+    cumulative = memory[n * (1 + width) * steps * m :].reshape(n, steps + 1, m)
+    normals = np.empty_like(sums)
+    for i, key in enumerate(keys):
+        generator = np.random.Generator(np.random.Philox(key=key))
+        generator.standard_normal(out=increments[i])
+        generator.standard_normal(out=normals[i])
     increments *= math.sqrt(1.0 / steps)
     cumulative[:, 0] = 0.0
     np.cumsum(increments, axis=1, out=cumulative[:, 1:])
-    if functionals:
-        factor = bridge_factor(functionals, 1.0 / steps)
-        # The factor is lower triangular, so its product with the normals is
-        # formed in place, elementwise, from the last row up.
-        for f in reversed(range(len(functionals))):
-            sums[:, f] *= factor[f, f]
-            for g in range(f):
-                sums[:, f] += factor[f, g] * sums[:, g]
+    np.einsum("fg,ngsm->nfsm", bridge_factor(functionals, 1.0 / steps), normals, out=sums)
     levels = sorted({q for q, _ in functionals})
     levels_sums = sums.reshape(n, len(levels), 2, steps, m)
     bridge = {q: levels_sums[:, i] for i, q in enumerate(levels)}
@@ -236,15 +245,32 @@ def sample_path(
 def bridge_factor(functionals: tuple[tuple[int, int], ...], delta: float) -> np.ndarray:
     """Lower Cholesky factor L of bridge_covariance(functionals, delta), cached per argument.
 
-    Formed entry by entry rather than by LAPACK: the matrix is a few rows
-    at most, and a first LAPACK call costs the process about 0.4 MB.
+    The entries of S0 of a finer level against S1 of a coarser one vanish
+    (see bridge_covariance), and are set to 0 rather than left to rounding.
     """
-    cov = bridge_covariance(functionals, delta)
+    factor = lower_factor(bridge_covariance(functionals, delta))
+    powers = np.array([p for _, p in functionals])
+    factor[(powers[:, None] == 0) & (powers == 1)] = 0.0
+    return factor
+
+
+def lower_factor(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of cov, L L^T = cov, formed entry by entry.
+
+    No LAPACK: the matrices are a few dozen rows at most, and a first
+    LAPACK call costs the process about 0.4 MB.  A pivot that is rounding
+    residue, at most len(cov) eps cov[f, f], gets a zero column: its row
+    is, to rounding, a combination of the rows above it.
+    """
     factor = np.zeros_like(cov)
+    residue = len(cov) * np.finfo(float).eps
     for f in range(len(cov)):
         for g in range(f + 1):
             rest = cov[f, g] - np.sum(factor[f, :g] * factor[g, :g])
-            factor[f, g] = math.sqrt(rest) if f == g else rest / factor[g, g]
+            if f == g:
+                factor[f, f] = math.sqrt(rest) if rest > residue * cov[f, f] else 0.0
+            elif factor[g, g] > 0.0:
+                factor[f, g] = rest / factor[g, g]
     return factor
 
 
@@ -274,6 +300,150 @@ def bridge_covariance(functionals: Sequence[tuple[int, int]], delta: float) -> n
             shape = ((1.0, 0.5 * a), (0.5 * a, (4.0 * a * a - 1.0) / 15.0))[p][pp]
             cov[x, y] = delta * r ** (1 + pp) * (a * a - 1) / 12.0 * shape
     return cov
+
+
+class WindowLaw(NamedTuple):
+    """The joint law of every noise coordinate and oracle value a heat study reads.
+
+    A heat scheme on mesh N reads each step's increment and quadrature
+    gap, and the exact solution reads int_0^1 exp(-mu (1 - s)) dW(s) for
+    each decay rate mu of rates.  Each is an integral of dW against a
+    fixed function, so they are jointly Gaussian, and they split over
+    windows: the steps of the mesh of `windows` steps, the coarsest power
+    of two whose square exceeds `steps`, the finest mesh N_max, but at
+    most N_max.  A gap depends only on dW inside its step (its weights
+    sum to zero), and the oracle integral is the sum over windows of
+    exp(-mu (1 - t_w)) times the window's piece int exp(-mu (t_w - s))
+    dW(s), t_w the window's end.  So the windows are independent and
+    alike, and one window's values, `width` of them, are drawn by one
+    factor (window_factor) in this order:
+
+    * the steps/windows increments of the N_max steps, in time order,
+    * the gaps of every mesh of meshes, coarsest first, each in time order,
+    * one oracle piece per rate.
+
+    meshes are the powers of two N from windows to N_max, all with
+    N^2 > N_max, whether or not a study marches them, so the law depends
+    only on N_max and rates.  The coarser meshes are not drawn: their
+    micro nodes are N_max nodes, so their gaps are read from the
+    increments by stride.  Scheme rows come first, so they do not depend
+    on the rates.
+    """
+
+    steps: int
+    rates: tuple[float, ...]
+
+    @property
+    def windows(self) -> int:
+        """Windows per path."""
+        w = 1
+        while w * w <= self.steps and w < self.steps:
+            w *= 2
+        return w
+
+    @property
+    def meshes(self) -> tuple[TimeMesh, ...]:
+        """The meshes whose gaps are drawn, coarsest first."""
+        n, meshes = self.windows, []
+        while n <= self.steps:
+            if n * n > self.steps:
+                meshes.append(TimeMesh(n))
+            n *= 2
+        return tuple(meshes)
+
+    @property
+    def width(self) -> int:
+        """Values drawn per window."""
+        gaps = sum(mesh.N for mesh in self.meshes) // self.windows
+        return self.steps // self.windows + gaps + len(self.rates)
+
+    @property
+    def normals(self) -> int:
+        """Normals drawn per path."""
+        return self.windows * self.width
+
+
+def window_functions(law: WindowLaw) -> list[tuple[int, int, float, float, int]]:
+    """(lo, hi, a, b, w) of each scheme row of law: the function it integrates dW against.
+
+    In units of the finest micro cell 1/N_max^2 from the window's start,
+    the function is a - b floor((c - lo)/w) on the cells c in [lo, hi)
+    and 0 elsewhere: 1 on its step for an increment and, for the gap of
+    a step of tau, tau/2 - l tau^2 on the step's micro cell l = 0..M-1.
+    """
+    steps, windows = law.steps, law.windows
+    rows = [(i * steps, (i + 1) * steps, 1.0, 0.0, steps) for i in range(steps // windows)]
+    for mesh in law.meshes:
+        span, tau = steps * steps // mesh.N, mesh.tau
+        rows += [
+            (j * span, (j + 1) * span, 0.5 * tau, tau * tau, span // mesh.N)
+            for j in range(mesh.N // windows)
+        ]
+    return rows
+
+
+def window_covariance(law: WindowLaw) -> np.ndarray:
+    """Covariance of one window's values, (width, width), in the row order of WindowLaw.
+
+    By the Ito isometry: two scheme rows give the sum of their product
+    over the finer of their two cell grids on their overlap, times the
+    cell length (cell widths are powers of two and steps start on cell
+    edges, so both rows are constant on each finer cell); a scheme row
+    and an oracle piece give the sum over the row's cells of its value
+    times the cell's integral of exp(-mu (T - s)); two pieces give
+    -expm1(-(mu + nu) T)/(mu + nu), with T = 1/windows the window
+    length.  Rates must be positive.
+    """
+    rows, rates = window_functions(law), law.rates
+    cell, length, scheme = 1.0 / law.steps**2, 1.0 / law.windows, len(rows)
+    cov = np.zeros((law.width, law.width))
+    for x, (lo, hi, a, b, w) in enumerate(rows):
+        for y, (lo_y, hi_y, a_y, b_y, w_y) in enumerate(rows[: x + 1]):
+            fine = min(w, w_y)
+            c = np.arange(max(lo, lo_y), min(hi, hi_y), fine)
+            product = (a - b * ((c - lo) // w)) * (a_y - b_y * ((c - lo_y) // w_y))
+            cov[x, y] = cov[y, x] = cell * fine * math.fsum(product)
+        c = np.arange(lo, hi, w)
+        for z, rate in enumerate(rates, scheme):
+            decay = np.exp(-rate * (length - cell * (c + w))) * -math.expm1(-rate * cell * w) / rate
+            cov[x, z] = cov[z, x] = math.fsum((a - b * ((c - lo) // w)) * decay)
+    for z, mu in enumerate(rates, scheme):
+        for y, nu in enumerate(rates, scheme):
+            cov[z, y] = -math.expm1(-(mu + nu) * length) / (mu + nu)
+    return cov
+
+
+@functools.lru_cache(maxsize=None)
+def window_factor(law: WindowLaw) -> np.ndarray:
+    """Lower Cholesky factor of window_covariance(law), cached per law."""
+    return lower_factor(window_covariance(law))
+
+
+def sample_windows(keys: list, law: WindowLaw) -> tuple[WienerPath, np.ndarray]:
+    """Draw a chunk of paths by law, one per key, each bit for bit that of its key alone.
+
+    Each key's Philox stream gives law.normals normals, window by window,
+    and one einsum with window_factor turns each window's normals into
+    its values.  Returns (path, pieces): path the chunk on the N_max grid,
+    its increments and cumulative values, carrying the gaps of
+    law.meshes (WienerPath.gaps), and pieces (n, windows, rates) the
+    oracle pieces.
+    """
+    n, steps, windows = len(keys), law.steps, law.windows
+    normals = np.empty((n, windows, law.width))
+    for row, key in zip(normals, keys):
+        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=row)
+    values = np.einsum("fg,rwg->rwf", window_factor(law), normals)
+    start = steps // windows
+    increments = values[..., :start].reshape(n, steps, 1)
+    cumulative = np.zeros((n, steps + 1, 1))
+    np.cumsum(increments, axis=1, out=cumulative[:, 1:])
+    gaps = {}
+    for mesh in law.meshes:
+        stop = start + mesh.N // windows
+        gaps[mesh.N] = values[..., start:stop].reshape(n, mesh.N, 1)
+        start = stop
+    return WienerPath(increments, cumulative, gaps=gaps), values[..., start:]
 
 
 def master_strides(mesh: TimeMesh, master_steps: int) -> tuple[int, int]:
@@ -324,8 +494,9 @@ def mesh_sums(
     the two sums are formed, the others are None.  A mesh whose micro
     nodes are master nodes reads them by stride (mesh_values); a finer
     one forms the sums as exact linear combinations of the master grid
-    and the bridge sums of its level.  Raises AlignmentError if the mesh
-    is neither.
+    and the bridge sums of its level.  A mesh whose gaps the path carries
+    (WienerPath.gaps) gives its coarse values with count 0.  Raises
+    AlignmentError if the mesh is none of these.
     """
     if path.S % (mesh.N * mesh.M) == 0:
         coarse, micro = mesh_values(path.cumulative, mesh)
@@ -334,17 +505,19 @@ def mesh_sums(
             return coarse, sums, None
         return coarse, sums, np.einsum("l,...jlm->...jm", np.arange(1.0, mesh.M + 1), micro)
     q = bridge_level(path.S, mesh)
+    cells = path.S // mesh.N  # master steps per coarse step
+    coarse = path.cumulative[..., ::cells, :]
+    if count == 0 and mesh.N in path.gaps:
+        return coarse, None, None
     if q not in path.bridge:
         raise AlignmentError(
             f"the micro grid of N={mesh.N} is neither read by stride nor a bridge level "
             f"of a {path.S}-step path with levels q in {sorted(path.bridge)}"
         )
-    cells = path.S // mesh.N  # master steps per coarse step
-    shape = path.increments.shape[:-2] + (mesh.N, cells, path.m)
-    level = np.moveaxis(path.bridge[q].reshape(shape[:-3] + (-1,) + shape[-3:]), -4, 0)
-    coarse = path.cumulative[..., ::cells, :]
     if count == 0:
         return coarse, None, None
+    shape = path.increments.shape[:-2] + (mesh.N, cells, path.m)
+    level = np.moveaxis(path.bridge[q].reshape(shape[:-3] + (-1,) + shape[-3:]), -4, 0)
     left = path.cumulative[..., :-1, :].reshape(shape)
     rise = path.increments.reshape(shape)
     # On master step k, W(s_k + i delta/q) = W(s_k) + (i/q) dW_k + B_i for
@@ -400,20 +573,24 @@ class NoiseBlock:
         """Reduce path to its coordinates on the mesh and store them from column r on.
 
         One path fills column r, a chunk of n paths columns r..r+n-1.
-        Every mesh is reduced through its mesh_sums, by stride or through
-        a bridge level, and a path that offers neither raises
+        Gaps the path carries for the mesh (WienerPath.gaps) are copied;
+        everything else is reduced through the mesh's mesh_sums, by stride
+        or through a bridge level, and a path that offers neither raises
         AlignmentError.
         """
         chunk = path.chunk()
         columns = slice(r, r + len(chunk.increments))
         tau = self.mesh.tau
+        gaps = chunk.gaps.get(self.mesh.N)
         # Form only the sums that the block's coordinates read.
-        count = 2 if self.velocity_sums is not None else 1 if self.gaps is not None else 0
+        needs_sums = self.gaps is not None and gaps is None
+        count = 2 if self.velocity_sums is not None else 1 if needs_sums else 0
         coarse, sums, moments = mesh_sums(chunk, self.mesh, count)
         # Chunk rows become block columns.
         self.increments[:, columns] = np.diff(coarse, axis=1).swapaxes(0, 1)
-        if self.gaps is not None:
+        if needs_sums:
             gaps = tau * tau * sums - 0.5 * tau * (coarse[:, :-1] + coarse[:, 1:])
+        if self.gaps is not None:
             self.gaps[:, columns] = gaps.swapaxes(0, 1)
         if self.velocity_sums is not None:
             velocity_sums = 0.5 * tau**3 * (sums - 2.0 * tau * moments)

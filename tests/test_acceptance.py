@@ -177,6 +177,23 @@ def test_closed_form_kernel_is_the_schemes_linear_map():
                 assert abs(x_end[k - 1] - g[c]) <= 1e-12, (scheme, k, c)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(HEAT_MCN_CONTINUOUS, id="mcn-continuous"),
+        pytest.param(HEAT_EM_CONTINUOUS, id="em-continuous"),
+        pytest.param(HEAT_MCN_SEMIDISCRETE, id="mcn-semidiscrete"),
+    ],
+)
+def test_desk_heat_rows_sit_on_the_closed_form(config):
+    """At 2000 realizations every desk heat row lies within 4 SE of closed_form_rms_error:
+    the window law and its exact oracle leave the rows unbiased."""
+    table = run_study(dataclasses.replace(config, mc_count=2000))
+    for row in table.rows:
+        exact = closed_form_rms_error(config, row.n_steps)
+        assert abs(row.rms_error - exact) <= 4.0 * row.standard_error, (row, exact)
+
+
 def test_criterion_1_heat_mcn_rate(heat_mcn_continuous):
     rate = heat_mcn_continuous.fitted_rate
     ok, line = heat_rate_verdict(

@@ -234,7 +234,8 @@ def test_paper_presets_resolve_without_running():
     heat = _study_config(parser.parse_args(["heat", "--paper"]), "heat")
     assert heat.n_list == (4, 8, 16, 32, 64, 128, 256, 512, 1024)
     assert heat.mc_count == 1000
-    assert heat.master_steps == 2**14  # N = 256, 512 and 1024 read it through bridge sums
+    # 64 windows of 16 increments, the gaps of N = 64..1024 and 4 oracle pieces
+    assert (heat.window_law.windows, heat.window_law.normals) == (64, 3264)
     wave = _study_config(parser.parse_args(["wave", "--paper"]), "wave")
     assert wave.n_ref == 4096
     assert wave.master_steps == 2**14  # N = 256, 512, 1024 and N_ref = 4096 read bridge sums
@@ -242,10 +243,11 @@ def test_paper_presets_resolve_without_running():
     custom = _study_config(parser.parse_args(["heat", "--paper", "--seed", "5"]), "heat")
     assert custom.base_seed == 5
     # so do explicit sizes: the preset fills only what was not given
-    # (paths follow the finest mesh of n_list: 8^2 steps for heat, 128^2 for wave)
+    # (paths follow the finest mesh of n_list: 8 heat windows of N_max = 32, 128^2 wave steps)
     argv = ["heat", "--paper", "--mc", "5", "--n-list", "8..32"]
     sized = _study_config(parser.parse_args(argv), "heat")
-    assert (sized.mc_count, sized.n_list, sized.master_steps) == (5, (8, 16, 32), 64)
+    assert (sized.mc_count, sized.n_list) == (5, (8, 16, 32))
+    assert (sized.window_law.windows, sized.window_law.normals) == (8, 120)
     assert sized.k == 40
     finer = _study_config(parser.parse_args(["wave", "--paper", "--n-ref", "2048"]), "wave")
     assert finer.n_ref == 2048
@@ -264,7 +266,8 @@ def test_config_file_values_beat_the_paper_preset(tmp_path, capsys):
     assert main(argv) == EXIT_OK
     text = report.read_text()
     assert "realizations:   2" in text  # explicit flag beats the file value
-    assert "master steps:   16" in text  # the file's n-list beats the preset's
+    # the file's n-list beats the preset's: 8 windows of N_max = 16, not 64 of 1024
+    assert "noise windows:  8, 72 normals per path" in text
     assert "interior nodes: 6" in text
     capsys.readouterr()
 

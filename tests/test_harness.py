@@ -43,6 +43,8 @@ from mcnspde import (
 )
 from mcnspde import harness
 from mcnspde.harness import _default_fit_range, block_size, chunk_size
+from mcnspde.heat import oracle_rates, window_heat_solution
+from mcnspde.noise import sample_windows
 
 
 def table_from_errors(n_list, errors, fit_range=None, **extra):
@@ -207,17 +209,17 @@ def test_single_realization_matches_direct_run():
     config = small_config(mc_count=1, exact_mode="semidiscrete")
     table = run_study(config)
     grid = SpatialGrid(config.k)
-    path = sample_path((config.base_seed, 0), config.path_mesh, 1, config.bridge_meshes)
-    oracle = exact_heat_solution(path, grid, mode="semidiscrete")
+    path, pieces = sample_windows([(config.base_seed, 0)], config.window_law)
+    oracle = window_heat_solution(pieces, grid, mode="semidiscrete")[:, 0]
     for row in table.rows:
         problem = benchmark_heat_problem(grid, TimeMesh(row.n_steps))
-        err = l2_norm(grid.node_values(run_heat(problem, path, "mcn") - oracle))
+        err = l2_norm(grid.node_values(run_heat(problem, path, "mcn")[:, 0] - oracle))
         assert row.rms_error == pytest.approx(err, rel=1e-14)
         assert row.standard_error == 0.0
     # in continuous mode the spatial floor is the gap between the two oracles
     continuous = run_study(dataclasses.replace(config, exact_mode="continuous"))
-    floor = l2_norm(grid.node_values(exact_heat_solution(path, grid, mode="continuous") - oracle))
-    assert continuous.spatial_floor == pytest.approx(floor, rel=1e-14)
+    floor = window_heat_solution(pieces, grid, mode="continuous")[:, 0] - oracle
+    assert continuous.spatial_floor == pytest.approx(l2_norm(grid.node_values(floor)), rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -237,7 +239,10 @@ def test_only_the_loaded_modes_are_nonzero(config):
     """
     grid, heat = SpatialGrid(config.k), config.equation == "heat"
     keys = [(config.base_seed, r) for r in range(4)]
-    paths = sample_path(keys, config.path_mesh, 1, config.bridge_meshes)
+    if heat:
+        paths, pieces = sample_windows(keys, config.window_law)
+    else:
+        paths = sample_path(keys, config.path_mesh, 1, config.bridge_meshes)
     coordinates = HEAT_NOISE[config.scheme] if heat else WAVE_NOISE
     blocks = [NoiseBlock.empty(mesh, len(keys), 1, coordinates) for mesh in config.marched_meshes]
     for block in blocks:
@@ -250,7 +255,7 @@ def test_only_the_loaded_modes_are_nonzero(config):
             states.extend(run_wave(benchmark_wave_problem(grid, TimeMesh(n)), block))
     if heat:
         modes = ("continuous", "semidiscrete")
-        states.extend(exact_heat_solution(paths, grid, mode) for mode in modes)
+        states.extend(window_heat_solution(pieces, grid, mode) for mode in modes)
     else:
         coarse = benchmark_wave_problem(grid, TimeMesh(config.n_list[-1]))
         states.extend(reference_wave_solution(coarse, blocks[-1], config.n_ref))
@@ -283,25 +288,32 @@ def test_adjacent_base_seeds_share_no_path():
     seeds = (20260814, 20260815)
     tables = [csv_text(run_study(desk_heat_config(mc_count=16, base_seed=s))) for s in seeds]
     assert tables[0] != tables[1]
-    # heat: the master grid and the bridge sums of N = 64, 128 and 256;
-    # wave: the master grid and the bridge sums of the reference mesh
     wave = desk_wave_config(n_list=(4, 8), k=6, mc_count=8, n_ref=32)
     tables = [
         csv_text(run_study(dataclasses.replace(wave, base_seed=s))) for s in seeds
     ]
     assert tables[0] != tables[1]
-    for config in (desk_heat_config(mc_count=16), wave):
-        paths = [
-            [
-                sample_path((s, r), config.path_mesh, 1, config.bridge_meshes)
-                for r in range(config.mc_count)
-            ]
-            for s in seeds
-        ]
-        for part in (lambda path: path.increments, lambda path: list(path.bridge.values())):
-            drawn = [{np.asarray(part(path)).tobytes() for path in group} for group in paths]
-            assert len(drawn[0]) == len(drawn[1]) == config.mc_count
-            assert not drawn[0] & drawn[1]
+    # heat: the N_max increments, the drawn gaps of N = 32..256 and the oracle pieces
+    law = desk_heat_config().window_law
+    paths = [[sample_windows([(s, r)], law) for r in range(16)] for s in seeds]
+    parts = (
+        lambda draw: draw[0].increments,
+        lambda draw: np.concatenate([gaps.ravel() for gaps in draw[0].gaps.values()]),
+        lambda draw: draw[1],
+    )
+    for part in parts:
+        drawn = [{np.asarray(part(draw)).tobytes() for draw in group} for group in paths]
+        assert len(drawn[0]) == len(drawn[1]) == 16
+        assert not drawn[0] & drawn[1]
+    # wave: the master grid and the bridge sums of the reference mesh
+    paths = [
+        [sample_path((s, r), wave.path_mesh, 1, wave.bridge_meshes) for r in range(8)]
+        for s in seeds
+    ]
+    for part in (lambda path: path.increments, lambda path: list(path.bridge.values())):
+        drawn = [{np.asarray(part(path)).tobytes() for path in group} for group in paths]
+        assert len(drawn[0]) == len(drawn[1]) == 8
+        assert not drawn[0] & drawn[1]
 
 
 def test_block_size_rule():
@@ -315,11 +327,11 @@ def test_block_size_rule():
 
 def test_chunk_size_rule():
     """Four short paths per chunk; a path over half the chunk budget is drawn alone."""
-    assert chunk_size(small_config()) == 4  # 16 master steps
-    assert chunk_size(desk_heat_config()) == 4  # 65 KB: 1024 master steps, three S0 and S1
-    assert chunk_size(desk_wave_config()) == 4  # 65 KB: 1024 master steps, three S0 and S1
-    assert chunk_size(paper_heat_config()) == 1  # 1 MB: 2^14 master steps, three S0 and S1
-    assert chunk_size(paper_wave_config()) == 1  # 1.3 MB: 2^14 master steps, four S0 and S1
+    assert chunk_size(small_config()) == 4  # 4 windows of 9 normals, 16 increments
+    assert chunk_size(desk_heat_config()) == 4  # 18 KB: 32 windows of 27 normals, 256 increments
+    assert chunk_size(paper_heat_config()) == 4  # 69 KB: 64 windows of 51, 1024 increments
+    assert chunk_size(desk_wave_config()) == 4  # 115 KB: 1024 master steps, three S0 and S1
+    assert chunk_size(paper_wave_config()) == 1  # 2.4 MB: 2^14 master steps, four S0 and S1
 
 
 @pytest.mark.parametrize(
@@ -345,9 +357,10 @@ def test_blocks_do_not_change_the_table(equation, workers, monkeypatch):
     default = chunk_size(config)
     assert default == 4
     drawn = []  # the number of paths of each chunk drawn in this process
-    draw = harness.sample_path
+    sampler = "sample_windows" if equation == "heat" else "sample_path"
+    draw = getattr(harness, sampler)
     monkeypatch.setattr(
-        "mcnspde.harness.sample_path",
+        f"mcnspde.harness.{sampler}",
         lambda keys, *args: drawn.append(len(keys)) or draw(keys, *args),
     )
     whole = run_study_tables(config)
@@ -402,8 +415,10 @@ def test_study_memory_does_not_grow_with_realizations():
     """
 
     def peak(mc_count):
-        # one block holds all 64 realizations, drawn in chunks of 4 paths on 16^2-step grids
+        # one block holds all 64 realizations, drawn in chunks of 4 paths of 16 windows of
+        # 27 normals each: 8 increments of N = 128, the gaps of N = 16..128, 4 oracle pieces
         config = desk_heat_config(n_list=(4, 8, 16, 128), k=8, mc_count=mc_count)
+        assert (config.window_law.windows, config.window_law.width) == (16, 27)
         tracemalloc.start()
         try:
             run_study_tables(config)
@@ -526,18 +541,24 @@ def test_paths_are_drawn_on_the_finest_mesh():
     so the meshes 2P, 4P and 8P up to N_max read the bridge levels q = 4,
     16 and 64, and the wave reference its own level; S is not a setting.
     """
+    # Heat paths are drawn window by window instead: windows W, the coarsest power of two
+    # with W^2 > N_max (at most N_max), and the drawn gaps of every mesh from W to N_max.
     heat = [
-        ((8,), 4, (8,)),  # 2^2 = 4 is no multiple of 8
-        ((4, 32), 8, (16, 32)),  # 16 holds no row, but its level is drawn all the same
-        ((8, 16, 32, 64, 128, 256), 32, (64, 128, 256)),
-        ((1,), 1, ()),
-        ((1, 2), 2, ()),
+        ((8,), 4, (4, 8), 36),  # 4 + 2 + 2 increments, gaps and pieces per window
+        ((4, 32), 8, (8, 16, 32), 120),  # 16 holds no row, but its gaps are drawn all the same
+        ((8, 16, 32, 64, 128, 256), 32, (32, 64, 128, 256), 864),
+        ((4, 8, 16, 32, 64, 128, 256, 512, 1024), 64, (64, 128, 256, 512, 1024), 3264),
+        ((1,), 1, (), 5),  # the gap of N = 1 is read from the increment of the one step
+        ((1, 2), 2, (2,), 12),
     ]
-    for n_list, path_n, bridge_n in heat:
+    for n_list, windows, drawn_n, normals in heat:
         config = small_config(n_list=n_list)
-        assert config.path_mesh == TimeMesh(path_n)
-        assert config.bridge_meshes == tuple(TimeMesh(n) for n in bridge_n)
+        law = config.window_law
+        assert (law.steps, law.windows, law.normals) == (n_list[-1], windows, normals)
+        assert law.meshes == tuple(TimeMesh(n) for n in drawn_n)
+        assert law.rates == oracle_rates(SpatialGrid(config.k))
         assert config.finest_mesh == TimeMesh(n_list[-1])
+        assert run_study(dataclasses.replace(config, mc_count=2)).rows[-1].rms_error > 0
     wave = [
         (desk_wave_config(), 32, (64, 128, 1024)),
         (paper_wave_config(), 128, (256, 512, 1024, 4096)),

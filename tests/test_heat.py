@@ -4,6 +4,7 @@ States, initial data and Phi are sine amplitudes; the dense node-space
 references take their node values through SpatialGrid.node_values.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,8 +33,8 @@ from mcnspde import (
     sine_mode,
     stochastic_convolution,
 )
-from mcnspde.heat import bridge_conditional_weights, heat_oracle_kernel
-from mcnspde.noise import bridge_covariance, path_functionals
+from mcnspde.heat import bridge_conditional_weights, oracle_rates, window_heat_solution
+from mcnspde.noise import bridge_covariance, path_functionals, sample_windows
 
 
 def value_at(path, t):
@@ -427,22 +428,25 @@ def test_run_heat_rejects_foreign_blocks():
 
 @pytest.mark.parametrize("mode", ["continuous", "semidiscrete"])
 def test_exact_solution_of_a_chunk_is_each_path_alone(mode):
-    """A chunk's oracle columns equal each path's oracle alone, bit for bit, with or
-    without the kernel formed beforehand."""
+    """A chunk's oracle columns equal each path's oracle alone, bit for bit, for bridge paths
+    and for window draws."""
     grid = SpatialGrid(12)
     config = desk_heat_config(n_list=(8, 16, 32))  # 8^2 master steps, levels q = 4 and 16
     keys = [(config.base_seed, r) for r in range(5)]
     chunk = sample_path(keys, config.path_mesh, 1, config.bridge_meshes)
     assert chunk.bridge_functionals == ((4, 0), (4, 1), (16, 0), (16, 1))
-    kernel = heat_oracle_kernel(grid, mode, chunk.S, chunk.bridge_functionals)
-    together = exact_heat_solution(chunk, grid, mode, 0.7, kernel)
+    together = exact_heat_solution(chunk, grid, mode, 0.7)
     assert together.shape == (grid.K, len(keys))
-    np.testing.assert_array_equal(exact_heat_solution(chunk, grid, mode, 0.7), together)
     for i, key in enumerate(keys):
         path = sample_path(key, config.path_mesh, 1, config.bridge_meshes)
         np.testing.assert_array_equal(exact_heat_solution(path, grid, mode, 0.7), together[:, i])
-    with pytest.raises(ValueError):
-        exact_heat_solution(sample_path(keys, config.path_mesh), grid, mode, 0.7, kernel)
+    law = dataclasses.replace(config, k=grid.K).window_law
+    _, pieces = sample_windows(keys, law)
+    together = window_heat_solution(pieces, grid, mode, 0.7)
+    assert together.shape == (grid.K, len(keys))
+    for i, key in enumerate(keys):
+        alone = window_heat_solution(sample_windows([key], law)[1], grid, mode, 0.7)
+        np.testing.assert_array_equal(alone, together[:, [i]])
 
 
 def test_stochastic_convolution_zero_rate_is_endpoint():
@@ -552,9 +556,10 @@ def oracle_deficit(steps, functionals, rates=((2 * math.pi) ** 2, (3 * math.pi) 
 
 
 def test_oracle_deficit_stays_at_the_full_path_value():
-    """The shipped heat path law, its master grid with S0 and S1 of every bridge level, leaves
-    the oracle's deficit within 1e-4 of what the full micro grid of N_max leaves, desk and
-    paper alike; the master increments alone leave 100x more."""
+    """The bridge path law of the desk and paper heat meshes (path_mesh and bridge_meshes, the
+    law wave studies draw), its master grid with S0 and S1 of every bridge level, leaves the
+    conditional-mean oracle's deficit within 1e-4 of what the full micro grid of N_max
+    leaves; the master increments alone leave 100x more."""
     cases = ((desk_heat_config(), 6.2236e-10), (paper_heat_config(), 2.431095e-12))
     for config, full_value in cases:
         steps = config.master_steps
@@ -567,8 +572,9 @@ def test_oracle_deficit_stays_at_the_full_path_value():
 
 
 def test_oracle_given_the_drawn_law_tracks_the_full_path_oracle():
-    """On 32 full 2^16-step paths thinned to the desk heat law, 1024 master steps with S0 and
-    S1 of q = 4, 16 and 64, the oracle moves from the full path's by the deficits' gap.
+    """On 32 full 2^16-step paths thinned to the bridge law of the desk heat meshes, 1024
+    master steps with S0 and S1 of q = 4, 16 and 64, the conditional-mean oracle moves from
+    the full path's by the deficits' gap.
 
     The thin path is a function of the full one, so E ||X_thin - X_full||^2
     = D_thin - D_full, 1.04e-14; an oracle that dropped the S1 sums would
@@ -596,6 +602,28 @@ def test_oracle_given_the_drawn_law_tracks_the_full_path_oracle():
     expected = oracle_deficit(steps, functionals) - oracle_deficit(full.S, ())
     assert expected == pytest.approx(1.04e-14, rel=0.01)
     assert expected / 3 <= np.mean(squared) <= 3 * expected
+
+
+def test_window_oracle_meets_the_ito_isometry():
+    """Over 4000 desk window draws, conv(mu) of window_heat_solution has the second moments
+    int_0^1 exp(-(mu + nu)(1 - s)) ds of the exact solution, within 4 SE, for the continuous
+    and semidiscrete rates of modes 2 and 3 together."""
+    grid, oracle_modes = SpatialGrid(40), ("continuous", "semidiscrete")
+    law = desk_heat_config().window_law
+    samples = []
+    for lo in range(0, 4000, 500):
+        _, pieces = sample_windows([(9, r) for r in range(lo, lo + 500)], law)
+        modes = [window_heat_solution(pieces, grid, mode)[1:3] for mode in oracle_modes]
+        samples.append(np.vstack(modes).T)
+    samples = np.concatenate(samples)
+    rates = np.array(oracle_rates(grid))
+    sums = np.add.outer(rates, rates)
+    expected = -np.expm1(-sums) / sums
+    for a in range(4):
+        for b in range(a, 4):
+            products = samples[:, a] * samples[:, b]
+            se = products.std(ddof=1) / math.sqrt(products.size)
+            assert abs(products.mean() - expected[a, b]) <= 4.0 * se, (a, b)
 
 
 def test_benchmark_problem_layout():

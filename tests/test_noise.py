@@ -29,7 +29,15 @@ from mcnspde import (
     sine_mode,
     wave_micro_sum_moment_exact,
 )
-from mcnspde.noise import bridge_covariance, master_strides
+from mcnspde.heat import oracle_rates
+from mcnspde.noise import (
+    WindowLaw,
+    bridge_covariance,
+    bridge_factor,
+    master_strides,
+    sample_windows,
+    window_factor,
+)
 from mcnspde.validation import _cell_block, heat_defect_block
 
 
@@ -614,6 +622,23 @@ def test_bridge_variances_match_the_double_sum():
         bridge_covariance([(4, 0), (6, 0)], 1.0)
 
 
+def test_bridge_factor_keeps_its_structural_zeros():
+    """S0 of a finer level against S1 of a coarser one gets exactly 0.0 in bridge_factor, and
+    L L^T is the covariance to 1e-13 of sqrt(C_ii C_jj)."""
+    for functionals in BRIDGE_LAWS:
+        functionals = tuple(functionals)
+        factor = bridge_factor(functionals, 1.0 / 1024)
+        cov = bridge_covariance(functionals, 1.0 / 1024)
+        for f, (_, p) in enumerate(functionals):
+            for g, (_, p_g) in enumerate(functionals[:f]):
+                if (p, p_g) == (0, 1):
+                    assert factor[f, g] == 0.0, (functionals, f, g)
+        scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+        assert (np.abs(factor @ factor.T - cov) <= 1e-13 * scale).all()
+    desk = bridge_factor(((4, 0), (4, 1), (16, 0), (16, 1), (64, 0), (64, 1)), 1.0 / 1024)
+    assert desk[2, 1] == desk[4, 1] == desk[4, 3] == 0.0
+
+
 def assert_second_moments(samples, expected, label):
     """Sample E[x y] of every pair of columns within 4 standard errors of expected."""
     for a in range(samples.shape[1]):
@@ -685,3 +710,95 @@ def test_drawn_bridge_sums_have_their_exact_law(p, fine):
         samples.append(np.stack([path.bridge[q][p, :, 0] for q, p in path.bridge_functionals], 1))
     law = double_sum_covariance(path.bridge_functionals, path.delta)
     assert_second_moments(np.concatenate(samples), law, f"levels {path.bridge_functionals}")
+
+
+def cell_covariance(law):
+    """One window's covariance in the row order of WindowLaw, cell by cell on the finest grid.
+
+    Each scheme value is a weighted sum of W at nodes of the finest micro
+    grid of N_max, and W at a node is the sum of the cell increments
+    before it, so the value weighs cell c by the sum of its node weights
+    after c; an oracle piece weighs cell c by its integral of exp(-mu (T
+    - s)).  The Ito isometry then sums products over the cells.
+    """
+    steps, windows = law.steps, law.windows
+    cells, cell, length = steps * steps // windows, 1.0 / steps**2, 1.0 / windows
+    nodes = []
+    for i in range(steps // windows):
+        weights = np.zeros(cells + 1)
+        weights[[i * steps, (i + 1) * steps]] = -1.0, 1.0
+        nodes.append(weights)
+    for mesh in law.meshes:
+        micro = (steps // mesh.N) ** 2  # finest cells per micro step
+        for j in range(mesh.N // windows):
+            start, weights = j * mesh.N * micro, np.zeros(cells + 1)
+            weights[start + micro * np.arange(1, mesh.N + 1)] = mesh.tau**2
+            weights[[start, start + mesh.N * micro]] -= 0.5 * mesh.tau
+            nodes.append(weights)
+    scheme = np.cumsum(np.array(nodes)[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    edges = length - cell * np.arange(cells + 1)
+    pieces = np.array([np.diff(np.exp(-mu * edges)) / mu for mu in law.rates])
+    rows = np.vstack([scheme, pieces])
+    cov = cell * rows @ rows.T
+    cov[:, len(scheme) :] = rows @ pieces.T
+    cov[len(scheme) :] = cov[:, len(scheme) :].T
+    sums = np.add.outer(law.rates, law.rates)
+    cov[len(scheme) :, len(scheme) :] = -np.expm1(-sums * length) / sums
+    return cov
+
+
+def heat_rates(k):
+    return oracle_rates(SpatialGrid(k))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 8, 32, 256, 1024])
+def test_window_factor_reproduces_the_cell_by_cell_covariance(steps):
+    """L L^T of window_factor equals the covariance summed cell by cell on the finest micro
+    grid to 1e-12 of sqrt(C_ii C_jj), and its scheme rows do not depend on the rates."""
+    law = WindowLaw(steps, heat_rates(40))
+    exact = cell_covariance(law)
+    factor = window_factor(law)
+    assert factor.shape == (law.width, law.width)
+    assert (np.triu(factor, 1) == 0.0).all()
+    scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
+    assert (np.abs(factor @ factor.T - exact) <= 1e-12 * scale).all()
+    scheme = law.width - len(law.rates)
+    other = window_factor(WindowLaw(steps, heat_rates(7)))
+    np.testing.assert_array_equal(other[:scheme, :scheme], factor[:scheme, :scheme])
+
+
+def pooled_moments(path, meshes, count):
+    """Per path, step averages of second moments put from path, (count, statistics).
+
+    On each mesh: inc^2, gap^2 and inc gap; against the first half of the
+    step on the next finer mesh: gap gap' and gap inc'.
+    """
+    blocks = [NoiseBlock.empty(mesh, count, 1, HEAT_COORDINATES) for mesh in meshes]
+    stats = []
+    for block, finer in zip(blocks, blocks[1:] + [None]):
+        block.put(0, path)
+        increments, gaps = block.increments[..., 0], block.gaps[..., 0]
+        stats += [increments * increments, gaps * gaps, increments * gaps]
+        if finer is not None:
+            finer.put(0, path)
+            stats += [gaps * finer.gaps[::2, :, 0], gaps * finer.increments[::2, :, 0]]
+    return np.stack([products.mean(axis=0) for products in stats], axis=1)
+
+
+def test_drawn_windows_match_full_paths_reduced_by_put():
+    """Increments and gaps of N = 8..256 drawn by the desk law and read through put have the
+    second moments of full 2^16-step paths reduced by put: every step-averaged moment of
+    pooled_moments within 4 SE of the difference, 2000 drawn paths against 400 full ones."""
+    meshes = [TimeMesh(n) for n in (8, 16, 32, 64, 128, 256)]
+    law = WindowLaw(256, heat_rates(40))
+    drawn, full = [], []
+    for lo in range(0, 2000, 100):
+        path, _ = sample_windows([(5, r) for r in range(lo, lo + 100)], law)
+        drawn.append(pooled_moments(path, meshes, 100))
+    for lo in range(0, 400, 8):
+        path = sample_path([(6, r) for r in range(lo, lo + 8)], meshes[-1])
+        full.append(pooled_moments(path, meshes, 8))
+    drawn, full = np.concatenate(drawn), np.concatenate(full)
+    se = np.hypot(drawn.std(axis=0, ddof=1) / math.sqrt(2000), full.std(axis=0, ddof=1) / 20.0)
+    z = (drawn.mean(axis=0) - full.mean(axis=0)) / se
+    assert (np.abs(z) <= 4.0).all(), z
