@@ -34,7 +34,7 @@ rng = np.random.Generator(np.random.Philox(key=1000))
 for n_steps in (8, 16):
     mesh = TimeMesh(n_steps)
     for m in (1, 2):
-        block, cells = _cell_block(rng, 300, mesh, m)
+        block, cells = _cell_block(rng, 300, mesh, m, moments=2)
         sq = (heat_defect_block(block, mesh, cells) ** 2).sum(axis=2).ravel()
         est = sq.mean()
         se = sq.std(ddof=1) / math.sqrt(sq.size)
@@ -54,7 +54,7 @@ print()
 print("3. wave weighted micro-sum second moment")
 mesh = TimeMesh(8)
 rng = np.random.Generator(np.random.Philox(key=20260814))
-block, _ = _cell_block(rng, 50_000, mesh, 1)
+block, _ = _cell_block(rng, 50_000, mesh, 1, moments=1)
 values = _wave_micro_sum_kernel(block, mesh)
 print(f"{'j':>3} {'estimate':>12} {'exact':>12} {'z':>7}")
 for j in (0, 3, 7):

@@ -14,12 +14,15 @@ paths and compares against the closed forms:
 plus a deterministic sharpness check of the trapezoid defect bound for
 Holder-continuous derivatives, where f(t) = t^2 attains the bound exactly.
 
-The Monte Carlo kernels here are batched (many paths per numpy block) and
-read the micro and coarse nodes through noise.mesh_values, the same
-accessor the time steppers use, so the quadratures checked here are the
-ones the schemes consume.  Paths are drawn at micro resolution together
-with the exact integrals of each micro cell (_cell_block), so the path
-integrals the defects compare against carry no discretization bias.
+The Monte Carlo kernels here are batched (many paths per numpy block).
+Each check draws only what its kernel reads (_cell_block): the coarse
+intervals it covers, at micro resolution, with the first one, two or
+three of the exact integrals of each micro cell, so the path integrals
+the defects compare against carry no discretization bias.  The heat
+defects read a whole-mesh block through noise.mesh_values, the accessor
+behind the schemes' noise coordinates, so the quadrature checked is the
+one the schemes consume; the other kernels read their blocks by reshape
+or read only the cell integrals.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ from .noise import (
     wave_micro_sum_moment_exact,
 )
 
-# Largest batched block, in doubles.  Each element carries three normals,
-# three cell quantities and a path value, so this keeps peak kernel memory
-# near 100 MB.
+# Largest batched block, in path values (micro nodes drawn times components).
+# A value comes with at most three normals and three cell quantities, so
+# this keeps peak kernel memory near 100 MB.  Each path's normals are
+# consecutive in its stream, so the chunk size moves no sample.
 _CHUNK_ELEMENTS = 1 << 20
 
 LEMMA_TOLERANCE = 1e-12
@@ -137,36 +141,48 @@ def _lemma_checks() -> list[CheckResult]:
 # batched Wiener kernels
 
 
-def _cell_block(rng: np.random.Generator, n_paths: int, mesh: TimeMesh, m: int):
-    """Wiener paths at micro resolution with the exact integrals of every micro cell.
+def _cell_block(rng, n_paths: int, mesh: TimeMesh, m: int, intervals=None, moments: int = 3):
+    """Wiener paths at micro resolution over some coarse intervals, with exact cell integrals.
 
     On a micro cell [t, t + h], h = tau^2, the increment dW = W(t+h) - W(t)
     and the integrals I1 = int_0^h (W(t+u) - W(t)) du and
     I2 = int_0^h u (W(t+u) - W(t)) du are jointly Gaussian with covariance
     [[h, h^2/2, h^3/3], [h^2/2, h^3/3, 5h^4/24], [h^3/3, 5h^4/24, 2h^5/15]],
     and are drawn from it through its closed-form Cholesky factor
-    (Kloeden & Platen, Numerical Solution of SDEs, 1992, section 10.4).
-    Returns the cumulative block (n, N*M+1, m), W on the micro grid, and
-    cells = (dW, I1, I2), each (n, N, M, m) with [:, j, l-1] the cell
-    [t_{j,l-1}, t_{j,l}].
+    (Kloeden & Platen, Numerical Solution of SDEs, 1992, section 10.4),
+    whose first k rows need only k normals.  intervals, a range of K
+    consecutive coarse intervals from j0 (all N by default), starts at
+    W(t_j0) = sqrt(t_j0) z.  A path's normals are consecutive in the
+    stream, so it does not depend on how many are drawn with it: m for
+    W(t_j0) if j0 > 0, then its cells' in (moment, interval, cell,
+    component) order.  Returns the cumulative block (n, K*M+1, m), W on
+    the micro grid from t_j0 on, and cells, the first `moments` of
+    (dW, I1, I2), each (n, K, M, m) with [:, i, l-1] the cell
+    [t_{j,l-1}, t_{j,l}] of interval j = j0 + i.
     """
-    h = mesh.tau**2
-    shape = (n_paths, mesh.N, mesh.M, m)
-    z1, z2, z3 = rng.standard_normal((3,) + shape)
-    increments = math.sqrt(h) * z1
-    i1 = h**1.5 * (z1 / 2 + z2 / (2 * math.sqrt(3)))
-    i2 = h**2.5 * (z1 / 3 + z2 / (4 * math.sqrt(3)) + z3 / (12 * math.sqrt(5)))
-    block = np.zeros((n_paths, mesh.N * mesh.M + 1, m))
-    np.cumsum(increments.reshape(n_paths, -1, m), axis=1, out=block[:, 1:, :])
-    return block, (increments, i1, i2)
+    intervals = intervals or range(mesh.N)
+    h, start, count = mesh.tau**2, intervals.start, len(intervals)
+    lead = m if start else 0
+    normals = rng.standard_normal((n_paths, lead + moments * count * mesh.M * m))
+    z = np.moveaxis(normals[:, lead:].reshape(n_paths, moments, count, mesh.M, m), 1, 0)
+    cells = (math.sqrt(h) * z[0],)
+    if moments > 1:
+        cells += (h**1.5 * (z[0] / 2 + z[1] / (2 * math.sqrt(3))),)
+    if moments > 2:
+        cells += (h**2.5 * (z[0] / 3 + z[1] / (4 * math.sqrt(3)) + z[2] / (12 * math.sqrt(5))),)
+    block = np.empty((n_paths, count * mesh.M + 1, m))
+    block[:, 0] = math.sqrt(start * mesh.tau) * normals[:, :m] if start else 0.0
+    block[:, 1:] = cells[0].reshape(n_paths, -1, m)
+    return np.cumsum(block, axis=1, out=block), cells
 
 
 def heat_defect_block(block: np.ndarray, mesh: TimeMesh, cells) -> np.ndarray:
     """Micro quadrature defects for every path and interval; shape (n, N, m).
 
-    block and cells come from _cell_block.  Interval j's defect is the
-    exact int_{t_j}^{t_{j+1}} W(s) ds = sum_l (h W(t_{j,l-1}) + I1_l) minus
-    the micro Riemann sum h sum_{l=1}^{M} W(t_{j,l}), with h = tau^2.
+    block and cells, (dW, I1) at least, come from a whole-mesh _cell_block.
+    Interval j's defect is the exact int_{t_j}^{t_{j+1}} W(s) ds =
+    sum_l (h W(t_{j,l-1}) + I1_l) minus the micro Riemann sum
+    h sum_{l=1}^{M} W(t_{j,l}), with h = tau^2.
     """
     h = mesh.tau**2
     coarse, micro = mesh_values(block, mesh)
@@ -184,7 +200,7 @@ def wave_current_defect_block(block: np.ndarray, mesh: TimeMesh, cells) -> np.nd
     tau - (l-1) h, the integrand is
     (a_l - u)(W(t_{j,l-1} + u) - W(t_{j,l-1}) - dW_l), so the cell
     contributes a_l I1_l - I2_l - dW_l (a_l h - h^2/2) exactly.  block is
-    unused: the cells determine the defect.
+    unused: the cells, all three, determine the defect.
     """
     increments, i1, i2 = cells
     h = mesh.tau**2
@@ -192,30 +208,38 @@ def wave_current_defect_block(block: np.ndarray, mesh: TimeMesh, cells) -> np.nd
     return (a * i1 - i2 - increments * (a * h - h * h / 2)).sum(axis=2)
 
 
-def _wave_micro_sum_kernel(block: np.ndarray, mesh: TimeMesh) -> np.ndarray:
-    """Weighted micro sums (tau^4/2) sum_l W(t_{j,l}) for all j; shape (n, N, m)."""
-    _, micro = mesh_values(block, mesh)
-    return 0.5 * mesh.tau**4 * micro.sum(axis=2)
+def _wave_micro_sum_kernel(block: np.ndarray, mesh: TimeMesh, cells=None) -> np.ndarray:
+    """Weighted micro sums (tau^4/2) sum_l W(t_{j,l}) of the block's K intervals; (n, K, m)."""
+    n, _, m = block.shape
+    return 0.5 * mesh.tau**4 * block[:, 1:].reshape(n, -1, mesh.M, m).sum(axis=2)
 
 
-def _kernel_samples(
-    key: tuple[int, int], mesh: TimeMesh, m: int, samples: int, kernel, per_path: int
-):
+def _old_defect_kernel(block: np.ndarray, mesh: TimeMesh, cells) -> np.ndarray:
+    """tau times the heat defects of the block's intervals summed, shape (n, 1, m).
+
+    On cell l, h W(t_{j,l-1}) + I1_l - h W(t_{j,l}) = I1_l - h dW_l, so
+    the defects read only the cells (dW, I1).
+    """
+    return mesh.tau * (cells[1] - mesh.tau**2 * cells[0]).sum(axis=(1, 2))[:, None]
+
+
+def _kernel_samples(key: tuple[int, int], mesh: TimeMesh, m: int, samples: int, draw):
     """Squared norms of a per-interval kernel's outputs, pooled across intervals.
 
-    kernel maps (block, mesh, cells) from _cell_block to (n, per_path, m)
-    outputs.  The defect laws are identical and independent across coarse
-    intervals, so a kernel that returns all N intervals makes each path
-    contribute N samples; one that returns a fixed interval, one sample.
-    Each chunk draws only the paths still needed.
+    draw is (kernel, per_path, intervals, moments), and kernel maps
+    _cell_block(..., intervals, moments) to (n, per_path, m) outputs.  The
+    defect laws are identical and independent across coarse intervals, so
+    each path gives per_path samples: N if the kernel returns all N
+    intervals.  Each chunk draws only the paths still needed.
     """
+    kernel, per_path, intervals, moments = draw
     rng = np.random.Generator(np.random.Philox(key=key))
-    chunk = max(1, _CHUNK_ELEMENTS // ((mesh.N * mesh.M + 1) * m))
+    chunk = max(1, _CHUNK_ELEMENTS // ((len(intervals) * mesh.M + 1) * m))
     out = np.empty(samples)
     filled = 0
     while filled < samples:
         n_paths = min(chunk, -(-(samples - filled) // per_path))
-        block, cells = _cell_block(rng, n_paths, mesh, m)
+        block, cells = _cell_block(rng, n_paths, mesh, m, intervals, moments)
         sq = (kernel(block, mesh, cells) ** 2).sum(axis=2).ravel()
         take = min(sq.size, samples - filled)
         out[filled : filled + take] = sq[:take]
@@ -233,66 +257,42 @@ def _mean_and_se(samples: np.ndarray) -> tuple[float, float]:
 # individual statistical checks
 
 
-def _moment_check(
-    name: str,
-    key: tuple[int, int],
-    mesh: TimeMesh,
-    m: int,
-    samples: int,
-    kernel,
-    per_path: int,
-    expected: float,
-    upper: bool,
-) -> CheckResult:
-    """Monte Carlo mean of a kernel's squared norm against its closed form.
-
-    Two-sided checks pass within TWO_SIDED_BAND standard errors of
-    expected; upper checks (upper=True) pass when the mean lies below the
-    bound expected plus BOUND_BAND standard errors.
-    """
-    mean, se = _mean_and_se(_kernel_samples(key, mesh, m, samples, kernel, per_path))
-    if upper:
-        band = BOUND_BAND * se
-        return CheckResult(name, mean <= expected + band, mean, expected, band, "upper bound")
-    band = TWO_SIDED_BAND * se
-    z = f"z={(mean - expected) / se:+.2f}"
-    return CheckResult(name, abs(mean - expected) <= band, mean, expected, band, z)
-
-
-def _micro_sum_kernel(j: int):
-    """Kernel of the weighted micro sum on interval j alone, shape (n, 1, m)."""
-    return lambda block, mesh, cells: _wave_micro_sum_kernel(block, mesh)[:, j : j + 1]
-
-
-def _old_defect_kernel(block: np.ndarray, mesh: TimeMesh, cells) -> np.ndarray:
-    """tau times the heat defects of intervals 0..3 summed (the past of t_4), (n, 1, m)."""
-    return mesh.tau * heat_defect_block(block, mesh, cells)[:, :4, :].sum(axis=1, keepdims=True)
-
-
 def _moment_checks(samples: int, seed: int) -> list[CheckResult]:
-    """The twelve quadrature moment checks, on Philox streams (seed, 16..67)."""
+    """The twelve quadrature moment checks, on Philox streams (seed, 16..67).
+
+    Each compares the Monte Carlo mean of a kernel's squared norm with its
+    closed form.  Two-sided checks pass within TWO_SIDED_BAND standard
+    errors of expected; upper checks (upper=True) pass when the mean lies
+    below the bound expected plus BOUND_BAND standard errors.
+    """
     mesh = TimeMesh(8)
     tau = mesh.tau
-    cases = []  # (name, stream, mesh, m, kernel, per_path, expected, upper)
+    cases = []  # (name, stream, mesh, m, (kernel, per_path, intervals, moments), expected, upper)
     for i, (n, m) in enumerate([(8, 1), (8, 2), (16, 1), (16, 2)]):
         name = f"heat_defect_moment[tau=1/{n},m={m}]"
-        expected = defect_moment_exact(1.0 / n, m)
-        cases.append((name, 16 + i, TimeMesh(n), m, heat_defect_block, n, expected, False))
+        draw = (heat_defect_block, n, range(n), 2)
+        cases.append((name, 16 + i, TimeMesh(n), m, draw, defect_moment_exact(1.0 / n, m), False))
     for i, (j, m) in enumerate([(0, 1), (0, 2), (7, 1), (7, 2)]):
         name = f"wave_micro_sum_moment[tau=1/8,j={j},m={m}]"
         expected = wave_micro_sum_moment_exact(mesh, j, m)
-        cases.append((name, 32 + i, mesh, m, _micro_sum_kernel(j), 1, expected, False))
+        draw = (_wave_micro_sum_kernel, 1, range(j, j + 1), 1)
+        cases.append((name, 32 + i, mesh, m, draw, expected, False))
     for i, m in enumerate((1, 2)):
         name = f"wave_current_defect_bound[tau=1/8,m={m}]"
-        cases.append((name, 48 + i, mesh, m, wave_current_defect_block, 8, m * tau**6, True))
+        draw = (wave_current_defect_block, 8, range(8), 3)
+        cases.append((name, 48 + i, mesh, m, draw, m * tau**6, True))
     for i, m in enumerate((1, 2)):
         name = f"wave_old_defect_bound[tau=1/8,j=4,m={m}]"
         bound = mesh.coarse_time(4) * m * tau**5 / 3.0
-        cases.append((name, 64 + i, mesh, m, _old_defect_kernel, 1, bound, True))
-    return [
-        _moment_check(name, (seed, stream), mesh_, m, samples, kernel, per_path, expected, upper)
-        for name, stream, mesh_, m, kernel, per_path, expected, upper in cases
-    ]
+        cases.append((name, 64 + i, mesh, m, (_old_defect_kernel, 1, range(4), 2), bound, True))
+    checks = []
+    for name, stream, mesh_, m, draw, expected, upper in cases:
+        mean, se = _mean_and_se(_kernel_samples((seed, stream), mesh_, m, samples, draw))
+        band = (BOUND_BAND if upper else TWO_SIDED_BAND) * se
+        passed = mean <= expected + band if upper else abs(mean - expected) <= band
+        detail = "upper bound" if upper else f"z={(mean - expected) / se:+.2f}"
+        checks.append(CheckResult(name, passed, mean, expected, band, detail))
+    return checks
 
 
 def _covariance_checks(samples: int, seed: int, stream: int) -> list[CheckResult]:

@@ -310,7 +310,7 @@ def test_defect_moment_small_monte_carlo():
     mesh = TimeMesh(8)
     m = 2
     rng = np.random.Generator(np.random.Philox(key=9000))
-    block, cells = _cell_block(rng, 400, mesh, m)
+    block, cells = _cell_block(rng, 400, mesh, m, moments=2)
     sq = (heat_defect_block(block, mesh, cells) ** 2).sum(axis=2).ravel()
     mean = sq.mean()
     se = sq.std(ddof=1) / math.sqrt(sq.size)

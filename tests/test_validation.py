@@ -14,16 +14,19 @@ from mcnspde import (
     validate_statistics,
     wave_micro_sum_moment_exact,
 )
+from mcnspde import validation
 from mcnspde.validation import (
     _cell_block,
+    _old_defect_kernel,
     _wave_micro_sum_kernel,
     heat_defect_block,
     wave_current_defect_block,
 )
 
 
-def cell_block(key, n_paths, mesh, m):
-    return _cell_block(np.random.Generator(np.random.Philox(key=key)), n_paths, mesh, m)
+def cell_block(key, n_paths, mesh, m, intervals=None, moments=3):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return _cell_block(rng, n_paths, mesh, m, intervals, moments)
 
 
 def micro_node(block, mesh, j, ell):
@@ -118,8 +121,8 @@ def test_wave_micro_sum_moment_small_monte_carlo():
     mesh = TimeMesh(8)
     j, m = 7, 1
     n_paths = 40_000
-    block, _ = cell_block(777, n_paths, mesh, m)
-    vals = _wave_micro_sum_kernel(block, mesh)[:, j, :]
+    block, _ = cell_block(777, n_paths, mesh, m, range(j, j + 1), 1)
+    vals = _wave_micro_sum_kernel(block, mesh)[:, 0, :]
     sq = (vals**2).sum(axis=1)
     se = sq.std(ddof=1) / math.sqrt(n_paths)
     assert abs(sq.mean() - wave_micro_sum_moment_exact(mesh, j, m)) <= 3 * se
@@ -156,6 +159,93 @@ def test_cell_block_covariance_is_the_exact_law():
             prod = draws[a] * draws[b]
             se = prod.std(ddof=1) / math.sqrt(prod.size)
             assert abs(prod.mean() - exact[a, b]) <= 4 * se, (a, b)
+
+
+def test_old_defect_kernel_is_tau_times_the_summed_heat_defects():
+    """The past-interval kernel, read from (dW, I1) alone, equals tau times the summed defects."""
+    mesh = TimeMesh(4)
+    block, cells = cell_block(307, 3, mesh, 2, moments=2)
+    got = _old_defect_kernel(block, mesh, cells)
+    assert got.shape == (3, 1, 2)
+    expected = mesh.tau * heat_defect_block(block, mesh, cells).sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-15)
+
+
+def test_partial_cell_block_has_the_exact_law():
+    """A block of interval j > 0 alone: W(t_j), W(t_{j,l}) and (dW, I1) within 4 SE of the law."""
+    mesh = TimeMesh(4)
+    j, h, M, n_paths = 2, mesh.tau**2, mesh.M, 20_000
+    block, (increments, i1) = cell_block(17, n_paths, mesh, 1, range(j, j + 1), 2)
+    assert block.shape == (n_paths, M + 1, 1)
+    assert increments.shape == i1.shape == (n_paths, 1, M, 1)
+    steps = np.cumsum(increments.reshape(n_paths, M, 1), axis=1)
+    np.testing.assert_allclose(block[:, 1:], block[:, :1] + steps, rtol=1e-12, atol=1e-15)
+    # W(t_{j,a}), a = 0..M, holds cell c (dW_c and I1_c) exactly when a > c.
+    times = mesh.coarse_time(j) + h * np.arange(M + 1)
+    holds, eye = (np.arange(M + 1)[:, None] > np.arange(M)).astype(float), np.eye(M)
+    exact = np.block(
+        [
+            [np.minimum.outer(times, times), h * holds, h**2 / 2 * holds],
+            [h * holds.T, h * eye, h**2 / 2 * eye],
+            [h**2 / 2 * holds.T, h**2 / 2 * eye, h**3 / 3 * eye],
+        ]
+    )
+    draws = np.concatenate([block[..., 0], increments[:, 0, :, 0], i1[:, 0, :, 0]], axis=1)
+    for a in range(len(exact)):
+        for b in range(a + 1):
+            prod = draws[:, a] * draws[:, b]
+            se = prod.std(ddof=1) / math.sqrt(n_paths)
+            assert abs(prod.mean() - exact[a, b]) <= 4 * se, (a, b)
+
+
+def test_each_moment_check_draws_only_what_its_kernel_reads(monkeypatch):
+    """Normals per sample of the twelve moment checks, in report order."""
+    drawn = []
+    original = validation._cell_block
+
+    class CountingGenerator:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, size):
+            normals = self.rng.standard_normal(size)
+            drawn.append(normals.size)
+            return normals
+
+    def counting_block(rng, *args):
+        return original(CountingGenerator(rng), *args)
+
+    monkeypatch.setattr(validation, "_cell_block", counting_block)
+    samples = 16  # one chunk per check, a whole number of paths in each
+    names = [check.name for check in validation._moment_checks(samples, seed=7)]
+    assert len(names) == len(drawn) == 12
+    per_sample = dict(zip(names, (count / samples for count in drawn)))
+    assert per_sample == {
+        # every interval, (dW, I1): 2 N M m normals per path, N samples
+        "heat_defect_moment[tau=1/8,m=1]": 16,
+        "heat_defect_moment[tau=1/8,m=2]": 32,
+        "heat_defect_moment[tau=1/16,m=1]": 32,
+        "heat_defect_moment[tau=1/16,m=2]": 64,
+        # W(t_j) when j > 0 and dW on interval j: (M + [j > 0]) m
+        "wave_micro_sum_moment[tau=1/8,j=0,m=1]": 8,
+        "wave_micro_sum_moment[tau=1/8,j=0,m=2]": 16,
+        "wave_micro_sum_moment[tau=1/8,j=7,m=1]": 9,
+        "wave_micro_sum_moment[tau=1/8,j=7,m=2]": 18,
+        # every interval, (dW, I1, I2): 3 N M m per path, N samples
+        "wave_current_defect_bound[tau=1/8,m=1]": 24,
+        "wave_current_defect_bound[tau=1/8,m=2]": 48,
+        # intervals 0..3, (dW, I1): 2 * 4 M m
+        "wave_old_defect_bound[tau=1/8,j=4,m=1]": 64,
+        "wave_old_defect_bound[tau=1/8,j=4,m=2]": 128,
+    }
+
+
+def test_validate_statistics_does_not_depend_on_the_chunk_size(monkeypatch):
+    """Each path's normals are consecutive in its stream, so chunking moves no sample."""
+    whole = validate_statistics(samples=3000, seed=5)
+    monkeypatch.setattr(validation, "_CHUNK_ELEMENTS", 1 << 12)
+    chunked = validate_statistics(samples=3000, seed=5)
+    assert [c.observed for c in chunked.checks] == [c.observed for c in whole.checks]
 
 
 def test_check_result_line_format():
