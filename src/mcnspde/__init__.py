@@ -35,11 +35,9 @@ from .heat import (
     benchmark_heat_problem,
     benchmark_phi,
     em_step,
-    exact_heat_solution,
     heat_step_map,
     mcn_heat_step,
     run_heat,
-    stochastic_convolution,
 )
 from .wave import (
     WAVE_NOISE,

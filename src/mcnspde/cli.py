@@ -14,13 +14,11 @@ once; a switch such as ``paper`` takes yes/no, true/false, on/off or
 1/0, and the file may not name another config file).  Settings stack in
 one order: the desk preset, or the full-scale one under ``--paper``,
 then the config file, then explicit flags, which always win.  Each
-realization's heat path is drawn window by window, every noise
-coordinate and exact-solution piece it reads from their exact joint law
-(the report's ``noise windows``, with the normals drawn per path); a
-wave path is drawn on the micro grid of about an eighth of the largest
-mesh of ``--n-list`` (the report's ``master steps``), and finer meshes,
-the meshes above that eighth and the ``--n-ref`` reference mesh, read
-it through exact Brownian-bridge sums.
+realization's path is drawn window by window, every noise coordinate
+and heat exact-solution piece it reads from their exact joint law (the
+report's ``noise windows``, with the normals drawn per path), on the
+finest mesh it marches: the largest of ``--n-list`` for heat, the
+``--n-ref`` reference mesh for wave.
 Exit codes: 0 success, 1 failed validation checks, 2 bad configuration
 (a ConfigError) or I/O trouble (an OSError); any other exception is a bug
 and propagates with its traceback.

@@ -4,23 +4,22 @@ A study fixes the benchmark problem, a list of coarse resolutions, and a
 realization count.  Every realization r draws one Wiener path (its
 Philox stream keyed by the two words (base_seed, r), so reruns and
 worker splits reproduce bit-identical tables and no two base seeds share
-a path) and runs every resolution against that same path.  A heat path
-is drawn window by window (StudyConfig.window_law): per window of the
-finest mesh N_max of n_list, its N_max increments, the gaps of the
-meshes too fine to read them from those increments, and the pieces of
-the exact solution, jointly from their exact law, so the heat oracle is
-the exact solution itself.  A wave path lies on the micro grid of a mesh
-P of about an eighth of N_max (StudyConfig.path_mesh) and carries the
-exact Brownian-bridge sums, S0 and S1 of each level, through which the
-meshes 2P, 4P and 8P up to N_max and the finer reference mesh read it.
-The root-mean-square final-time error per resolution then feeds a
-log-log least-squares rate fit.
+a path) and runs every resolution against that same path.  A path is
+drawn window by window (StudyConfig.window_law), jointly from the exact
+law of what the study reads: per window of the finest marched mesh
+N_max (for wave the reference mesh), its N_max increments, the gaps of
+the meshes too fine to read them from those increments and, for wave,
+the local parts of their velocity sums, and for heat the pieces of the
+exact solution, so the heat oracle is the exact solution itself.  The
+root-mean-square final-time error per resolution then feeds a log-log
+least-squares rate fit.
 
 Realizations run in blocks, and their paths are drawn in chunks of a
 few (chunk_size).  Each chunk of a block is used at once and dropped:
 it is reduced on every mesh (for wave, the reference mesh too) to its
 noise coordinates, a few numbers per step, stored as its paths' columns
-of that mesh's NoiseBlock, and a heat chunk's oracle pieces are kept.
+of that mesh's NoiseBlock, and its oracle pieces are kept (none for
+wave).
 Then the heat oracle is formed and every mesh is marched once for the
 whole block on (K, R) states.  States, heat oracle values
 and wave references are sine amplitudes, and each realization's squared
@@ -41,7 +40,6 @@ studies measure against the same scheme on a much finer mesh.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import functools
 import math
@@ -65,7 +63,7 @@ from .heat import (
     run_heat,
     window_heat_solution,
 )
-from .noise import NoiseBlock, TimeMesh, WindowLaw, path_functionals, sample_path, sample_windows
+from .noise import NoiseBlock, TimeMesh, WindowLaw, sample_windows
 from .wave import WAVE_NOISE, benchmark_wave_problem, reference_wave_solution, run_wave
 
 EQUATION_HEAT = "heat"
@@ -95,8 +93,8 @@ FLOOR_EXCLUSION_FACTOR = 3.0
 # let memory grow past the one full path that the block rule allows.
 CHUNK_PATHS = 4
 # A chunk's drawn arrays take at most this many bytes: 4 desk heat (18 KB),
-# --paper heat (69 KB) or desk wave (115 KB) paths, while a --paper wave
-# path (2.4 MB) is drawn alone, so paper memory does not grow.
+# --paper heat (69 KB) or desk wave (96 KB) paths, while a --paper wave
+# path (389 KB) is drawn alone, so paper memory does not grow.
 CHUNK_BYTES = 640 * 1024
 
 
@@ -132,49 +130,18 @@ class StudyConfig:
         return max(self.marched_meshes, key=lambda mesh: mesh.N)
 
     @property
-    def path_mesh(self) -> TimeMesh:
-        """The mesh P whose micro grid every wave path is drawn on.
-
-        P is the smallest power of two with 8P >= N_max, the finest mesh
-        of n_list, and P^2 divisible by the finest marched mesh.  Meshes
-        up to P read the path by stride, and the finer ones (bridge_meshes)
-        through bridge levels, each of their coarse steps spanning whole
-        master steps.
-        """
-        n, finest = max(self.n_list), self.finest_mesh.N
-        p = 1
-        while 8 * p < n or p * p % finest:
-            p *= 2
-        return TimeMesh(p)
-
-    @property
     def window_law(self) -> WindowLaw:
-        """The law of a heat study's paths: windows of N_max, the finest mesh of n_list.
+        """The law of the study's paths: windows of the finest marched mesh.
 
-        It draws every noise coordinate that a mesh of n_list, or one of
-        its finer siblings up to N_max, reads and an oracle piece for each
-        decay rate of oracle_rates, so it depends only on N_max and k.
+        It draws every noise coordinate that a marched mesh, or one of its
+        finer siblings up to the finest, reads; for heat also an oracle
+        piece for each decay rate of oracle_rates, and for wave the
+        velocity parts instead.  So it depends only on the equation, the
+        finest mesh and, for heat, k.
         """
-        return WindowLaw(max(self.n_list), oracle_rates(SpatialGrid(self.k)))
-
-    @property
-    def master_steps(self) -> int:
-        """Steps S = P^2 of each realization's master grid, P that of path_mesh."""
-        return self.path_mesh.N ** 2
-
-    @property
-    def bridge_meshes(self) -> tuple[TimeMesh, ...]:
-        """The meshes finer than path_mesh that read each path through a bridge level.
-
-        The meshes 2P, 4P and 8P up to N_max, whether or not n_list holds
-        them, so that a path, and so a row, does not depend on the row's
-        coarser siblings, and every marched mesh finer than P: for wave the
-        reference mesh.
-        """
-        p = self.path_mesh.N
-        levels = {n for n in (2 * p, 4 * p, 8 * p) if n <= max(self.n_list)}
-        levels.update(mesh.N for mesh in self.marched_meshes if mesh.N > p)
-        return tuple(TimeMesh(n) for n in sorted(levels))
+        if self.equation == EQUATION_HEAT:
+            return WindowLaw(self.finest_mesh.N, oracle_rates(SpatialGrid(self.k)))
+        return WindowLaw(self.finest_mesh.N, (), velocity=True)
 
 
 def desk_heat_config(**overrides) -> StudyConfig:
@@ -189,8 +156,9 @@ def desk_heat_config(**overrides) -> StudyConfig:
 def desk_wave_config(**overrides) -> StudyConfig:
     """Quick wave study: N in 8..128 against N_ref = 1024, 300 realizations.
 
-    Paths have 32^2 = 2^10 master steps, each also split into 4, 16 and
-    1024 bridge steps of the micro grids of N = 64, 128 and the reference.
+    Paths are drawn in 64 windows of 78 values: 16 increments of N_ref,
+    the 31 gaps and the 31 velocity parts of N = 64..1024, 4992 normals a
+    path.
     """
     base = StudyConfig(
         equation=EQUATION_WAVE,
@@ -215,9 +183,8 @@ def paper_heat_config(**overrides) -> StudyConfig:
 def paper_wave_config(**overrides) -> StudyConfig:
     """Full-scale wave study: N in 4..1024 against N_ref = 4096, 1000 realizations.
 
-    Paths have 128^2 = 2^14 master steps, each also split into 4, 16, 64
-    and 1024 bridge steps of the micro grids of N = 256, 512, 1024 and the
-    reference.
+    Paths are drawn in 128 windows of 158 values: 32 increments of N_ref,
+    the 63 gaps and the 63 velocity parts of N = 128..4096.
     """
     base = StudyConfig(
         equation=EQUATION_WAVE,
@@ -400,17 +367,11 @@ def block_size(config: StudyConfig) -> int:
 def chunk_size(config: StudyConfig) -> int:
     """Paths drawn and reduced per pass: CHUNK_PATHS, or fewer if CHUNK_BYTES holds fewer.
 
-    A heat path's drawn arrays are its normals, their window values and
-    its N_max increments and cumulative values; a wave path's are its
-    increments, cumulative values, and its bridge normals and sums.  At
-    least one path.
+    A path's drawn arrays are its normals, their window values and its
+    N_max increments and cumulative values.  At least one path.
     """
-    if config.equation == EQUATION_HEAT:
-        law = config.window_law
-        path_bytes = 8 * (2 * law.normals + 2 * law.steps + 1)
-    else:
-        functionals = path_functionals(config.path_mesh, config.bridge_meshes)
-        path_bytes = 8 * ((2 + 2 * len(functionals)) * config.master_steps + 1)
+    law = config.window_law
+    path_bytes = 8 * (2 * law.normals + 2 * law.steps + 1)
     return max(1, min(CHUNK_PATHS, CHUNK_BYTES // path_bytes))
 
 
@@ -420,29 +381,24 @@ def _block_squared_errors(config: StudyConfig, span: range):
     Returns (errors, floors) with errors shaped (len(span), n_list, norms)
     and floors the squared continuous-vs-semidiscrete oracle gap (heat
     continuous mode only, else None).  The paths are drawn a chunk at a
-    time, each chunk reduced to its noise coordinates on every mesh (and,
-    for heat, to its oracle values) and dropped, and then every mesh is
+    time, each chunk reduced to its noise coordinates on every mesh and
+    its oracle pieces (none for wave) and dropped, and then every mesh is
     marched once for the whole block.
     """
     grid, problems = _build_problems(config)
-    heat = config.equation == EQUATION_HEAT
     count = len(span)
     errors = np.empty((count, len(problems), len(study_norms(config))))
     blocks = _study_noise(config, count)
-    if heat:
-        law = config.window_law
-        pieces = np.empty((count, law.windows, len(law.rates)))
+    law = config.window_law
+    pieces = np.empty((count, law.windows, len(law.rates)))
     size = chunk_size(config)
     for lo in range(0, count, size):
         keys = [(config.base_seed, r) for r in span[lo : lo + size]]
-        if heat:
-            paths, pieces[lo : lo + len(keys)] = sample_windows(keys, law)
-        else:
-            paths = sample_path(keys, config.path_mesh, 1, config.bridge_meshes)
+        paths, pieces[lo : lo + len(keys)] = sample_windows(keys, law)
         for block in blocks:
             block.put(lo, paths)
         del paths  # only one chunk is alive at a time
-    if heat:
+    if config.equation == EQUATION_HEAT:
         # The oracle values of the exact mode, and in continuous mode those of
         # the semidiscrete one too, whose gap to it is the spatial floor.
         modes = {config.exact_mode, EXACT_SEMIDISCRETE}
@@ -479,6 +435,8 @@ def _gather_squared_errors(config: StudyConfig):
     if workers == 1:
         parts = list(map(task, spans))
     else:
+        import concurrent.futures  # only here: importing it costs every run about 2.5 ms
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(task, spans))
     errors, floors = zip(*parts)
@@ -562,12 +520,11 @@ def report_text(table: ConvergenceTable, config: StudyConfig | None = None) -> s
         out.append(f"interior nodes: {config.k}")
         out.append(f"realizations:   {config.mc_count}")
         out.append(f"base seed:      {config.base_seed}")
+        law = config.window_law
+        out.append(f"noise windows:  {law.windows}, {law.normals} normals per path")
         if config.equation == EQUATION_HEAT:
-            law = config.window_law
-            out.append(f"noise windows:  {law.windows}, {law.normals} normals per path")
             out.append(f"exact mode:     {config.exact_mode}")
         else:
-            out.append(f"master steps:   {config.master_steps}")
             out.append(f"reference N:    {config.n_ref}")
     out.append("")
     out.append(f"{'N':>6s} {'tau':>12s} {'rms_error':>14s} {'std_error':>14s}")

@@ -30,21 +30,18 @@ noise channel loading sin(2 pi x) + sin(3 pi x) (e_2 + e_3), whose
 exact solution has three nonzero amplitudes (one deterministic decay,
 two stochastic convolutions).  A study reads the convolutions exactly,
 as sums of the window pieces it draws (window_heat_solution, on the
-rates of oracle_rates); exact_heat_solution gives their conditional
-mean given a drawn path, the independent check.
+rates of oracle_rates).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .grid import SpatialGrid, dirichlet_eigenvalue
-from .noise import NoiseBlock, TimeMesh, WienerPath, bridge_factor, noise_block
+from .noise import NoiseBlock, TimeMesh, WienerPath, noise_block
 
 SCHEME_EULER = "em"
 SCHEME_MCN = "mcn"
@@ -116,7 +113,7 @@ def heat_step_map(problem: HeatProblem, scheme: str) -> tuple:
     return rho.reshape(1, 1, -1), {name: load[None] for name, load in loads.items()}
 
 
-# convolve sums a path's steps, and modal_march a mesh's, by blocks of this many.
+# modal_march marches a mesh's steps in passes of at most this many.
 CONVOLUTION_BLOCK = 128
 
 
@@ -209,111 +206,6 @@ def run_heat(
     return final
 
 
-@functools.lru_cache(maxsize=None)
-def bridge_conditional_weights(
-    functionals: tuple[tuple[int, int], ...], rate: float, delta: float
-) -> tuple[float, np.ndarray]:
-    """Weights of dW and of each bridge sum in E[int_0^delta exp(rate u) dW(u) | dW, sums].
-
-    Over one master step of length delta the integral is dW times the
-    kernel's step average expm1(rate delta)/(rate delta), exactly 1 at
-    rate 0, plus int exp(rate u) dB(u) over the step's Brownian bridge B,
-    which is independent of dW.  Its conditional mean given the bridge
-    sums S_p = sum_{i=1}^{q-1} i^p B(i delta/q) named by functionals
-    ((q, p) pairs, as noise.bridge_covariance takes them) is c . S with
-    C c = v, C their covariance and v_f = Cov(int exp(rate u) dB, S_f)
-    = sum_i i^p (expm1(rate t_i) - (t_i/delta) expm1(rate delta))/rate at
-    t_i = i delta/q.  Returns (step average, c), cached per argument.
-    """
-    x = rate * delta
-    if x == 0.0:
-        return 1.0, np.zeros(len(functionals))
-    loads = np.empty(len(functionals))
-    for f, (q, p) in enumerate(functionals):
-        i = np.arange(1.0, q)
-        loads[f] = np.sum(i**p * (np.expm1(x * i / q) - (i / q) * math.expm1(x))) / rate
-    # C = L L^T: solve L y = v from the top row down, then L^T c = y from the bottom up.
-    factor = bridge_factor(functionals, delta)
-    coefficients = np.empty(len(loads))
-    for f in range(len(loads)):
-        loads[f] = (loads[f] - np.sum(factor[f, :f] * loads[:f])) / factor[f, f]
-    for f in reversed(range(len(loads))):
-        rest = np.sum(factor[f + 1 :, f] * coefficients[f + 1 :])
-        coefficients[f] = (loads[f] - rest) / factor[f, f]
-    return math.expm1(x) / x, coefficients
-
-
-def convolution_kernel(
-    rates: Sequence[float], steps: int, functionals: tuple[tuple[int, int], ...]
-) -> np.ndarray:
-    """Weights of E[int_0^1 exp(-rate (1 - s)) dW(s) | path] for each rate, (rates, 1 + F, S).
-
-    Over master step k the kernel is its left-point value exp(-rate (1 -
-    s_k)) times exp(rate u), u the time into the step, so the integral's
-    conditional mean given the master increments and the bridge sums
-    (functionals, as WienerPath.bridge_functionals lists them) is that
-    left-point weight times the step's bridge_conditional_weights
-    combination of dW_k and its sums.  Row 0 weighs dW_k and row 1 + f
-    the step's sum f.
-    """
-    delta = 1.0 / steps
-    kernel = np.empty((len(rates), 1 + len(functionals), steps))
-    for weights, rate in zip(kernel, rates):
-        step_average, coefficients = bridge_conditional_weights(functionals, rate, delta)
-        np.exp(-rate * delta * np.arange(steps, 0, -1), out=weights[0])
-        weights[1:] = coefficients[:, None] * weights[0]
-        weights[0] *= step_average
-    return kernel
-
-
-def convolve(path: WienerPath, kernel: np.ndarray) -> np.ndarray:
-    """Each rate's conditional mean of the convolution given path, (..., rates, m).
-
-    kernel is convolution_kernel's for the path's S and bridge
-    functionals, and path one path or a chunk, whose leading axis the
-    result keeps.  Each sum runs by einsum over blocks of
-    CONVOLUTION_BLOCK steps and then pairwise over the blocks: no
-    S-long temporary, no BLAS call (a BLAS product this long wakes the
-    BLAS thread pool, whose threads then spin through the Python code
-    that follows), the same bits for a path alone or in any chunk, and
-    the result correctly rounded to about 1e-14 at 2^20 steps.
-    """
-    functionals = path.bridge_functionals
-    if kernel.shape[1:] != (1 + len(functionals), path.S):
-        raise ValueError(
-            f"kernel of shape {kernel.shape} does not weigh a {path.S}-step path "
-            f"with bridge sums {functionals}"
-        )
-    block = math.gcd(path.S, CONVOLUTION_BLOCK)
-    blocked = lambda x: x.reshape(x.shape[:-2] + (-1, block, path.m))
-    terms = [path.increments] + [path.bridge[q][..., p, :, :] for q, p in functionals]
-    result = 0.0
-    for f, term in enumerate(terms):
-        weights = kernel[:, f].reshape(len(kernel), -1, block)
-        result = result + np.einsum("kbw,...bwm->...kmb", weights, blocked(term)).sum(axis=-1)
-    return result
-
-
-def stochastic_convolution(path: WienerPath, rate: float) -> np.ndarray:
-    """Conditional mean of int_0^1 exp(-rate (1 - s)) dW(s) given the path, shape (..., m).
-
-    The path's master increments and bridge sums weighed by
-    convolution_kernel.  A bare left-point sum drops the step average,
-    and on the desk heat study at N = 256 it inflated the reference
-    strong error by 5-7%.  What the path leaves undetermined keeps errors
-    measured against this reference slightly below the continuous-time
-    value.  On a path of 1024 master steps with S0 and S1 of the bridge
-    levels q = 4, 16 and 64, the law the desk heat study drew before its
-    window law, that deficit E ||X - E[X | path]||^2 is 6.2237e-10 in
-    continuous mode, against 6.2236e-10 given the dW of all 2^16 finer
-    steps alone: about 0.14% of the mcn error at N = 256.  Given S0 alone
-    it would be 8.63e-10, and given the 1024 dW alone 4094 times larger.
-    window_heat_solution, which a study uses, leaves none.
-    """
-    kernel = convolution_kernel((rate,), path.S, path.bridge_functionals)
-    return convolve(path, kernel)[..., 0, :]
-
-
 def benchmark_phi(grid: SpatialGrid, noise_scale: float = 1.0) -> np.ndarray:
     """Single-channel coefficient scale * (sin(2 pi x) + sin(3 pi x)): (1, K) amplitudes."""
     phi = np.zeros((1, grid.K))
@@ -344,37 +236,6 @@ def _benchmark_rate(grid: SpatialGrid, mode: str, k: int) -> float:
     raise ConfigError(f"unknown exact mode {mode!r}")
 
 
-def exact_heat_solution(
-    path: WienerPath, grid: SpatialGrid, mode: str = EXACT_CONTINUOUS, noise_scale: float = 1.0
-) -> np.ndarray:
-    """Sine amplitudes of the benchmark solution at time 1, given a Wiener path.
-
-    X(1) = exp(-mu_1) sin(pi x)
-         + conv(mu_2) sin(2 pi x) + conv(mu_3) sin(3 pi x),
-
-    with conv(mu) = int_0^1 exp(-mu (1-s)) dW(s) replaced by its
-    conditional mean given the path's increments and bridge sums
-    (convolution_kernel).  In 'continuous' mode the decay rates are the
-    PDE eigenvalues (k pi)^2, so the comparison against a scheme includes
-    the spatial discretization error; in 'semidiscrete' mode they are
-    the discrete eigenvalues of the grid Laplacian and the comparison
-    isolates the time-stepping error.  Requires a single-channel path
-    (the benchmark noise drives both modes with one Wiener process).
-    Every amplitude but those of modes 1-3 is zero.  One path gives shape
-    (K,), a chunk of n paths (K, n), column i bit for bit that of path i
-    alone.  A study scores its rows against the exact solution of its
-    window draws instead (window_heat_solution); this conditional mean is
-    the independent check on a given path.
-    """
-    if path.m != 1:
-        raise ConfigError(f"benchmark exact solution needs m=1 noise, got m={path.m}")
-    rates = [_benchmark_rate(grid, mode, k) for k in BENCHMARK_NOISE_MODES]
-    kernel = convolution_kernel(rates, path.S, path.bridge_functionals)
-    conv = noise_scale * convolve(path.chunk(), kernel)[..., 0].T
-    values = _benchmark_solution(grid, mode, conv)
-    return values if path.increments.ndim == 3 else values[:, 0]
-
-
 def oracle_rates(grid: SpatialGrid) -> tuple[float, ...]:
     """Decay rates of the benchmark noise modes, continuous and then semidiscrete.
 
@@ -392,10 +253,19 @@ def window_heat_solution(
 
     pieces (n, windows, rates) are the oracle pieces of a chunk drawn by
     noise.sample_windows under the rates of oracle_rates(grid).  The
-    solution is exact_heat_solution's, with conv(mu) = sum_w exp(-mu (1 -
-    t_w)) piece_w over the windows w, t_w the end of w: the exact
-    stochastic convolution, not a conditional mean.  Column i is bit for
-    bit that of path i alone.
+    solution is
+
+        X(1) = exp(-mu_1) sin(pi x) + conv(mu_2) sin(2 pi x) + conv(mu_3) sin(3 pi x),
+
+    with the stochastic convolutions conv(mu) = int_0^1 exp(-mu (1-s)) dW(s)
+    = sum_w exp(-mu (1 - t_w)) piece_w over the windows w, t_w the end of
+    w, scaled by noise_scale.  In 'continuous' mode the decay rates are
+    the PDE eigenvalues (k pi)^2, so the comparison against a scheme
+    includes the spatial discretization error; in 'semidiscrete' mode
+    they are the discrete eigenvalues of the grid Laplacian and the
+    comparison isolates the time-stepping error.  Every amplitude but
+    those of modes 1-3 is zero.  Column i is bit for bit that of path i
+    alone.
     """
     rates = [_benchmark_rate(grid, mode, k) for k in BENCHMARK_NOISE_MODES]
     windows = pieces.shape[1]

@@ -5,61 +5,45 @@ mesh.  Time is discretized twice over.  A coarse mesh with step
 tau = 1/N carries the scheme iterates.  Each coarse interval
 [t_j, t_{j+1}] additionally carries a micro grid t_{j,l} = t_j + l*tau^2,
 l = 0..M with M = 1/tau = N, so the M micro steps of size tau^2 tile the
-interval exactly.  A path is drawn on the micro grid of one mesh, its
-S = N*M uniform steps of size 1/S forming the master grid, and all path
-values are read off that grid by integer master index.  Another mesh
-can read the path by stride only when every one of its micro nodes lands
-exactly on a master node (S divisible by its N*M), which holds for every
-coarser power-of-two mesh and keeps every quadrature in this module
-interpolation-free.
+interval exactly.  A full path (sample_path) is drawn on the micro grid
+of one mesh, its S = N*M uniform steps of size 1/S forming the master
+grid, and all path values are read off that grid by integer master
+index.  Another mesh can read the path by stride only when every one of
+its micro nodes lands exactly on a master node (S divisible by its N*M),
+which holds for every coarser power-of-two mesh and keeps every
+quadrature in this module interpolation-free.
 
-Finer meshes can read the path too, through bridge levels.  A level
-splits each master step into q finer steps, and a mesh whose micro grid
-is a level reads W at those nodes only through linear sums per coarse
-step (the increment, the micro sum and, for the wave scheme, a weighted
-micro sum).  Given the master grid, W on the finer nodes of one master
-step is the linear interpolant plus a discrete Brownian bridge
-B_1..B_{q-1}, independent across steps, so those sums need only
-S0 = sum_i B_i, and for the weighted sum S1 = sum_i i*B_i, of each step.
-sample_path draws every level's sums from their exact joint Gaussian law
-(bridge_covariance; Glasserman, Monte Carlo Methods in Financial
-Engineering, 2004, sec. 3.1) instead of the finer path, and mesh_sums
-combines them with the master grid exactly, with no interpolation
-error.  A wave study draws its paths by this law
-(harness.StudyConfig.path_mesh): on the micro grid of a mesh P of about
-an eighth of its finest study mesh, with the levels q = 4, 16 and 64 of
-the two, four and eight times finer meshes and the level of the
-reference mesh, every level carrying S0 and S1.
-
-A heat study needs less (WindowLaw): its schemes read only increments
-and gaps, its exact solution one stochastic convolution per noise mode,
-and all of these split into independent, alike windows of time.
-sample_windows draws, window by window, the increments of the finest
-mesh N_max, the gaps of the meshes whose micro nodes are not N_max
-nodes, and the windows' pieces of the convolutions, jointly, through
-one factor of their exact covariance (window_factor).  The path it
-returns lies on the N_max grid and carries the drawn gaps
-(WienerPath.gaps); the coarser meshes read their gaps from it by stride.
+A study never draws a full path of its finest micro grid.  Its schemes
+read only a few numbers per step, the noise coordinates (the increment,
+the quadrature gap and, for the wave scheme, a weighted micro sum), and
+the heat oracle one stochastic convolution per noise mode.  Each is an
+integral of dW against a fixed function, and all of them split into
+independent, alike windows of time (WindowLaw).  sample_windows draws,
+window by window and through one factor of their exact joint covariance
+(window_factor; the Ito isometry, Kloeden & Platen 1992, sec. 10.4), the
+increments of the finest mesh N_max, the gaps and, for wave, the local
+velocity parts of the meshes whose micro nodes are not N_max nodes, and
+the windows' pieces of the convolutions.  The path it returns lies on
+the N_max grid and carries the drawn coordinates (WienerPath.gaps and
+WienerPath.parts); the coarser meshes read theirs from it by stride.
 
 mesh_values is the one place that knows where the coarse and micro nodes
 of a mesh sit on the master grid.  It returns them as views of the
 cumulative path, for one path (S+1, m) or a chunk of paths (n, S+1, m).
-mesh_sums reduces any mesh, read by stride or through a bridge level,
-to the same three sums per coarse step (W(t_j), sum_l W(t_{j,l}) and
-sum_l l W(t_{j,l})), from which NoiseBlock.put forms every noise
-coordinate by one formula each; a single path is simply the one-path
+mesh_sums reduces a mesh read by stride to three sums per coarse step
+(W(t_j), sum_l W(t_{j,l}) and sum_l l W(t_{j,l})), from which
+NoiseBlock.put forms every noise coordinate by one formula each, and
+copies or completes the drawn ones; a single path is simply the one-path
 case of a chunk.
 
 Paths are sampled once per realization from a counter-based generator and
 then shared by every scheme and every coarse resolution that is compared,
 so refinement studies measure scheme error on a common noise sample.
-sample_path draws a chunk of paths from a list of keys, each key's
+Both samplers draw a chunk of paths from a list of keys, each key's
 stream into its own row, so a path gets the same bits alone or in any
-chunk.  A scheme reads a path only through a few numbers per step, its
-noise coordinates (the increment, the quadrature gap and, for the wave
-scheme, a weighted micro sum).  NoiseBlock holds them for R paths on one
-mesh, so a chunk of paths can be reduced on every mesh and dropped, and
-the schemes step all R paths together.
+chunk.  NoiseBlock holds the noise coordinates of R paths on one mesh,
+so a chunk of paths can be reduced on every mesh and dropped, and the
+schemes step all R paths together.
 """
 
 from __future__ import annotations
@@ -121,15 +105,12 @@ class WienerPath:
     W(0) = 0, where s_k = k*delta and delta = 1/S.  Values are only ever
     read at master nodes, through mesh_values.
 
-    A path may carry bridge levels: bridge[q], shape (2, S, m), holds,
-    for each master step k, S0 = sum_i B_i and S1 = sum_i i*B_i over the
-    discrete Brownian bridge B_i = W(s_k + i*delta/q) - W(s_k) -
-    (i/q)*increments[k], i = 1..q-1, of the level that splits each master
-    step into q steps.
-
-    A path may also carry drawn quadrature gaps: gaps[N], shape (N, m),
-    holds NoiseBlock's gap of each step of the mesh N, whose micro grid
-    the path does not carry (sample_windows).
+    A path may also carry drawn noise coordinates of meshes whose micro
+    grid it does not carry (sample_windows): gaps[N], shape (N, m), holds
+    NoiseBlock's gap of each step of the mesh N, and parts[N] the local
+    velocity part u_j = sum_c (c + 1)(tau c - 1) dW_c of each step j, dW_c
+    the increment over its micro cell c = 0..M-1, from which NoiseBlock
+    forms the velocity sum.
 
     A chunk of n paths puts a leading axis of n rows in front of every
     array, row i holding path i.
@@ -137,8 +118,8 @@ class WienerPath:
 
     increments: np.ndarray  # shape (S, m), or (n, S, m) for a chunk
     cumulative: np.ndarray  # shape (S + 1, m), or (n, S + 1, m)
-    bridge: dict[int, np.ndarray] = field(default_factory=dict)
     gaps: dict[int, np.ndarray] = field(default_factory=dict)
+    parts: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def S(self) -> int:
@@ -153,60 +134,42 @@ class WienerPath:
         """Master step 1/S."""
         return 1.0 / self.S
 
-    @property
-    def bridge_functionals(self) -> tuple[tuple[int, int], ...]:
-        """(q, p) for each bridge sum S_p = bridge[q][..., p, :, :], levels by increasing q."""
-        return tuple(
-            (q, p) for q in sorted(self.bridge) for p in range(self.bridge[q].shape[-3])
-        )
-
     def chunk(self) -> "WienerPath":
         """The path as a chunk: itself if it is one, else a chunk of one, as views."""
         if self.increments.ndim == 3:
             return self
-        bridge = {q: sums[None] for q, sums in self.bridge.items()}
         gaps = {n: gaps[None] for n, gaps in self.gaps.items()}
-        return WienerPath(self.increments[None], self.cumulative[None], bridge, gaps)
+        parts = {n: parts[None] for n, parts in self.parts.items()}
+        return WienerPath(self.increments[None], self.cumulative[None], gaps, parts)
 
 
-def bridge_level(master_steps: int, mesh: TimeMesh) -> int:
-    """q such that the micro grid of mesh splits each master step into q steps.
+def standard_normals(keys: Sequence, out: np.ndarray) -> None:
+    """Fill out[i] with the first standard normals of the Philox stream of keys[i].
 
-    Raises AlignmentError unless q is a whole number and each coarse step
-    of mesh spans whole master steps.
+    A key is an integer or a pair of 64-bit words.  One generator is
+    re-keyed per key by setting its state, with the same bits as a fresh
+    np.random.Philox(key=key) wherever that takes the key exactly (it
+    rounds words of 2^63 and more through a float): 240 desk heat paths
+    of 864 normals take 2.96 ms instead of 4.09 ms on a 2-core VM.  Keys
+    must be nonnegative.
     """
-    q, rest = divmod(mesh.N * mesh.M, master_steps)
-    if rest or master_steps % mesh.N:
-        raise AlignmentError(f"{mesh} does not refine the {master_steps}-step master grid")
-    return q
+    bits = np.random.Philox(key=0)
+    generator, state = np.random.Generator(bits), bits.state
+    for row, key in zip(out, keys):
+        words = divmod(int(key), 2**64)[::-1] if np.ndim(key) == 0 else key
+        state["state"]["key"] = np.array([int(word) for word in words], dtype=np.uint64)
+        bits.state = state
+        generator.standard_normal(out=row)
 
 
-def path_functionals(mesh: TimeMesh, fine: Sequence[TimeMesh] = ()) -> tuple[tuple[int, int], ...]:
-    """(q, p) of every bridge sum that sample_path draws for these arguments.
-
-    Every mesh of fine whose micro grid is finer than that of mesh gets
-    its level q (bridge_level), with S0 (p = 0) and S1 (p = 1); levels
-    by increasing q.
-    """
-    steps = mesh.N * mesh.M
-    levels = sorted({bridge_level(steps, f) for f in fine if f.N * f.M > steps})
-    return tuple((q, p) for q in levels for p in (0, 1))
-
-
-def sample_path(
-    seed: int | tuple[int, int] | list, mesh: TimeMesh, m: int = 1, fine: Sequence[TimeMesh] = ()
-) -> WienerPath:
+def sample_path(seed: int | tuple[int, int] | list, mesh: TimeMesh, m: int = 1) -> WienerPath:
     """Draw a Wiener path on the micro grid of mesh: S = N*M master steps of [0, 1].
 
     The generator is Philox keyed by seed, an integer or a pair of 64-bit
     words, so paths are reproducible and distinct keys give independent
-    counter-based streams.  A list of such keys draws a chunk, one row
-    per key, each row bit for bit the path of its key alone.  Every mesh
-    of fine whose micro grid is finer than the master grid gets its
-    bridge level (path_functionals): after the master grid, the same
-    stream draws S0 and S1 of every level, jointly, through the Cholesky
-    factor of their exact covariance.  Levels must nest, each q dividing
-    the next, else AlignmentError.
+    counter-based streams (standard_normals).  A list of such keys draws
+    a chunk, one row per key, each row bit for bit the path of its key
+    alone.
     """
     if m < 1:
         raise ValueError(f"need at least one noise component, got m={m}")
@@ -214,51 +177,22 @@ def sample_path(
     if any(min(np.atleast_1d(key)) < 0 for key in keys):
         raise ValueError(f"seed must be nonnegative, got {seed}")
     steps = mesh.N * mesh.M
-    functionals = path_functionals(mesh, fine)
-    # One allocation holds the chunk, so that chunk after chunk reuses the
-    # same heap memory instead of mapping fresh pages.  Each key's stream
-    # gives its increments and then the normals of its bridge sums, kept
-    # apart until one einsum turns them into the sums.
-    n, width = len(keys), len(functionals)
-    memory = np.empty(n * ((2 + width) * steps + 1) * m)
-    increments = memory[: n * steps * m].reshape(n, steps, m)
-    sums = memory[n * steps * m : n * (1 + width) * steps * m].reshape(n, width, steps, m)
-    cumulative = memory[n * (1 + width) * steps * m :].reshape(n, steps + 1, m)
-    normals = np.empty_like(sums)
-    for i, key in enumerate(keys):
-        generator = np.random.Generator(np.random.Philox(key=key))
-        generator.standard_normal(out=increments[i])
-        generator.standard_normal(out=normals[i])
+    increments = np.empty((len(keys), steps, m))
+    standard_normals(keys, increments)
     increments *= math.sqrt(1.0 / steps)
-    cumulative[:, 0] = 0.0
+    cumulative = np.zeros((len(keys), steps + 1, m))
     np.cumsum(increments, axis=1, out=cumulative[:, 1:])
-    np.einsum("fg,ngsm->nfsm", bridge_factor(functionals, 1.0 / steps), normals, out=sums)
-    levels = sorted({q for q, _ in functionals})
-    levels_sums = sums.reshape(n, len(levels), 2, steps, m)
-    bridge = {q: levels_sums[:, i] for i, q in enumerate(levels)}
     if isinstance(seed, list):
-        return WienerPath(increments, cumulative, bridge)
-    return WienerPath(increments[0], cumulative[0], {q: level[0] for q, level in bridge.items()})
-
-
-@functools.lru_cache(maxsize=None)
-def bridge_factor(functionals: tuple[tuple[int, int], ...], delta: float) -> np.ndarray:
-    """Lower Cholesky factor L of bridge_covariance(functionals, delta), cached per argument.
-
-    The entries of S0 of a finer level against S1 of a coarser one vanish
-    (see bridge_covariance), and are set to 0 rather than left to rounding.
-    """
-    factor = lower_factor(bridge_covariance(functionals, delta))
-    powers = np.array([p for _, p in functionals])
-    factor[(powers[:, None] == 0) & (powers == 1)] = 0.0
-    return factor
+        return WienerPath(increments, cumulative)
+    return WienerPath(increments[0], cumulative[0])
 
 
 def lower_factor(cov: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L of cov, L L^T = cov, formed entry by entry.
 
-    No LAPACK: the matrices are a few dozen rows at most, and a first
-    LAPACK call costs the process about 0.4 MB.  A pivot that is rounding
+    No LAPACK: the matrices have at most a few hundred rows (158 for a
+    --paper wave window, 34 ms on a 2-core VM), and a first LAPACK call
+    costs the process about 0.4 MB.  A pivot that is rounding
     residue, at most len(cov) eps cov[f, f], gets a zero column: its row
     is, to rounding, a combination of the rows above it.
     """
@@ -274,64 +208,42 @@ def lower_factor(cov: np.ndarray) -> np.ndarray:
     return factor
 
 
-def bridge_covariance(functionals: Sequence[tuple[int, int]], delta: float) -> np.ndarray:
-    """Covariance of the bridge sums of one master step of length delta, shape (F, F).
-
-    functionals lists (q, p) for S_p = sum_{i=1}^{q-1} i^p B_i of the level
-    of q steps.  With u the time within the master step in units of delta,
-    Cov(B(u), B(v)) = delta (min(u, v) - u v), and for levels a and b = r a
-    the double sum over the nodes i/a and k/b collapses to
-
-        Cov(S0^a, S0^b) = delta r (a^2 - 1)/12
-        Cov(S0^a, S1^b) = delta a r^2 (a^2 - 1)/24
-        Cov(S1^a, S0^b) = delta a r (a^2 - 1)/24
-        Cov(S1^a, S1^b) = delta r^2 (a^2 - 1)(4 a^2 - 1)/180.
-
-    So S1 - (q/2) S0 of one level, and S0^b - r S0^a, are uncorrelated
-    with S0^a.  Raises AlignmentError unless the levels nest.
-    """
-    cov = np.empty((len(functionals), len(functionals)))
-    for x, fx in enumerate(functionals):
-        for y, fy in enumerate(functionals):
-            (a, p), (b, pp) = sorted((fx, fy))
-            r, rest = divmod(b, a)
-            if rest:
-                raise AlignmentError(f"bridge levels q={a} and q={b} do not nest")
-            shape = ((1.0, 0.5 * a), (0.5 * a, (4.0 * a * a - 1.0) / 15.0))[p][pp]
-            cov[x, y] = delta * r ** (1 + pp) * (a * a - 1) / 12.0 * shape
-    return cov
-
-
 class WindowLaw(NamedTuple):
-    """The joint law of every noise coordinate and oracle value a heat study reads.
+    """The joint law of every noise coordinate and oracle value a study reads.
 
-    A heat scheme on mesh N reads each step's increment and quadrature
-    gap, and the exact solution reads int_0^1 exp(-mu (1 - s)) dW(s) for
-    each decay rate mu of rates.  Each is an integral of dW against a
-    fixed function, so they are jointly Gaussian, and they split over
-    windows: the steps of the mesh of `windows` steps, the coarsest power
-    of two whose square exceeds `steps`, the finest mesh N_max, but at
-    most N_max.  A gap depends only on dW inside its step (its weights
-    sum to zero), and the oracle integral is the sum over windows of
-    exp(-mu (1 - t_w)) times the window's piece int exp(-mu (t_w - s))
-    dW(s), t_w the window's end.  So the windows are independent and
-    alike, and one window's values, `width` of them, are drawn by one
-    factor (window_factor) in this order:
+    A scheme on mesh N reads each step's increment and quadrature gap,
+    the wave scheme also its velocity sum, and the heat oracle reads
+    int_0^1 exp(-mu (1 - s)) dW(s) for each decay rate mu of rates.
+    Each is an integral of dW against a fixed function, so they are
+    jointly Gaussian, and they split over windows: the steps of the mesh
+    of `windows` steps, the coarsest power of two whose square exceeds
+    `steps`, the finest marched mesh N_max, but at most N_max.  A gap
+    depends only on dW inside its step (its weights sum to zero).  The
+    velocity sum of step j is (tau^3/2)(u_j - W(t_j)), since
+    sum_{l=1..M} (1 - 2 l tau) = -1, with the part u_j local to its step
+    (WienerPath.parts) and W(t_j) the sum of the increments before it.
+    The oracle integral is the sum over windows of exp(-mu (1 - t_w))
+    times the window's piece int exp(-mu (t_w - s)) dW(s), t_w the
+    window's end.  So the windows are independent and alike, and one
+    window's values, `width` of them, are drawn by one factor
+    (window_factor) in this order:
 
     * the steps/windows increments of the N_max steps, in time order,
     * the gaps of every mesh of meshes, coarsest first, each in time order,
+    * if velocity, the velocity parts of the same steps in the same order,
     * one oracle piece per rate.
 
     meshes are the powers of two N from windows to N_max, all with
     N^2 > N_max, whether or not a study marches them, so the law depends
-    only on N_max and rates.  The coarser meshes are not drawn: their
-    micro nodes are N_max nodes, so their gaps are read from the
-    increments by stride.  Scheme rows come first, so they do not depend
-    on the rates.
+    only on N_max, rates and velocity.  The coarser meshes are not drawn:
+    their micro nodes are N_max nodes, so their coordinates are read from
+    the increments by stride.  Scheme rows come first, so they do not
+    depend on the rates.
     """
 
     steps: int
     rates: tuple[float, ...]
+    velocity: bool = False
 
     @property
     def windows(self) -> int:
@@ -343,7 +255,7 @@ class WindowLaw(NamedTuple):
 
     @property
     def meshes(self) -> tuple[TimeMesh, ...]:
-        """The meshes whose gaps are drawn, coarsest first."""
+        """The meshes whose coordinates are drawn, coarsest first."""
         n, meshes = self.windows, []
         while n <= self.steps:
             if n * n > self.steps:
@@ -354,8 +266,8 @@ class WindowLaw(NamedTuple):
     @property
     def width(self) -> int:
         """Values drawn per window."""
-        gaps = sum(mesh.N for mesh in self.meshes) // self.windows
-        return self.steps // self.windows + gaps + len(self.rates)
+        drawn = sum(mesh.N for mesh in self.meshes) // self.windows * (1 + self.velocity)
+        return self.steps // self.windows + drawn + len(self.rates)
 
     @property
     def normals(self) -> int:
@@ -363,22 +275,24 @@ class WindowLaw(NamedTuple):
         return self.windows * self.width
 
 
-def window_functions(law: WindowLaw) -> list[tuple[int, int, float, float, int]]:
-    """(lo, hi, a, b, w) of each scheme row of law: the function it integrates dW against.
+def window_functions(law: WindowLaw) -> list[tuple[int, int, int, tuple[float, float, float]]]:
+    """(lo, hi, w, p) of each scheme row of law: the function it integrates dW against.
 
     In units of the finest micro cell 1/N_max^2 from the window's start,
-    the function is a - b floor((c - lo)/w) on the cells c in [lo, hi)
-    and 0 elsewhere: 1 on its step for an increment and, for the gap of
-    a step of tau, tau/2 - l tau^2 on the step's micro cell l = 0..M-1.
+    the function is p[0] + l (p[1] + l p[2]) on the cells c in [lo, hi)
+    of micro cell l = floor((c - lo)/w), and 0 elsewhere: 1 on its step
+    for an increment and, on the micro cells l = 0..M-1 of a step of tau,
+    tau/2 - l tau^2 for a gap and (l + 1)(tau l - 1) for a velocity part.
     """
     steps, windows = law.steps, law.windows
-    rows = [(i * steps, (i + 1) * steps, 1.0, 0.0, steps) for i in range(steps // windows)]
-    for mesh in law.meshes:
-        span, tau = steps * steps // mesh.N, mesh.tau
-        rows += [
-            (j * span, (j + 1) * span, 0.5 * tau, tau * tau, span // mesh.N)
-            for j in range(mesh.N // windows)
-        ]
+    rows = [(i * steps, (i + 1) * steps, steps, (1.0, 0.0, 0.0)) for i in range(steps // windows)]
+    polynomials = [lambda tau: (0.5 * tau, -tau * tau, 0.0)]
+    if law.velocity:
+        polynomials.append(lambda tau: (-1.0, tau - 1.0, tau))
+    for polynomial in polynomials:
+        for mesh in law.meshes:
+            span, p = steps * steps // mesh.N, polynomial(mesh.tau)
+            rows += [(j * span, (j + 1) * span, span // mesh.N, p) for j in range(mesh.N // windows)]
     return rows
 
 
@@ -396,17 +310,18 @@ def window_covariance(law: WindowLaw) -> np.ndarray:
     """
     rows, rates = window_functions(law), law.rates
     cell, length, scheme = 1.0 / law.steps**2, 1.0 / law.windows, len(rows)
+    value = lambda c, lo, w, p: p[0] + (c - lo) // w * (p[1] + (c - lo) // w * p[2])
     cov = np.zeros((law.width, law.width))
-    for x, (lo, hi, a, b, w) in enumerate(rows):
-        for y, (lo_y, hi_y, a_y, b_y, w_y) in enumerate(rows[: x + 1]):
+    for x, (lo, hi, w, p) in enumerate(rows):
+        for y, (lo_y, hi_y, w_y, p_y) in enumerate(rows[: x + 1]):
             fine = min(w, w_y)
             c = np.arange(max(lo, lo_y), min(hi, hi_y), fine)
-            product = (a - b * ((c - lo) // w)) * (a_y - b_y * ((c - lo_y) // w_y))
+            product = value(c, lo, w, p) * value(c, lo_y, w_y, p_y)
             cov[x, y] = cov[y, x] = cell * fine * math.fsum(product)
         c = np.arange(lo, hi, w)
         for z, rate in enumerate(rates, scheme):
             decay = np.exp(-rate * (length - cell * (c + w))) * -math.expm1(-rate * cell * w) / rate
-            cov[x, z] = cov[z, x] = math.fsum((a - b * ((c - lo) // w)) * decay)
+            cov[x, z] = cov[z, x] = math.fsum(value(c, lo, w, p) * decay)
     for z, mu in enumerate(rates, scheme):
         for y, nu in enumerate(rates, scheme):
             cov[z, y] = -math.expm1(-(mu + nu) * length) / (mu + nu)
@@ -422,28 +337,29 @@ def window_factor(law: WindowLaw) -> np.ndarray:
 def sample_windows(keys: list, law: WindowLaw) -> tuple[WienerPath, np.ndarray]:
     """Draw a chunk of paths by law, one per key, each bit for bit that of its key alone.
 
-    Each key's Philox stream gives law.normals normals, window by window,
-    and one einsum with window_factor turns each window's normals into
-    its values.  Returns (path, pieces): path the chunk on the N_max grid,
-    its increments and cumulative values, carrying the gaps of
-    law.meshes (WienerPath.gaps), and pieces (n, windows, rates) the
-    oracle pieces.
+    Each key's Philox stream gives law.normals normals, window by window
+    (standard_normals), and one einsum with window_factor turns each
+    window's normals into its values.  Returns (path, pieces): path the
+    chunk on the N_max grid, its increments and cumulative values,
+    carrying the gaps and, if law.velocity, the velocity parts of
+    law.meshes (WienerPath.gaps and parts), and pieces (n, windows,
+    rates) the oracle pieces.
     """
     n, steps, windows = len(keys), law.steps, law.windows
     normals = np.empty((n, windows, law.width))
-    for row, key in zip(normals, keys):
-        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=row)
+    standard_normals(keys, normals)
     values = np.einsum("fg,rwg->rwf", window_factor(law), normals)
     start = steps // windows
     increments = values[..., :start].reshape(n, steps, 1)
     cumulative = np.zeros((n, steps + 1, 1))
     np.cumsum(increments, axis=1, out=cumulative[:, 1:])
-    gaps = {}
-    for mesh in law.meshes:
-        stop = start + mesh.N // windows
-        gaps[mesh.N] = values[..., start:stop].reshape(n, mesh.N, 1)
-        start = stop
-    return WienerPath(increments, cumulative, gaps=gaps), values[..., start:]
+    drawn = ({}, {}) if law.velocity else ({},)
+    for coordinates in drawn:
+        for mesh in law.meshes:
+            stop = start + mesh.N // windows
+            coordinates[mesh.N] = values[..., start:stop].reshape(n, mesh.N, 1)
+            start = stop
+    return WienerPath(increments, cumulative, *drawn), values[..., start:]
 
 
 def master_strides(mesh: TimeMesh, master_steps: int) -> tuple[int, int]:
@@ -486,17 +402,15 @@ def mesh_values(cumulative: np.ndarray, mesh: TimeMesh) -> tuple[np.ndarray, np.
 def mesh_sums(
     path: WienerPath, mesh: TimeMesh, count: int
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(coarse, micro sums, micro moments) of path on mesh, by stride or through a bridge level.
+    """(coarse, micro sums, micro moments) of path on mesh, read by stride.
 
     coarse (..., N+1, m) holds W(t_j), sums[..., j, :] = sum_{l=1}^{M}
     W(t_{j,l}) and moments[..., j, :] = sum_{l=1}^{M} l W(t_{j,l}), each
     (..., N, m) with the leading axis of a chunk; only the first count of
     the two sums are formed, the others are None.  A mesh whose micro
-    nodes are master nodes reads them by stride (mesh_values); a finer
-    one forms the sums as exact linear combinations of the master grid
-    and the bridge sums of its level.  A mesh whose gaps the path carries
-    (WienerPath.gaps) gives its coarse values with count 0.  Raises
-    AlignmentError if the mesh is none of these.
+    nodes are master nodes reads them through mesh_values.  A finer mesh
+    whose gaps the path carries (WienerPath.gaps) gives its coarse values
+    with count 0, and any other raises AlignmentError.
     """
     if path.S % (mesh.N * mesh.M) == 0:
         coarse, micro = mesh_values(path.cumulative, mesh)
@@ -504,31 +418,12 @@ def mesh_sums(
         if count < 2:
             return coarse, sums, None
         return coarse, sums, np.einsum("l,...jlm->...jm", np.arange(1.0, mesh.M + 1), micro)
-    q = bridge_level(path.S, mesh)
-    cells = path.S // mesh.N  # master steps per coarse step
-    coarse = path.cumulative[..., ::cells, :]
-    if count == 0 and mesh.N in path.gaps:
-        return coarse, None, None
-    if q not in path.bridge:
+    if count > 0 or mesh.N not in path.gaps:
         raise AlignmentError(
-            f"the micro grid of N={mesh.N} is neither read by stride nor a bridge level "
-            f"of a {path.S}-step path with levels q in {sorted(path.bridge)}"
+            f"the micro grid of N={mesh.N} is finer than the {path.S}-step path, "
+            f"which carries the drawn coordinates of N in {sorted(path.gaps)} only"
         )
-    if count == 0:
-        return coarse, None, None
-    shape = path.increments.shape[:-2] + (mesh.N, cells, path.m)
-    level = np.moveaxis(path.bridge[q].reshape(shape[:-3] + (-1,) + shape[-3:]), -4, 0)
-    left = path.cumulative[..., :-1, :].reshape(shape)
-    rise = path.increments.reshape(shape)
-    # On master step k, W(s_k + i delta/q) = W(s_k) + (i/q) dW_k + B_i for
-    # i = 1..q (B_q = 0), so its q finer nodes sum to, and weighted by i sum to:
-    sums = q * left + 0.5 * (q + 1) * rise + level[0]
-    if count == 1:
-        return coarse, sums.sum(axis=-2), None
-    weighted = 0.5 * q * (q + 1) * left + (q + 1) * (2 * q + 1) / 6.0 * rise + level[1]
-    # Finer node i of master step a in coarse step j is micro node l = a q + i.
-    offsets = q * np.arange(cells)[:, None]
-    return coarse, sums.sum(axis=-2), (offsets * sums + weighted).sum(axis=-2)
+    return path.cumulative[..., :: path.S // mesh.N, :], None, None
 
 
 @dataclass(frozen=True)
@@ -573,27 +468,31 @@ class NoiseBlock:
         """Reduce path to its coordinates on the mesh and store them from column r on.
 
         One path fills column r, a chunk of n paths columns r..r+n-1.
-        Gaps the path carries for the mesh (WienerPath.gaps) are copied;
-        everything else is reduced through the mesh's mesh_sums, by stride
-        or through a bridge level, and a path that offers neither raises
-        AlignmentError.
+        Gaps the path carries for the mesh (WienerPath.gaps) are copied,
+        and velocity parts (WienerPath.parts) completed to velocity sums
+        by the coarse values, v_j = (tau^3/2)(u_j - W(t_j)); everything
+        else is reduced through mesh_sums, and a path that offers neither
+        raises AlignmentError.
         """
         chunk = path.chunk()
         columns = slice(r, r + len(chunk.increments))
         tau = self.mesh.tau
-        gaps = chunk.gaps.get(self.mesh.N)
+        gaps, parts = chunk.gaps.get(self.mesh.N), chunk.parts.get(self.mesh.N)
         # Form only the sums that the block's coordinates read.
-        needs_sums = self.gaps is not None and gaps is None
-        count = 2 if self.velocity_sums is not None else 1 if needs_sums else 0
-        coarse, sums, moments = mesh_sums(chunk, self.mesh, count)
+        needs_moments = self.velocity_sums is not None and parts is None
+        needs_sums = needs_moments or (self.gaps is not None and gaps is None)
+        coarse, sums, moments = mesh_sums(chunk, self.mesh, needs_sums + needs_moments)
         # Chunk rows become block columns.
         self.increments[:, columns] = np.diff(coarse, axis=1).swapaxes(0, 1)
-        if needs_sums:
-            gaps = tau * tau * sums - 0.5 * tau * (coarse[:, :-1] + coarse[:, 1:])
         if self.gaps is not None:
+            if gaps is None:
+                gaps = tau * tau * sums - 0.5 * tau * (coarse[:, :-1] + coarse[:, 1:])
             self.gaps[:, columns] = gaps.swapaxes(0, 1)
         if self.velocity_sums is not None:
-            velocity_sums = 0.5 * tau**3 * (sums - 2.0 * tau * moments)
+            if parts is None:
+                velocity_sums = 0.5 * tau**3 * (sums - 2.0 * tau * moments)
+            else:
+                velocity_sums = 0.5 * tau**3 * (parts - coarse[:, :-1])
             self.velocity_sums[:, columns] = velocity_sums.swapaxes(0, 1)
 
 

@@ -71,7 +71,7 @@ def test_report_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_wave_study_runs(capsys):
+def test_wave_study_runs(tmp_path, capsys):
     argv = [
         "wave",
         "--n-list", "8,16",
@@ -84,6 +84,15 @@ def test_wave_study_runs(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "N,tau,rms_error,standard_error"
     assert len(lines) == 3
+    # the report names the wave law as it does the heat one: 8 windows of N_ref = 32, each
+    # 4 increments and the gaps and velocity parts of N = 8, 16 and 32
+    report = tmp_path / "r.txt"
+    assert main(argv + ["--report", str(report)]) == EXIT_OK
+    text = report.read_text()
+    assert "noise windows:  8, 144 normals per path" in text
+    assert "reference N:    32" in text
+    assert "master steps" not in text
+    capsys.readouterr()
 
 
 # Each case carries a fixed id, so deleting one case renames no other.  The
@@ -238,12 +247,13 @@ def test_paper_presets_resolve_without_running():
     assert (heat.window_law.windows, heat.window_law.normals) == (64, 3264)
     wave = _study_config(parser.parse_args(["wave", "--paper"]), "wave")
     assert wave.n_ref == 4096
-    assert wave.master_steps == 2**14  # N = 256, 512, 1024 and N_ref = 4096 read bridge sums
+    # 128 windows of 32 increments and the gaps and velocity parts of N = 128..4096
+    assert (wave.window_law.windows, wave.window_law.normals) == (128, 20224)
     # seed and worker overrides still apply on top of the preset
     custom = _study_config(parser.parse_args(["heat", "--paper", "--seed", "5"]), "heat")
     assert custom.base_seed == 5
     # so do explicit sizes: the preset fills only what was not given
-    # (paths follow the finest mesh of n_list: 8 heat windows of N_max = 32, 128^2 wave steps)
+    # (paths follow the finest marched mesh: 8 heat windows of N_max = 32, 64 of wave N_ref = 2048)
     argv = ["heat", "--paper", "--mc", "5", "--n-list", "8..32"]
     sized = _study_config(parser.parse_args(argv), "heat")
     assert (sized.mc_count, sized.n_list) == (5, (8, 16, 32))
@@ -251,10 +261,10 @@ def test_paper_presets_resolve_without_running():
     assert sized.k == 40
     finer = _study_config(parser.parse_args(["wave", "--paper", "--n-ref", "2048"]), "wave")
     assert finer.n_ref == 2048
-    assert (finer.master_steps, finer.mc_count) == (2**14, 1000)
+    assert (finer.window_law.windows, finer.mc_count) == (64, 1000)
     # without --paper the same flags override the desk preset
     desk = _study_config(parser.parse_args(["wave", "--n-ref", "256"]), "wave")
-    assert (desk.n_ref, desk.master_steps, desk.mc_count) == (256, 2**8, 300)
+    assert (desk.n_ref, desk.window_law.windows, desk.mc_count) == (256, 32, 300)
 
 
 def test_config_file_values_beat_the_paper_preset(tmp_path, capsys):

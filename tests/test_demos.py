@@ -27,3 +27,14 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_library_snippet_runs(capsys):
+    """The README's Library example runs as written and scores a small, positive error."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert 0.0 < namespace["err"] < 0.05
+    assert "fitted rate:" in capsys.readouterr().out

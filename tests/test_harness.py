@@ -3,7 +3,11 @@
 import concurrent.futures
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,6 @@ from mcnspde import (
     desk_wave_config,
     dirichlet_eigenvalue,
     emit_csv,
-    exact_heat_solution,
     fit_rate,
     l2_norm,
     paper_heat_config,
@@ -44,7 +47,7 @@ from mcnspde import (
 from mcnspde import harness
 from mcnspde.harness import _default_fit_range, block_size, chunk_size
 from mcnspde.heat import oracle_rates, window_heat_solution
-from mcnspde.noise import sample_windows
+from mcnspde.noise import WindowLaw, sample_windows
 
 
 def table_from_errors(n_list, errors, fit_range=None, **extra):
@@ -239,10 +242,7 @@ def test_only_the_loaded_modes_are_nonzero(config):
     """
     grid, heat = SpatialGrid(config.k), config.equation == "heat"
     keys = [(config.base_seed, r) for r in range(4)]
-    if heat:
-        paths, pieces = sample_windows(keys, config.window_law)
-    else:
-        paths = sample_path(keys, config.path_mesh, 1, config.bridge_meshes)
+    paths, pieces = sample_windows(keys, config.window_law)
     coordinates = HEAT_NOISE[config.scheme] if heat else WAVE_NOISE
     blocks = [NoiseBlock.empty(mesh, len(keys), 1, coordinates) for mesh in config.marched_meshes]
     for block in blocks:
@@ -293,27 +293,20 @@ def test_adjacent_base_seeds_share_no_path():
         csv_text(run_study(dataclasses.replace(wave, base_seed=s))) for s in seeds
     ]
     assert tables[0] != tables[1]
-    # heat: the N_max increments, the drawn gaps of N = 32..256 and the oracle pieces
-    law = desk_heat_config().window_law
-    paths = [[sample_windows([(s, r)], law) for r in range(16)] for s in seeds]
+    # heat: the N_max increments, the drawn gaps of N = 32..256 and the oracle pieces;
+    # wave: the N_ref increments and the drawn gaps and velocity parts of N = 8..32
     parts = (
         lambda draw: draw[0].increments,
         lambda draw: np.concatenate([gaps.ravel() for gaps in draw[0].gaps.values()]),
+        lambda draw: np.concatenate([parts.ravel() for parts in draw[0].parts.values()]),
         lambda draw: draw[1],
     )
-    for part in parts:
-        drawn = [{np.asarray(part(draw)).tobytes() for draw in group} for group in paths]
-        assert len(drawn[0]) == len(drawn[1]) == 16
-        assert not drawn[0] & drawn[1]
-    # wave: the master grid and the bridge sums of the reference mesh
-    paths = [
-        [sample_path((s, r), wave.path_mesh, 1, wave.bridge_meshes) for r in range(8)]
-        for s in seeds
-    ]
-    for part in (lambda path: path.increments, lambda path: list(path.bridge.values())):
-        drawn = [{np.asarray(part(path)).tobytes() for path in group} for group in paths]
-        assert len(drawn[0]) == len(drawn[1]) == 8
-        assert not drawn[0] & drawn[1]
+    for law, count in ((desk_heat_config().window_law, 16), (wave.window_law, 8)):
+        paths = [[sample_windows([(s, r)], law) for r in range(count)] for s in seeds]
+        for part in parts[:2] + (parts[2:3] if law.velocity else parts[3:]):
+            drawn = [{np.asarray(part(draw)).tobytes() for draw in group} for group in paths]
+            assert len(drawn[0]) == len(drawn[1]) == count
+            assert not drawn[0] & drawn[1]
 
 
 def test_block_size_rule():
@@ -330,8 +323,8 @@ def test_chunk_size_rule():
     assert chunk_size(small_config()) == 4  # 4 windows of 9 normals, 16 increments
     assert chunk_size(desk_heat_config()) == 4  # 18 KB: 32 windows of 27 normals, 256 increments
     assert chunk_size(paper_heat_config()) == 4  # 69 KB: 64 windows of 51, 1024 increments
-    assert chunk_size(desk_wave_config()) == 4  # 115 KB: 1024 master steps, three S0 and S1
-    assert chunk_size(paper_wave_config()) == 1  # 2.4 MB: 2^14 master steps, four S0 and S1
+    assert chunk_size(desk_wave_config()) == 4  # 96 KB: 64 windows of 78, 1024 increments
+    assert chunk_size(paper_wave_config()) == 1  # 389 KB: 128 windows of 158, 4096 increments
 
 
 @pytest.mark.parametrize(
@@ -342,6 +335,7 @@ def test_chunk_size_rule():
         pytest.param("heat", 2, id="heat-workers2"),
         pytest.param("wave", 2, id="wave-workers2"),
         pytest.param("heat", 3, id="heat-workers3"),  # spans of 3, 3 and 1
+        pytest.param("wave", 3, id="wave-workers3"),
     ],
 )
 def test_blocks_do_not_change_the_table(equation, workers, monkeypatch):
@@ -350,17 +344,16 @@ def test_blocks_do_not_change_the_table(equation, workers, monkeypatch):
     if equation == "heat":
         config = small_config(mc_count=7)
     else:
-        # 8^2 master steps of 16 bridge steps each for the 32^2-step reference grid;
-        # the block rule counts that grid, so one block holds all 7
+        # 8 windows of N_ref = 32; the block rule counts the 32^2-step micro grid of the
+        # reference, which no study draws, so one block holds all 7
         config = desk_wave_config(n_list=(4, 8), k=6, mc_count=7, n_ref=32, base_seed=7)
     assert block_size(config) >= 7
     default = chunk_size(config)
     assert default == 4
     drawn = []  # the number of paths of each chunk drawn in this process
-    sampler = "sample_windows" if equation == "heat" else "sample_path"
-    draw = getattr(harness, sampler)
+    draw = harness.sample_windows
     monkeypatch.setattr(
-        f"mcnspde.harness.{sampler}",
+        "mcnspde.harness.sample_windows",
         lambda keys, *args: drawn.append(len(keys)) or draw(keys, *args),
     )
     whole = run_study_tables(config)
@@ -407,6 +400,17 @@ def test_pool_is_sized_by_its_spans(monkeypatch):
     assert sizes == [8, 3, 2]  # four blocks of 2 on two processes
 
 
+def test_import_leaves_the_process_pool_out():
+    """import mcnspde does not import concurrent.futures: only a study on several workers
+    needs its process pool, and the import would cost every run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = "import sys, mcnspde; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "False"
+
+
 def test_study_memory_does_not_grow_with_realizations():
     """Each chunk is reduced and dropped, so 64 realizations peak at most one full path above 4.
 
@@ -432,25 +436,26 @@ def test_study_memory_does_not_grow_with_realizations():
 
 
 def test_wave_study_memory_does_not_grow_with_realizations():
-    """Each chunk of wave paths is reduced and dropped, so 64 realizations peak at most one
-    path above 4: one on the 2^16-step micro grid of N = 256 with the reference level."""
+    """Each chunk of wave paths is reduced and dropped, so 64 realizations peak at most the
+    growth of their noise coordinates and one chunk of drawn paths above 4."""
+    config = desk_wave_config(n_list=(4, 8, 256), k=8, n_ref=512)
+    # one block of at most 224, drawn in chunks of 4 paths of 32 windows of 78 normals each:
+    # 16 increments of N_ref = 512, the gaps and the velocity parts of N = 32..512
+    law = config.window_law
+    assert (law.windows, law.width, chunk_size(config), block_size(config)) == (32, 78, 4, 224)
 
     def peak(mc_count):
-        # one block, drawn in chunks of 4 paths of 32^2 master steps, each with S0 and S1 of
-        # the levels q = 4, 16, 64 and 256 of N = 64, 128, 256 and the 512^2-step reference grid
-        config = desk_wave_config(n_list=(4, 8, 256), k=8, mc_count=mc_count, n_ref=512)
         tracemalloc.start()
         try:
-            run_study_tables(config)
+            run_study_tables(dataclasses.replace(config, mc_count=mc_count))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    path = sample_path(0, TimeMesh(256), 1, [TimeMesh(512)])
-    assert list(path.bridge) == [4]
+    per_realization = sum(block.nbytes for block in harness._study_noise(config, 1))
+    chunk_bytes = 4 * 8 * (2 * law.normals + 2 * law.steps + 1)
     small = peak(4)
-    path_bytes = path.increments.nbytes + path.cumulative.nbytes + path.bridge[4].nbytes
-    assert peak(64) - small <= path_bytes
+    assert peak(64) - small <= 60 * per_realization + chunk_bytes
 
 
 def test_wave_study_reports_both_norms():
@@ -513,36 +518,34 @@ def test_preset_configurations():
     desk = desk_heat_config()
     assert desk.n_list == (8, 16, 32, 64, 128, 256)
     assert desk.mc_count == 500
-    assert (desk.path_mesh, desk.master_steps) == (TimeMesh(32), 2**10)
-    assert desk.bridge_meshes == (TimeMesh(64), TimeMesh(128), TimeMesh(256))
+    assert desk.window_law == WindowLaw(256, oracle_rates(SpatialGrid(40)))
+    assert (desk.window_law.windows, desk.window_law.normals) == (32, 864)
     assert desk.exact_mode == "continuous"
     wave = desk_wave_config()
     assert wave.n_list == (8, 16, 32, 64, 128)
-    assert (wave.mc_count, wave.n_ref, wave.master_steps) == (300, 1024, 2**10)
-    assert wave.bridge_meshes == (TimeMesh(64), TimeMesh(128), TimeMesh(1024))
+    assert (wave.mc_count, wave.n_ref) == (300, 1024)
+    assert wave.window_law == WindowLaw(1024, (), velocity=True)
+    assert (wave.window_law.windows, wave.window_law.width) == (64, 78)
     paper_h = paper_heat_config()
     assert paper_h.n_list[0] == 4 and paper_h.n_list[-1] == 1024
-    assert (paper_h.mc_count, paper_h.master_steps) == (1000, 2**14)
-    assert paper_h.bridge_meshes == (TimeMesh(256), TimeMesh(512), TimeMesh(1024))
+    assert (paper_h.mc_count, paper_h.window_law.windows, paper_h.window_law.width) == (1000, 64, 51)
     paper_w = paper_wave_config()
     assert paper_w.n_ref == 4096
-    assert paper_w.master_steps == 2**14
-    assert paper_w.bridge_meshes == tuple(TimeMesh(n) for n in (256, 512, 1024, 4096))
+    assert (paper_w.window_law.windows, paper_w.window_law.width) == (128, 158)
     for cfg in (desk, wave, paper_h, paper_w):
-        assert cfg.master_steps == cfg.path_mesh.N**2
+        assert cfg.window_law.steps == cfg.finest_mesh.N
         validate_config(cfg)
 
 
 def test_paths_are_drawn_on_the_finest_mesh():
-    """Heat and wave paths are drawn by one law, on an eighth of the finest study mesh.
+    """Heat and wave paths are drawn by one law, window by window on the finest marched mesh
+    (N_max for heat, N_ref for wave), so the path size is not a setting.
 
-    The path mesh P is the smallest power of two with 8P >= N_max and P^2
-    divisible by the finest marched mesh (N_max for heat, N_ref for wave),
-    so the meshes 2P, 4P and 8P up to N_max read the bridge levels q = 4,
-    16 and 64, and the wave reference its own level; S is not a setting.
+    The windows are the W steps of the coarsest power of two with W^2 >
+    N_max (at most N_max), and each draws its N_max increments and the
+    gaps of every mesh from W to N_max; for heat also an oracle piece per
+    decay rate, for wave the velocity parts of the same meshes instead.
     """
-    # Heat paths are drawn window by window instead: windows W, the coarsest power of two
-    # with W^2 > N_max (at most N_max), and the drawn gaps of every mesh from W to N_max.
     heat = [
         ((8,), 4, (4, 8), 36),  # 4 + 2 + 2 increments, gaps and pieces per window
         ((4, 32), 8, (8, 16, 32), 120),  # 16 holds no row, but its gaps are drawn all the same
@@ -556,20 +559,22 @@ def test_paths_are_drawn_on_the_finest_mesh():
         law = config.window_law
         assert (law.steps, law.windows, law.normals) == (n_list[-1], windows, normals)
         assert law.meshes == tuple(TimeMesh(n) for n in drawn_n)
-        assert law.rates == oracle_rates(SpatialGrid(config.k))
+        assert law.rates == oracle_rates(SpatialGrid(config.k)) and not law.velocity
         assert config.finest_mesh == TimeMesh(n_list[-1])
         assert run_study(dataclasses.replace(config, mc_count=2)).rows[-1].rms_error > 0
     wave = [
-        (desk_wave_config(), 32, (64, 128, 1024)),
-        (paper_wave_config(), 128, (256, 512, 1024, 4096)),
-        (desk_wave_config(n_list=(8, 16), n_ref=64), 8, (16, 64)),
-        # P^2 must be a multiple of N_ref, so P = 4 lies above N_max = 2
-        (desk_wave_config(n_list=(1, 2), n_ref=8), 4, (8,)),
-        (desk_wave_config(n_list=(8, 16, 32), n_ref=32), 8, (16, 32)),  # N_ref = N_max
+        (desk_wave_config(), 64, (64, 128, 256, 512, 1024), 4992),
+        (paper_wave_config(), 128, (128, 256, 512, 1024, 2048, 4096), 20224),
+        (desk_wave_config(n_list=(8, 16), n_ref=64), 16, (16, 32, 64), 288),
+        # the windows lie above N_max = 2: they follow the reference mesh
+        (desk_wave_config(n_list=(1, 2), n_ref=8), 4, (4, 8), 32),
+        (desk_wave_config(n_list=(8, 16, 32), n_ref=32), 8, (8, 16, 32), 144),  # N_ref = N_max
     ]
-    for config, path_n, bridge_n in wave:
-        assert config.path_mesh == TimeMesh(path_n)
-        assert config.bridge_meshes == tuple(TimeMesh(n) for n in bridge_n)
+    for config, windows, drawn_n, normals in wave:
+        law = config.window_law
+        assert (law.steps, law.windows, law.normals) == (config.n_ref, windows, normals)
+        assert law.meshes == tuple(TimeMesh(n) for n in drawn_n)
+        assert law.rates == () and law.velocity
         assert config.finest_mesh == TimeMesh(config.n_ref)
     beyond = desk_wave_config(n_list=(1, 2), k=4, mc_count=2, n_ref=8)
     assert run_study_tables(beyond)["h1_displacement"].rows[-1].rms_error > 0

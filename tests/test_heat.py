@@ -4,7 +4,6 @@ States, initial data and Phi are sine amplitudes; the dense node-space
 references take their node values through SpatialGrid.node_values.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -23,18 +22,15 @@ from mcnspde import (
     desk_heat_config,
     dirichlet_eigenvalue,
     em_step,
-    exact_heat_solution,
     heat_step_map,
     l2_norm,
     mcn_heat_step,
-    paper_heat_config,
     run_heat,
     sample_path,
     sine_mode,
-    stochastic_convolution,
 )
-from mcnspde.heat import bridge_conditional_weights, oracle_rates, window_heat_solution
-from mcnspde.noise import bridge_covariance, path_functionals, sample_windows
+from mcnspde.heat import oracle_rates, window_heat_solution
+from mcnspde.noise import WindowLaw, sample_windows
 
 
 def value_at(path, t):
@@ -297,26 +293,24 @@ def test_deterministic_steps_are_contractive():
 
 
 def test_exact_solution_silent_noise():
+    """Zero pieces, or drawn ones at noise scale 0, leave the decay of mode 1 alone."""
     grid = SpatialGrid(40)
-    mesh = TimeMesh(16)
-    path = sample_path(5, mesh)
-    silent = WienerPath(np.zeros_like(path.increments), np.zeros_like(path.cumulative))
-    cont = exact_heat_solution(silent, grid, mode="continuous")
-    np.testing.assert_allclose(cont, math.exp(-math.pi**2) * sine_mode(grid, 1), rtol=1e-13)
-    semi = exact_heat_solution(silent, grid, mode="semidiscrete")
-    lam1 = dirichlet_eigenvalue(grid, 1)
-    np.testing.assert_allclose(semi, math.exp(-lam1) * sine_mode(grid, 1), rtol=1e-13)
+    law = desk_heat_config().window_law
+    _, pieces = sample_windows([5, 6], law)
+    for drawn, scale in ((np.zeros_like(pieces), 1.0), (pieces, 0.0)):
+        cont = window_heat_solution(drawn, grid, "continuous", scale)
+        decay = math.exp(-math.pi**2) * sine_mode(grid, 1)
+        np.testing.assert_allclose(cont, np.stack([decay, decay], 1), rtol=1e-13, atol=0.0)
+        semi = window_heat_solution(drawn, grid, "semidiscrete", scale)
+        decay = math.exp(-dirichlet_eigenvalue(grid, 1)) * sine_mode(grid, 1)
+        np.testing.assert_allclose(semi, np.stack([decay, decay], 1), rtol=1e-13, atol=0.0)
 
 
 def test_exact_solution_config_errors():
     grid = SpatialGrid(10)
-    mesh = TimeMesh(16)
-    two_channel = sample_path(9, mesh, m=2)
+    _, pieces = sample_windows([9], desk_heat_config(k=10).window_law)
     with pytest.raises(ConfigError):
-        exact_heat_solution(two_channel, grid)
-    path = sample_path(9, mesh)
-    with pytest.raises(ConfigError):
-        exact_heat_solution(path, grid, mode="spectral")
+        window_heat_solution(pieces, grid, mode="spectral")
 
 
 def test_problem_rejects_mismatched_grids():
@@ -428,19 +422,11 @@ def test_run_heat_rejects_foreign_blocks():
 
 @pytest.mark.parametrize("mode", ["continuous", "semidiscrete"])
 def test_exact_solution_of_a_chunk_is_each_path_alone(mode):
-    """A chunk's oracle columns equal each path's oracle alone, bit for bit, for bridge paths
-    and for window draws."""
+    """A chunk's oracle columns equal each path's oracle alone, bit for bit."""
     grid = SpatialGrid(12)
-    config = desk_heat_config(n_list=(8, 16, 32))  # 8^2 master steps, levels q = 4 and 16
+    config = desk_heat_config(n_list=(8, 16, 32), k=grid.K)
     keys = [(config.base_seed, r) for r in range(5)]
-    chunk = sample_path(keys, config.path_mesh, 1, config.bridge_meshes)
-    assert chunk.bridge_functionals == ((4, 0), (4, 1), (16, 0), (16, 1))
-    together = exact_heat_solution(chunk, grid, mode, 0.7)
-    assert together.shape == (grid.K, len(keys))
-    for i, key in enumerate(keys):
-        path = sample_path(key, config.path_mesh, 1, config.bridge_meshes)
-        np.testing.assert_array_equal(exact_heat_solution(path, grid, mode, 0.7), together[:, i])
-    law = dataclasses.replace(config, k=grid.K).window_law
+    law = config.window_law
     _, pieces = sample_windows(keys, law)
     together = window_heat_solution(pieces, grid, mode, 0.7)
     assert together.shape == (grid.K, len(keys))
@@ -450,158 +436,18 @@ def test_exact_solution_of_a_chunk_is_each_path_alone(mode):
 
 
 def test_stochastic_convolution_zero_rate_is_endpoint():
-    mesh = TimeMesh(32)
-    path = sample_path(21, mesh, m=2)
-    np.testing.assert_allclose(
-        stochastic_convolution(path, 0.0), path.cumulative[-1], rtol=1e-13
-    )
+    """As mu -> 0 the oracle piece of a window is its increment, so conv(mu) is W(1): at mu =
+    1e-12 the drawn pieces of a rate-free heat law's windows sum to its endpoint to 1e-9.
 
-
-def test_stochastic_convolution_matches_the_direct_sum():
-    """The factored weights give the direct left-point sum, correctly rounded, to 1e-13."""
-    for steps in (2**15, 2**16, 2**20):  # 2^15: blocks and offsets of unequal length
-        # drawn as sample_path draws, by hand: no mesh has 2^15 micro steps
-        increments = np.random.Generator(np.random.Philox(key=steps)).standard_normal((steps, 2))
-        increments *= math.sqrt(1.0 / steps)
-        path = WienerPath(increments, np.vstack([np.zeros((1, 2)), increments.cumsum(axis=0)]))
-        for rate in (0.0, (2 * math.pi) ** 2, (3 * math.pi) ** 2, 1e4):
-            left_times = path.delta * np.arange(path.S)
-            weights = np.exp(-rate * (1.0 - left_times))
-            x = rate * path.delta
-            step_average = math.expm1(x) / x if x != 0.0 else 1.0
-            direct = [
-                step_average * math.fsum(weights * path.increments[:, c]) for c in range(2)
-            ]
-            np.testing.assert_allclose(stochastic_convolution(path, rate), direct, rtol=1e-13)
-
-
-def test_stochastic_convolution_ito_isometry():
-    """Sample variance of conv(mu) meets (1 - exp(-2 mu T))/(2 mu) within 5 SE."""
-    mesh = TimeMesh(32)
-    mu = (2 * math.pi) ** 2
-    n_paths = 10_000
-    vals = np.empty(n_paths)
-    for i in range(n_paths):
-        path = sample_path(40_000 + i, mesh)
-        vals[i] = stochastic_convolution(path, mu)[0]
-    target = (1.0 - math.exp(-2.0 * mu)) / (2.0 * mu)
-    sq = vals**2
-    se = sq.std(ddof=1) / math.sqrt(n_paths)
-    assert abs(sq.mean() - target) <= 5 * se
-    # the mean itself is zero to within CLT noise
-    assert abs(vals.mean()) <= 5 * vals.std(ddof=1) / math.sqrt(n_paths)
-
-
-def projection_rows(functionals, cells):
-    """(dW, bridge sums) of one master step as rows over its cells' increments, (1 + F, cells).
-
-    W after i of the cells' equal increments is their partial sum, so
-    B(i/q) = W(i cells/q) - (i/q) dW at node i of the level of q steps.
+    The piece's row is then, to rounding, the sum of the increment rows,
+    which window_factor's pivot rule must carry without a spurious
+    direction of its own.
     """
-    partial = np.tril(np.ones((cells, cells)))  # row i: W after i + 1 cells
-    rows = [np.ones(cells)]
-    for q, p in functionals:
-        i = np.arange(1, q)
-        bridge = partial[i * (cells // q) - 1] - (i / q)[:, None]
-        rows.append(((i**p)[:, None] * bridge).sum(axis=0))
-    return np.array(rows)
-
-
-@pytest.mark.parametrize(
-    "functionals",
-    [
-        pytest.param(((4, 0), (16, 0)), id="heat"),
-        pytest.param(((16, 0), (16, 1)), id="wave"),
-        pytest.param(((4, 0), (4, 1), (16, 0)), id="mixed"),
-    ],
-)
-def test_oracle_weights_are_the_lstsq_projection(functionals):
-    """bridge_conditional_weights equal the least-squares projection over 64 finer cells.
-
-    Given the i.i.d. increments of 64 equal cells of one master step, the
-    integral of exp(rate u) dW has conditional mean sum_j a_j xi_j, a_j the
-    kernel's average over cell j, and (dW, sums) are linear in them, so
-    their regression weights are lstsq(A^T, a).
-    """
-    delta, cells = 1.0 / 4096, 64
-    rows = projection_rows(functionals, cells)
-    for rate in ((2 * math.pi) ** 2, (3 * math.pi) ** 2, 1e3):
-        edges = np.expm1(rate * delta * np.arange(cells + 1) / cells)
-        averages = np.diff(edges) / (rate * delta / cells)
-        brute = np.linalg.lstsq(rows.T, averages, rcond=None)[0]
-        step_average, coefficients = bridge_conditional_weights(functionals, rate, delta)
-        scale = np.abs(brute).max()
-        got = [step_average, *coefficients]
-        np.testing.assert_allclose(got, brute, rtol=1e-9, atol=1e-12 * scale)
-    assert bridge_conditional_weights(functionals, 0.0, delta)[0] == 1.0
-
-
-def oracle_deficit(steps, functionals, rates=((2 * math.pi) ** 2, (3 * math.pi) ** 2)):
-    """E ||X(1) - E[X(1) | path]||^2 of the benchmark solution, continuous mode, unit noise.
-
-    Per master step of the kernel's left-point weight L_k, the integral's
-    variance given dW and the bridge sums is int_0^delta exp(2 rate u) du -
-    delta avg^2 - c . C c; sine modes have squared grid norm 1/2.
-    """
-    delta, total = 1.0 / steps, 0.0
-    for rate in rates:
-        step_average, c = bridge_conditional_weights(functionals, rate, delta)
-        explained = delta * step_average**2
-        if functionals:
-            explained += c @ bridge_covariance(functionals, delta) @ c
-        residual = math.expm1(2.0 * rate * delta) / (2.0 * rate) - explained
-        left_weights = np.exp(-2.0 * rate * (1.0 - delta * np.arange(steps)))
-        total += 0.5 * residual * math.fsum(left_weights)
-    return total
-
-
-def test_oracle_deficit_stays_at_the_full_path_value():
-    """The bridge path law of the desk and paper heat meshes (path_mesh and bridge_meshes, the
-    law wave studies draw), its master grid with S0 and S1 of every bridge level, leaves the
-    conditional-mean oracle's deficit within 1e-4 of what the full micro grid of N_max
-    leaves; the master increments alone leave 100x more."""
-    cases = ((desk_heat_config(), 6.2236e-10), (paper_heat_config(), 2.431095e-12))
-    for config, full_value in cases:
-        steps = config.master_steps
-        functionals = path_functionals(config.path_mesh, config.bridge_meshes)
-        full = oracle_deficit(config.finest_mesh.N**2, ())
-        drawn = oracle_deficit(steps, functionals)
-        assert full == pytest.approx(full_value, rel=1e-5)
-        assert abs(drawn / full - 1.0) <= 1e-4
-        assert oracle_deficit(steps, ()) >= 100 * full
-
-
-def test_oracle_given_the_drawn_law_tracks_the_full_path_oracle():
-    """On 32 full 2^16-step paths thinned to the bridge law of the desk heat meshes, 1024
-    master steps with S0 and S1 of q = 4, 16 and 64, the conditional-mean oracle moves from
-    the full path's by the deficits' gap.
-
-    The thin path is a function of the full one, so E ||X_thin - X_full||^2
-    = D_thin - D_full, 1.04e-14; an oracle that dropped the S1 sums would
-    move by at least the 2.4e-10 that S0 alone leaves.  The mean of 32
-    paths must lie within a factor 3 of it.
-    """
-    config, grid = desk_heat_config(), SpatialGrid(40)
-    steps = config.master_steps
-    functionals = path_functionals(config.path_mesh, config.bridge_meshes)
-    squared = []
-    for r in range(32):
-        full = sample_path((2028, r), config.finest_mesh)
-        cumulative = full.cumulative[:: full.S // steps]
-        increments = np.diff(cumulative, axis=0)
-        bridge = {}
-        for q in sorted({q for q, _ in functionals}):
-            i = np.arange(1, q)[:, None]
-            finer = full.cumulative[: -1 : full.S // (steps * q)].reshape(steps, q, 1)[:, 1:]
-            b = finer - cumulative[:-1, None] - (i / q) * increments[:, None]
-            bridge[q] = np.stack([b.sum(axis=1), (i * b).sum(axis=1)])
-        thin = WienerPath(increments, cumulative, bridge)
-        assert thin.bridge_functionals == functionals
-        gap = exact_heat_solution(thin, grid) - exact_heat_solution(full, grid)
-        squared.append(grid.l2_squared(gap))
-    expected = oracle_deficit(steps, functionals) - oracle_deficit(full.S, ())
-    assert expected == pytest.approx(1.04e-14, rel=0.01)
-    assert expected / 3 <= np.mean(squared) <= 3 * expected
+    law = WindowLaw(32, (1e-12,))
+    path, pieces = sample_windows([(21, r) for r in range(3)], law)
+    increments = path.increments[..., 0].reshape(3, law.windows, -1).sum(axis=2)
+    np.testing.assert_allclose(pieces[..., 0], increments, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(pieces.sum(axis=1)[:, 0], path.cumulative[:, -1, 0], rtol=1e-9)
 
 
 def test_window_oracle_meets_the_ito_isometry():

@@ -32,10 +32,9 @@ from mcnspde import (
 from mcnspde.heat import oracle_rates
 from mcnspde.noise import (
     WindowLaw,
-    bridge_covariance,
-    bridge_factor,
     master_strides,
     sample_windows,
+    standard_normals,
     window_factor,
 )
 from mcnspde.validation import _cell_block, heat_defect_block
@@ -155,29 +154,29 @@ def test_sample_path_draws_the_micro_grid_of_its_mesh():
     normals = np.random.Generator(np.random.Philox(key=(5, 3))).standard_normal((256, 2))
     np.testing.assert_array_equal(path.increments, normals * math.sqrt(1.0 / 256))
     assert sample_path(0, TimeMesh(3)).S == 9
-    # bridge levels are drawn after the master grid, which they leave unchanged
-    bridged = sample_path((5, 3), TimeMesh(16), m=2, fine=[TimeMesh(64)])
-    assert (bridged.S, list(bridged.bridge), bridged.bridge[16].shape) == (256, [16], (2, 256, 2))
-    np.testing.assert_array_equal(bridged.increments, path.increments)
-    levels = sample_path((5, 3), TimeMesh(16), m=2, fine=[TimeMesh(64), TimeMesh(32)])
-    assert {q: sums.shape for q, sums in levels.bridge.items()} == {
-        4: (2, 256, 2),
-        16: (2, 256, 2),
-    }
-    assert levels.bridge_functionals == ((4, 0), (4, 1), (16, 0), (16, 1))
-    assert sample_path(0, TimeMesh(16), fine=[TimeMesh(16), TimeMesh(8)]).bridge == {}
     # a list of keys draws a chunk whose rows are the keys' lone paths, bit for bit
     keys = [(5, 3), 7, (5, 4)]
-    for fine in ([TimeMesh(64)], [TimeMesh(32), TimeMesh(64)], []):
-        chunk = sample_path(keys, TimeMesh(16), 2, fine)
-        assert chunk.increments.shape == (3, 256, 2) and chunk.cumulative.shape == (3, 257, 2)
-        for row, key in enumerate(keys):
-            lone = sample_path(key, TimeMesh(16), 2, fine)
-            np.testing.assert_array_equal(chunk.increments[row], lone.increments)
-            np.testing.assert_array_equal(chunk.cumulative[row], lone.cumulative)
-            assert list(chunk.bridge) == list(lone.bridge)
-            for q, sums in lone.bridge.items():
-                np.testing.assert_array_equal(chunk.bridge[q][row], sums)
+    chunk = sample_path(keys, TimeMesh(16), 2)
+    assert chunk.increments.shape == (3, 256, 2) and chunk.cumulative.shape == (3, 257, 2)
+    for row, key in enumerate(keys):
+        lone = sample_path(key, TimeMesh(16), 2)
+        np.testing.assert_array_equal(chunk.increments[row], lone.increments)
+        np.testing.assert_array_equal(chunk.cumulative[row], lone.cumulative)
+
+
+def test_standard_normals_are_each_keys_philox_stream():
+    """One re-keyed generator gives each key the bits of a fresh Philox of that key, and keys
+    whose words reach 2^63, which np.random.Philox rounds through a float, stay distinct."""
+    keys = [0, 7, (5, 3), (20260814, 2**40), 2**64 + 3, (2**63 - 1, 1)]
+    out = np.empty((len(keys), 2, 50))
+    standard_normals(keys, out)
+    for row, key in zip(out, keys):
+        fresh = np.random.Generator(np.random.Philox(key=key)).standard_normal((2, 50))
+        np.testing.assert_array_equal(row, fresh)
+    high = [(2**63, 0), (2**63 + 1, 0), (2**64 - 1, 0), (0, 0)]
+    out = np.empty((len(high), 8))
+    standard_normals(high, out)
+    assert len({row.tobytes() for row in out}) == len(high)
 
 
 def test_sample_path_cumulative_consistency():
@@ -466,17 +465,19 @@ WAVE_COORDINATES = ("increments", "gaps", "velocity_sums")
 HEAT_COORDINATES = ("increments", "gaps")
 
 
-def path_on_bridge_levels(full, steps, levels):
-    """full's master grid thinned to steps, with each level's bridge sums of full's nodes."""
-    cumulative = full.cumulative[:: full.S // steps]
-    increments = np.diff(cumulative, axis=0)
-    bridge = {}
-    for q in levels:
-        i = np.arange(1, q)[:, None]
-        finer = full.cumulative[: -1 : full.S // (steps * q)].reshape(steps, q, full.m)[:, 1:]
-        b = finer - cumulative[:-1, None] - (i / q) * increments[:, None]
-        bridge[q] = np.stack([b.sum(axis=1), (i * b).sum(axis=1)])
-    return WienerPath(increments, cumulative, bridge)
+def window_coordinates(full, law):
+    """full, a path on the micro grid of law.steps, thinned to that mesh's grid and carrying
+    the gaps and, if law.velocity, the velocity parts u_j of law.meshes, each formed by its
+    defining sum over the micro nodes or cells of full."""
+    cumulative = full.cumulative[:: full.S // law.steps]
+    gaps, parts = {}, {}
+    for mesh in law.meshes:
+        tau, ell = mesh.tau, np.arange(mesh.M)[:, None]
+        coarse, micro = mesh_values(full.cumulative, mesh)
+        gaps[mesh.N] = tau * tau * micro.sum(axis=1) - 0.5 * tau * (coarse[:-1] + coarse[1:])
+        cells = np.diff(np.concatenate([coarse[:-1, None], micro], axis=1), axis=1)
+        parts[mesh.N] = ((ell + 1) * (tau * ell - 1) * cells).sum(axis=1)
+    return WienerPath(np.diff(cumulative, axis=0), cumulative, gaps, parts if law.velocity else {})
 
 
 def reduced(path, mesh, coordinates=WAVE_COORDINATES):
@@ -494,149 +495,72 @@ def assert_same_coordinates(got, expected, names):
 
 
 @pytest.mark.parametrize(
-    "grid_n, fine_n, m",
+    "steps, velocity, n_list",
     [
-        pytest.param(128, 1024, 1, id="desk-q64"),
-        pytest.param(8, 32, 2, id="small-q16"),
+        pytest.param(256, True, (4, 8, 16, 32, 64, 128, 256), id="wave-256"),
+        pytest.param(256, False, (8, 16, 32, 64, 128, 256), id="heat-256"),
+        pytest.param(8, True, (1, 2, 4, 8), id="wave-8"),
     ],
 )
-def test_bridge_sums_reproduce_the_full_path(grid_n, fine_n, m):
-    """A full path's grid and bridge sums give put's coordinates on its finest mesh."""
-    fine = TimeMesh(fine_n)
-    full = sample_path(2026, fine, m)
-    steps = grid_n * grid_n
-    thin = path_on_bridge_levels(full, steps, [fine_n**2 // steps])
-    assert_same_coordinates(reduced(thin, fine), reduced(full, fine), ("gaps", "velocity_sums"))
+def test_window_coordinates_of_a_full_path_reproduce_put(steps, velocity, n_list):
+    """The drawn coordinates of the window law, formed from one full 2^16-step (or 64-step)
+    path by their defining sums, give put's coordinates of the full path on every mesh: by
+    stride below the law's windows, by the drawn gaps and, for wave, by the velocity parts
+    completed with W(t_j) above.  Increments bit for bit, the rest to 1e-13."""
+    law = WindowLaw(steps, (), velocity)
+    full = sample_path(2027, TimeMesh(steps))
+    thin = window_coordinates(full, law)
+    assert set(thin.gaps) == {mesh.N for mesh in law.meshes}
+    coordinates = WAVE_COORDINATES if velocity else HEAT_COORDINATES
+    for n in n_list:
+        mesh = TimeMesh(n)
+        for names in (coordinates, ("increments",)):
+            expected = reduced(full, mesh, names)
+            assert_same_coordinates(reduced(thin, mesh, names), expected, names[1:])
 
 
-def test_heat_levels_reproduce_the_full_path():
-    """A 2^16-step path thinned to P^2 steps with its bridge levels gives put's coordinates
-    on every mesh of a study: by stride up to N = P, through a level above.
-
-    Desk heat: P = 32 with the levels q = 4, 16 and 64 of N = 64, 128 and
-    256, for the coordinates of mcn and of em; and P = 64 with the levels
-    q = 4 and 16 of N = 128 and 256.
-    Wave, N up to 64 against N_ref = 256: P = 16 with the levels q = 4, 16
-    and 256 of N = 32, 64 and 256, and all three coordinates.
-    Every level carries S0 and S1.
-    """
-    full = sample_path(2027, TimeMesh(256))
-    desk = (8, 16, 32, 64, 128, 256)
-    cases = [
-        (32, (4, 16, 64), desk, HEAT_COORDINATES),
-        (32, (4, 16, 64), desk, ("increments",)),  # em
-        (64, (4, 16), desk, HEAT_COORDINATES),
-        (64, (4, 16), desk, ("increments",)),
-        (16, (4, 16, 256), (4, 8, 16, 32, 64, 256), WAVE_COORDINATES),
-    ]
-    for p, levels, n_list, coordinates in cases:
-        thin = path_on_bridge_levels(full, p * p, levels)
-        for n in n_list:
-            mesh = TimeMesh(n)
-            expected = reduced(full, mesh, coordinates)
-            assert_same_coordinates(reduced(thin, mesh, coordinates), expected, coordinates[1:])
-
-
+# The ids are those of the cases' bridge-level predecessors, kept so that no case is renamed.
 @pytest.mark.parametrize(
-    "fine, coordinates",
+    "law, coordinates",
     [
-        pytest.param((32, 64), HEAT_COORDINATES, id="heat-levels"),
-        pytest.param((64,), WAVE_COORDINATES, id="wave-level"),
+        pytest.param(WindowLaw(32, (10.0, 20.0)), HEAT_COORDINATES, id="heat-levels"),
+        pytest.param(WindowLaw(64, (), True), WAVE_COORDINATES, id="wave-level"),
     ],
 )
-def test_put_of_a_chunk_fills_each_path_column(fine, coordinates):
-    """A chunk put from column 1 on gives every mesh the columns of its paths put alone."""
+def test_put_of_a_chunk_fills_each_path_column(law, coordinates):
+    """A chunk put from column 1 on gives every mesh, read by stride or by its drawn
+    coordinates, the columns of its paths put alone."""
     keys = [(31, r) for r in range(3)]
-    fine = [TimeMesh(n) for n in fine]
-    chunk = sample_path(keys, TimeMesh(16), 2, fine)
-    for mesh in [TimeMesh(4), TimeMesh(16), *fine]:
-        together = NoiseBlock.empty(mesh, 4, 2, coordinates)
-        alone = NoiseBlock.empty(mesh, 4, 2, coordinates)
+    chunk, _ = sample_windows(keys, law)
+    for mesh in [TimeMesh(4), TimeMesh(8), *law.meshes]:
+        together = NoiseBlock.empty(mesh, 4, 1, coordinates)
+        alone = NoiseBlock.empty(mesh, 4, 1, coordinates)
         together.put(1, chunk)
         for r, key in enumerate(keys, start=1):
-            alone.put(r, sample_path(key, TimeMesh(16), 2, fine))
+            alone.put(r, sample_windows([key], law)[0])
         for name in coordinates:
             got, expected = getattr(together, name), getattr(alone, name)
             np.testing.assert_array_equal(got[:, 1:], expected[:, 1:])
 
 
-def test_meshes_finer_than_the_path_need_its_bridge_level():
-    """Finer micro grids than the path's fail loudly unless they are one of its bridge levels."""
+def test_meshes_finer_than_the_path_need_drawn_coordinates():
+    """Finer micro grids than the path's fail loudly unless the path carries their drawn
+    coordinates, and a heat draw offers no velocity sums."""
     plain = sample_path(1, TimeMesh(4))
-    bridged = sample_path(1, TimeMesh(4), fine=[TimeMesh(8)])  # S = 16, q = 4
+    heat, _ = sample_windows([1], WindowLaw(16, (10.0,)))  # drawn gaps of N = 8 and 16
+    wave, _ = sample_windows([1], WindowLaw(16, (), True))
     with pytest.raises(AlignmentError):
-        reduced(plain, TimeMesh(8))  # no bridge level
+        reduced(plain, TimeMesh(8))  # 16 master steps, 64 micro steps
     with pytest.raises(AlignmentError):
-        reduced(bridged, TimeMesh(16))  # S q = 64 < 16^2
+        reduced(plain, TimeMesh(8), ("increments",))
     with pytest.raises(AlignmentError):
-        sample_path(1, TimeMesh(4), fine=[TimeMesh(32)])  # 16 master steps, 32 coarse steps
+        reduced(heat, TimeMesh(8))  # no velocity parts
     with pytest.raises(AlignmentError):
-        sample_path(1, TimeMesh(4), fine=[TimeMesh(6)])  # 36 is no multiple of 16
-    with pytest.raises(AlignmentError):
-        sample_path(1, TimeMesh(6), fine=[TimeMesh(12), TimeMesh(18)])  # q = 4 and 9 do not nest
-    reduced(bridged, TimeMesh(8))
-    reduced(bridged, TimeMesh(8), HEAT_COORDINATES)
-    reduced(bridged, TimeMesh(2))  # coarser meshes still read the master grid
-
-
-def double_sum_covariance(functionals, delta):
-    """Cov of the bridge sums S_p = sum_i i^p B(i/q) by the double sum over nodes.
-
-    Cov(B(u), B(v)) = delta (min(u, v) - u v) in units of the master step.
-    """
-    weights = []
-    for q, p in functionals:
-        i = np.arange(1, q)
-        weights.append((i / q, i.astype(float) ** p))
-    cov = np.empty((len(functionals), len(functionals)))
-    for x, (u, wu) in enumerate(weights):
-        for y, (v, wv) in enumerate(weights):
-            kernel = np.minimum.outer(u, v) - np.outer(u, v)
-            cov[x, y] = delta * np.einsum("i,ik,k->", wu, kernel, wv)
-    return cov
-
-
-BRIDGE_LAWS = [
-    # desk heat: S0 and S1 of the levels of N_max/4, N_max/2 and N_max on 2^10 master steps
-    [(4, 0), (4, 1), (16, 0), (16, 1), (64, 0), (64, 1)],
-    [(4, 0), (16, 0)],  # S0 alone of two levels
-    [(64, 0), (64, 1)],  # S0 and S1 of one level
-    # desk wave: S0 and S1 of the levels of N_max/2, N_max and the reference
-    [(4, 0), (4, 1), (16, 0), (16, 1), (1024, 0), (1024, 1)],
-    [(4, 0), (4, 1), (16, 0), (16, 1), (64, 0)],
-    [(3, 0), (3, 1), (9, 1)],
-]
-
-
-def test_bridge_variances_match_the_double_sum():
-    """bridge_covariance's closed forms equal the double sum over the bridge nodes."""
-    for functionals in BRIDGE_LAWS:
-        want = double_sum_covariance(functionals, 1.0 / 4096)
-        got = bridge_covariance(functionals, 1.0 / 4096)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    # S1 - (q/2) S0 and S0^16 - 4 S0^4 are uncorrelated with S0 of the coarser level
-    cov = bridge_covariance([(4, 0), (4, 1), (16, 0)], 1.0)
-    assert cov[0, 1] == pytest.approx(2.0 * cov[0, 0], rel=1e-15)
-    assert cov[0, 2] == pytest.approx(4.0 * cov[0, 0], rel=1e-15)
-    with pytest.raises(AlignmentError):
-        bridge_covariance([(4, 0), (6, 0)], 1.0)
-
-
-def test_bridge_factor_keeps_its_structural_zeros():
-    """S0 of a finer level against S1 of a coarser one gets exactly 0.0 in bridge_factor, and
-    L L^T is the covariance to 1e-13 of sqrt(C_ii C_jj)."""
-    for functionals in BRIDGE_LAWS:
-        functionals = tuple(functionals)
-        factor = bridge_factor(functionals, 1.0 / 1024)
-        cov = bridge_covariance(functionals, 1.0 / 1024)
-        for f, (_, p) in enumerate(functionals):
-            for g, (_, p_g) in enumerate(functionals[:f]):
-                if (p, p_g) == (0, 1):
-                    assert factor[f, g] == 0.0, (functionals, f, g)
-        scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
-        assert (np.abs(factor @ factor.T - cov) <= 1e-13 * scale).all()
-    desk = bridge_factor(((4, 0), (4, 1), (16, 0), (16, 1), (64, 0), (64, 1)), 1.0 / 1024)
-    assert desk[2, 1] == desk[4, 1] == desk[4, 3] == 0.0
+        reduced(heat, TimeMesh(32), ("increments",))  # finer than the path itself
+    reduced(heat, TimeMesh(8), HEAT_COORDINATES)
+    reduced(heat, TimeMesh(16), ("increments",))
+    reduced(wave, TimeMesh(8))
+    reduced(wave, TimeMesh(4))  # coarser meshes read the N_max grid by stride
 
 
 def assert_second_moments(samples, expected, label):
@@ -649,67 +573,46 @@ def assert_second_moments(samples, expected, label):
             assert abs(z) <= 4.0, f"{label}: moment ({a}, {b}) off by {z:.2f} SE"
 
 
-def coordinate_weights(mesh, j):
-    """Weights over the micro nodes of mesh of (dW_j, gap_j, velocity sum_j), shape (3, N*M+1)."""
+def coordinate_weights(mesh, j, steps):
+    """Weights over the nodes k/steps, k = 0..steps, of (dW_j, gap_j, velocity sum_j) of mesh,
+    whose micro nodes must be among them: shape (3, steps + 1)."""
     tau, M = mesh.tau, mesh.M
-    weights = np.zeros((3, mesh.N * M + 1))
-    lo, hi, ell = j * M, (j + 1) * M, np.arange(1, M + 1)
+    stride = steps // (mesh.N * M)
+    weights = np.zeros((3, steps + 1))
+    lo, hi, ell = j * M * stride, (j + 1) * M * stride, np.arange(1, M + 1)
     weights[0, [lo, hi]] = -1.0, 1.0
-    weights[1, lo + ell] = tau * tau
+    weights[1, lo + stride * ell] = tau * tau
     weights[1, [lo, hi]] -= 0.5 * tau
-    weights[2, lo + ell] = 0.5 * tau**3 * (1.0 - 2.0 * tau * ell)
+    weights[2, lo + stride * ell] = 0.5 * tau**3 * (1.0 - 2.0 * tau * ell)
     return weights
 
 
 def test_drawn_wave_coordinates_have_their_exact_moments():
-    """sample_path and put give the bridge sums and the reference coordinates their exact law.
+    """sample_windows and put give the wave coordinates their exact joint law.
 
-    The grid is TimeMesh(4)'s 16 master steps, each split into q = 4
-    steps of the 8^2 micro grid of the reference mesh, two master steps to
-    a reference step.  Every coordinate is a weighted sum of W at micro
-    nodes, so its second moments are sums of w_l w_l' min(t_l, t_l').
+    The law of N_ref = 8 draws 4 windows of 2 increments, the gaps and
+    the velocity parts of N = 4 and 8; N = 2 reads them by stride.  The
+    coordinates of steps 0, 3 and 7 of N = 8 and of both steps of N = 2
+    are weighted sums of W at the micro nodes of N = 8, so their second
+    moments, across steps and meshes too, are sums of w_l w_l'
+    min(t_l, t_l'); 4000 paths meet every one within 4 SE.
     """
-    grid, fine, count = TimeMesh(4), TimeMesh(8), 4000
-    block = NoiseBlock.empty(fine, count, 1, WAVE_COORDINATES)
-    sums = []
-    for r in range(count):
-        path = sample_path((99, r), grid, 1, [fine])
-        block.put(r, path)
-        sums.append(path.bridge[4][:, :, 0].T)
-    law = double_sum_covariance(path.bridge_functionals, path.delta)
-    assert_second_moments(np.concatenate(sums), law, "bridge sums")
-    nodes = np.arange(fine.N * fine.M + 1) / (fine.N * fine.M)
-    brownian = np.minimum.outer(nodes, nodes)
-    for j in (0, 3, 7):
-        weights = coordinate_weights(fine, j)
-        samples = np.stack(
-            [block.increments[j, :, 0], block.gaps[j, :, 0], block.velocity_sums[j, :, 0]], axis=1
-        )
-        assert_second_moments(samples, weights @ brownian @ weights.T, f"step {j}")
-
-
-@pytest.mark.parametrize(
-    "p, fine",
-    [
-        pytest.param(8, (16, 32, 64), id="heat-q4-q16-q64"),
-        pytest.param(4, (16,), id="wave-q16"),
-        pytest.param(4, (8, 16), id="wave-q4-q16"),
-    ],
-)
-def test_drawn_bridge_sums_have_their_exact_law(p, fine):
-    """The drawn sums of 300 paths of P^2 master steps meet the double-sum covariance within
-    4 SE.
-
-    S0 and S1 of every level are drawn jointly: for heat the levels q = 4,
-    16 and 64 of the two, four and eight times finer meshes, for wave one
-    level or nested ones.
-    """
-    samples = []
-    for r in range(300):
-        path = sample_path((77, r), TimeMesh(p), 1, [TimeMesh(n) for n in fine])
-        samples.append(np.stack([path.bridge[q][p, :, 0] for q, p in path.bridge_functionals], 1))
-    law = double_sum_covariance(path.bridge_functionals, path.delta)
-    assert_second_moments(np.concatenate(samples), law, f"levels {path.bridge_functionals}")
+    law, count = WindowLaw(8, (), True), 4000
+    meshes, steps = [(TimeMesh(8), (0, 3, 7)), (TimeMesh(2), (0, 1))], 64
+    blocks = [NoiseBlock.empty(mesh, count, 1, WAVE_COORDINATES) for mesh, _ in meshes]
+    for lo in range(0, count, 500):
+        path, _ = sample_windows([(99, r) for r in range(lo, lo + 500)], law)
+        for block in blocks:
+            block.put(lo, path)
+    samples, weights = [], []
+    for block, (mesh, js) in zip(blocks, meshes):
+        for j in js:
+            samples += [getattr(block, name)[j, :, 0] for name in WAVE_COORDINATES]
+            weights.append(coordinate_weights(mesh, j, steps))
+    nodes = np.arange(steps + 1) / steps
+    weights = np.vstack(weights)
+    law = weights @ np.minimum.outer(nodes, nodes) @ weights.T
+    assert_second_moments(np.stack(samples, axis=1), law, "wave coordinates")
 
 
 def cell_covariance(law):
@@ -718,8 +621,10 @@ def cell_covariance(law):
     Each scheme value is a weighted sum of W at nodes of the finest micro
     grid of N_max, and W at a node is the sum of the cell increments
     before it, so the value weighs cell c by the sum of its node weights
-    after c; an oracle piece weighs cell c by its integral of exp(-mu (T
-    - s)).  The Ito isometry then sums products over the cells.
+    after c.  A velocity part u_j is (2/tau^3) times the velocity sum plus
+    W(t_j), whose weight cancels the sum's on the cells before t_j.  An
+    oracle piece weighs cell c by its integral of exp(-mu (T - s)).  The
+    Ito isometry then sums products over the cells.
     """
     steps, windows = law.steps, law.windows
     cells, cell, length = steps * steps // windows, 1.0 / steps**2, 1.0 / windows
@@ -735,9 +640,17 @@ def cell_covariance(law):
             weights[start + micro * np.arange(1, mesh.N + 1)] = mesh.tau**2
             weights[[start, start + mesh.N * micro]] -= 0.5 * mesh.tau
             nodes.append(weights)
+    for mesh in law.meshes if law.velocity else ():
+        micro, ell = (steps // mesh.N) ** 2, np.arange(1, mesh.N + 1)
+        for j in range(mesh.N // windows):
+            start, weights = j * mesh.N * micro, np.zeros(cells + 1)
+            weights[start + micro * ell] = 1.0 - 2.0 * mesh.tau * ell
+            weights[start] += 1.0
+            nodes.append(weights)
     scheme = np.cumsum(np.array(nodes)[:, ::-1], axis=1)[:, ::-1][:, 1:]
     edges = length - cell * np.arange(cells + 1)
-    pieces = np.array([np.diff(np.exp(-mu * edges)) / mu for mu in law.rates])
+    pieces = [np.diff(np.exp(-mu * edges)) / mu for mu in law.rates]
+    pieces = np.array(pieces).reshape(len(law.rates), cells)
     rows = np.vstack([scheme, pieces])
     cov = cell * rows @ rows.T
     cov[:, len(scheme) :] = rows @ pieces.T
@@ -751,11 +664,16 @@ def heat_rates(k):
     return oracle_rates(SpatialGrid(k))
 
 
-@pytest.mark.parametrize("steps", [1, 2, 8, 32, 256, 1024])
-def test_window_factor_reproduces_the_cell_by_cell_covariance(steps):
+@pytest.mark.parametrize(
+    "steps, velocity",
+    [pytest.param(n, False, id=str(n)) for n in (1, 2, 8, 32, 256, 1024)]
+    + [pytest.param(n, True, id=f"wave-{n}") for n in (8, 64, 1024)],
+)
+def test_window_factor_reproduces_the_cell_by_cell_covariance(steps, velocity):
     """L L^T of window_factor equals the covariance summed cell by cell on the finest micro
-    grid to 1e-12 of sqrt(C_ii C_jj), and its scheme rows do not depend on the rates."""
-    law = WindowLaw(steps, heat_rates(40))
+    grid to 1e-12 of sqrt(C_ii C_jj), for heat laws and for wave laws (velocity parts, no
+    rates), and its scheme rows do not depend on the rates."""
+    law = WindowLaw(steps, () if velocity else heat_rates(40), velocity)
     exact = cell_covariance(law)
     factor = window_factor(law)
     assert factor.shape == (law.width, law.width)
@@ -763,42 +681,52 @@ def test_window_factor_reproduces_the_cell_by_cell_covariance(steps):
     scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
     assert (np.abs(factor @ factor.T - exact) <= 1e-12 * scale).all()
     scheme = law.width - len(law.rates)
-    other = window_factor(WindowLaw(steps, heat_rates(7)))
+    other = window_factor(WindowLaw(steps, heat_rates(7), velocity))
     np.testing.assert_array_equal(other[:scheme, :scheme], factor[:scheme, :scheme])
 
 
-def pooled_moments(path, meshes, count):
+def pooled_moments(path, meshes, count, coordinates):
     """Per path, step averages of second moments put from path, (count, statistics).
 
-    On each mesh: inc^2, gap^2 and inc gap; against the first half of the
-    step on the next finer mesh: gap gap' and gap inc'.
+    On each mesh: the products of every pair of coordinates; against the
+    first half of the step on the next finer mesh: each coordinate times
+    each coordinate there.
     """
-    blocks = [NoiseBlock.empty(mesh, count, 1, HEAT_COORDINATES) for mesh in meshes]
+    blocks = [NoiseBlock.empty(mesh, count, 1, coordinates) for mesh in meshes]
+    for block in blocks:
+        block.put(0, path)
     stats = []
     for block, finer in zip(blocks, blocks[1:] + [None]):
-        block.put(0, path)
-        increments, gaps = block.increments[..., 0], block.gaps[..., 0]
-        stats += [increments * increments, gaps * gaps, increments * gaps]
+        values = [getattr(block, name)[..., 0] for name in coordinates]
+        stats += [a * b for i, a in enumerate(values) for b in values[i:]]
         if finer is not None:
-            finer.put(0, path)
-            stats += [gaps * finer.gaps[::2, :, 0], gaps * finer.increments[::2, :, 0]]
+            stats += [a * getattr(finer, name)[::2, :, 0] for a in values for name in coordinates]
     return np.stack([products.mean(axis=0) for products in stats], axis=1)
 
 
 def test_drawn_windows_match_full_paths_reduced_by_put():
-    """Increments and gaps of N = 8..256 drawn by the desk law and read through put have the
-    second moments of full 2^16-step paths reduced by put: every step-averaged moment of
-    pooled_moments within 4 SE of the difference, 2000 drawn paths against 400 full ones."""
-    meshes = [TimeMesh(n) for n in (8, 16, 32, 64, 128, 256)]
-    law = WindowLaw(256, heat_rates(40))
-    drawn, full = [], []
-    for lo in range(0, 2000, 100):
-        path, _ = sample_windows([(5, r) for r in range(lo, lo + 100)], law)
-        drawn.append(pooled_moments(path, meshes, 100))
-    for lo in range(0, 400, 8):
-        path = sample_path([(6, r) for r in range(lo, lo + 8)], meshes[-1])
-        full.append(pooled_moments(path, meshes, 8))
-    drawn, full = np.concatenate(drawn), np.concatenate(full)
-    se = np.hypot(drawn.std(axis=0, ddof=1) / math.sqrt(2000), full.std(axis=0, ddof=1) / 20.0)
-    z = (drawn.mean(axis=0) - full.mean(axis=0)) / se
-    assert (np.abs(z) <= 4.0).all(), z
+    """Noise coordinates drawn by a window law and read through put have the second moments
+    of full paths reduced by put: every step-averaged moment of pooled_moments within 4 SE of
+    the difference, 2000 drawn paths against 400 full ones.
+
+    Heat: increments and gaps of N = 8..256 by the desk law, against full
+    2^16-step paths.  Wave: increments, gaps and velocity sums of N =
+    4..64 by the law of N_ref = 64, against full 2^12-step paths.
+    """
+    cases = [
+        (WindowLaw(256, heat_rates(40)), (8, 16, 32, 64, 128, 256), HEAT_COORDINATES),
+        (WindowLaw(64, (), True), (4, 8, 16, 32, 64), WAVE_COORDINATES),
+    ]
+    for law, n_list, coordinates in cases:
+        meshes = [TimeMesh(n) for n in n_list]
+        drawn, full = [], []
+        for lo in range(0, 2000, 100):
+            path, _ = sample_windows([(5, r) for r in range(lo, lo + 100)], law)
+            drawn.append(pooled_moments(path, meshes, 100, coordinates))
+        for lo in range(0, 400, 8):
+            path = sample_path([(6, r) for r in range(lo, lo + 8)], meshes[-1])
+            full.append(pooled_moments(path, meshes, 8, coordinates))
+        drawn, full = np.concatenate(drawn), np.concatenate(full)
+        se = np.hypot(drawn.std(axis=0, ddof=1) / math.sqrt(2000), full.std(axis=0, ddof=1) / 20)
+        z = (drawn.mean(axis=0) - full.mean(axis=0)) / se
+        assert (np.abs(z) <= 4.0).all(), (law, z)
