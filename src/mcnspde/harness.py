@@ -14,12 +14,12 @@ exact solution, so the heat oracle is the exact solution itself.  The
 root-mean-square final-time error per resolution then feeds a log-log
 least-squares rate fit.
 
-Realizations run in blocks, and their paths are drawn in chunks of a
-few (chunk_size).  Each chunk of a block is used at once and dropped:
-it is reduced on every mesh (for wave, the reference mesh too) to its
-noise coordinates, a few numbers per step, stored as its paths' columns
-of that mesh's NoiseBlock, and its oracle pieces are kept (none for
-wave).
+Realizations run in blocks, and their paths are drawn in chunks of as
+many as CHUNK_BYTES holds (chunk_size): 36 desk heat paths, 6 desk wave
+paths.  Each chunk of a block is used at once and dropped: it is
+reduced on every mesh (for wave, the reference mesh too) to its noise
+coordinates, a few numbers per step, stored as its paths' columns of
+that mesh's NoiseBlock, and its oracle pieces are kept (none for wave).
 Then the heat oracle is formed and every mesh is marched once for the
 whole block on (K, R) states.  States, heat oracle values
 and wave references are sine amplitudes, and each realization's squared
@@ -83,18 +83,11 @@ CSV_HEADER = "N,tau,rms_error,standard_error"
 # time stepper.
 FLOOR_EXCLUSION_FACTOR = 3.0
 
-# Paths drawn and reduced per pass (chunk_size).  A chunk shares numpy's
-# per-call cost among its paths: on a 2-core VM, in one process
-# alternating the two, a desk heat round (mcn and em, 120 realizations
-# each) took 151 ms in chunks of 4 against 215 ms path by path, when a
-# heat path was a 1024-step grid with bridge sums; chunks of 5 to 8 were
-# a few ms faster still, within the noise.  The count cap matters for
-# short paths, where a byte budget alone would put dozens in a chunk and
-# let memory grow past the one full path that the block rule allows.
-CHUNK_PATHS = 4
-# A chunk's drawn arrays take at most this many bytes: 4 desk heat (18 KB),
-# --paper heat (69 KB) or desk wave (96 KB) paths, while a --paper wave
-# path (389 KB) is drawn alone, so paper memory does not grow.
+# Paths are drawn and reduced a chunk at a time (chunk_size), so numpy's
+# per-call cost is shared among a chunk's paths.  A chunk's drawn arrays
+# take at most this many bytes: 36 desk heat paths (18 KB each), 9
+# --paper heat (69 KB) or 6 desk wave (96 KB), while a --paper wave path
+# (389 KB) is drawn alone, so paper memory does not grow.
 CHUNK_BYTES = 640 * 1024
 
 
@@ -365,14 +358,14 @@ def block_size(config: StudyConfig) -> int:
 
 
 def chunk_size(config: StudyConfig) -> int:
-    """Paths drawn and reduced per pass: CHUNK_PATHS, or fewer if CHUNK_BYTES holds fewer.
+    """Paths drawn and reduced per pass: as many as CHUNK_BYTES holds, at least one.
 
     A path's drawn arrays are its normals, their window values and its
-    N_max increments and cumulative values.  At least one path.
+    N_max increments and cumulative values.
     """
     law = config.window_law
     path_bytes = 8 * (2 * law.normals + 2 * law.steps + 1)
-    return max(1, min(CHUNK_PATHS, CHUNK_BYTES // path_bytes))
+    return max(1, CHUNK_BYTES // path_bytes)
 
 
 def _block_squared_errors(config: StudyConfig, span: range):

@@ -18,11 +18,14 @@ noise coordinates (noise.NoiseBlock).  These are the schemes' own
 factors, not exp(-lambda tau), so the march is the scheme exactly, up to
 rounding.  modal_march, which the wave stepper shares, takes the step
 maps of both equations in one form, (matrix, loads), and marches R
-paths at once on (K, R) amplitudes.  It has no loop over the steps: it
+paths at once on (K, R) amplitudes.  It marches only the live modes,
+where a load or a start state is nonzero (three of the benchmark's K),
+and leaves the others exactly 0.  It has no loop over the steps: it
 goes in passes of up to CONVOLUTION_BLOCK steps, each applying the map's
 power over the pass and adding the pass's noise coordinates weighed by
-the lower powers, one einsum per coordinate.  One path is the block of
-one, and a single step is the pass of one step.
+the lower powers, one einsum per coordinate, with the powers formed by
+doubling.  One path is the block of one, and a single step is the pass
+of one step.
 
 The module also carries the closed-form benchmark solution used by the
 convergence harness: initial data sin(pi x) (amplitudes e_1) with one
@@ -126,12 +129,14 @@ def modal_march(
     step takes the amplitudes s, shape (C, K, R), to A s, A =
     matrix (C, C, K) being one C x C map per mode, plus, for each noise
     coordinate (NoiseBlock field) in loads, its (C, K, m) load times the
-    step's coordinate of each path.  The steps go in passes of w =
-    gcd(len(steps), CONVOLUTION_BLOCK), one step being the case w = 1: a
-    pass takes s to A^w s plus, per coordinate, one einsum of the kernels
-    A^(w-1-i) load of its steps i against their coordinates, with
-    A^0..A^w formed once per call by repeated multiplication.  states are
-    C arrays, each (K,), one start for every path, or (K, R).  noise is
+    step's coordinate of each path.  Only the live modes are marched,
+    those where a load or a start state is nonzero; every other mode
+    stays exactly 0.  The steps go in passes of w = gcd(len(steps),
+    CONVOLUTION_BLOCK), one step being the case w = 1: a pass takes s to
+    A^w s plus, per coordinate, one einsum of the kernels A^(w-1-i) load
+    of its steps i against their coordinates, with A^0..A^w formed once
+    per call by doubling, A^(h+i) = A^h A^i for i = 1..h.  states are C
+    arrays, each (K,), one start for every path, or (K, R).  noise is
     one path, a chunk of n paths or a NoiseBlock of R paths on
     problem.mesh; the result is (K, R) for (K, R) states, and otherwise
     (K,) for one path and (K, n) or (K, R) for a chunk or a block.  No
@@ -142,26 +147,32 @@ def modal_march(
     if any(np.shape(state)[:1] != (K,) for state in states):
         raise ValueError(f"states must have {K} rows, got {[np.shape(s) for s in states]}")
     block = noise_block(noise, problem.mesh, tuple(loads))
+    # A shared start is one column, broadcast to every path by the first pass.
+    starts = np.stack([np.reshape(state, (K, -1)) for state in states])
+    live = np.any(starts != 0.0, axis=(0, 2))
+    for load in loads.values():
+        live |= np.any(load != 0.0, axis=(0, 2))
+    matrix = matrix[..., live]
     width = math.gcd(len(steps), CONVOLUTION_BLOCK)
-    powers = [np.broadcast_to(np.eye(len(matrix))[..., None], matrix.shape)]
-    for _ in range(width):
-        powers.append(np.einsum("abk,bck->ack", powers[-1], matrix))
-    powers = np.stack(powers)
+    powers = np.stack([np.broadcast_to(np.eye(len(matrix))[..., None], matrix.shape), matrix])
+    while len(powers) <= width:
+        powers = np.concatenate([powers, np.einsum("abk,ibck->iack", powers[-1], powers[1:])])
     # Step i of a pass reaches the end of the pass through A^(w-1-i).
     kernels = {
-        name: np.einsum("iabk,bkc->iakc", powers[width - 1 :: -1], load)
+        name: np.einsum("iabk,bkc->iakc", powers[width - 1 :: -1], load[:, live])
         for name, load in loads.items()
     }
-    # A shared start is one column, broadcast to every path by the first pass.
-    modes = np.stack([np.reshape(state, (K, -1)) for state in states])
+    modes = starts[:, live]
     for j in range(steps.start, steps.stop, width):
         modes = np.einsum("abk,bkr->akr", powers[width], modes)
         for name, kernel in kernels.items():
             coordinates = getattr(block, name)[j : j + width]
             modes = modes + np.einsum("iakc,irc->akr", kernel, coordinates)
+    marched = np.zeros((len(states), K, modes.shape[-1]))
+    marched[:, live] = modes
     # A lone path (S, m) from (K,) states, unlike a chunk or a block, gives (K,) arrays.
     lone = noise.increments.ndim == 2 and all(np.ndim(state) == 1 for state in states)
-    return [mode[:, 0] for mode in modes] if lone else list(modes)
+    return [mode[:, 0] for mode in marched] if lone else list(marched)
 
 
 def em_step(

@@ -302,22 +302,50 @@ def window_covariance(law: WindowLaw) -> np.ndarray:
     By the Ito isometry: two scheme rows give the sum of their product
     over the finer of their two cell grids on their overlap, times the
     cell length (cell widths are powers of two and steps start on cell
-    edges, so both rows are constant on each finer cell); a scheme row
-    and an oracle piece give the sum over the row's cells of its value
-    times the cell's integral of exp(-mu (T - s)); two pieces give
-    -expm1(-(mu + nu) T)/(mu + nu), with T = 1/windows the window
-    length.  Rates must be positive.
+    edges, so both rows are constant on each finer cell, and an overlap
+    holds whole cells of both); a scheme row and an oracle piece give the
+    sum over the row's cells of its value times the cell's integral of
+    exp(-mu (T - s)); two pieces give -expm1(-(mu + nu) T)/(mu + nu), with
+    T = 1/windows the window length.  Rates must be positive.
+
+    The scheme pairs are summed in closed form, 16 rows at a time.  On the
+    overlap, the coarser row's n cells l = m + t, t = -(n-1)/2..(n-1)/2,
+    each hold r cells of the finer row, whose sum there is a quadratic in
+    t; so the pair sums a polynomial of degree 4 in t, whose odd powers
+    cancel and whose even ones sum to n, n(n^2-1)/12 and n(n^2-1)(3n^2-7)/240
+    (Faulhaber).  Expanding each polynomial about its cells' centre keeps
+    the terms of the size of the sum.
     """
     rows, rates = window_functions(law), law.rates
     cell, length, scheme = 1.0 / law.steps**2, 1.0 / law.windows, len(rows)
     value = lambda c, lo, w, p: p[0] + (c - lo) // w * (p[1] + (c - lo) // w * p[2])
     cov = np.zeros((law.width, law.width))
+    lo, hi, w = (np.array(column, dtype=float) for column in list(zip(*rows))[:3])
+    polynomials, y = np.array([row[3] for row in rows]), np.arange(scheme)
+    # Rows x against every row y, 16 rows x at a time, so that no temporary
+    # outgrows 16 rows of the covariance.
+    for x in np.split(y[:, None], range(16, scheme, 16)):
+        # Pair [x, y] as its coarser row c and its finer row f; a tie goes to the later
+        # row, so pairs [x, y] and [y, x] compute the same sum.
+        x_coarser = (w[x] > w[y]) | ((w[x] == w[y]) & (x >= y))
+        c, f = np.where(x_coarser, x, y), np.where(x_coarser, y, x)
+        start = np.maximum(lo[x], lo[y])
+        n = np.maximum(np.minimum(hi[x], hi[y]) - start, 0.0) / w[c]  # coarse cells shared
+        r = w[c] / w[f]  # fine cells per coarse cell
+        centre = (start - lo[c]) / w[c] + 0.5 * (n - 1.0)
+        middle = (start - lo[f]) / w[f] + 0.5 * (r * n - 1.0)
+        p0, p1, p2 = np.moveaxis(polynomials[c], -1, 0)
+        q0, q1, q2 = np.moveaxis(polynomials[f], -1, 0)
+        # Both rows in powers of t: the coarse row about its centre, and the fine row
+        # summed over the r cells of each coarse cell, about their centre.
+        a0, a1, a2 = p0 + centre * (p1 + centre * p2), p1 + 2.0 * centre * p2, p2
+        b0 = r * (q0 + middle * (q1 + middle * q2) + q2 * (r * r - 1.0) / 12.0)
+        b1, b2 = r * r * (q1 + 2.0 * middle * q2), r**3 * q2
+        second = n * (n * n - 1.0) / 12.0
+        fourth = second * (3.0 * n * n - 7.0) / 20.0
+        total = n * a0 * b0 + (a0 * b2 + a1 * b1 + a2 * b0) * second + a2 * b2 * fourth
+        cov[x, y] = cell * w[f] * total
     for x, (lo, hi, w, p) in enumerate(rows):
-        for y, (lo_y, hi_y, w_y, p_y) in enumerate(rows[: x + 1]):
-            fine = min(w, w_y)
-            c = np.arange(max(lo, lo_y), min(hi, hi_y), fine)
-            product = value(c, lo, w, p) * value(c, lo_y, w_y, p_y)
-            cov[x, y] = cov[y, x] = cell * fine * math.fsum(product)
         c = np.arange(lo, hi, w)
         for z, rate in enumerate(rates, scheme):
             decay = np.exp(-rate * (length - cell * (c + w))) * -math.expm1(-rate * cell * w) / rate

@@ -45,9 +45,9 @@ from mcnspde import (
     validate_config,
 )
 from mcnspde import harness
-from mcnspde.harness import _default_fit_range, block_size, chunk_size
+from mcnspde.harness import CHUNK_BYTES, _default_fit_range, block_size, chunk_size
 from mcnspde.heat import oracle_rates, window_heat_solution
-from mcnspde.noise import WindowLaw, sample_windows
+from mcnspde.noise import WindowLaw, sample_windows, window_factor
 
 
 def table_from_errors(n_list, errors, fit_range=None, **extra):
@@ -319,11 +319,11 @@ def test_block_size_rule():
 
 
 def test_chunk_size_rule():
-    """Four short paths per chunk; a path over half the chunk budget is drawn alone."""
-    assert chunk_size(small_config()) == 4  # 4 windows of 9 normals, 16 increments
-    assert chunk_size(desk_heat_config()) == 4  # 18 KB: 32 windows of 27 normals, 256 increments
-    assert chunk_size(paper_heat_config()) == 4  # 69 KB: 64 windows of 51, 1024 increments
-    assert chunk_size(desk_wave_config()) == 4  # 96 KB: 64 windows of 78, 1024 increments
+    """A chunk holds as many paths as CHUNK_BYTES does; a path over half of it is drawn alone."""
+    assert chunk_size(small_config()) == 462  # 1.4 KB: 8 windows of 9 normals, 16 increments
+    assert chunk_size(desk_heat_config()) == 36  # 18 KB: 32 windows of 27 normals, 256 increments
+    assert chunk_size(paper_heat_config()) == 9  # 69 KB: 64 windows of 51, 1024 increments
+    assert chunk_size(desk_wave_config()) == 6  # 96 KB: 64 windows of 78, 1024 increments
     assert chunk_size(paper_wave_config()) == 1  # 389 KB: 128 windows of 158, 4096 increments
 
 
@@ -349,7 +349,7 @@ def test_blocks_do_not_change_the_table(equation, workers, monkeypatch):
         config = desk_wave_config(n_list=(4, 8), k=6, mc_count=7, n_ref=32, base_seed=7)
     assert block_size(config) >= 7
     default = chunk_size(config)
-    assert default == 4
+    assert default >= 7  # one chunk holds every realization of a block
     drawn = []  # the number of paths of each chunk drawn in this process
     draw = harness.sample_windows
     monkeypatch.setattr(
@@ -357,7 +357,7 @@ def test_blocks_do_not_change_the_table(equation, workers, monkeypatch):
         lambda keys, *args: drawn.append(len(keys)) or draw(keys, *args),
     )
     whole = run_study_tables(config)
-    assert drawn == [4, 3]
+    assert drawn == [7]
     monkeypatch.setattr("mcnspde.harness.block_size", lambda config: 3)
     for chunk, chunks in ((1, [1] * 7), (3, [3, 3, 1]), (default, [3, 3, 1])):
         monkeypatch.setattr("mcnspde.harness.chunk_size", lambda config: chunk)
@@ -411,38 +411,12 @@ def test_import_leaves_the_process_pool_out():
     assert proc.stdout.strip() == "False"
 
 
-def test_study_memory_does_not_grow_with_realizations():
-    """Each chunk is reduced and dropped, so 64 realizations peak at most one full path above 4.
+def study_peaks(config, counts):
+    """tracemalloc's peak of a study at each realization count, after a warm-up study.
 
-    A full path is the 2^14 steps of the micro grid of N = 128, whose
-    memory the block rule lets a block's coordinates take.
+    The warm-up builds what a process builds once, the cached window
+    factor and numpy's lazily imported modules, so no peak counts it.
     """
-
-    def peak(mc_count):
-        # one block holds all 64 realizations, drawn in chunks of 4 paths of 16 windows of
-        # 27 normals each: 8 increments of N = 128, the gaps of N = 16..128, 4 oracle pieces
-        config = desk_heat_config(n_list=(4, 8, 16, 128), k=8, mc_count=mc_count)
-        assert (config.window_law.windows, config.window_law.width) == (16, 27)
-        tracemalloc.start()
-        try:
-            run_study_tables(config)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    path = sample_path(0, TimeMesh(128))
-    small = peak(4)
-    assert peak(64) - small <= path.increments.nbytes + path.cumulative.nbytes
-
-
-def test_wave_study_memory_does_not_grow_with_realizations():
-    """Each chunk of wave paths is reduced and dropped, so 64 realizations peak at most the
-    growth of their noise coordinates and one chunk of drawn paths above 4."""
-    config = desk_wave_config(n_list=(4, 8, 256), k=8, n_ref=512)
-    # one block of at most 224, drawn in chunks of 4 paths of 32 windows of 78 normals each:
-    # 16 increments of N_ref = 512, the gaps and the velocity parts of N = 32..512
-    law = config.window_law
-    assert (law.windows, law.width, chunk_size(config), block_size(config)) == (32, 78, 4, 224)
 
     def peak(mc_count):
         tracemalloc.start()
@@ -452,10 +426,50 @@ def test_wave_study_memory_does_not_grow_with_realizations():
         finally:
             tracemalloc.stop()
 
+    window_factor(config.window_law)
+    peak(1)
+    return [peak(count) for count in counts]
+
+
+def result_bytes(config, mc_count):
+    """Bytes of a study's gathered results: squared errors per row and norm, heat floors."""
+    per_realization = len(config.n_list) * len(harness.study_norms(config))
+    return 8 * mc_count * (per_realization + (config.equation == "heat"))
+
+
+def test_study_memory_does_not_grow_with_realizations():
+    """Each chunk is reduced and dropped, so 64 realizations peak at most their block of
+    coordinates, at most one full path, and one chunk, at most CHUNK_BYTES, above 4; and once
+    the realizations fill blocks, 1024 peak above 256 by no more than their results.
+
+    A full path is the 2^14 steps of the micro grid of N = 128, whose
+    memory the block rule lets a block's coordinates take.
+    """
+    # blocks of 105 realizations, drawn in chunks of 73 paths of 16 windows of 27 normals
+    # each: 8 increments of N = 128, the gaps of N = 16..128, 4 oracle pieces
+    config = desk_heat_config(n_list=(4, 8, 16, 128), k=8)
+    law = config.window_law
+    assert (law.windows, law.width, chunk_size(config), block_size(config)) == (16, 27, 73, 105)
+    path = sample_path(0, TimeMesh(128))
+    small, large, filled, saturated = study_peaks(config, (4, 64, 256, 1024))
+    assert large - small <= path.increments.nbytes + path.cumulative.nbytes + CHUNK_BYTES
+    assert saturated - filled <= result_bytes(config, 1024)
+
+
+def test_wave_study_memory_does_not_grow_with_realizations():
+    """Each chunk of wave paths is reduced and dropped, so 64 realizations peak at most the
+    growth of their noise coordinates and one chunk of drawn paths above 4; and once the
+    realizations fill blocks, 1024 peak above 256 by no more than their results."""
+    config = desk_wave_config(n_list=(4, 8, 256), k=8, n_ref=512)
+    # blocks of at most 224, drawn in chunks of 13 paths of 32 windows of 78 normals each:
+    # 16 increments of N_ref = 512, the gaps and the velocity parts of N = 32..512
+    law = config.window_law
+    assert (law.windows, law.width, chunk_size(config), block_size(config)) == (32, 78, 13, 224)
     per_realization = sum(block.nbytes for block in harness._study_noise(config, 1))
-    chunk_bytes = 4 * 8 * (2 * law.normals + 2 * law.steps + 1)
-    small = peak(4)
-    assert peak(64) - small <= 60 * per_realization + chunk_bytes
+    chunk_bytes = chunk_size(config) * 8 * (2 * law.normals + 2 * law.steps + 1)
+    small, large, filled, saturated = study_peaks(config, (4, 64, 256, 1024))
+    assert large - small <= 60 * per_realization + chunk_bytes
+    assert saturated - filled <= result_bytes(config, 1024)
 
 
 def test_wave_study_reports_both_norms():

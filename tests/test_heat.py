@@ -17,6 +17,8 @@ from mcnspde import (
     NoiseBlock,
     SpatialGrid,
     TimeMesh,
+    WAVE_NOISE,
+    WaveProblem,
     WienerPath,
     benchmark_heat_problem,
     desk_heat_config,
@@ -25,7 +27,9 @@ from mcnspde import (
     heat_step_map,
     l2_norm,
     mcn_heat_step,
+    mcn_wave_step,
     run_heat,
+    run_wave,
     sample_path,
     sine_mode,
 )
@@ -193,6 +197,42 @@ def test_passes_equal_the_chain_of_single_steps(scheme, n):
         x = step(problem, x, block, j)
     got = run_heat(problem, block, scheme)
     np.testing.assert_allclose(got, x, rtol=1e-12, atol=1e-13 * np.abs(x).max())
+
+
+@pytest.mark.parametrize("scheme", ["mcn", "em", "wave"])
+def test_a_march_of_the_live_modes_equals_the_step_loop(scheme):
+    """K = 16, Phi on modes 5 and 7 and X(0) on mode 11: one pass of N = 128 steps, through
+    A^128, equals 128 single steps on those modes for a chunk of 3 paths, to 1e-13 of each
+    mode's largest amplitude (a wave amplitude can be a difference of close terms), and every
+    other mode stays exactly 0.0 both ways."""
+    grid, mesh = SpatialGrid(16), TimeMesh(128)
+    phi = np.zeros((1, 16))
+    phi[0, [4, 6]] = 0.7, -1.3
+    initial = np.zeros(16)
+    initial[10] = 1.0
+    block = NoiseBlock.empty(mesh, 3, 1, WAVE_NOISE)  # every coordinate either scheme reads
+    block.put(0, sample_path([(16, r) for r in range(3)], mesh))
+    if scheme == "wave":
+        problem = WaveProblem(grid, mesh, phi, initial, np.zeros(16))
+        marched = np.stack(run_wave(problem, block))
+        states = [problem.initial_displacement, problem.initial_velocity]
+        for j in range(mesh.N):
+            states = mcn_wave_step(problem, *states, block, j)
+        stepped = np.stack(states)
+    else:
+        problem = HeatProblem(grid, mesh, phi, initial)
+        marched = run_heat(problem, block, scheme)
+        step = em_step if scheme == "em" else mcn_heat_step
+        stepped = problem.initial
+        for j in range(mesh.N):
+            stepped = step(problem, stepped, block, j)
+    live = [4, 6, 10]
+    assert marched.shape == stepped.shape == marched.shape[:-2] + (16, 3)
+    scale = np.abs(stepped[..., live, :]).max(axis=-1, keepdims=True)
+    assert (scale > 0.0).all()
+    assert (np.abs(marched[..., live, :] - stepped[..., live, :]) <= 1e-13 * scale).all()
+    dead = np.delete(np.arange(16), live)
+    assert (marched[..., dead, :] == 0.0).all() and (stepped[..., dead, :] == 0.0).all()
 
 
 def sine_basis(k):

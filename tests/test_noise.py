@@ -615,7 +615,7 @@ def test_drawn_wave_coordinates_have_their_exact_moments():
     assert_second_moments(np.stack(samples, axis=1), law, "wave coordinates")
 
 
-def cell_covariance(law):
+def cell_covariance(law, block=4096):
     """One window's covariance in the row order of WindowLaw, cell by cell on the finest grid.
 
     Each scheme value is a weighted sum of W at nodes of the finest micro
@@ -624,39 +624,44 @@ def cell_covariance(law):
     after c.  A velocity part u_j is (2/tau^3) times the velocity sum plus
     W(t_j), whose weight cancels the sum's on the cells before t_j.  An
     oracle piece weighs cell c by its integral of exp(-mu (T - s)).  The
-    Ito isometry then sums products over the cells.
+    Ito isometry then sums products over the cells, `block` cells at a
+    time, so the --paper wave law's 2^17 cells a window take a few MB.
     """
     steps, windows = law.steps, law.windows
     cells, cell, length = steps * steps // windows, 1.0 / steps**2, 1.0 / windows
-    nodes = []
+    nodes = []  # each scheme value's nonzero node weights: (nodes, weights)
     for i in range(steps // windows):
-        weights = np.zeros(cells + 1)
-        weights[[i * steps, (i + 1) * steps]] = -1.0, 1.0
-        nodes.append(weights)
+        nodes.append((np.array([i * steps, (i + 1) * steps]), np.array([-1.0, 1.0])))
     for mesh in law.meshes:
         micro = (steps // mesh.N) ** 2  # finest cells per micro step
         for j in range(mesh.N // windows):
-            start, weights = j * mesh.N * micro, np.zeros(cells + 1)
-            weights[start + micro * np.arange(1, mesh.N + 1)] = mesh.tau**2
-            weights[[start, start + mesh.N * micro]] -= 0.5 * mesh.tau
-            nodes.append(weights)
+            start = j * mesh.N * micro
+            weights = np.full(mesh.N + 1, mesh.tau**2)
+            weights[0] = 0.0
+            weights[[0, -1]] -= 0.5 * mesh.tau
+            nodes.append((start + micro * np.arange(mesh.N + 1), weights))
     for mesh in law.meshes if law.velocity else ():
-        micro, ell = (steps // mesh.N) ** 2, np.arange(1, mesh.N + 1)
+        micro, ell = (steps // mesh.N) ** 2, np.arange(mesh.N + 1)
         for j in range(mesh.N // windows):
-            start, weights = j * mesh.N * micro, np.zeros(cells + 1)
-            weights[start + micro * ell] = 1.0 - 2.0 * mesh.tau * ell
-            weights[start] += 1.0
-            nodes.append(weights)
-    scheme = np.cumsum(np.array(nodes)[:, ::-1], axis=1)[:, ::-1][:, 1:]
+            weights = 1.0 - 2.0 * mesh.tau * ell
+            weights[0] = 1.0
+            nodes.append((j * mesh.N * micro + micro * ell, weights))
+    # The weight of cell c is the sum of the node weights after c: a sum from the end.
+    after = [np.append(np.cumsum(weights[::-1])[::-1], 0.0) for _, weights in nodes]
     edges = length - cell * np.arange(cells + 1)
-    pieces = [np.diff(np.exp(-mu * edges)) / mu for mu in law.rates]
-    pieces = np.array(pieces).reshape(len(law.rates), cells)
-    rows = np.vstack([scheme, pieces])
-    cov = cell * rows @ rows.T
-    cov[:, len(scheme) :] = rows @ pieces.T
-    cov[len(scheme) :] = cov[:, len(scheme) :].T
+    gram = np.zeros((law.width, law.width))
+    for lo in range(0, cells, block):
+        c = np.arange(lo, min(lo + block, cells))
+        scheme = [sums[np.searchsorted(at, c, side="right")] for (at, _), sums in zip(nodes, after)]
+        pieces = [np.diff(np.exp(-mu * edges[lo : lo + len(c) + 1])) / mu for mu in law.rates]
+        rows = np.array(scheme + pieces)
+        gram += rows @ rows.T
+    scheme = len(nodes)
+    cov = cell * gram
+    cov[:, scheme:] = gram[:, scheme:]
+    cov[scheme:] = cov[:, scheme:].T
     sums = np.add.outer(law.rates, law.rates)
-    cov[len(scheme) :, len(scheme) :] = -np.expm1(-sums * length) / sums
+    cov[scheme:, scheme:] = -np.expm1(-sums * length) / sums
     return cov
 
 
@@ -667,7 +672,7 @@ def heat_rates(k):
 @pytest.mark.parametrize(
     "steps, velocity",
     [pytest.param(n, False, id=str(n)) for n in (1, 2, 8, 32, 256, 1024)]
-    + [pytest.param(n, True, id=f"wave-{n}") for n in (8, 64, 1024)],
+    + [pytest.param(n, True, id=f"wave-{n}") for n in (8, 64, 1024, 4096)],
 )
 def test_window_factor_reproduces_the_cell_by_cell_covariance(steps, velocity):
     """L L^T of window_factor equals the covariance summed cell by cell on the finest micro
