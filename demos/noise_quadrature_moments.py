@@ -26,7 +26,12 @@ from mcnspde import (
     trapezoid_defect,
     wave_micro_sum_moment_exact,
 )
-from mcnspde.validation import _cell_block, _wave_micro_sum_kernel, heat_defect_block
+from mcnspde.validation import (
+    _cell_block,
+    _squared_norms,
+    _wave_micro_sum_kernel,
+    heat_defect_block,
+)
 
 print("1. micro-sum defect moment vs (m/3) tau^5")
 print(f"{'tau':>8} {'m':>3} {'estimate':>12} {'exact':>12} {'z':>7}")
@@ -34,8 +39,9 @@ rng = np.random.Generator(np.random.Philox(key=1000))
 for n_steps in (8, 16):
     mesh = TimeMesh(n_steps)
     for m in (1, 2):
+        # one row per path component; _squared_norms adds each path's m rows
         block, cells = _cell_block(rng, 300, mesh, m, moments=2)
-        sq = (heat_defect_block(block, mesh, cells) ** 2).sum(axis=2).ravel()
+        sq = _squared_norms(heat_defect_block(block, mesh, cells), m)
         est = sq.mean()
         se = sq.std(ddof=1) / math.sqrt(sq.size)
         exact = defect_moment_exact(mesh.tau, m)

@@ -188,23 +188,23 @@ def sample_path(seed: int | tuple[int, int] | list, mesh: TimeMesh, m: int = 1) 
 
 
 def lower_factor(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L of cov, L L^T = cov, formed entry by entry.
+    """Lower Cholesky factor L of cov, L L^T = cov, formed column by column.
 
     No LAPACK: the matrices have at most a few hundred rows (158 for a
-    --paper wave window, 34 ms on a 2-core VM), and a first LAPACK call
-    costs the process about 0.4 MB.  A pivot that is rounding
-    residue, at most len(cov) eps cov[f, f], gets a zero column: its row
+    --paper wave window, 4 ms on a 2-core VM), and a first LAPACK call
+    costs the process about 0.4 MB.  Column g takes one row-wise sum of
+    the products of the columns before it, each row summed as the 1-D
+    sum of the entry-by-entry form would be.  A pivot that is rounding
+    residue, at most len(cov) eps cov[g, g], gets a zero column: its row
     is, to rounding, a combination of the rows above it.
     """
     factor = np.zeros_like(cov)
     residue = len(cov) * np.finfo(float).eps
-    for f in range(len(cov)):
-        for g in range(f + 1):
-            rest = cov[f, g] - np.sum(factor[f, :g] * factor[g, :g])
-            if f == g:
-                factor[f, f] = math.sqrt(rest) if rest > residue * cov[f, f] else 0.0
-            elif factor[g, g] > 0.0:
-                factor[f, g] = rest / factor[g, g]
+    for g in range(len(cov)):
+        rest = cov[g:, g] - np.sum(factor[g:, :g] * factor[g, :g], axis=1)
+        factor[g, g] = math.sqrt(rest[0]) if rest[0] > residue * cov[g, g] else 0.0
+        if factor[g, g] > 0.0:
+            factor[g + 1 :, g] = rest[1:] / factor[g, g]
     return factor
 
 
@@ -371,12 +371,14 @@ def sample_windows(keys: list, law: WindowLaw) -> tuple[WienerPath, np.ndarray]:
     chunk on the N_max grid, its increments and cumulative values,
     carrying the gaps and, if law.velocity, the velocity parts of
     law.meshes (WienerPath.gaps and parts), and pieces (n, windows,
-    rates) the oracle pieces.
+    rates) the oracle pieces, copied out so that they do not keep the
+    window values alive.
     """
     n, steps, windows = len(keys), law.steps, law.windows
     normals = np.empty((n, windows, law.width))
     standard_normals(keys, normals)
     values = np.einsum("fg,rwg->rwf", window_factor(law), normals)
+    del normals  # so the copies below do not stack on top of them
     start = steps // windows
     increments = values[..., :start].reshape(n, steps, 1)
     cumulative = np.zeros((n, steps + 1, 1))
@@ -387,7 +389,7 @@ def sample_windows(keys: list, law: WindowLaw) -> tuple[WienerPath, np.ndarray]:
             stop = start + mesh.N // windows
             coordinates[mesh.N] = values[..., start:stop].reshape(n, mesh.N, 1)
             start = stop
-    return WienerPath(increments, cumulative, *drawn), values[..., start:]
+    return WienerPath(increments, cumulative, *drawn), values[..., start:].copy()
 
 
 def master_strides(mesh: TimeMesh, master_steps: int) -> tuple[int, int]:

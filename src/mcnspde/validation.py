@@ -18,15 +18,19 @@ The Monte Carlo kernels here are batched (many paths per numpy block).
 Each check draws only what its kernel reads (_cell_block): the coarse
 intervals it covers, at micro resolution, with the first one, two or
 three of the exact integrals of each micro cell, so the path integrals
-the defects compare against carry no discretization bias.  The heat
-defects read a whole-mesh block through noise.mesh_values, the accessor
-behind the schemes' noise coordinates, so the quadrature checked is the
-one the schemes consume; the other kernels read their blocks by reshape
-or read only the cell integrals.
+the defects compare against carry no discretization bias.  A block has
+one row per path component, row i*m + c for component c of path i, so
+every sum over micro cells runs along a contiguous axis, and
+_squared_norms adds each path's m rows back up.  The heat defects read
+a whole-mesh block through noise.mesh_values, the accessor behind the
+schemes' noise coordinates, so the quadrature checked is the one the
+schemes consume; the other kernels read their blocks by reshape or read
+only the cell integrals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,9 +47,13 @@ from .noise import (
 
 # Largest batched block, in path values (micro nodes drawn times components).
 # A value comes with at most three normals and three cell quantities, so
-# this keeps peak kernel memory near 100 MB.  Each path's normals are
-# consecutive in its stream, so the chunk size moves no sample.
-_CHUNK_ELEMENTS = 1 << 20
+# a chunk's arrays take about 2 MB and stay in cache.  Each path's normals
+# are consecutive in its stream, so the chunk size moves no sample.
+_CHUNK_ELEMENTS = 1 << 15
+
+# Cell quantity k of (dW, I1, I2) is h^(k+1/2) sum_i z_i / d_ki: row k of the
+# closed-form Cholesky factor of their covariance (see _cell_block).
+_CELL_DIVISORS = ((1.0,), (2.0, 2 * math.sqrt(3)), (3.0, 4 * math.sqrt(3), 12 * math.sqrt(5)))
 
 LEMMA_TOLERANCE = 1e-12
 TWO_SIDED_BAND = 3.0
@@ -99,11 +107,16 @@ class ValidationReport:
 # deterministic trapezoid defect bound
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(16)
+
+
 def trapezoid_defect(f, a: float, kappa: float) -> float:
     """|(f(a) + f(a+kappa))/2 - kappa^{-1} int_a^{a+kappa} f| via Gauss quadrature."""
     if kappa <= 0:
         raise ValueError(f"interval length must be positive, got {kappa}")
-    nodes, weights = np.polynomial.legendre.leggauss(16)
+    nodes, weights = _gauss_legendre()
     x = a + 0.5 * kappa * (nodes + 1.0)
     integral = 0.5 * kappa * float(weights @ f(x))
     return abs(0.5 * (f(a) + f(a + kappa)) - integral / kappa)
@@ -124,16 +137,8 @@ def _lemma_checks() -> list[CheckResult]:
         target = kappa * kappa / 6.0
         band = LEMMA_TOLERANCE * target
         passed = abs(defect - target) <= band and abs(bound - target) <= band
-        checks.append(
-            CheckResult(
-                name=f"trapezoid_defect_sharpness[kappa={Fraction(kappa).limit_denominator()}]",
-                passed=passed,
-                observed=defect,
-                expected=target,
-                band=band,
-                detail=f"bound={bound:.12e}",
-            )
-        )
+        name = f"trapezoid_defect_sharpness[kappa={Fraction(kappa).limit_denominator()}]"
+        checks.append(CheckResult(name, passed, defect, target, band, f"bound={bound:.12e}"))
     return checks
 
 
@@ -141,7 +146,7 @@ def _lemma_checks() -> list[CheckResult]:
 # batched Wiener kernels
 
 
-def _cell_block(rng, n_paths: int, mesh: TimeMesh, m: int, intervals=None, moments: int = 3):
+def _cell_block(rng, n_paths: int, mesh: TimeMesh, m: int, intervals=None, moments=3, path=True):
     """Wiener paths at micro resolution over some coarse intervals, with exact cell integrals.
 
     On a micro cell [t, t + h], h = tau^2, the increment dW = W(t+h) - W(t)
@@ -155,29 +160,38 @@ def _cell_block(rng, n_paths: int, mesh: TimeMesh, m: int, intervals=None, momen
     W(t_j0) = sqrt(t_j0) z.  A path's normals are consecutive in the
     stream, so it does not depend on how many are drawn with it: m for
     W(t_j0) if j0 > 0, then its cells' in (moment, interval, cell,
-    component) order.  Returns the cumulative block (n, K*M+1, m), W on
-    the micro grid from t_j0 on, and cells, the first `moments` of
-    (dW, I1, I2), each (n, K, M, m) with [:, i, l-1] the cell
+    component) order.  Row i*m + c of every array is component c of path
+    i.  Returns the cumulative block (n*m, K*M+1, 1), W on the micro grid
+    from t_j0 on, or None unless path, and cells, the first `moments` of
+    (dW, I1, I2), each (n*m, K, M, 1) with [:, i, l-1] the cell
     [t_{j,l-1}, t_{j,l}] of interval j = j0 + i.
     """
     intervals = intervals or range(mesh.N)
-    h, start, count = mesh.tau**2, intervals.start, len(intervals)
+    h, start, count, rows = mesh.tau**2, intervals.start, len(intervals), n_paths * m
     lead = m if start else 0
     normals = rng.standard_normal((n_paths, lead + moments * count * mesh.M * m))
-    z = np.moveaxis(normals[:, lead:].reshape(n_paths, moments, count, mesh.M, m), 1, 0)
-    cells = (math.sqrt(h) * z[0],)
-    if moments > 1:
-        cells += (h**1.5 * (z[0] / 2 + z[1] / (2 * math.sqrt(3))),)
-    if moments > 2:
-        cells += (h**2.5 * (z[0] / 3 + z[1] / (4 * math.sqrt(3)) + z[2] / (12 * math.sqrt(5))),)
-    block = np.empty((n_paths, count * mesh.M + 1, m))
-    block[:, 0] = math.sqrt(start * mesh.tau) * normals[:, :m] if start else 0.0
-    block[:, 1:] = cells[0].reshape(n_paths, -1, m)
+    # Each cell array is summed term by term, in place, into an array in row
+    # order, from a transposed view of the normals.
+    z = normals[:, lead:].reshape(n_paths, moments, -1, m).transpose(1, 0, 3, 2)
+    cells, scales = [], (math.sqrt(h), h**1.5, h**2.5)
+    for k, divisors in enumerate(_CELL_DIVISORS[:moments]):
+        cell = np.divide(z[0], divisors[0], order="C")
+        for i in range(1, k + 1):
+            cell += z[i] / divisors[i]
+        cell *= scales[k]
+        cells.append(cell.reshape(rows, count, mesh.M, 1))
+    first = math.sqrt(start * mesh.tau) * normals[:, :m].ravel() if start else 0.0
+    del normals, z
+    if not path:
+        return None, cells
+    block = np.empty((rows, count * mesh.M + 1, 1))
+    block[:, 0, 0] = first
+    block[:, 1:] = cells[0].reshape(rows, -1, 1)
     return np.cumsum(block, axis=1, out=block), cells
 
 
 def heat_defect_block(block: np.ndarray, mesh: TimeMesh, cells) -> np.ndarray:
-    """Micro quadrature defects for every path and interval; shape (n, N, m).
+    """Micro quadrature defects for every row and interval; shape (n*m, N, 1).
 
     block and cells, (dW, I1) at least, come from a whole-mesh _cell_block.
     Interval j's defect is the exact int_{t_j}^{t_{j+1}} W(s) ds =
@@ -192,7 +206,7 @@ def heat_defect_block(block: np.ndarray, mesh: TimeMesh, cells) -> np.ndarray:
 
 
 def wave_current_defect_block(block: np.ndarray, mesh: TimeMesh, cells) -> np.ndarray:
-    """Current-interval wave defects for every path and interval; shape (n, N, m).
+    """Current-interval wave defects for every row and interval; shape (n*m, N, 1).
 
     For interval j this is
     sum_l int_{t_{j,l-1}}^{t_{j,l}} (t_{j+1} - s)(W(s) - W(t_{j,l})) ds.
@@ -209,48 +223,54 @@ def wave_current_defect_block(block: np.ndarray, mesh: TimeMesh, cells) -> np.nd
 
 
 def _wave_micro_sum_kernel(block: np.ndarray, mesh: TimeMesh, cells=None) -> np.ndarray:
-    """Weighted micro sums (tau^4/2) sum_l W(t_{j,l}) of the block's K intervals; (n, K, m)."""
+    """Weighted micro sums (tau^4/2) sum_l W(t_{j,l}) of the block's K intervals; (n*m, K, 1)."""
     n, _, m = block.shape
     return 0.5 * mesh.tau**4 * block[:, 1:].reshape(n, -1, mesh.M, m).sum(axis=2)
 
 
 def _old_defect_kernel(block: np.ndarray, mesh: TimeMesh, cells) -> np.ndarray:
-    """tau times the heat defects of the block's intervals summed, shape (n, 1, m).
+    """tau times the heat defects of the block's intervals summed, shape (n*m, 1, 1).
 
     On cell l, h W(t_{j,l-1}) + I1_l - h W(t_{j,l}) = I1_l - h dW_l, so
-    the defects read only the cells (dW, I1).
+    the defects read only the cells (dW, I1), and block may be None.
     """
     return mesh.tau * (cells[1] - mesh.tau**2 * cells[0]).sum(axis=(1, 2))[:, None]
+
+
+def _squared_norms(values: np.ndarray, m: int) -> np.ndarray:
+    """Squared norms of kernel outputs (n*m, P, 1), each path's m rows summed; (n*P,)."""
+    squares = values[..., 0] ** 2
+    return squares.reshape(-1, m, squares.shape[1]).sum(axis=1).ravel()
 
 
 def _kernel_samples(key: tuple[int, int], mesh: TimeMesh, m: int, samples: int, draw):
     """Squared norms of a per-interval kernel's outputs, pooled across intervals.
 
-    draw is (kernel, per_path, intervals, moments), and kernel maps
-    _cell_block(..., intervals, moments) to (n, per_path, m) outputs.  The
-    defect laws are identical and independent across coarse intervals, so
-    each path gives per_path samples: N if the kernel returns all N
-    intervals.  Each chunk draws only the paths still needed.
+    draw is (kernel, per_path, intervals, moments, path), and kernel maps
+    _cell_block(..., intervals, moments, path) to (n*m, per_path, 1)
+    outputs.  The defect laws are identical and independent across coarse
+    intervals, so each path gives per_path samples: N if the kernel
+    returns all N intervals.  Each chunk draws only the paths still needed.
     """
-    kernel, per_path, intervals, moments = draw
+    kernel, per_path, intervals, moments, path = draw
     rng = np.random.Generator(np.random.Philox(key=key))
     chunk = max(1, _CHUNK_ELEMENTS // ((len(intervals) * mesh.M + 1) * m))
     out = np.empty(samples)
     filled = 0
     while filled < samples:
         n_paths = min(chunk, -(-(samples - filled) // per_path))
-        block, cells = _cell_block(rng, n_paths, mesh, m, intervals, moments)
-        sq = (kernel(block, mesh, cells) ** 2).sum(axis=2).ravel()
+        block, cells = _cell_block(rng, n_paths, mesh, m, intervals, moments, path)
+        sq = _squared_norms(kernel(block, mesh, cells), m)
         take = min(sq.size, samples - filled)
         out[filled : filled + take] = sq[:take]
         filled += take
     return out
 
 
-def _mean_and_se(samples: np.ndarray) -> tuple[float, float]:
-    mean = float(samples.mean())
-    se = float(samples.std(ddof=1)) / math.sqrt(samples.size)
-    return mean, se
+def _mean_and_se(samples: np.ndarray):
+    """Mean and standard error along the last axis."""
+    se = samples.std(axis=-1, ddof=1) / math.sqrt(samples.shape[-1])
+    return samples.mean(axis=-1), se
 
 
 # ---------------------------------------------------------------------------
@@ -267,27 +287,29 @@ def _moment_checks(samples: int, seed: int) -> list[CheckResult]:
     """
     mesh = TimeMesh(8)
     tau = mesh.tau
-    cases = []  # (name, stream, mesh, m, (kernel, per_path, intervals, moments), expected, upper)
+    cases = []  # (name, stream, mesh, m, draw, expected, upper), draw as in _kernel_samples
     for i, (n, m) in enumerate([(8, 1), (8, 2), (16, 1), (16, 2)]):
         name = f"heat_defect_moment[tau=1/{n},m={m}]"
-        draw = (heat_defect_block, n, range(n), 2)
+        draw = (heat_defect_block, n, range(n), 2, True)
         cases.append((name, 16 + i, TimeMesh(n), m, draw, defect_moment_exact(1.0 / n, m), False))
     for i, (j, m) in enumerate([(0, 1), (0, 2), (7, 1), (7, 2)]):
         name = f"wave_micro_sum_moment[tau=1/8,j={j},m={m}]"
         expected = wave_micro_sum_moment_exact(mesh, j, m)
-        draw = (_wave_micro_sum_kernel, 1, range(j, j + 1), 1)
+        draw = (_wave_micro_sum_kernel, 1, range(j, j + 1), 1, True)
         cases.append((name, 32 + i, mesh, m, draw, expected, False))
     for i, m in enumerate((1, 2)):
         name = f"wave_current_defect_bound[tau=1/8,m={m}]"
-        draw = (wave_current_defect_block, 8, range(8), 3)
+        draw = (wave_current_defect_block, 8, range(8), 3, True)
         cases.append((name, 48 + i, mesh, m, draw, m * tau**6, True))
     for i, m in enumerate((1, 2)):
         name = f"wave_old_defect_bound[tau=1/8,j=4,m={m}]"
         bound = mesh.coarse_time(4) * m * tau**5 / 3.0
-        cases.append((name, 64 + i, mesh, m, (_old_defect_kernel, 1, range(4), 2), bound, True))
+        draw = (_old_defect_kernel, 1, range(4), 2, False)  # reads only the cells
+        cases.append((name, 64 + i, mesh, m, draw, bound, True))
     checks = []
     for name, stream, mesh_, m, draw, expected, upper in cases:
-        mean, se = _mean_and_se(_kernel_samples((seed, stream), mesh_, m, samples, draw))
+        drawn = _kernel_samples((seed, stream), mesh_, m, samples, draw)
+        mean, se = map(float, _mean_and_se(drawn))
         band = (BOUND_BAND if upper else TWO_SIDED_BAND) * se
         passed = mean <= expected + band if upper else abs(mean - expected) <= band
         detail = "upper bound" if upper else f"z={(mean - expected) / se:+.2f}"
@@ -308,24 +330,15 @@ def _covariance_checks(samples: int, seed: int, stream: int) -> list[CheckResult
         for t_prev, gap in zip(times[1:], gaps):
             w = w + rng.standard_normal((samples, m)) * math.sqrt(gap)
             values[t_prev] = w
-        inc_s = values[t] - values[s]
-        inc_r = values[t] - values[r]
-        target = t - max(s, r)
-        worst_z = 0.0
-        ok = True
-        for i in range(m):
-            for k in range(m):
-                prod = inc_s[:, i] * inc_r[:, k]
-                mean, se = _mean_and_se(prod)
-                expect = target if i == k else 0.0
-                z = (mean - expect) / se
-                worst_z = max(worst_z, abs(z))
-                ok = ok and abs(mean - expect) <= COVARIANCE_BAND * se
+        inc_s, inc_r = (np.ascontiguousarray((values[t] - values[u]).T) for u in (s, r))
+        # Row i*m + k holds component i of inc_s times component k of inc_r.
+        mean, se = _mean_and_se((inc_s[:, None] * inc_r[None]).reshape(m * m, samples))
+        error = np.abs(mean - (t - max(s, r)) * np.eye(m).ravel())
         checks.append(
             CheckResult(
                 name=f"wiener_covariance[s={s},r={r},t={t}]",
-                passed=ok,
-                observed=worst_z,
+                passed=bool((error <= COVARIANCE_BAND * se).all()),
+                observed=float((error / se).max()),
                 expected=0.0,
                 band=COVARIANCE_BAND,
                 detail="worst |z| over 2x2 components",

@@ -19,14 +19,35 @@ def test_demos_are_found():
     ]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
-def test_demo_runs(demo):
+def run_demo(demo):
+    """The demo's standard output; it must exit cleanly and print something."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=600
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
+def test_demo_runs(demo):
+    run_demo(demo)
+
+
+def test_noise_quadrature_demo_estimates_meet_their_exact_moments():
+    """Every row of the demo's two Monte Carlo tables, those headed by a z column, sits
+    within 4 standard errors of its exact moment: 4 defect rows and 3 micro-sum rows."""
+    z_scores, in_table = [], False
+    for line in run_demo(ROOT / "demos" / "noise_quadrature_moments.py").splitlines():
+        if line.split()[-1:] == ["z"]:
+            in_table = True
+        elif not line.strip():
+            in_table = False
+        elif in_table:
+            z_scores.append(float(line.split()[-1]))
+    assert len(z_scores) == 7
+    assert all(abs(z) <= 4.0 for z in z_scores), z_scores
 
 
 def test_readme_library_snippet_runs(capsys):

@@ -472,6 +472,25 @@ def test_wave_study_memory_does_not_grow_with_realizations():
     assert saturated - filled <= result_bytes(config, 1024)
 
 
+@pytest.mark.parametrize(
+    "config", [desk_heat_config(), desk_wave_config()], ids=["desk-heat", "desk-wave"]
+)
+def test_drawing_a_chunk_peaks_within_what_chunk_size_counts(config):
+    """One sample_windows call on a chunk of chunk_size paths peaks, in tracemalloc, at or
+    below the bytes chunk_size counts a path: its normals, their window values, and its
+    increments and cumulative values."""
+    law, size = config.window_law, chunk_size(config)
+    keys = [(config.base_seed, r) for r in range(size)]
+    sample_windows(keys, law)  # builds the cached factor, which no peak counts
+    tracemalloc.start()
+    try:
+        sample_windows(keys, law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= size * 8 * (2 * law.normals + 2 * law.steps + 1)
+
+
 def test_wave_study_reports_both_norms():
     config = desk_wave_config(n_list=(8, 16), k=6, mc_count=2, n_ref=32, base_seed=7)
     tables = run_study_tables(config)

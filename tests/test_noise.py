@@ -21,10 +21,14 @@ from mcnspde import (
     WaveProblem,
     WienerPath,
     defect_moment_exact,
+    desk_heat_config,
+    desk_wave_config,
     em_step,
     mcn_heat_step,
     mcn_wave_step,
     mesh_values,
+    paper_heat_config,
+    paper_wave_config,
     sample_path,
     sine_mode,
     wave_micro_sum_moment_exact,
@@ -32,12 +36,14 @@ from mcnspde import (
 from mcnspde.heat import oracle_rates
 from mcnspde.noise import (
     WindowLaw,
+    lower_factor,
     master_strides,
     sample_windows,
     standard_normals,
+    window_covariance,
     window_factor,
 )
-from mcnspde.validation import _cell_block, heat_defect_block
+from mcnspde.validation import _cell_block, _squared_norms, heat_defect_block
 
 
 def value_at(path, t):
@@ -310,7 +316,8 @@ def test_defect_moment_small_monte_carlo():
     m = 2
     rng = np.random.Generator(np.random.Philox(key=9000))
     block, cells = _cell_block(rng, 400, mesh, m, moments=2)
-    sq = (heat_defect_block(block, mesh, cells) ** 2).sum(axis=2).ravel()
+    sq = _squared_norms(heat_defect_block(block, mesh, cells), m)
+    assert sq.shape == (400 * mesh.N,)
     mean = sq.mean()
     se = sq.std(ddof=1) / math.sqrt(sq.size)
     assert abs(mean - defect_moment_exact(mesh.tau, m)) <= 3 * se
@@ -735,3 +742,29 @@ def test_drawn_windows_match_full_paths_reduced_by_put():
         se = np.hypot(drawn.std(axis=0, ddof=1) / math.sqrt(2000), full.std(axis=0, ddof=1) / 20)
         z = (drawn.mean(axis=0) - full.mean(axis=0)) / se
         assert (np.abs(z) <= 4.0).all(), (law, z)
+
+
+def entry_by_entry_factor(cov):
+    """The lower Cholesky factor one entry at a time, one 1-D sum each: the reference."""
+    factor = np.zeros_like(cov)
+    residue = len(cov) * np.finfo(float).eps
+    for f in range(len(cov)):
+        for g in range(f + 1):
+            rest = cov[f, g] - np.sum(factor[f, :g] * factor[g, :g])
+            if f == g:
+                factor[f, f] = math.sqrt(rest) if rest > residue * cov[f, f] else 0.0
+            elif factor[g, g] > 0.0:
+                factor[f, g] = rest / factor[g, g]
+    return factor
+
+
+@pytest.mark.parametrize(
+    "config",
+    [desk_heat_config(), desk_wave_config(), paper_heat_config(), paper_wave_config()],
+    ids=["desk-heat", "desk-wave", "paper-heat", "paper-wave"],
+)
+def test_lower_factor_by_columns_is_the_entry_by_entry_factor(config):
+    """Column by column, each row of a column summed at once, gives the entry-by-entry factor
+    bit for bit on the window laws of the desk and --paper studies."""
+    cov = window_covariance(config.window_law)
+    np.testing.assert_array_equal(lower_factor(cov), entry_by_entry_factor(cov))

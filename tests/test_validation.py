@@ -18,20 +18,56 @@ from mcnspde import validation
 from mcnspde.validation import (
     _cell_block,
     _old_defect_kernel,
+    _squared_norms,
     _wave_micro_sum_kernel,
     heat_defect_block,
     wave_current_defect_block,
 )
 
 
-def cell_block(key, n_paths, mesh, m, intervals=None, moments=3):
+def cell_block(key, n_paths, mesh, m, intervals=None, moments=3, path=True):
     rng = np.random.Generator(np.random.Philox(key=key))
-    return _cell_block(rng, n_paths, mesh, m, intervals, moments)
+    return _cell_block(rng, n_paths, mesh, m, intervals, moments, path)
 
 
 def micro_node(block, mesh, j, ell):
-    """W(t_{j,l}) of every path, by its index j*M + l on the micro grid."""
+    """W(t_{j,l}) of every row, by its index j*M + l on the micro grid."""
     return block[:, j * mesh.M + ell]
+
+
+def m_last_block(rng, n_paths, mesh, m, intervals, moments):
+    """A chunk in the m-last layout, block (n, K*M+1, m) and cells (n, K, M, m), with the
+    stream order and the arithmetic of _cell_block: the reference for its row layout."""
+    h, start, count = mesh.tau**2, intervals.start, len(intervals)
+    lead = m if start else 0
+    normals = rng.standard_normal((n_paths, lead + moments * count * mesh.M * m))
+    z = np.moveaxis(normals[:, lead:].reshape(n_paths, moments, count, mesh.M, m), 1, 0)
+    cells = (math.sqrt(h) * z[0],)
+    if moments > 1:
+        cells += (h**1.5 * (z[0] / 2 + z[1] / (2 * math.sqrt(3))),)
+    if moments > 2:
+        cells += (h**2.5 * (z[0] / 3 + z[1] / (4 * math.sqrt(3)) + z[2] / (12 * math.sqrt(5))),)
+    block = np.empty((n_paths, count * mesh.M + 1, m))
+    block[:, 0] = math.sqrt(start * mesh.tau) * normals[:, :m] if start else 0.0
+    block[:, 1:] = cells[0].reshape(n_paths, -1, m)
+    return np.cumsum(block, axis=1, out=block), cells
+
+
+def m_last_samples(key, mesh, m, samples, draw):
+    """_kernel_samples by m_last_block, all paths in one block and no chunks.
+
+    The kernel runs on one component at a time, so each of its sums over
+    cells runs in the order it runs in along a row, and the squares of
+    the components are added in component order.
+    """
+    kernel, per_path, intervals, moments, _ = draw
+    rng = np.random.Generator(np.random.Philox(key=key))
+    block, cells = m_last_block(rng, -(-samples // per_path), mesh, m, intervals, moments)
+    squares = 0.0
+    for c in range(m):
+        values = kernel(block[..., c : c + 1], mesh, tuple(cell[..., c : c + 1] for cell in cells))
+        squares = squares + values[..., 0] ** 2
+    return squares.ravel()[:samples]
 
 
 def test_trapezoid_defect_quadratic_sharpness():
@@ -61,7 +97,7 @@ def test_heat_defect_block_matches_per_path_quadrature():
     block, cells = cell_block(301, 3, mesh, 2)
     i1 = cells[1]
     got = heat_defect_block(block, mesh, cells)
-    assert got.shape == (3, mesh.N, 2)
+    assert got.shape == (3 * 2, mesh.N, 1)
     h = mesh.tau**2
     for j in range(mesh.N):
         integral = micro_sum = 0.0
@@ -129,16 +165,45 @@ def test_wave_micro_sum_moment_small_monte_carlo():
 
 
 def test_cell_block_layout():
+    """One row per (path, component), each array contiguous along its cells."""
     mesh = TimeMesh(4)
     block, (increments, i1, i2) = cell_block(11, 3, mesh, 2)
-    assert block.shape == (3, mesh.N * mesh.M + 1, 2)
+    assert block.shape == (3 * 2, mesh.N * mesh.M + 1, 1)
+    for cell in (block, increments, i1, i2):
+        assert cell.flags.c_contiguous
     for cell in (increments, i1, i2):
-        assert cell.shape == (3, mesh.N, mesh.M, 2)
+        assert cell.shape == (3 * 2, mesh.N, mesh.M, 1)
     np.testing.assert_array_equal(block[:, 0, :], 0.0)
     # the micro-grid values are the running sums of the cell increments
-    np.testing.assert_allclose(
-        block[:, 1:, :], np.cumsum(increments.reshape(3, -1, 2), axis=1), rtol=1e-12
+    np.testing.assert_array_equal(
+        block[:, 1:, :], np.cumsum(increments.reshape(3 * 2, -1, 1), axis=1)
     )
+    none, cells = cell_block(11, 3, mesh, 2, path=False)
+    assert none is None
+    for cell, drawn in zip(cells, (increments, i1, i2)):
+        np.testing.assert_array_equal(cell, drawn)
+
+
+def test_cell_block_rows_hold_the_stream_components_in_order():
+    """Row i*m + c holds component c of path i: every value against the stream, read by a
+    literal loop over (path, component, moment, interval, cell)."""
+    mesh, m, n_paths, intervals = TimeMesh(4), 2, 3, range(1, 3)
+    h, count = mesh.tau**2, len(intervals)
+    block, cells = cell_block(19, n_paths, mesh, m, intervals)
+    stream = np.random.Generator(np.random.Philox(key=19))
+    normals = stream.standard_normal((n_paths, m + 3 * count * mesh.M * m))
+    for i in range(n_paths):
+        for c in range(m):
+            row = i * m + c
+            assert block[row, 0, 0] == math.sqrt(mesh.tau) * normals[i, c]
+            for j in range(count):
+                for ell in range(mesh.M):
+                    z = [normals[i, m + ((k * count + j) * mesh.M + ell) * m + c] for k in range(3)]
+                    assert cells[0][row, j, ell, 0] == math.sqrt(h) * z[0]
+                    i1 = h**1.5 * (z[0] / 2 + z[1] / (2 * math.sqrt(3)))
+                    assert cells[1][row, j, ell, 0] == i1
+                    i2 = z[0] / 3 + z[1] / (4 * math.sqrt(3)) + z[2] / (12 * math.sqrt(5))
+                    assert cells[2][row, j, ell, 0] == h**2.5 * i2
 
 
 def test_cell_block_covariance_is_the_exact_law():
@@ -162,13 +227,24 @@ def test_cell_block_covariance_is_the_exact_law():
 
 
 def test_old_defect_kernel_is_tau_times_the_summed_heat_defects():
-    """The past-interval kernel, read from (dW, I1) alone, equals tau times the summed defects."""
+    """The past-interval kernel, read from (dW, I1) alone, equals tau times the summed defects,
+    and needs no block."""
     mesh = TimeMesh(4)
     block, cells = cell_block(307, 3, mesh, 2, moments=2)
-    got = _old_defect_kernel(block, mesh, cells)
-    assert got.shape == (3, 1, 2)
+    got = _old_defect_kernel(None, mesh, cells)
+    assert got.shape == (3 * 2, 1, 1)
     expected = mesh.tau * heat_defect_block(block, mesh, cells).sum(axis=1, keepdims=True)
     np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-15)
+    np.testing.assert_array_equal(got, _old_defect_kernel(block, mesh, cells))
+
+
+def test_squared_norms_add_each_paths_rows():
+    """Row i*m + c is component c of path i: its squares go to path i, outputs in order."""
+    values = np.arange(1.0, 13.0).reshape(2 * 3, 2, 1)  # 2 paths, m = 3, 2 outputs
+    squares = values[..., 0] ** 2
+    expected = [squares[0:3, 0].sum(), squares[0:3, 1].sum()]
+    expected += [squares[3:6, 0].sum(), squares[3:6, 1].sum()]
+    np.testing.assert_array_equal(_squared_norms(values, 3), expected)
 
 
 def test_partial_cell_block_has_the_exact_law():
@@ -238,6 +314,52 @@ def test_each_moment_check_draws_only_what_its_kernel_reads(monkeypatch):
         "wave_old_defect_bound[tau=1/8,j=4,m=1]": 64,
         "wave_old_defect_bound[tau=1/8,j=4,m=2]": 128,
     }
+
+
+@pytest.mark.parametrize("chunk_elements", [validation._CHUNK_ELEMENTS, 1 << 12])
+def test_moment_samples_match_the_m_last_reference(monkeypatch, chunk_elements):
+    """Each of the twelve checks' per-sample squared norms equals, bit for bit, the m-last
+    reference drawn in one block, at two chunk sizes."""
+    monkeypatch.setattr(validation, "_CHUNK_ELEMENTS", chunk_elements)
+    calls = []
+    original = validation._kernel_samples
+
+    def recording(key, mesh, m, samples, draw):
+        got = original(key, mesh, m, samples, draw)
+        calls.append((got, m_last_samples(key, mesh, m, samples, draw)))
+        return got
+
+    monkeypatch.setattr(validation, "_kernel_samples", recording)
+    validation._moment_checks(3000, seed=5)
+    assert len(calls) == 12
+    for got, expected in calls:
+        assert got.shape == expected.shape == (3000,)
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_traced_kernels_get_blocks_of_rows_nodes_and_one(monkeypatch):
+    """heat_defect_block and wave_current_defect_block, the kernels a tracer wraps and reads
+    block.shape of, get a 3-D (paths * m, nodes, 1) block on every call."""
+    shapes = []
+
+    def spy(kernel):
+        def call(block, mesh, cells):
+            shapes.append((kernel.__name__, block.shape))
+            return kernel(block, mesh, cells)
+
+        return call
+
+    for name in ("heat_defect_block", "wave_current_defect_block"):
+        monkeypatch.setattr(validation, name, spy(getattr(validation, name)))
+    validation._moment_checks(16, seed=7)  # one chunk per check
+    assert shapes == [
+        ("heat_defect_block", (2, 65, 1)),  # 16 samples are 2 paths of N = 8
+        ("heat_defect_block", (4, 65, 1)),
+        ("heat_defect_block", (1, 257, 1)),  # 1 path of N = 16
+        ("heat_defect_block", (2, 257, 1)),
+        ("wave_current_defect_block", (2, 65, 1)),
+        ("wave_current_defect_block", (4, 65, 1)),
+    ]
 
 
 def test_validate_statistics_does_not_depend_on_the_chunk_size(monkeypatch):
