@@ -16,8 +16,11 @@ least-squares rate fit.
 
 Realizations run in blocks, and their paths are drawn in chunks of as
 many as CHUNK_BYTES holds (chunk_size): 36 desk heat paths, 6 desk wave
-paths.  Each chunk of a block is used at once and dropped: it is
-reduced on every mesh (for wave, the reference mesh too) to its noise
+paths.  Every chunk of a block is drawn into the same two arrays, its
+normals and window values (0.5 MB for desk heat), allocated once per
+block, so no chunk faults in fresh pages.  Each chunk is used at once
+and dropped: it is reduced on every mesh (for wave, the reference mesh
+too) to its noise
 coordinates, a few numbers per step, stored as its paths' columns of
 that mesh's NoiseBlock, and its oracle pieces are kept (none for wave).
 Then the heat oracle is formed and every mesh is marched once for the
@@ -385,12 +388,15 @@ def _block_squared_errors(config: StudyConfig, span: range):
     law = config.window_law
     pieces = np.empty((count, law.windows, len(law.rates)))
     size = chunk_size(config)
+    # A chunk's normals and window values, which every chunk of the block is drawn into.
+    buffers = [np.empty((min(size, count), law.windows, law.width)) for _ in range(2)]
     for lo in range(0, count, size):
         keys = [(config.base_seed, r) for r in span[lo : lo + size]]
-        paths, pieces[lo : lo + len(keys)] = sample_windows(keys, law)
+        paths, pieces[lo : lo + len(keys)] = sample_windows(keys, law, buffers)
         for block in blocks:
             block.put(lo, paths)
         del paths  # only one chunk is alive at a time
+    del buffers  # and none during the marches
     if config.equation == EQUATION_HEAT:
         # The oracle values of the exact mode, and in continuous mode those of
         # the semidiscrete one too, whose gap to it is the spatial floor.

@@ -23,7 +23,10 @@ window by window and through one factor of their exact joint covariance
 (window_factor; the Ito isometry, Kloeden & Platen 1992, sec. 10.4), the
 increments of the finest mesh N_max, the gaps and, for wave, the local
 velocity parts of the meshes whose micro nodes are not N_max nodes, and
-the windows' pieces of the convolutions.  The path it returns lies on
+the windows' pieces of the convolutions.  The factor product is the one
+BLAS call of a study: np.matmul makes gemm calls of one fixed shape per
+path, small enough for one BLAS thread, so a path's values have the same
+bits in any chunk and for any thread count.  The path it returns lies on
 the N_max grid and carries the drawn coordinates (WienerPath.gaps and
 WienerPath.parts); the coarser meshes read theirs from it by stride.
 
@@ -54,6 +57,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+
+# Multiply-adds per BLAS gemm of the window product (sample_windows).  OpenBLAS
+# runs a gemm of at most 2^18 of them on one thread (65536 times its default
+# GEMM_MULTITHREAD_THRESHOLD of 4), so drawing wakes no BLAS thread.
+GEMM_SIZE = 2**18
 
 
 class AlignmentError(Exception):
@@ -146,18 +155,24 @@ class WienerPath:
 def standard_normals(keys: Sequence, out: np.ndarray) -> None:
     """Fill out[i] with the first standard normals of the Philox stream of keys[i].
 
-    A key is an integer or a pair of 64-bit words.  One generator is
-    re-keyed per key by setting its state, with the same bits as a fresh
+    A key is an integer (Python or numpy) or a pair of 64-bit words.  The
+    keys become one (n, 2) array of words, which also checks their range,
+    and one generator is re-keyed per key by writing its two words into
+    the generator's state, with the same bits as a fresh
     np.random.Philox(key=key) wherever that takes the key exactly (it
-    rounds words of 2^63 and more through a float): 240 desk heat paths
-    of 864 normals take 2.96 ms instead of 4.09 ms on a 2-core VM.  Keys
-    must be nonnegative.
+    rounds words of 2^63 and more through a float).  36 desk heat paths
+    of 864 normals take 0.56 ms on a 2-core VM, against 0.49-0.50 ms for
+    one unkeyed stream of their length and 0.66-0.67 ms when each key was
+    converted alone into a state of numpy arrays.  Keys must be
+    nonnegative.
     """
+    words = [divmod(int(k), 2**64)[::-1] if isinstance(k, (int, np.integer)) else k for k in keys]
     bits = np.random.Philox(key=0)
     generator, state = np.random.Generator(bits), bits.state
-    for row, key in zip(out, keys):
-        words = divmod(int(key), 2**64)[::-1] if np.ndim(key) == 0 else key
-        state["state"]["key"] = np.array([int(word) for word in words], dtype=np.uint64)
+    # The state setter reads each word of the state alone, faster from a list.
+    state["state"]["counter"], state["buffer"] = [0] * 4, [0] * 4
+    for row, word in zip(out, np.array(words, dtype=np.uint64).tolist()):
+        state["state"]["key"] = word
         bits.state = state
         generator.standard_normal(out=row)
 
@@ -362,34 +377,54 @@ def window_factor(law: WindowLaw) -> np.ndarray:
     return lower_factor(window_covariance(law))
 
 
-def sample_windows(keys: list, law: WindowLaw) -> tuple[WienerPath, np.ndarray]:
+def sample_windows(keys: list, law: WindowLaw, buffers=None) -> tuple[WienerPath, np.ndarray]:
     """Draw a chunk of paths by law, one per key, each bit for bit that of its key alone.
 
     Each key's Philox stream gives law.normals normals, window by window
-    (standard_normals), and one einsum with window_factor turns each
-    window's normals into its values.  Returns (path, pieces): path the
-    chunk on the N_max grid, its increments and cumulative values,
-    carrying the gaps and, if law.velocity, the velocity parts of
-    law.meshes (WienerPath.gaps and parts), and pieces (n, windows,
-    rates) the oracle pieces, copied out so that they do not keep the
-    window values alive.
+    (standard_normals), and np.matmul with window_factor turns each
+    window's normals into its values.  matmul loops over the paths and
+    makes BLAS gemm calls of one fixed shape per path, `group` windows by
+    width, so a path's values do not depend on its chunk: the most windows
+    (a power of two) whose gemm takes at most GEMM_SIZE multiply-adds, all
+    32 of a desk heat path, 32 of the 64 of a desk wave path and 8 of the
+    128 of a --paper wave path.  That also keeps every gemm on one BLAS
+    thread.  buffers, if given, holds two arrays of at least len(keys)
+    rows of (windows, width), which the normals and the window values are
+    drawn into, so that a caller drawing many chunks allocates them once.
+    Returns (path, pieces): path the chunk on the N_max grid, its
+    increments and cumulative values, carrying the gaps and, if
+    law.velocity, the velocity parts of law.meshes (WienerPath.gaps and
+    parts), and pieces (n, windows, rates) the oracle pieces.  The window
+    values are copied, in that order, over the spent normals, and all but
+    the cumulative values are views of them: they hold until the next draw
+    into the same buffers.
     """
-    n, steps, windows = len(keys), law.steps, law.windows
-    normals = np.empty((n, windows, law.width))
+    n, steps, windows, width = len(keys), law.steps, law.windows, law.width
+    buffers = buffers or [np.empty((n, windows, width)) for _ in range(2)]
+    normals, values = (buffer[:n] for buffer in buffers)
     standard_normals(keys, normals)
-    values = np.einsum("fg,rwg->rwf", window_factor(law), normals)
-    del normals  # so the copies below do not stack on top of them
+    # The largest power of two at most windows and GEMM_SIZE / width^2, at least 1.
+    group = min(windows, 2 ** max(0, (GEMM_SIZE // width**2).bit_length() - 1))
+    shape = (n, windows // group, group, width)
+    np.matmul(normals.reshape(shape), window_factor(law).T, out=values.reshape(shape))
+
+    def section(lo: int, hi: int) -> np.ndarray:
+        """Values lo..hi-1 of each window, over the normals in time order: (n, windows, hi-lo)."""
+        out = normals.reshape(n, -1)[:, windows * lo : windows * hi].reshape(n, windows, hi - lo)
+        out[...] = values[..., lo:hi]
+        return out
+
     start = steps // windows
-    increments = values[..., :start].reshape(n, steps, 1)
+    increments = section(0, start).reshape(n, steps, 1)
     cumulative = np.zeros((n, steps + 1, 1))
     np.cumsum(increments, axis=1, out=cumulative[:, 1:])
     drawn = ({}, {}) if law.velocity else ({},)
     for coordinates in drawn:
         for mesh in law.meshes:
             stop = start + mesh.N // windows
-            coordinates[mesh.N] = values[..., start:stop].reshape(n, mesh.N, 1)
+            coordinates[mesh.N] = section(start, stop).reshape(n, mesh.N, 1)
             start = stop
-    return WienerPath(increments, cumulative, *drawn), values[..., start:].copy()
+    return WienerPath(increments, cumulative, *drawn), section(start, width)
 
 
 def master_strides(mesh: TimeMesh, master_steps: int) -> tuple[int, int]:

@@ -46,9 +46,9 @@ from .noise import (
 )
 
 # Largest batched block, in path values (micro nodes drawn times components).
-# A value comes with at most three normals and three cell quantities, so
-# a chunk's arrays take about 2 MB and stay in cache.  Each path's normals
-# are consecutive in its stream, so the chunk size moves no sample.
+# A value takes at most 7 values of workspace (_cell_block), so a chunk's
+# arrays take at most 1.75 MB and stay in cache.  Each path's normals are
+# consecutive in its stream, so the chunk size moves no sample.
 _CHUNK_ELEMENTS = 1 << 15
 
 # Cell quantity k of (dW, I1, I2) is h^(k+1/2) sum_i z_i / d_ki: row k of the
@@ -146,7 +146,7 @@ def _lemma_checks() -> list[CheckResult]:
 # batched Wiener kernels
 
 
-def _cell_block(rng, n_paths: int, mesh: TimeMesh, m: int, intervals=None, moments=3, path=True):
+def _cell_block(rng, n_paths, mesh: TimeMesh, m, intervals=None, moments=3, path=True, space=None):
     """Wiener paths at micro resolution over some coarse intervals, with exact cell integrals.
 
     On a micro cell [t, t + h], h = tau^2, the increment dW = W(t+h) - W(t)
@@ -164,28 +164,34 @@ def _cell_block(rng, n_paths: int, mesh: TimeMesh, m: int, intervals=None, momen
     i.  Returns the cumulative block (n*m, K*M+1, 1), W on the micro grid
     from t_j0 on, or None unless path, and cells, the first `moments` of
     (dW, I1, I2), each (n*m, K, M, 1) with [:, i, l-1] the cell
-    [t_{j,l-1}, t_{j,l}] of interval j = j0 + i.
+    [t_{j,l-1}, t_{j,l}] of interval j = j0 + i.  space, if given, is a
+    1-D array that the normals, cells and block are drawn into, and they
+    are views of it: at most 7 values for each path value, the block's
+    (n*m, K*M+1), and so at most 7 _CHUNK_ELEMENTS for a chunk.
     """
     intervals = intervals or range(mesh.N)
     h, start, count, rows = mesh.tau**2, intervals.start, len(intervals), n_paths * m
-    lead = m if start else 0
-    normals = rng.standard_normal((n_paths, lead + moments * count * mesh.M * m))
+    lead, size = (m if start else 0), rows * count * mesh.M  # size: values of one cell array
+    # The cell arrays, one cell array of scratch and the normals; once the cells
+    # are formed, the block is written over the scratch and the normals.
+    sizes = (moments * size, size, n_paths * lead + moments * size)
+    space = np.empty(sum(sizes)) if space is None else space[: sum(sizes)]
+    cell_space, scratch, normals = np.split(space, np.cumsum(sizes)[:-1])
+    normals = rng.standard_normal(out=normals.reshape(n_paths, -1))
     # Each cell array is summed term by term, in place, into an array in row
     # order, from a transposed view of the normals.
     z = normals[:, lead:].reshape(n_paths, moments, -1, m).transpose(1, 0, 3, 2)
-    cells, scales = [], (math.sqrt(h), h**1.5, h**2.5)
-    for k, divisors in enumerate(_CELL_DIVISORS[:moments]):
-        cell = np.divide(z[0], divisors[0], order="C")
+    cells, scales, scratch = [], (math.sqrt(h), h**1.5, h**2.5), scratch.reshape(z.shape[1:])
+    for k, cell in enumerate(cell_space.reshape(moments, *z.shape[1:])):
+        np.divide(z[0], _CELL_DIVISORS[k][0], out=cell)
         for i in range(1, k + 1):
-            cell += z[i] / divisors[i]
+            cell += np.divide(z[i], _CELL_DIVISORS[k][i], out=scratch)
         cell *= scales[k]
         cells.append(cell.reshape(rows, count, mesh.M, 1))
-    first = math.sqrt(start * mesh.tau) * normals[:, :m].ravel() if start else 0.0
-    del normals, z
     if not path:
         return None, cells
-    block = np.empty((rows, count * mesh.M + 1, 1))
-    block[:, 0, 0] = first
+    block = space[moments * size :][: rows + size].reshape(rows, count * mesh.M + 1, 1)
+    block[:, 0, 0] = math.sqrt(start * mesh.tau) * normals[:, :m].ravel() if start else 0.0
     block[:, 1:] = cells[0].reshape(rows, -1, 1)
     return np.cumsum(block, axis=1, out=block), cells
 
@@ -243,14 +249,15 @@ def _squared_norms(values: np.ndarray, m: int) -> np.ndarray:
     return squares.reshape(-1, m, squares.shape[1]).sum(axis=1).ravel()
 
 
-def _kernel_samples(key: tuple[int, int], mesh: TimeMesh, m: int, samples: int, draw):
+def _kernel_samples(key: tuple[int, int], mesh: TimeMesh, m: int, samples: int, draw, space=None):
     """Squared norms of a per-interval kernel's outputs, pooled across intervals.
 
     draw is (kernel, per_path, intervals, moments, path), and kernel maps
     _cell_block(..., intervals, moments, path) to (n*m, per_path, 1)
     outputs.  The defect laws are identical and independent across coarse
     intervals, so each path gives per_path samples: N if the kernel
-    returns all N intervals.  Each chunk draws only the paths still needed.
+    returns all N intervals.  Each chunk draws only the paths still needed,
+    into space if given (as _cell_block).
     """
     kernel, per_path, intervals, moments, path = draw
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -259,7 +266,7 @@ def _kernel_samples(key: tuple[int, int], mesh: TimeMesh, m: int, samples: int, 
     filled = 0
     while filled < samples:
         n_paths = min(chunk, -(-(samples - filled) // per_path))
-        block, cells = _cell_block(rng, n_paths, mesh, m, intervals, moments, path)
+        block, cells = _cell_block(rng, n_paths, mesh, m, intervals, moments, path, space)
         sq = _squared_norms(kernel(block, mesh, cells), m)
         take = min(sq.size, samples - filled)
         out[filled : filled + take] = sq[:take]
@@ -306,9 +313,13 @@ def _moment_checks(samples: int, seed: int) -> list[CheckResult]:
         bound = mesh.coarse_time(4) * m * tau**5 / 3.0
         draw = (_old_defect_kernel, 1, range(4), 2, False)  # reads only the cells
         cases.append((name, 64 + i, mesh, m, draw, bound, True))
+    # One workspace for the chunks of every check, so that no chunk allocates its
+    # arrays afresh, sized for the largest chunk (see _cell_block).  Pages no
+    # chunk reaches are never touched.
+    space = np.empty(7 * _CHUNK_ELEMENTS)
     checks = []
     for name, stream, mesh_, m, draw, expected, upper in cases:
-        drawn = _kernel_samples((seed, stream), mesh_, m, samples, draw)
+        drawn = _kernel_samples((seed, stream), mesh_, m, samples, draw, space)
         mean, se = map(float, _mean_and_se(drawn))
         band = (BOUND_BAND if upper else TWO_SIDED_BAND) * se
         passed = mean <= expected + band if upper else abs(mean - expected) <= band
@@ -358,8 +369,5 @@ def validate_statistics(samples: int = 100_000, seed: int = 20260814) -> Validat
         raise ConfigError(f"need at least 2 samples, got {samples}")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be a 64-bit word in [0, 2^64), got {seed}")
-    checks: list[CheckResult] = []
-    checks.extend(_lemma_checks())
-    checks.extend(_covariance_checks(samples, seed, 1))
-    checks.extend(_moment_checks(samples, seed))
+    checks = _lemma_checks() + _covariance_checks(samples, seed, 1) + _moment_checks(samples, seed)
     return ValidationReport(tuple(checks))

@@ -33,6 +33,7 @@ from mcnspde import (
     sine_mode,
     wave_micro_sum_moment_exact,
 )
+from mcnspde.harness import chunk_size
 from mcnspde.heat import oracle_rates
 from mcnspde.noise import (
     WindowLaw,
@@ -183,6 +184,74 @@ def test_standard_normals_are_each_keys_philox_stream():
     out = np.empty((len(high), 8))
     standard_normals(high, out)
     assert len({row.tobytes() for row in out}) == len(high)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        pytest.param(11, id="int"),
+        pytest.param(np.int64(11), id="int64"),
+        pytest.param(np.uint64(2**40 + 11), id="uint64"),
+        pytest.param((20260814, 5), id="tuple"),
+        pytest.param(np.array([20260814, 5], dtype=np.uint64), id="ndarray"),
+    ],
+)
+def test_standard_normals_take_every_key_type(key):
+    """Python and numpy integers, tuple and array pairs, alone and among other keys: each
+    row is the stream of a fresh np.random.Philox of its key."""
+    fresh = np.random.Generator(np.random.Philox(key=key)).standard_normal(40)
+    for keys, row in (([key], 0), ([(3, 4), key, 7], 1)):
+        out = np.empty((len(keys), 40))
+        standard_normals(keys, out)
+        np.testing.assert_array_equal(out[row], fresh)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [desk_heat_config(), desk_wave_config(), paper_wave_config()],
+    ids=["desk-heat", "desk-wave", "paper-wave"],
+)
+def test_window_values_of_a_path_do_not_depend_on_its_chunk(config):
+    """Each path's window values, and the path and pieces formed from them, are bit for bit
+    the same alone as in chunks of 1, 3 and chunk_size (one gemm shape per path)."""
+    law, size = config.window_law, max(3, chunk_size(config))
+    keys = [(config.base_seed, r) for r in range(size)]
+
+    def draw(chunk):
+        buffers = [np.empty((len(chunk), law.windows, law.width)) for _ in range(2)]
+        path, pieces = sample_windows(chunk, law, buffers)
+        arrays = [path.increments, path.cumulative, *path.gaps.values(), *path.parts.values()]
+        return [buffers[1]] + [a.copy() for a in arrays] + [pieces.copy()]
+
+    alone = [draw([key]) for key in keys]
+    for chunk in (1, 3, chunk_size(config)):
+        for lo in range(0, size, chunk):
+            together = draw(keys[lo : lo + chunk])
+            for i in range(len(keys[lo : lo + chunk])):
+                for got, expected in zip(together, alone[lo + i]):
+                    np.testing.assert_array_equal(got[i], expected[0])
+
+
+@pytest.mark.parametrize(
+    "law", [desk_heat_config().window_law, desk_wave_config().window_law], ids=["heat", "wave"]
+)
+def test_a_draw_into_reused_buffers_is_a_fresh_draw(law):
+    """Buffers that last held a larger chunk and were then filled with NaN give a smaller
+    chunk the bits of a draw into fresh arrays."""
+    buffers = [np.empty((5, law.windows, law.width)) for _ in range(2)]
+    sample_windows([(1, r) for r in range(5)], law, buffers)
+    for buffer in buffers:
+        buffer.fill(np.nan)
+    keys = [(2, r) for r in range(3)]
+    path, pieces = sample_windows(keys, law, buffers)
+    fresh, fresh_pieces = sample_windows(keys, law)
+    np.testing.assert_array_equal(pieces, fresh_pieces)
+    np.testing.assert_array_equal(path.increments, fresh.increments)
+    np.testing.assert_array_equal(path.cumulative, fresh.cumulative)
+    for drawn, expected in ((path.gaps, fresh.gaps), (path.parts, fresh.parts)):
+        assert drawn.keys() == expected.keys()
+        for n in drawn:
+            np.testing.assert_array_equal(drawn[n], expected[n])
 
 
 def test_sample_path_cumulative_consistency():

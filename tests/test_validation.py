@@ -283,8 +283,8 @@ def test_each_moment_check_draws_only_what_its_kernel_reads(monkeypatch):
         def __init__(self, rng):
             self.rng = rng
 
-        def standard_normal(self, size):
-            normals = self.rng.standard_normal(size)
+        def standard_normal(self, size=None, out=None):
+            normals = self.rng.standard_normal(size, out=out)
             drawn.append(normals.size)
             return normals
 
@@ -324,8 +324,8 @@ def test_moment_samples_match_the_m_last_reference(monkeypatch, chunk_elements):
     calls = []
     original = validation._kernel_samples
 
-    def recording(key, mesh, m, samples, draw):
-        got = original(key, mesh, m, samples, draw)
+    def recording(key, mesh, m, samples, draw, *space):
+        got = original(key, mesh, m, samples, draw, *space)
         calls.append((got, m_last_samples(key, mesh, m, samples, draw)))
         return got
 
@@ -335,6 +335,38 @@ def test_moment_samples_match_the_m_last_reference(monkeypatch, chunk_elements):
     for got, expected in calls:
         assert got.shape == expected.shape == (3000,)
         np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("chunk_elements", [validation._CHUNK_ELEMENTS, 1 << 12])
+def test_moment_checks_draw_every_chunk_into_one_workspace(monkeypatch, chunk_elements):
+    """The twelve checks draw every chunk into one workspace, and get the same samples, bit
+    for bit, from fresh arrays and from a larger workspace filled with NaN."""
+    monkeypatch.setattr(validation, "_CHUNK_ELEMENTS", chunk_elements)
+    spaces, calls = [], []
+    block, samples = validation._cell_block, validation._kernel_samples
+
+    def recording_block(rng, n_paths, mesh, m, intervals, moments, path, space):
+        spaces.append(space)
+        return block(rng, n_paths, mesh, m, intervals, moments, path, space)
+
+    def recording_samples(key, mesh, m, count, draw, space):
+        got = samples(key, mesh, m, count, draw, space)
+        fresh = samples(key, mesh, m, count, draw)
+        nan_drawn = samples(key, mesh, m, count, draw, np.full(space.size + 99, np.nan))
+        calls.append((got, fresh, nan_drawn))
+        return got
+
+    monkeypatch.setattr(validation, "_cell_block", recording_block)
+    monkeypatch.setattr(validation, "_kernel_samples", recording_samples)
+    validation._moment_checks(3000, seed=5)
+    assert len(calls) == 12
+    for got, fresh, nan_drawn in calls:
+        np.testing.assert_array_equal(got, fresh)
+        np.testing.assert_array_equal(got, nan_drawn)
+    # the reruns draw into fresh arrays and the NaN workspace, the checks into one workspace
+    workspace = spaces[0]
+    assert 3 * sum(space is workspace for space in spaces) == len(spaces)
+    assert 3 * sum(space is None for space in spaces) == len(spaces)
 
 
 def test_traced_kernels_get_blocks_of_rows_nodes_and_one(monkeypatch):
