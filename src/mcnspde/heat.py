@@ -136,11 +136,10 @@ def modal_march(
     A^w s plus, per coordinate, one einsum of the kernels A^(w-1-i) load
     of its steps i against their coordinates, with A^0..A^w formed once
     per call by doubling, A^(h+i) = A^h A^i for i = 1..h.  states are C
-    arrays, each (K,), one start for every path, or (K, R).  noise is
-    one path, a chunk of n paths or a NoiseBlock of R paths on
-    problem.mesh; the result is (K, R) for (K, R) states, and otherwise
-    (K,) for one path and (K, n) or (K, R) for a chunk or a block.  No
-    operation calls BLAS, so each column gets the same bits for any R.
+    arrays, each (K,), one start for every path, or (K, R).  noise is a
+    chunk of n paths or a NoiseBlock of R paths on problem.mesh, and the
+    result C arrays (K, n) or (K, R).  No operation calls BLAS, so each
+    column gets the same bits for any R.
     """
     matrix, loads = step_map
     K = problem.grid.K
@@ -170,9 +169,7 @@ def modal_march(
             modes = modes + np.einsum("iakc,irc->akr", kernel, coordinates)
     marched = np.zeros((len(states), K, modes.shape[-1]))
     marched[:, live] = modes
-    # A lone path (S, m) from (K,) states, unlike a chunk or a block, gives (K,) arrays.
-    lone = noise.increments.ndim == 2 and all(np.ndim(state) == 1 for state in states)
-    return [mode[:, 0] for mode in marched] if lone else list(marched)
+    return list(marched)
 
 
 def em_step(
@@ -194,8 +191,8 @@ def mcn_heat_step(
 
     (I - tau/2 Lap) X_{j+1} = (I + tau/2 Lap) X_j + Phi dW_j + Lap Phi gap_j,
     with gap_j the step's quadrature gap.  x holds sine amplitudes, (K,)
-    or (K, R), and noise is one path, a chunk or a block of R paths;
-    shapes as modal_march gives them.
+    or (K, R), and noise is a chunk of n paths or a block of R paths; the
+    result is (K, n) or (K, R).
     """
     step_map = heat_step_map(problem, SCHEME_MCN)
     (x,) = modal_march(problem, step_map, [x], noise, range(j, j + 1))
@@ -207,10 +204,9 @@ def run_heat(
 ) -> np.ndarray:
     """March the chosen scheme over the whole mesh and return X_N's sine amplitudes at time 1.
 
-    noise is one WienerPath, giving X_N of shape (K,), or a chunk of n
-    paths or a NoiseBlock of R paths on problem.mesh, giving the (K, n)
-    or (K, R) block of their X_N.  Column i is bit for bit that of path i
-    marched alone.
+    noise is a chunk of n paths (WienerPath) or a NoiseBlock of R paths
+    on problem.mesh, giving the (K, n) or (K, R) block of their X_N.
+    Column i is bit for bit that of path i marched as the chunk of one.
     """
     step_map = heat_step_map(problem, scheme)
     (final,) = modal_march(problem, step_map, [problem.initial], noise, range(problem.mesh.N))

@@ -32,21 +32,21 @@ WienerPath.parts); the coarser meshes read theirs from it by stride.
 
 mesh_values is the one place that knows where the coarse and micro nodes
 of a mesh sit on the master grid.  It returns them as views of the
-cumulative path, for one path (S+1, m) or a chunk of paths (n, S+1, m).
-mesh_sums reduces a mesh read by stride to three sums per coarse step
-(W(t_j), sum_l W(t_{j,l}) and sum_l l W(t_{j,l})), from which
-NoiseBlock.put forms every noise coordinate by one formula each, and
-copies or completes the drawn ones; a single path is simply the one-path
-case of a chunk.
+cumulative values of a chunk of paths, (n, S+1, m).  NoiseBlock.put
+reduces a chunk to the noise coordinates of a mesh by one rule: a mesh
+whose coordinates the chunk carries copies its drawn gaps and completes
+its drawn velocity parts, with its coarse values read by stride, and
+every other mesh forms them from mesh_values, by one formula each.
 
 Paths are sampled once per realization from a counter-based generator and
 then shared by every scheme and every coarse resolution that is compared,
 so refinement studies measure scheme error on a common noise sample.
 Both samplers draw a chunk of paths from a list of keys, each key's
 stream into its own row, so a path gets the same bits alone or in any
-chunk.  NoiseBlock holds the noise coordinates of R paths on one mesh,
-so a chunk of paths can be reduced on every mesh and dropped, and the
-schemes step all R paths together.
+chunk, and a single path is the chunk of one.  NoiseBlock holds the
+noise coordinates of R paths on one mesh, so a chunk of paths can be
+reduced on every mesh and dropped, and the schemes step all R paths
+together.
 """
 
 from __future__ import annotations
@@ -108,48 +108,45 @@ class TimeMesh:
 
 @dataclass(frozen=True)
 class WienerPath:
-    """One sampled m-dimensional Wiener path on the S-step master grid of [0, 1], or a chunk of n.
+    """A chunk of n sampled m-dimensional Wiener paths on the S-step master grid of [0, 1].
 
-    increments[k] is W(s_{k+1}) - W(s_k) and cumulative[k] is W(s_k) with
-    W(0) = 0, where s_k = k*delta and delta = 1/S.  Values are only ever
-    read at master nodes, through mesh_values.
+    increments[i, k] is W(s_{k+1}) - W(s_k) of path i and cumulative[i, k]
+    is W(s_k) with W(0) = 0, where s_k = k*delta and delta = 1/S.  Values
+    are only ever read at master nodes, through mesh_values.  One path is
+    the chunk of one; any other rank raises ValueError.
 
-    A path may also carry drawn noise coordinates of meshes whose micro
-    grid it does not carry (sample_windows): gaps[N], shape (N, m), holds
-    NoiseBlock's gap of each step of the mesh N, and parts[N] the local
-    velocity part u_j = sum_c (c + 1)(tau c - 1) dW_c of each step j, dW_c
-    the increment over its micro cell c = 0..M-1, from which NoiseBlock
-    forms the velocity sum.
-
-    A chunk of n paths puts a leading axis of n rows in front of every
-    array, row i holding path i.
+    A chunk may also carry drawn noise coordinates of meshes whose micro
+    grid it does not carry (sample_windows): gaps[N], shape (n, N, m),
+    holds NoiseBlock's gap of each step of the mesh N, and parts[N] the
+    local velocity part u_j = sum_c (c + 1)(tau c - 1) dW_c of each step
+    j, dW_c the increment over its micro cell c = 0..M-1, from which
+    NoiseBlock forms the velocity sum.
     """
 
-    increments: np.ndarray  # shape (S, m), or (n, S, m) for a chunk
-    cumulative: np.ndarray  # shape (S + 1, m), or (n, S + 1, m)
+    increments: np.ndarray  # shape (n, S, m)
+    cumulative: np.ndarray  # shape (n, S + 1, m)
     gaps: dict[int, np.ndarray] = field(default_factory=dict)
     parts: dict[int, np.ndarray] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.increments.ndim != 3 or self.cumulative.ndim != 3:
+            raise ValueError(
+                f"a path is a chunk (n, S, m) and (n, S+1, m), got increments "
+                f"{self.increments.shape} and cumulative {self.cumulative.shape}"
+            )
+
     @property
     def S(self) -> int:
-        return self.increments.shape[-2]
+        return self.increments.shape[1]
 
     @property
     def m(self) -> int:
-        return self.increments.shape[-1]
+        return self.increments.shape[2]
 
     @property
     def delta(self) -> float:
         """Master step 1/S."""
         return 1.0 / self.S
-
-    def chunk(self) -> "WienerPath":
-        """The path as a chunk: itself if it is one, else a chunk of one, as views."""
-        if self.increments.ndim == 3:
-            return self
-        gaps = {n: gaps[None] for n, gaps in self.gaps.items()}
-        parts = {n: parts[None] for n, parts in self.parts.items()}
-        return WienerPath(self.increments[None], self.cumulative[None], gaps, parts)
 
 
 def standard_normals(keys: Sequence, out: np.ndarray) -> None:
@@ -178,13 +175,13 @@ def standard_normals(keys: Sequence, out: np.ndarray) -> None:
 
 
 def sample_path(seed: int | tuple[int, int] | list, mesh: TimeMesh, m: int = 1) -> WienerPath:
-    """Draw a Wiener path on the micro grid of mesh: S = N*M master steps of [0, 1].
+    """Draw a chunk of Wiener paths on the micro grid of mesh: S = N*M master steps of [0, 1].
 
     The generator is Philox keyed by seed, an integer or a pair of 64-bit
     words, so paths are reproducible and distinct keys give independent
-    counter-based streams (standard_normals).  A list of such keys draws
-    a chunk, one row per key, each row bit for bit the path of its key
-    alone.
+    counter-based streams (standard_normals).  One key draws the chunk of
+    one, and a list of keys a chunk with one row per key, each row bit
+    for bit the path of its key alone.
     """
     if m < 1:
         raise ValueError(f"need at least one noise component, got m={m}")
@@ -197,9 +194,7 @@ def sample_path(seed: int | tuple[int, int] | list, mesh: TimeMesh, m: int = 1) 
     increments *= math.sqrt(1.0 / steps)
     cumulative = np.zeros((len(keys), steps + 1, m))
     np.cumsum(increments, axis=1, out=cumulative[:, 1:])
-    if isinstance(seed, list):
-        return WienerPath(increments, cumulative)
-    return WienerPath(increments[0], cumulative[0])
+    return WienerPath(increments, cumulative)
 
 
 def lower_factor(cov: np.ndarray) -> np.ndarray:
@@ -263,20 +258,12 @@ class WindowLaw(NamedTuple):
     @property
     def windows(self) -> int:
         """Windows per path."""
-        w = 1
-        while w * w <= self.steps and w < self.steps:
-            w *= 2
-        return w
+        return _window_meshes(self.steps)[0]
 
     @property
     def meshes(self) -> tuple[TimeMesh, ...]:
         """The meshes whose coordinates are drawn, coarsest first."""
-        n, meshes = self.windows, []
-        while n <= self.steps:
-            if n * n > self.steps:
-                meshes.append(TimeMesh(n))
-            n *= 2
-        return tuple(meshes)
+        return _window_meshes(self.steps)[1]
 
     @property
     def width(self) -> int:
@@ -288,6 +275,20 @@ class WindowLaw(NamedTuple):
     def normals(self) -> int:
         """Normals drawn per path."""
         return self.windows * self.width
+
+
+@functools.cache
+def _window_meshes(steps: int) -> tuple[int, tuple[TimeMesh, ...]]:
+    """(windows, meshes) of the window laws of N_max = steps, formed once per steps."""
+    windows = 1
+    while windows * windows <= steps and windows < steps:
+        windows *= 2
+    n, meshes = windows, []
+    while n <= steps:
+        if n * n > steps:
+            meshes.append(TimeMesh(n))
+        n *= 2
+    return windows, tuple(meshes)
 
 
 def window_functions(law: WindowLaw) -> list[tuple[int, int, int, tuple[float, float, float]]]:
@@ -446,49 +447,20 @@ def master_strides(mesh: TimeMesh, master_steps: int) -> tuple[int, int]:
 def mesh_values(cumulative: np.ndarray, mesh: TimeMesh) -> tuple[np.ndarray, np.ndarray]:
     """W at every coarse and every micro node of mesh, as views of cumulative.
 
-    cumulative holds W on the master grid, shape (S+1, m) for one path or
-    (n, S+1, m) for a block of paths.  Returns
-    coarse (..., N+1, m) with coarse[..., j, :] = W(t_j), and micro
-    (..., N, M, m) with micro[..., j, l-1, :] = W(t_{j,l}) for l = 1..M, so
-    micro[..., j, M-1, :] is W(t_{j+1}).  Raises AlignmentError unless
-    every micro node is a master node.
+    cumulative holds W of a chunk of n paths on the master grid, shape
+    (n, S+1, m).  Returns coarse (n, N+1, m) with coarse[:, j] = W(t_j),
+    and micro (n, N, M, m) with micro[:, j, l-1] = W(t_{j,l}) for
+    l = 1..M, so micro[:, j, M-1] is W(t_{j+1}).  Raises AlignmentError
+    unless every micro node is a master node.
     """
-    stride_coarse, stride_micro = master_strides(mesh, cumulative.shape[-2] - 1)
-    coarse = cumulative[..., ::stride_coarse, :]
+    n, nodes, m = cumulative.shape
+    stride_coarse, stride_micro = master_strides(mesh, nodes - 1)
+    coarse = cumulative[:, ::stride_coarse]
     # Micro node t_{j,l} sits at master index (j*M + l) * stride_micro, so
     # the nodes after 0, taken at the micro stride, are the micro grid in
     # interval-major order and split into (N, M) without a copy.
-    micro = cumulative[..., stride_micro::stride_micro, :].reshape(
-        cumulative.shape[:-2] + (mesh.N, mesh.M, cumulative.shape[-1])
-    )
+    micro = cumulative[:, stride_micro::stride_micro].reshape(n, mesh.N, mesh.M, m)
     return coarse, micro
-
-
-def mesh_sums(
-    path: WienerPath, mesh: TimeMesh, count: int
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(coarse, micro sums, micro moments) of path on mesh, read by stride.
-
-    coarse (..., N+1, m) holds W(t_j), sums[..., j, :] = sum_{l=1}^{M}
-    W(t_{j,l}) and moments[..., j, :] = sum_{l=1}^{M} l W(t_{j,l}), each
-    (..., N, m) with the leading axis of a chunk; only the first count of
-    the two sums are formed, the others are None.  A mesh whose micro
-    nodes are master nodes reads them through mesh_values.  A finer mesh
-    whose gaps the path carries (WienerPath.gaps) gives its coarse values
-    with count 0, and any other raises AlignmentError.
-    """
-    if path.S % (mesh.N * mesh.M) == 0:
-        coarse, micro = mesh_values(path.cumulative, mesh)
-        sums = micro.sum(axis=-2) if count > 0 else None
-        if count < 2:
-            return coarse, sums, None
-        return coarse, sums, np.einsum("l,...jlm->...jm", np.arange(1.0, mesh.M + 1), micro)
-    if count > 0 or mesh.N not in path.gaps:
-        raise AlignmentError(
-            f"the micro grid of N={mesh.N} is finer than the {path.S}-step path, "
-            f"which carries the drawn coordinates of N in {sorted(path.gaps)} only"
-        )
-    return path.cumulative[..., :: path.S // mesh.N, :], None, None
 
 
 @dataclass(frozen=True)
@@ -521,43 +493,45 @@ class NoiseBlock:
         return cls(mesh, **{name: np.empty((mesh.N, count, m)) for name in coordinates})
 
     @property
-    def count(self) -> int:
-        return self.increments.shape[1]
-
-    @property
     def nbytes(self) -> int:
         arrays = (self.increments, self.gaps, self.velocity_sums)
         return sum(a.nbytes for a in arrays if a is not None)
 
     def put(self, r: int, path: WienerPath) -> None:
-        """Reduce path to its coordinates on the mesh and store them from column r on.
+        """Reduce a chunk of n paths to its coordinates on the mesh, in columns r..r+n-1.
 
-        One path fills column r, a chunk of n paths columns r..r+n-1.
-        Gaps the path carries for the mesh (WienerPath.gaps) are copied,
-        and velocity parts (WienerPath.parts) completed to velocity sums
-        by the coarse values, v_j = (tau^3/2)(u_j - W(t_j)); everything
-        else is reduced through mesh_sums, and a path that offers neither
+        A mesh whose gaps the chunk carries (WienerPath.gaps) reads its
+        coarse values by stride, copies the gaps and completes the velocity
+        parts (WienerPath.parts) to velocity sums, v_j = (tau^3/2)(u_j - W(t_j)).
+        Every other mesh reads its coarse and micro values through
+        mesh_values, and forms the gaps and velocity sums from the micro
+        sums, sum_l W(t_{j,l}), and moments, sum_l l W(t_{j,l}).  A mesh
+        that offers neither the drawn coordinates nor its micro nodes
         raises AlignmentError.
         """
-        chunk = path.chunk()
-        columns = slice(r, r + len(chunk.increments))
-        tau = self.mesh.tau
-        gaps, parts = chunk.gaps.get(self.mesh.N), chunk.parts.get(self.mesh.N)
-        # Form only the sums that the block's coordinates read.
-        needs_moments = self.velocity_sums is not None and parts is None
-        needs_sums = needs_moments or (self.gaps is not None and gaps is None)
-        coarse, sums, moments = mesh_sums(chunk, self.mesh, needs_sums + needs_moments)
+        columns = slice(r, r + len(path.increments))
+        N, tau = self.mesh.N, self.mesh.tau
+        gaps, velocity_sums = path.gaps.get(N), None
+        if gaps is not None:
+            coarse = path.cumulative[:, :: path.S // N]
+            if self.velocity_sums is not None:
+                if N not in path.parts:
+                    raise AlignmentError(f"the path carries the gaps of N={N}, no velocity parts")
+                velocity_sums = 0.5 * tau**3 * (path.parts[N] - coarse[:, :-1])
+        else:
+            coarse, micro = mesh_values(path.cumulative, self.mesh)
+            # Form only the sums that the block's coordinates read.
+            if self.gaps is not None or self.velocity_sums is not None:
+                sums = micro.sum(axis=2)
+                gaps = tau * tau * sums - 0.5 * tau * (coarse[:, :-1] + coarse[:, 1:])
+            if self.velocity_sums is not None:
+                moments = np.einsum("l,njlm->njm", np.arange(1.0, self.mesh.M + 1), micro)
+                velocity_sums = 0.5 * tau**3 * (sums - 2.0 * tau * moments)
         # Chunk rows become block columns.
         self.increments[:, columns] = np.diff(coarse, axis=1).swapaxes(0, 1)
         if self.gaps is not None:
-            if gaps is None:
-                gaps = tau * tau * sums - 0.5 * tau * (coarse[:, :-1] + coarse[:, 1:])
             self.gaps[:, columns] = gaps.swapaxes(0, 1)
         if self.velocity_sums is not None:
-            if parts is None:
-                velocity_sums = 0.5 * tau**3 * (sums - 2.0 * tau * moments)
-            else:
-                velocity_sums = 0.5 * tau**3 * (parts - coarse[:, :-1])
             self.velocity_sums[:, columns] = velocity_sums.swapaxes(0, 1)
 
 
@@ -566,12 +540,11 @@ def noise_block(
 ) -> NoiseBlock:
     """noise as a block on mesh with the named coordinates.
 
-    A path becomes a block of one and a chunk of n paths a block of n; a
-    block must already lie on mesh and carry every coordinate asked for,
-    else AlignmentError.
+    A chunk of n paths becomes a block of n; a block must already lie on
+    mesh and carry every coordinate asked for, else AlignmentError.
     """
     if isinstance(noise, WienerPath):
-        block = NoiseBlock.empty(mesh, len(noise.chunk().increments), noise.m, coordinates)
+        block = NoiseBlock.empty(mesh, len(noise.increments), noise.m, coordinates)
         block.put(0, noise)
         return block
     if noise.mesh != mesh:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -129,7 +128,7 @@ def holder_trapezoid_bound(holder_const: float, gamma: float, kappa: float) -> f
 
 def _lemma_checks() -> list[CheckResult]:
     checks = []
-    for kappa in (1.0, 0.5, 1.0 / 16.0):
+    for kappa, label in ((1.0, "1"), (0.5, "1/2"), (1.0 / 16.0, "1/16")):
         defect = trapezoid_defect(lambda t: t * t, 0.0, kappa)
         # f(t) = t^2 has f' Lipschitz with constant 2 (gamma = 1), and the
         # defect kappa^2/6 attains the bound exactly.
@@ -137,7 +136,7 @@ def _lemma_checks() -> list[CheckResult]:
         target = kappa * kappa / 6.0
         band = LEMMA_TOLERANCE * target
         passed = abs(defect - target) <= band and abs(bound - target) <= band
-        name = f"trapezoid_defect_sharpness[kappa={Fraction(kappa).limit_denominator()}]"
+        name = f"trapezoid_defect_sharpness[kappa={label}]"
         checks.append(CheckResult(name, passed, defect, target, band, f"bound={bound:.12e}"))
     return checks
 

@@ -25,7 +25,7 @@ conserves the discrete wave energy, (1/2) sum_k (y_k^2 + lambda_k x_k^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,11 +62,6 @@ class WaveProblem:
         )
         if not same:
             raise ConfigError("noise coefficient and initial data must share the grid")
-
-    def with_mesh(self, mesh: TimeMesh) -> "WaveProblem":
-        return WaveProblem(
-            self.grid, mesh, self.phi, self.initial_displacement, self.initial_velocity
-        )
 
 
 # The noise coordinates (NoiseBlock fields) the scheme reads.
@@ -107,8 +102,8 @@ def mcn_wave_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance (X_j, Y_j) over coarse step j.
 
-    x and y hold sine amplitudes, (K,) or (K, R), and noise is one path, a
-    chunk or a block of R paths; shapes as heat.modal_march gives them.
+    x and y hold sine amplitudes, (K,) or (K, R), and noise is a chunk of
+    n paths or a block of R paths; the results are (K, n) or (K, R).
     """
     x, y = modal_march(problem, wave_step_map(problem), [x, y], noise, range(j, j + 1))
     return x, y
@@ -119,9 +114,9 @@ def run_wave(
 ) -> tuple[np.ndarray, np.ndarray]:
     """March the corrected scheme over the whole mesh; returns the amplitudes (X_N, Y_N).
 
-    noise is one WienerPath, giving (K,) arrays, or a chunk of n paths or
-    a NoiseBlock of R paths on problem.mesh, giving (K, n) or (K, R)
-    blocks.  Column i is bit for bit that of path i marched alone.
+    noise is a chunk of n paths (WienerPath) or a NoiseBlock of R paths
+    on problem.mesh, giving (K, n) or (K, R) blocks.  Column i is bit for
+    bit that of path i marched as the chunk of one.
     """
     states = [problem.initial_displacement, problem.initial_velocity]
     x, y = modal_march(problem, wave_step_map(problem), states, noise, range(problem.mesh.N))
@@ -135,15 +130,15 @@ def reference_wave_solution(
 
     The noise is shared, so comparing a coarse run against this reference
     measures the scheme's own refinement error on a common noise sample;
-    a NoiseBlock must lie on the refined mesh.  n_ref may not be coarser
-    than the problem mesh (equal is allowed and gives back run_wave
-    exactly).
+    a NoiseBlock must lie on the refined mesh.  Returns (K, n) or (K, R)
+    blocks, as run_wave.  n_ref may not be coarser than the problem mesh
+    (equal is allowed and gives back run_wave exactly).
     """
     if n_ref < problem.mesh.N:
         raise ConfigError(
             f"reference resolution {n_ref} is coarser than the problem mesh {problem.mesh.N}"
         )
-    return run_wave(problem.with_mesh(TimeMesh(n_ref)), noise)
+    return run_wave(replace(problem, mesh=TimeMesh(n_ref)), noise)
 
 
 def benchmark_wave_problem(

@@ -78,10 +78,10 @@ def test_thomas_matches_dense_solve(seed):
     lap = dense_laplacian(grid)
     tau = mesh.tau
     expected = np.linalg.solve(np.eye(K) - tau * lap, rhs)
-    got = grid.node_values(em_step(problem, amplitudes, path))
+    got = grid.node_values(em_step(problem, amplitudes, path)[:, 0])
     np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-13)
     expected = np.linalg.solve(np.eye(K) - 0.5 * tau * lap, rhs + 0.5 * tau * lap @ rhs)
-    got = grid.node_values(mcn_heat_step(problem, amplitudes, path))
+    got = grid.node_values(mcn_heat_step(problem, amplitudes, path)[:, 0])
     np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-13)
 
 
@@ -89,7 +89,7 @@ def test_thomas_matches_dense_solve(seed):
 def test_block_solve_is_column_by_column(seed):
     """A silent em step solves a (K, R) block of amplitudes column by column, bit for bit.
 
-    The block goes with one lone path, which every column shares.
+    The block goes with a chunk of one path, which every column shares.
     """
     rng = np.random.default_rng(200 + seed)
     K = int(rng.integers(2, 25))
@@ -101,7 +101,7 @@ def test_block_solve_is_column_by_column(seed):
     got = em_step(problem, rhs, path)
     assert got.shape == (K, 5)
     for r in range(5):
-        assert np.array_equal(got[:, r], em_step(problem, rhs[:, r], path))
+        assert np.array_equal(got[:, [r]], em_step(problem, rhs[:, r], path))
     dense = np.eye(K) - mesh.tau * dense_laplacian(grid)
     expected = np.linalg.solve(dense, grid.node_values(rhs))
     np.testing.assert_allclose(grid.node_values(got), expected, rtol=1e-12, atol=1e-12)
@@ -115,7 +115,7 @@ def test_solve_then_apply_round_trip():
     rng = np.random.default_rng(3)
     mesh = TimeMesh(128)
     rhs = rng.standard_normal(grid.K)
-    x = grid.node_values(em_step(silent_problem(grid, mesh), rhs, sample_path(3, mesh)))
+    x = grid.node_values(em_step(silent_problem(grid, mesh), rhs, sample_path(3, mesh))[:, 0])
     lap_x = dense_laplacian(grid) @ x
     np.testing.assert_allclose(x - mesh.tau * lap_x, grid.node_values(rhs), rtol=1e-12)
 

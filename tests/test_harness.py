@@ -400,15 +400,17 @@ def test_pool_is_sized_by_its_spans(monkeypatch):
     assert sizes == [8, 3, 2]  # four blocks of 2 on two processes
 
 
-def test_import_leaves_the_process_pool_out():
-    """import mcnspde does not import concurrent.futures: only a study on several workers
-    needs its process pool, and the import would cost every run."""
+def test_import_leaves_unused_modules_out():
+    """A fresh interpreter's import mcnspde loads none of concurrent.futures, fractions and
+    decimal: only a study on several workers needs the process pool, and no code needs the
+    other two; each import would cost every run."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    code = "import sys, mcnspde; print('concurrent.futures' in sys.modules)"
+    modules = ("concurrent.futures", "fractions", "decimal")
+    code = f"import sys, mcnspde; print([m for m in {modules} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def study_peaks(config, counts):

@@ -38,10 +38,11 @@ from mcnspde.noise import WindowLaw, sample_windows
 
 
 def value_at(path, t):
-    """W(t) by a float lookup of the master node at time t: the brute-force reference."""
+    """W(t) of a chunk of one by a float lookup of the master node at time t: the brute-force
+    reference."""
     k = round(t / path.delta)
     assert abs(t - k * path.delta) <= 1e-12
-    return path.cumulative[k]
+    return path.cumulative[0, k]
 
 
 def zero_phi(grid, m=1):
@@ -70,10 +71,10 @@ def test_mcn_eigenmode_decay_factor():
         lam = dirichlet_eigenvalue(grid, k)
         rho = (1 - 0.5 * mesh.tau * lam) / (1 + 0.5 * mesh.tau * lam)
         first = mcn_heat_step(problem, problem.initial, path, 0)
-        np.testing.assert_allclose(first, rho * problem.initial, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(first[:, 0], rho * problem.initial, rtol=1e-12, atol=1e-14)
         final = run_heat(problem, path, scheme="mcn")
         np.testing.assert_allclose(
-            final, rho**mesh.N * problem.initial, rtol=1e-11, atol=1e-13
+            final[:, 0], rho**mesh.N * problem.initial, rtol=1e-11, atol=1e-13
         )
 
 
@@ -87,7 +88,7 @@ def test_em_eigenmode_decay_factor():
         rho = 1.0 / (1.0 + mesh.tau * lam)
         final = run_heat(problem, path, scheme="em")
         np.testing.assert_allclose(
-            final, rho**mesh.N * problem.initial, rtol=1e-11, atol=1e-13
+            final[:, 0], rho**mesh.N * problem.initial, rtol=1e-11, atol=1e-13
         )
 
 
@@ -114,7 +115,7 @@ def test_mcn_step_dense_oracle():
     rhs = (np.eye(k) + 0.5 * tau * lap) @ x0 + phi @ dw + corr
     expected = np.linalg.solve(np.eye(k) - 0.5 * tau * lap, rhs)
 
-    got = grid.node_values(mcn_heat_step(problem, problem.initial, path, 0))
+    got = grid.node_values(mcn_heat_step(problem, problem.initial, path, 0)[:, 0])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
@@ -134,7 +135,7 @@ def test_em_step_dense_oracle():
     rhs = grid.node_values(x0) + grid.node_values(phi.T) @ dw
     expected = np.linalg.solve(np.eye(k) - tau * lap, rhs)
 
-    got = grid.node_values(em_step(problem, x0, path, 0))
+    got = grid.node_values(em_step(problem, x0, path, 0)[:, 0])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
@@ -171,7 +172,7 @@ def test_run_matches_dense_recursion(scheme, k, m):
         problem = HeatProblem(grid, TimeMesh(n), phi, x0)
         path = sample_path(1000 * k + 10 * m + n, TimeMesh(16), m=m)
         expected = dense_heat_march(problem, path, scheme)
-        got = grid.node_values(run_heat(problem, path, scheme))
+        got = grid.node_values(run_heat(problem, path, scheme)[:, 0])
         np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-13 * np.abs(expected).max())
 
 
@@ -277,9 +278,9 @@ def test_linear_path_run_matches_hand_recursion():
     mesh = TimeMesh(n)
     master_steps = 2**14  # keeps the left-point bias far below the tolerance
     delta = 1.0 / master_steps
-    increments = np.full((master_steps, 1), delta)
-    cumulative = np.zeros((master_steps + 1, 1))
-    cumulative[1:] = np.cumsum(increments, axis=0)
+    increments = np.full((1, master_steps, 1), delta)
+    cumulative = np.zeros((1, master_steps + 1, 1))
+    cumulative[:, 1:] = np.cumsum(increments, axis=1)
     path = WienerPath(increments, cumulative)
 
     problem = HeatProblem(grid, mesh, sine_mode(grid, 2)[None], sine_mode(grid, 1))
@@ -295,7 +296,7 @@ def test_linear_path_run_matches_hand_recursion():
     for _ in range(n):
         x = np.linalg.solve(implicit, explicit @ x + tau * phi + corr)
 
-    got = grid.node_values(run_heat(problem, path, scheme="mcn"))
+    got = grid.node_values(run_heat(problem, path, scheme="mcn")[:, 0])
     np.testing.assert_allclose(got, x, rtol=1e-9, atol=1e-12)
 
 
@@ -328,7 +329,7 @@ def test_deterministic_steps_are_contractive():
         norms = [l2_norm(grid.node_values(x))]
         for j in range(mesh.N):
             x = scheme_step(problem, x, path, j)
-            norms.append(l2_norm(grid.node_values(x)))
+            norms.append(l2_norm(grid.node_values(x[:, 0])))
         assert all(b <= a + 1e-14 for a, b in zip(norms, norms[1:]))
 
 
@@ -396,7 +397,8 @@ def noise_blocks(paths, mesh, coordinates, sizes):
 
 @pytest.mark.parametrize("scheme", ["mcn", "em"])
 def test_block_march_equals_one_path_runs(scheme):
-    """Marching paths as one block, or split, gives each path's lone run bit for bit.
+    """Marching paths as one block, or split, gives each path's run as the chunk of one
+    bit for bit.
 
     At K = 12 five paths go as 5 and as 2 + 3; at the desk K = 40, 130
     paths go as blocks of 1, 12 and 130 and as 64 + 66.
@@ -405,7 +407,7 @@ def test_block_march_equals_one_path_runs(scheme):
     for k, count, splits in shapes:
         problem = benchmark_heat_problem(SpatialGrid(k), TimeMesh(16))
         paths = [sample_path((5, r), TimeMesh(32)) for r in range(count)]
-        lone = np.stack([run_heat(problem, path, scheme) for path in paths], axis=1)
+        lone = np.concatenate([run_heat(problem, path, scheme) for path in paths], axis=1)
         for sizes in splits:
             blocks = noise_blocks(paths, problem.mesh, HEAT_NOISE[scheme], sizes)
             marched = np.concatenate([run_heat(problem, b, scheme) for b in blocks], axis=1)
@@ -414,31 +416,35 @@ def test_block_march_equals_one_path_runs(scheme):
 
 @pytest.mark.parametrize("scheme", ["mcn", "em"])
 def test_run_heat_on_a_chunk_is_each_path_alone(scheme):
-    """A chunk of n paths gives (K, n), column i bit for bit path i alone; a chunk of one (K, 1)."""
+    """A chunk of n paths gives (K, n), column i bit for bit path i drawn as the chunk of
+    one, by its key or by the list of its key, which gives (K, 1); so does a step."""
     problem = benchmark_heat_problem(SpatialGrid(12), TimeMesh(4))
     keys = [1, 2, 3]
     lone = [run_heat(problem, sample_path(key, TimeMesh(4)), scheme) for key in keys]
+    assert all(x.shape == (12, 1) for x in lone)
     together = run_heat(problem, sample_path(keys, TimeMesh(4)), scheme)
-    np.testing.assert_array_equal(together, np.stack(lone, axis=1))
+    assert together.shape == (12, 3)
+    np.testing.assert_array_equal(together, np.concatenate(lone, axis=1))
     one = run_heat(problem, sample_path([2], TimeMesh(4)), scheme)
-    np.testing.assert_array_equal(one, lone[1][:, None])
+    np.testing.assert_array_equal(one, lone[1])
     step = mcn_heat_step if scheme == "mcn" else em_step
     first = step(problem, problem.initial, sample_path(keys, TimeMesh(4)), 0)
     alone = step(problem, problem.initial, sample_path(3, TimeMesh(4)), 0)
-    np.testing.assert_array_equal(first[:, 2], alone)
+    assert first.shape == (12, 3) and alone.shape == (12, 1)
+    np.testing.assert_array_equal(first[:, [2]], alone)
 
 
 @pytest.mark.parametrize("step", [em_step, mcn_heat_step], ids=["em", "mcn"])
 def test_a_block_of_states_on_one_path_keeps_every_column(step):
-    """A (K, R) state stepped on one lone path gives (K, R), column r bit for bit that
-    column alone; on a chunk of another width the step raises."""
+    """A (K, R) state stepped on a chunk of one path gives (K, R), column r bit for bit
+    that column alone, a (K, 1) result; on a chunk of another width the step raises."""
     problem = benchmark_heat_problem(SpatialGrid(10), TimeMesh(4))
     path = sample_path(1, TimeMesh(4))
     x = np.random.default_rng(10).standard_normal((10, 3))
     got = step(problem, x, path)
     assert got.shape == (10, 3)
     for r in range(3):
-        np.testing.assert_array_equal(got[:, r], step(problem, x[:, r], path))
+        np.testing.assert_array_equal(got[:, [r]], step(problem, x[:, r], path))
     with pytest.raises(ValueError):
         step(problem, x, sample_path([1, 2], TimeMesh(4)))
 

@@ -48,10 +48,11 @@ from mcnspde.validation import _cell_block, _squared_norms, heat_defect_block
 
 
 def value_at(path, t):
-    """W(t) by a float lookup of the master node at time t: the brute-force reference."""
+    """W(t) of a chunk of one by a float lookup of the master node at time t: the brute-force
+    reference."""
     k = round(t / path.delta)
     assert abs(t - k * path.delta) <= 1e-12
-    return path.cumulative[k]
+    return path.cumulative[0, k]
 
 
 def dense_laplacian(k):
@@ -84,7 +85,7 @@ def heat_forcing(problem, path, scheme="mcn"):
     implicit = np.eye(grid.K) - (1.0 if scheme == "em" else 0.5) * tau * dense_laplacian(grid.K)
     step = em_step if scheme == "em" else mcn_heat_step
     rest = np.zeros(grid.K)
-    steps = [grid.node_values(step(problem, rest, path, j)) for j in range(problem.mesh.N)]
+    steps = [grid.node_values(step(problem, rest, path, j)[:, 0]) for j in range(problem.mesh.N)]
     return np.stack([implicit @ x for x in steps])
 
 
@@ -98,7 +99,7 @@ def wave_forcing(problem, path):
     grid, tau, rest = problem.grid, problem.mesh.tau, np.zeros(problem.grid.K)
     lap = dense_laplacian(grid.K)
     steps = [
-        [grid.node_values(v) for v in mcn_wave_step(problem, rest, rest, path, j)]
+        [grid.node_values(v[:, 0]) for v in mcn_wave_step(problem, rest, rest, path, j)]
         for j in range(problem.mesh.N)
     ]
     displacement = np.stack([x - 0.5 * tau * y for x, y in steps])
@@ -107,18 +108,18 @@ def wave_forcing(problem, path):
 
 
 def linear_path(master_steps, m=1):
-    """Deterministic path W(t) = t in every component."""
+    """Deterministic path W(t) = t in every component, as a chunk of one."""
     delta = 1.0 / master_steps
-    increments = np.full((master_steps, m), delta)
-    cumulative = np.zeros((master_steps + 1, m))
-    cumulative[1:] = np.cumsum(increments, axis=0)
+    increments = np.full((1, master_steps, m), delta)
+    cumulative = np.zeros((1, master_steps + 1, m))
+    cumulative[:, 1:] = np.cumsum(increments, axis=1)
     return WienerPath(increments, cumulative)
 
 
 def constant_path(master_steps, value, m=1):
-    """Path frozen at a constant vector; only valid for quadrature tests."""
-    increments = np.zeros((master_steps, m))
-    cumulative = np.full((master_steps + 1, m), float(value))
+    """Path frozen at a constant vector, as a chunk of one; only valid for quadrature tests."""
+    increments = np.zeros((1, master_steps, m))
+    cumulative = np.full((1, master_steps + 1, m), float(value))
     return WienerPath(increments, cumulative)
 
 
@@ -158,17 +159,31 @@ def test_sample_path_draws_the_micro_grid_of_its_mesh():
     """S = N*M master steps: the seed's Philox normals scaled by sqrt(1/S), bit for bit."""
     path = sample_path((5, 3), TimeMesh(16), m=2)
     assert path.S == 256
+    assert path.increments.shape == (1, 256, 2) and path.cumulative.shape == (1, 257, 2)
     normals = np.random.Generator(np.random.Philox(key=(5, 3))).standard_normal((256, 2))
-    np.testing.assert_array_equal(path.increments, normals * math.sqrt(1.0 / 256))
+    np.testing.assert_array_equal(path.increments[0], normals * math.sqrt(1.0 / 256))
     assert sample_path(0, TimeMesh(3)).S == 9
-    # a list of keys draws a chunk whose rows are the keys' lone paths, bit for bit
+    # a list of keys draws a chunk whose rows are the keys' chunks of one, bit for bit
     keys = [(5, 3), 7, (5, 4)]
     chunk = sample_path(keys, TimeMesh(16), 2)
     assert chunk.increments.shape == (3, 256, 2) and chunk.cumulative.shape == (3, 257, 2)
     for row, key in enumerate(keys):
         lone = sample_path(key, TimeMesh(16), 2)
-        np.testing.assert_array_equal(chunk.increments[row], lone.increments)
-        np.testing.assert_array_equal(chunk.cumulative[row], lone.cumulative)
+        np.testing.assert_array_equal(chunk.increments[[row]], lone.increments)
+        np.testing.assert_array_equal(chunk.cumulative[[row]], lone.cumulative)
+
+
+def test_a_path_is_always_a_chunk():
+    """A WienerPath of any rank but (n, S, m) and (n, S+1, m) is refused, not read on the
+    wrong axis; a chunk of one is accepted."""
+    path = sample_path(4, TimeMesh(4))
+    with pytest.raises(ValueError):
+        WienerPath(path.increments[0], path.cumulative[0])
+    with pytest.raises(ValueError):
+        WienerPath(path.increments, path.cumulative[0])
+    with pytest.raises(ValueError):
+        WienerPath(path.increments[..., None], path.cumulative[..., None])
+    assert WienerPath(path.increments, path.cumulative).S == 16
 
 
 def test_standard_normals_are_each_keys_philox_stream():
@@ -257,9 +272,9 @@ def test_a_draw_into_reused_buffers_is_a_fresh_draw(law):
 def test_sample_path_cumulative_consistency():
     mesh = TimeMesh(32)
     path = sample_path(7, mesh, m=3)
-    assert path.cumulative[0] == pytest.approx(0.0)
+    assert path.cumulative[:, 0] == pytest.approx(0.0)
     np.testing.assert_allclose(
-        np.diff(path.cumulative, axis=0), path.increments, rtol=0, atol=1e-15
+        np.diff(path.cumulative, axis=1), path.increments, rtol=0, atol=1e-15
     )
     assert path.S * path.delta == pytest.approx(1.0, rel=1e-15)
 
@@ -277,27 +292,27 @@ def test_mesh_values_require_master_nodes():
     mesh = TimeMesh(4)
     path = sample_path(1, TimeMesh(8))
     coarse, micro = mesh_values(path.cumulative, mesh)
-    assert coarse.shape == (mesh.N + 1, 1)
-    assert micro.shape == (mesh.N, mesh.M, 1)
-    np.testing.assert_array_equal(micro[0, 2], value_at(path, 3 / 16))
+    assert coarse.shape == (1, mesh.N + 1, 1)
+    assert micro.shape == (1, mesh.N, mesh.M, 1)
+    np.testing.assert_array_equal(micro[0, 0, 2], value_at(path, 3 / 16))
     with pytest.raises(AlignmentError):
-        mesh_values(path.cumulative[:41], mesh)  # 40 master steps per 16 micro steps
+        mesh_values(path.cumulative[:, :41], mesh)  # 40 master steps per 16 micro steps
     with pytest.raises(AlignmentError):
-        mesh_values(np.zeros((9, 1)), mesh)  # master grid coarser than the micro grid
+        mesh_values(np.zeros((1, 9, 1)), mesh)  # master grid coarser than the micro grid
 
 
 def test_mesh_values_are_views():
-    """Coarse and micro nodes are read without copying, for a path and for a block."""
+    """Coarse and micro nodes are read without copying, for a chunk of one and of two."""
     mesh = TimeMesh(8)
     path = sample_path(2, TimeMesh(32), m=2)
-    block = np.stack([path.cumulative, 2.0 * path.cumulative])
+    block = np.concatenate([path.cumulative, 2.0 * path.cumulative])
     for cumulative in (path.cumulative, block):
         coarse, micro = mesh_values(cumulative, mesh)
         assert np.shares_memory(coarse, cumulative)
         assert np.shares_memory(micro, cumulative)
     coarse, micro = mesh_values(block, mesh)
     assert micro.shape == (2, mesh.N, mesh.M, 2)
-    np.testing.assert_array_equal(micro[1], 2.0 * mesh_values(path.cumulative, mesh)[1])
+    np.testing.assert_array_equal(micro[1], 2.0 * mesh_values(path.cumulative, mesh)[1][0])
     np.testing.assert_array_equal(coarse[:, -1], block[:, -1])
 
 
@@ -320,8 +335,9 @@ def test_sample_path_argument_validation():
 
 
 def micro_riemann_sums(path, mesh):
-    """tau^2 sum_l W(t_{j,l}) for every interval, from the accessor; shape (N, m)."""
-    return mesh.tau**2 * mesh_values(path.cumulative, mesh)[1].sum(axis=1)
+    """tau^2 sum_l W(t_{j,l}) for every interval of a chunk of one, from the accessor; shape
+    (N, m)."""
+    return mesh.tau**2 * mesh_values(path.cumulative, mesh)[1][0].sum(axis=1)
 
 
 def test_micro_riemann_sum_brute_force():
@@ -341,7 +357,8 @@ def test_micro_values_shape_and_content():
     mesh = TimeMesh(4)
     path = sample_path(8, TimeMesh(16), m=2)
     coarse, micro = mesh_values(path.cumulative, mesh)
-    assert micro.shape == (mesh.N, mesh.M, 2)
+    assert coarse.shape == (1, mesh.N + 1, 2) and micro.shape == (1, mesh.N, mesh.M, 2)
+    coarse, micro = coarse[0], micro[0]
     for j in range(mesh.N):
         np.testing.assert_array_equal(coarse[j], value_at(path, mesh.coarse_time(j)))
         for ell in range(1, mesh.M + 1):
@@ -458,7 +475,7 @@ def test_heat_correction_brute_force():
     em = heat_forcing(heat_problem(grid, amplitudes, mesh), path, "em")
     np.testing.assert_allclose(
         em,
-        combine(phi, np.diff(mesh_values(path.cumulative, mesh)[0], axis=0)).T,
+        combine(phi, np.diff(mesh_values(path.cumulative, mesh)[0][0], axis=0)).T,
         rtol=1e-12,
         atol=1e-15,
     )
@@ -545,15 +562,15 @@ def window_coordinates(full, law):
     """full, a path on the micro grid of law.steps, thinned to that mesh's grid and carrying
     the gaps and, if law.velocity, the velocity parts u_j of law.meshes, each formed by its
     defining sum over the micro nodes or cells of full."""
-    cumulative = full.cumulative[:: full.S // law.steps]
+    cumulative = full.cumulative[:, :: full.S // law.steps]
     gaps, parts = {}, {}
     for mesh in law.meshes:
         tau, ell = mesh.tau, np.arange(mesh.M)[:, None]
         coarse, micro = mesh_values(full.cumulative, mesh)
-        gaps[mesh.N] = tau * tau * micro.sum(axis=1) - 0.5 * tau * (coarse[:-1] + coarse[1:])
-        cells = np.diff(np.concatenate([coarse[:-1, None], micro], axis=1), axis=1)
-        parts[mesh.N] = ((ell + 1) * (tau * ell - 1) * cells).sum(axis=1)
-    return WienerPath(np.diff(cumulative, axis=0), cumulative, gaps, parts if law.velocity else {})
+        gaps[mesh.N] = tau * tau * micro.sum(axis=2) - 0.5 * tau * (coarse[:, :-1] + coarse[:, 1:])
+        cells = np.diff(np.concatenate([coarse[:, :-1, None], micro], axis=2), axis=2)
+        parts[mesh.N] = ((ell + 1) * (tau * ell - 1) * cells).sum(axis=2)
+    return WienerPath(np.diff(cumulative, axis=1), cumulative, gaps, parts if law.velocity else {})
 
 
 def reduced(path, mesh, coordinates=WAVE_COORDINATES):

@@ -40,10 +40,11 @@ RESIDUAL_TOLERANCE = 1e-10
 
 
 def value_at(path, t):
-    """W(t) by a float lookup of the master node at time t: the brute-force reference."""
+    """W(t) of a chunk of one by a float lookup of the master node at time t: the brute-force
+    reference."""
     k = round(t / path.delta)
     assert abs(t - k * path.delta) <= 1e-12
-    return path.cumulative[k]
+    return path.cumulative[0, k]
 
 
 def zero_phi(grid, m=1):
@@ -181,8 +182,8 @@ def test_silent_step_is_time_reversible():
     path = sample_path(411, TimeMesh(32))
     x, y = mcn_wave_step(silent, silent.initial_displacement, silent.initial_velocity, path, 0)
     back_x, back_y = mcn_wave_step(silent, x, -y, path, 0)
-    np.testing.assert_allclose(back_x, silent.initial_displacement, rtol=1e-12, atol=1e-13)
-    np.testing.assert_allclose(back_y, -silent.initial_velocity, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(back_x[:, 0], silent.initial_displacement, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(back_y[:, 0], -silent.initial_velocity, rtol=1e-12, atol=1e-13)
 
 
 def test_one_step_dense_block_oracle():
@@ -218,7 +219,7 @@ def test_one_step_dense_block_oracle():
     sol = np.linalg.solve(block, rhs)
 
     initial = (problem.initial_displacement, problem.initial_velocity)
-    x1, y1 = (grid.node_values(v) for v in mcn_wave_step(problem, *initial, path, 0))
+    x1, y1 = (grid.node_values(v[:, 0]) for v in mcn_wave_step(problem, *initial, path, 0))
     np.testing.assert_allclose(x1, sol[:k], rtol=1e-11, atol=1e-13)
     np.testing.assert_allclose(y1, sol[k:], rtol=1e-11, atol=1e-13)
 
@@ -242,7 +243,7 @@ def test_eigenmode_rotation_recurrence():
         right = np.array([[1.0, 0.5 * tau], [-0.5 * tau * lam, 1.0]])
         step = np.linalg.solve(left, right)
         coeff = np.linalg.matrix_power(step, mesh.N) @ np.array([a0, b0])
-        x_n, y_n = run_wave(problem, path)
+        x_n, y_n = (v[:, 0] for v in run_wave(problem, path))
         np.testing.assert_allclose(x_n, coeff[0] * sine_mode(grid, k), rtol=1e-11, atol=1e-12)
         np.testing.assert_allclose(y_n, coeff[1] * sine_mode(grid, k), rtol=1e-11, atol=1e-12)
     # |eigenvalues| = 1: the one-step map neither damps nor amplifies a mode
@@ -300,7 +301,7 @@ def test_matches_transformed_formulation():
     """Original and transformed marches land on the same (X_N, Y_N)."""
     problem = random_problem(k=12, n=16, m=2, seed=47)
     path = sample_path(471, TimeMesh(32), m=2)
-    x_direct, y_direct = (problem.grid.node_values(v) for v in run_wave(problem, path))
+    x_direct, y_direct = (problem.grid.node_values(v[:, 0]) for v in run_wave(problem, path))
     x_uv, y_uv = transformed_march(problem, path)
     np.testing.assert_allclose(x_direct, x_uv, rtol=1e-9, atol=1e-11)
     np.testing.assert_allclose(y_direct, y_uv, rtol=1e-9, atol=1e-11)
@@ -327,7 +328,8 @@ def test_run_wave_rejects_misaligned_path():
 
 
 def test_block_march_equals_one_path_runs():
-    """Marching paths as one block, or split, gives each path's lone run bit for bit.
+    """Marching paths as one block, or split, gives each path's run as the chunk of one
+    bit for bit.
 
     At K = 10 five paths go as 5 and as 2 + 3; at the desk K = 40, 130
     paths go as blocks of 1, 12 and 130 and as 64 + 66.
@@ -345,38 +347,46 @@ def test_block_march_equals_one_path_runs():
                     block.put(r, paths[start + r])
                 x, y = run_wave(problem, block)
                 for r in range(size):
-                    assert np.array_equal(x[:, r], lone[start + r][0])
-                    assert np.array_equal(y[:, r], lone[start + r][1])
+                    assert np.array_equal(x[:, [r]], lone[start + r][0])
+                    assert np.array_equal(y[:, [r]], lone[start + r][1])
                 start += size
     # the reference run takes a block on the refined mesh
     fine = NoiseBlock.empty(TimeMesh(16), 1, 1, WAVE_NOISE)
     fine.put(0, paths[0])
     x_ref, y_ref = reference_wave_solution(problem, fine, n_ref=16)
     x_one, y_one = reference_wave_solution(problem, paths[0], n_ref=16)
-    assert np.array_equal(x_ref[:, 0], x_one) and np.array_equal(y_ref[:, 0], y_one)
+    assert x_one.shape == y_one.shape == (problem.grid.K, 1)
+    assert np.array_equal(x_ref, x_one) and np.array_equal(y_ref, y_one)
     with pytest.raises(AlignmentError):
         run_wave(problem, fine)
 
 
 def test_chunk_march_equals_one_path_runs():
-    """A chunk of n paths gives (K, n) blocks, column i bit for bit path i alone."""
+    """A chunk of n paths gives (K, n) blocks, column i bit for bit path i drawn as the chunk
+    of one, which gives (K, 1) blocks; so do a step and the reference."""
     problem = random_problem(k=10, n=4, m=1, seed=63)
     keys = [4, 5, 6]
     x, y = run_wave(problem, sample_path(keys, TimeMesh(4)))
     assert x.shape == y.shape == (10, 3)
+    step = mcn_wave_step(problem, x + 1.0, y + 1.0, sample_path(keys, TimeMesh(4)), 2)
     for i, key in enumerate(keys):
         x_one, y_one = run_wave(problem, sample_path(key, TimeMesh(4)))
-        np.testing.assert_array_equal(x[:, i], x_one)
-        np.testing.assert_array_equal(y[:, i], y_one)
+        assert x_one.shape == y_one.shape == (10, 1)
+        np.testing.assert_array_equal(x[:, [i]], x_one)
+        np.testing.assert_array_equal(y[:, [i]], y_one)
+        alone = mcn_wave_step(problem, x_one + 1.0, y_one + 1.0, sample_path(key, TimeMesh(4)), 2)
+        for column, expected in zip(step, alone):
+            np.testing.assert_array_equal(column[:, [i]], expected)
     x_ref, _ = reference_wave_solution(problem, sample_path([5], TimeMesh(8)), n_ref=8)
+    assert x_ref.shape == (10, 1)
     np.testing.assert_array_equal(
-        x_ref[:, 0], reference_wave_solution(problem, sample_path(5, TimeMesh(8)), n_ref=8)[0]
+        x_ref, reference_wave_solution(problem, sample_path(5, TimeMesh(8)), n_ref=8)[0]
     )
 
 
 def test_a_block_of_states_on_one_path_keeps_every_column():
-    """(K, R) states stepped on one lone path give (K, R), column r bit for bit that
-    column alone; on a chunk of another width the step raises."""
+    """(K, R) states stepped on a chunk of one path give (K, R), column r bit for bit that
+    column alone, a (K, 1) result; on a chunk of another width the step raises."""
     problem = benchmark_wave_problem(SpatialGrid(10), TimeMesh(4))
     path = sample_path(1, TimeMesh(4))
     x, y = np.random.default_rng(10).standard_normal((2, 10, 3))
@@ -385,7 +395,7 @@ def test_a_block_of_states_on_one_path_keeps_every_column():
     for r in range(3):
         alone = mcn_wave_step(problem, x[:, r], y[:, r], path)
         for column, expected in zip(got, alone):
-            np.testing.assert_array_equal(column[:, r], expected)
+            np.testing.assert_array_equal(column[:, [r]], expected)
     with pytest.raises(ValueError):
         mcn_wave_step(problem, x, y, sample_path([1, 2], TimeMesh(4)))
 
@@ -445,7 +455,7 @@ def test_run_matches_dense_recursion(k, m):
     for n in (1, 4, 16):
         problem = random_problem(k, n, m, seed=1000 * k + m)
         path = sample_path(1000 * k + 10 * m + n, TimeMesh(16), m=m)
-        got = [problem.grid.node_values(v) for v in run_wave(problem, path)]
+        got = [problem.grid.node_values(v[:, 0]) for v in run_wave(problem, path)]
         for got, expected in zip(got, dense_wave_march(problem, path)):
             np.testing.assert_allclose(
                 got, expected, rtol=1e-11, atol=1e-13 * np.abs(expected).max()
