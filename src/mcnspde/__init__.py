@@ -44,7 +44,6 @@ from .wave import (
     WaveProblem,
     benchmark_wave_problem,
     mcn_wave_step,
-    reference_wave_solution,
     run_wave,
     wave_energy,
     wave_step_map,

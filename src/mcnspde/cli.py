@@ -15,10 +15,12 @@ once; a switch such as ``paper`` takes yes/no, true/false, on/off or
 one order: the desk preset, or the full-scale one under ``--paper``,
 then the config file, then explicit flags, which always win.  Each
 realization's path is drawn window by window, every noise coordinate
-and heat exact-solution piece it reads from their exact joint law (the
+and exact-solution piece it reads from their exact joint law (the
 report's ``noise windows``, with the normals drawn per path), on the
-finest mesh it marches: the largest of ``--n-list`` for heat, the
-``--n-ref`` reference mesh for wave.
+finest mesh it marches, the largest of ``--n-list``.  Heat rows measure
+against the exact solution with the PDE or the grid spectrum
+(``--exact-mode``), wave rows against the exact solution of the
+spatially discrete equation.
 Exit codes: 0 success, 1 failed validation checks, 2 bad configuration
 (a ConfigError) or I/O trouble (an OSError); any other exception is a bug
 and propagates with its traceback.
@@ -90,8 +92,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, defaults: StudyConfig) ->
     parser.add_argument("--config", type=Path, default=None,
                         help="key=value file of flag defaults")
     parser.add_argument("--paper", action="store_true",
-                        help="full-scale preset: N up to 1024, 1000 realizations "
-                             "(wave: N_ref = 4096); explicit flags still win")
+                        help="full-scale preset: N up to 1024, 1000 realizations; "
+                             "explicit flags still win")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     wave_defaults = desk_wave_config()
     wave = sub.add_parser("wave", help="wave equation convergence study")
-    wave.add_argument("--n-ref", type=int, default=None,
-                      help="reference mesh resolution")
     wave.add_argument("--norm", choices=("h1_displacement", "l2_velocity"),
                       default=wave_defaults.error_norm,
                       help="error norm reported in the CSV")
@@ -175,11 +175,7 @@ def _study_config(args: argparse.Namespace, equation: str) -> StudyConfig:
         preset = paper_heat_config if args.paper else desk_heat_config
         config = preset(scheme=args.scheme, exact_mode=args.exact_mode)
     overrides = dict(k=args.k, base_seed=args.seed, workers=args.workers)
-    given = dict(
-        n_list=args.n_list,
-        mc_count=args.mc,
-        n_ref=getattr(args, "n_ref", None),
-    )
+    given = dict(n_list=args.n_list, mc_count=args.mc)
     overrides.update((name, value) for name, value in given.items() if value is not None)
     return dataclasses.replace(config, **overrides)
 

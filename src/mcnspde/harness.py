@@ -7,29 +7,26 @@ worker splits reproduce bit-identical tables and no two base seeds share
 a path) and runs every resolution against that same path.  A path is
 drawn window by window (StudyConfig.window_law), jointly from the exact
 law of what the study reads: per window of the finest marched mesh
-N_max (for wave the reference mesh), its N_max increments, the gaps of
-the meshes too fine to read them from those increments and, for wave,
-the local parts of their velocity sums, and for heat the pieces of the
-exact solution, so the heat oracle is the exact solution itself.  The
-root-mean-square final-time error per resolution then feeds a log-log
-least-squares rate fit.
+N_max, its N_max increments, the gaps of the meshes too fine to read
+them from those increments and, for wave, the local parts of their
+velocity sums, and the pieces of the exact solution, so the oracle is
+the exact solution itself.  The root-mean-square final-time error per
+resolution then feeds a log-log least-squares rate fit.
 
 Realizations run in blocks, and their paths are drawn in chunks of as
-many as CHUNK_BYTES holds (chunk_size): 36 desk heat paths, 6 desk wave
+many as CHUNK_BYTES holds (chunk_size): 36 desk heat paths, 51 desk wave
 paths.  Every chunk of a block is drawn into the same two arrays, its
 normals and window values (0.5 MB for desk heat), allocated once per
 block, so no chunk faults in fresh pages.  Each chunk is used at once
-and dropped: it is reduced on every mesh (for wave, the reference mesh
-too) to its noise
-coordinates, a few numbers per step, stored as its paths' columns of
-that mesh's NoiseBlock, and its oracle pieces are kept (none for wave).
-Then the heat oracle is formed and every mesh is marched once for the
-whole block on (K, R) states.  States, heat oracle values
-and wave references are sine amplitudes, and each realization's squared
-error is one sum over the modes (SpatialGrid.l2_squared, h1_squared),
-so a study never forms node values or the sine basis.  A block's
-coordinates may take no more memory than the increments and cumulative
-values of one path on the finest marched mesh's micro grid
+and dropped: it is reduced on every mesh to its noise coordinates, a
+few numbers per step, stored as its paths' columns of that mesh's
+NoiseBlock, and its oracle pieces are kept.  Then the oracle is formed
+and every mesh is marched once for the whole block on (K, R) states.
+States and oracle values are sine amplitudes, and each realization's
+squared error is one sum over the modes (SpatialGrid.l2_squared,
+h1_squared), so a study never forms node values or the sine basis.  A
+block's coordinates may take no more memory than the increments and
+cumulative values of one path on the finest marched mesh's micro grid
 (block_size), a grid no study draws in full, and only one chunk, of at
 most CHUNK_BYTES, is alive at a time, so memory does not grow with the
 realization count.
@@ -38,7 +35,9 @@ Each path keeps its own Philox key and gets the same bits in any chunk.
 Heat studies measure against the closed-form benchmark solution, either
 with continuous-spectrum decay rates (total error, floored by the spatial
 discretization) or semidiscrete rates (pure time-stepping error).  Wave
-studies measure against the same scheme on a much finer mesh.
+studies measure against the exact solution of the spatially discrete
+equation (wave.window_wave_solution), so their rows too are the pure
+time-stepping error.
 """
 
 from __future__ import annotations
@@ -67,7 +66,13 @@ from .heat import (
     window_heat_solution,
 )
 from .noise import NoiseBlock, TimeMesh, WindowLaw, sample_windows
-from .wave import WAVE_NOISE, benchmark_wave_problem, reference_wave_solution, run_wave
+from .wave import (
+    WAVE_NOISE,
+    benchmark_wave_problem,
+    run_wave,
+    wave_oracle_rates,
+    window_wave_solution,
+)
 
 EQUATION_HEAT = "heat"
 EQUATION_WAVE = "wave"
@@ -89,8 +94,8 @@ FLOOR_EXCLUSION_FACTOR = 3.0
 # Paths are drawn and reduced a chunk at a time (chunk_size), so numpy's
 # per-call cost is shared among a chunk's paths.  A chunk's drawn arrays
 # take at most this many bytes: 36 desk heat paths (18 KB each), 9
-# --paper heat (69 KB) or 6 desk wave (96 KB), while a --paper wave path
-# (389 KB) is drawn alone, so paper memory does not grow.
+# --paper heat (69 KB), 51 desk wave (13 KB) or 6 --paper wave (98 KB),
+# so paper memory does not grow.
 CHUNK_BYTES = 640 * 1024
 
 
@@ -108,7 +113,6 @@ class StudyConfig:
     k: int = 40
     mc_count: int = 500
     base_seed: int = 20260814
-    n_ref: int = 1024
     exact_mode: str = EXACT_CONTINUOUS
     error_norm: str = NORM_L2
     noise_scale: float = 1.0
@@ -116,28 +120,28 @@ class StudyConfig:
 
     @property
     def marched_meshes(self) -> tuple[TimeMesh, ...]:
-        """Every mesh the study marches: n_list in order, and for wave the reference mesh last."""
-        n_list = self.n_list + ((self.n_ref,) if self.equation == EQUATION_WAVE else ())
-        return tuple(TimeMesh(n) for n in n_list)
+        """Every mesh the study marches: n_list in order."""
+        return tuple(TimeMesh(n) for n in self.n_list)
 
     @property
     def finest_mesh(self) -> TimeMesh:
-        """The finest mesh the study marches: N_max for heat, the reference mesh for wave."""
-        return max(self.marched_meshes, key=lambda mesh: mesh.N)
+        """The finest mesh the study marches, N_max = max(n_list)."""
+        return TimeMesh(max(self.n_list))
 
     @property
     def window_law(self) -> WindowLaw:
         """The law of the study's paths: windows of the finest marched mesh.
 
         It draws every noise coordinate that a marched mesh, or one of its
-        finer siblings up to the finest, reads; for heat also an oracle
-        piece for each decay rate of oracle_rates, and for wave the
-        velocity parts instead.  So it depends only on the equation, the
-        finest mesh and, for heat, k.
+        finer siblings up to the finest, reads, and the oracle pieces: for
+        heat one per decay rate of oracle_rates, for wave the velocity
+        parts too and two pieces per rate of wave_oracle_rates.  So it
+        depends only on the equation, the finest mesh and k.
         """
+        grid = SpatialGrid(self.k)
         if self.equation == EQUATION_HEAT:
-            return WindowLaw(self.finest_mesh.N, oracle_rates(SpatialGrid(self.k)))
-        return WindowLaw(self.finest_mesh.N, (), velocity=True)
+            return WindowLaw(self.finest_mesh.N, oracle_rates(grid))
+        return WindowLaw(self.finest_mesh.N, wave_oracle_rates(grid), velocity=True)
 
 
 def desk_heat_config(**overrides) -> StudyConfig:
@@ -150,17 +154,16 @@ def desk_heat_config(**overrides) -> StudyConfig:
 
 
 def desk_wave_config(**overrides) -> StudyConfig:
-    """Quick wave study: N in 8..128 against N_ref = 1024, 300 realizations.
+    """Quick wave study: N in 8..128 against the exact solution, 300 realizations.
 
-    Paths are drawn in 64 windows of 78 values: 16 increments of N_ref,
-    the 31 gaps and the 31 velocity parts of N = 64..1024, 4992 normals a
-    path.
+    Paths are drawn in 16 windows of 42 values: 8 increments of N = 128,
+    the 15 gaps and the 15 velocity parts of N = 16..128 and 4 oracle
+    pieces, 672 normals a path.
     """
     base = StudyConfig(
         equation=EQUATION_WAVE,
         n_list=(8, 16, 32, 64, 128),
         mc_count=300,
-        n_ref=1024,
         error_norm=NORM_H1_DISPLACEMENT,
     )
     return dataclasses.replace(base, **overrides)
@@ -177,16 +180,16 @@ def paper_heat_config(**overrides) -> StudyConfig:
 
 
 def paper_wave_config(**overrides) -> StudyConfig:
-    """Full-scale wave study: N in 4..1024 against N_ref = 4096, 1000 realizations.
+    """Full-scale wave study: N in 4..1024 against the exact solution, 1000 realizations.
 
-    Paths are drawn in 128 windows of 158 values: 32 increments of N_ref,
-    the 63 gaps and the 63 velocity parts of N = 128..4096.
+    Paths are drawn in 64 windows of 82 values: 16 increments of N =
+    1024, the 31 gaps and the 31 velocity parts of N = 64..1024 and 4
+    oracle pieces, 5248 normals a path.
     """
     base = StudyConfig(
         equation=EQUATION_WAVE,
         n_list=(4, 8, 16, 32, 64, 128, 256, 512, 1024),
         mc_count=1000,
-        n_ref=4096,
         error_norm=NORM_H1_DISPLACEMENT,
     )
     return dataclasses.replace(base, **overrides)
@@ -234,11 +237,6 @@ def validate_config(config: StudyConfig) -> None:
             raise ConfigError("wave studies run the corrected Crank-Nicolson scheme only")
         if config.error_norm not in WAVE_NORMS:
             raise ConfigError(f"wave studies report norms {WAVE_NORMS}, got {config.error_norm!r}")
-        if not _is_power_of_two(config.n_ref):
-            raise ConfigError(f"n_ref must be a power of two, got {config.n_ref}")
-        n_max = max(config.n_list)
-        if config.n_ref < n_max:
-            raise ConfigError(f"n_ref={config.n_ref} is coarser than the finest study mesh {n_max}")
 
 
 @dataclass(frozen=True)
@@ -351,9 +349,9 @@ def block_size(config: StudyConfig) -> int:
 
     A block's noise coordinates may take no more bytes than the increments
     and cumulative values of one path on the micro grid of the finest mesh
-    the study marches (N_max for heat, the reference mesh for wave, whose
-    micro grids are never drawn in full), so batching realizations costs
-    at most the memory that sampling such a path would need.
+    the study marches, N_max, whose micro grid is never drawn in full, so
+    batching realizations costs at most the memory that sampling such a
+    path would need: 130 desk heat realizations (mcn), 44 desk wave.
     """
     path_bytes = 8 * (2 * config.finest_mesh.N ** 2 + 1)
     per_realization = sum(block.nbytes for block in _study_noise(config, 1))
@@ -364,7 +362,8 @@ def chunk_size(config: StudyConfig) -> int:
     """Paths drawn and reduced per pass: as many as CHUNK_BYTES holds, at least one.
 
     A path's drawn arrays are its normals, their window values and its
-    N_max increments and cumulative values.
+    N_max increments and cumulative values: 36 desk heat paths, 51 desk
+    wave and 6 --paper wave.
     """
     law = config.window_law
     path_bytes = 8 * (2 * law.normals + 2 * law.steps + 1)
@@ -378,15 +377,15 @@ def _block_squared_errors(config: StudyConfig, span: range):
     and floors the squared continuous-vs-semidiscrete oracle gap (heat
     continuous mode only, else None).  The paths are drawn a chunk at a
     time, each chunk reduced to its noise coordinates on every mesh and
-    its oracle pieces (none for wave) and dropped, and then every mesh is
-    marched once for the whole block.
+    its oracle pieces and dropped, and then the oracle is formed and
+    every mesh is marched once for the whole block.
     """
     grid, problems = _build_problems(config)
     count = len(span)
     errors = np.empty((count, len(problems), len(study_norms(config))))
     blocks = _study_noise(config, count)
     law = config.window_law
-    pieces = np.empty((count, law.windows, len(law.rates)))
+    pieces = np.empty((count, law.windows, len(law.pieces)))
     size = chunk_size(config)
     # A chunk's normals and window values, which every chunk of the block is drawn into.
     buffers = [np.empty((min(size, count), law.windows, law.width)) for _ in range(2)]
@@ -410,11 +409,11 @@ def _block_squared_errors(config: StudyConfig, span: range):
         if config.exact_mode == EXACT_CONTINUOUS:
             return errors, grid.l2_squared(oracle - oracles[EXACT_SEMIDISCRETE])
         return errors, None
-    x_ref, y_ref = reference_wave_solution(problems[-1], blocks[-1], config.n_ref)
+    x_exact, y_exact = window_wave_solution(pieces, grid, config.noise_scale)
     for p, (problem, block) in enumerate(zip(problems, blocks)):
         x_end, y_end = run_wave(problem, block)
-        errors[:, p, 0] = grid.h1_squared(x_end - x_ref)
-        errors[:, p, 1] = grid.l2_squared(y_end - y_ref)
+        errors[:, p, 0] = grid.h1_squared(x_end - x_exact)
+        errors[:, p, 1] = grid.l2_squared(y_end - y_exact)
     return errors, None
 
 
@@ -521,10 +520,8 @@ def report_text(table: ConvergenceTable, config: StudyConfig | None = None) -> s
         out.append(f"base seed:      {config.base_seed}")
         law = config.window_law
         out.append(f"noise windows:  {law.windows}, {law.normals} normals per path")
-        if config.equation == EQUATION_HEAT:
-            out.append(f"exact mode:     {config.exact_mode}")
-        else:
-            out.append(f"reference N:    {config.n_ref}")
+        exact = config.exact_mode if config.equation == EQUATION_HEAT else EXACT_SEMIDISCRETE
+        out.append(f"exact mode:     {exact}")
     out.append("")
     out.append(f"{'N':>6s} {'tau':>12s} {'rms_error':>14s} {'std_error':>14s}")
     for row in table.rows:

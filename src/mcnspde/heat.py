@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import SpatialGrid, dirichlet_eigenvalue
-from .noise import NoiseBlock, TimeMesh, WienerPath, noise_block
+from .noise import NoiseBlock, TimeMesh, WienerPath, noise_block, window_sum
 
 SCHEME_EULER = "em"
 SCHEME_MCN = "mcn"
@@ -266,19 +266,17 @@ def window_heat_solution(
 
     with the stochastic convolutions conv(mu) = int_0^1 exp(-mu (1-s)) dW(s)
     = sum_w exp(-mu (1 - t_w)) piece_w over the windows w, t_w the end of
-    w, scaled by noise_scale.  In 'continuous' mode the decay rates are
-    the PDE eigenvalues (k pi)^2, so the comparison against a scheme
-    includes the spatial discretization error; in 'semidiscrete' mode
-    they are the discrete eigenvalues of the grid Laplacian and the
-    comparison isolates the time-stepping error.  Every amplitude but
-    those of modes 1-3 is zero.  Column i is bit for bit that of path i
-    alone.
+    w (noise.window_sum), scaled by noise_scale.  In 'continuous' mode
+    the decay rates are the PDE eigenvalues (k pi)^2, so the comparison
+    against a scheme includes the spatial discretization error; in
+    'semidiscrete' mode they are the discrete eigenvalues of the grid
+    Laplacian and the comparison isolates the time-stepping error.  Every
+    amplitude but those of modes 1-3 is zero.  Column i is bit for bit
+    that of path i alone.
     """
     rates = [_benchmark_rate(grid, mode, k) for k in BENCHMARK_NOISE_MODES]
-    windows = pieces.shape[1]
-    weights = np.exp(-np.outer(1.0 - np.arange(1, windows + 1) / windows, rates))
     first = 0 if mode == EXACT_CONTINUOUS else len(rates)
-    conv = np.einsum("wk,nwk->kn", weights, pieces[..., first : first + len(rates)])
+    conv = window_sum(pieces[..., first : first + len(rates)], rates)
     return _benchmark_solution(grid, mode, noise_scale * conv)
 
 

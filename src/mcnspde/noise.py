@@ -222,11 +222,14 @@ class WindowLaw(NamedTuple):
     """The joint law of every noise coordinate and oracle value a study reads.
 
     A scheme on mesh N reads each step's increment and quadrature gap,
-    the wave scheme also its velocity sum, and the heat oracle reads
-    int_0^1 exp(-mu (1 - s)) dW(s) for each decay rate mu of rates.
-    Each is an integral of dW against a fixed function, so they are
-    jointly Gaussian, and they split over windows: the steps of the mesh
-    of `windows` steps, the coarsest power of two whose square exceeds
+    the wave scheme also its velocity sum, and the oracle reads
+    int_0^1 exp(-mu (1 - s)) dW(s) for each rate mu of rates: a real
+    decay rate for heat, and mu = i omega for a wave mode of frequency
+    omega, whose real part and minus imaginary part are
+    int cos(omega (1 - s)) dW and int sin(omega (1 - s)) dW.  Each is an
+    integral of dW against a fixed function, so they are jointly
+    Gaussian, and they split over windows: the steps of the mesh of
+    `windows` steps, the coarsest power of two whose square exceeds
     `steps`, the finest marched mesh N_max, but at most N_max.  A gap
     depends only on dW inside its step (its weights sum to zero).  The
     velocity sum of step j is (tau^3/2)(u_j - W(t_j)), since
@@ -234,14 +237,15 @@ class WindowLaw(NamedTuple):
     (WienerPath.parts) and W(t_j) the sum of the increments before it.
     The oracle integral is the sum over windows of exp(-mu (1 - t_w))
     times the window's piece int exp(-mu (t_w - s)) dW(s), t_w the
-    window's end.  So the windows are independent and alike, and one
-    window's values, `width` of them, are drawn by one factor
+    window's end (window_sum).  So the windows are independent and alike,
+    and one window's values, `width` of them, are drawn by one factor
     (window_factor) in this order:
 
     * the steps/windows increments of the N_max steps, in time order,
     * the gaps of every mesh of meshes, coarsest first, each in time order,
     * if velocity, the velocity parts of the same steps in the same order,
-    * one oracle piece per rate.
+    * the oracle pieces: per rate, in order, the real part of its piece,
+      for a complex rate preceded by minus its imaginary part (pieces).
 
     meshes are the powers of two N from windows to N_max, all with
     N^2 > N_max, whether or not a study marches them, so the law depends
@@ -252,7 +256,7 @@ class WindowLaw(NamedTuple):
     """
 
     steps: int
-    rates: tuple[float, ...]
+    rates: tuple[float | complex, ...]
     velocity: bool = False
 
     @property
@@ -266,10 +270,26 @@ class WindowLaw(NamedTuple):
         return _window_meshes(self.steps)[1]
 
     @property
+    def pieces(self) -> tuple[tuple[float | complex, complex], ...]:
+        """(mu, alpha) of each drawn oracle piece, which is Re(alpha P) of the piece P at rate mu.
+
+        alpha = 1 gives the real part, and alpha = i minus the imaginary
+        part, which only a complex rate draws, and draws first.  At
+        mu = i omega these are the cos and the sin piece.  Beyond the
+        scheme rows, which span quadratics on each step of N_max, a cos
+        piece is left a residue of fourth order in omega tau, a sin
+        piece one of third order, so where the factor finds a cos piece
+        to be rounding residue (window_factor at N_max >= 256), the sin
+        piece before it has already taken its covariance.
+        """
+        parts = lambda mu: (1j, 1) if isinstance(mu, complex) else (1,)
+        return tuple((mu, alpha) for mu in self.rates for alpha in parts(mu))
+
+    @property
     def width(self) -> int:
         """Values drawn per window."""
         drawn = sum(mesh.N for mesh in self.meshes) // self.windows * (1 + self.velocity)
-        return self.steps // self.windows + drawn + len(self.rates)
+        return self.steps // self.windows + drawn + len(self.pieces)
 
     @property
     def normals(self) -> int:
@@ -319,10 +339,16 @@ def window_covariance(law: WindowLaw) -> np.ndarray:
     over the finer of their two cell grids on their overlap, times the
     cell length (cell widths are powers of two and steps start on cell
     edges, so both rows are constant on each finer cell, and an overlap
-    holds whole cells of both); a scheme row and an oracle piece give the
-    sum over the row's cells of its value times the cell's integral of
-    exp(-mu (T - s)); two pieces give -expm1(-(mu + nu) T)/(mu + nu), with
-    T = 1/windows the window length.  Rates must be positive.
+    holds whole cells of both); a scheme row and an oracle piece
+    Re(alpha P(mu)) give Re(alpha sum_c value_c decay_c), decay_c the
+    integral of exp(-mu (T - s)) over cell c, summed by fsum of the terms
+    Re(alpha value_c decay_c), for alpha = 1 or i the real part or minus
+    the imaginary part of each term exactly; two pieces Re(alpha P(mu))
+    and Re(beta P(nu)) give (1/2) Re(alpha beta E(mu + nu) + alpha
+    conj(beta) E(mu + conj(nu))), E(z) = -expm1(-z T)/z the integral of
+    exp(-z u) over [0, T], or T at z = 0, with T = 1/windows the window
+    length.  Real rates must be positive; a real rate takes real
+    arithmetic only.
 
     The scheme pairs are summed in closed form, 16 rows at a time.  On the
     overlap, the coarser row's n cells l = m + t, t = -(n-1)/2..(n-1)/2,
@@ -332,7 +358,7 @@ def window_covariance(law: WindowLaw) -> np.ndarray:
     (Faulhaber).  Expanding each polynomial about its cells' centre keeps
     the terms of the size of the sum.
     """
-    rows, rates = window_functions(law), law.rates
+    rows, pieces = window_functions(law), law.pieces
     cell, length, scheme = 1.0 / law.steps**2, 1.0 / law.windows, len(rows)
     value = lambda c, lo, w, p: p[0] + (c - lo) // w * (p[1] + (c - lo) // w * p[2])
     cov = np.zeros((law.width, law.width))
@@ -363,13 +389,23 @@ def window_covariance(law: WindowLaw) -> np.ndarray:
         cov[x, y] = cell * w[f] * total
     for x, (lo, hi, w, p) in enumerate(rows):
         c = np.arange(lo, hi, w)
-        for z, rate in enumerate(rates, scheme):
-            decay = np.exp(-rate * (length - cell * (c + w))) * -math.expm1(-rate * cell * w) / rate
-            cov[x, z] = cov[z, x] = math.fsum(value(c, lo, w, p) * decay)
-    for z, mu in enumerate(rates, scheme):
-        for y, nu in enumerate(rates, scheme):
-            cov[z, y] = -math.expm1(-(mu + nu) * length) / (mu + nu)
+        terms = {}  # value_c decay_c of each rate, shared by its pieces
+        for z, (mu, alpha) in enumerate(pieces, scheme):
+            if mu not in terms:
+                decay = np.exp(-mu * (length - cell * (c + w))) * -_expm1(-mu * cell * w) / mu
+                terms[mu] = value(c, lo, w, p) * decay
+            cov[x, z] = cov[z, x] = math.fsum((alpha * terms[mu]).real)
+    integral = lambda z: -_expm1(-z * length) / z if z else length
+    for z, (mu, alpha) in enumerate(pieces, scheme):
+        for y, (nu, beta) in enumerate(pieces, scheme):
+            same, conjugate = integral(mu + nu), integral(mu + nu.conjugate())
+            cov[z, y] = 0.5 * (alpha * beta * same + alpha * beta.conjugate() * conjugate).real
     return cov
+
+
+def _expm1(z: float | complex) -> float | complex:
+    """exp(z) - 1 without cancellation: math.expm1 for a real z, numpy's for a complex one."""
+    return math.expm1(z) if isinstance(z, float) else complex(np.expm1(z))
 
 
 @functools.lru_cache(maxsize=None)
@@ -395,10 +431,10 @@ def sample_windows(keys: list, law: WindowLaw, buffers=None) -> tuple[WienerPath
     Returns (path, pieces): path the chunk on the N_max grid, its
     increments and cumulative values, carrying the gaps and, if
     law.velocity, the velocity parts of law.meshes (WienerPath.gaps and
-    parts), and pieces (n, windows, rates) the oracle pieces.  The window
-    values are copied, in that order, over the spent normals, and all but
-    the cumulative values are views of them: they hold until the next draw
-    into the same buffers.
+    parts), and pieces (n, windows, len(law.pieces)) the oracle pieces.
+    The window values are copied, in that order, over the spent normals,
+    and all but the cumulative values are views of them: they hold until
+    the next draw into the same buffers.
     """
     n, steps, windows, width = len(keys), law.steps, law.windows, law.width
     buffers = buffers or [np.empty((n, windows, width)) for _ in range(2)]
@@ -426,6 +462,20 @@ def sample_windows(keys: list, law: WindowLaw, buffers=None) -> tuple[WienerPath
             coordinates[mesh.N] = section(start, stop).reshape(n, mesh.N, 1)
             start = stop
     return WienerPath(increments, cumulative, *drawn), section(start, width)
+
+
+def window_sum(pieces: np.ndarray, rates: Sequence[float | complex]) -> np.ndarray:
+    """int_0^1 exp(-mu (1 - s)) dW(s) of each rate mu, from its pieces: (rates, n).
+
+    pieces (n, windows, rates) hold each window's piece
+    int exp(-mu (t_w - s)) dW(s), complex for a complex rate, and the
+    integral is their sum rotated to time 1, sum_w exp(-mu (1 - t_w))
+    piece_w, t_w the end of window w.  Column i is bit for bit that of
+    path i alone.
+    """
+    windows = pieces.shape[1]
+    weights = np.exp(-np.outer(1.0 - np.arange(1, windows + 1) / windows, rates))
+    return np.einsum("wk,nwk->kn", weights, pieces)
 
 
 def master_strides(mesh: TimeMesh, master_steps: int) -> tuple[int, int]:

@@ -21,17 +21,30 @@ the steps; a single step is the pass of one step.
 With the micro-grid corrections the scheme converges strongly at order
 2; with the noise switched off it is the classical trapezoid rule and
 conserves the discrete wave energy, (1/2) sum_k (y_k^2 + lambda_k x_k^2).
+
+The module also carries the exact solution of the spatially discrete
+benchmark, which a wave study measures its rows against: like heat's,
+it is read from oracle pieces drawn with the paths (window_wave_solution,
+on the rates of wave_oracle_rates).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpatialGrid
-from .heat import ConfigError, benchmark_initial, benchmark_phi, modal_march
-from .noise import NoiseBlock, TimeMesh, WienerPath
+from .grid import SpatialGrid, dirichlet_eigenvalue
+from .heat import (
+    BENCHMARK_INITIAL_MODE,
+    BENCHMARK_NOISE_MODES,
+    ConfigError,
+    benchmark_initial,
+    benchmark_phi,
+    modal_march,
+)
+from .noise import NoiseBlock, TimeMesh, WienerPath, window_sum
 
 
 @dataclass
@@ -123,24 +136,6 @@ def run_wave(
     return x, y
 
 
-def reference_wave_solution(
-    problem: WaveProblem, noise: WienerPath | NoiseBlock, n_ref: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the same scheme on a refined mesh with n_ref steps as reference.
-
-    The noise is shared, so comparing a coarse run against this reference
-    measures the scheme's own refinement error on a common noise sample;
-    a NoiseBlock must lie on the refined mesh.  Returns (K, n) or (K, R)
-    blocks, as run_wave.  n_ref may not be coarser than the problem mesh
-    (equal is allowed and gives back run_wave exactly).
-    """
-    if n_ref < problem.mesh.N:
-        raise ConfigError(
-            f"reference resolution {n_ref} is coarser than the problem mesh {problem.mesh.N}"
-        )
-    return run_wave(replace(problem, mesh=TimeMesh(n_ref)), noise)
-
-
 def benchmark_wave_problem(
     grid: SpatialGrid, mesh: TimeMesh, noise_scale: float = 1.0
 ) -> WaveProblem:
@@ -148,6 +143,51 @@ def benchmark_wave_problem(
     return WaveProblem(
         grid, mesh, benchmark_phi(grid, noise_scale), benchmark_initial(grid), np.zeros(grid.K)
     )
+
+
+def wave_oracle_rates(grid: SpatialGrid) -> tuple[complex, ...]:
+    """Rates i omega_k of the benchmark noise modes, omega_k = sqrt(lambda_k) on the grid.
+
+    A wave study draws two oracle pieces per rate (noise.WindowLaw), the
+    window's int cos(omega_k (t_w - s)) dW(s) and int sin(omega_k (t_w - s)) dW(s).
+    """
+    return tuple(1j * math.sqrt(dirichlet_eigenvalue(grid, k)) for k in BENCHMARK_NOISE_MODES)
+
+
+def window_wave_solution(
+    pieces: np.ndarray, grid: SpatialGrid, noise_scale: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes (X(1), Y(1)), each (K, n), of the exact semidiscrete benchmark solution.
+
+    pieces (n, windows, 4) are the oracle pieces of a chunk drawn by
+    noise.sample_windows under the rates of wave_oracle_rates(grid): the
+    sin and the cos piece of mode 2, then those of mode 3.
+    Each sine mode of the spatially discrete equation, dX = Y dt and
+    dY = -lambda X dt + phi dW with omega = sqrt(lambda) and Y(0) = 0,
+    solves by variation of constants (Cohen, Larsson & Sigg, SIAM J.
+    Numer. Anal. 51 (2013) 204-222) as
+
+        X(1) = cos(omega) X(0) + (phi/omega) int_0^1 sin(omega (1 - s)) dW(s),
+        Y(1) = -omega sin(omega) X(0) + phi int_0^1 cos(omega (1 - s)) dW(s),
+
+    and the integrals are minus the imaginary part and the real part of
+    int_0^1 exp(-i omega (1 - s)) dW(s), the window sum of the complex
+    pieces (noise.window_sum).  The benchmark starts at X(0) = 1 on
+    mode 1 and loads modes 2 and 3 with phi = noise_scale; every other
+    amplitude is zero.  So the oracle has no time-stepping error, and a
+    study's rows measure the scheme's own.  Column i is bit for bit that
+    of path i alone.
+    """
+    rates = wave_oracle_rates(grid)
+    conv = window_sum(pieces[..., 1::2] - 1j * pieces[..., 0::2], rates)
+    x, y = np.zeros((2, grid.K, conv.shape[1]))
+    omega = math.sqrt(dirichlet_eigenvalue(grid, BENCHMARK_INITIAL_MODE))
+    x[BENCHMARK_INITIAL_MODE - 1] = math.cos(omega)
+    y[BENCHMARK_INITIAL_MODE - 1] = -omega * math.sin(omega)
+    noise = [k - 1 for k in BENCHMARK_NOISE_MODES]
+    x[noise] = noise_scale * -conv.imag / np.imag(rates)[:, None]
+    y[noise] = noise_scale * conv.real
+    return x, y
 
 
 def wave_energy(problem: WaveProblem, x: np.ndarray, y: np.ndarray) -> float:

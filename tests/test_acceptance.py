@@ -39,6 +39,7 @@ from mcnspde import (
     mcn_wave_step,
     run_heat,
     run_study,
+    run_wave,
     run_study_tables,
     sample_path,
     validate_statistics,
@@ -103,6 +104,87 @@ def closed_form_rms_error(config, n_steps):
         noise = float(np.sum(g * g * cell - 2.0 * g * int_1 + int_2))
         total += x0**2 * (rho**n_steps - math.exp(-mu * t_final)) ** 2 + phi**2 * noise
     return math.sqrt(0.5 * total)
+
+
+def wave_scheme_kernel(lam, n_steps):
+    """Step matrix A and the per-cell kernel G of one eigenmode of the wave scheme.
+
+    The scheme's step solves x' - x = (tau/2)(y' + y) + g and
+    y' - y = -(tau lam/2)(x' + x) + w - lam v, that is
+    P (x', y') = Q (x, y) + (g, w - lam v), with g, w and v the step's
+    gap, increment and velocity sum times phi.  So for noise loading phi
+    on the mode, (x_N, y_N) = A^N (x0, y0) + phi sum_c G[c] dW_c, c
+    running over the N*M micro cells in time order, G shaped (N*M, 2).
+    On micro cell l = 0..M-1 of step j the increment weighs 1, the gap
+    tau^2 (M - l) - tau/2 and the velocity sum
+    (tau^3/2) sum_{l' > l} (1 - 2 l' tau); every cell before step j is
+    also loaded by the velocity sum of step j, through its -(tau^3/2) W(t_j).
+    """
+    tau, micro_count = 1.0 / n_steps, n_steps
+    implicit = np.array([[1.0, -0.5 * tau], [0.5 * tau * lam, 1.0]])
+    explicit = np.array([[1.0, 0.5 * tau], [-0.5 * tau * lam, 1.0]])
+    step = np.linalg.solve(implicit, explicit)
+    gap_load, increment_load = np.linalg.inv(implicit).T
+    velocity_load = -lam * increment_load
+    ell = np.arange(micro_count)
+    gap = tau * tau * (micro_count - ell) - 0.5 * tau
+    ahead = micro_count - ell  # the micro nodes l' = l+1..M after cell l
+    velocity = 0.5 * tau**3 * (ahead - tau * (micro_count * (micro_count + 1) - ell * (ell + 1)))
+    powers = [np.eye(2)]
+    for _ in range(n_steps - 1):
+        powers.append(step @ powers[-1])
+    reach = np.array(powers[::-1])  # reach[j] = A^(N-1-j), (N, 2, 2)
+    local = (
+        increment_load[:, None] + np.outer(gap_load, gap) + np.outer(velocity_load, velocity)
+    )  # (2, M)
+    kernel = np.einsum("jab,bl->jla", reach, local)
+    later = reach @ velocity_load  # (N, 2): the velocity load of each step at time 1
+    tail = np.cumsum(later[::-1], axis=0)[::-1] - later  # sum over the steps after j
+    kernel -= 0.5 * tau**3 * tail[:, None, :]
+    return np.linalg.matrix_power(step, n_steps), kernel.reshape(-1, 2)
+
+
+def closed_form_wave_mean_squares(config, n_steps):
+    """Exact E||e||^2 of a benchmark wave study row in both norms, no Monte Carlo.
+
+    The oracle is the exact semidiscrete solution: with omega = sqrt(lam),
+    x(1) = cos(omega) x0 + (phi/omega) int sin(omega (1 - s)) dW and
+    y(1) = -omega sin(omega) x0 + phi int cos(omega (1 - s)) dW.  Per
+    mode, E e_x^2 = (deterministic error)^2 + phi^2 int (G_x(s) - f(s))^2 ds
+    with f(s) = sin(omega (1 - s))/omega, and likewise for y with
+    f(s) = cos(omega (1 - s)).  On each micro cell, of length h, G is
+    constant, so the integral is h (G - mean f)^2 plus the variance of f
+    on the cell, all in closed form.  Returns {norm: E||e||^2}, with
+    ||e||^2 = (1/2) sum_k lam_k e_x,k^2 (H1) and (1/2) sum_k e_y,k^2 (L2
+    velocity).
+    """
+    grid, scale = SpatialGrid(config.k), config.noise_scale
+    h1 = l2 = 0.0
+    for k, x0, phi in ((1, 1.0, 0.0), (2, 0.0, scale), (3, 0.0, scale)):
+        lam = dirichlet_eigenvalue(grid, k)
+        omega = math.sqrt(lam)
+        power, kernel = wave_scheme_kernel(lam, n_steps)
+        exact = np.array([math.cos(omega), -omega * math.sin(omega)]) * x0
+        deterministic = power @ np.array([x0, 0.0]) - exact
+        h = 1.0 / kernel.shape[0]
+        ahead = 1.0 - h * np.arange(kernel.shape[0] + 1)  # 1 - s at the cell edges
+        # cell means of sin(omega (1 - s))/omega and cos(omega (1 - s)), and their integrals
+        # of the square over [0, 1]
+        means = (
+            np.diff(np.cos(omega * ahead)) / (omega * omega * h),
+            -np.diff(np.sin(omega * ahead)) / (omega * h),
+        )
+        twice = math.sin(2.0 * omega) / (4.0 * omega)
+        squares = ((0.5 - twice) / lam, 0.5 + twice)
+        noise = [
+            h * float(np.sum((kernel[:, a] - means[a]) ** 2))
+            + squares[a]
+            - h * float(np.sum(means[a] ** 2))
+            for a in range(2)
+        ]
+        h1 += 0.5 * lam * (deterministic[0] ** 2 + phi**2 * noise[0])
+        l2 += 0.5 * (deterministic[1] ** 2 + phi**2 * noise[1])
+    return {"h1_displacement": h1, "l2_velocity": l2}
 
 
 def closed_form_rate(config, fit_range):
@@ -175,6 +257,35 @@ def test_closed_form_kernel_is_the_schemes_linear_map():
             for k, g in kernels.items():
                 # run_heat gives the amplitude of sin(k pi x) directly, path c in column c
                 assert abs(x_end[k - 1, c] - g[c]) <= 1e-12, (scheme, k, c)
+
+
+def test_closed_form_wave_kernel_is_the_schemes_linear_map():
+    """Unit increments on single micro cells reproduce the wave kernel G in modes 2 and 3, and
+    a silent march the step power: one chunk, path c a unit increment on cell c."""
+    grid, mesh = SpatialGrid(40), TimeMesh(8)
+    cells = mesh.N * mesh.M
+    problem = benchmark_wave_problem(grid, mesh)
+    increments = np.eye(cells)[:, :, None]
+    cumulative = np.concatenate([np.zeros((cells, 1, 1)), np.cumsum(increments, axis=1)], axis=1)
+    x_end, y_end = run_wave(problem, WienerPath(increments, cumulative))
+    for k in (1, 2, 3):
+        power, kernel = wave_scheme_kernel(dirichlet_eigenvalue(grid, k), mesh.N)
+        # run_wave gives the amplitudes of sin(k pi x) directly, path c in column c
+        start = power[:, 0] if k == 1 else np.zeros(2)
+        ends = np.stack([x_end[k - 1], y_end[k - 1]], axis=1) - start
+        assert np.abs(ends - (0.0 if k == 1 else kernel)).max() <= 1e-12, k
+
+
+def test_desk_wave_rows_sit_on_the_closed_form():
+    """At 2000 realizations every desk wave row, in both norms, lies within 4 SE of the
+    closed form: the window law and its exact oracle leave the rows unbiased."""
+    config = desk_wave_config(base_seed=SEED, mc_count=2000)
+    tables = run_study_tables(config)
+    exact = {n: closed_form_wave_mean_squares(config, n) for n in config.n_list}
+    for norm, table in tables.items():
+        for row in table.rows:
+            rms = math.sqrt(exact[row.n_steps][norm])
+            assert abs(row.rms_error - rms) <= 4.0 * row.standard_error, (norm, row, rms)
 
 
 @pytest.mark.parametrize(

@@ -77,20 +77,21 @@ def test_wave_study_runs(tmp_path, capsys):
         "--n-list", "8,16",
         "--k", "6",
         "--mc", "2",
-        "--n-ref", "32",
         "--norm", "l2_velocity",
     ]
     assert main(argv) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "N,tau,rms_error,standard_error"
     assert len(lines) == 3
-    # the report names the wave law as it does the heat one: 8 windows of N_ref = 32, each
-    # 4 increments and the gaps and velocity parts of N = 8, 16 and 32
+    # the report names the wave law as it does the heat one: 8 windows of N_max = 16, each
+    # 2 increments, the gaps and velocity parts of N = 8 and 16 and 4 oracle pieces, and the
+    # exact semidiscrete oracle the rows measure against
     report = tmp_path / "r.txt"
     assert main(argv + ["--report", str(report)]) == EXIT_OK
     text = report.read_text()
-    assert "noise windows:  8, 144 normals per path" in text
-    assert "reference N:    32" in text
+    assert "noise windows:  8, 96 normals per path" in text
+    assert "exact mode:     semidiscrete" in text
+    assert "reference N" not in text
     assert "master steps" not in text
     capsys.readouterr()
 
@@ -102,9 +103,6 @@ def test_wave_study_runs(tmp_path, capsys):
     [
         pytest.param(["heat", "--n-list", "12"], id="argv0"),
         pytest.param(["heat", "--mc", "0"], id="argv1"),
-        pytest.param(
-            ["wave", "--n-ref", "4", "--n-list", "8,16", "--mc", "2", "--k", "6"], id="argv3"
-        ),
         # the benchmark noise loads sin(3 pi x), which needs 3 interior nodes
         pytest.param(["heat", "--k", "2", "--n-list", "8,16", "--mc", "2"], id="heat-k2"),
     ],
@@ -246,25 +244,25 @@ def test_paper_presets_resolve_without_running():
     # 64 windows of 16 increments, the gaps of N = 64..1024 and 4 oracle pieces
     assert (heat.window_law.windows, heat.window_law.normals) == (64, 3264)
     wave = _study_config(parser.parse_args(["wave", "--paper"]), "wave")
-    assert wave.n_ref == 4096
-    # 128 windows of 32 increments and the gaps and velocity parts of N = 128..4096
-    assert (wave.window_law.windows, wave.window_law.normals) == (128, 20224)
+    assert (wave.n_list, wave.mc_count) == (heat.n_list, 1000)
+    # 64 windows of 16 increments, the gaps and velocity parts of N = 64..1024 and 4 pieces
+    assert (wave.window_law.windows, wave.window_law.normals) == (64, 5248)
     # seed and worker overrides still apply on top of the preset
     custom = _study_config(parser.parse_args(["heat", "--paper", "--seed", "5"]), "heat")
     assert custom.base_seed == 5
     # so do explicit sizes: the preset fills only what was not given
-    # (paths follow the finest marched mesh: 8 heat windows of N_max = 32, 64 of wave N_ref = 2048)
+    # (paths follow the finest marched mesh: 8 heat windows of N_max = 32, 64 of wave N_max = 2048)
     argv = ["heat", "--paper", "--mc", "5", "--n-list", "8..32"]
     sized = _study_config(parser.parse_args(argv), "heat")
     assert (sized.mc_count, sized.n_list) == (5, (8, 16, 32))
     assert (sized.window_law.windows, sized.window_law.normals) == (8, 120)
     assert sized.k == 40
-    finer = _study_config(parser.parse_args(["wave", "--paper", "--n-ref", "2048"]), "wave")
-    assert finer.n_ref == 2048
+    finer = _study_config(parser.parse_args(["wave", "--paper", "--n-list", "8..2048"]), "wave")
+    assert finer.n_list[-1] == 2048
     assert (finer.window_law.windows, finer.mc_count) == (64, 1000)
     # without --paper the same flags override the desk preset
-    desk = _study_config(parser.parse_args(["wave", "--n-ref", "256"]), "wave")
-    assert (desk.n_ref, desk.window_law.windows, desk.mc_count) == (256, 32, 300)
+    desk = _study_config(parser.parse_args(["wave", "--n-list", "8..256"]), "wave")
+    assert (desk.n_list[-1], desk.window_law.windows, desk.mc_count) == (256, 32, 300)
 
 
 def test_config_file_values_beat_the_paper_preset(tmp_path, capsys):

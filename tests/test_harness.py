@@ -34,7 +34,6 @@ from mcnspde import (
     paper_heat_config,
     paper_wave_config,
     read_csv,
-    reference_wave_solution,
     report_text,
     rms_and_standard_error,
     run_heat,
@@ -48,6 +47,7 @@ from mcnspde import harness
 from mcnspde.harness import CHUNK_BYTES, _default_fit_range, block_size, chunk_size
 from mcnspde.heat import oracle_rates, window_heat_solution
 from mcnspde.noise import WindowLaw, sample_windows, window_factor
+from mcnspde.wave import wave_oracle_rates, window_wave_solution
 
 
 def table_from_errors(n_list, errors, fit_range=None, **extra):
@@ -237,8 +237,8 @@ def test_only_the_loaded_modes_are_nonzero(config):
     """On a desk block of 4 paths every amplitude outside modes 1-3 is exactly 0.0.
 
     The benchmark starts on mode 1 and loads modes 2 and 3, and every
-    other mode of the marches, the heat oracles and the wave reference
-    stays at zero, with no rounding residue.
+    other mode of the marches and of the heat and wave oracles stays at
+    zero, with no rounding residue.
     """
     grid, heat = SpatialGrid(config.k), config.equation == "heat"
     keys = [(config.base_seed, r) for r in range(4)]
@@ -257,8 +257,7 @@ def test_only_the_loaded_modes_are_nonzero(config):
         modes = ("continuous", "semidiscrete")
         states.extend(window_heat_solution(pieces, grid, mode) for mode in modes)
     else:
-        coarse = benchmark_wave_problem(grid, TimeMesh(config.n_list[-1]))
-        states.extend(reference_wave_solution(coarse, blocks[-1], config.n_ref))
+        states.extend(window_wave_solution(pieces, grid))
     for state in states:
         assert state.shape == (grid.K, len(keys))
         assert state[:3].all()
@@ -288,13 +287,14 @@ def test_adjacent_base_seeds_share_no_path():
     seeds = (20260814, 20260815)
     tables = [csv_text(run_study(desk_heat_config(mc_count=16, base_seed=s))) for s in seeds]
     assert tables[0] != tables[1]
-    wave = desk_wave_config(n_list=(4, 8), k=6, mc_count=8, n_ref=32)
+    wave = desk_wave_config(n_list=(4, 8, 32), k=6, mc_count=8)
     tables = [
         csv_text(run_study(dataclasses.replace(wave, base_seed=s))) for s in seeds
     ]
     assert tables[0] != tables[1]
     # heat: the N_max increments, the drawn gaps of N = 32..256 and the oracle pieces;
-    # wave: the N_ref increments and the drawn gaps and velocity parts of N = 8..32
+    # wave: the N_max increments, the drawn gaps and velocity parts of N = 8..32 and the
+    # oracle pieces
     parts = (
         lambda draw: draw[0].increments,
         lambda draw: np.concatenate([gaps.ravel() for gaps in draw[0].gaps.values()]),
@@ -303,18 +303,18 @@ def test_adjacent_base_seeds_share_no_path():
     )
     for law, count in ((desk_heat_config().window_law, 16), (wave.window_law, 8)):
         paths = [[sample_windows([(s, r)], law) for r in range(count)] for s in seeds]
-        for part in parts[:2] + (parts[2:3] if law.velocity else parts[3:]):
+        for part in parts if law.velocity else parts[:2] + parts[3:]:
             drawn = [{np.asarray(part(draw)).tobytes() for draw in group} for group in paths]
             assert len(drawn[0]) == len(drawn[1]) == count
             assert not drawn[0] & drawn[1]
 
 
 def test_block_size_rule():
-    """A block's noise coordinates fit in one path's memory: 130 desk heat paths, 549 wave."""
+    """A block's noise coordinates fit in one path's memory: 130 desk heat paths, 44 wave."""
     assert block_size(desk_heat_config()) == 130  # mcn: increments and gaps on N = 8..256
     assert block_size(desk_heat_config(scheme="em")) == 260  # increments only
-    assert block_size(desk_wave_config()) == 549  # three coordinates, N_ref = 1024 included
-    tiny = desk_wave_config(n_list=(1,), n_ref=1)
+    assert block_size(desk_wave_config()) == 44  # three coordinates on N = 8..128
+    tiny = desk_wave_config(n_list=(1,))
     assert block_size(tiny) == 1  # never empty, even where one path outweighs its block
 
 
@@ -323,8 +323,10 @@ def test_chunk_size_rule():
     assert chunk_size(small_config()) == 462  # 1.4 KB: 8 windows of 9 normals, 16 increments
     assert chunk_size(desk_heat_config()) == 36  # 18 KB: 32 windows of 27 normals, 256 increments
     assert chunk_size(paper_heat_config()) == 9  # 69 KB: 64 windows of 51, 1024 increments
-    assert chunk_size(desk_wave_config()) == 6  # 96 KB: 64 windows of 78, 1024 increments
-    assert chunk_size(paper_wave_config()) == 1  # 389 KB: 128 windows of 158, 4096 increments
+    assert chunk_size(desk_wave_config()) == 51  # 13 KB: 16 windows of 42, 128 increments
+    assert chunk_size(paper_wave_config()) == 6  # 98 KB: 64 windows of 82, 1024 increments
+    alone = desk_wave_config(n_list=(4096,))
+    assert chunk_size(alone) == 1  # 397 KB: 128 windows of 162, 4096 increments
 
 
 @pytest.mark.parametrize(
@@ -344,9 +346,9 @@ def test_blocks_do_not_change_the_table(equation, workers, monkeypatch):
     if equation == "heat":
         config = small_config(mc_count=7)
     else:
-        # 8 windows of N_ref = 32; the block rule counts the 32^2-step micro grid of the
-        # reference, which no study draws, so one block holds all 7
-        config = desk_wave_config(n_list=(4, 8), k=6, mc_count=7, n_ref=32, base_seed=7)
+        # 8 windows of N_max = 32; the block rule counts the 32^2-step micro grid of N_max,
+        # which no study draws, so one block holds all 7
+        config = desk_wave_config(n_list=(4, 8, 32), k=6, mc_count=7, base_seed=7)
     assert block_size(config) >= 7
     default = chunk_size(config)
     assert default >= 7  # one chunk holds every realization of a block
@@ -462,11 +464,12 @@ def test_wave_study_memory_does_not_grow_with_realizations():
     """Each chunk of wave paths is reduced and dropped, so 64 realizations peak at most the
     growth of their noise coordinates and one chunk of drawn paths above 4; and once the
     realizations fill blocks, 1024 peak above 256 by no more than their results."""
-    config = desk_wave_config(n_list=(4, 8, 256), k=8, n_ref=512)
-    # blocks of at most 224, drawn in chunks of 13 paths of 32 windows of 78 normals each:
-    # 16 increments of N_ref = 512, the gaps and the velocity parts of N = 32..512
+    config = desk_wave_config(n_list=(4, 8, 256, 512), k=8)
+    # blocks of at most 224, drawn in chunks of 13 paths of 32 windows of 82 normals each:
+    # 16 increments of N_max = 512, the gaps and the velocity parts of N = 32..512 and 4
+    # oracle pieces
     law = config.window_law
-    assert (law.windows, law.width, chunk_size(config), block_size(config)) == (32, 78, 13, 224)
+    assert (law.windows, law.width, chunk_size(config), block_size(config)) == (32, 82, 13, 224)
     per_realization = sum(block.nbytes for block in harness._study_noise(config, 1))
     chunk_bytes = chunk_size(config) * 8 * (2 * law.normals + 2 * law.steps + 1)
     small, large, filled, saturated = study_peaks(config, (4, 64, 256, 1024))
@@ -494,7 +497,7 @@ def test_drawing_a_chunk_peaks_within_what_chunk_size_counts(config):
 
 
 def test_wave_study_reports_both_norms():
-    config = desk_wave_config(n_list=(8, 16), k=6, mc_count=2, n_ref=32, base_seed=7)
+    config = desk_wave_config(n_list=(8, 16), k=6, mc_count=2, base_seed=7)
     tables = run_study_tables(config)
     assert set(tables) == {"h1_displacement", "l2_velocity"}
     for table in tables.values():
@@ -558,15 +561,15 @@ def test_preset_configurations():
     assert desk.exact_mode == "continuous"
     wave = desk_wave_config()
     assert wave.n_list == (8, 16, 32, 64, 128)
-    assert (wave.mc_count, wave.n_ref) == (300, 1024)
-    assert wave.window_law == WindowLaw(1024, (), velocity=True)
-    assert (wave.window_law.windows, wave.window_law.width) == (64, 78)
+    assert wave.mc_count == 300
+    assert wave.window_law == WindowLaw(128, wave_oracle_rates(SpatialGrid(40)), velocity=True)
+    assert (wave.window_law.windows, wave.window_law.width) == (16, 42)
     paper_h = paper_heat_config()
     assert paper_h.n_list[0] == 4 and paper_h.n_list[-1] == 1024
     assert (paper_h.mc_count, paper_h.window_law.windows, paper_h.window_law.width) == (1000, 64, 51)
     paper_w = paper_wave_config()
-    assert paper_w.n_ref == 4096
-    assert (paper_w.window_law.windows, paper_w.window_law.width) == (128, 158)
+    assert paper_w.n_list == paper_h.n_list and paper_w.mc_count == 1000
+    assert (paper_w.window_law.windows, paper_w.window_law.width) == (64, 82)
     for cfg in (desk, wave, paper_h, paper_w):
         assert cfg.window_law.steps == cfg.finest_mesh.N
         validate_config(cfg)
@@ -574,12 +577,13 @@ def test_preset_configurations():
 
 def test_paths_are_drawn_on_the_finest_mesh():
     """Heat and wave paths are drawn by one law, window by window on the finest marched mesh
-    (N_max for heat, N_ref for wave), so the path size is not a setting.
+    N_max, so the path size is not a setting.
 
     The windows are the W steps of the coarsest power of two with W^2 >
     N_max (at most N_max), and each draws its N_max increments and the
-    gaps of every mesh from W to N_max; for heat also an oracle piece per
-    decay rate, for wave the velocity parts of the same meshes instead.
+    gaps of every mesh from W to N_max, and oracle pieces: for heat one
+    per decay rate, for wave the velocity parts of the same meshes too
+    and two pieces per mode rate, the cos and the sin piece.
     """
     heat = [
         ((8,), 4, (4, 8), 36),  # 4 + 2 + 2 increments, gaps and pieces per window
@@ -598,33 +602,32 @@ def test_paths_are_drawn_on_the_finest_mesh():
         assert config.finest_mesh == TimeMesh(n_list[-1])
         assert run_study(dataclasses.replace(config, mc_count=2)).rows[-1].rms_error > 0
     wave = [
-        (desk_wave_config(), 64, (64, 128, 256, 512, 1024), 4992),
-        (paper_wave_config(), 128, (128, 256, 512, 1024, 2048, 4096), 20224),
-        (desk_wave_config(n_list=(8, 16), n_ref=64), 16, (16, 32, 64), 288),
-        # the windows lie above N_max = 2: they follow the reference mesh
-        (desk_wave_config(n_list=(1, 2), n_ref=8), 4, (4, 8), 32),
-        (desk_wave_config(n_list=(8, 16, 32), n_ref=32), 8, (8, 16, 32), 144),  # N_ref = N_max
+        # 8 + 15 + 15 + 4 increments, gaps, velocity parts and pieces per window
+        (desk_wave_config(), 16, (16, 32, 64, 128), 672),
+        (paper_wave_config(), 64, (64, 128, 256, 512, 1024), 5248),
+        (desk_wave_config(n_list=(8, 64)), 16, (16, 32, 64), 352),  # 32 holds no row
+        (desk_wave_config(n_list=(1, 2), k=4), 2, (2,), 14),  # the windows reach N_max = 2
+        (desk_wave_config(n_list=(8, 16, 32)), 8, (8, 16, 32), 176),
     ]
     for config, windows, drawn_n, normals in wave:
         law = config.window_law
-        assert (law.steps, law.windows, law.normals) == (config.n_ref, windows, normals)
+        assert (law.steps, law.windows, law.normals) == (config.n_list[-1], windows, normals)
         assert law.meshes == tuple(TimeMesh(n) for n in drawn_n)
-        assert law.rates == () and law.velocity
-        assert config.finest_mesh == TimeMesh(config.n_ref)
-    beyond = desk_wave_config(n_list=(1, 2), k=4, mc_count=2, n_ref=8)
+        assert law.rates == wave_oracle_rates(SpatialGrid(config.k)) and law.velocity
+        assert config.finest_mesh == TimeMesh(config.n_list[-1])
+    beyond = desk_wave_config(n_list=(1, 2), k=4, mc_count=2)
     assert run_study_tables(beyond)["h1_displacement"].rows[-1].rms_error > 0
-    assert len(dataclasses.fields(StudyConfig)) == 11
+    assert len(dataclasses.fields(StudyConfig)) == 10
     with pytest.raises(TypeError):
         desk_heat_config(master_steps=2**16)
 
 
 def test_heat_rows_do_not_depend_on_coarser_meshes():
-    """A coarser sibling mesh changes no row, heat or wave: the path law reads only N_max
-    and the finest marched mesh."""
+    """A coarser sibling mesh changes no row, heat or wave: the path law reads only N_max."""
     wide = run_study(small_config(n_list=(4, 8, 16)))
     narrow = run_study(small_config(n_list=(8, 16)))
     assert wide.rows[1:] == narrow.rows
-    wave = desk_wave_config(k=6, mc_count=3, n_ref=64)
+    wave = desk_wave_config(k=6, mc_count=3)
     wide = run_study_tables(dataclasses.replace(wave, n_list=(4, 8, 16)))
     narrow = run_study_tables(dataclasses.replace(wave, n_list=(8, 16)))
     for norm, table in narrow.items():
@@ -669,13 +672,11 @@ def test_validate_config_rejects_bad_heat_settings(overrides):
     [
         pytest.param(dict(scheme="em"), id="overrides0"),
         pytest.param(dict(error_norm="l2"), id="overrides1"),
-        pytest.param(dict(n_ref=48), id="overrides2"),
-        pytest.param(dict(n_ref=4), id="overrides3"),  # coarser than the finest study mesh
         pytest.param(dict(k=2), id="k2"),  # no interior node for sin(3 pi x)
     ],
 )
 def test_validate_config_rejects_bad_wave_settings(overrides):
-    base = desk_wave_config(n_list=(8, 16), k=6, mc_count=2, n_ref=32)
+    base = desk_wave_config(n_list=(8, 16), k=6, mc_count=2)
     config = dataclasses.replace(base, **overrides)
     with pytest.raises(ConfigError):
         validate_config(config)

@@ -45,6 +45,7 @@ from mcnspde.noise import (
     window_factor,
 )
 from mcnspde.validation import _cell_block, _squared_norms, heat_defect_block
+from mcnspde.wave import wave_oracle_rates
 
 
 def value_at(path, t):
@@ -680,21 +681,41 @@ def coordinate_weights(mesh, j, steps):
     return weights
 
 
-def test_drawn_wave_coordinates_have_their_exact_moments():
-    """sample_windows and put give the wave coordinates their exact joint law.
+def oscillation_products(a, b, length):
+    """int_0^length f(a u) g(b u) du for f, g in (cos, sin): [[cos cos, cos sin], [sin cos,
+    sin sin]], by the product-to-sum formulas, with no complex arithmetic."""
+    cos = lambda t: length if t == 0 else math.sin(t * length) / t
+    sin = lambda t: 0.0 if t == 0 else 2.0 * math.sin(0.5 * t * length) ** 2 / t
+    return 0.5 * np.array(
+        [[cos(a - b) + cos(a + b), sin(a + b) + sin(b - a)],
+         [sin(a + b) + sin(a - b), cos(a - b) - cos(a + b)]]
+    )
 
-    The law of N_ref = 8 draws 4 windows of 2 increments, the gaps and
-    the velocity parts of N = 4 and 8; N = 2 reads them by stride.  The
+
+def test_drawn_wave_coordinates_have_their_exact_moments():
+    """sample_windows and put give the wave coordinates and oracle pieces their exact joint
+    law.
+
+    The law of N_max = 8 draws 4 windows of 2 increments, the gaps and
+    the velocity parts of N = 4 and 8, and the sin and cos pieces of the
+    desk oracle rates; N = 2 reads its coordinates by stride.  The
     coordinates of steps 0, 3 and 7 of N = 8 and of both steps of N = 2
     are weighted sums of W at the micro nodes of N = 8, so their second
     moments, across steps and meshes too, are sums of w_l w_l'
-    min(t_l, t_l'); 4000 paths meet every one within 4 SE.
+    min(t_l, t_l').  The pieces of windows 0 and 3, int cos(omega (t_w - s)) dW
+    and int sin(omega (t_w - s)) dW over window w, meet a coordinate by
+    the integral of their function against its cell weights, and each
+    other by oscillation_products.  4000 paths meet every moment within
+    4 SE.
     """
-    law, count = WindowLaw(8, (), True), 4000
+    rates = wave_oracle_rates(SpatialGrid(40))
+    law, count = WindowLaw(8, rates, True), 4000
     meshes, steps = [(TimeMesh(8), (0, 3, 7)), (TimeMesh(2), (0, 1))], 64
     blocks = [NoiseBlock.empty(mesh, count, 1, WAVE_COORDINATES) for mesh, _ in meshes]
+    windows, pieces = (0, 3), np.empty((count, 2, 4))
     for lo in range(0, count, 500):
-        path, _ = sample_windows([(99, r) for r in range(lo, lo + 500)], law)
+        path, drawn = sample_windows([(99, r) for r in range(lo, lo + 500)], law)
+        pieces[lo : lo + 500] = drawn[:, windows]
         for block in blocks:
             block.put(lo, path)
     samples, weights = [], []
@@ -704,8 +725,26 @@ def test_drawn_wave_coordinates_have_their_exact_moments():
             weights.append(coordinate_weights(mesh, j, steps))
     nodes = np.arange(steps + 1) / steps
     weights = np.vstack(weights)
-    law = weights @ np.minimum.outer(nodes, nodes) @ weights.T
-    assert_second_moments(np.stack(samples, axis=1), law, "wave coordinates")
+    scheme = len(weights)
+    expected = np.zeros((scheme + 8, scheme + 8))
+    expected[:scheme, :scheme] = weights @ np.minimum.outer(nodes, nodes) @ weights.T
+    # A coordinate weighs cell c, (c/steps, (c+1)/steps), by its node weights after c.
+    cells = np.cumsum(weights[:, :0:-1], axis=1)[:, ::-1]
+    length = 1.0 / law.windows
+    columns = [
+        (i, w, mu.imag, int(alpha != 1)) for i, w in enumerate(windows) for mu, alpha in law.pieces
+    ]
+    for q, (i, w, omega, part) in enumerate(columns, scheme):
+        ahead = (w + 1) * length - np.arange(steps + 1) / steps  # t_w - s at the cell edges
+        inside = (ahead[1:] >= 0.0) & (ahead[:-1] <= length)
+        # the integrals of cos(omega (t_w - s)) and sin(omega (t_w - s)) over each cell
+        integral = -np.diff(np.sin(omega * ahead)) if part == 0 else np.diff(np.cos(omega * ahead))
+        expected[:scheme, q] = expected[q, :scheme] = cells @ (integral / omega * inside)
+        for r, (j, _, other, other_part) in enumerate(columns, scheme):
+            if i == j:
+                expected[q, r] = oscillation_products(omega, other, length)[part, other_part]
+    samples = np.column_stack(samples + [pieces.reshape(count, 8)])
+    assert_second_moments(samples, expected, "wave coordinates and pieces")
 
 
 def cell_covariance(law, block=4096):
@@ -716,9 +755,13 @@ def cell_covariance(law, block=4096):
     before it, so the value weighs cell c by the sum of its node weights
     after c.  A velocity part u_j is (2/tau^3) times the velocity sum plus
     W(t_j), whose weight cancels the sum's on the cells before t_j.  An
-    oracle piece weighs cell c by its integral of exp(-mu (T - s)).  The
-    Ito isometry then sums products over the cells, `block` cells at a
-    time, so the --paper wave law's 2^17 cells a window take a few MB.
+    oracle piece weighs cell c by its integral of exp(-mu (T - s)); for a
+    rate mu = i omega its cos piece takes the real part of that integral
+    and its sin piece minus the imaginary part.  The Ito isometry then
+    sums products over the cells, `block` cells at a time, so the 2^17
+    cells a window of the law of N_max = 4096 take a few MB.  Two pieces
+    meet by their closed form: -expm1(-(mu + nu) T)/(mu + nu) for real
+    rates, oscillation_products for imaginary ones.
     """
     steps, windows = law.steps, law.windows
     cells, cell, length = steps * steps // windows, 1.0 / steps**2, 1.0 / windows
@@ -746,20 +789,33 @@ def cell_covariance(law, block=4096):
     for lo in range(0, cells, block):
         c = np.arange(lo, min(lo + block, cells))
         scheme = [sums[np.searchsorted(at, c, side="right")] for (at, _), sums in zip(nodes, after)]
-        pieces = [np.diff(np.exp(-mu * edges[lo : lo + len(c) + 1])) / mu for mu in law.rates]
+        pieces = []
+        for mu, alpha in law.pieces:
+            integrals = np.diff(np.exp(-mu * edges[lo : lo + len(c) + 1])) / mu
+            pieces.append(integrals.real if alpha == 1 else -integrals.imag)
         rows = np.array(scheme + pieces)
         gram += rows @ rows.T
     scheme = len(nodes)
     cov = cell * gram
     cov[:, scheme:] = gram[:, scheme:]
     cov[scheme:] = cov[:, scheme:].T
-    sums = np.add.outer(law.rates, law.rates)
-    cov[scheme:, scheme:] = -np.expm1(-sums * length) / sums
+    if all(isinstance(mu, complex) for mu in law.rates):
+        for z, (mu, alpha) in enumerate(law.pieces, scheme):
+            for y, (nu, beta) in enumerate(law.pieces, scheme):
+                products = oscillation_products(mu.imag, nu.imag, length)
+                cov[z, y] = products[int(alpha != 1), int(beta != 1)]
+    else:
+        sums = np.add.outer(law.rates, law.rates)
+        cov[scheme:, scheme:] = -np.expm1(-sums * length) / sums
     return cov
 
 
 def heat_rates(k):
     return oracle_rates(SpatialGrid(k))
+
+
+def wave_rates(k):
+    return wave_oracle_rates(SpatialGrid(k))
 
 
 @pytest.mark.parametrize(
@@ -769,17 +825,19 @@ def heat_rates(k):
 )
 def test_window_factor_reproduces_the_cell_by_cell_covariance(steps, velocity):
     """L L^T of window_factor equals the covariance summed cell by cell on the finest micro
-    grid to 1e-12 of sqrt(C_ii C_jj), for heat laws and for wave laws (velocity parts, no
-    rates), and its scheme rows do not depend on the rates."""
-    law = WindowLaw(steps, () if velocity else heat_rates(40), velocity)
+    grid to 1e-12 of sqrt(C_ii C_jj), for heat laws and for wave laws (velocity parts, and
+    the cos and sin pieces of the wave oracle rates), and its scheme rows do not depend on
+    the rates."""
+    rates = wave_rates if velocity else heat_rates
+    law = WindowLaw(steps, rates(40), velocity)
     exact = cell_covariance(law)
     factor = window_factor(law)
     assert factor.shape == (law.width, law.width)
     assert (np.triu(factor, 1) == 0.0).all()
     scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
     assert (np.abs(factor @ factor.T - exact) <= 1e-12 * scale).all()
-    scheme = law.width - len(law.rates)
-    other = window_factor(WindowLaw(steps, heat_rates(7), velocity))
+    scheme = law.width - len(law.pieces)
+    other = window_factor(WindowLaw(steps, rates(7), velocity))
     np.testing.assert_array_equal(other[:scheme, :scheme], factor[:scheme, :scheme])
 
 
@@ -809,7 +867,7 @@ def test_drawn_windows_match_full_paths_reduced_by_put():
 
     Heat: increments and gaps of N = 8..256 by the desk law, against full
     2^16-step paths.  Wave: increments, gaps and velocity sums of N =
-    4..64 by the law of N_ref = 64, against full 2^12-step paths.
+    4..64 by the law of N_max = 64, against full 2^12-step paths.
     """
     cases = [
         (WindowLaw(256, heat_rates(40)), (8, 16, 32, 64, 128, 256), HEAT_COORDINATES),

@@ -8,6 +8,7 @@ references take their node values through SpatialGrid.node_values.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from mcnspde import (
     h1_seminorm,
     l2_norm,
     mcn_wave_step,
-    reference_wave_solution,
     run_wave,
     sample_path,
     sine_mode,
@@ -307,19 +307,6 @@ def test_matches_transformed_formulation():
     np.testing.assert_allclose(y_direct, y_uv, rtol=1e-9, atol=1e-11)
 
 
-def test_reference_at_same_resolution_is_identity():
-    grid = SpatialGrid(10)
-    mesh = TimeMesh(8)
-    problem = benchmark_wave_problem(grid, mesh)
-    path = sample_path(53, TimeMesh(64))
-    x_run, y_run = run_wave(problem, path)
-    x_ref, y_ref = reference_wave_solution(problem, path, n_ref=8)
-    np.testing.assert_array_equal(x_run, x_ref)
-    np.testing.assert_array_equal(y_run, y_ref)
-    with pytest.raises(ConfigError):
-        reference_wave_solution(problem, path, n_ref=4)
-
-
 def test_run_wave_rejects_misaligned_path():
     """A path whose master grid misses the micro nodes is refused, not interpolated."""
     problem = benchmark_wave_problem(SpatialGrid(10), TimeMesh(16))
@@ -350,11 +337,12 @@ def test_block_march_equals_one_path_runs():
                     assert np.array_equal(x[:, [r]], lone[start + r][0])
                     assert np.array_equal(y[:, [r]], lone[start + r][1])
                 start += size
-    # the reference run takes a block on the refined mesh
+    # a run on the refined mesh takes a block on that mesh, and the coarse run refuses it
     fine = NoiseBlock.empty(TimeMesh(16), 1, 1, WAVE_NOISE)
     fine.put(0, paths[0])
-    x_ref, y_ref = reference_wave_solution(problem, fine, n_ref=16)
-    x_one, y_one = reference_wave_solution(problem, paths[0], n_ref=16)
+    refined = replace(problem, mesh=TimeMesh(16))
+    x_ref, y_ref = run_wave(refined, fine)
+    x_one, y_one = run_wave(refined, paths[0])
     assert x_one.shape == y_one.shape == (problem.grid.K, 1)
     assert np.array_equal(x_ref, x_one) and np.array_equal(y_ref, y_one)
     with pytest.raises(AlignmentError):
@@ -363,7 +351,7 @@ def test_block_march_equals_one_path_runs():
 
 def test_chunk_march_equals_one_path_runs():
     """A chunk of n paths gives (K, n) blocks, column i bit for bit path i drawn as the chunk
-    of one, which gives (K, 1) blocks; so do a step and the reference."""
+    of one, which gives (K, 1) blocks; so do a step and a run on a finer mesh."""
     problem = random_problem(k=10, n=4, m=1, seed=63)
     keys = [4, 5, 6]
     x, y = run_wave(problem, sample_path(keys, TimeMesh(4)))
@@ -377,11 +365,10 @@ def test_chunk_march_equals_one_path_runs():
         alone = mcn_wave_step(problem, x_one + 1.0, y_one + 1.0, sample_path(key, TimeMesh(4)), 2)
         for column, expected in zip(step, alone):
             np.testing.assert_array_equal(column[:, [i]], expected)
-    x_ref, _ = reference_wave_solution(problem, sample_path([5], TimeMesh(8)), n_ref=8)
+    refined = replace(problem, mesh=TimeMesh(8))
+    x_ref, _ = run_wave(refined, sample_path([5], TimeMesh(8)))
     assert x_ref.shape == (10, 1)
-    np.testing.assert_array_equal(
-        x_ref, reference_wave_solution(problem, sample_path(5, TimeMesh(8)), n_ref=8)[0]
-    )
+    np.testing.assert_array_equal(x_ref, run_wave(refined, sample_path(5, TimeMesh(8)))[0])
 
 
 def test_a_block_of_states_on_one_path_keeps_every_column():
