@@ -11,7 +11,9 @@ N_max, its N_max increments, the gaps of the meshes too fine to read
 them from those increments and, for wave, the local parts of their
 velocity sums, and the pieces of the exact solution, so the oracle is
 the exact solution itself.  The root-mean-square final-time error per
-resolution then feeds a log-log least-squares rate fit.
+resolution then feeds a log-log least-squares rate fit: every row of a
+study is reduced in one rms_and_standard_error call, and the rate is
+the closed-form slope (fit_rate).
 
 Realizations run in blocks, and their paths are drawn in chunks of as
 many as CHUNK_BYTES holds (chunk_size): 36 desk heat paths, 51 desk wave
@@ -21,7 +23,8 @@ block, so no chunk faults in fresh pages.  Each chunk is used at once
 and dropped: it is reduced on every mesh to its noise coordinates, a
 few numbers per step, stored as its paths' columns of that mesh's
 NoiseBlock, and its oracle pieces are kept.  Then the oracle is formed
-and every mesh is marched once for the whole block on (K, R) states.
+and every mesh is marched for the whole block in one modal_march call,
+on (P, C, K, R) states.
 States and oracle values are sine amplitudes, and each realization's
 squared error is one sum over the modes (SpatialGrid.l2_squared,
 h1_squared), so a study never forms node values or the sine basis.  A
@@ -61,16 +64,17 @@ from .heat import (
     SCHEME_EULER,
     SCHEME_MCN,
     benchmark_heat_problem,
+    heat_step_map,
+    modal_march,
     oracle_rates,
-    run_heat,
     window_heat_solution,
 )
 from .noise import NoiseBlock, TimeMesh, WindowLaw, sample_windows
 from .wave import (
     WAVE_NOISE,
     benchmark_wave_problem,
-    run_wave,
     wave_oracle_rates,
+    wave_step_map,
     window_wave_solution,
 )
 
@@ -261,22 +265,27 @@ class ConvergenceTable:
     fit_note: str = ""
 
 
-def rms_and_standard_error(squared_errors: np.ndarray) -> tuple[float, float]:
-    """RMS of per-realization squared errors and its delta-method standard error.
+def rms_and_standard_error(squared_errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """RMS of per-realization squared errors and its delta-method standard error, per row.
 
-    The RMS is sqrt(mean of squares); its standard error follows from the
-    standard error of the mean square divided by the derivative 2*RMS.
-    Degenerate cases (one sample, or a constant sample such as
-    identically zero error) report 0; np.std would leave a rounding
-    residue of the mean there.
+    squared_errors is (..., R), the last axis holding the realizations,
+    and the results have its leading shape, 0-d for one row.  The RMS is sqrt(mean
+    of squares); its standard error follows from the standard error of the
+    mean square divided by the derivative 2*RMS.  Each row of a
+    C-contiguous array is reduced pairwise along its contiguous axis,
+    bit for bit as the 1-D call on that row.  Degenerate rows (one
+    sample, or a constant row such as identically zero error) report 0;
+    np.std would leave a rounding residue of the mean there.
     """
     sq = np.asarray(squared_errors, dtype=float)
-    mean_sq = float(sq.mean())
-    rms = math.sqrt(mean_sq)
-    if sq.size < 2 or sq.min() == sq.max():
-        return rms, 0.0
-    se_mean = float(sq.std(ddof=1)) / math.sqrt(sq.size)
-    return rms, se_mean / (2.0 * rms)
+    rms = np.sqrt(sq.mean(axis=-1))
+    se = np.zeros(rms.shape)
+    count = sq.shape[-1]
+    if count > 1:
+        spread = sq.min(axis=-1) < sq.max(axis=-1)
+        se_mean = sq.std(axis=-1, ddof=1) / math.sqrt(count)
+        np.divide(se_mean, 2.0 * rms, out=se, where=spread)
+    return rms, se
 
 
 def fit_rate(table: ConvergenceTable, fit_range: Sequence[int] | None = None) -> float:
@@ -284,7 +293,8 @@ def fit_rate(table: ConvergenceTable, fit_range: Sequence[int] | None = None) ->
 
     fit_range lists the resolutions to include; None uses the range the
     study selected.  Every resolution it names must have a row, and the
-    fit requires at least two rows and strictly positive errors.
+    fit requires at least two rows and strictly positive errors.  The
+    slope is the closed form sum((x - mean x)(y - mean y)) / sum((x - mean x)^2).
     """
     wanted = tuple(table.fit_range if fit_range is None else fit_range)
     rows = [row for row in table.rows if row.n_steps in wanted]
@@ -297,7 +307,8 @@ def fit_rate(table: ConvergenceTable, fit_range: Sequence[int] | None = None) ->
         raise ValueError("rate fit needs strictly positive errors")
     log_tau = np.log2([row.tau for row in rows])
     log_err = np.log2([row.rms_error for row in rows])
-    return float(np.polyfit(log_tau, log_err, 1)[0])
+    x = log_tau - log_tau.mean()
+    return float(np.sum(x * (log_err - log_err.mean())) / np.sum(x * x))
 
 
 def _default_fit_range(
@@ -378,11 +389,10 @@ def _block_squared_errors(config: StudyConfig, span: range):
     continuous mode only, else None).  The paths are drawn a chunk at a
     time, each chunk reduced to its noise coordinates on every mesh and
     its oracle pieces and dropped, and then the oracle is formed and
-    every mesh is marched once for the whole block.
+    every mesh is marched for the whole block in one modal_march call.
     """
     grid, problems = _build_problems(config)
     count = len(span)
-    errors = np.empty((count, len(problems), len(study_norms(config))))
     blocks = _study_noise(config, count)
     law = config.window_law
     pieces = np.empty((count, law.windows, len(law.pieces)))
@@ -403,18 +413,24 @@ def _block_squared_errors(config: StudyConfig, span: range):
         oracles = {
             mode: window_heat_solution(pieces, grid, mode, config.noise_scale) for mode in modes
         }
-        oracle = oracles[config.exact_mode]
-        for p, (problem, block) in enumerate(zip(problems, blocks)):
-            errors[:, p, 0] = grid.l2_squared(run_heat(problem, block, config.scheme) - oracle)
+        exact = (oracles[config.exact_mode],)
+        floors = None
         if config.exact_mode == EXACT_CONTINUOUS:
-            return errors, grid.l2_squared(oracle - oracles[EXACT_SEMIDISCRETE])
-        return errors, None
-    x_exact, y_exact = window_wave_solution(pieces, grid, config.noise_scale)
-    for p, (problem, block) in enumerate(zip(problems, blocks)):
-        x_end, y_end = run_wave(problem, block)
-        errors[:, p, 0] = grid.h1_squared(x_end - x_exact)
-        errors[:, p, 1] = grid.l2_squared(y_end - y_exact)
-    return errors, None
+            floors = grid.l2_squared(exact[0] - oracles[EXACT_SEMIDISCRETE])
+        step_map, states = heat_step_map(problems, config.scheme), [problems[0].initial]
+        norms = (grid.l2_squared,)
+    else:
+        exact, floors = window_wave_solution(pieces, grid, config.noise_scale), None
+        step_map = wave_step_map(problems)
+        states = [problems[0].initial_displacement, problems[0].initial_velocity]
+        norms = (grid.h1_squared, grid.l2_squared)
+    steps = [range(problem.mesh.N) for problem in problems]
+    marched = modal_march(problems, step_map, states, blocks, steps)
+    errors = np.empty((count, len(problems), len(norms)))
+    for p, final in enumerate(marched):
+        for q, (norm, values) in enumerate(zip(norms, exact)):
+            errors[:, p, q] = norm(final[q] - values)
+    return errors, floors
 
 
 def _gather_squared_errors(config: StudyConfig):
@@ -447,13 +463,14 @@ def run_study_tables(config: StudyConfig) -> dict[str, ConvergenceTable]:
     errors, floors = _gather_squared_errors(config)
     norms = study_norms(config)
     spatial_floor = math.sqrt(float(floors.mean())) if floors is not None else None
+    # Every row of every norm in one pass, each a contiguous row of R: (norms, n_list).
+    rms, se = rms_and_standard_error(np.ascontiguousarray(errors.transpose(2, 1, 0)))
     tables = {}
     for q, norm in enumerate(norms):
-        rows = []
-        for p, n in enumerate(config.n_list):
-            rms, se = rms_and_standard_error(errors[:, p, q])
-            rows.append(TableRow(n, 1.0 / n, rms, se))
-        rows = tuple(rows)
+        rows = tuple(
+            TableRow(n, 1.0 / n, float(rms[q, p]), float(se[q, p]))
+            for p, n in enumerate(config.n_list)
+        )
         fit_range, note = _default_fit_range(rows, spatial_floor)
         table = ConvergenceTable(
             equation=config.equation,

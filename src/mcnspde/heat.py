@@ -17,15 +17,16 @@ mcn and 1/(1 + tau lambda) for em, and takes its share of the step's
 noise coordinates (noise.NoiseBlock).  These are the schemes' own
 factors, not exp(-lambda tau), so the march is the scheme exactly, up to
 rounding.  modal_march, which the wave stepper shares, takes the step
-maps of both equations in one form, (matrix, loads), and marches R
-paths at once on (K, R) amplitudes.  It marches only the live modes,
-where a load or a start state is nonzero (three of the benchmark's K),
-and leaves the others exactly 0.  It has no loop over the steps: it
-goes in passes of up to CONVOLUTION_BLOCK steps, each applying the map's
-power over the pass and adding the pass's noise coordinates weighed by
-the lower powers, one einsum per coordinate, with the powers formed by
-doubling.  One path is the block of one, and a single step is the pass
-of one step.
+maps of both equations in one form, (matrix, loads), stated for P meshes
+at once, and marches R paths on every mesh in one call on (P, C, K, R)
+amplitudes.  It marches only the live modes, where a load or a start
+state is nonzero (three of the benchmark's K), and leaves the others
+exactly 0.  It has no loop over the steps: each mesh goes to the map's
+power over all its steps applied to the start, plus its noise
+coordinates weighed by the lower powers, one einsum per coordinate,
+with the powers of every mesh formed together by doubling.  One path is
+the block of one, one mesh the march of P = 1 (run_heat, em_step,
+mcn_heat_step), and a single step the march of one step.
 
 The module also carries the closed-form benchmark solution used by the
 convergence harness: initial data sin(pi x) (amplitudes e_1) with one
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -91,85 +93,113 @@ class HeatProblem:
 HEAT_NOISE = {SCHEME_EULER: ("increments",), SCHEME_MCN: ("increments", "gaps")}
 
 
-def heat_step_map(problem: HeatProblem, scheme: str) -> tuple:
-    """One step of the scheme on the sine amplitudes, as modal_march takes it.
+def stacked_problems(problems: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, tau, phi) of P heat or wave problems on one grid, each mesh's in its row p.
 
-    Returns (matrix, loads): matrix (1, 1, K) holds the amplification
-    factor of each mode and loads maps each noise coordinate to its
-    (1, K, m) load.  em solves (I - tau Lap) X_{j+1} = X_j + Phi dW; mcn
-    solves (I - tau/2 Lap) X_{j+1} = (I + tau/2 Lap) X_j + Phi dW + Lap Phi gap,
+    lam (P, K) holds the grid eigenvalues, tau (P, 1) the step lengths
+    and phi (P, K, m) the noise coefficients' amplitudes, so a step map
+    states every mesh's at once.
+    """
+    lam = np.stack([problem.grid.eigenvalues for problem in problems])
+    tau = np.array([[problem.mesh.tau] for problem in problems])
+    return lam, tau, np.stack([problem.phi.T for problem in problems])
+
+
+def heat_step_map(problems: Sequence[HeatProblem], scheme: str) -> tuple:
+    """One step of the scheme on the sine amplitudes of each problem, as modal_march takes it.
+
+    Returns (matrix, loads): matrix (P, 1, 1, K) holds the amplification
+    factor of each mode on mesh p and loads maps each noise coordinate to
+    its (P, 1, K, m) loads.  em solves (I - tau Lap) X_{j+1} = X_j + Phi dW;
+    mcn solves (I - tau/2 Lap) X_{j+1} = (I + tau/2 Lap) X_j + Phi dW + Lap Phi gap,
     whose correction replaces the trapezoid-in-time treatment of the
     noise with the micro-grid quadrature.  With Lap = -lambda per mode,
     each solve is a division by the implicit factor.
     """
-    grid, tau = problem.grid, problem.mesh.tau
-    lam, phi = grid.eigenvalues[:, None], problem.phi.T
+    lam, tau, phi = stacked_problems(problems)
     if scheme == SCHEME_EULER:
         rho = 1.0 / (1.0 + tau * lam)
-        loads = {"increments": rho * phi}
+        loads = {"increments": rho[..., None] * phi}
     elif scheme == SCHEME_MCN:
         implicit = 1.0 / (1.0 + 0.5 * tau * lam)
         rho = (1.0 - 0.5 * tau * lam) * implicit
-        loads = {"increments": implicit * phi, "gaps": -lam * implicit * phi}
+        gaps = (-lam * implicit)[..., None] * phi
+        loads = {"increments": implicit[..., None] * phi, "gaps": gaps}
     else:
         raise ConfigError(f"unknown scheme {scheme!r}; use 'em' or 'mcn'")
-    return rho.reshape(1, 1, -1), {name: load[None] for name, load in loads.items()}
-
-
-# modal_march marches a mesh's steps in passes of at most this many.
-CONVOLUTION_BLOCK = 128
+    return rho[:, None, None], {name: load[:, None] for name, load in loads.items()}
 
 
 def modal_march(
-    problem, step_map: tuple, states: list, noise: WienerPath | NoiseBlock, steps: range
-) -> list:
-    """March C stacked states, each of sine amplitudes, by a fixed affine step map.
+    problems: Sequence,
+    step_map: tuple,
+    states: list,
+    noises: Sequence[WienerPath | NoiseBlock],
+    steps: Sequence[range],
+) -> np.ndarray:
+    """March C stacked states of sine amplitudes on P meshes at once, each by its affine step map.
 
-    problem is a heat or wave problem and step_map its (matrix, loads): a
-    step takes the amplitudes s, shape (C, K, R), to A s, A =
-    matrix (C, C, K) being one C x C map per mode, plus, for each noise
-    coordinate (NoiseBlock field) in loads, its (C, K, m) load times the
-    step's coordinate of each path.  Only the live modes are marched,
-    those where a load or a start state is nonzero; every other mode
-    stays exactly 0.  The steps go in passes of w = gcd(len(steps),
-    CONVOLUTION_BLOCK), one step being the case w = 1: a pass takes s to
-    A^w s plus, per coordinate, one einsum of the kernels A^(w-1-i) load
-    of its steps i against their coordinates, with A^0..A^w formed once
-    per call by doubling, A^(h+i) = A^h A^i for i = 1..h.  states are C
-    arrays, each (K,), one start for every path, or (K, R).  noise is a
-    chunk of n paths or a NoiseBlock of R paths on problem.mesh, and the
-    result C arrays (K, n) or (K, R).  No operation calls BLAS, so each
-    column gets the same bits for any R.
+    problems are P heat or wave problems on one grid and step_map their
+    (matrix, loads): on mesh p a step takes the amplitudes s, shape
+    (C, K, R), to A_p s, A_p = matrix[p] (C, C, K) being one C x C map per
+    mode, plus, for each noise coordinate (NoiseBlock field) in loads, its
+    (C, K, m) load loads[name][p] times the step's coordinate of each path.
+    Only the live modes are marched, those where a load or a start state
+    is nonzero; every other mode stays exactly 0.  Mesh p marches the
+    steps of steps[p], w_p of them, at once: it goes to A_p^w_p s plus, per
+    coordinate, one einsum of the kernels A_p^(w_p-1-i) load of its steps
+    i against their coordinates, one step being the case w_p = 1.  The
+    powers A_p^0..A_p^w, w the largest w_p, are formed once per call for
+    every mesh together by doubling, A^(h+i) = A^h A^i for i = 1..h, and
+    the kernels of each coordinate by one einsum.  states are C arrays,
+    each (K,), one start for every path, or (K, R), shared by every mesh.
+    noises[p] is a chunk of n paths or a NoiseBlock of R paths on
+    problems[p].mesh, and the result is (P, C, K, n) or (P, C, K, R).
+    No operation calls BLAS, so each column gets the same bits for any R,
+    and each mesh the same bits as marched alone.
     """
     matrix, loads = step_map
-    K = problem.grid.K
+    K = problems[0].grid.K
     if any(np.shape(state)[:1] != (K,) for state in states):
         raise ValueError(f"states must have {K} rows, got {[np.shape(s) for s in states]}")
-    block = noise_block(noise, problem.mesh, tuple(loads))
-    # A shared start is one column, broadcast to every path by the first pass.
+    blocks = [noise_block(n, p.mesh, tuple(loads)) for p, n in zip(problems, noises)]
+    # A shared start is one column, broadcast to every path by the first coordinate.
     starts = np.stack([np.reshape(state, (K, -1)) for state in states])
-    live = np.any(starts != 0.0, axis=(0, 2))
+    live = (starts != 0.0).any(axis=(0, 2))
     for load in loads.values():
-        live |= np.any(load != 0.0, axis=(0, 2))
-    matrix = matrix[..., live]
-    width = math.gcd(len(steps), CONVOLUTION_BLOCK)
-    powers = np.stack([np.broadcast_to(np.eye(len(matrix))[..., None], matrix.shape), matrix])
-    while len(powers) <= width:
-        powers = np.concatenate([powers, np.einsum("abk,ibck->iack", powers[-1], powers[1:])])
-    # Step i of a pass reaches the end of the pass through A^(w-1-i).
-    kernels = {
-        name: np.einsum("iabk,bkc->iakc", powers[width - 1 :: -1], load[:, live])
-        for name, load in loads.items()
-    }
-    modes = starts[:, live]
-    for j in range(steps.start, steps.stop, width):
-        modes = np.einsum("abk,bkr->akr", powers[width], modes)
+        live |= (load != 0.0).any(axis=(0, 1, 3))
+    P, C, L = len(problems), len(states), int(live.sum())
+    widths = [len(span) for span in steps]
+    width = max(widths)
+    # Every mesh's live modes on one axis, mesh-major: A^0..A^(2h) of (C, C, P L)
+    # maps, h the largest power of two below width.
+    powers = np.empty(((1 << (width - 1).bit_length()) + 1, C, C, P * L))
+    powers[0] = np.eye(C)[..., None]
+    powers[1] = matrix[..., live].transpose(1, 2, 0, 3).reshape(C, C, P * L)
+    h = 1
+    while h < width:
+        np.einsum("abk,ibck->iack", powers[h], powers[1 : h + 1], out=powers[h + 1 : 2 * h + 1])
+        h *= 2
+    # kernels[name][p, width-1-h] is A_p^h load: mesh p's step i reaches its end
+    # through A_p^(w_p-1-i), row width - w_p + i of its contiguous (width, C, L, m) slab.
+    kernels = {}
+    for name, load in loads.items():
+        load = load[:, :, live].swapaxes(0, 1).reshape(C, P * L, -1)
+        kernel = np.einsum("iabk,bkc->iakc", powers[width - 1 :: -1], load)
+        kernel = kernel.reshape(width, C, P, L, -1)
+        kernels[name] = np.ascontiguousarray(kernel.transpose(2, 0, 1, 3, 4))
+    ends = powers.reshape(-1, C, C, P, L)[widths, :, :, range(P)]
+    ends = np.einsum("pabk,bkr->pakr", ends, starts[:, live])
+    modes = []
+    for p, (block, span) in enumerate(zip(blocks, steps)):
+        state = ends[p]
         for name, kernel in kernels.items():
-            coordinates = getattr(block, name)[j : j + width]
-            modes = modes + np.einsum("iakc,irc->akr", kernel, coordinates)
-    marched = np.zeros((len(states), K, modes.shape[-1]))
-    marched[:, live] = modes
-    return list(marched)
+            coordinates = getattr(block, name)[span.start : span.stop]
+            state = state + np.einsum("iakc,irc->akr", kernel[p, width - len(span) :], coordinates)
+        modes.append(state)
+    marched = np.zeros((P, C, K, modes[0].shape[-1]))
+    marched[:, :, live] = modes
+    return marched
 
 
 def em_step(
@@ -179,9 +209,7 @@ def em_step(
 
     Shapes as for mcn_heat_step.
     """
-    step_map = heat_step_map(problem, SCHEME_EULER)
-    (x,) = modal_march(problem, step_map, [x], noise, range(j, j + 1))
-    return x
+    return _heat_march(problem, SCHEME_EULER, x, noise, range(j, j + 1))
 
 
 def mcn_heat_step(
@@ -194,9 +222,7 @@ def mcn_heat_step(
     or (K, R), and noise is a chunk of n paths or a block of R paths; the
     result is (K, n) or (K, R).
     """
-    step_map = heat_step_map(problem, SCHEME_MCN)
-    (x,) = modal_march(problem, step_map, [x], noise, range(j, j + 1))
-    return x
+    return _heat_march(problem, SCHEME_MCN, x, noise, range(j, j + 1))
 
 
 def run_heat(
@@ -208,9 +234,13 @@ def run_heat(
     on problem.mesh, giving the (K, n) or (K, R) block of their X_N.
     Column i is bit for bit that of path i marched as the chunk of one.
     """
-    step_map = heat_step_map(problem, scheme)
-    (final,) = modal_march(problem, step_map, [problem.initial], noise, range(problem.mesh.N))
-    return final
+    return _heat_march(problem, scheme, problem.initial, noise, range(problem.mesh.N))
+
+
+def _heat_march(problem: HeatProblem, scheme: str, x, noise, steps: range) -> np.ndarray:
+    """modal_march of the one mesh of problem from x over steps: (K, n) or (K, R)."""
+    step_map = heat_step_map([problem], scheme)
+    return modal_march([problem], step_map, [x], [noise], [steps])[0, 0]
 
 
 def benchmark_phi(grid: SpatialGrid, noise_scale: float = 1.0) -> np.ndarray:

@@ -12,11 +12,12 @@ micro sum (noise.NoiseBlock).  X, Y, their initial data and Phi are
 sine amplitudes (grid module), a_k the coefficient of sin(k pi x).  The
 step is one fixed affine map, and on the amplitudes it splits into one
 2x2 map per mode, found by eliminating X_{j+1} from the pair with
-Lap = -lambda_k, plus three forcing columns: wave_step_map gives them in
-the (matrix, loads) form that heat_step_map gives the 1x1 heat maps in.
-run_wave and mcn_wave_step march R paths at once on (K, R) amplitudes
-through heat.modal_march, in passes of up to 128 steps with no loop over
-the steps; a single step is the pass of one step.
+Lap = -lambda_k, plus three forcing columns: wave_step_map gives them,
+for P meshes at once, in the (matrix, loads) form that heat_step_map
+gives the 1x1 heat maps in.  A study marches every mesh of a block in
+one heat.modal_march call; run_wave and mcn_wave_step are its one-mesh
+case and march R paths at once on (K, R) amplitudes, with no loop over
+the steps; a single step is the march of one step.
 
 With the micro-grid corrections the scheme converges strongly at order
 2; with the noise switched off it is the classical trapezoid rule and
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .heat import (
     benchmark_initial,
     benchmark_phi,
     modal_march,
+    stacked_problems,
 )
 from .noise import NoiseBlock, TimeMesh, WienerPath, window_sum
 
@@ -81,19 +84,19 @@ class WaveProblem:
 WAVE_NOISE = ("increments", "gaps", "velocity_sums")
 
 
-def wave_step_map(problem: WaveProblem) -> tuple:
-    """One step on the sine amplitudes, as heat.modal_march takes it: (matrix, loads).
+def wave_step_map(problems: Sequence[WaveProblem]) -> tuple:
+    """One step on the sine amplitudes of each problem, as heat.modal_march takes it.
 
-    Each mode's (x, y) goes through the 2x2 matrix[:, :, k], and loads
-    maps each noise coordinate to its (2, K, m) load on x and on y.  Per
-    mode, with a = tau^2 lambda/4 and D = 1 + a, eliminating x' from
+    Returns (matrix, loads): each mode's (x, y) on mesh p goes through the
+    2x2 matrix[p, :, :, k], and loads maps each noise coordinate to its
+    (P, 2, K, m) loads on x and on y.  Per mode, with a = tau^2 lambda/4
+    and D = 1 + a, eliminating x' from
     x' - x = (tau/2)(y' + y) + g and y' - y = -(tau lambda/2)(x' + x) + w - lambda v
     (g, w, v the step's gap, increment and velocity sum, times Phi) gives
     y' = ((1 - a) y - tau lambda x - (tau lambda/2) g + w - lambda v) / D and
     x' = x + (tau/2)(y + y') + g.  The matrix has determinant 1.
     """
-    grid, tau = problem.grid, problem.mesh.tau
-    lam, phi = grid.eigenvalues, problem.phi.T
+    lam, tau, phi = stacked_problems(problems)
     inverse = 1.0 / (1.0 + 0.25 * tau * tau * lam)
     diagonal = (1.0 - 0.25 * tau * tau * lam) * inverse
     half_tau_lam = 0.5 * tau * lam * inverse
@@ -103,7 +106,8 @@ def wave_step_map(problem: WaveProblem) -> tuple:
         "increments": (0.5 * tau * inverse, inverse),
         "velocity_sums": (-half_tau_lam, -lam * inverse),
     }
-    return matrix, {name: np.array(column)[..., None] * phi for name, column in columns.items()}
+    loads = {name: np.array(column)[..., None] * phi for name, column in columns.items()}
+    return matrix.transpose(2, 0, 1, 3), {name: load.swapaxes(0, 1) for name, load in loads.items()}
 
 
 def mcn_wave_step(
@@ -118,8 +122,7 @@ def mcn_wave_step(
     x and y hold sine amplitudes, (K,) or (K, R), and noise is a chunk of
     n paths or a block of R paths; the results are (K, n) or (K, R).
     """
-    x, y = modal_march(problem, wave_step_map(problem), [x, y], noise, range(j, j + 1))
-    return x, y
+    return _wave_march(problem, [x, y], noise, range(j, j + 1))
 
 
 def run_wave(
@@ -132,7 +135,12 @@ def run_wave(
     bit that of path i marched as the chunk of one.
     """
     states = [problem.initial_displacement, problem.initial_velocity]
-    x, y = modal_march(problem, wave_step_map(problem), states, noise, range(problem.mesh.N))
+    return _wave_march(problem, states, noise, range(problem.mesh.N))
+
+
+def _wave_march(problem: WaveProblem, states: list, noise, steps: range):
+    """modal_march of the one mesh of problem from (x, y) over steps: (X, Y)."""
+    x, y = modal_march([problem], wave_step_map([problem]), states, [noise], [steps])[0]
     return x, y
 
 

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -45,9 +46,9 @@ from mcnspde import (
 )
 from mcnspde import harness
 from mcnspde.harness import CHUNK_BYTES, _default_fit_range, block_size, chunk_size
-from mcnspde.heat import oracle_rates, window_heat_solution
+from mcnspde.heat import heat_step_map, modal_march, oracle_rates, window_heat_solution
 from mcnspde.noise import WindowLaw, sample_windows, window_factor
-from mcnspde.wave import wave_oracle_rates, window_wave_solution
+from mcnspde.wave import wave_oracle_rates, wave_step_map, window_wave_solution
 
 
 def table_from_errors(n_list, errors, fit_range=None, **extra):
@@ -130,6 +131,59 @@ def test_rms_standard_error_is_calibrated():
     assert abs(rms - sigma) <= 4 * se
     # for squared normals the SE is sigma * sqrt(2)/(2 sqrt(n)) asymptotically
     assert se == pytest.approx(sigma * math.sqrt(2.0) / (2.0 * 100.0), rel=0.1)
+
+
+@pytest.mark.parametrize(
+    "errors",
+    [
+        pytest.param([3.7 * (1.0 / n) ** 1.5 for n in (8, 16, 32, 64)], id="power-law-1.5"),
+        pytest.param([3.7 * (1.0 / n) ** 2.0 for n in (8, 16, 32, 64)], id="power-law-2"),
+        pytest.param([0.26, 0.081, 0.021, 0.0054, 0.00135], id="wave-rows"),
+        pytest.param([1.0, 0.4], id="two-rows"),
+    ],
+)
+def test_fit_rate_is_the_slope_of_polyfit(errors):
+    """The closed-form least-squares slope is np.polyfit's degree-1 coefficient to 1e-12."""
+    n_list = tuple(8 * 2**i for i in range(len(errors)))
+    expected = np.polyfit(np.log2([1.0 / n for n in n_list]), np.log2(errors), 1)[0]
+    assert abs(fit_rate(table_from_errors(n_list, errors)) - expected) <= 1e-12
+
+
+def reference_rms_and_standard_error(sq):
+    """The reduction of one row as the former 1-D code made it, in Python floats."""
+    rms = math.sqrt(float(sq.mean()))
+    if sq.size < 2 or sq.min() == sq.max():
+        return rms, 0.0
+    return rms, float(sq.std(ddof=1)) / math.sqrt(sq.size) / (2.0 * rms)
+
+
+@pytest.mark.parametrize("count", [1, 2, 12, 1000])
+def test_one_pass_reduction_is_each_row_alone(count):
+    """Rows of a C-contiguous (rows, R) or (Q, P, R) array reduce, bit for bit and with no
+    warning, as each row does alone and as the former 1-D code did: a zero row and a
+    constant row report SE 0."""
+    rng = np.random.default_rng(count)
+    rows = rng.standard_normal((6, count)) ** 2 * np.logspace(0, -10, 6)[:, None]
+    rows[1] = 0.0
+    rows[4] = 9.813859695181972e-12  # a constant whose mean does not round back to it
+    for block in (rows, rows.reshape(2, 3, count)):
+        rms, se = rms_and_standard_error(block)
+        assert rms.shape == se.shape == block.shape[:-1]
+        for row, r, s in zip(rows, rms.ravel(), se.ravel()):
+            assert (r, s) == reference_rms_and_standard_error(row)
+            assert (r, s) == rms_and_standard_error(row)
+    assert se.ravel()[1] == se.ravel()[4] == 0.0
+
+
+def test_table_rows_are_each_row_reduced_alone():
+    """At 200 realizations, where a strided row would be summed in another order, every row of
+    both wave norms is bit for bit the former 1-D reduction of its column of squared errors."""
+    config = desk_wave_config(n_list=(4, 8, 16), k=6, mc_count=200)
+    errors, _ = harness._gather_squared_errors(config)
+    for q, table in enumerate(run_study_tables(config).values()):
+        for p, row in enumerate(table.rows):
+            column = np.ascontiguousarray(errors[:, p, q])
+            assert (row.rms_error, row.standard_error) == reference_rms_and_standard_error(column)
 
 
 def test_default_fit_range_drops_coarsest_then_floor():
@@ -327,6 +381,41 @@ def test_chunk_size_rule():
     assert chunk_size(paper_wave_config()) == 6  # 98 KB: 64 windows of 82, 1024 increments
     alone = desk_wave_config(n_list=(4096,))
     assert chunk_size(alone) == 1  # 397 KB: 128 windows of 162, 4096 increments
+
+
+@pytest.mark.parametrize("n_list", [None, (16,)], ids=["desk", "n16"])
+@pytest.mark.parametrize(
+    "config",
+    [desk_heat_config(), desk_heat_config(scheme="em"), desk_wave_config()],
+    ids=["heat-mcn", "heat-em", "wave"],
+)
+def test_one_march_of_every_mesh_is_each_mesh_marched_alone(config, n_list):
+    """modal_march on every mesh of a block at once gives each mesh, bit for bit, what it
+    gives marched alone and what run_heat or run_wave gives, for blocks of 1, 3 and
+    chunk_size paths."""
+    if n_list is not None:
+        config = dataclasses.replace(config, n_list=n_list)
+    grid, problems = harness._build_problems(config)
+    first = problems[0]
+    if config.equation == "heat":
+        step_map = functools.partial(heat_step_map, scheme=config.scheme)
+        states = [first.initial]
+        run = lambda problem, block: run_heat(problem, block, config.scheme)[None]
+    else:
+        step_map, states = wave_step_map, [first.initial_displacement, first.initial_velocity]
+        run = lambda problem, block: np.stack(run_wave(problem, block))
+    for count in (1, 3, chunk_size(config)):
+        paths, _ = sample_windows([(3, r) for r in range(count)], config.window_law)
+        blocks = harness._study_noise(config, count)
+        for block in blocks:
+            block.put(0, paths)
+        steps = [range(problem.mesh.N) for problem in problems]
+        marched = modal_march(problems, step_map(problems), states, blocks, steps)
+        assert marched.shape == (len(problems), len(states), config.k, count)
+        for problem, block, span, together in zip(problems, blocks, steps, marched):
+            alone = modal_march([problem], step_map([problem]), states, [block], [span])
+            np.testing.assert_array_equal(together, alone[0])
+            np.testing.assert_array_equal(together, run(problem, block))
 
 
 @pytest.mark.parametrize(

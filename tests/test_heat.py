@@ -179,7 +179,8 @@ def test_run_matches_dense_recursion(scheme, k, m):
 @pytest.mark.parametrize("scheme", ["mcn", "em"])
 @pytest.mark.parametrize("n", [384, 1024])
 def test_passes_equal_the_chain_of_single_steps(scheme, n):
-    """run_heat in 3 or 8 passes of 128 steps equals n one-step calls on the same block.
+    """run_heat as one march of n = 384 or 1024 steps, through A^n by doubling, equals n
+    one-step calls on the same block.
 
     K = 40, m = 2 and a block of 3 paths with random coordinates, scaled
     by tau^(1/2) and tau^(3/2) like the increments and gaps.
@@ -202,7 +203,7 @@ def test_passes_equal_the_chain_of_single_steps(scheme, n):
 
 @pytest.mark.parametrize("scheme", ["mcn", "em", "wave"])
 def test_a_march_of_the_live_modes_equals_the_step_loop(scheme):
-    """K = 16, Phi on modes 5 and 7 and X(0) on mode 11: one pass of N = 128 steps, through
+    """K = 16, Phi on modes 5 and 7 and X(0) on mode 11: one march of N = 128 steps, through
     A^128, equals 128 single steps on those modes for a chunk of 3 paths, to 1e-13 of each
     mode's largest amplitude (a wave amplitude can be a difference of close terms), and every
     other mode stays exactly 0.0 both ways."""
@@ -260,15 +261,17 @@ def test_step_map_is_the_dense_step_in_the_sine_basis(scheme):
     theta = 1.0 if scheme == "em" else 0.5
     implicit = np.eye(k) - theta * tau * lap
     step = np.linalg.solve(implicit, np.eye(k) + (1.0 - theta) * tau * lap)
-    matrix, loads = heat_step_map(problem, scheme)
-    assert matrix.shape == (1, 1, k)
+    matrix, loads = heat_step_map([problem], scheme)
+    assert matrix.shape == (1, 1, 1, k)
     modal = basis.T @ step @ basis
-    np.testing.assert_allclose(modal, np.diag(matrix[0, 0]), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(modal, np.diag(matrix[0, 0, 0]), rtol=0.0, atol=1e-12)
     columns = {"increments": phi, "gaps": lap @ phi}
     assert set(loads) == set(HEAT_NOISE[scheme])
     for name, load in loads.items():
         expected = math.sqrt(2.0 * grid.h) * basis.T @ np.linalg.solve(implicit, columns[name])
-        np.testing.assert_allclose(load[0], expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+        np.testing.assert_allclose(
+            load[0, 0], expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
+        )
 
 
 def test_linear_path_run_matches_hand_recursion():

@@ -912,3 +912,35 @@ def test_lower_factor_by_columns_is_the_entry_by_entry_factor(config):
     bit for bit on the window laws of the desk and --paper studies."""
     cov = window_covariance(config.window_law)
     np.testing.assert_array_equal(lower_factor(cov), entry_by_entry_factor(cov))
+
+
+def test_lower_factor_refuses_to_drop_a_conditional_covariance():
+    """A pivot that is rounding residue gets a zero column only while its row's conditional
+    covariance with every later row is residue too; otherwise the factor raises."""
+    kept = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
+    factor = lower_factor(kept)
+    assert (factor[:, 1] == 0.0).all()
+    np.testing.assert_allclose(factor @ factor.T, kept, rtol=0.0, atol=1e-15)
+    dropped = kept.copy()
+    dropped[1, 2] = dropped[2, 1] = 0.5 + 1e-9
+    with pytest.raises(ValueError, match="conditional covariance of 1e-09"):
+        lower_factor(dropped)
+
+
+def test_lower_factor_refuses_the_wave_pieces_cos_first():
+    """At N_max = 1024 the cos piece of mode 2 drawn before its sin piece is rounding residue
+    whose conditional covariance with the sin piece, 2.6e-12 of its scale, the factor would
+    drop; the shipped sin-first order factors.  So does every shipped law from 8 to 4096."""
+    law = WindowLaw(1024, wave_oracle_rates(SpatialGrid(40)), velocity=True)
+    cov = window_covariance(law)
+    order = np.arange(law.width)
+    order[-4:] = order[[-3, -4, -1, -2]]  # (cos, sin) of each rate
+    with pytest.raises(ValueError, match="pivot 78"):
+        lower_factor(cov[np.ix_(order, order)])
+    grid = SpatialGrid(40)
+    for steps in (8, 64, 512, 1024, 4096):
+        for law in (
+            WindowLaw(steps, oracle_rates(grid)),
+            WindowLaw(steps, wave_oracle_rates(grid), velocity=True),
+        ):
+            lower_factor(window_covariance(law))

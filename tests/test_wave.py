@@ -389,7 +389,8 @@ def test_a_block_of_states_on_one_path_keeps_every_column():
 
 @pytest.mark.parametrize("n", [384, 1024])
 def test_passes_equal_the_chain_of_single_steps(n):
-    """run_wave in 3 or 8 passes of 128 steps equals n one-step calls on the same block.
+    """run_wave as one march of n = 384 or 1024 steps, through A^n by doubling, equals n
+    one-step calls on the same block.
 
     K = 40, m = 2 and a block of 3 paths with random coordinates, scaled
     by tau^(1/2, 3/2, 5/2) like the increments, gaps and velocity sums.
@@ -466,12 +467,12 @@ def test_step_map_is_the_dense_step_in_the_sine_basis():
     left = np.block([[eye, -0.5 * tau * eye], [-0.5 * tau * lap, eye]])
     right = np.block([[eye, 0.5 * tau * eye], [0.5 * tau * lap, eye]])
     step = np.linalg.solve(left, right)
-    matrix, loads = wave_step_map(problem)
-    assert matrix.shape == (2, 2, k)
+    matrix, loads = wave_step_map([problem])
+    assert matrix.shape == (1, 2, 2, k)
     for a in range(2):
         for b in range(2):
             modal = basis.T @ step[a * k : (a + 1) * k, b * k : (b + 1) * k] @ basis
-            np.testing.assert_allclose(modal, np.diag(matrix[a, b]), rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(modal, np.diag(matrix[0, a, b]), rtol=0.0, atol=1e-12)
     phi = problem.grid.node_values(problem.phi.T)
     zero = np.zeros_like(phi)
     columns = {
@@ -484,7 +485,7 @@ def test_step_map_is_the_dense_step_in_the_sine_basis():
         for a in range(2):
             expected = math.sqrt(2.0 * h) * basis.T @ solved[a * k : (a + 1) * k]
             np.testing.assert_allclose(
-                loads[name][a], expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
+                loads[name][0, a], expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
             )
 
 
