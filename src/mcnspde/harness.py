@@ -125,7 +125,7 @@ class StudyConfig:
     @property
     def marched_meshes(self) -> tuple[TimeMesh, ...]:
         """Every mesh the study marches: n_list in order."""
-        return tuple(TimeMesh(n) for n in self.n_list)
+        return tuple([TimeMesh(n) for n in self.n_list])  # a list: see WindowLaw.pieces
 
     @property
     def finest_mesh(self) -> TimeMesh:

@@ -280,7 +280,8 @@ def oracle_rates(grid: SpatialGrid) -> tuple[float, ...]:
     both exact modes, and the spatial floor between them, read one draw.
     """
     modes = (EXACT_CONTINUOUS, EXACT_SEMIDISCRETE)
-    return tuple(_benchmark_rate(grid, m, k) for m in modes for k in BENCHMARK_NOISE_MODES)
+    # From a list, as in noise.WindowLaw.pieces: this runs once a block.
+    return tuple([_benchmark_rate(grid, m, k) for m in modes for k in BENCHMARK_NOISE_MODES])
 
 
 def window_heat_solution(

@@ -302,7 +302,11 @@ class WindowLaw(NamedTuple):
         piece before it has already taken its covariance.
         """
         parts = lambda mu: (1j, 1) if isinstance(mu, complex) else (1,)
-        return tuple((mu, alpha) for mu in self.rates for alpha in parts(mu))
+        # From a list, not a generator: CPython sizes a tuple of a generator by
+        # a guess and shrinks it in place, so each one freed adds a tuple to its
+        # size's free list (up to 2000), and a property read per block would
+        # grow a long study's memory by a tuple a read.
+        return tuple([(mu, alpha) for mu in self.rates for alpha in parts(mu)])
 
     @property
     def width(self) -> int:

@@ -159,7 +159,8 @@ def wave_oracle_rates(grid: SpatialGrid) -> tuple[complex, ...]:
     A wave study draws two oracle pieces per rate (noise.WindowLaw), the
     window's int cos(omega_k (t_w - s)) dW(s) and int sin(omega_k (t_w - s)) dW(s).
     """
-    return tuple(1j * math.sqrt(dirichlet_eigenvalue(grid, k)) for k in BENCHMARK_NOISE_MODES)
+    # From a list, as in noise.WindowLaw.pieces: this runs once a block.
+    return tuple([1j * math.sqrt(dirichlet_eigenvalue(grid, k)) for k in BENCHMARK_NOISE_MODES])
 
 
 def window_wave_solution(
