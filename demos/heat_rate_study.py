@@ -9,7 +9,7 @@ break; pass --desk for the heavier configuration the test suite uses.
 
 import argparse
 
-from mcnspde import desk_heat_config, fit_rate, report_text, run_study
+from mcnspde import desk_heat_config, fit_rate, report_text, run_study_tables
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--desk", action="store_true",
@@ -30,7 +30,7 @@ else:
 
 for scheme in ("mcn", "em"):
     config = desk_heat_config(scheme=scheme, base_seed=20260814, **overrides)
-    table = run_study(config)
+    table = run_study_tables(config)["l2"]
     print(report_text(table, config))
     # the coarse rows tell their own story; refit on the last three rows
     tail = tuple(row.n_steps for row in table.rows[-3:])

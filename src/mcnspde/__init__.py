@@ -55,14 +55,12 @@ from .harness import (
     csv_text,
     desk_heat_config,
     desk_wave_config,
-    emit_csv,
     fit_rate,
     paper_heat_config,
     paper_wave_config,
     read_csv,
     report_text,
     rms_and_standard_error,
-    run_study,
     run_study_tables,
     validate_config,
 )

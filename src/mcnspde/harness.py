@@ -10,10 +10,14 @@ law of what the study reads: per window of the finest marched mesh
 N_max, its N_max increments, the gaps of the meshes too fine to read
 them from those increments and, for wave, the local parts of their
 velocity sums, and the pieces of the exact solution, so the oracle is
-the exact solution itself.  The root-mean-square final-time error per
-resolution then feeds a log-log least-squares rate fit: every row of a
-study is reduced in one rms_and_standard_error call, and the rate is
-the closed-form slope (fit_rate).
+the exact solution itself.  run_study_tables runs a study once and
+returns a table for every norm it measures, as STUDY_NORMS states them
+per equation: the L2 error for heat, the H1 displacement error and the
+L2 velocity error for wave.  The root-mean-square final-time error per
+resolution then feeds a log-log least-squares rate fit: the squared
+errors are written in one (norms, resolutions, realizations) array,
+every row of it is reduced in one rms_and_standard_error call, and the
+rate is the closed-form slope (fit_rate).
 
 Realizations run in blocks, and their paths are drawn in chunks of as
 many as CHUNK_BYTES holds (chunk_size): 36 desk heat paths, 51 desk wave
@@ -81,12 +85,15 @@ from .wave import (
 EQUATION_HEAT = "heat"
 EQUATION_WAVE = "wave"
 
-NORM_L2 = "l2"
-NORM_H1_DISPLACEMENT = "h1_displacement"
-NORM_L2_VELOCITY = "l2_velocity"
-
-HEAT_NORMS = (NORM_L2,)
-WAVE_NORMS = (NORM_H1_DISPLACEMENT, NORM_L2_VELOCITY)
+# Every norm a study measures, per equation and in table order, the first
+# the default: name -> (state coordinate, squared SpatialGrid norm).
+STUDY_NORMS = {
+    EQUATION_HEAT: {"l2": (0, SpatialGrid.l2_squared)},
+    EQUATION_WAVE: {
+        "h1_displacement": (0, SpatialGrid.h1_squared),
+        "l2_velocity": (1, SpatialGrid.l2_squared),
+    },
+}
 
 CSV_HEADER = "N,tau,rms_error,standard_error"
 
@@ -118,7 +125,6 @@ class StudyConfig:
     mc_count: int = 500
     base_seed: int = 20260814
     exact_mode: str = EXACT_CONTINUOUS
-    error_norm: str = NORM_L2
     noise_scale: float = 1.0
     workers: int = 1
 
@@ -164,12 +170,7 @@ def desk_wave_config(**overrides) -> StudyConfig:
     the 15 gaps and the 15 velocity parts of N = 16..128 and 4 oracle
     pieces, 672 normals a path.
     """
-    base = StudyConfig(
-        equation=EQUATION_WAVE,
-        n_list=(8, 16, 32, 64, 128),
-        mc_count=300,
-        error_norm=NORM_H1_DISPLACEMENT,
-    )
+    base = StudyConfig(equation=EQUATION_WAVE, n_list=(8, 16, 32, 64, 128), mc_count=300)
     return dataclasses.replace(base, **overrides)
 
 
@@ -191,16 +192,9 @@ def paper_wave_config(**overrides) -> StudyConfig:
     oracle pieces, 5248 normals a path.
     """
     base = StudyConfig(
-        equation=EQUATION_WAVE,
-        n_list=(4, 8, 16, 32, 64, 128, 256, 512, 1024),
-        mc_count=1000,
-        error_norm=NORM_H1_DISPLACEMENT,
+        equation=EQUATION_WAVE, n_list=(4, 8, 16, 32, 64, 128, 256, 512, 1024), mc_count=1000
     )
     return dataclasses.replace(base, **overrides)
-
-
-def study_norms(config: StudyConfig) -> tuple[str, ...]:
-    return HEAT_NORMS if config.equation == EQUATION_HEAT else WAVE_NORMS
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -229,18 +223,13 @@ def validate_config(config: StudyConfig) -> None:
         raise ConfigError(f"workers must be positive, got {config.workers}")
     if not 0 <= config.noise_scale < math.inf:
         raise ConfigError(f"noise_scale must be finite and nonnegative, got {config.noise_scale}")
+    if config.exact_mode not in (EXACT_CONTINUOUS, EXACT_SEMIDISCRETE):
+        raise ConfigError(f"unknown exact mode {config.exact_mode!r}")
     if config.equation == EQUATION_HEAT:
         if config.scheme not in (SCHEME_EULER, SCHEME_MCN):
             raise ConfigError(f"unknown scheme {config.scheme!r}")
-        if config.exact_mode not in (EXACT_CONTINUOUS, EXACT_SEMIDISCRETE):
-            raise ConfigError(f"unknown exact mode {config.exact_mode!r}")
-        if config.error_norm not in HEAT_NORMS:
-            raise ConfigError(f"heat studies report norms {HEAT_NORMS}, got {config.error_norm!r}")
-    else:
-        if config.scheme != SCHEME_MCN:
-            raise ConfigError("wave studies run the corrected Crank-Nicolson scheme only")
-        if config.error_norm not in WAVE_NORMS:
-            raise ConfigError(f"wave studies report norms {WAVE_NORMS}, got {config.error_norm!r}")
+    elif config.scheme != SCHEME_MCN:
+        raise ConfigError("wave studies run the corrected Crank-Nicolson scheme only")
 
 
 @dataclass(frozen=True)
@@ -384,9 +373,10 @@ def chunk_size(config: StudyConfig) -> int:
 def _block_squared_errors(config: StudyConfig, span: range):
     """Per-realization squared errors for the realizations of span, marched as one block.
 
-    Returns (errors, floors) with errors shaped (len(span), n_list, norms)
-    and floors the squared continuous-vs-semidiscrete oracle gap (heat
-    continuous mode only, else None).  The paths are drawn a chunk at a
+    Returns (errors, floors) with errors shaped (norms, n_list, len(span)),
+    the norms in STUDY_NORMS order, and floors the squared
+    continuous-vs-semidiscrete oracle gap (heat continuous mode only,
+    else None).  The paths are drawn a chunk at a
     time, each chunk reduced to its noise coordinates on every mesh and
     its oracle pieces and dropped, and then the oracle is formed and
     every mesh is marched for the whole block in one modal_march call.
@@ -418,18 +408,17 @@ def _block_squared_errors(config: StudyConfig, span: range):
         if config.exact_mode == EXACT_CONTINUOUS:
             floors = grid.l2_squared(exact[0] - oracles[EXACT_SEMIDISCRETE])
         step_map, states = heat_step_map(problems, config.scheme), [problems[0].initial]
-        norms = (grid.l2_squared,)
     else:
         exact, floors = window_wave_solution(pieces, grid, config.noise_scale), None
         step_map = wave_step_map(problems)
         states = [problems[0].initial_displacement, problems[0].initial_velocity]
-        norms = (grid.h1_squared, grid.l2_squared)
     steps = [range(problem.mesh.N) for problem in problems]
     marched = modal_march(problems, step_map, states, blocks, steps)
-    errors = np.empty((count, len(problems), len(norms)))
+    norms = STUDY_NORMS[config.equation].values()
+    errors = np.empty((len(norms), len(problems), count))
     for p, final in enumerate(marched):
-        for q, (norm, values) in enumerate(zip(norms, exact)):
-            errors[:, p, q] = norm(final[q] - values)
+        for q, (coordinate, norm) in enumerate(norms):
+            errors[q, p] = norm(grid, final[coordinate] - exact[coordinate])
     return errors, floors
 
 
@@ -454,19 +443,18 @@ def _gather_squared_errors(config: StudyConfig):
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(task, spans))
     errors, floors = zip(*parts)
-    return np.concatenate(errors), None if floors[0] is None else np.concatenate(floors)
+    return np.concatenate(errors, axis=-1), None if floors[0] is None else np.concatenate(floors)
 
 
 def run_study_tables(config: StudyConfig) -> dict[str, ConvergenceTable]:
     """Run the study once and return a table for every norm it measures."""
     validate_config(config)
     errors, floors = _gather_squared_errors(config)
-    norms = study_norms(config)
     spatial_floor = math.sqrt(float(floors.mean())) if floors is not None else None
     # Every row of every norm in one pass, each a contiguous row of R: (norms, n_list).
-    rms, se = rms_and_standard_error(np.ascontiguousarray(errors.transpose(2, 1, 0)))
+    rms, se = rms_and_standard_error(errors)
     tables = {}
-    for q, norm in enumerate(norms):
+    for q, norm in enumerate(STUDY_NORMS[config.equation]):
         rows = tuple(
             TableRow(n, 1.0 / n, float(rms[q, p]), float(se[q, p]))
             for p, n in enumerate(config.n_list)
@@ -488,11 +476,6 @@ def run_study_tables(config: StudyConfig) -> dict[str, ConvergenceTable]:
     return tables
 
 
-def run_study(config: StudyConfig) -> ConvergenceTable:
-    """Run the study and return the table for config.error_norm."""
-    return run_study_tables(config)[config.error_norm]
-
-
 def _format_value(x: float) -> str:
     # Positional decimal with 17 significant digits: plenty beyond the
     # required precision and reparses to the identical double.
@@ -509,12 +492,8 @@ def csv_text(table: ConvergenceTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(table: ConvergenceTable, destination: str | Path) -> None:
-    Path(destination).write_text(csv_text(table))
-
-
 def read_csv(source: str | Path) -> tuple[TableRow, ...]:
-    """Parse a table written by emit_csv back into rows."""
+    """Parse a file holding csv_text(table) back into the table's rows."""
     lines = Path(source).read_text().strip().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"not a convergence table: bad header in {source}")

@@ -38,7 +38,6 @@ from mcnspde import (
     dirichlet_eigenvalue,
     mcn_wave_step,
     run_heat,
-    run_study,
     run_wave,
     run_study_tables,
     sample_path,
@@ -211,17 +210,17 @@ def heat_rate_verdict(criterion, config, table, half_width, edge_ok, edge_text):
 
 @pytest.fixture(scope="session")
 def heat_mcn_continuous():
-    return run_study(HEAT_MCN_CONTINUOUS)
+    return run_study_tables(HEAT_MCN_CONTINUOUS)["l2"]
 
 
 @pytest.fixture(scope="session")
 def heat_em_continuous():
-    return run_study(HEAT_EM_CONTINUOUS)
+    return run_study_tables(HEAT_EM_CONTINUOUS)["l2"]
 
 
 @pytest.fixture(scope="session")
 def heat_mcn_semidiscrete():
-    return run_study(HEAT_MCN_SEMIDISCRETE)
+    return run_study_tables(HEAT_MCN_SEMIDISCRETE)["l2"]
 
 
 @pytest.fixture(scope="session")
@@ -299,7 +298,7 @@ def test_desk_wave_rows_sit_on_the_closed_form():
 def test_desk_heat_rows_sit_on_the_closed_form(config):
     """At 2000 realizations every desk heat row lies within 4 SE of closed_form_rms_error:
     the window law and its exact oracle leave the rows unbiased."""
-    table = run_study(dataclasses.replace(config, mc_count=2000))
+    table = run_study_tables(dataclasses.replace(config, mc_count=2000))["l2"]
     for row in table.rows:
         exact = closed_form_rms_error(config, row.n_steps)
         assert abs(row.rms_error - exact) <= 4.0 * row.standard_error, (row, exact)
@@ -373,12 +372,12 @@ def test_criterion_7_trapezoid_sharpness(statistics_report):
 
 
 def test_criterion_8_deterministic_orders():
-    cn = run_study(
+    cn = run_study_tables(
         desk_heat_config(
             noise_scale=0.0, exact_mode="semidiscrete", mc_count=1, base_seed=SEED
         )
-    )
-    em = run_study(
+    )["l2"]
+    em = run_study_tables(
         desk_heat_config(
             scheme="em",
             noise_scale=0.0,
@@ -387,7 +386,7 @@ def test_criterion_8_deterministic_orders():
             base_seed=SEED,
             n_list=(512, 1024, 2048, 4096),
         )
-    )
+    )["l2"]
     grid = SpatialGrid(40)
     mesh = TimeMesh(256)
     problem = benchmark_wave_problem(grid, mesh, noise_scale=0.0)
@@ -415,9 +414,9 @@ def test_criterion_8_deterministic_orders():
 
 def test_criterion_9_byte_identical_output():
     config = desk_heat_config(n_list=(8, 16, 32), mc_count=8, base_seed=SEED)
-    first = csv_text(run_study(config))
-    second = csv_text(run_study(config))
-    parallel = csv_text(run_study(dataclasses.replace(config, workers=2)))
+    first = csv_text(run_study_tables(config)["l2"])
+    second = csv_text(run_study_tables(config)["l2"])
+    parallel = csv_text(run_study_tables(dataclasses.replace(config, workers=2))["l2"])
     ok, line = verdict(
         9,
         first == second and first == parallel,

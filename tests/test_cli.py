@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from mcnspde import validate_statistics
+from mcnspde import (
+    csv_text,
+    desk_heat_config,
+    desk_wave_config,
+    run_study_tables,
+    validate_statistics,
+)
 from mcnspde.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -96,6 +102,29 @@ def test_wave_study_runs(tmp_path, capsys):
     capsys.readouterr()
 
 
+SMALL_WAVE = ["wave", "--n-list", "8,16", "--k", "6", "--mc", "2", "--seed", "4242"]
+
+
+@pytest.mark.parametrize(
+    "flags, norm",
+    [
+        pytest.param([], "h1_displacement", id="default"),
+        pytest.param(["--norm", "h1_displacement"], "h1_displacement", id="h1_displacement"),
+        pytest.param(["--norm", "l2_velocity"], "l2_velocity", id="l2_velocity"),
+    ],
+)
+def test_wave_prints_the_table_of_its_norm(flags, norm, capsys):
+    assert main(SMALL_WAVE + flags) == EXIT_OK
+    config = desk_wave_config(n_list=(8, 16), k=6, mc_count=2, base_seed=4242)
+    assert capsys.readouterr().out == csv_text(run_study_tables(config)[norm])
+
+
+def test_heat_prints_its_l2_table(capsys):
+    assert main(SMALL_HEAT) == EXIT_OK
+    config = desk_heat_config(n_list=(8, 16, 32), k=6, mc_count=3, base_seed=4242)
+    assert capsys.readouterr().out == csv_text(run_study_tables(config)["l2"])
+
+
 # Each case carries a fixed id, so deleting one case renames no other.  The
 # ids keep the names that positional numbering gave these cases.
 @pytest.mark.parametrize(
@@ -118,7 +147,7 @@ def test_program_errors_are_not_reported_as_bad_configuration(monkeypatch):
     def broken_study(config):
         raise ValueError("broken inside the study")
 
-    monkeypatch.setattr("mcnspde.cli.run_study", broken_study)
+    monkeypatch.setattr("mcnspde.cli.run_study_tables", broken_study)
     with pytest.raises(ValueError, match="broken inside the study"):
         main(SMALL_HEAT)
 
@@ -178,6 +207,18 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("volume = 11\n")
     assert main(["heat", "--config", str(cfg)]) == EXIT_BAD_CONFIG
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_file_names_a_norm_for_wave_only(tmp_path, capsys):
+    """Heat measures one norm and has no --norm flag, so a file naming norm is an unknown
+    key there; a wave study takes it."""
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("norm = l2_velocity\n")
+    assert main(["heat", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+    assert "unknown config key 'norm'" in capsys.readouterr().err
+    assert main(SMALL_WAVE + ["--config", str(cfg)]) == EXIT_OK
+    config = desk_wave_config(n_list=(8, 16), k=6, mc_count=2, base_seed=4242)
+    assert capsys.readouterr().out == csv_text(run_study_tables(config)["l2_velocity"])
 
 
 def test_config_file_rejects_repeated_keys(tmp_path, capsys):

@@ -29,8 +29,8 @@ from mcnspde import (
     desk_heat_config,
     desk_wave_config,
     dirichlet_eigenvalue,
-    emit_csv,
     fit_rate,
+    h1_seminorm,
     l2_norm,
     paper_heat_config,
     paper_wave_config,
@@ -38,7 +38,6 @@ from mcnspde import (
     report_text,
     rms_and_standard_error,
     run_heat,
-    run_study,
     run_study_tables,
     run_wave,
     sample_path,
@@ -182,7 +181,7 @@ def test_table_rows_are_each_row_reduced_alone():
     errors, _ = harness._gather_squared_errors(config)
     for q, table in enumerate(run_study_tables(config).values()):
         for p, row in enumerate(table.rows):
-            column = np.ascontiguousarray(errors[:, p, q])
+            column = np.ascontiguousarray(errors[q, p])
             assert (row.rms_error, row.standard_error) == reference_rms_and_standard_error(column)
 
 
@@ -201,11 +200,11 @@ def test_default_fit_range_drops_coarsest_then_floor():
 
 def test_short_studies_still_produce_tables():
     """Two resolutions keep the coarsest row; one resolution skips the fit."""
-    two = run_study(small_config())
+    two = run_study_tables(small_config())["l2"]
     assert two.fit_range == (8, 16)
     assert two.fit_note == "kept the coarsest row: only two resolutions"
     assert math.isfinite(two.fitted_rate)
-    one = run_study(small_config(n_list=(16,)))
+    one = run_study_tables(small_config(n_list=(16,)))["l2"]
     assert one.fit_range == ()
     assert math.isnan(one.fitted_rate)
     assert one.fit_note == "rate not fitted: needs at least two resolutions"
@@ -222,23 +221,23 @@ def test_default_fit_range_fallback_keeps_rows():
 
 def test_run_study_is_deterministic():
     config = small_config()
-    a = run_study(config)
-    b = run_study(config)
+    a = run_study_tables(config)["l2"]
+    b = run_study_tables(config)["l2"]
     assert csv_text(a) == csv_text(b)
     assert a.fitted_rate == b.fitted_rate
 
 
 def test_worker_split_matches_serial():
     config = small_config(mc_count=6)
-    serial = run_study(config)
-    parallel = run_study(dataclasses.replace(config, workers=2))
+    serial = run_study_tables(config)["l2"]
+    parallel = run_study_tables(dataclasses.replace(config, workers=2))["l2"]
     assert csv_text(serial) == csv_text(parallel)
 
 
 def test_rows_do_not_depend_on_sibling_resolutions():
     """The N=16 row is identical whether or not N=8 runs alongside it."""
-    both = run_study(small_config())
-    alone = run_study(small_config(n_list=(16,)))
+    both = run_study_tables(small_config())["l2"]
+    alone = run_study_tables(small_config(n_list=(16,)))["l2"]
     row_b = next(r for r in both.rows if r.n_steps == 16)
     row_a = alone.rows[0]
     assert (row_a.rms_error, row_a.standard_error) == (
@@ -252,7 +251,7 @@ def test_silent_noise_reduces_to_deterministic_decay():
     config = small_config(
         n_list=(8, 16, 32), mc_count=3, noise_scale=0.0, exact_mode="semidiscrete"
     )
-    table = run_study(config)
+    table = run_study_tables(config)["l2"]
     grid_lam = dirichlet_eigenvalue(SpatialGrid(config.k), 1)
     for row in table.rows:
         tau = 1.0 / row.n_steps
@@ -264,7 +263,7 @@ def test_silent_noise_reduces_to_deterministic_decay():
 
 def test_single_realization_matches_direct_run():
     config = small_config(mc_count=1, exact_mode="semidiscrete")
-    table = run_study(config)
+    table = run_study_tables(config)["l2"]
     grid = SpatialGrid(config.k)
     path, pieces = sample_windows([(config.base_seed, 0)], config.window_law)
     oracle = window_heat_solution(pieces, grid, mode="semidiscrete")[:, 0]
@@ -274,9 +273,38 @@ def test_single_realization_matches_direct_run():
         assert row.rms_error == pytest.approx(err, rel=1e-14)
         assert row.standard_error == 0.0
     # in continuous mode the spatial floor is the gap between the two oracles
-    continuous = run_study(dataclasses.replace(config, exact_mode="continuous"))
+    continuous = run_study_tables(dataclasses.replace(config, exact_mode="continuous"))["l2"]
     floor = window_heat_solution(pieces, grid, mode="continuous")[:, 0] - oracle
     assert continuous.spatial_floor == pytest.approx(l2_norm(grid.node_values(floor)), rel=1e-14)
+
+
+def test_single_wave_realization_matches_direct_run():
+    """Each wave norm reads its own coordinate of the state: the h1_displacement row is the H1
+    seminorm of X_N - X(1) and the l2_velocity row the L2 norm of Y_N - Y(1)."""
+    config = desk_wave_config(n_list=(8, 16), k=6, mc_count=1, base_seed=4242)
+    tables = run_study_tables(config)
+    grid = SpatialGrid(config.k)
+    path, pieces = sample_windows([(config.base_seed, 0)], config.window_law)
+    x_exact, y_exact = window_wave_solution(pieces, grid)
+    for p, n in enumerate(config.n_list):
+        x, y = run_wave(benchmark_wave_problem(grid, TimeMesh(n)), path)
+        expected = {
+            "h1_displacement": h1_seminorm(grid.node_values(x[:, 0] - x_exact[:, 0])),
+            "l2_velocity": l2_norm(grid.node_values(y[:, 0] - y_exact[:, 0])),
+        }
+        for norm, err in expected.items():
+            row = tables[norm].rows[p]
+            assert row.rms_error == pytest.approx(err, rel=1e-14)
+            assert row.standard_error == 0.0
+
+
+def test_a_wave_study_needs_no_norm_setting():
+    """A StudyConfig names no norm: a plain wave config validates and returns both tables."""
+    config = StudyConfig(equation="wave", n_list=(8, 16), k=6, mc_count=2)
+    validate_config(config)
+    tables = run_study_tables(config)
+    assert list(tables) == ["h1_displacement", "l2_velocity"]
+    assert all(len(table.rows) == 2 for table in tables.values())
 
 
 @pytest.mark.parametrize(
@@ -339,11 +367,11 @@ def test_a_study_never_forms_the_sine_basis(config, monkeypatch):
 def test_adjacent_base_seeds_share_no_path():
     """Realization r is keyed by (base_seed, r), so seeds one apart draw disjoint paths."""
     seeds = (20260814, 20260815)
-    tables = [csv_text(run_study(desk_heat_config(mc_count=16, base_seed=s))) for s in seeds]
+    tables = [csv_text(run_study_tables(desk_heat_config(mc_count=16, base_seed=s))["l2"]) for s in seeds]
     assert tables[0] != tables[1]
     wave = desk_wave_config(n_list=(4, 8, 32), k=6, mc_count=8)
     tables = [
-        csv_text(run_study(dataclasses.replace(wave, base_seed=s))) for s in seeds
+        csv_text(run_study_tables(dataclasses.replace(wave, base_seed=s))["h1_displacement"]) for s in seeds
     ]
     assert tables[0] != tables[1]
     # heat: the N_max increments, the drawn gaps of N = 32..256 and the oracle pieces;
@@ -480,14 +508,14 @@ def test_pool_is_sized_by_its_spans(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     config = small_config(mc_count=8)
-    serial = run_study(config)
+    serial = run_study_tables(config)["l2"]
     assert sizes == []  # one worker runs in this process
-    assert csv_text(run_study(dataclasses.replace(config, workers=1000))) == csv_text(serial)
+    assert csv_text(run_study_tables(dataclasses.replace(config, workers=1000))["l2"]) == csv_text(serial)
     assert sizes == [8]  # spans of one realization each
-    run_study(dataclasses.replace(config, workers=3))
+    run_study_tables(dataclasses.replace(config, workers=3))["l2"]
     assert sizes == [8, 3]  # spans of ceil(8 / 3) = 3: 3, 3 and 2
     monkeypatch.setattr("mcnspde.harness.block_size", lambda config: 2)
-    run_study(dataclasses.replace(config, workers=2))
+    run_study_tables(dataclasses.replace(config, workers=2))["l2"]
     assert sizes == [8, 3, 2]  # four blocks of 2 on two processes
 
 
@@ -526,7 +554,7 @@ def study_peaks(config, counts):
 
 def result_bytes(config, mc_count):
     """Bytes of a study's gathered results: squared errors per row and norm, heat floors."""
-    per_realization = len(config.n_list) * len(harness.study_norms(config))
+    per_realization = len(config.n_list) * len(harness.STUDY_NORMS[config.equation])
     return 8 * mc_count * (per_realization + (config.equation == "heat"))
 
 
@@ -614,7 +642,7 @@ def test_emit_and_read_back(tmp_path):
     )
     table = dataclasses.replace(table_from_errors((8, 16), [1.0, 0.5]), rows=rows)
     dest = tmp_path / "table.csv"
-    emit_csv(table, dest)
+    dest.write_text(csv_text(table))
     back = read_csv(dest)
     assert back == rows  # float equality survives the text round trip
 
@@ -689,7 +717,7 @@ def test_paths_are_drawn_on_the_finest_mesh():
         assert law.meshes == tuple(TimeMesh(n) for n in drawn_n)
         assert law.rates == oracle_rates(SpatialGrid(config.k)) and not law.velocity
         assert config.finest_mesh == TimeMesh(n_list[-1])
-        assert run_study(dataclasses.replace(config, mc_count=2)).rows[-1].rms_error > 0
+        assert run_study_tables(dataclasses.replace(config, mc_count=2))["l2"].rows[-1].rms_error > 0
     wave = [
         # 8 + 15 + 15 + 4 increments, gaps, velocity parts and pieces per window
         (desk_wave_config(), 16, (16, 32, 64, 128), 672),
@@ -706,15 +734,15 @@ def test_paths_are_drawn_on_the_finest_mesh():
         assert config.finest_mesh == TimeMesh(config.n_list[-1])
     beyond = desk_wave_config(n_list=(1, 2), k=4, mc_count=2)
     assert run_study_tables(beyond)["h1_displacement"].rows[-1].rms_error > 0
-    assert len(dataclasses.fields(StudyConfig)) == 10
+    assert len(dataclasses.fields(StudyConfig)) == 9
     with pytest.raises(TypeError):
         desk_heat_config(master_steps=2**16)
 
 
 def test_heat_rows_do_not_depend_on_coarser_meshes():
     """A coarser sibling mesh changes no row, heat or wave: the path law reads only N_max."""
-    wide = run_study(small_config(n_list=(4, 8, 16)))
-    narrow = run_study(small_config(n_list=(8, 16)))
+    wide = run_study_tables(small_config(n_list=(4, 8, 16)))["l2"]
+    narrow = run_study_tables(small_config(n_list=(8, 16)))["l2"]
     assert wide.rows[1:] == narrow.rows
     wave = desk_wave_config(k=6, mc_count=3)
     wide = run_study_tables(dataclasses.replace(wave, n_list=(4, 8, 16)))
@@ -742,8 +770,6 @@ def test_heat_rows_do_not_depend_on_coarser_meshes():
         pytest.param(dict(noise_scale=float("inf")), id="noise_scale_inf"),
         pytest.param(dict(scheme="rk4"), id="overrides12"),
         pytest.param(dict(exact_mode="spectral"), id="overrides13"),
-        # a wave-only norm on a heat study
-        pytest.param(dict(error_norm="h1_displacement"), id="overrides14"),
         pytest.param(dict(base_seed=2**64), id="overrides15"),  # Philox key words are 64 bits
         # the benchmark noise loads sin(3 pi x), which needs 3 interior nodes
         pytest.param(dict(k=2), id="k2"),
@@ -760,7 +786,8 @@ def test_validate_config_rejects_bad_heat_settings(overrides):
     "overrides",
     [
         pytest.param(dict(scheme="em"), id="overrides0"),
-        pytest.param(dict(error_norm="l2"), id="overrides1"),
+        # wave measures against its semidiscrete oracle, but the mode must still be one
+        pytest.param(dict(exact_mode="spectral"), id="exact_mode"),
         pytest.param(dict(k=2), id="k2"),  # no interior node for sin(3 pi x)
     ],
 )
