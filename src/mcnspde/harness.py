@@ -39,12 +39,15 @@ most CHUNK_BYTES, is alive at a time, so memory does not grow with the
 realization count.
 Each path keeps its own Philox key and gets the same bits in any chunk.
 
-Heat studies measure against the closed-form benchmark solution, either
-with continuous-spectrum decay rates (total error, floored by the spatial
-discretization) or semidiscrete rates (pure time-stepping error).  Wave
-studies measure against the exact solution of the spatially discrete
-equation (wave.window_wave_solution), so their rows too are the pure
-time-stepping error.
+A study measures against one oracle, StudyConfig.exact_mode.  The
+semidiscrete one, the default and the only one for wave, is the exact
+solution of the spatially discrete equation (heat.window_heat_solution,
+wave.window_wave_solution), so the rows are the pure time-stepping
+error.  The heat presets take the continuous one, the benchmark solution
+with the PDE spectrum, whose rows hold the total error; their tables
+carry the spatial floor, the RMS gap between the two heat oracles in
+closed form (heat.spatial_error_floor), and the default rate fit drops
+the rows it dominates.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from .heat import (
     heat_step_map,
     modal_march,
     oracle_rates,
+    spatial_error_floor,
     window_heat_solution,
 )
 from .noise import NoiseBlock, TimeMesh, WindowLaw, sample_windows
@@ -97,7 +101,7 @@ STUDY_NORMS = {
 
 CSV_HEADER = "N,tau,rms_error,standard_error"
 
-# Rows whose error sits within this factor of the measured spatial floor
+# Rows whose error sits within this factor of the spatial floor
 # are dropped from the default rate fit: they measure the grid, not the
 # time stepper.
 FLOOR_EXCLUSION_FACTOR = 3.0
@@ -114,8 +118,10 @@ CHUNK_BYTES = 640 * 1024
 class StudyConfig:
     """Complete description of one convergence study.
 
-    Defaults give the quick desk-scale heat study; see desk_wave_config
-    and the paper_* factories for the other stock configurations.
+    Defaults give the quick desk-scale heat study against the
+    semidiscrete oracle, the one both equations have; desk_heat_config
+    gives it against the continuous one, and desk_wave_config and the
+    paper_* factories give the other stock configurations.
     """
 
     equation: str = EQUATION_HEAT
@@ -124,7 +130,7 @@ class StudyConfig:
     k: int = 40
     mc_count: int = 500
     base_seed: int = 20260814
-    exact_mode: str = EXACT_CONTINUOUS
+    exact_mode: str = EXACT_SEMIDISCRETE
     noise_scale: float = 1.0
     workers: int = 1
 
@@ -155,12 +161,12 @@ class StudyConfig:
 
 
 def desk_heat_config(**overrides) -> StudyConfig:
-    """Quick heat study: N in 8..256, 500 realizations.
+    """Quick heat study: N in 8..256 against the continuous oracle, 500 realizations.
 
     Paths are drawn in 32 windows of 27 values: 8 increments of N = 256,
     the 15 gaps of N = 32..256 and 4 oracle pieces, 864 normals a path.
     """
-    return dataclasses.replace(StudyConfig(), **overrides)
+    return dataclasses.replace(StudyConfig(exact_mode=EXACT_CONTINUOUS), **overrides)
 
 
 def desk_wave_config(**overrides) -> StudyConfig:
@@ -175,12 +181,12 @@ def desk_wave_config(**overrides) -> StudyConfig:
 
 
 def paper_heat_config(**overrides) -> StudyConfig:
-    """Full-scale heat study: N in 4..1024, 1000 realizations.
+    """Full-scale heat study: N in 4..1024 against the continuous oracle, 1000 realizations.
 
     Paths are drawn in 64 windows of 51 values: 16 increments of N =
     1024, the 31 gaps of N = 64..1024 and 4 oracle pieces.
     """
-    base = StudyConfig(n_list=(4, 8, 16, 32, 64, 128, 256, 512, 1024), mc_count=1000)
+    base = desk_heat_config(n_list=(4, 8, 16, 32, 64, 128, 256, 512, 1024), mc_count=1000)
     return dataclasses.replace(base, **overrides)
 
 
@@ -230,6 +236,8 @@ def validate_config(config: StudyConfig) -> None:
             raise ConfigError(f"unknown scheme {config.scheme!r}")
     elif config.scheme != SCHEME_MCN:
         raise ConfigError("wave studies run the corrected Crank-Nicolson scheme only")
+    elif config.exact_mode != EXACT_SEMIDISCRETE:
+        raise ConfigError("wave studies measure against the semidiscrete solution only")
 
 
 @dataclass(frozen=True)
@@ -315,11 +323,7 @@ def _default_fit_range(
             return tuple(row.n_steps for row in rows), "kept the coarsest row: only two resolutions"
         return (), "rate not fitted: needs at least two resolutions"
     if spatial_floor is not None and spatial_floor > 0.0:
-        kept = [
-            row
-            for row in candidates
-            if row.rms_error > FLOOR_EXCLUSION_FACTOR * spatial_floor
-        ]
+        kept = [row for row in candidates if row.rms_error > FLOOR_EXCLUSION_FACTOR * spatial_floor]
         if len(kept) >= 2:
             dropped = len(candidates) - len(kept)
             note = f"dropped {dropped} floor-dominated rows" if dropped else ""
@@ -373,13 +377,12 @@ def chunk_size(config: StudyConfig) -> int:
 def _block_squared_errors(config: StudyConfig, span: range):
     """Per-realization squared errors for the realizations of span, marched as one block.
 
-    Returns (errors, floors) with errors shaped (norms, n_list, len(span)),
-    the norms in STUDY_NORMS order, and floors the squared
-    continuous-vs-semidiscrete oracle gap (heat continuous mode only,
-    else None).  The paths are drawn a chunk at a
-    time, each chunk reduced to its noise coordinates on every mesh and
-    its oracle pieces and dropped, and then the oracle is formed and
-    every mesh is marched for the whole block in one modal_march call.
+    Returns the errors against the config's one oracle, shaped (norms,
+    n_list, len(span)), the norms in STUDY_NORMS order.  The paths are
+    drawn a chunk at a time, each chunk reduced to its noise coordinates
+    on every mesh and its oracle pieces and dropped, and then the oracle
+    is formed and every mesh is marched for the whole block in one
+    modal_march call.
     """
     grid, problems = _build_problems(config)
     count = len(span)
@@ -397,19 +400,10 @@ def _block_squared_errors(config: StudyConfig, span: range):
         del paths  # only one chunk is alive at a time
     del buffers  # and none during the marches
     if config.equation == EQUATION_HEAT:
-        # The oracle values of the exact mode, and in continuous mode those of
-        # the semidiscrete one too, whose gap to it is the spatial floor.
-        modes = {config.exact_mode, EXACT_SEMIDISCRETE}
-        oracles = {
-            mode: window_heat_solution(pieces, grid, mode, config.noise_scale) for mode in modes
-        }
-        exact = (oracles[config.exact_mode],)
-        floors = None
-        if config.exact_mode == EXACT_CONTINUOUS:
-            floors = grid.l2_squared(exact[0] - oracles[EXACT_SEMIDISCRETE])
+        exact = (window_heat_solution(pieces, grid, config.exact_mode, config.noise_scale),)
         step_map, states = heat_step_map(problems, config.scheme), [problems[0].initial]
     else:
-        exact, floors = window_wave_solution(pieces, grid, config.noise_scale), None
+        exact = window_wave_solution(pieces, grid, config.noise_scale)
         step_map = wave_step_map(problems)
         states = [problems[0].initial_displacement, problems[0].initial_velocity]
     steps = [range(problem.mesh.N) for problem in problems]
@@ -419,7 +413,7 @@ def _block_squared_errors(config: StudyConfig, span: range):
     for p, final in enumerate(marched):
         for q, (coordinate, norm) in enumerate(norms):
             errors[q, p] = norm(grid, final[coordinate] - exact[coordinate])
-    return errors, floors
+    return errors
 
 
 def _gather_squared_errors(config: StudyConfig):
@@ -442,24 +436,24 @@ def _gather_squared_errors(config: StudyConfig):
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(task, spans))
-    errors, floors = zip(*parts)
-    return np.concatenate(errors, axis=-1), None if floors[0] is None else np.concatenate(floors)
+    return np.concatenate(parts, axis=-1)
 
 
 def run_study_tables(config: StudyConfig) -> dict[str, ConvergenceTable]:
     """Run the study once and return a table for every norm it measures."""
     validate_config(config)
-    errors, floors = _gather_squared_errors(config)
-    spatial_floor = math.sqrt(float(floors.mean())) if floors is not None else None
+    # Only heat can be continuous: validate_config holds wave to its semidiscrete oracle.
+    continuous = config.exact_mode == EXACT_CONTINUOUS
+    floor = spatial_error_floor(SpatialGrid(config.k), config.noise_scale) if continuous else None
     # Every row of every norm in one pass, each a contiguous row of R: (norms, n_list).
-    rms, se = rms_and_standard_error(errors)
+    rms, se = rms_and_standard_error(_gather_squared_errors(config))
     tables = {}
     for q, norm in enumerate(STUDY_NORMS[config.equation]):
         rows = tuple(
             TableRow(n, 1.0 / n, float(rms[q, p]), float(se[q, p]))
             for p, n in enumerate(config.n_list)
         )
-        fit_range, note = _default_fit_range(rows, spatial_floor)
+        fit_range, note = _default_fit_range(rows, floor)
         table = ConvergenceTable(
             equation=config.equation,
             scheme=config.scheme,
@@ -467,7 +461,7 @@ def run_study_tables(config: StudyConfig) -> dict[str, ConvergenceTable]:
             rows=rows,
             fitted_rate=float("nan"),
             fit_range=fit_range,
-            spatial_floor=spatial_floor,
+            spatial_floor=floor,
             fit_note=note,
         )
         if len(fit_range) >= 2:
@@ -516,8 +510,7 @@ def report_text(table: ConvergenceTable, config: StudyConfig | None = None) -> s
         out.append(f"base seed:      {config.base_seed}")
         law = config.window_law
         out.append(f"noise windows:  {law.windows}, {law.normals} normals per path")
-        exact = config.exact_mode if config.equation == EQUATION_HEAT else EXACT_SEMIDISCRETE
-        out.append(f"exact mode:     {exact}")
+        out.append(f"exact mode:     {config.exact_mode}")
     out.append("")
     out.append(f"{'N':>6s} {'tau':>12s} {'rms_error':>14s} {'std_error':>14s}")
     for row in table.rows:

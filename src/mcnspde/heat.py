@@ -34,7 +34,9 @@ noise channel loading sin(2 pi x) + sin(3 pi x) (e_2 + e_3), whose
 exact solution has three nonzero amplitudes (one deterministic decay,
 two stochastic convolutions).  A study reads the convolutions exactly,
 as sums of the window pieces it draws (window_heat_solution, on the
-rates of oracle_rates).
+rates of oracle_rates), and the RMS gap between the solutions with the
+PDE and the grid spectrum, the spatial floor, in closed form
+(spatial_error_floor).
 """
 
 from __future__ import annotations
@@ -277,7 +279,8 @@ def oracle_rates(grid: SpatialGrid) -> tuple[float, ...]:
     """Decay rates of the benchmark noise modes, continuous and then semidiscrete.
 
     A heat study draws one oracle piece per rate (noise.WindowLaw), so
-    both exact modes, and the spatial floor between them, read one draw.
+    both exact modes read one draw: continuous and semidiscrete studies
+    at one seed march the same paths.
     """
     modes = (EXACT_CONTINUOUS, EXACT_SEMIDISCRETE)
     # From a list, as in noise.WindowLaw.pieces: this runs once a block.
@@ -309,6 +312,29 @@ def window_heat_solution(
     first = 0 if mode == EXACT_CONTINUOUS else len(rates)
     conv = window_sum(pieces[..., first : first + len(rates)], rates)
     return _benchmark_solution(grid, mode, noise_scale * conv)
+
+
+def spatial_error_floor(grid: SpatialGrid, noise_scale: float = 1.0) -> float:
+    """Exact RMS L2 gap at time 1 between the continuous and the semidiscrete benchmark solutions.
+
+    Mode 1 differs by exp(-mu_1) - exp(-lambda_1), mu_k = (k pi)^2 and
+    lambda_k the grid eigenvalue; each noise mode by noise_scale times
+    int_0^1 (exp(-mu_k u) - exp(-lambda_k u)) dW, of variance
+    E(2 mu_k) - 2 E(mu_k + lambda_k) + E(2 lambda_k), E(z) = int_0^1
+    exp(-z u) du = -expm1(-z) / z.  The squared norm halves the sum of
+    the squared amplitudes (SpatialGrid.l2_squared).
+    """
+    def rates(k):
+        return [_benchmark_rate(grid, mode, k) for mode in (EXACT_CONTINUOUS, EXACT_SEMIDISCRETE)]
+
+    def decay(z):
+        return -math.expm1(-z) / z
+
+    mu, lam = rates(BENCHMARK_INITIAL_MODE)
+    total = (math.exp(-mu) - math.exp(-lam)) ** 2
+    for mu, lam in map(rates, BENCHMARK_NOISE_MODES):
+        total += noise_scale**2 * (decay(2 * mu) - 2 * decay(mu + lam) + decay(2 * lam))
+    return math.sqrt(0.5 * total)
 
 
 def _benchmark_solution(grid: SpatialGrid, mode: str, conv: np.ndarray) -> np.ndarray:

@@ -45,7 +45,13 @@ from mcnspde import (
 )
 from mcnspde import harness
 from mcnspde.harness import CHUNK_BYTES, _default_fit_range, block_size, chunk_size
-from mcnspde.heat import heat_step_map, modal_march, oracle_rates, window_heat_solution
+from mcnspde.heat import (
+    heat_step_map,
+    modal_march,
+    oracle_rates,
+    spatial_error_floor,
+    window_heat_solution,
+)
 from mcnspde.noise import WindowLaw, sample_windows, window_factor
 from mcnspde.wave import wave_oracle_rates, wave_step_map, window_wave_solution
 
@@ -178,7 +184,7 @@ def test_table_rows_are_each_row_reduced_alone():
     """At 200 realizations, where a strided row would be summed in another order, every row of
     both wave norms is bit for bit the former 1-D reduction of its column of squared errors."""
     config = desk_wave_config(n_list=(4, 8, 16), k=6, mc_count=200)
-    errors, _ = harness._gather_squared_errors(config)
+    errors = harness._gather_squared_errors(config)
     for q, table in enumerate(run_study_tables(config).values()):
         for p, row in enumerate(table.rows):
             column = np.ascontiguousarray(errors[q, p])
@@ -272,10 +278,9 @@ def test_single_realization_matches_direct_run():
         err = l2_norm(grid.node_values(run_heat(problem, path, "mcn")[:, 0] - oracle))
         assert row.rms_error == pytest.approx(err, rel=1e-14)
         assert row.standard_error == 0.0
-    # in continuous mode the spatial floor is the gap between the two oracles
+    # in continuous mode the spatial floor is the closed-form RMS gap between the two oracles
     continuous = run_study_tables(dataclasses.replace(config, exact_mode="continuous"))["l2"]
-    floor = window_heat_solution(pieces, grid, mode="continuous")[:, 0] - oracle
-    assert continuous.spatial_floor == pytest.approx(l2_norm(grid.node_values(floor)), rel=1e-14)
+    assert continuous.spatial_floor == spatial_error_floor(grid)
 
 
 def test_single_wave_realization_matches_direct_run():
@@ -296,6 +301,18 @@ def test_single_wave_realization_matches_direct_run():
             row = tables[norm].rows[p]
             assert row.rms_error == pytest.approx(err, rel=1e-14)
             assert row.standard_error == 0.0
+
+
+def test_spatial_floor_depends_on_no_draw():
+    """A continuous study's floor is the closed form: equal across base seeds and realization
+    counts; a semidiscrete study carries none."""
+    floors = {
+        run_study_tables(small_config(base_seed=seed, mc_count=mc))["l2"].spatial_floor
+        for seed in (4242, 4243)
+        for mc in (3, 8)
+    }
+    assert floors == {spatial_error_floor(SpatialGrid(6))}
+    assert run_study_tables(small_config(exact_mode="semidiscrete"))["l2"].spatial_floor is None
 
 
 def test_a_wave_study_needs_no_norm_setting():
@@ -553,9 +570,9 @@ def study_peaks(config, counts):
 
 
 def result_bytes(config, mc_count):
-    """Bytes of a study's gathered results: squared errors per row and norm, heat floors."""
+    """Bytes of a study's gathered results: squared errors per row and norm."""
     per_realization = len(config.n_list) * len(harness.STUDY_NORMS[config.equation])
-    return 8 * mc_count * (per_realization + (config.equation == "heat"))
+    return 8 * mc_count * per_realization
 
 
 def test_study_memory_does_not_grow_with_realizations():
@@ -675,7 +692,9 @@ def test_preset_configurations():
     assert desk.mc_count == 500
     assert desk.window_law == WindowLaw(256, oracle_rates(SpatialGrid(40)))
     assert (desk.window_law.windows, desk.window_law.normals) == (32, 864)
-    assert desk.exact_mode == "continuous"
+    assert desk.exact_mode == paper_heat_config().exact_mode == "continuous"
+    assert desk_heat_config(exact_mode="semidiscrete").window_law == desk.window_law
+    assert StudyConfig().exact_mode == "semidiscrete"
     wave = desk_wave_config()
     assert wave.n_list == (8, 16, 32, 64, 128)
     assert wave.mc_count == 300
@@ -687,9 +706,12 @@ def test_preset_configurations():
     paper_w = paper_wave_config()
     assert paper_w.n_list == paper_h.n_list and paper_w.mc_count == 1000
     assert (paper_w.window_law.windows, paper_w.window_law.width) == (64, 82)
+    assert wave.exact_mode == paper_w.exact_mode == "semidiscrete"
     for cfg in (desk, wave, paper_h, paper_w):
         assert cfg.window_law.steps == cfg.finest_mesh.N
         validate_config(cfg)
+    table = dataclasses.replace(table_from_errors((8, 16), [1.0, 0.5]), equation="wave")
+    assert "exact mode:     semidiscrete\n" in report_text(table, wave)
 
 
 def test_paths_are_drawn_on_the_finest_mesh():
@@ -786,8 +808,9 @@ def test_validate_config_rejects_bad_heat_settings(overrides):
     "overrides",
     [
         pytest.param(dict(scheme="em"), id="overrides0"),
-        # wave measures against its semidiscrete oracle, but the mode must still be one
+        # wave measures against its semidiscrete oracle, and the mode must name that one
         pytest.param(dict(exact_mode="spectral"), id="exact_mode"),
+        pytest.param(dict(exact_mode="continuous"), id="exact_mode_continuous"),
         pytest.param(dict(k=2), id="k2"),  # no interior node for sin(3 pi x)
     ],
 )

@@ -33,7 +33,7 @@ from mcnspde import (
     sample_path,
     sine_mode,
 )
-from mcnspde.heat import oracle_rates, window_heat_solution
+from mcnspde.heat import oracle_rates, spatial_error_floor, window_heat_solution
 from mcnspde.noise import WindowLaw, sample_windows
 
 
@@ -519,6 +519,36 @@ def test_window_oracle_meets_the_ito_isometry():
             products = samples[:, a] * samples[:, b]
             se = products.std(ddof=1) / math.sqrt(products.size)
             assert abs(products.mean() - expected[a, b]) <= 4.0 * se, (a, b)
+
+
+@pytest.mark.parametrize("k, scale", [(6, 0.7), (40, 1.0)])
+def test_spatial_floor_is_its_quadrature(k, scale):
+    """The closed form matches a 200-point Gauss-Legendre sum of int_0^1 (e^(-mu u) -
+    e^(-lambda u))^2 du per noise mode, mu = (k pi)^2 and lambda the grid eigenvalue."""
+    grid = SpatialGrid(k)
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    u, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    total = (math.exp(-math.pi**2) - math.exp(-dirichlet_eigenvalue(grid, 1))) ** 2
+    for mode in (2, 3):
+        mu, lam = (mode * math.pi) ** 2, dirichlet_eigenvalue(grid, mode)
+        total += scale**2 * np.sum(weights * (np.exp(-mu * u) - np.exp(-lam * u)) ** 2)
+    assert spatial_error_floor(grid, scale) == pytest.approx(math.sqrt(0.5 * total), rel=1e-9)
+
+
+@pytest.mark.parametrize("k, scale", [(6, 0.7), (40, 1.0)])
+def test_spatial_floor_is_the_mean_oracle_gap(k, scale):
+    """Over 4000 desk window draws, the squared L2 gap between the continuous and the
+    semidiscrete window_heat_solution averages the square of the closed form within 4 SE."""
+    grid, oracle_modes = SpatialGrid(k), ("continuous", "semidiscrete")
+    law = desk_heat_config(k=k).window_law
+    gaps = []
+    for lo in range(0, 4000, 500):
+        _, pieces = sample_windows([(11, r) for r in range(lo, lo + 500)], law)
+        cont, semi = (window_heat_solution(pieces, grid, m, scale) for m in oracle_modes)
+        gaps.append(grid.l2_squared(cont - semi))
+    gaps = np.concatenate(gaps)
+    se = gaps.std(ddof=1) / math.sqrt(gaps.size)
+    assert abs(gaps.mean() - spatial_error_floor(grid, scale) ** 2) <= 4.0 * se
 
 
 def test_benchmark_problem_layout():
